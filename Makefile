@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short bench bench-store bench-server bench-resilience bench-durability chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test test-short race race-short bench bench-check chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
 
 all: build vet test
 
@@ -29,34 +29,13 @@ race-short:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Storage-layer benchmarks: indexed vs re-reading store queries, cached
-# vs uncached directive harvesting. CI archives the JSON summary.
-bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkStoreQuery|BenchmarkHarvest' -benchmem \
-		./internal/history/ ./internal/core/ | tee bench-store.txt
-	$(GO) run ./internal/tools/benchjson -pr 2 -in bench-store.txt
-
-# Service benchmarks: full HTTP round trips against an in-process pcd
-# (indexed query, cache-hot harvest pipeline). CI archives the summary.
-bench-server:
-	$(GO) test -run '^$$' -bench 'BenchmarkServer' -benchmem \
-		./internal/server/ | tee bench-server.txt
-	$(GO) run ./internal/tools/benchjson -pr 3 -in bench-server.txt
-
-# Resilience benchmarks: client retry/breaker overhead and the fault
-# injector's tax on backend ops. CI archives the summary.
-bench-resilience:
-	$(GO) test -run '^$$' -bench 'BenchmarkResilience' -benchmem \
-		./internal/client/ ./internal/history/ | tee bench-resilience.txt
-	$(GO) run ./internal/tools/benchjson -pr 4 -in bench-resilience.txt
-
-# Durability benchmarks: WAL append cost per sync policy, journal
-# replay cost at restart, and the per-checkpoint write a journaled
-# session pays. CI archives the summary (BENCH_PR5.json).
-bench-durability:
-	$(GO) test -run '^$$' -bench 'BenchmarkDurability' -benchmem \
-		./internal/history/ ./internal/server/ | tee bench-durability.txt
-	$(GO) run ./internal/tools/benchjson -pr 5 -in bench-durability.txt
+# The benchmark module (bench/, BENCHMARK.json) is a Go module of its
+# own that the root build and tests never compile, so a changed
+# signature under internal/ breaks it silently. This compiles, vets and
+# short-tests it against the tree; `bash bench/run.sh` is the benchmark
+# itself.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Chaos soak under the race detector: the client→server→store pipeline
 # with a seeded fault mix must produce byte-identical diagnosis output
@@ -81,8 +60,7 @@ fsck:
 # Sustained-traffic load harness (cmd/pcload): drive a live pcd with a
 # declarative scenario suite and verify correctness under load. Usage:
 # make load SUITE=smoke (any suites/*.toml name, comma-separated for
-# several; defaults to every suite). LOAD_PR6.json in the repo records
-# the numbers measured when the harness landed.
+# several; defaults to every suite).
 SUITE ?= smoke
 load:
 	$(GO) run ./cmd/pcload -suite $(SUITE) -check -v
@@ -107,8 +85,7 @@ shard:
 # Streaming-ingestion smoke: pcfeed drives 8 concurrent archetype
 # streams per wave into a self-hosted pcd with harvesting on (the
 # post-run read-back sweep is part of -check), then the kept store must
-# pcfsck clean. BENCH_PR8.json in the repo records the harvest-on vs
-# harvest-off steps-to-signature numbers (pcfeed -compare).
+# pcfsck clean.
 INGEST_DIR ?= /tmp/pcingest-store
 ingest:
 	rm -rf $(INGEST_DIR)

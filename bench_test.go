@@ -34,7 +34,7 @@ func printTable(name, rendered string) {
 // the true bottlenecks under each directive variant.
 func BenchmarkTable1Directives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Table1(1, 1)
+		res, err := harness.NewEnv(nil).Table1(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkOceanThresholds(b *testing.B) {
 // application version with directives harvested from every version.
 func BenchmarkTable3CrossVersion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Table3(1, 1)
+		res, err := harness.NewEnv(nil).Table3(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkTable3CrossVersion(b *testing.B) {
 // directives extracted from versions A, B and C.
 func BenchmarkTable4Similarity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Table4(1)
+		res, err := harness.NewEnv(nil).Table4(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkTable4Similarity(b *testing.B) {
 // study (a1->a2 and A∩B vs A∪B).
 func BenchmarkCombineDirectives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.CombineStudy(1)
+		res, err := harness.NewEnv(nil).CombineStudy(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkFigure3Mappings(b *testing.B) {
 // Consultant run.
 func BenchmarkPostmortemHarvest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.PostmortemStudy(1)
+		res, err := harness.NewEnv(nil).PostmortemStudy(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func BenchmarkPostmortemHarvest(b *testing.B) {
 // (cost limit, insertion latency, test interval, sync-probe cost factor).
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Ablation(1)
+		res, err := harness.NewEnv(nil).Ablation(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func benchmarkRunSessions(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	jobs := harness.Table1Jobs(base.Record, 1)
+	jobs := harness.NewEnv(nil).Table1Jobs(base.Record, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := harness.RunSessions(jobs, workers)
@@ -460,7 +460,7 @@ func BenchmarkSimScaling(b *testing.B) {
 // machine partition grows (4 to 32 processes).
 func BenchmarkScaleStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.ScaleStudy(nil, 1)
+		res, err := harness.NewEnv(nil).ScaleStudy(nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

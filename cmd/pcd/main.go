@@ -243,6 +243,9 @@ func main() {
 		for _, name := range rep.SweptTemp {
 			log.Printf("recovery: swept orphaned temp file %s", name)
 		}
+		for _, r := range rep.Renamed {
+			log.Printf("recovery: renamed %s to %s (one file name per key)", r.From, r.To)
+		}
 		for _, q := range rep.Quarantined {
 			log.Printf("recovery: quarantined %s (%s)", q.Name, q.Reason)
 		}

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/history"
 	"repro/internal/server"
 )
@@ -50,7 +51,7 @@ type Client struct {
 	sleep func(ctx context.Context, d time.Duration) error
 	now   func() time.Time
 
-	brk    breaker
+	brk    breaker.Breaker
 	counts counters
 }
 

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // ErrUnavailable is the typed form of a 503: the server exists but is
@@ -96,58 +97,6 @@ type counters struct {
 	retries        atomic.Uint64
 	breakerOpens   atomic.Uint64
 	breakerRejects atomic.Uint64
-}
-
-// breaker is the consecutive-failure circuit breaker. Only failures that
-// look like server or transport trouble count; a well-formed 4xx means
-// the server answered and closes the loop.
-type breaker struct {
-	mu        sync.Mutex
-	failures  int
-	openUntil time.Time
-}
-
-// allow admits the call, or returns how long the breaker stays closed.
-// When the cooldown has elapsed it admits exactly one probe per cooldown
-// window by pushing openUntil forward.
-func (b *breaker) allow(p BreakerPolicy, now time.Time) (bool, time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failures < p.Threshold {
-		return true, 0
-	}
-	if now.Before(b.openUntil) {
-		return false, b.openUntil.Sub(now)
-	}
-	// Half-open: this caller probes; concurrent callers keep failing
-	// fast until the probe's verdict is in.
-	b.openUntil = now.Add(p.cooldown())
-	return true, 0
-}
-
-// record feeds one call's outcome into the breaker, reporting whether
-// this failure opened it.
-func (b *breaker) record(p BreakerPolicy, now time.Time, failed bool) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !failed {
-		b.failures = 0
-		b.openUntil = time.Time{}
-		return false
-	}
-	b.failures++
-	if b.failures == p.Threshold {
-		b.openUntil = now.Add(p.cooldown())
-		return true
-	}
-	return false
-}
-
-func (p BreakerPolicy) cooldown() time.Duration {
-	if p.Cooldown > 0 {
-		return p.Cooldown
-	}
-	return 5 * time.Second
 }
 
 func (p RetryPolicy) base() time.Duration {
@@ -270,7 +219,7 @@ func (c *Client) send(ctx context.Context, idempotent bool, once func() ([]byte,
 			}
 		}
 		if c.Breaker.Threshold > 0 {
-			ok, wait := c.brk.allow(c.Breaker, c.clock())
+			ok, wait := c.brk.Allow(breaker.Policy(c.Breaker), c.clock())
 			if !ok {
 				c.counts.breakerRejects.Add(1)
 				last = fmt.Errorf("client: %w (retry in %s): %w", ErrBreakerOpen, wait.Round(time.Millisecond), ErrUnavailable)
@@ -279,8 +228,12 @@ func (c *Client) send(ctx context.Context, idempotent bool, once func() ([]byte,
 		}
 		c.counts.requests.Add(1)
 		data, err := once()
+		// Only failures that look like server or transport trouble count;
+		// a well-formed 4xx means the server answered and closes the loop.
 		if c.Breaker.Threshold > 0 {
-			if c.brk.record(c.Breaker, c.clock(), breakerCounts(err)) {
+			if !breakerCounts(err) {
+				c.brk.Success()
+			} else if c.brk.Failure(breaker.Policy(c.Breaker), c.clock()) {
 				c.counts.breakerOpens.Add(1)
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // The resilience benchmarks measure what the retry/breaker machinery
@@ -83,8 +85,7 @@ func BenchmarkResilienceBreakerOpen(b *testing.B) {
 	defer ts.Close()
 	c := New(ts.URL)
 	c.Breaker = BreakerPolicy{Threshold: 1, Cooldown: time.Hour}
-	c.brk.failures = 1
-	c.brk.openUntil = time.Now().Add(time.Hour)
+	c.brk.Failure(breaker.Policy(c.Breaker), time.Now())
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

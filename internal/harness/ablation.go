@@ -29,13 +29,9 @@ type AblationResult struct {
 }
 
 // Ablation runs the parameter sweeps. Every setting's session is
-// independent: all of them fan out across workers in one batch.
-func Ablation(workers int) (*AblationResult, error) {
-	return NewEnv(nil).Ablation(workers)
-}
-
-// Ablation is the environment-backed form: every sweep setting's run
-// record lands in the Env's store for later cross-run queries.
+// independent: all of them fan out across workers in one batch. Every
+// sweep setting's run record lands in the Env's store for later
+// cross-run queries.
 func (e *Env) Ablation(workers int) (*AblationResult, error) {
 	type setting struct {
 		param  string

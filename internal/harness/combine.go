@@ -28,13 +28,8 @@ type CombineResult struct {
 
 // CombineStudy reproduces the paper's Section 4.3 analyses. The three
 // base diagnoses (a1, B, C) are independent and run as one parallel
-// batch; the three directed diagnoses that depend on their harvests (a2,
-// A∩B on C, A∪B on C) form a second batch.
-func CombineStudy(workers int) (*CombineResult, error) {
-	return NewEnv(nil).CombineStudy(workers)
-}
-
-// CombineStudy is the environment-backed form: the a1, B and C base
+// batch; the three directed diagnoses that depend on their harvests
+// (a2, A∩B on C, A∪B on C) form a second batch. The a1, B and C base
 // records are saved to the Env's store, and the harvest → map →
 // intersect/union pipeline runs through the Env's cache — the A harvest
 // is computed once and reused by both the a2 rerun and the combination.

@@ -12,7 +12,7 @@ import "testing"
 
 func renderTable1(t *testing.T, workers int) string {
 	t.Helper()
-	res, err := Table1(1, workers)
+	res, err := NewEnv(nil).Table1(1, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func renderTable2(t *testing.T, workers int) string {
 
 func renderTable3(t *testing.T, workers int) string {
 	t.Helper()
-	res, err := Table3(1, workers)
+	res, err := NewEnv(nil).Table3(1, workers)
 	if err != nil {
 		t.Fatal(err)
 	}

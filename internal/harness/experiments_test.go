@@ -12,7 +12,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := Table1(1, 1)
+	res, err := NewEnv(nil).Table1(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTable3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := Table3(1, 1)
+	res, err := NewEnv(nil).Table3(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := Table4(1)
+	res, err := NewEnv(nil).Table4(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCombineStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := CombineStudy(1)
+	res, err := NewEnv(nil).CombineStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestPostmortemStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := PostmortemStudy(1)
+	res, err := NewEnv(nil).PostmortemStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := Ablation(1)
+	res, err := NewEnv(nil).Ablation(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestScaleStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness")
 	}
-	res, err := ScaleStudy([]int{4, 8}, 1)
+	res, err := NewEnv(nil).ScaleStudy([]int{4, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

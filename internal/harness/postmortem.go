@@ -57,16 +57,11 @@ func TraceRun(a *app.App, duration float64, runID string) (*postmortem.Evaluator
 }
 
 // PostmortemStudy runs the comparison on Poisson C. The two directed
-// diagnoses (SHG-directed and trace-directed) are independent and run as
-// one parallel batch.
-func PostmortemStudy(workers int) (*PostmortemResult, error) {
-	return NewEnv(nil).PostmortemStudy(workers)
-}
-
-// PostmortemStudy is the environment-backed form: both the online base
-// record and the trace-derived postmortem record are saved to the Env's
-// store, so trace evaluation feeds the same storage path the online
-// Performance Consultant uses.
+// diagnoses (SHG-directed and trace-directed) are independent and run
+// as one parallel batch. Both the online base record and the
+// trace-derived postmortem record are saved to the Env's store, so
+// trace evaluation feeds the same storage path the online Performance
+// Consultant uses.
 func (e *Env) PostmortemStudy(workers int) (*PostmortemResult, error) {
 	out := &PostmortemResult{}
 

@@ -26,16 +26,11 @@ type ScaleResult struct {
 	Rows []ScaleRow
 }
 
-// ScaleStudy runs the 2-D Poisson code across increasing partition sizes.
-// Phase 1 diagnoses every size undirected in parallel; phase 2 re-runs
-// every size under the directives its own base run produced.
-func ScaleStudy(sizes []int, workers int) (*ScaleResult, error) {
-	return NewEnv(nil).ScaleStudy(sizes, workers)
-}
-
-// ScaleStudy is the environment-backed form: each size's base record is
-// saved to the Env's store and its directives harvested from the stored
-// copy.
+// ScaleStudy runs the 2-D Poisson code across increasing partition
+// sizes. Phase 1 diagnoses every size undirected in parallel; phase 2
+// re-runs every size under the directives its own base run produced.
+// Each size's base record is saved to the Env's store and its
+// directives harvested from the stored copy.
 func (e *Env) ScaleStudy(sizes []int, workers int) (*ScaleResult, error) {
 	if len(sizes) == 0 {
 		sizes = []int{4, 8, 16, 32}

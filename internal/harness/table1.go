@@ -61,15 +61,10 @@ var Fractions = [4]float64{0.25, 0.50, 0.75, 1.00}
 const ImportantMargin = 0.5
 
 // Table1Jobs builds the session jobs for every (variant, trial)
-// combination, given the base run's record. Job i corresponds to variant
-// i/trials, trial i%trials — the layout Table1 aggregates over, exposed so
-// the scheduler benchmarks can run the exact Table 1 workload.
-func Table1Jobs(base *history.RunRecord, trials int) []SessionJob {
-	return NewEnv(nil).Table1Jobs(base, trials)
-}
-
-// Table1Jobs is the environment-backed form: harvests are memoized in
-// the Env's cache.
+// combination, given the base run's record. Job i corresponds to
+// variant i/trials, trial i%trials — the layout Table1 aggregates over,
+// exposed so the scheduler benchmarks can run the exact Table 1
+// workload. Harvests are memoized in the Env's cache.
 func (e *Env) Table1Jobs(base *history.RunRecord, trials int) []SessionJob {
 	variants := Table1Variants()
 	jobs := make([]SessionJob, 0, len(variants)*trials)
@@ -92,19 +87,15 @@ func (e *Env) Table1Jobs(base *history.RunRecord, trials int) []SessionJob {
 	return jobs
 }
 
-// Table1 reproduces the paper's Table 1 on Poisson version C: a base run
-// with no directives defines the bottleneck set, then each directive
-// variant is timed on how quickly it finds that set. Identical search
-// thresholds are used in all runs (no threshold directives). trials > 1
-// re-runs each variant with different simulator seeds and reports medians.
-// The (variant, trial) sessions are independent and fan out across
-// workers; the rendered table is identical for every worker count.
-func Table1(trials, workers int) (*Table1Result, error) {
-	return NewEnv(nil).Table1(trials, workers)
-}
-
-// Table1 is the environment-backed form: the base record is saved to
-// the Env's store and every variant harvests from the stored copy.
+// Table1 reproduces the paper's Table 1 on Poisson version C: a base
+// run with no directives defines the bottleneck set, then each
+// directive variant is timed on how quickly it finds that set.
+// Identical search thresholds are used in all runs (no threshold
+// directives). trials > 1 re-runs each variant with different simulator
+// seeds and reports medians. The (variant, trial) sessions are
+// independent and fan out across workers; the rendered table is
+// identical for every worker count. The base record is saved to the
+// Env's store and every variant harvests from the stored copy.
 func (e *Env) Table1(trials, workers int) (*Table1Result, error) {
 	if trials < 1 {
 		trials = 1

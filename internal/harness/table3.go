@@ -51,17 +51,12 @@ type Table3Result struct {
 var table3Harvest = core.HarvestOptions{GeneralPrunes: true, HistoricPrunes: true, Priorities: true}
 
 // Table3 reproduces the paper's Table 3: each version A-D is diagnosed
-// with no directives and with directives extracted from a base run of each
-// version, using inferred resource mappings to carry directives across the
-// renamed modules, functions, machine nodes and process IDs.
-func Table3(trials, workers int) (*Table3Result, error) {
-	return NewEnv(nil).Table3(trials, workers)
-}
-
-// Table3 is the environment-backed form: every base record is saved to
-// the Env's store, and each (target, source) harvest comes out of the
-// memoizing cache — each source version is harvested once, not once per
-// target.
+// with no directives and with directives extracted from a base run of
+// each version, using inferred resource mappings to carry directives
+// across the renamed modules, functions, machine nodes and process IDs.
+// Every base record is saved to the Env's store, and each (target,
+// source) harvest comes out of the memoizing cache — each source
+// version is harvested once, not once per target.
 func (e *Env) Table3(trials, workers int) (*Table3Result, error) {
 	if trials < 1 {
 		trials = 1

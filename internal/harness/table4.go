@@ -23,14 +23,9 @@ var Table4Regions = []string{"A only", "B only", "C only", "A,B only", "A,C only
 
 // Table4 reproduces the paper's Table 4: how similar the priority
 // directives extracted from different code versions are. The three base
-// runs are independent and fan out across workers.
-func Table4(workers int) (*Table4Result, error) {
-	return NewEnv(nil).Table4(workers)
-}
-
-// Table4 is the environment-backed form: priorities are extracted from
-// the stored copies of the three base records, and the mapping into
-// version C's namespace runs through the Env's cache.
+// runs are independent and fan out across workers. Priorities are
+// extracted from the stored copies of the three base records, and the
+// mapping into version C's namespace runs through the Env's cache.
 func (e *Env) Table4(workers int) (*Table4Result, error) {
 	sets := make(map[string]map[string]consultant.Priority) // version -> key -> level
 	versions := []string{"A", "B", "C"}

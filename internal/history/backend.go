@@ -78,8 +78,6 @@ type Backend interface {
 	Delete(key RecordKey) error
 	// Scan enumerates every stored record. Entries that cannot be read
 	// are reported in issues and skipped, never failing the scan; the
-	// returned error is reserved for whole-store failures. When one
-	// logical record is reachable under several names (a legacy file and
-	// its escaped successor), the authoritative entry is yielded last.
+	// returned error is reserved for whole-store failures.
 	Scan() ([]ScanEntry, []ScanIssue, error)
 }

@@ -71,7 +71,7 @@ func TestBackendConformance(t *testing.T) {
 				t.Error("Put did not overwrite")
 			}
 
-			// Keys with '-' in components stay distinct (the legacy
+			// Keys with '-' in components stay distinct (the pre-escaping
 			// filename collision).
 			kA := RecordKey{App: "a-b", Version: "", RunID: "c"}
 			kB := RecordKey{App: "a", Version: "b", RunID: "c"}
@@ -322,11 +322,6 @@ func TestFSBackendEscaping(t *testing.T) {
 		if got := fileName(c.key); got != c.name {
 			t.Errorf("fileName(%v) = %q, want %q", c.key, got, c.name)
 		}
-	}
-	// A component with a path separator never gets a legacy fallback
-	// name (it would escape the store directory).
-	if got := legacyFileName(RecordKey{App: "e/vil", RunID: "r"}); got != "" {
-		t.Errorf("legacyFileName allowed a path separator: %q", got)
 	}
 }
 

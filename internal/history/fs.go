@@ -1,7 +1,6 @@
 package history
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,12 +12,11 @@ import (
 //
 // Files are named esc(app)-esc(version)-esc(runid).json, where esc
 // percent-escapes '%', '-', path separators and control bytes in each
-// component. The escaping makes the three components unambiguous: under
-// the legacy scheme (raw app[-version]-runid.json) app "a-b" run "c" and
-// app "a" version "b" run "c" collided on a-b-c.json. Legacy files are
-// still read (Get falls back to the legacy name; Scan identifies every
-// file by its JSON content, not its name) and are upgraded on the next
-// Put of the same key.
+// component, so the three components parse back unambiguously and every
+// key has exactly one file name. Scan identifies every file by its JSON
+// content, not its name; a record found under any other name (the
+// pre-escaping app[-version]-runid.json scheme, say) is renamed by the
+// open-time recovery pass and by pcfsck, never read through a fallback.
 type FSBackend struct {
 	dir string
 
@@ -36,35 +34,12 @@ type FSBackend struct {
 	fileSyncHook func(f *os.File) error
 }
 
-// syncDir fsyncs a directory, making a just-committed rename inside it
-// durable across power loss. (The rename itself only orders the metadata
-// in memory; the directory entry reaches the platter on its fsync.)
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // sync fsyncs a directory, through the test hook when set.
 func (b *FSBackend) sync(dir string) error {
 	if b.syncHook != nil {
 		return b.syncHook(dir)
 	}
 	return syncDir(dir)
-}
-
-// syncFile fsyncs an open file, through the test hook when set.
-func (b *FSBackend) syncFile(f *os.File) error {
-	if b.fileSyncHook != nil {
-		return b.fileSyncHook(f)
-	}
-	return f.Sync()
 }
 
 // NewFSBackend opens (creating if needed) a record directory.
@@ -109,185 +84,31 @@ func fileName(key RecordKey) string {
 		escapeComponent(key.RunID) + ".json"
 }
 
-// legacyFileIs reports whether the legacy-named file at path holds the
-// record for key. A legacy name is ambiguous — app "a-b" run "c" and app
-// "a" version "b" run "c" share a-b-c.json — so before reading or
-// removing one, the JSON identity fields decide whose file it is.
-func legacyFileIs(path string, key RecordKey) ([]byte, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var id struct {
-		App     string `json:"app"`
-		Version string `json:"version"`
-		RunID   string `json:"run_id"`
-	}
-	if err := json.Unmarshal(data, &id); err != nil {
-		return nil, false
-	}
-	if (RecordKey{App: id.App, Version: id.Version, RunID: id.RunID}) != key {
-		return nil, false
-	}
-	return data, true
-}
-
-// legacyFileName is the pre-escaping basename (app[-version]-runid.json),
-// or "" when a component cannot appear in a single legacy path element.
-func legacyFileName(key RecordKey) string {
-	for _, c := range []string{key.App, key.Version, key.RunID} {
-		if strings.ContainsAny(c, "/\\") {
-			return ""
-		}
-	}
-	name := key.App
-	if key.Version != "" {
-		name += "-" + key.Version
-	}
-	return name + "-" + key.RunID + ".json"
-}
-
-// rename commits an atomic write, through the test hook when set.
-func (b *FSBackend) rename(oldpath, newpath string) error {
-	if b.renameHook != nil {
-		return b.renameHook(oldpath, newpath)
-	}
-	return os.Rename(oldpath, newpath)
-}
-
-// Put implements Backend: an atomic write (unique temp file + rename)
-// that removes the temp file on every failure path — write, close,
-// chmod, and rename alike — and removes the key's legacy file, if any,
-// so re-saving a record migrates it to the escaped scheme.
+// Put implements Backend: an atomic write (unique temp file, data
+// fsync, rename, directory fsync) that removes the temp file on every
+// failure path.
 func (b *FSBackend) Put(key RecordKey, data []byte) error {
-	tmp, err := os.CreateTemp(b.dir, ".put-*.tmp")
+	err := writeFileAtomic(filepath.Join(b.dir, fileName(key)), ".put-*.tmp", data,
+		fsOps{syncFile: b.fileSyncHook, rename: b.renameHook, syncDir: b.syncHook})
 	if err != nil {
 		return fmt.Errorf("history: write: %w", err)
-	}
-	tmpName := tmp.Name()
-	committed := false
-	defer func() {
-		// Structural cleanup: whichever step fails, the temp file never
-		// outlives the call. A crash between write and rename still
-		// orphans it; SweepTemp reclaims those at the next OpenStore.
-		if !committed {
-			os.Remove(tmpName)
-		}
-	}()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		// Fsync the data before the rename can publish it: rename
-		// durability (the directory fsync below) is worthless if a power
-		// loss can leave the renamed file's blocks unwritten — the record
-		// would survive as a zero-length or torn file.
-		werr = b.syncFile(tmp)
-	}
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmpName, 0o644)
-	}
-	if werr == nil {
-		werr = b.rename(tmpName, filepath.Join(b.dir, fileName(key)))
-	}
-	if werr != nil {
-		return fmt.Errorf("history: write: %w", werr)
-	}
-	committed = true
-	// Make the rename durable: without the directory fsync a power loss
-	// can forget the new directory entry even though the rename returned.
-	if err := b.sync(b.dir); err != nil {
-		return fmt.Errorf("history: write: sync dir: %w", err)
-	}
-	if legacy := legacyFileName(key); legacy != "" && legacy != fileName(key) {
-		// Migrate: drop the key's legacy file — but only after checking
-		// it is this key's (another key's escaped name can spell the
-		// same bytes as this key's legacy name).
-		path := filepath.Join(b.dir, legacy)
-		if _, ours := legacyFileIs(path, key); ours {
-			os.Remove(path)
-		}
 	}
 	return nil
 }
 
-// Get implements Backend, reading the escaped name first and falling
-// back to the legacy name for stores written before the escaped scheme.
+// Get implements Backend.
 func (b *FSBackend) Get(key RecordKey) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(b.dir, fileName(key)))
-	if err == nil {
-		return data, nil
-	}
-	if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("history: load: %w", err)
-	}
-	legacy := legacyFileName(key)
-	if legacy == "" {
-		return nil, fmt.Errorf("history: load: %w", err)
-	}
-	data, ours := legacyFileIs(filepath.Join(b.dir, legacy), key)
-	if !ours {
-		// Missing, or a different key's file under a colliding name:
-		// report the escaped-scheme miss; it is the canonical location.
+	if err != nil {
 		return nil, fmt.Errorf("history: load: %w", err)
 	}
 	return data, nil
 }
 
-// Delete implements Backend, removing whichever of the escaped and
-// legacy files exist — the same escaped-then-legacy fallback Get reads
-// through, so a record reachable only under its pre-escaping name is
-// deletable too. A file squatting on the key's legacy name that cannot
-// be parsed at all (it belongs to no key) is quarantined rather than
-// left to shadow the name forever.
+// Delete implements Backend.
 func (b *FSBackend) Delete(key RecordKey) error {
-	name := fileName(key)
-	removed := false
-	data, err := os.ReadFile(filepath.Join(b.dir, name))
-	switch {
-	case err == nil:
-		if otherKeysLegacyFile(data, key, name) {
-			// Another key's legacy-named record spells this key's escaped
-			// name (app "a-b" run "c" squats on (a, b, c)'s canonical
-			// location); it is not this key's file, so leave it alone.
-			break
-		}
-		rerr := os.Remove(filepath.Join(b.dir, name))
-		if rerr != nil && !os.IsNotExist(rerr) {
-			return fmt.Errorf("history: delete: %w", rerr)
-		}
-		removed = rerr == nil
-	case !os.IsNotExist(err):
+	if err := os.Remove(filepath.Join(b.dir, fileName(key))); err != nil {
 		return fmt.Errorf("history: delete: %w", err)
-	}
-	if legacy := legacyFileName(key); legacy != "" && legacy != fileName(key) {
-		path := filepath.Join(b.dir, legacy)
-		if data, readable := readJSONFile(path); readable {
-			var id struct {
-				App     string `json:"app"`
-				Version string `json:"version"`
-				RunID   string `json:"run_id"`
-			}
-			switch {
-			case json.Unmarshal(data, &id) != nil:
-				// Unparseable: whoever it was, it is not a readable record
-				// of any key. Set it aside restorably (best-effort — the
-				// delete outcome does not depend on it).
-				b.Quarantine(legacy, "unparseable legacy-named file found by delete")
-			case (RecordKey{App: id.App, Version: id.Version, RunID: id.RunID}) == key:
-				lerr := os.Remove(path)
-				if lerr != nil && !os.IsNotExist(lerr) {
-					return fmt.Errorf("history: delete: %w", lerr)
-				}
-				removed = removed || lerr == nil
-			}
-			// A different key's file under the colliding name is left alone.
-		}
-	}
-	if !removed {
-		return fmt.Errorf("history: delete %s: %w", key, os.ErrNotExist)
 	}
 	if err := b.sync(b.dir); err != nil {
 		return fmt.Errorf("history: delete: sync dir: %w", err)
@@ -295,28 +116,27 @@ func (b *FSBackend) Delete(key RecordKey) error {
 	return nil
 }
 
-// readJSONFile reads a file, reporting whether it exists and was
-// readable.
-func readJSONFile(path string) ([]byte, bool) {
-	data, err := os.ReadFile(path)
-	return data, err == nil
-}
-
-// otherKeysLegacyFile reports whether data, stored under basename name,
-// is a record of a key other than key whose legacy file name spells
-// name — the one way a different key's file can legitimately occupy
-// key's escaped-scheme location.
-func otherKeysLegacyFile(data []byte, key RecordKey, name string) bool {
-	var id struct {
-		App     string `json:"app"`
-		Version string `json:"version"`
-		RunID   string `json:"run_id"`
+// adopt gives the valid record stored under a non-canonical name its
+// key's one file name: a rename (directory fsynced) when that name is
+// free; when the key already has its file this copy is a shadowed
+// duplicate and is quarantined instead. Reports whether the record now
+// lives under fileName(key) because of this call. The open-time
+// recovery pass and pcfsck -repair share it, so both migrate a store
+// written under an older naming scheme the same way.
+func (b *FSBackend) adopt(name string, key RecordKey) (renamed bool, err error) {
+	want := fileName(key)
+	if _, err := os.Lstat(filepath.Join(b.dir, want)); err == nil {
+		return false, b.Quarantine(name, fmt.Sprintf("shadowed duplicate of %s (same record key %s)", want, key))
+	} else if !os.IsNotExist(err) {
+		return false, fmt.Errorf("history: rename %s: %w", name, err)
 	}
-	if json.Unmarshal(data, &id) != nil {
-		return false
+	if err := os.Rename(filepath.Join(b.dir, name), filepath.Join(b.dir, want)); err != nil {
+		return false, fmt.Errorf("history: rename %s: %w", name, err)
 	}
-	k := RecordKey{App: id.App, Version: id.Version, RunID: id.RunID}
-	return k != key && legacyFileName(k) == name
+	if err := b.sync(b.dir); err != nil {
+		return true, fmt.Errorf("history: rename %s: sync dir: %w", name, err)
+	}
+	return true, nil
 }
 
 // QuarantineDir is the subdirectory OpenStore moves corrupt records
@@ -386,10 +206,8 @@ func (b *FSBackend) Quarantine(name, reason string) error {
 	return nil
 }
 
-// Scan implements Backend: every .json file in the directory, unreadable
-// files reported as issues. Escaped-scheme names sort after legacy names
-// so that when a record exists under both, the escaped file wins the
-// store's last-entry-wins indexing.
+// Scan implements Backend: every .json file in the directory in name
+// order, unreadable files reported as issues.
 func (b *FSBackend) Scan() ([]ScanEntry, []ScanIssue, error) {
 	dirEntries, err := os.ReadDir(b.dir)
 	if err != nil {
@@ -402,13 +220,7 @@ func (b *FSBackend) Scan() ([]ScanEntry, []ScanIssue, error) {
 		}
 		names = append(names, e.Name())
 	}
-	sort.Slice(names, func(i, j int) bool {
-		ei, ej := strings.Contains(names[i], "%"), strings.Contains(names[j], "%")
-		if ei != ej {
-			return !ei // unescaped (legacy-looking) names first
-		}
-		return names[i] < names[j]
-	})
+	sort.Strings(names)
 	var entries []ScanEntry
 	var issues []ScanIssue
 	for _, name := range names {

@@ -1,13 +1,10 @@
 package history
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -139,43 +136,17 @@ func FsckStore(dir string, repair bool) (*FsckReport, error) {
 // tracks its remote primary's journal, not the local one; no check
 // applies.
 func fsckReplicaState(dir string, rep *FsckReport, repair bool) {
-	spath := filepath.Join(dir, "replica", "STATE.json")
-	data, err := os.ReadFile(spath)
-	if err != nil {
-		return // no replication state — nothing to cross-check
-	}
-	var st map[string]any
-	if err := json.Unmarshal(data, &st); err != nil {
-		return // torn state is handled (restarted from zero) at open
-	}
-	promoted, _ := st["promoted"].(bool)
-	if !promoted {
-		return
-	}
-	stateEpoch := uint64(0)
-	if v, ok := st["epoch"].(float64); ok {
-		stateEpoch = uint64(v)
+	spath, st, stateEpoch, ok := promotedState(dir)
+	if !ok {
+		return // no (promoted) replication state — nothing to cross-check
 	}
 	walEpoch, err := readWALEpoch(filepath.Join(dir, WALDirName))
-	if err != nil || walEpoch == 0 {
-		return // no journal to disagree with
-	}
-	if stateEpoch == walEpoch {
+	if err != nil || walEpoch == 0 || stateEpoch == walEpoch {
 		return
-	}
-	repaired := false
-	if repair {
-		st["epoch"] = walEpoch
-		if out, merr := json.MarshalIndent(st, "", "  "); merr == nil {
-			tmp := spath + ".tmp"
-			if os.WriteFile(tmp, append(out, '\n'), 0o644) == nil && os.Rename(tmp, spath) == nil {
-				repaired = true
-			}
-		}
 	}
 	rep.add(FsckResidue, filepath.Join("replica", "STATE.json"),
 		fmt.Sprintf("promoted shard's state epoch %d disagrees with journal epoch %d (crash between epoch bump and state persist)", stateEpoch, walEpoch),
-		"reconcile state to the journal's epoch", repaired)
+		"reconcile state to the journal's epoch", repair && writeStateEpoch(spath, st, walEpoch) == nil)
 }
 
 // fsckTempFiles flags (and with repair, removes) orphaned atomic-write
@@ -203,11 +174,15 @@ func fsckTempFiles(dir, prefix string, rep *FsckReport, rel string, repair bool)
 }
 
 // fsckRecords verifies every top-level .json record: it must parse,
-// validate, and live under the name its key maps to (escaped or
-// legacy). A broken record whose name is covered by a journaled put is
+// validate, and live under the one name its key maps to. A valid record
+// under any other name is residue — a store written under an older
+// naming scheme, or a copy left beside the real file — and -repair
+// treats it as the open-time recovery pass does: renamed to its key's
+// name, or quarantined as a shadowed duplicate when the key already has
+// its file. A broken record whose name is covered by a journaled put is
 // NOT corruption — the journal can reconstruct it, and the agreement
-// pass reports (and replays) it. Returns the indexed bytes per key
-// (last-entry-wins, like Store.Refresh) for that pass.
+// pass reports (and replays) it. Returns the indexed bytes per key for
+// that pass.
 func fsckRecords(dir string, fold map[RecordKey]WALEntry, rep *FsckReport, repair bool) map[RecordKey][]byte {
 	index := make(map[RecordKey][]byte)
 	healable := make(map[string]bool, len(fold))
@@ -229,7 +204,12 @@ func fsckRecords(dir string, fold map[RecordKey]WALEntry, rep *FsckReport, repai
 		rep.add(FsckCorrupt, is.Name, fmt.Sprintf("unreadable record: %v", is.Err),
 			"quarantine", repair && b.Quarantine(is.Name, "pcfsck: unreadable") == nil)
 	}
-	keyFiles := make(map[RecordKey][]string)
+	type misnamed struct {
+		name string
+		key  RecordKey
+		data []byte
+	}
+	var strays []misnamed
 	for _, e := range entries {
 		rec, derr := decodeRecord(e.Data)
 		if derr != nil {
@@ -240,40 +220,29 @@ func fsckRecords(dir string, fold map[RecordKey]WALEntry, rep *FsckReport, repai
 				"quarantine", repair && b.Quarantine(e.Name, "pcfsck: invalid record") == nil)
 			continue
 		}
-		key := rec.Key()
-		if e.Name != fileName(key) && e.Name != legacyFileName(key) {
-			rep.add(FsckCorrupt, e.Name,
-				fmt.Sprintf("name does not match record identity %s (want %s)", key, fileName(key)),
-				"quarantine", repair && b.Quarantine(e.Name, "pcfsck: misnamed record") == nil)
-			continue
+		if key := rec.Key(); e.Name == fileName(key) {
+			index[key] = e.Data
+		} else {
+			strays = append(strays, misnamed{e.Name, key, e.Data})
 		}
-		index[key] = e.Data
-		keyFiles[key] = append(keyFiles[key], e.Name)
+	}
+	for _, m := range strays {
+		problem := fmt.Sprintf("record %s stored under a non-canonical name", m.key)
+		action := "rename to " + fileName(m.key)
+		if _, taken := index[m.key]; taken {
+			problem = fmt.Sprintf("shadowed duplicate of %s (same record key %s)", fileName(m.key), m.key)
+			action = "quarantine"
+		} else {
+			index[m.key] = m.data
+		}
+		repaired := false
+		if repair {
+			_, aerr := b.adopt(m.name, m.key)
+			repaired = aerr == nil
+		}
+		rep.add(FsckResidue, m.name, problem, action, repaired)
 	}
 	rep.Records = len(index)
-	// A key reachable under both its legacy and escaped names is crash
-	// residue of the naming migration: the escaped file wins indexing,
-	// the legacy one is a shadow.
-	keys := make([]RecordKey, 0, len(keyFiles))
-	for k := range keyFiles {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	for _, k := range keys {
-		names := keyFiles[k]
-		if len(names) < 2 {
-			continue
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if name == fileName(k) {
-				continue
-			}
-			rep.add(FsckResidue, name,
-				fmt.Sprintf("shadowed duplicate of %s (same record key %s)", fileName(k), k),
-				"quarantine", repair && b.Quarantine(name, "pcfsck: shadowed duplicate") == nil)
-		}
-	}
 	return index
 }
 
@@ -325,7 +294,7 @@ func fsckWALAgreement(dir string, fold map[RecordKey]WALEntry, index map[RecordK
 		keys = append(keys, k)
 	}
 	sortKeys(keys)
-	b := &FSBackend{dir: dir}
+	st := &Store{backend: &FSBackend{dir: dir}, recs: make(map[RecordKey]*RunRecord)}
 	for _, k := range keys {
 		e := fold[k]
 		cur, ok := index[k]
@@ -342,8 +311,9 @@ func fsckWALAgreement(dir string, fold map[RecordKey]WALEntry, index map[RecordK
 		}
 		repaired := false
 		if repair {
-			_, rerr := replayWAL(b, []WALEntry{e})
-			repaired = rerr == nil
+			ms, _ := foldMutations([]WALEntry{e})
+			_, rerr := st.commit(ms, true)
+			repaired = len(ms) == 1 && rerr == nil
 		}
 		rep.add(FsckResidue, fileName(k), problem, "replay journal entry", repaired)
 	}
@@ -356,30 +326,10 @@ func truncateWALSegment(path string) error {
 	if err != nil {
 		return err
 	}
-	off := 0
-	for off < len(data) {
-		if len(data)-off < 8 {
-			break
-		}
-		n := binary.BigEndian.Uint32(data[off:])
-		sum := binary.BigEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxWALFrame || len(data)-off-8 < int(n) {
-			break
-		}
-		payload := data[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		var e WALEntry
-		if json.Unmarshal(payload, &e) != nil || (e.Op != walOpPut && e.Op != walOpDelete) {
-			break
-		}
-		off += 8 + int(n)
+	if _, good, _ := decodeWALFrames(data); good < len(data) {
+		return os.Truncate(path, int64(good))
 	}
-	if off == len(data) {
-		return nil // nothing to cut
-	}
-	return os.Truncate(path, int64(off))
+	return nil // nothing to cut
 }
 
 // fsckSharded verifies a sharded store end-to-end: the layout manifest,
@@ -399,13 +349,8 @@ func fsckSharded(dir string, repair bool) (*FsckReport, error) {
 	data, err := os.ReadFile(filepath.Join(shardsDir, shardManifestName))
 	switch {
 	case err == nil:
-		var m shardManifest
-		if jerr := json.Unmarshal(data, &m); jerr != nil {
-			rep.add(FsckCorrupt, manifestRel, fmt.Sprintf("corrupt manifest: %v", jerr), "", false)
-		} else if m.Hash != shardHashScheme {
-			rep.add(FsckCorrupt, manifestRel, fmt.Sprintf("unknown hash scheme %q (want %q)", m.Hash, shardHashScheme), "", false)
-		} else if m.Shards < 1 {
-			rep.add(FsckCorrupt, manifestRel, fmt.Sprintf("implausible shard count %d", m.Shards), "", false)
+		if m, merr := parseShardManifest(data); merr != nil {
+			rep.add(FsckCorrupt, manifestRel, merr.Error(), "", false)
 		} else {
 			n = m.Shards
 		}
@@ -506,7 +451,7 @@ func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repa
 			continue // already reported by the per-shard pass
 		}
 		key := rec.Key()
-		if e.Name != fileName(key) && e.Name != legacyFileName(key) {
+		if e.Name != fileName(key) {
 			continue // misnamed: already reported
 		}
 		want := ShardForKey(key.App, key.Version, n)

@@ -113,22 +113,42 @@ func TestFsckInvalidRecordIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestFsckMisnamedRecordIsCorrupt(t *testing.T) {
+// TestFsckMisnamedRecordIsRenamed: a valid record parked under a name
+// its key does not map to is residue, and -repair gives it its one name
+// back — the same migration the open-time recovery pass performs.
+func TestFsckMisnamedRecordIsRenamed(t *testing.T) {
 	dir := fsckDurableStore(t)
-	// A valid record parked under a name its key does not map to.
-	data, err := os.ReadFile(filepath.Join(dir, "poisson-A-r1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wrong-name-here.json"), data, 0o644); err != nil {
+	canonical := filepath.Join(dir, "poisson-A-r1.json")
+	stray := filepath.Join(dir, "wrong-name-here.json")
+	if err := os.Rename(canonical, stray); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := FsckStore(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Severity() != FsckCorrupt {
-		t.Fatalf("misnamed record graded %d, want corrupt: %v", rep.Severity(), findingPaths(rep))
+	if rep.Severity() != FsckResidue || rep.Records != 3 {
+		t.Fatalf("misnamed record graded %d with %d records, want residue and 3: %v",
+			rep.Severity(), rep.Records, findingPaths(rep))
+	}
+	if got := findingPaths(rep); len(got) != 1 || got[0] != "wrong-name-here.json" {
+		t.Fatalf("findings = %v, want only the misnamed file", got)
+	}
+	if _, err := FsckStore(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(canonical); err != nil {
+		t.Errorf("repair did not restore the canonical name: %v", err)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Errorf("repair left the misnamed file: %v", err)
+	}
+	rep, err = FsckStore(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Severity() != FsckClean {
+		t.Fatalf("store after rename repair graded %d: %v", rep.Severity(), findingPaths(rep))
 	}
 }
 
@@ -351,23 +371,19 @@ func TestFsckTornSessionEntry(t *testing.T) {
 
 func TestFsckShadowedDuplicate(t *testing.T) {
 	dir := fsckDurableStore(t)
-	// The same record under its legacy name alongside the escaped file —
-	// residue of the naming migration. sampleRecord keys contain no
-	// escapable bytes, so build one whose names differ.
+	// The same record under its pre-escaping name alongside its real
+	// file — a copy that shadows nothing, since the key has one name.
 	st := openDurable(t, dir, DurableOptions{WAL: true})
 	rec := sampleRecord("r%odd")
 	if err := st.Save(rec); err != nil {
 		t.Fatal(err)
 	}
 	key := rec.Key()
-	if fileName(key) == legacyFileName(key) {
-		t.Fatalf("test key needs distinct escaped and legacy names")
-	}
 	data, err := os.ReadFile(filepath.Join(dir, fileName(key)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, legacyFileName(key)), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "poisson-A-r%odd.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -381,6 +397,9 @@ func TestFsckShadowedDuplicate(t *testing.T) {
 	}
 	if _, err := FsckStore(dir, true); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, "poisson-A-r%odd.json")); err != nil {
+		t.Errorf("repair did not quarantine the duplicate: %v", err)
 	}
 	rep, err = FsckStore(dir, false)
 	if err != nil {

@@ -310,8 +310,8 @@ func TestStoreLoadBehindIndex(t *testing.T) {
 }
 
 func TestStoreDashAmbiguity(t *testing.T) {
-	// Legacy scheme: app "a-b" run "c" and app "a" version "b" run "c"
-	// both mapped to a-b-c.json. The escaped scheme keeps them apart.
+	// Unescaped, app "a-b" run "c" and app "a" version "b" run "c" would
+	// both map to a-b-c.json. The escaped scheme keeps them apart.
 	st, _ := NewStore(t.TempDir())
 	first := sampleRecord("c")
 	first.App, first.Version = "a-b", ""
@@ -341,36 +341,91 @@ func TestStoreDashAmbiguity(t *testing.T) {
 	}
 }
 
+// TestStoreLegacyFileFallback is the naming migration: a store written
+// by the pre-escaping code (raw app[-version]-runid.json names) opens,
+// serves every record, and holds only canonical names afterwards — there
+// is no read-time fallback, the recovery pass renames the files.
 func TestStoreLegacyFileFallback(t *testing.T) {
-	// A store written by the pre-escaping code (raw app-version-runid
-	// names) is still readable, and a re-save migrates the file.
 	dir := t.TempDir()
-	legacy := sampleRecord("with-dash")
-	legacyData, _ := json.MarshalIndent(legacy, "", "  ")
-	if err := os.WriteFile(filepath.Join(dir, "poisson-A-with-dash.json"), legacyData, 0o644); err != nil {
-		t.Fatal(err)
+	dashed := sampleRecord("with-dash") // poisson-A-with-dash.json
+	versionless := sampleRecord("r1")   // poisson-r1.json
+	versionless.Version = ""
+	// The ambiguous legacy name: a-b-c.json is where both app "a-b" run
+	// "c" and app "a" version "b" run "c" used to go. Here it holds the
+	// former; the latter's canonical name is that very file name.
+	ambiguous := sampleRecord("c")
+	ambiguous.App, ambiguous.Version = "a-b", ""
+	seed := map[string]*RunRecord{
+		"poisson-A-with-dash.json": dashed,
+		"poisson-r1.json":          versionless,
+		"a-b-c.json":               ambiguous,
 	}
-	st, err := NewStore(dir)
+	for name, rec := range seed {
+		data, _ := json.MarshalIndent(rec, "", "  ")
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy file's identity comes from its JSON, not its name.
-	got, err := st.Load("poisson", "A", "with-dash")
-	if err != nil || got.RunID != "with-dash" {
-		t.Fatalf("legacy load = %+v, %v", got, err)
+	if got := len(st.Recovery().Renamed); got != len(seed) {
+		t.Errorf("recovery renamed %d files, want %d: %+v", got, len(seed), st.Recovery().Renamed)
 	}
-	// Re-saving migrates to the escaped name and removes the legacy file.
-	if err := st.Save(got); err != nil {
+	for _, rec := range seed {
+		got, err := st.Load(rec.App, rec.Version, rec.RunID)
+		if err != nil || got.Key() != rec.Key() {
+			t.Errorf("load %s after migration = %+v, %v", rec.Key(), got, err)
+		}
+	}
+	// The other half of the ambiguous pair now fits beside the first.
+	twin := sampleRecord("c")
+	twin.App, twin.Version = "a", "b"
+	if err := st.Save(twin); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "poisson-A-with%2Ddash.json")); err != nil {
-		t.Errorf("escaped file missing after migration: %v", err)
+	assertCanonicalNames := func() {
+		t.Helper()
+		want := map[string]bool{fileName(twin.Key()): true}
+		for _, rec := range seed {
+			want[fileName(rec.Key())] = true
+		}
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range des {
+			if de.IsDir() {
+				continue
+			}
+			if !want[de.Name()] {
+				t.Errorf("non-canonical file %s left in the store", de.Name())
+			}
+			delete(want, de.Name())
+		}
+		for name := range want {
+			t.Errorf("canonical file %s missing", name)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "poisson-A-with-dash.json")); !os.IsNotExist(err) {
-		t.Errorf("legacy file not removed on migration: %v", err)
+	assertCanonicalNames()
+	// Deleting one of the pair leaves the other alone, and a reopen has
+	// nothing left to migrate.
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st2, _ := NewStore(dir)
-	if got, err := st2.Load("poisson", "A", "with-dash"); err != nil || got.RunID != "with-dash" {
-		t.Errorf("migrated load = %+v, %v", got, err)
+	if rep := st2.Recovery(); !rep.Empty() {
+		t.Errorf("second open still found work: %+v", rep)
+	}
+	if st2.Len() != len(seed)+1 {
+		t.Fatalf("reopened store has %d records, want %d (keys %v)", st2.Len(), len(seed)+1, st2.Keys())
+	}
+	assertCanonicalNames()
+	if err := st2.Delete("a", "b", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st2.Load("a-b", "", "c"); err != nil || got.App != "a-b" {
+		t.Errorf("ambiguous twin lost to the other's delete: %+v, %v", got, err)
 	}
 }

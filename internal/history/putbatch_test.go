@@ -120,10 +120,9 @@ func TestPutBatchShardedDownShard(t *testing.T) {
 	defer sh.Close()
 	// poisson/A routes to shard 3 (pinned by TestShardForKeyStable);
 	// force it down and batch a shard-3 record behind a healthy one.
-	sh.shards[3].mu.Lock()
-	sh.shards[3].down = true
-	sh.shards[3].lastErr = "forced down for test"
-	sh.shards[3].mu.Unlock()
+	for i := 0; i < sh.threshold; i++ {
+		sh.shards[3].noteErr(sh.threshold, errors.New("forced down for test"))
+	}
 	batch := []*RunRecord{
 		shardSample("poisson", "A", "r1", 0.5), // shard 3: down
 		shardSample("poisson", "B", "r1", 0.4), // shard 2: healthy

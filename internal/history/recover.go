@@ -13,6 +13,13 @@ type QuarantinedEntry struct {
 
 func (q QuarantinedEntry) String() string { return fmt.Sprintf("%s: %s", q.Name, q.Reason) }
 
+// RenamedEntry names one valid record OpenStore found under a file name
+// other than its key's, and the canonical name it was moved to.
+type RenamedEntry struct {
+	From string
+	To   string
+}
+
 // WALRecovery describes what the write-ahead-journal replay at open did:
 // how much journal there was, how many folded entries had to be applied
 // to the record files (zero when the crash lost nothing), whether the
@@ -32,12 +39,16 @@ func (w *WALRecovery) Empty() bool {
 }
 
 // RecoveryReport describes what crash recovery did when a store was
-// opened: orphaned atomic-write temp files swept, the write-ahead
-// journal replayed (durable stores only; see WALRecovery), and corrupt
-// records quarantined (moved into quarantine/ with a REPORT.txt line
-// each, not deleted — a human can inspect and restore them).
+// opened: orphaned atomic-write temp files swept, records stored under
+// a non-canonical file name renamed (a store written under the
+// pre-escaping naming scheme migrates here), the write-ahead journal
+// replayed (durable stores only; see WALRecovery), and corrupt records
+// or shadowed duplicates quarantined (moved into quarantine/ with a
+// REPORT.txt line each, not deleted — a human can inspect and restore
+// them).
 type RecoveryReport struct {
 	SweptTemp   []string
+	Renamed     []RenamedEntry
 	Quarantined []QuarantinedEntry
 	WAL         *WALRecovery
 	// Shards carries per-shard detail for sharded stores (nil for a
@@ -56,7 +67,7 @@ func (r *RecoveryReport) Empty() bool {
 			return false
 		}
 	}
-	return len(r.SweptTemp) == 0 && len(r.Quarantined) == 0 && r.WAL.Empty()
+	return len(r.SweptTemp) == 0 && len(r.Renamed) == 0 && len(r.Quarantined) == 0 && r.WAL.Empty()
 }
 
 // Recovery returns the crash-recovery report of the OpenStore call that
@@ -68,20 +79,52 @@ func (s *Store) Recovery() *RecoveryReport {
 	return s.recovery
 }
 
-// quarantinePass quarantines every entry the opening scan could not
-// decode and rescans so the surviving index is clean, folding the moves
-// into rep. It runs after the temp sweep and the journal replay, so only
-// damage durability could not undo ends up quarantined. Entries that
-// cannot be quarantined (a read-only store, say) stay behind as plain
-// scan issues — recovery degrades to the old skip-and-report behaviour
-// rather than failing the open.
-func (s *Store) quarantinePass(b *FSBackend, rep *RecoveryReport) error {
-	issues := s.ScanIssues()
-	if len(issues) == 0 {
-		return nil
+// adoptNames enforces one file name per key over an opening scan: a
+// valid record found under any name but fileName(key) is renamed to it,
+// or — when the key already has its file — quarantined as a shadowed
+// duplicate. It returns the records to index. A file that can be
+// neither renamed nor set aside (a read-only store, say) is still
+// indexed from where it sits, as the scan found it.
+func adoptNames(b *FSBackend, found []scannedRecord, rep *RecoveryReport) []scannedRecord {
+	kept := found[:0]
+	for _, f := range found {
+		key := f.rec.Key()
+		if f.name == fileName(key) {
+			kept = append(kept, f)
+			continue
+		}
+		renamed, err := b.adopt(f.name, key)
+		switch {
+		case renamed:
+			rep.Renamed = append(rep.Renamed, RenamedEntry{From: f.name, To: fileName(key)})
+			kept = append(kept, f)
+		case err == nil:
+			rep.Quarantined = append(rep.Quarantined, QuarantinedEntry{
+				Name:   f.name,
+				Reason: "shadowed duplicate of " + fileName(key),
+			})
+		default:
+			kept = append(kept, f)
+		}
 	}
-	for _, issue := range issues {
-		if qerr := b.Quarantine(issue.Name, issue.Err.Error()); qerr != nil {
+	return kept
+}
+
+// quarantinePass quarantines every entry the opening scan could not
+// decode, folding the moves into rep; healed names files the journal
+// replay has since rewritten or removed, which are fine now. It runs
+// after the temp sweep and the replay, so only damage durability could
+// not undo ends up quarantined. Entries that cannot be quarantined (a
+// read-only store, say) stay behind as plain scan issues — recovery
+// degrades to skip-and-report rather than failing the open.
+func (s *Store) quarantinePass(b *FSBackend, rep *RecoveryReport, healed map[string]bool) {
+	var left []ScanIssue
+	for _, issue := range s.issues {
+		if healed[issue.Name] {
+			continue
+		}
+		if b.Quarantine(issue.Name, issue.Err.Error()) != nil {
+			left = append(left, issue)
 			continue
 		}
 		rep.Quarantined = append(rep.Quarantined, QuarantinedEntry{
@@ -89,12 +132,5 @@ func (s *Store) quarantinePass(b *FSBackend, rep *RecoveryReport) error {
 			Reason: issue.Err.Error(),
 		})
 	}
-	if len(rep.Quarantined) > 0 {
-		// The quarantined files are gone from the scan now; rebuild the
-		// index so ScanIssues reports only what recovery could not fix.
-		if err := s.Refresh(); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.issues = left
 }

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // ShardsDirName is the subdirectory of a sharded store root that holds
@@ -28,6 +30,23 @@ const shardManifestName = "MANIFEST.json"
 // hash. Changing the scheme would silently orphan every stored record,
 // so opens reject manifests naming anything else.
 const shardHashScheme = "fnv64a-jump"
+
+// parseShardManifest decodes and validates a layout manifest: opens and
+// pcfsck both refuse one that is corrupt, names a routing function this
+// build does not speak, or pins no shards.
+func parseShardManifest(data []byte) (shardManifest, error) {
+	var m shardManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("corrupt manifest: %w", err)
+	}
+	if m.Hash != shardHashScheme {
+		return m, fmt.Errorf("manifest hash scheme %q, this build speaks %q", m.Hash, shardHashScheme)
+	}
+	if m.Shards < 1 {
+		return m, fmt.Errorf("manifest shard count %d", m.Shards)
+	}
+	return m, nil
+}
 
 type shardManifest struct {
 	Version int    `json:"version"`
@@ -126,16 +145,19 @@ type ShardFailover interface {
 }
 
 // shardState is one shard plus its health: a breaker counting
-// consecutive backend failures, the down flag, and the last error for
-// operators. st is nil while the shard failed to open.
+// consecutive backend failures (open = the shard is down) and the last
+// error for operators. st is nil while the shard failed to open, which
+// also counts as down.
 type shardState struct {
 	idx int
 	dir string
+	// brk opens after the store's threshold of consecutive backend
+	// failures. Only pingShard closes it — the shard rung never asks it
+	// for a probe slot, Ping probes every time it is called.
+	brk breaker.Breaker
 
 	mu           sync.Mutex
 	st           *Store
-	down         bool
-	fails        int
 	lastErr      string
 	lastRecovery string
 	// promoted, once set, is the follower that owns this shard's keyspace:
@@ -152,10 +174,18 @@ type shardState struct {
 func (sh *shardState) live() (*Store, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.down || sh.st == nil || sh.promoted != nil {
+	if sh.st == nil || sh.promoted != nil || sh.brk.Open() {
 		return nil, false
 	}
 	return sh.st, true
+}
+
+// store returns the shard's local store even while its breaker is open,
+// nil while it failed to open.
+func (sh *shardState) store() *Store {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.st
 }
 
 // replica returns the promoted handle when the shard has been handed
@@ -170,21 +200,9 @@ func (sh *shardState) replica() (ShardReplica, bool) {
 // consecutive failures mark the shard down until a Ping revives it.
 func (sh *shardState) noteErr(threshold int, err error) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	sh.lastErr = err.Error()
-	sh.fails++
-	if sh.fails >= threshold {
-		sh.down = true
-	}
-}
-
-// noteOK resets the consecutive-failure count. It does not clear the
-// down flag — only a successful Ping re-admits a shard, so one lucky
-// read cannot flap a broken shard back in.
-func (sh *shardState) noteOK() {
-	sh.mu.Lock()
-	sh.fails = 0
 	sh.mu.Unlock()
+	sh.brk.Failure(breaker.Policy{Threshold: threshold}, time.Now())
 }
 
 // downErr is the error a down shard returns for point operations.
@@ -235,10 +253,7 @@ func (s *ShardedStore) Shard(i int) (*Store, bool) {
 	if i < 0 || i >= s.n {
 		return nil, false
 	}
-	sh := s.shards[i]
-	sh.mu.Lock()
-	st := sh.st
-	sh.mu.Unlock()
+	st := s.shards[i].store()
 	return st, st != nil
 }
 
@@ -262,26 +277,31 @@ func (s *ShardedStore) FailoverPromote(shard int) error {
 	if shard < 0 || shard >= s.n {
 		return fmt.Errorf("history: no shard %d", shard)
 	}
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	already := sh.promoted != nil
-	sh.mu.Unlock()
-	if already {
-		return nil
+	_, err := s.promoteShard(s.shards[shard])
+	return err
+}
+
+// promoteShard hands sh's keyspace to the follower the failover seam
+// elects. Idempotent: the first promotion wins, and Promote is
+// idempotent on the replica side, so a concurrent racer got the same
+// follower anyway.
+func (s *ShardedStore) promoteShard(sh *shardState) (ShardReplica, error) {
+	if r, ok := sh.replica(); ok {
+		return r, nil
 	}
-	r, err := s.failover.Promote(shard)
+	r, err := s.failover.Promote(sh.idx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if r == nil {
-		return fmt.Errorf("history: shard %02d: promotion elected no follower", shard)
+		return nil, fmt.Errorf("history: shard %02d: promotion elected no follower", sh.idx)
 	}
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.promoted == nil {
 		sh.promoted = r
 	}
-	sh.mu.Unlock()
-	return nil
+	return sh.promoted, nil
 }
 
 // Dir returns the sharded store's root directory.
@@ -303,11 +323,6 @@ func (s *ShardedStore) shardOptions(i int, create bool) DurableOptions {
 	return so
 }
 
-// openShard opens (never creates) one shard store.
-func (s *ShardedStore) openShard(i int) (*Store, error) {
-	return OpenStoreDurable(s.shards[i].dir, s.shardOptions(i, false))
-}
-
 // OpenSharded opens (or, with o.Create and n > 0, creates) the sharded
 // store rooted at dir. n == 0 takes the shard count from the manifest;
 // a non-zero n must match an existing manifest. A shard that fails to
@@ -325,14 +340,8 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 	data, err := os.ReadFile(manifestPath)
 	switch {
 	case err == nil:
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("history: sharded store %s: corrupt manifest: %w", dir, err)
-		}
-		if m.Hash != shardHashScheme {
-			return nil, fmt.Errorf("history: sharded store %s: manifest hash scheme %q, this build speaks %q", dir, m.Hash, shardHashScheme)
-		}
-		if m.Shards < 1 {
-			return nil, fmt.Errorf("history: sharded store %s: manifest shard count %d", dir, m.Shards)
+		if m, err = parseShardManifest(data); err != nil {
+			return nil, fmt.Errorf("history: sharded store %s: %w", dir, err)
 		}
 		if n != 0 && n != m.Shards {
 			return nil, fmt.Errorf("history: sharded store %s has %d shards, -shards %d would orphan records (resharding is not automatic)", dir, m.Shards, n)
@@ -381,7 +390,6 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 			if firstErr == nil {
 				firstErr = err
 			}
-			sh.down = true
 			sh.lastErr = err.Error()
 			sh.lastRecovery = "open failed: " + err.Error()
 			rep.Shards = append(rep.Shards, &ShardRecovery{Shard: i, Err: err.Error()})
@@ -415,11 +423,7 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("history: sharded store %s: encode manifest: %w", dir, err)
 		}
-		tmp := manifestPath + ".tmp"
-		if err := os.WriteFile(tmp, append(mdata, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("history: sharded store %s: write manifest: %w", dir, err)
-		}
-		if err := os.Rename(tmp, manifestPath); err != nil {
+		if err := WriteFileAtomic(manifestPath, ".manifest-*.tmp", append(mdata, '\n')); err != nil {
 			return nil, fmt.Errorf("history: sharded store %s: write manifest: %w", dir, err)
 		}
 	}
@@ -437,6 +441,9 @@ func foldShardRecovery(rep *RecoveryReport, i int, srep *RecoveryReport) {
 	prefix := path.Join(ShardsDirName, shardDirName(i)) + "/"
 	for _, t := range srep.SweptTemp {
 		rep.SweptTemp = append(rep.SweptTemp, prefix+t)
+	}
+	for _, r := range srep.Renamed {
+		rep.Renamed = append(rep.Renamed, RenamedEntry{From: prefix + r.From, To: prefix + r.To})
 	}
 	for _, q := range srep.Quarantined {
 		rep.Quarantined = append(rep.Quarantined, QuarantinedEntry{Name: prefix + q.Name, Reason: q.Reason})
@@ -462,6 +469,9 @@ func recoverySummary(rep *RecoveryReport) string {
 		return "clean"
 	}
 	out := fmt.Sprintf("swept %d, quarantined %d", len(rep.SweptTemp), len(rep.Quarantined))
+	if len(rep.Renamed) > 0 {
+		out += fmt.Sprintf(", renamed %d", len(rep.Renamed))
+	}
 	if !rep.WAL.Empty() {
 		out += fmt.Sprintf(", wal replayed %d", rep.WAL.Replayed)
 	}
@@ -477,7 +487,7 @@ func OpenStoreAuto(dir string, shards int, o DurableOptions) (Storage, error) {
 	if shards > 0 {
 		return OpenSharded(dir, shards, o)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, ShardsDirName)); err == nil && fi.IsDir() {
+	if IsShardedLayout(dir) {
 		return OpenSharded(dir, 0, o)
 	}
 	return OpenStoreDurable(dir, o)
@@ -499,7 +509,7 @@ func (s *ShardedStore) route(app, version string) *shardState {
 // misses say nothing about the shard's health.
 func (s *ShardedStore) observe(sh *shardState, err error) {
 	if err == nil {
-		sh.noteOK()
+		sh.brk.ResetStreak()
 		return
 	}
 	if IsBackendError(err) && !errors.Is(err, os.ErrNotExist) {
@@ -531,87 +541,72 @@ func (s *ShardedStore) fallback(sh *shardState, write bool) (ShardReplica, bool)
 	if !s.promote {
 		return nil, false
 	}
-	r, err := s.failover.Promote(sh.idx)
-	if err != nil || r == nil {
-		return nil, false
-	}
-	sh.mu.Lock()
-	// First promotion wins; Promote is idempotent on the replica side, so
-	// a concurrent racer got the same follower anyway.
-	if sh.promoted == nil {
-		sh.promoted = r
-	} else {
-		r = sh.promoted
-	}
-	sh.mu.Unlock()
-	return r, true
+	r, err := s.promoteShard(sh)
+	return r, err == nil
 }
 
-// Save routes the record to its shard. Writes to a down shard fail fast
-// with a transient backend error (the service layer answers 503 +
-// Retry-After) — unless a replica seam with promotion is installed, in
-// which case the keyspace is handed to a follower and stays writable.
-func (s *ShardedStore) Save(rec *RunRecord) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	sh := s.route(rec.App, rec.Version)
+// routed runs one point operation on whoever serves sh's keyspace: the
+// live local store (its outcome feeds the shard breaker), else the
+// replica the failover seam supplies — for a write, the follower a
+// one-way promotion hands the keyspace to — else nobody, and the
+// operation fails fast as a transient backend error (the service layer
+// answers 503 + Retry-After).
+func (s *ShardedStore) routed(sh *shardState, op string, write bool, local func(*Store) error, remote func(ShardReplica) error) error {
 	st, ok := sh.live()
 	if !ok {
-		if r, ok := s.fallback(sh, true); ok {
-			return r.Save(rec)
+		if r, ok := s.fallback(sh, write); ok {
+			return remote(r)
 		}
-		return sh.downErr("put")
+		return sh.downErr(op)
 	}
-	err := st.Save(rec)
+	err := local(st)
 	s.observe(sh, err)
 	return err
 }
 
-// PutBatch validates every record, then groups the batch by owning
-// shard and writes each group through its shard's batch path — one
-// routing decision and one breaker check per group instead of per
-// record. Groups are written in ascending shard order (input order
-// within a group); the first failing group stops the batch, reporting
-// how many records landed.
+// Save routes the record to its shard, validated and encoded once here;
+// the shard store commits the prepared mutation.
+func (s *ShardedStore) Save(rec *RunRecord) error {
+	m, err := putMutation(rec)
+	if err != nil {
+		return err
+	}
+	return s.routed(s.route(rec.App, rec.Version), "put", true,
+		func(st *Store) error { _, err := st.commit([]mutation{m}, false); return err },
+		func(r ShardReplica) error { return r.Save(rec) })
+}
+
+// PutBatch validates and encodes every record, then groups the batch by
+// owning shard and commits each group on its shard — one routing
+// decision and one breaker check per group instead of per record.
+// Groups are written in ascending shard order (input order within a
+// group); the first failing group stops the batch, reporting how many
+// records landed.
 func (s *ShardedStore) PutBatch(recs []*RunRecord) (int, error) {
+	ms, err := putMutations(recs)
+	if err != nil {
+		return 0, err
+	}
+	type group struct {
+		ms   []mutation
+		recs []*RunRecord
+	}
+	groups := make([]group, s.n)
 	for i, rec := range recs {
-		if rec == nil {
-			return 0, fmt.Errorf("history: batch record %d is nil", i)
-		}
-		if err := rec.Validate(); err != nil {
-			return 0, fmt.Errorf("history: batch record %d: %w", i, err)
-		}
+		g := &groups[ShardForKey(rec.App, rec.Version, s.n)]
+		g.ms = append(g.ms, ms[i])
+		g.recs = append(g.recs, rec)
 	}
-	groups := make(map[int][]*RunRecord)
-	for _, rec := range recs {
-		idx := ShardForKey(rec.App, rec.Version, s.n)
-		groups[idx] = append(groups[idx], rec)
-	}
-	idxs := make([]int, 0, len(groups))
-	for idx := range groups {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
 	saved := 0
-	for _, idx := range idxs {
-		sh := s.shards[idx]
-		st, ok := sh.live()
-		if !ok {
-			r, rok := s.fallback(sh, true)
-			if !rok {
-				return saved, sh.downErr("put")
-			}
-			n, err := r.PutBatch(groups[idx])
-			saved += n
-			if err != nil {
-				return saved, err
-			}
+	for idx, g := range groups {
+		if len(g.recs) == 0 {
 			continue
 		}
-		n, err := st.PutBatch(groups[idx])
+		var n int
+		err := s.routed(s.shards[idx], "put", true,
+			func(st *Store) (err error) { n, err = st.commit(g.ms, false); return err },
+			func(r ShardReplica) (err error) { n, err = r.PutBatch(g.recs); return err })
 		saved += n
-		s.observe(sh, err)
 		if err != nil {
 			return saved, err
 		}
@@ -621,17 +616,10 @@ func (s *ShardedStore) PutBatch(recs []*RunRecord) (int, error) {
 
 // Load routes the read to the shard owning (app, version), failing over
 // to a caught-up follower when the shard is down.
-func (s *ShardedStore) Load(app, version, runID string) (*RunRecord, error) {
-	sh := s.route(app, version)
-	st, ok := sh.live()
-	if !ok {
-		if r, ok := s.fallback(sh, false); ok {
-			return r.Load(app, version, runID)
-		}
-		return nil, sh.downErr("get")
-	}
-	rec, err := st.Load(app, version, runID)
-	s.observe(sh, err)
+func (s *ShardedStore) Load(app, version, runID string) (rec *RunRecord, err error) {
+	err = s.routed(s.route(app, version), "get", false,
+		func(st *Store) (err error) { rec, err = st.Load(app, version, runID); return err },
+		func(r ShardReplica) (err error) { rec, err = r.Load(app, version, runID); return err })
 	return rec, err
 }
 
@@ -639,17 +627,9 @@ func (s *ShardedStore) Load(app, version, runID string) (*RunRecord, error) {
 // Save, a down shard's delete goes to the promoted follower when write
 // failover is enabled.
 func (s *ShardedStore) Delete(app, version, runID string) error {
-	sh := s.route(app, version)
-	st, ok := sh.live()
-	if !ok {
-		if r, ok := s.fallback(sh, true); ok {
-			return r.Delete(app, version, runID)
-		}
-		return sh.downErr("delete")
-	}
-	err := st.Delete(app, version, runID)
-	s.observe(sh, err)
-	return err
+	return s.routed(s.route(app, version), "delete", true,
+		func(st *Store) error { return st.Delete(app, version, runID) },
+		func(r ShardReplica) error { return r.Delete(app, version, runID) })
 }
 
 // shardResult carries one shard's scatter contribution back by index,
@@ -729,7 +709,7 @@ func scatter[T any](s *ShardedStore, op string, f func(src shardSource) (T, erro
 			continue
 		}
 		if !viaReplica[i] {
-			sh.noteOK()
+			sh.brk.ResetStreak()
 		}
 		out = append(out, r.val)
 	}
@@ -760,15 +740,7 @@ func (s *ShardedStore) Len() int {
 
 // List merges the live shards' display names, sorted — byte-identical
 // to a single store holding the same records.
-func (s *ShardedStore) List() ([]string, error) {
-	keys := s.Keys()
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, k.String())
-	}
-	sort.Strings(out)
-	return out, nil
-}
+func (s *ShardedStore) List() ([]string, error) { return displayNames(s.Keys()), nil }
 
 // LoadAll scatter-gathers the matching records and merges them in
 // canonical key order. Records stay interned per shard: treat them as
@@ -884,7 +856,7 @@ func (s *ShardedStore) pingShard(sh *shardState) error {
 	st := sh.st
 	sh.mu.Unlock()
 	if st == nil {
-		st, err := s.openShard(sh.idx)
+		st, err := OpenStoreDurable(sh.dir, s.shardOptions(sh.idx, false))
 		if err != nil {
 			sh.mu.Lock()
 			sh.lastErr = err.Error()
@@ -894,11 +866,10 @@ func (s *ShardedStore) pingShard(sh *shardState) error {
 		}
 		sh.mu.Lock()
 		sh.st = st
-		sh.down = false
-		sh.fails = 0
 		sh.lastErr = ""
 		sh.lastRecovery = recoverySummary(st.Recovery())
 		sh.mu.Unlock()
+		sh.brk.Success()
 		return nil
 	}
 	if err := st.Ping(); err != nil {
@@ -907,10 +878,7 @@ func (s *ShardedStore) pingShard(sh *shardState) error {
 		sh.mu.Unlock()
 		return err
 	}
-	sh.mu.Lock()
-	sh.down = false
-	sh.fails = 0
-	sh.mu.Unlock()
+	sh.brk.Success()
 	return nil
 }
 
@@ -918,14 +886,10 @@ func (s *ShardedStore) pingShard(sh *shardState) error {
 func (s *ShardedStore) Close() error {
 	var firstErr error
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st := sh.st
-		sh.mu.Unlock()
-		if st == nil {
-			continue
-		}
-		if err := st.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		if st := sh.store(); st != nil {
+			if err := st.Close(); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	return firstErr
@@ -936,11 +900,12 @@ func (s *ShardedStore) ShardStats() []ShardInfo {
 	out := make([]ShardInfo, 0, s.n)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		info := ShardInfo{Shard: sh.idx, Degraded: sh.down, LastRecovery: sh.lastRecovery}
+		down := sh.st == nil || sh.brk.Open()
+		info := ShardInfo{Shard: sh.idx, Degraded: down, LastRecovery: sh.lastRecovery}
 		switch {
 		case sh.promoted != nil:
 			info.Failover = "promoted"
-		case sh.servedByReplica && sh.down:
+		case sh.servedByReplica && down:
 			info.Failover = "reads"
 		}
 		st := sh.st
@@ -958,14 +923,10 @@ func (s *ShardedStore) ShardStats() []ShardInfo {
 func (s *ShardedStore) SyncWAL() error {
 	var firstErr error
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st := sh.st
-		sh.mu.Unlock()
-		if st == nil {
-			continue
-		}
-		if err := st.SyncWAL(); err != nil && firstErr == nil {
-			firstErr = err
+		if st := sh.store(); st != nil {
+			if err := st.SyncWAL(); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	return firstErr

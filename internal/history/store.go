@@ -1,6 +1,7 @@
 package history
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -106,13 +107,15 @@ type DurableOptions struct {
 }
 
 // OpenStoreDurable opens a filesystem-backed store with the durability
-// ladder of DESIGN.md §10: temp-file sweep, then write-ahead-journal
-// replay (so a torn rename or a crash mid-write never loses an
-// acknowledged record), then the quarantine pass over whatever is still
-// unreadable. The order matters — a record the journal can roll forward
-// is repaired, not quarantined. The replay outcome is part of Recovery's
-// report. A store written before the journal existed (no wal/ directory)
-// opens cleanly with an empty journal.
+// ladder of DESIGN.md §10: temp-file sweep, one scan that indexes every
+// record (renaming any found under a non-canonical file name), then
+// write-ahead-journal replay through the store's commit path (so a torn
+// rename or a crash mid-write never loses an acknowledged record), then
+// the quarantine pass over whatever is still unreadable. The order
+// matters — a record the journal can roll forward is repaired, not
+// quarantined. The replay outcome is part of Recovery's report. A store
+// written before the journal existed (no wal/ directory) opens cleanly
+// with an empty journal.
 func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("history: empty store directory")
@@ -130,9 +133,9 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := Backend(fb)
+	st := &Store{backend: fb}
 	if o.Wrap != nil {
-		b = o.Wrap(b)
+		st.backend = o.Wrap(fb)
 	}
 	rep := &RecoveryReport{}
 	swept, err := fb.SweepTemp()
@@ -140,27 +143,38 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("history: recover store: %w", err)
 	}
-	var wal *WAL
+	found, issues, err := st.scan()
+	if err != nil {
+		return nil, err
+	}
+	st.setIndex(adoptNames(fb, found, rep), issues)
+	// healed names the record files the journal replay rewrote or
+	// removed: whatever the scan said about them is out of date.
+	healed := make(map[string]bool)
 	if o.WAL {
 		walDir := filepath.Join(dir, WALDirName)
 		entries, scan, err := ReadWAL(walDir)
 		if err != nil {
 			return nil, fmt.Errorf("history: recover store: %w", err)
 		}
-		applied, err := replayWAL(b, entries)
+		ms, invalid := foldMutations(entries)
+		applied, err := st.commit(ms, true)
 		rep.WAL = &WALRecovery{
 			Segments: scan.Segments,
 			Entries:  scan.Entries,
 			Replayed: applied,
 			TornTail: scan.TornTail,
-			Corrupt:  scan.Corrupt,
+			Corrupt:  append(scan.Corrupt, invalid...),
 		}
 		if err != nil {
-			return nil, fmt.Errorf("history: recover store: %w", err)
+			return nil, fmt.Errorf("history: recover store: wal replay: %w", err)
+		}
+		for _, m := range ms {
+			healed[fileName(m.Key())] = true
 		}
 		// Every journaled write is folded into the record files now;
 		// truncate the journal rather than replaying it forever.
-		wal, err = StartWAL(walDir, o.WALOptions)
+		st.wal, err = StartWAL(walDir, o.WALOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -169,21 +183,12 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 		// advertises), so re-sync it. Keeps the pcfsck invariant — a
 		// promoted replica/STATE.json epoch equals wal/EPOCH at rest —
 		// true across restarts, not just right after promotion.
-		if err := syncPromotedStateEpoch(dir, wal.Epoch()); err != nil {
+		if err := syncPromotedStateEpoch(dir, st.wal.Epoch()); err != nil {
 			return nil, fmt.Errorf("history: recover store: %w", err)
 		}
 	}
-	st, err := NewStoreWith(b)
-	if err != nil {
-		return nil, err
-	}
-	st.wal = wal
-	if err := st.quarantinePass(fb, rep); err != nil {
-		return nil, fmt.Errorf("history: recover store: %w", err)
-	}
-	st.mu.Lock()
+	st.quarantinePass(fb, rep, healed)
 	st.recovery = rep
-	st.mu.Unlock()
 	return st, nil
 }
 
@@ -231,27 +236,50 @@ func (s *Store) Dir() string {
 // records written behind the store's back. Corrupt or invalid entries
 // are skipped and reported via ScanIssues.
 func (s *Store) Refresh() error {
+	found, issues, err := s.scan()
+	if err != nil {
+		return err
+	}
+	s.setIndex(found, issues)
+	return nil
+}
+
+// scannedRecord is one decodable entry of a backend scan: the decoded
+// record and the backend-level name it was stored under.
+type scannedRecord struct {
+	name string
+	rec  *RunRecord
+}
+
+// scan reads and decodes every stored record. Entries that cannot be
+// read or decoded come back as issues.
+func (s *Store) scan() ([]scannedRecord, []ScanIssue, error) {
 	entries, issues, err := s.backend.Scan()
 	if err != nil {
-		return &BackendError{Op: "scan", Err: err}
+		return nil, nil, &BackendError{Op: "scan", Err: err}
 	}
-	recs := make(map[RecordKey]*RunRecord, len(entries))
+	found := make([]scannedRecord, 0, len(entries))
 	for _, e := range entries {
 		rec, err := decodeRecord(e.Data)
 		if err != nil {
 			issues = append(issues, ScanIssue{Name: e.Name, Err: err})
 			continue
 		}
-		// Last entry wins; backends yield the authoritative name last
-		// when one record is reachable under both legacy and escaped
-		// names.
-		recs[rec.Key()] = rec
+		found = append(found, scannedRecord{name: e.Name, rec: rec})
+	}
+	return found, issues, nil
+}
+
+// setIndex replaces the index with a scan's outcome.
+func (s *Store) setIndex(found []scannedRecord, issues []ScanIssue) {
+	recs := make(map[RecordKey]*RunRecord, len(found))
+	for _, f := range found {
+		recs[f.rec.Key()] = f.rec
 	}
 	s.mu.Lock()
 	s.recs = recs
 	s.issues = issues
 	s.mu.Unlock()
-	return nil
 }
 
 // ScanIssues returns the entries the last scan (or subsequent loads)
@@ -264,7 +292,8 @@ func (s *Store) ScanIssues() []ScanIssue {
 	return out
 }
 
-// decodeRecord unmarshals and validates one encoded record.
+// decodeRecord unmarshals and validates one encoded record — the check
+// every byte read from disk or the network passes before it is served.
 func decodeRecord(data []byte) (*RunRecord, error) {
 	rec := &RunRecord{}
 	if err := json.Unmarshal(data, rec); err != nil {
@@ -276,49 +305,217 @@ func decodeRecord(data []byte) (*RunRecord, error) {
 	return rec, nil
 }
 
-// Save writes (or overwrites) a record. The index caches its own decoded
-// copy, detached from the caller's pointer.
-func (s *Store) Save(rec *RunRecord) error {
+// mutation is one store write ready to commit: the journal entry —
+// validated, and for puts carrying the record's encoded bytes — plus
+// the decoded copy the index will hold (nil for deletes). A record is
+// validated and encoded once, where its mutation is built; everything
+// downstream moves these bytes.
+type mutation struct {
+	WALEntry
+	rec *RunRecord
+}
+
+// putMutation validates and encodes rec. The index copy is decoded back
+// from the encoding, detached from the caller's pointer.
+func putMutation(rec *RunRecord) (mutation, error) {
 	if err := rec.Validate(); err != nil {
-		return err
+		return mutation{}, err
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		return fmt.Errorf("history: marshal: %w", err)
+		return mutation{}, fmt.Errorf("history: marshal: %w", err)
 	}
-	cached, err := decodeRecord(data)
+	cached := &RunRecord{}
+	if err := json.Unmarshal(data, cached); err != nil {
+		return mutation{}, fmt.Errorf("history: unmarshal: %w", err)
+	}
+	return mutation{
+		WALEntry: WALEntry{Op: walOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: data},
+		rec:      cached,
+	}, nil
+}
+
+// putMutations builds a batch's mutations, validating every record
+// before any is written: a malformed batch fails whole.
+func putMutations(recs []*RunRecord) ([]mutation, error) {
+	ms := make([]mutation, len(recs))
+	for i, rec := range recs {
+		if rec == nil {
+			return nil, fmt.Errorf("history: batch record %d is nil", i)
+		}
+		m, err := putMutation(rec)
+		if err != nil {
+			return nil, fmt.Errorf("history: batch record %d: %w", i, err)
+		}
+		ms[i] = m
+	}
+	return ms, nil
+}
+
+// deleteMutation builds the removal of key.
+func deleteMutation(key RecordKey) mutation {
+	return mutation{WALEntry: WALEntry{Op: walOpDelete, App: key.App, Version: key.Version, RunID: key.RunID}}
+}
+
+// journaledMutation builds the mutation an entry that arrived already
+// encoded — replicated from a primary, or read back from the journal —
+// stands for. Its bytes came from outside this process, so a put's
+// payload is decoded and validated and must identify as the entry's key.
+func journaledMutation(e WALEntry) (mutation, error) {
+	switch e.Op {
+	case walOpPut:
+		rec, err := decodeRecord(e.Data)
+		if err != nil {
+			return mutation{}, err
+		}
+		if rec.Key() != e.Key() {
+			return mutation{}, fmt.Errorf("record identifies as %s", rec.Key())
+		}
+		return mutation{WALEntry: e, rec: rec}, nil
+	case walOpDelete:
+		return mutation{WALEntry: e}, nil
+	}
+	return mutation{}, fmt.Errorf("unknown op %q", e.Op)
+}
+
+// foldMutations reduces journal entries to the one mutation per key a
+// replay commits (the journal is sequential, so a key's last entry is
+// its last acknowledged or compensated state), in key order. Entries
+// whose payload fails validation are left out and described in invalid.
+func foldMutations(entries []WALEntry) (ms []mutation, invalid []string) {
+	fold := WALFold(entries)
+	keys := make([]RecordKey, 0, len(fold))
+	for k := range fold {
+		keys = append(keys, k)
+	}
+	sortKeys(keys)
+	for _, k := range keys {
+		m, err := journaledMutation(fold[k])
+		if err != nil {
+			invalid = append(invalid, fmt.Sprintf("entry %s: %v", k, err))
+			continue
+		}
+		ms = append(ms, m)
+	}
+	return ms, invalid
+}
+
+// commit is the store's one write path: every mutation — a Save, each
+// record of a PutBatch, a Delete, a replicated entry, a compensation,
+// the journal replay at open — is appended to the journal (durable
+// stores), applied to the backend, and only then reflected in the
+// index, in that order, here and nowhere else. Mutations commit in
+// order and the first failure stops the batch; wrote is how many
+// changed the backend.
+//
+// An entry the journal cannot take is refused before the backend sees
+// it. A backend mutation that fails after its entry was journaled must
+// not win the replay fold — it was never acknowledged — so the key's
+// pre-image is committed as a compensating entry, healing the backend
+// in place (a failed write can leave the file torn); when that fails
+// too the journal stops compacting until the next open's replay.
+//
+// redo marks mutations whose outcome is already decided — the replay,
+// the compensation: the backend is read first and written only where it
+// disagrees, a failure is returned rather than compensated, and the
+// caller already holds walMu (or, at open, is alone).
+func (s *Store) commit(ms []mutation, redo bool) (wrote int, err error) {
+	if s.wal != nil && !redo {
+		s.walMu.Lock()
+		defer s.walMu.Unlock()
+	}
+	for _, m := range ms {
+		key := m.Key()
+		if s.wal != nil {
+			if err := s.wal.Append(m.WALEntry); err != nil {
+				return wrote, asBackendError("wal append", err)
+			}
+		}
+		stale := true
+		if redo {
+			cur, err := s.backend.Get(key)
+			switch {
+			case errors.Is(err, os.ErrNotExist):
+				stale = m.Op == walOpPut
+			case err != nil:
+				return wrote, asBackendError("get", err)
+			default:
+				stale = m.Op == walOpDelete || !bytes.Equal(cur, m.Data)
+			}
+		}
+		var berr error
+		switch {
+		case !stale:
+		case m.Op == walOpDelete:
+			berr = s.backend.Delete(key)
+		default:
+			berr = s.backend.Put(key, m.Data)
+		}
+		// Deleting an absent record is an answer, not a failure: absent
+		// is what was journaled, so nothing needs compensating.
+		miss := m.Op == walOpDelete && errors.Is(berr, os.ErrNotExist)
+		if berr != nil && !miss {
+			if s.wal != nil && !redo {
+				pre, herr := s.preImage(key)
+				if herr == nil {
+					_, herr = s.commit([]mutation{pre}, true)
+				}
+				if herr != nil {
+					s.wal.markUnsafe()
+				}
+			}
+			// Classified as a backend failure so the service layer can
+			// degrade instead of blaming the caller. The index is never
+			// touched: it must not hold a record the backend rejected.
+			return wrote, asBackendError(m.Op, berr)
+		}
+		s.mu.Lock()
+		if m.rec != nil {
+			s.recs[key] = m.rec
+		} else {
+			delete(s.recs, key)
+		}
+		s.mu.Unlock()
+		if miss && !redo {
+			return wrote, asBackendError(m.Op, berr)
+		}
+		if stale {
+			wrote++
+		}
+	}
+	return wrote, nil
+}
+
+// preImage builds the mutation that sets key to its last acknowledged
+// state — what the index holds. Re-marshalling the indexed copy yields
+// exactly the bytes the acknowledged write stored, so a healed file, or
+// a follower's copy of a snapshot entry, is byte-identical to it.
+func (s *Store) preImage(key RecordKey) (mutation, error) {
+	s.mu.RLock()
+	prev, ok := s.recs[key]
+	s.mu.RUnlock()
+	if !ok {
+		return deleteMutation(key), nil
+	}
+	data, err := json.MarshalIndent(prev, "", "  ")
+	if err != nil {
+		return mutation{}, err
+	}
+	return mutation{
+		WALEntry: WALEntry{Op: walOpPut, App: key.App, Version: key.Version, RunID: key.RunID, Data: data},
+		rec:      prev,
+	}, nil
+}
+
+// Save writes (or overwrites) a record — a batch of one. The index
+// caches its own decoded copy, detached from the caller's pointer.
+func (s *Store) Save(rec *RunRecord) error {
+	m, err := putMutation(rec)
 	if err != nil {
 		return err
 	}
-	key := cached.Key()
-	if s.wal != nil {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		if err := s.wal.Append(WALEntry{
-			Op:      walOpPut,
-			App:     key.App,
-			Version: key.Version,
-			RunID:   key.RunID,
-			Data:    data,
-		}); err != nil {
-			// The journal is the durability promise: if it cannot take
-			// the entry, refuse the write before the backend sees it.
-			return asBackendError("wal append", err)
-		}
-	}
-	if err := s.backend.Put(key, data); err != nil {
-		// The index must never contain a record the backend rejected:
-		// return before touching s.recs, classified as a backend failure
-		// so the service layer can degrade instead of blaming the caller.
-		// In WAL mode the journaled intent must not win either — it was
-		// never acknowledged — so append a compensating pre-image entry.
-		s.compensate(key)
-		return asBackendError("put", err)
-	}
-	s.mu.Lock()
-	s.recs[key] = cached
-	s.mu.Unlock()
-	return nil
+	_, err = s.commit([]mutation{m}, false)
+	return err
 }
 
 // PutBatch writes records in input order, stopping at the first
@@ -327,65 +524,11 @@ func (s *Store) Save(rec *RunRecord) error {
 // failure mid-batch leaves the earlier records saved and reports how
 // many.
 func (s *Store) PutBatch(recs []*RunRecord) (int, error) {
-	for i, rec := range recs {
-		if rec == nil {
-			return 0, fmt.Errorf("history: batch record %d is nil", i)
-		}
-		if err := rec.Validate(); err != nil {
-			return 0, fmt.Errorf("history: batch record %d: %w", i, err)
-		}
+	ms, err := putMutations(recs)
+	if err != nil {
+		return 0, err
 	}
-	for i, rec := range recs {
-		if err := s.Save(rec); err != nil {
-			return i, err
-		}
-	}
-	return len(recs), nil
-}
-
-// compensate appends the pre-image of key to the journal after a failed
-// backend mutation, so the replay fold resolves to the state the caller
-// last had acknowledged rather than to the intent that just failed. A
-// failed mutation can also leave the record file torn on disk, so
-// compensate then tries to heal the backend in place; when that also
-// fails the journal marks itself unsafe to compact, pinning the rotated
-// segments until the next open's replay repairs the file.
-//
-// Callers hold walMu. compensate is best-effort by design: the write it
-// compensates for has already been reported as failed.
-func (s *Store) compensate(key RecordKey) {
-	if s.wal == nil {
-		return
-	}
-	e := WALEntry{Op: walOpDelete, App: key.App, Version: key.Version, RunID: key.RunID}
-	s.mu.RLock()
-	prev, ok := s.recs[key]
-	s.mu.RUnlock()
-	if ok {
-		// Re-marshal the indexed copy: Save wrote exactly these bytes, so
-		// the replayed file is byte-identical to the acknowledged state.
-		data, err := json.MarshalIndent(prev, "", "  ")
-		if err != nil {
-			s.wal.markUnsafe()
-			return
-		}
-		e = WALEntry{
-			Op:      walOpPut,
-			App:     key.App,
-			Version: key.Version,
-			RunID:   key.RunID,
-			Data:    data,
-		}
-	}
-	if err := s.wal.Append(e); err != nil {
-		s.wal.markUnsafe()
-		return
-	}
-	if _, err := replayWAL(s.backend, []WALEntry{e}); err != nil {
-		// Could not heal in place (the backend may still be failing);
-		// the journal must survive rotation until the next open fixes it.
-		s.wal.markUnsafe()
-	}
+	return s.commit(ms, false)
 }
 
 // Load reads one record by app, version and run id. The returned record
@@ -409,8 +552,7 @@ func (s *Store) Load(app, version, runID string) (*RunRecord, error) {
 		return nil, err
 	}
 	if rec.Key() != key {
-		// A legacy-named file can shadow a different key (the old
-		// app-version-runid ambiguity); identity comes from the content.
+		// Identity comes from the content, not the file name.
 		return nil, fmt.Errorf("history: load %s: record identifies as %s", key, rec.Key())
 	}
 	s.mu.Lock()
@@ -425,32 +567,8 @@ func (s *Store) Load(app, version, runID string) (*RunRecord, error) {
 
 // Delete removes one record from the backend and the index.
 func (s *Store) Delete(app, version, runID string) error {
-	key := RecordKey{App: app, Version: version, RunID: runID}
-	if s.wal != nil {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		if err := s.wal.Append(WALEntry{
-			Op:      walOpDelete,
-			App:     key.App,
-			Version: key.Version,
-			RunID:   key.RunID,
-		}); err != nil {
-			return asBackendError("wal append", err)
-		}
-	}
-	if err := s.backend.Delete(key); err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			// A journaled delete that the backend failed to perform must
-			// not win the replay fold; restore the pre-image entry. (A
-			// miss needs no compensation — absent is what was journaled.)
-			s.compensate(key)
-		}
-		return asBackendError("delete", err)
-	}
-	s.mu.Lock()
-	delete(s.recs, key)
-	s.mu.Unlock()
-	return nil
+	_, err := s.commit([]mutation{deleteMutation(RecordKey{App: app, Version: version, RunID: runID})}, false)
+	return err
 }
 
 // WAL returns the store's write-ahead journal, or nil when the store was
@@ -476,49 +594,15 @@ func (s *Store) SyncWAL() error {
 // store already reflects is a no-op in effect — replication retries and
 // restarts converge rather than diverge.
 func (s *Store) ApplyReplicated(e WALEntry) error {
-	key := e.Key()
-	var cached *RunRecord
-	switch e.Op {
-	case walOpPut:
-		rec, err := decodeRecord(e.Data)
-		if err != nil {
-			return fmt.Errorf("history: replicated entry %s: %w", key, err)
-		}
-		if rec.Key() != key {
-			return fmt.Errorf("history: replicated entry %s: record identifies as %s", key, rec.Key())
-		}
-		cached = rec
-	case walOpDelete:
-	default:
-		return fmt.Errorf("history: replicated entry %s: unknown op %q", key, e.Op)
+	m, err := journaledMutation(e)
+	if err != nil {
+		return fmt.Errorf("history: replicated entry %s: %w", e.Key(), err)
 	}
-	if s.wal != nil {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		if err := s.wal.Append(e); err != nil {
-			return asBackendError("wal append", err)
-		}
+	_, err = s.commit([]mutation{m}, false)
+	if m.Op == walOpDelete && errors.Is(err, os.ErrNotExist) {
+		return nil // already absent: a re-delivered delete converges
 	}
-	if e.Op == walOpDelete {
-		if err := s.backend.Delete(key); err != nil {
-			if !errors.Is(err, os.ErrNotExist) {
-				s.compensate(key)
-				return asBackendError("delete", err)
-			}
-		}
-		s.mu.Lock()
-		delete(s.recs, key)
-		s.mu.Unlock()
-		return nil
-	}
-	if err := s.backend.Put(key, e.Data); err != nil {
-		s.compensate(key)
-		return asBackendError("put", err)
-	}
-	s.mu.Lock()
-	s.recs[key] = cached
-	s.mu.Unlock()
-	return nil
+	return err
 }
 
 // ReplicaSnapshot captures a consistent image of the store for follower
@@ -535,26 +619,17 @@ func (s *Store) ReplicaSnapshot() (epoch, seq uint64, entries []WALEntry, err er
 	defer s.walMu.Unlock()
 	epoch = s.wal.Epoch()
 	seq = s.wal.Stats().Appends
-	s.mu.RLock()
-	keys := make([]RecordKey, 0, len(s.recs))
-	for k := range s.recs {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
+	// The journal lock keeps every commit out, so the index cannot lose a
+	// key between listing it and encoding it.
+	keys := s.Keys()
 	entries = make([]WALEntry, 0, len(keys))
 	for _, k := range keys {
-		// Re-marshal the indexed copy: Save wrote exactly these bytes, so
-		// the follower's record files come out byte-identical.
-		data, merr := json.MarshalIndent(s.recs[k], "", "  ")
+		m, merr := s.preImage(k)
 		if merr != nil {
-			s.mu.RUnlock()
 			return 0, 0, nil, fmt.Errorf("history: replica snapshot %s: %w", k, merr)
 		}
-		entries = append(entries, WALEntry{
-			Op: walOpPut, App: k.App, Version: k.Version, RunID: k.RunID, Data: data,
-		})
+		entries = append(entries, m.WALEntry)
 	}
-	s.mu.RUnlock()
 	return epoch, seq, entries, nil
 }
 
@@ -591,14 +666,16 @@ func (s *Store) Len() int {
 // (app[-version]-runid), sorted. Unreadable entries are skipped; see
 // ScanIssues. The error return is kept for interface stability — an
 // open store lists from its index and cannot fail.
-func (s *Store) List() ([]string, error) {
-	keys := s.Keys()
+func (s *Store) List() ([]string, error) { return displayNames(s.Keys()), nil }
+
+// displayNames renders keys in display form, sorted.
+func displayNames(keys []RecordKey) []string {
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, k.String())
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // LoadAll returns every indexed record whose app (and version, when
@@ -652,37 +729,45 @@ func (r *RunRecord) Key() RecordKey {
 	return RecordKey{App: r.App, Version: r.Version, RunID: r.RunID}
 }
 
-// syncPromotedStateEpoch rewrites a promoted shard's replica/STATE.json
-// epoch to the journal's generation. StartWAL bumps the generation at
-// every open, and the state file — the epoch a promoted node advertises
-// and persists across restarts — must track it, or the node would fence
-// against its own journal. The file is read generically (the replica
-// package owns its schema) and patched in place; no state file, or an
-// unpromoted one, is a no-op.
-func syncPromotedStateEpoch(storeDir string, epoch uint64) error {
-	spath := filepath.Join(storeDir, "replica", "STATE.json")
+// promotedState reads a store's replica/STATE.json for a promoted
+// shard: the file's path, the parsed document (read generically — the
+// replica package owns its schema) and the epoch it records. ok is
+// false when there is no state file, when it is torn (the replica layer
+// restarts from zero), or when the shard is not promoted — an
+// unpromoted follower's state epoch tracks its remote primary's
+// journal, not the local one.
+func promotedState(storeDir string) (spath string, st map[string]any, epoch uint64, ok bool) {
+	spath = filepath.Join(storeDir, "replica", "STATE.json")
 	data, err := os.ReadFile(spath)
-	if err != nil {
-		return nil // no replication state — nothing to sync
-	}
-	var st map[string]any
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil // torn state restarts from zero at the replica layer
+	if err != nil || json.Unmarshal(data, &st) != nil {
+		return spath, nil, 0, false
 	}
 	if promoted, _ := st["promoted"].(bool); !promoted {
-		return nil
+		return spath, nil, 0, false
 	}
-	if cur, ok := st["epoch"].(float64); ok && uint64(cur) == epoch {
-		return nil
-	}
+	cur, _ := st["epoch"].(float64)
+	return spath, st, uint64(cur), true
+}
+
+// writeStateEpoch rewrites a state document with its epoch patched.
+func writeStateEpoch(spath string, st map[string]any, epoch uint64) error {
 	st["epoch"] = epoch
 	out, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := spath + ".tmp"
-	if err := os.WriteFile(tmp, append(out, '\n'), 0o644); err != nil {
-		return err
+	return WriteFileAtomic(spath, ".state-*.tmp", append(out, '\n'))
+}
+
+// syncPromotedStateEpoch rewrites a promoted shard's replica/STATE.json
+// epoch to the journal's generation. StartWAL bumps the generation at
+// every open, and the state file — the epoch a promoted node advertises
+// and persists across restarts — must track it, or the node would fence
+// against its own journal.
+func syncPromotedStateEpoch(storeDir string, epoch uint64) error {
+	spath, st, cur, ok := promotedState(storeDir)
+	if !ok || cur == epoch {
+		return nil
 	}
-	return os.Rename(tmp, spath)
+	return writeStateEpoch(spath, st, epoch)
 }

@@ -3,7 +3,6 @@ package history
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -21,8 +20,8 @@ import (
 // is touched, so a crash — a SIGKILL mid-rename, a torn write corrupting
 // a previously acknowledged record — can always be rolled forward from
 // the journal at the next open. The WAL is redo-only: replay folds the
-// journal tail per key (last entry wins) and re-applies whatever the
-// record files do not already reflect. See FORMATS.md "Write-ahead
+// journal tail per key (last entry wins) and re-commits whatever the
+// record files do not already reflect (Store.commit's redo mode). See FORMATS.md "Write-ahead
 // journal" for the frame layout and DESIGN.md §10 for the crash model.
 
 // SyncPolicy names how often the WAL fsyncs its active segment.
@@ -120,17 +119,10 @@ func readWALEpoch(dir string) (uint64, error) {
 	return epoch, nil
 }
 
-// writeWALEpoch persists epoch under dir via tmp+rename+dirsync, so a
-// crash never leaves a torn counter.
+// writeWALEpoch persists epoch under dir. The counter is the fencing
+// token, so a crash or power loss must never leave it torn or empty.
 func writeWALEpoch(dir string, epoch uint64) error {
-	tmp := filepath.Join(dir, walEpochName+".tmp")
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%d\n", epoch)), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, walEpochName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return WriteFileAtomic(filepath.Join(dir, walEpochName), ".epoch-*.tmp", []byte(fmt.Sprintf("%d\n", epoch)))
 }
 
 // WALEntry is one journaled mutation. Put entries carry the full encoded
@@ -184,10 +176,11 @@ func ReadWAL(dir string) ([]WALEntry, *WALScanReport, error) {
 	var entries []WALEntry
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		es, bad, err := readWALSegment(filepath.Join(dir, seg))
+		data, err := os.ReadFile(filepath.Join(dir, seg))
 		if err != nil {
 			return entries, rep, fmt.Errorf("history: wal %s: %w", seg, err)
 		}
+		es, _, bad := decodeWALFrames(data)
 		entries = append(entries, es...)
 		rep.Entries += len(es)
 		if bad != "" {
@@ -218,42 +211,38 @@ func walSegments(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// readWALSegment decodes one segment. bad is "" when the segment ends
-// cleanly, otherwise a description of the first undecodable frame
-// (reading stops there).
-func readWALSegment(path string) (entries []WALEntry, bad string, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
+// decodeWALFrames decodes the frames of one segment's bytes up to the
+// first bad one: good is the length of the valid prefix, bad describes
+// the frame that ended it ("" when the whole segment decoded).
+func decodeWALFrames(data []byte) (entries []WALEntry, good int, bad string) {
 	off := 0
 	for off < len(data) {
 		if len(data)-off < 8 {
-			return entries, fmt.Sprintf("short frame header at offset %d", off), nil
+			return entries, off, fmt.Sprintf("short frame header at offset %d", off)
 		}
 		n := binary.BigEndian.Uint32(data[off:])
 		sum := binary.BigEndian.Uint32(data[off+4:])
 		if n == 0 || n > maxWALFrame {
-			return entries, fmt.Sprintf("implausible frame length %d at offset %d", n, off), nil
+			return entries, off, fmt.Sprintf("implausible frame length %d at offset %d", n, off)
 		}
 		if len(data)-off-8 < int(n) {
-			return entries, fmt.Sprintf("truncated frame payload at offset %d", off), nil
+			return entries, off, fmt.Sprintf("truncated frame payload at offset %d", off)
 		}
 		payload := data[off+8 : off+8+int(n)]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, fmt.Sprintf("CRC mismatch at offset %d", off), nil
+			return entries, off, fmt.Sprintf("CRC mismatch at offset %d", off)
 		}
 		var e WALEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return entries, fmt.Sprintf("undecodable frame at offset %d: %v", off, err), nil
+			return entries, off, fmt.Sprintf("undecodable frame at offset %d: %v", off, err)
 		}
 		if e.Op != walOpPut && e.Op != walOpDelete {
-			return entries, fmt.Sprintf("unknown op %q at offset %d", e.Op, off), nil
+			return entries, off, fmt.Sprintf("unknown op %q at offset %d", e.Op, off)
 		}
 		entries = append(entries, e)
 		off += 8 + int(n)
 	}
-	return entries, "", nil
+	return entries, off, ""
 }
 
 // WALFold computes the final intended state per key: the journal is
@@ -265,49 +254,6 @@ func WALFold(entries []WALEntry) map[RecordKey]WALEntry {
 		out[e.Key()] = e
 	}
 	return out
-}
-
-// replayWAL re-applies the journal's folded tail onto b: puts whose
-// bytes differ from (or are missing in) the backend are rewritten,
-// deletes of still-present keys are re-deleted. It returns how many
-// entries needed re-applying; the rest were already reflected on disk.
-func replayWAL(b Backend, entries []WALEntry) (applied int, err error) {
-	fold := WALFold(entries)
-	keys := make([]RecordKey, 0, len(fold))
-	for k := range fold {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	for _, k := range keys {
-		e := fold[k]
-		switch e.Op {
-		case walOpPut:
-			cur, gerr := b.Get(k)
-			if gerr == nil && string(cur) == string(e.Data) {
-				continue
-			}
-			if gerr != nil && !errors.Is(gerr, os.ErrNotExist) {
-				return applied, fmt.Errorf("history: wal replay %s: %w", k, gerr)
-			}
-			if perr := b.Put(k, e.Data); perr != nil {
-				return applied, fmt.Errorf("history: wal replay %s: %w", k, perr)
-			}
-			applied++
-		case walOpDelete:
-			_, gerr := b.Get(k)
-			if errors.Is(gerr, os.ErrNotExist) {
-				continue
-			}
-			if gerr != nil {
-				return applied, fmt.Errorf("history: wal replay %s: %w", k, gerr)
-			}
-			if derr := b.Delete(k); derr != nil && !errors.Is(derr, os.ErrNotExist) {
-				return applied, fmt.Errorf("history: wal replay %s: %w", k, derr)
-			}
-			applied++
-		}
-	}
-	return applied, nil
 }
 
 // WALStats snapshots a journal's counters.
@@ -339,10 +285,11 @@ type WAL struct {
 	// writeHook replaces the active segment's frame write when non-nil —
 	// the seam torn-append tests use to fail a write partway through.
 	writeHook func(f *os.File, frame []byte) (int, error)
-	// onAppend, when set, observes every successfully journaled entry
-	// (under w.mu, in append order) together with its sequence number
-	// within this epoch. The replication shipper hangs off this seam.
-	onAppend func(seq uint64, e WALEntry)
+	// onAppend, when set, observes every successfully journaled frame
+	// (under w.mu, in append order): its sequence number within this
+	// epoch and the payload bytes and CRC exactly as written. The
+	// replication shipper hangs off this seam.
+	onAppend func(seq uint64, payload []byte, crc uint32)
 
 	// epoch counts journal generations: StartWAL discards segments, so
 	// (epoch, append seq) uniquely names a frame across restarts. Atomic
@@ -419,10 +366,13 @@ func JournalEpoch(storeDir string) (uint64, error) {
 	return readWALEpoch(filepath.Join(storeDir, WALDirName))
 }
 
-// SetOnAppend installs fn to observe every journaled entry, called under
-// the journal lock in append order with the entry's sequence number
-// within the current epoch. Install before concurrent appends begin.
-func (w *WAL) SetOnAppend(fn func(seq uint64, e WALEntry)) {
+// SetOnAppend installs fn to observe every journaled frame, called under
+// the journal lock in append order with the frame's sequence number
+// within the current epoch and the encoded entry and CRC32 the journal
+// wrote — an entry is encoded once, here, and shipped as is. fn may
+// retain payload but must not modify it. Install before concurrent
+// appends begin.
+func (w *WAL) SetOnAppend(fn func(seq uint64, payload []byte, crc uint32)) {
 	w.mu.Lock()
 	w.onAppend = fn
 	w.mu.Unlock()
@@ -458,9 +408,10 @@ func (w *WAL) Append(e WALEntry) error {
 	if err != nil {
 		return fmt.Errorf("history: wal: %w", err)
 	}
+	crc := crc32.ChecksumIEEE(payload)
 	frame := make([]byte, 8+len(payload))
 	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(frame[4:], crc)
 	copy(frame[8:], payload)
 
 	w.mu.Lock()
@@ -490,7 +441,7 @@ func (w *WAL) Append(e WALEntry) error {
 	w.dirty = true
 	seq := w.appends.Add(1)
 	if w.onAppend != nil {
-		w.onAppend(seq, e)
+		w.onAppend(seq, payload, crc)
 	}
 	switch w.opts.Sync {
 	case SyncAlways:

@@ -323,32 +323,49 @@ func TestWALFoldLastWins(t *testing.T) {
 // reflect are not rewritten.
 func TestReplayWALOnlyWhereDiskDiffers(t *testing.T) {
 	b := NewMemBackend()
-	k1 := RecordKey{App: "a", RunID: "r1"}
-	k2 := RecordKey{App: "a", RunID: "r2"}
-	k3 := RecordKey{App: "a", RunID: "r3"}
-	if err := b.Put(k1, []byte(`{"same":1}`)); err != nil {
+	put := func(run string) WALEntry {
+		m, err := putMutation(sampleRecord(run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.WALEntry
+	}
+	same, fresh, doomed := put("r1"), put("r2"), put("r3")
+	if err := b.Put(same.Key(), same.Data); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(k3, []byte(`{"doomed":1}`)); err != nil {
+	if err := b.Put(doomed.Key(), doomed.Data); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := replayWAL(b, []WALEntry{
-		{Op: walOpPut, App: "a", RunID: "r1", Data: []byte(`{"same":1}`)}, // already there
-		{Op: walOpPut, App: "a", RunID: "r2", Data: []byte(`{"new":1}`)},  // missing on disk
-		{Op: walOpDelete, App: "a", RunID: "r3"},                          // still on disk
-		{Op: walOpDelete, App: "a", RunID: "r4"},                          // already gone
+	st, err := NewStoreWith(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, invalid := foldMutations([]WALEntry{
+		same,  // already there
+		fresh, // missing on disk
+		{Op: walOpDelete, App: "poisson", Version: "A", RunID: "r3"},                  // still on disk
+		{Op: walOpDelete, App: "poisson", Version: "A", RunID: "r4"},                  // already gone
+		{Op: walOpPut, App: "poisson", Version: "A", RunID: "r5", Data: []byte(`{}`)}, // not a record
 	})
+	if len(invalid) != 1 || !strings.Contains(invalid[0], "r5") {
+		t.Errorf("invalid = %v, want only the r5 entry", invalid)
+	}
+	applied, err := st.commit(ms, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied != 2 {
 		t.Errorf("replay applied %d entries, want 2 (the missing put and the pending delete)", applied)
 	}
-	if data, err := b.Get(k2); err != nil || string(data) != `{"new":1}` {
-		t.Errorf("replayed put missing: %s, %v", data, err)
+	if data, err := b.Get(fresh.Key()); err != nil || !bytes.Equal(data, fresh.Data) {
+		t.Errorf("replayed put missing: %v", err)
 	}
-	if _, err := b.Get(k3); !errors.Is(err, os.ErrNotExist) {
+	if _, err := b.Get(doomed.Key()); !errors.Is(err, os.ErrNotExist) {
 		t.Error("replayed delete did not remove the record")
+	}
+	if got := st.Keys(); len(got) != 2 {
+		t.Errorf("index after replay holds %v, want r1 and r2", got)
 	}
 }
 
@@ -705,18 +722,17 @@ func TestFSBackendQuarantineFsyncsDirs(t *testing.T) {
 	}
 }
 
-// TestStoreDeleteLegacyNamedRecord is the satellite fix: a record that
-// exists only under its pre-escaping file name must be deletable through
-// the same fallback Get reads through.
+// TestStoreDeleteLegacyNamedRecord: a record that exists only under its
+// pre-escaping file name is deletable — the open-time pass has given it
+// its canonical name, which is the one name Delete removes.
 func TestStoreDeleteLegacyNamedRecord(t *testing.T) {
 	dir := t.TempDir()
-	rec := sampleRecord("r1")
+	rec := sampleRecord("r-1")
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// poisson-A-r1.json: the legacy name (no escaping) of this key.
-	legacy := "poisson-A-r1.json"
+	legacy := "poisson-A-r-1.json" // canonical: poisson-A-r%2D1.json
 	if err := os.WriteFile(filepath.Join(dir, legacy), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -727,56 +743,64 @@ func TestStoreDeleteLegacyNamedRecord(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("legacy record not indexed: %d records", st.Len())
 	}
-	if err := st.Delete("poisson", "A", "r1"); err != nil {
+	if err := st.Delete("poisson", "A", "r-1"); err != nil {
 		t.Fatalf("Delete of legacy-named-only record failed: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacy)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy file survived Delete")
+	for _, name := range []string{legacy, fileName(rec.Key())} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived Delete", name)
+		}
 	}
-	if _, err := st.Load("poisson", "A", "r1"); !errors.Is(err, os.ErrNotExist) {
+	if _, err := st.Load("poisson", "A", "r-1"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Load after legacy Delete = %v, want not-exist", err)
 	}
 	// Deleting a key with no file at all is a miss.
-	if err := st.Delete("poisson", "A", "r1"); !errors.Is(err, os.ErrNotExist) {
+	if err := st.Delete("poisson", "A", "r-1"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("second Delete = %v, want not-exist", err)
 	}
 }
 
-// TestFSBackendDeleteLegacyCollision: the colliding key's legacy file —
-// app "poisson-A" run "r1" vs app "poisson" version "A" run "r1" share
-// poisson-A-r1.json — must survive a Delete of the other key, and an
-// unparseable squatter on the legacy name is quarantined.
+// TestFSBackendDeleteLegacyCollision: app "poisson-A" run "r1" stored
+// under its pre-escaping name squats on poisson-A-r1.json — the
+// canonical name of app "poisson" version "A" run "r1". The open-time
+// pass moves the squatter to its own name, so a Delete of the other key
+// finds nothing and harms nothing; a duplicate of a record that already
+// has its file is quarantined, not indexed twice.
 func TestFSBackendDeleteLegacyCollision(t *testing.T) {
 	dir := t.TempDir()
-	b, err := NewFSBackend(dir)
+	other := sampleRecord("r1")
+	other.App, other.Version = "poisson-A", ""
+	data, _ := json.MarshalIndent(other, "", "  ")
+	if err := os.WriteFile(filepath.Join(dir, "poisson-A-r1.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := []byte(`{"app":"poisson-A","run_id":"r1"}`)
-	if err := os.WriteFile(filepath.Join(dir, "poisson-A-r1.json"), other, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Delete of (poisson, A, r1): nothing of that key exists; the other
-	// key's file under the colliding legacy name must be left alone.
-	err = b.Delete(RecordKey{App: "poisson", Version: "A", RunID: "r1"})
-	if !errors.Is(err, os.ErrNotExist) {
+	if err := st.Delete("poisson", "A", "r1"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Delete = %v, want not-exist", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "poisson-A-r1.json")); err != nil {
-		t.Error("colliding key's legacy file removed by another key's Delete")
+	if _, err := os.Stat(filepath.Join(dir, fileName(other.Key()))); err != nil {
+		t.Error("colliding key's record removed by another key's Delete")
 	}
-	// An unparseable file squatting on a key's legacy name is
-	// quarantined. Key (pois-son, "", r2) has a distinct escaped name
-	// (pois%2Dson--r2.json), so the legacy fallback is the path taken.
-	if err := os.WriteFile(filepath.Join(dir, "pois-son-r2.json"), []byte("not json"), 0o644); err != nil {
+	if _, err := st.Load("poisson-A", "", "r1"); err != nil {
+		t.Errorf("colliding key's record not served: %v", err)
+	}
+	// A second copy under yet another name: the key has its file, so the
+	// copy is a shadowed duplicate.
+	if err := os.WriteFile(filepath.Join(dir, "copy.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = b.Delete(RecordKey{App: "pois-son", RunID: "r2"})
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("Delete = %v, want not-exist", err)
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, "pois-son-r2.json")); err != nil {
-		t.Error("unparseable legacy squatter not quarantined by Delete")
+	if st2.Len() != 1 || len(st2.Recovery().Quarantined) != 1 {
+		t.Errorf("duplicate not quarantined: %d records, recovery %+v", st2.Len(), st2.Recovery())
+	}
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, "copy.json")); err != nil {
+		t.Error("shadowed duplicate not moved to quarantine")
 	}
 }
 

@@ -319,15 +319,29 @@ func Gate(st history.Storage, p *Primary) *GatedStorage {
 	return &GatedStorage{Storage: st, p: p}
 }
 
-func (g *GatedStorage) shardFor(app, version string) int {
-	return history.ShardForKey(app, version, len(g.p.logs))
+// acked gates a finished write: a failed write passes through, a
+// successful one waits for the ack quorum on the shard of every
+// (app, version) keyspace it touched.
+func (g *GatedStorage) acked(err error, keys ...history.RecordKey) error {
+	if err != nil {
+		return err
+	}
+	waited := make([]bool, len(g.p.logs))
+	for _, k := range keys {
+		shard := history.ShardForKey(k.App, k.Version, len(waited))
+		if waited[shard] {
+			continue
+		}
+		waited[shard] = true
+		if err := g.p.WaitWrite(shard); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (g *GatedStorage) Save(rec *history.RunRecord) error {
-	if err := g.Storage.Save(rec); err != nil {
-		return err
-	}
-	return g.p.WaitWrite(g.shardFor(rec.App, rec.Version))
+	return g.acked(g.Storage.Save(rec), rec.Key())
 }
 
 func (g *GatedStorage) PutBatch(recs []*history.RunRecord) (int, error) {
@@ -335,23 +349,15 @@ func (g *GatedStorage) PutBatch(recs []*history.RunRecord) (int, error) {
 	if err != nil {
 		return n, err
 	}
-	shards := make(map[int]bool)
-	for _, rec := range recs {
-		shards[g.shardFor(rec.App, rec.Version)] = true
+	keys := make([]history.RecordKey, len(recs))
+	for i, rec := range recs {
+		keys[i] = rec.Key()
 	}
-	for shard := range shards {
-		if werr := g.p.WaitWrite(shard); werr != nil {
-			return n, werr
-		}
-	}
-	return n, nil
+	return n, g.acked(nil, keys...)
 }
 
 func (g *GatedStorage) Delete(app, version, runID string) error {
-	if err := g.Storage.Delete(app, version, runID); err != nil {
-		return err
-	}
-	return g.p.WaitWrite(g.shardFor(app, version))
+	return g.acked(g.Storage.Delete(app, version, runID), history.RecordKey{App: app, Version: version})
 }
 
 // ShardStats forwards the inner store's shard gauges, keeping /statsz's

@@ -83,7 +83,24 @@ func loadState(storeDir string) (replState, error) {
 	return st, nil
 }
 
+// saveState persists st durably (data and directory fsynced): the file
+// carries the promoted and demoted-from flags and the epoch, which must
+// survive power loss.
 func saveState(storeDir string, st replState) error {
+	return writeState(storeDir, st, history.WriteFileAtomic)
+}
+
+// checkpointState persists an advanced applied position without the
+// fsyncs. A lost or stale position only costs an idempotent re-pull (a
+// torn file, a snapshot bootstrap), the shard is by definition not
+// promoted while it is still applying, and this write sits between a
+// follower's apply and the pull that acknowledges it — on the ack path
+// of every replicated write.
+func checkpointState(storeDir string, st replState) error {
+	return writeState(storeDir, st, history.ReplaceFile)
+}
+
+func writeState(storeDir string, st replState, write func(path, tmpPattern string, data []byte) error) error {
 	st.Version = stateVersion
 	dir := filepath.Join(storeDir, stateDirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -93,11 +110,7 @@ func saveState(storeDir string, st replState) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, stateFileName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, stateFileName))
+	return write(filepath.Join(dir, stateFileName), ".state-*.tmp", append(data, '\n'))
 }
 
 // AutoConfig arms a follower's failure detector: pulls double as
@@ -367,7 +380,7 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 	}
 	if applied > 0 {
 		f.setState(shard, rs)
-		if err := saveState(f.stores[shard].Dir(), rs); err != nil {
+		if err := checkpointState(f.stores[shard].Dir(), rs); err != nil {
 			return applied, fmt.Errorf("replica: shard %02d persist state: %w", shard, err)
 		}
 	}
@@ -814,15 +827,10 @@ func (f *Follower) noteErr(err error) {
 // still serve, then the shard bumps its journal epoch past every
 // generation this node has seen — fencing the old primary — and
 // accepts writes. Idempotent; persisted, so the role survives restart.
-// Returns the shards now owned and the epoch they were promoted under.
+// Returns the shards now owned.
 func (f *Follower) Promote(shard int) ([]int, error) {
 	promoted, _, err := f.promote(shard)
 	return promoted, err
-}
-
-// PromoteEpoch is Promote returning the bumped epoch too.
-func (f *Follower) PromoteEpoch(shard int) ([]int, uint64, error) {
-	return f.promote(shard)
 }
 
 func (f *Follower) promote(shard int) ([]int, uint64, error) {

@@ -1,13 +1,9 @@
 package replica
 
 import (
-	"encoding/json"
-	"hash/crc32"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/history"
 )
 
 // defaultRingBytes bounds one shard log's in-memory frame ring. The
@@ -17,8 +13,9 @@ import (
 // snapshot instead.
 const defaultRingBytes = 8 << 20
 
-// frameRec is one retained frame: the marshaled WALEntry payload, its
-// CRC, and its sequence number within the current epoch.
+// frameRec is one retained frame: the encoded WALEntry and CRC exactly
+// as the journal wrote them, and its sequence number within the current
+// epoch.
 type frameRec struct {
 	seq     uint64
 	crc     uint32
@@ -53,7 +50,7 @@ type shardLog struct {
 	// once one has, losing it refuses writes instead of silently
 	// accepting unreplicated ones a later promotion would drop.
 	everAttached bool
-	lastPull     time.Time // when any follower last pulled (lease age)
+	lastPull     time.Time     // when any follower last pulled (lease age)
 	notify       chan struct{} // closed and replaced on every append or ack
 	clock        func() time.Time
 }
@@ -75,17 +72,15 @@ func (l *shardLog) bumpLocked() {
 	l.notify = make(chan struct{})
 }
 
-// append retains one journaled entry. Called from the WAL OnAppend hook:
-// seq is the entry's sequence within the journal epoch, strictly
-// increasing.
-func (l *shardLog) append(seq uint64, e history.WALEntry) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return // a WALEntry the journal accepted always marshals
-	}
+// append retains one journaled frame. Called from the WAL OnAppend hook
+// with the bytes the journal wrote — the entry is not encoded a second
+// time, so every journaled frame is shipped and the shipped bytes are
+// the durable ones. seq is the frame's sequence within the journal
+// epoch, strictly increasing.
+func (l *shardLog) append(seq uint64, payload []byte, crc uint32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.frames = append(l.frames, frameRec{seq: seq, crc: crc32.ChecksumIEEE(payload), payload: payload})
+	l.frames = append(l.frames, frameRec{seq: seq, crc: crc, payload: payload})
 	l.head = seq
 	l.bytes += int64(len(payload))
 	for l.bytes > l.maxBytes && len(l.frames) > 1 {

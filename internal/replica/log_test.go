@@ -1,6 +1,12 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,14 +17,75 @@ func entry(runID, data string) history.WALEntry {
 	return history.WALEntry{Op: history.WALOpPut, App: "app", RunID: runID, Data: []byte(data)}
 }
 
+// appendEntry feeds the log one frame the way the journal's append hook
+// does: the entry encoded once, with its CRC.
+func appendEntry(l *shardLog, seq uint64, e history.WALEntry) {
+	payload, err := json.Marshal(e)
+	if err != nil {
+		panic(err)
+	}
+	l.append(seq, payload, crc32.ChecksumIEEE(payload))
+}
+
+// TestShardLogRetainsJournalBytes: the ring holds the very bytes the
+// journal wrote — the frame is encoded once, in WAL.Append — so what a
+// follower verifies and folds is what the primary made durable, and no
+// journaled frame can be missing from the ring.
+func TestShardLogRetainsJournalBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := history.OpenStoreDurable(dir, history.DurableOptions{Create: true, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPrimary(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []string{"r1", "r2"} {
+		if err := st.Save(&history.RunRecord{App: "app", Version: "v", RunID: run}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Delete("app", "v", "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, history.WALDirName, "00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := p.logs[0].frames
+	if len(frames) != 3 {
+		t.Fatalf("ring holds %d frames, journal took 3 appends", len(frames))
+	}
+	for i, fr := range frames {
+		n := binary.BigEndian.Uint32(seg)
+		crc := binary.BigEndian.Uint32(seg[4:])
+		payload := seg[8 : 8+n]
+		seg = seg[8+n:]
+		if fr.seq != uint64(i+1) || fr.crc != crc || !bytes.Equal(fr.payload, payload) {
+			t.Errorf("frame %d: ring (seq %d, crc %08x, %d bytes) != journal (crc %08x, %d bytes)",
+				i+1, fr.seq, fr.crc, len(fr.payload), crc, len(payload))
+		}
+		if crc32.ChecksumIEEE(fr.payload) != fr.crc {
+			t.Errorf("frame %d: retained CRC does not cover the retained bytes", i+1)
+		}
+	}
+	if len(seg) != 0 {
+		t.Errorf("%d journal bytes beyond the frames the ring saw", len(seg))
+	}
+}
+
 // TestShardLogPull pins the pull contract: contiguous frames after the
 // requested position, NeedSnapshot on an epoch mismatch or a position
 // below the ring floor, and an empty response when caught up.
 func TestShardLogPull(t *testing.T) {
 	l := newShardLog(0, 3)
-	l.append(1, entry("r1", `{"a":1}`))
-	l.append(2, entry("r2", `{"a":2}`))
-	l.append(3, entry("r3", `{"a":3}`))
+	appendEntry(l, 1, entry("r1", `{"a":1}`))
+	appendEntry(l, 2, entry("r2", `{"a":2}`))
+	appendEntry(l, 3, entry("r3", `{"a":3}`))
 
 	resp := l.pull(3, 0, 512, 0, nil)
 	if resp.NeedSnapshot || len(resp.Frames) != 3 || resp.HeadSeq != 3 {
@@ -58,7 +125,7 @@ func TestShardLogEviction(t *testing.T) {
 	l := newShardLog(0, 1)
 	l.maxBytes = 64
 	for i := uint64(1); i <= 10; i++ {
-		l.append(i, entry("r", `{"pad":"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}`))
+		appendEntry(l, i, entry("r", `{"pad":"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}`))
 	}
 	if l.floor == 0 {
 		t.Fatal("no frames evicted from a 64-byte ring after 10 appends")
@@ -76,7 +143,7 @@ func TestShardLogEviction(t *testing.T) {
 // an acked position → (true, true). Acks are monotonic.
 func TestWaitAck(t *testing.T) {
 	l := newShardLog(0, 1)
-	l.append(1, entry("r1", `{}`))
+	appendEntry(l, 1, entry("r1", `{}`))
 
 	start := time.Now()
 	acked, attached := l.waitAck(1, 1, time.Second, time.Minute)
@@ -108,7 +175,7 @@ func TestWaitAck(t *testing.T) {
 // arrives, not at its timeout.
 func TestWaitAckReleasedByAck(t *testing.T) {
 	l := newShardLog(0, 1)
-	l.append(1, entry("r1", `{}`))
+	appendEntry(l, 1, entry("r1", `{}`))
 	l.registerAck("http://f1", 0)
 
 	go func() {
@@ -150,8 +217,8 @@ func TestBestFollower(t *testing.T) {
 // TestShardLogStats: lag in frames and bytes per follower.
 func TestShardLogStats(t *testing.T) {
 	l := newShardLog(2, 1)
-	l.append(1, entry("r1", `{"a":1}`))
-	l.append(2, entry("r2", `{"a":2}`))
+	appendEntry(l, 1, entry("r1", `{"a":1}`))
+	appendEntry(l, 2, entry("r2", `{"a":2}`))
 	l.registerAck("http://f1", 1)
 
 	st := l.stats()

@@ -366,7 +366,8 @@ func loadPeers(path string) []string {
 	return ids
 }
 
-// savePeers writes the peer list via tmp+rename. Best-effort.
+// savePeers persists the peer list. Best-effort: it is discovery state,
+// and a peer that fails to persist is re-learned at its next pull.
 func savePeers(path string, ids []string) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
@@ -375,11 +376,7 @@ func savePeers(path string, ids []string) {
 	if err != nil {
 		return
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	os.Rename(tmp, path)
+	history.WriteFileAtomic(path, ".peers-*.tmp", append(data, '\n'))
 }
 
 // epochNow returns the shard log's epoch.

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"net/http"
 	"os"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/history"
+	"repro/internal/replica"
 )
 
 // Degraded mode: when the store's backend starts failing, pcd keeps
@@ -40,33 +40,14 @@ func (s *Server) observeStoreErr(err error) bool {
 		return false
 	}
 	s.counts.backendFaults.Add(1)
-	s.mu.Lock()
-	s.backendFails++
-	if !s.degraded && s.backendFails >= s.brkThreshold {
-		s.degraded = true
-		s.nextProbe = s.clock().Add(s.brkCooldown)
+	if s.brk.Failure(s.brkPolicy, s.clock()) {
 		s.counts.breakerOpens.Add(1)
 	}
-	s.mu.Unlock()
 	return true
 }
 
-// observeStoreOK records proof the backend works: the failure streak
-// resets and degraded mode ends.
-func (s *Server) observeStoreOK() {
-	s.mu.Lock()
-	s.backendFails = 0
-	s.degraded = false
-	s.nextProbe = time.Time{}
-	s.mu.Unlock()
-}
-
 // isDegraded reports the current degraded state.
-func (s *Server) isDegraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
+func (s *Server) isDegraded() bool { return s.brk.Open() }
 
 // clock returns the current time via the test seam when set.
 func (s *Server) clock() time.Time {
@@ -76,35 +57,70 @@ func (s *Server) clock() time.Time {
 	return time.Now()
 }
 
-// writeUnavailable answers 503 with a Retry-After of the breaker
-// cooldown, telling well-behaved clients when a retry is worth it.
-func (s *Server) writeUnavailable(w http.ResponseWriter, msg string) {
-	secs := int(s.brkCooldown / time.Second)
+// unavailableError marks a request refused for a reason that will pass —
+// a degraded store, a backend fault, a follower not yet promoted, a
+// closed intake. writeErr answers it with 503 and a Retry-After of
+// retryAfter seconds, telling well-behaved clients when a retry is
+// worth it.
+type unavailableError struct {
+	err        error
+	retryAfter int
+}
+
+func (e *unavailableError) Error() string { return e.err.Error() }
+func (e *unavailableError) Unwrap() error { return e.err }
+
+// unavailable wraps err as a come-back-later refusal whose Retry-After
+// is the breaker cooldown.
+func (s *Server) unavailable(err error) error {
+	secs := int(s.brkPolicy.Cooldown / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: msg})
+	return &unavailableError{err: err, retryAfter: secs}
 }
 
-// rejectWriteDegraded refuses a write request while degraded, without
-// touching the backend. Reports whether the request was handled.
-func (s *Server) rejectWriteDegraded(w http.ResponseWriter) bool {
-	if !s.isDegraded() {
-		return false
+// storeWrite is the one admission and feedback ladder every public
+// write climbs (put_run, delete_run, runs/batch, ingest/end,
+// diagnose-with-save): refused without touching the backend while the
+// store is degraded; refused while this node may not write one of the
+// (app, version) keyspaces in keys — a follower stays read-only until
+// promoted, and a fenced ex-primary refuses for good (409, the one
+// refusal that is not come-back-later); then write runs and its
+// outcome feeds the breaker. Refusals and backend failures come back as
+// *unavailableError; any other error is the write's own.
+func (s *Server) storeWrite(keys []history.RecordKey, write func() error) error {
+	if s.isDegraded() {
+		s.counts.writesRejected.Add(1)
+		return s.unavailable(errors.New("store backend unavailable; writes are disabled while degraded"))
 	}
-	s.counts.writesRejected.Add(1)
-	s.writeUnavailable(w, "store backend unavailable; writes are disabled while degraded")
-	return true
+	if s.writeGate != nil {
+		for _, k := range keys {
+			if err := s.writeGate(k.App, k.Version); err != nil {
+				s.counts.writesRejected.Add(1)
+				if errors.Is(err, replica.ErrFenced) {
+					return err
+				}
+				return s.unavailable(err)
+			}
+		}
+	}
+	if err := write(); err != nil {
+		if s.observeStoreErr(err) {
+			return s.unavailable(err)
+		}
+		return err
+	}
+	s.brk.Success()
+	return nil
 }
 
-// failStore maps a store-operation error onto the wire, feeding the
+// failStore maps a failed store read onto the wire, feeding the
 // breaker: backend trouble becomes 503 + Retry-After, everything else
 // takes the ordinary writeErr path.
 func (s *Server) failStore(w http.ResponseWriter, err error, fallback int) {
 	if s.observeStoreErr(err) {
-		s.writeUnavailable(w, err.Error())
-		return
+		err = s.unavailable(err)
 	}
 	writeErr(w, err, fallback)
 }
@@ -113,23 +129,17 @@ func (s *Server) failStore(w http.ResponseWriter, err error, fallback int) {
 // at most one backend probe per cooldown window, ending degraded mode
 // on success. Returns the current degraded state.
 func (s *Server) healthProbe() bool {
-	s.mu.Lock()
-	degraded := s.degraded
-	due := degraded && !s.clock().Before(s.nextProbe)
-	if due {
-		// Claim this window's probe so concurrent health checks don't
-		// pile onto a struggling backend.
-		s.nextProbe = s.clock().Add(s.brkCooldown)
+	if !s.brk.Open() {
+		return false
 	}
-	s.mu.Unlock()
-	if !due {
-		return degraded
+	if due, _ := s.brk.Allow(s.brkPolicy, s.clock()); !due {
+		return true
 	}
 	s.counts.backendProbes.Add(1)
 	if err := s.env.Store().Ping(); err != nil {
 		s.counts.backendFaults.Add(1)
 		return true
 	}
-	s.observeStoreOK()
+	s.brk.Success()
 	return false
 }

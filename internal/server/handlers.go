@@ -56,27 +56,6 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// rejectWriteGated enforces the follower write gate for (app, version):
-// true means the request was answered with 503 + Retry-After and the
-// handler must return.
-func (s *Server) rejectWriteGated(w http.ResponseWriter, app, version string) bool {
-	if s.writeGate == nil {
-		return false
-	}
-	if err := s.writeGate(app, version); err != nil {
-		s.counts.writesRejected.Add(1)
-		if errors.Is(err, replica.ErrFenced) {
-			// Fenced is final, not transient: no Retry-After — the
-			// caller must repoint at the new primary, not retry here.
-			writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
-			return true
-		}
-		s.writeUnavailable(w, err.Error())
-		return true
-	}
-	return false
-}
-
 // route is one registered endpoint: its mux pattern and the op name its
 // /statsz counter is keyed by.
 type route struct {
@@ -117,12 +96,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(data)
 }
 
-// writeErr maps an error to a JSON error response: missing records are
-// 404, cancelled or timed-out requests 503/504, everything else the
-// fallback (usually 400).
+// writeErr maps an error to a JSON error response: come-back-later
+// refusals are 503 + Retry-After, missing records 404, cancelled or
+// timed-out requests 503/504, everything else the fallback (usually
+// 400).
 func writeErr(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
+	var ue *unavailableError
 	switch {
+	case errors.As(err, &ue):
+		w.Header().Set("Retry-After", strconv.Itoa(ue.retryAfter))
+		status = http.StatusServiceUnavailable
 	case errors.Is(err, os.ErrNotExist):
 		status = http.StatusNotFound
 	case errors.Is(err, replica.ErrFenced):
@@ -228,14 +212,11 @@ func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("decode run record: %w", err), http.StatusBadRequest)
 		return
 	}
-	if s.rejectWriteDegraded(w) || s.rejectWriteGated(w, rec.App, rec.Version) {
+	err := s.storeWrite([]history.RecordKey{rec.Key()}, func() error { return s.env.Store().Save(&rec) })
+	if err != nil {
+		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	if err := s.env.Store().Save(&rec); err != nil {
-		s.failStore(w, err, http.StatusBadRequest)
-		return
-	}
-	s.observeStoreOK()
 	writeJSON(w, http.StatusOK, PutRunResponse{Saved: rec.Key().String()})
 }
 
@@ -245,14 +226,13 @@ func (s *Server) handleDeleteRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	if s.rejectWriteDegraded(w) || s.rejectWriteGated(w, key.App, key.Version) {
+	err = s.storeWrite([]history.RecordKey{key}, func() error {
+		return s.env.Store().Delete(key.App, key.Version, key.RunID)
+	})
+	if err != nil {
+		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	if err := s.env.Store().Delete(key.App, key.Version, key.RunID); err != nil {
-		s.failStore(w, err, http.StatusBadRequest)
-		return
-	}
-	s.observeStoreOK()
 	writeJSON(w, http.StatusOK, DeleteRunResponse{Deleted: key.String()})
 }
 
@@ -488,7 +468,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if key != "" {
 			s.journal.fail(key)
 		}
-		s.writeDiagnoseErr(w, derr)
+		writeErr(w, derr, http.StatusBadRequest)
 		return
 	}
 	raw, err := MarshalCanonical(resp)
@@ -514,40 +494,17 @@ func writeStored(w http.ResponseWriter, raw []byte) {
 	w.Write(raw)
 }
 
-// diagnoseError carries a diagnose failure plus its wire semantics:
-// unavailable failures answer 503 + Retry-After, the rest 400.
-type diagnoseError struct {
-	err         error
-	unavailable bool
-}
-
-func (e *diagnoseError) Error() string { return e.err.Error() }
-func (e *diagnoseError) Unwrap() error { return e.err }
-
-// writeDiagnoseErr maps a runDiagnose failure onto the wire.
-func (s *Server) writeDiagnoseErr(w http.ResponseWriter, err error) {
-	var de *diagnoseError
-	if errors.As(err, &de) {
-		if de.unavailable {
-			s.writeUnavailable(w, de.err.Error())
-			return
-		}
-		writeErr(w, de.err, http.StatusBadRequest)
-		return
-	}
-	writeErr(w, err, http.StatusBadRequest)
-}
-
 // runDiagnose executes one diagnose request end to end — build, gated
 // session run with retries, response assembly, optional store save —
-// and returns the response or a *diagnoseError. Shared by the live
+// and returns the response, or an error writeErr maps onto the wire
+// (*unavailableError for come-back-later failures). Shared by the live
 // handler and crash-recovery session resume, so both produce identical
 // results for identical requests. journalKey, when non-empty, wires the
 // session's frontier checkpoints into the journal.
 func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalKey string) (*DiagnoseResponse, error) {
 	job, cfg, err := s.diagnoseJob(req)
 	if err != nil {
-		return nil, &diagnoseError{err: err}
+		return nil, err
 	}
 	if journalKey != "" && s.journal != nil {
 		key := journalKey
@@ -573,9 +530,9 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 			// The retries are spent and the fault persists: tell the
 			// client to come back later, not that its request was bad.
 			s.observeStoreErr(err)
-			return nil, &diagnoseError{err: err, unavailable: true}
+			return nil, s.unavailable(err)
 		}
-		return nil, &diagnoseError{err: err}
+		return nil, err
 	}
 	res := results[0]
 	resp := &DiagnoseResponse{
@@ -589,27 +546,14 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 		Bottlenecks:       WireBottlenecks(res.Bottlenecks),
 	}
 	if req.Save {
-		if s.isDegraded() {
-			s.counts.writesRejected.Add(1)
-			return nil, &diagnoseError{
-				err:         errors.New("store backend unavailable; writes are disabled while degraded"),
-				unavailable: true,
-			}
-		}
-		if s.writeGate != nil {
-			if err := s.writeGate(req.App, req.Version); err != nil {
-				s.counts.writesRejected.Add(1)
-				return nil, &diagnoseError{err: err, unavailable: true}
-			}
-		}
-		rec, err := s.env.SaveResult(res)
+		var rec *history.RunRecord
+		err := s.storeWrite([]history.RecordKey{{App: req.App, Version: req.Version}}, func() (err error) {
+			rec, err = s.env.SaveResult(res)
+			return err
+		})
 		if err != nil {
-			if s.observeStoreErr(err) {
-				return nil, &diagnoseError{err: err, unavailable: true}
-			}
-			return nil, &diagnoseError{err: err}
+			return nil, err
 		}
-		s.observeStoreOK()
 		resp.Saved = rec.Key().String()
 	}
 	return resp, nil

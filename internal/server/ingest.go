@@ -31,7 +31,7 @@ func (s *Server) writeIngestErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ingest.ErrStreamExists), errors.Is(err, ingest.ErrOutOfOrder):
 		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ingest.ErrClosed):
-		s.writeUnavailable(w, err.Error())
+		writeErr(w, s.unavailable(err), http.StatusBadRequest)
 	default:
 		writeErr(w, err, http.StatusBadRequest)
 	}
@@ -71,23 +71,23 @@ func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("decode ingest end: %w", err), http.StatusBadRequest)
 		return
 	}
-	// The marker finalizes into the store; while degraded, refuse it
-	// up front (the stream stays alive for a later retry). A discard
-	// writes nothing and is always allowed.
-	if !req.Discard && (s.rejectWriteDegraded(w) || s.rejectWriteGated(w, req.App, req.Version)) {
-		return
+	// The marker finalizes into the store, so it is a write (refused up
+	// front while degraded or gated; the stream stays alive for a later
+	// retry). A discard writes nothing and is always allowed.
+	var resp *ingest.EndResponse
+	end := func() (err error) {
+		resp, err = s.intake.End(&req)
+		return err
 	}
-	resp, err := s.intake.End(&req)
+	var err error
+	if req.Discard {
+		err = end()
+	} else {
+		err = s.storeWrite([]history.RecordKey{{App: req.App, Version: req.Version}}, end)
+	}
 	if err != nil {
-		if history.IsBackendError(err) {
-			s.failStore(w, err, http.StatusBadRequest)
-			return
-		}
 		s.writeIngestErr(w, err)
 		return
-	}
-	if resp.Saved != "" {
-		s.observeStoreOK()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -102,22 +102,25 @@ func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("empty batch"), http.StatusBadRequest)
 		return
 	}
-	if s.rejectWriteDegraded(w) {
-		return
-	}
+	keys := make([]history.RecordKey, 0, len(req.Runs))
 	for _, rec := range req.Runs {
-		if s.rejectWriteGated(w, rec.App, rec.Version) {
-			return
+		if rec != nil { // PutBatch refuses the batch; nothing to gate
+			keys = append(keys, rec.Key())
 		}
 	}
-	n, err := s.env.Store().PutBatch(req.Runs)
+	err := s.storeWrite(keys, func() error {
+		n, err := s.env.Store().PutBatch(req.Runs)
+		if err != nil {
+			// n records landed before the failure; the client's resend
+			// overwrites them idempotently.
+			return fmt.Errorf("batch stopped after %d of %d: %w", n, len(req.Runs), err)
+		}
+		return nil
+	})
 	if err != nil {
-		// n records landed before the failure; the client's resend
-		// overwrites them idempotently.
-		s.failStore(w, fmt.Errorf("batch stopped after %d of %d: %w", n, len(req.Runs), err), http.StatusBadRequest)
+		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	s.observeStoreOK()
 	saved := make([]string, len(req.Runs))
 	for i, rec := range req.Runs {
 		saved[i] = rec.Key().String()

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/harness"
 	"repro/internal/history"
 	"repro/internal/ingest"
@@ -67,8 +68,7 @@ type Server struct {
 	pool           *sessionPool
 	sessionTimeout time.Duration
 	sessionRetries int
-	brkThreshold   int
-	brkCooldown    time.Duration
+	brkPolicy      breaker.Policy
 	mux            *http.ServeMux
 
 	// intake is the streaming-ingestion manager: one incremental
@@ -100,19 +100,18 @@ type Server struct {
 	// time.Now.
 	now func() time.Time
 
-	// mu guards the drain state, the in-flight diagnose count, and the
-	// degradation breaker; cond is signalled each time a diagnose
-	// request finishes so Drain can wait for the count to reach zero.
+	// brk is the degradation breaker: brkPolicy.Threshold consecutive
+	// backend failures turn the server degraded until a /healthz-driven
+	// probe, at most one per cooldown, proves the backend healthy again.
+	brk breaker.Breaker
+
+	// mu guards the drain state and the in-flight diagnose count; cond
+	// is signalled each time a diagnose request finishes so Drain can
+	// wait for the count to reach zero.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	draining bool
 	active   int
-	// backendFails counts consecutive backend failures; at
-	// brkThreshold the server turns degraded until a probe (scheduled
-	// at nextProbe) proves the backend healthy again.
-	backendFails int
-	degraded     bool
-	nextProbe    time.Time
 
 	// runJobs is harness.RunSessionsGated, replaceable by lifecycle
 	// tests that need sessions to block or fail on command.
@@ -138,8 +137,7 @@ func New(env *harness.Env, opts Options) *Server {
 		pool:           newSessionPool(n),
 		sessionTimeout: opts.SessionTimeout,
 		sessionRetries: opts.SessionRetries,
-		brkThreshold:   thr,
-		brkCooldown:    cd,
+		brkPolicy:      breaker.Policy{Threshold: thr, Cooldown: cd},
 		runJobs:        harness.RunSessionsGated,
 		opCounts:       map[string]*atomic.Uint64{},
 		replication:    opts.Replication,
@@ -217,8 +215,8 @@ func (s *Server) ResumeSessions(ctx context.Context) (int, error) {
 			// later resume or client resend can still recover the session.
 			// Only a permanent failure — one a re-run would repeat — drops
 			// the journal entry.
-			var de *diagnoseError
-			transient := (errors.As(derr, &de) && de.unavailable) ||
+			var ue *unavailableError
+			transient := errors.As(derr, &ue) ||
 				errors.Is(derr, context.DeadlineExceeded) || errors.Is(derr, context.Canceled)
 			if ctx.Err() != nil || transient {
 				s.journal.release(rec.Key)
@@ -312,7 +310,7 @@ func (s *Server) endDiagnose() {
 // stats snapshots the live counters for /statsz.
 func (s *Server) stats() StatsResponse {
 	s.mu.Lock()
-	active, draining, degraded := s.active, s.draining, s.degraded
+	active, draining := s.active, s.draining
 	s.mu.Unlock()
 	hits, misses := s.env.Cache().Stats()
 	ws := s.env.Store().WALStats()
@@ -334,7 +332,7 @@ func (s *Server) stats() StatsResponse {
 		StoreRecords:    s.env.Store().Len(),
 		StoreIssues:     len(s.env.Store().ScanIssues()),
 		Draining:        draining,
-		Degraded:        degraded,
+		Degraded:        s.isDegraded(),
 		BackendFaults:   s.counts.backendFaults.Load(),
 		WritesRejected:  s.counts.writesRejected.Load(),
 		BreakerOpens:    s.counts.breakerOpens.Load(),

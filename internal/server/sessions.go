@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/harness"
+	"repro/internal/history"
 )
 
 // The session journal: the durability rung for diagnosis work. Each
@@ -92,21 +93,6 @@ func (j *sessionJournal) path(key string) string {
 	return filepath.Join(j.dir, escapeKey(key)+".json")
 }
 
-// syncDir fsyncs a directory so a just-committed rename inside it
-// survives power loss (the rename alone only orders metadata in
-// memory).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // read loads one record; a missing file is (nil, nil).
 func (j *sessionJournal) read(key string) (*sessionRecord, error) {
 	data, err := os.ReadFile(j.path(key))
@@ -123,47 +109,16 @@ func (j *sessionJournal) read(key string) (*sessionRecord, error) {
 	return rec, nil
 }
 
-// write atomically persists one record (temp + rename, like the store's
-// backend — a crash mid-write must not tear a journal entry).
+// write atomically and durably persists one record — a crash mid-write
+// must not tear a journal entry, and a power loss must not leave one as
+// a zero-length file.
 func (j *sessionJournal) write(rec *sessionRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("session journal: %w", err)
 	}
-	tmp, err := os.CreateTemp(j.dir, ".session-*.tmp")
-	if err != nil {
+	if err := history.WriteFileAtomic(j.path(rec.Key), ".session-*.tmp", data); err != nil {
 		return fmt.Errorf("session journal: %w", err)
-	}
-	tmpName := tmp.Name()
-	committed := false
-	defer func() {
-		if !committed {
-			os.Remove(tmpName)
-		}
-	}()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		// Sync the data before the rename publishes it — a power loss
-		// must not leave a journaled record as a zero-length file.
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmpName, 0o644)
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, j.path(rec.Key))
-	}
-	if werr != nil {
-		return fmt.Errorf("session journal: %w", werr)
-	}
-	committed = true
-	// And the directory, so the rename itself survives power loss.
-	if err := syncDir(j.dir); err != nil {
-		return fmt.Errorf("session journal: sync dir: %w", err)
 	}
 	return nil
 }
