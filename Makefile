@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short bench bench-check chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test test-short race race-short loc bench bench-check chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
 
 all: build vet test
 
@@ -25,6 +25,15 @@ race:
 
 race-short:
 	$(GO) test -race -short ./...
+
+# Non-test Go lines per package outside bench/, total last — the table
+# CHANGES.md reports before/after, so "the line count goes down" is a
+# command.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2,2 -s | \
+		awk '$$2 == "total" { last = $$0; next } { print } END { print last }'
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -107,8 +116,8 @@ replicate:
 # promote the follower on its own, fence the revived zombie with the
 # typed 409, and lose nothing acked. Then the flapping harness (three
 # kill/revive cycles, exactly one writable primary at every step), then
-# the auto-failover load suite (a shard backend killed mid-traffic, the
-# detector promoting with no operator).
+# the auto-failover load suite (`pcd -auto-failover` and its follower
+# hosted in-process, a shard backend killed mid-traffic, no operator).
 failover:
 	$(GO) test -race -run 'TestKillPrimaryAutoFailover|TestFailoverFlapping' -v .
 	$(GO) test -race ./internal/replica/

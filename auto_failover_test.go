@@ -1,15 +1,12 @@
 package repro
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,52 +48,6 @@ func freePort(t *testing.T) int {
 	port := ln.Addr().(*net.TCPAddr).Port
 	ln.Close()
 	return port
-}
-
-// startAutoDaemon launches pcd and waits for the "pcd: serving on"
-// line specifically. The generic startDaemon takes the first line
-// containing a URL, but an auto-failover node may log peer URLs before
-// serving (the startup rejoin handshake announces the winner it is
-// demoting under), so the scan must key on the serving line itself.
-func startAutoDaemon(t *testing.T, bin string, args ...string) *daemon {
-	t.Helper()
-	cmd := exec.Command(filepath.Join(bin, "pcd"), args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
-	sc := bufio.NewScanner(stdout)
-	handshake := make(chan string, 1)
-	go func() {
-		sent := false
-		for sc.Scan() {
-			line := sc.Text()
-			if !sent && strings.Contains(line, "pcd: serving on ") {
-				handshake <- line
-				sent = true
-			}
-		}
-		if !sent {
-			close(handshake)
-		}
-	}()
-	var serving string
-	select {
-	case serving = <-handshake:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("pcd %s did not print its serving line", strings.Join(args, " "))
-	}
-	i := strings.Index(serving, "http://")
-	j := strings.Index(serving, " (store")
-	if i < 0 || j < i {
-		t.Fatalf("pcd handshake line unexpected: %q", serving)
-	}
-	return &daemon{cmd: cmd, url: serving[i:j]}
 }
 
 // putUntilWritable retries one idempotent write until the cluster
@@ -183,11 +134,11 @@ func TestKillPrimaryAutoFailover(t *testing.T) {
 	primStore := filepath.Join(t.TempDir(), "prim-store")
 	folStore := filepath.Join(t.TempDir(), "fol-store")
 	ttl := autoLeaseTTL.String()
-	prim := startAutoDaemon(t, bin,
+	prim := startDaemon(t, bin,
 		"-store", primStore, "-addr", primAddr, "-create",
 		"-shards", "2", "-replicas", "1", "-auto-failover",
 		"-lease-ttl", ttl, "-advertise", primURL, "-peers", folURL)
-	fol := startAutoDaemon(t, bin,
+	fol := startDaemon(t, bin,
 		"-store", folStore, "-addr", folAddr, "-create",
 		"-follow", primURL, "-auto-failover",
 		"-lease-ttl", ttl, "-advertise", folURL)
@@ -306,7 +257,7 @@ func TestKillPrimaryAutoFailover(t *testing.T) {
 	// epoch and demote it — and a write against the zombie must be
 	// refused with the typed fencing error, not accepted and not lost in
 	// a generic failure.
-	zombie := startAutoDaemon(t, bin,
+	zombie := startDaemon(t, bin,
 		"-store", primStore, "-addr", primAddr,
 		"-replicas", "1", "-auto-failover",
 		"-lease-ttl", ttl, "-advertise", primURL, "-peers", folURL)
@@ -437,11 +388,11 @@ func TestFailoverFlapping(t *testing.T) {
 	}
 	na, nb := mk("store-a"), mk("store-b")
 	ttl := autoLeaseTTL.String()
-	na.d = startAutoDaemon(t, bin,
+	na.d = startDaemon(t, bin,
 		"-store", na.store, "-addr", na.addr, "-create",
 		"-shards", "2", "-replicas", "1", "-auto-failover",
 		"-lease-ttl", ttl, "-advertise", na.url)
-	nb.d = startAutoDaemon(t, bin,
+	nb.d = startDaemon(t, bin,
 		"-store", nb.store, "-addr", nb.addr, "-create",
 		"-follow", na.url, "-auto-failover",
 		"-lease-ttl", ttl, "-advertise", nb.url)
@@ -528,7 +479,7 @@ func TestFailoverFlapping(t *testing.T) {
 		// must demote it, the typed fencing error must refuse its writes
 		// (exactly one writable node), and it must catch back up before
 		// the next handover makes it the primary again.
-		cur.d = startAutoDaemon(t, bin,
+		cur.d = startDaemon(t, bin,
 			"-store", cur.store, "-addr", cur.addr,
 			"-replicas", "1", "-auto-failover",
 			"-lease-ttl", ttl, "-advertise", cur.url)

@@ -499,3 +499,33 @@ func TestCLIFsckShardedExitCodes(t *testing.T) {
 		t.Fatalf("corrupt record not reported in shard %02d section: %+v", home, rep.Shards)
 	}
 }
+
+// TestCLIFlagSurface pins the daemon and harness flag surfaces — names,
+// defaults and help text, as `-h` prints them — against
+// testdata/flags.golden, so a new knob fails a test instead of passing a
+// hand check. After a deliberate flag change, regenerate the golden from
+// the new binaries (each tool's `-h` output minus its "Usage of" line,
+// under a "== TOOL -h ==" header).
+func TestCLIFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := []string{"pcd", "pcload", "pcfeed", "pcfsck"}
+	bin := buildTools(t, tools...)
+	var got strings.Builder
+	for _, tool := range tools {
+		out, err := exec.Command(filepath.Join(bin, tool), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", tool, err, out)
+		}
+		_, flags, _ := strings.Cut(string(out), "\n")
+		fmt.Fprintf(&got, "== %s -h ==\n%s", tool, flags)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("flag surface differs from testdata/flags.golden:\n%s", got.String())
+	}
+}

@@ -42,8 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"sort"
@@ -53,9 +51,9 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/client"
-	"repro/internal/harness"
 	"repro/internal/history"
 	"repro/internal/ingest"
+	"repro/internal/node"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -240,7 +238,7 @@ func passOK(p *passReport) bool {
 // twice, each time over a fresh store.
 func runPass(cfg feedConfig, serverURL, storeDir string, harvestOn bool, label string) (*passReport, error) {
 	cl := client.NewResilient(serverURL, 8)
-	var shutdown func() error
+	var hosted *node.Node
 	if serverURL == "" {
 		dir := storeDir
 		if dir == "" {
@@ -254,12 +252,19 @@ func runPass(cfg feedConfig, serverURL, storeDir string, harvestOn bool, label s
 			// -compare passes each get their own store under -store.
 			dir = dir + "-" + label
 		}
-		url, stop, err := selfHost(dir, cfg)
+		// The node cmd/pcd runs, over a store created under dir, on loopback.
+		var err error
+		hosted, err = node.Open(node.Config{
+			Addr:   "127.0.0.1:0",
+			Dir:    dir,
+			Shards: cfg.shards,
+			Store:  history.DurableOptions{Create: true, WAL: true},
+			Server: server.Options{Ingest: ingest.ManagerOptions{EvalBudget: cfg.budget}},
+		})
 		if err != nil {
 			return nil, err
 		}
-		shutdown = stop
-		cl = client.NewResilient(url, 8)
+		cl = client.NewResilient(hosted.URL, 8)
 	}
 
 	rep := &passReport{Harvest: harvestOn}
@@ -283,43 +288,14 @@ func runPass(cfg feedConfig, serverURL, storeDir string, harvestOn bool, label s
 		rep.LaterMeanWatchSteps = sum / float64(n)
 	}
 
-	if shutdown != nil {
-		if err := shutdown(); err != nil {
+	if hosted != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := hosted.Close(ctx); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
-}
-
-// selfHost opens (creating) a store under dir and serves a pcd over
-// loopback, returning its URL and a shutdown func.
-func selfHost(dir string, cfg feedConfig) (string, func() error, error) {
-	st, err := history.OpenStoreAuto(dir, cfg.shards, history.DurableOptions{Create: true, WAL: true})
-	if err != nil {
-		return "", nil, err
-	}
-	srv := server.New(harness.NewEnv(st), server.Options{
-		Ingest: ingest.ManagerOptions{EvalBudget: cfg.budget},
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		st.Close()
-		return "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	stop := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return err
-		}
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			return err
-		}
-		return st.Close()
-	}
-	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // feedWave runs one wave: cfg.streams concurrent simulated runs, each

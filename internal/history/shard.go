@@ -257,9 +257,10 @@ func (s *ShardedStore) Shard(i int) (*Store, bool) {
 	return st, st != nil
 }
 
-// SetFailover installs (or replaces) the replica seam after open — the
-// daemon wires replication up once the HTTP side exists, which is after
-// the store is built.
+// SetFailover installs the replica seam: f supplies replica handles for
+// down shards, so reads fail over to a follower instead of degrading to
+// absent, and — with promote — writes do too, via one-way promotion. The
+// node calls it once the listener exists, after the store is built.
 func (s *ShardedStore) SetFailover(f ShardFailover, promote bool) {
 	s.failover = f
 	s.promote = promote
@@ -370,8 +371,6 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 		timeout:   o.ShardTimeout,
 		threshold: o.ShardBreakerThreshold,
 		replicas:  replicas,
-		failover:  o.Failover,
-		promote:   o.Promote,
 	}
 	if s.timeout <= 0 {
 		s.timeout = 2 * time.Second

@@ -97,13 +97,6 @@ type DurableOptions struct {
 	// shard in the layout manifest (0 = unreplicated). Informational for
 	// the store itself; the replication layer reads it back.
 	Replicas int
-	// Failover, when non-nil, supplies replica handles for down shards:
-	// reads fail over to a follower instead of degrading to absent, and —
-	// with Promote set — writes do too, via one-way promotion.
-	Failover ShardFailover
-	// Promote allows a down shard's keyspace to be handed to a follower
-	// for writes. Without it failover is read-only.
-	Promote bool
 }
 
 // OpenStoreDurable opens a filesystem-backed store with the durability

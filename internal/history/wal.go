@@ -366,6 +366,23 @@ func JournalEpoch(storeDir string) (uint64, error) {
 	return readWALEpoch(filepath.Join(storeDir, WALDirName))
 }
 
+// MaxJournalEpoch is JournalEpoch over either layout: a sharded store
+// reports the highest generation among its shards/NN journals, a plain
+// one its own. A missing journal reads as zero.
+func MaxJournalEpoch(storeDir string) uint64 {
+	dirs := []string{storeDir}
+	if IsShardedLayout(storeDir) {
+		dirs, _ = filepath.Glob(filepath.Join(storeDir, ShardsDirName, "*"))
+	}
+	var max uint64
+	for _, dir := range dirs {
+		if e, err := JournalEpoch(dir); err == nil && e > max {
+			max = e
+		}
+	}
+	return max
+}
+
 // SetOnAppend installs fn to observe every journaled frame, called under
 // the journal lock in append order with the frame's sequence number
 // within the current epoch and the encoded entry and CRC32 the journal

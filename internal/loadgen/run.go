@@ -7,21 +7,18 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/history"
 	"repro/internal/ingest"
 	"repro/internal/metric"
-	"repro/internal/replica"
+	"repro/internal/node"
 	"repro/internal/server"
 )
 
@@ -101,10 +98,10 @@ func RunSuite(sc *Scenario, opt Options) (*SuiteReport, error) {
 			return nil, err
 		}
 		defer local.stop() // idempotent; normally stopped before verification
-		url = local.url
+		url = local.prim.URL
 		opt.logf("suite %s: serving %s (store %s, wal-sync %s)", sc.Name, url, dir, sc.WALSync)
 		if local.fol != nil {
-			opt.logf("suite %s: follower replica at %s (store %s)", sc.Name, local.folURL, local.folDir)
+			opt.logf("suite %s: follower replica at %s (store %s)", sc.Name, local.fol.URL, local.folDir)
 		}
 	} else {
 		opt.logf("suite %s: driving external pcd at %s", sc.Name, url)
@@ -569,41 +566,23 @@ func statsDelta(before, after *server.StatsResponse) *ServerDelta {
 	return d
 }
 
-// followerDirSuffix names the in-process follower replica's store
-// directory next to the primary's ("<dir>-follower") — outside the
-// primary's tree, so each store can be fscked on its own.
+// followerDirSuffix names the follower node's store directory next to
+// the primary's ("<dir>-follower") — outside the primary's tree, so each
+// store can be fscked on its own.
 const followerDirSuffix = "-follower"
 
-// localPCD is a self-hosted pcd: a real server.Server over a durable
-// (optionally fault-injected) store, served over loopback HTTP — the
-// live daemon the harness drives, minus process isolation (the kill-9
-// harness covers that). With Scenario.Replicas it is a replication
-// primary: writes gate on follower acks and an in-process follower
-// replica (its own durable store, its own loopback endpoint for the
-// failover seam) pulls the WAL stream alongside.
+// localPCD is the self-hosted pcd: the node cmd/pcd runs (node.Open)
+// over a durable, optionally fault-injected store, on loopback — minus
+// process isolation (the kill-9 harness covers that). With
+// Scenario.Replicas it is a pair: a `pcd -replicas N` primary and the
+// `pcd -follow` node that replicates it.
 type localPCD struct {
-	dir     string
-	url     string
-	store   history.Storage
-	srv     *server.Server
-	httpSrv *http.Server
-	ln      net.Listener
-	stopped bool
+	dir, folDir string
+	prim, fol   *node.Node
 
 	// shardFaults holds the per-shard injectors when a scripted shard
 	// kill is armed; killShard flips one to a 100% error rate.
 	shardFaults []*history.FaultBackend
-
-	// det is the primary-side failure detector when the scenario runs
-	// auto-failover: it notices the killed shard's sustained degradation
-	// and promotes the follower with no scripted help.
-	det *replica.Detector
-
-	folDir   string
-	folURL   string
-	folStore history.Storage
-	fol      *replica.Follower
-	folSrv   *http.Server
 }
 
 func startLocal(sc *Scenario, dir string) (*localPCD, error) {
@@ -611,10 +590,20 @@ func startLocal(sc *Scenario, dir string) (*localPCD, error) {
 	if err != nil {
 		return nil, err
 	}
-	dopts := history.DurableOptions{
-		Create:     true,
-		WAL:        true,
-		WALOptions: history.WALOptions{Sync: sync},
+	cfg := node.Config{
+		Addr:   "127.0.0.1:0",
+		Dir:    dir,
+		Shards: sc.Shards,
+		Store: history.DurableOptions{
+			Create:     true,
+			WAL:        true,
+			WALOptions: history.WALOptions{Sync: sync},
+		},
+		Server:       server.Options{Sessions: sc.Workers, BreakerCooldown: sc.BreakerCooldown},
+		Replicas:     sc.Replicas,
+		Promote:      sc.Promote,
+		AutoFailover: sc.AutoFailover,
+		LeaseTTL:     sc.LeaseTTL,
 	}
 	p := &localPCD{dir: dir}
 	switch {
@@ -623,7 +612,7 @@ func startLocal(sc *Scenario, dir string) (*localPCD, error) {
 		// any scenario fault rates ride on the same wrapper.
 		faults := sc.Faults
 		p.shardFaults = make([]*history.FaultBackend, sc.Shards)
-		dopts.WrapShard = func(shard int, b history.Backend) history.Backend {
+		cfg.Store.WrapShard = func(shard int, b history.Backend) history.Backend {
 			fb := history.NewFaultBackend(b, faults)
 			p.shardFaults[shard] = fb
 			return fb
@@ -632,106 +621,29 @@ func startLocal(sc *Scenario, dir string) (*localPCD, error) {
 		faults := sc.Faults
 		// In a sharded layout this wraps each shard's backend with its
 		// own injector (same seed, independent schedule per shard).
-		dopts.Wrap = func(b history.Backend) history.Backend {
+		cfg.Store.Wrap = func(b history.Backend) history.Backend {
 			return history.NewFaultBackend(b, faults)
 		}
 	}
-	st, err := history.OpenStoreAuto(dir, sc.Shards, dopts)
-	if err != nil {
+	if p.prim, err = node.Open(cfg); err != nil {
 		return nil, err
 	}
-	p.store = st
-
-	// Replication: arm the primary before the server mounts, so the
-	// serving storage is the gated decorator and the replication
-	// endpoints come up with the daemon.
-	serveSt := st
-	var node *replica.Node
-	var prim *replica.Primary
 	if sc.Replicas > 0 {
-		prim, err = replica.NewPrimary(st, sc.Replicas)
+		p.folDir = dir + followerDirSuffix
+		p.fol, err = node.Open(node.Config{
+			Addr:         "127.0.0.1:0",
+			Dir:          p.folDir,
+			Store:        history.DurableOptions{Create: true, WAL: true},
+			Follow:       p.prim.URL,
+			AutoFailover: sc.AutoFailover,
+			LeaseTTL:     sc.LeaseTTL,
+		})
 		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		if ss, ok := st.(*history.ShardedStore); ok {
-			// Under auto-failover the scripted promote stays off: only the
-			// detector may hand a dead shard's keyspace to the follower.
-			ss.SetFailover(replica.NewFailover(prim), sc.Promote)
-			if sc.AutoFailover {
-				prim.SetLeaseTTL(sc.LeaseTTL)
-				p.det = replica.NewDetector(prim, replica.DetectorConfig{
-					LeaseTTL:     sc.LeaseTTL,
-					ShardHealth:  ss.ShardStats,
-					PromoteShard: ss.FailoverPromote,
-				})
-				p.det.Start()
-			}
-		}
-		serveSt = replica.Gate(st, prim)
-		node = &replica.Node{Primary: prim}
-	}
-
-	srv := server.New(harness.NewEnv(serveSt), server.Options{
-		Sessions:        sc.Workers,
-		BreakerCooldown: sc.BreakerCooldown,
-		Replication:     node,
-	})
-	if err := srv.EnableSessionJournal(filepath.Join(dir, server.SessionsDirName), 0); err != nil {
-		st.Close()
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	p.url = "http://" + ln.Addr().String()
-	p.srv = srv
-	p.httpSrv = &http.Server{Handler: srv.Handler()}
-	p.ln = ln
-	go p.httpSrv.Serve(ln)
-
-	if sc.Replicas > 0 {
-		if err := p.startFollower(sc); err != nil {
 			p.stop()
 			return nil, err
 		}
 	}
 	return p, nil
-}
-
-// startFollower brings up the in-process follower replica: a durable
-// store of the primary's layout, a pull loop against the primary's WAL
-// endpoints, and a loopback HTTP endpoint serving the promote and
-// redirected-op routes the failover seam drives.
-func (p *localPCD) startFollower(sc *Scenario) error {
-	p.folDir = p.dir + followerDirSuffix
-	folSt, err := history.OpenStoreAuto(p.folDir, sc.Shards, history.DurableOptions{Create: true, WAL: true})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		folSt.Close()
-		return err
-	}
-	p.folURL = "http://" + ln.Addr().String()
-	fol, err := replica.NewFollower(p.url, p.folURL, folSt)
-	if err != nil {
-		ln.Close()
-		folSt.Close()
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/replica/promote", fol.HandlePromote)
-	mux.HandleFunc("POST /api/v1/replica/op", fol.HandleOp)
-	p.folStore = folSt
-	p.fol = fol
-	p.folSrv = &http.Server{Handler: mux}
-	go p.folSrv.Serve(ln)
-	fol.Start()
-	return nil
 }
 
 // killShard fails one shard's backend outright — every op errors from
@@ -742,40 +654,17 @@ func (p *localPCD) killShard(shard int) {
 	}
 }
 
-// stop drains and shuts the daemon down the way pcd's SIGTERM path
-// does, closing the store (and its journal) last. Idempotent.
+// stop drains the node(s) the way SIGTERM drains pcd — the follower
+// first, so no long-polling pull holds the primary's listener open.
+// Idempotent.
 func (p *localPCD) stop() error {
-	if p.stopped {
-		return nil
-	}
-	p.stopped = true
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if p.det != nil {
-		p.det.Stop()
-	}
-	// The follower stops pulling first so no replication request holds
-	// the primary's drain open.
+	var folErr error
 	if p.fol != nil {
-		p.fol.Stop()
-		p.folSrv.Close()
+		folErr = p.fol.Close(ctx)
 	}
-	// Shutdown (not just drain) so the streaming intake closes before
-	// the store does: leftover streams are discarded, never finalized
-	// into a closing journal.
-	if err := p.srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := p.httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	if err := p.store.Close(); err != nil {
-		return err
-	}
-	if p.folStore != nil {
-		return p.folStore.Close()
-	}
-	return nil
+	return errors.Join(p.prim.Close(ctx), folErr)
 }
 
 // verifyStore is the self-hosted correctness sweep: reopen the quiesced

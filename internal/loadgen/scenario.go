@@ -72,9 +72,9 @@ type Scenario struct {
 	// interval; load runs want a short one so a fault burst heals within
 	// the run (0 means the server default).
 	BreakerCooldown time.Duration
-	// Replicas arms replication on the self-hosted pcd: the primary
-	// gates writes on follower acks (semi-sync) and the harness runs one
-	// in-process follower replica alongside it. Ignored against an
+	// Replicas arms replication on the self-hosted pcd: the node runs as
+	// `pcd -replicas N` (writes gate on follower acks) and the harness
+	// runs one `pcd -follow` node alongside it. Ignored against an
 	// external -server.
 	Replicas int
 	// KillAt, when positive, fails shard KillShard's backend that far
@@ -85,12 +85,12 @@ type Scenario struct {
 	KillAt    time.Duration
 	KillShard int
 	Promote   bool
-	// AutoFailover replaces the scripted promote with the failure
-	// detector: the kill is injected and NOTHING else is scripted — the
-	// detector must notice the sustained degradation on its own and hand
-	// the keyspace to the follower. Requires Replicas > 0; mutually
-	// exclusive with Promote. LeaseTTL tunes how long the detector
-	// tolerates degradation before promoting (0 = 1s, load runs want a
+	// AutoFailover runs both nodes as `pcd -auto-failover`: the kill is
+	// injected and NOTHING else is scripted. As in pcd, that arms
+	// write-path promotion too (Promote is implied): the first write to
+	// find the shard dead hands its keyspace to the follower, and the
+	// detector covers a shard no write is hitting. Requires Replicas > 0.
+	// LeaseTTL is -lease-ttl on both nodes (0 = 1s, load runs want a
 	// short fuse).
 	AutoFailover bool
 	LeaseTTL     time.Duration
@@ -169,9 +169,6 @@ func (s *Scenario) Validate() error {
 	if s.AutoFailover {
 		if s.Replicas <= 0 {
 			return fmt.Errorf("loadgen: suite %s: auto-failover needs replicas > 0", s.Name)
-		}
-		if s.Promote {
-			return fmt.Errorf("loadgen: suite %s: auto-failover and promote are mutually exclusive (the detector promotes, not the script)", s.Name)
 		}
 		if s.LeaseTTL <= 0 {
 			s.LeaseTTL = time.Second

@@ -124,22 +124,10 @@ func (d *Detector) Stop() {
 
 // probePeers fences the local primary if any peer has moved past it.
 func (d *Detector) probePeers() {
-	seen := make(map[string]bool)
 	peers := append(append([]string(nil), d.prim.Peers()...), d.extraPeers...)
 	mine := d.prim.Epoch()
-	for _, peer := range peers {
-		if peer == "" || peer == d.advertise || seen[peer] {
-			continue
-		}
-		seen[peer] = true
-		ctx, cancel := context.WithTimeout(context.Background(), d.every)
-		info, err := FetchInfo(ctx, d.httpc, peer)
-		cancel()
-		if err != nil {
-			continue
-		}
-		claims := info.Role == "primary" || info.Promoted
-		if !claims {
+	for _, info := range probe(context.Background(), d.httpc, peers, d.advertise, d.every) {
+		if !info.ClaimsPrimary() {
 			continue
 		}
 		if info.Epoch > mine {

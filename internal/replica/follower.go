@@ -347,13 +347,15 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 	ctx, cancel := context.WithTimeout(f.ctx, wait+15*time.Second)
 	defer cancel()
 	var resp PullResponse
-	if err := f.getJSON(ctx, u, &resp); err != nil {
+	if err := getJSON(ctx, f.httpc, u, &resp); err != nil {
 		return 0, err
 	}
 	if resp.Epoch < rs.Epoch {
 		return 0, &FencingError{Op: "pull", Local: resp.Epoch, Remote: rs.Epoch}
 	}
-	f.renewLease(resp.Epoch, resp.LeaseTTLMS)
+	if err := f.renewLease(resp.Epoch, resp.LeaseTTLMS); err != nil {
+		return 0, err
+	}
 	if resp.NeedSnapshot {
 		return 0, f.bootstrap(shard)
 	}
@@ -379,10 +381,9 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 		applied++
 	}
 	if applied > 0 {
-		f.setState(shard, rs)
-		if err := checkpointState(f.stores[shard].Dir(), rs); err != nil {
-			return applied, fmt.Errorf("replica: shard %02d persist state: %w", shard, err)
-		}
+		// The unsynced checkpoint: this write sits between the apply and
+		// the pull that acknowledges it.
+		return applied, f.update(shard, false, func(s *replState) { s.Applied = rs.Applied })
 	}
 	return applied, nil
 }
@@ -405,13 +406,13 @@ func (f *Follower) bootstrap(shard int) error {
 	defer cancel()
 	var snap SnapshotResponse
 	u := fmt.Sprintf("%s/api/v1/replica/snapshot?shard=%d", primary, shard)
-	if err := f.getJSON(ctx, u, &snap); err != nil {
+	if err := getJSON(ctx, f.httpc, u, &snap); err != nil {
 		return err
 	}
 	if snap.Epoch < cur.Epoch {
 		return &FencingError{Op: "snapshot", Local: snap.Epoch, Remote: cur.Epoch}
 	}
-	f.renewLease(snap.Epoch, 0)
+	f.noteContact()
 	sst := f.stores[shard]
 	keep := make(map[history.RecordKey]bool, len(snap.Entries))
 	for _, e := range snap.Entries {
@@ -435,46 +436,65 @@ func (f *Follower) bootstrap(shard int) error {
 			return fmt.Errorf("replica: shard %02d snapshot %s: %w", shard, e.Key(), err)
 		}
 	}
-	rs := replState{Epoch: snap.Epoch, Applied: snap.Seq, Primary: primary, DemotedFrom: cur.DemotedFrom}
-	f.setState(shard, rs)
-	if err := saveState(sst.Dir(), rs); err != nil {
+	// The position jumps to the image's; promotion and the demotion
+	// record are the shard's own and survive the jump.
+	return f.update(shard, true, func(s *replState) {
+		*s = replState{Epoch: snap.Epoch, Applied: snap.Seq, Promoted: s.Promoted, Primary: primary, DemotedFrom: s.DemotedFrom}
+	})
+}
+
+// update is the one way a shard's replState changes after NewFollower:
+// mutate edits it under f.mu and the result is written to STATE.json
+// before the lock is released, so one shard's writes never reorder and
+// an apply loop never un-persists a racing promotion. Every role change
+// is durable (fsynced); only the per-batch applied position is not (see
+// checkpointState). The in-memory state advances even when the write
+// fails — the error goes back to the caller to record.
+func (f *Follower) update(shard int, durable bool, mutate func(*replState)) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.updateLocked(shard, durable, mutate)
+}
+
+func (f *Follower) updateLocked(shard int, durable bool, mutate func(*replState)) error {
+	mutate(&f.states[shard])
+	write := saveState
+	if !durable {
+		write = checkpointState
+	}
+	if err := write(f.stores[shard].Dir(), f.states[shard]); err != nil {
 		return fmt.Errorf("replica: shard %02d persist state: %w", shard, err)
 	}
 	return nil
 }
 
-func (f *Follower) setState(shard int, rs replState) {
+// noteContact marks a successful exchange with the primary.
+func (f *Follower) noteContact() {
 	f.mu.Lock()
-	// Promotion may have raced the apply loop; never un-promote.
-	rs.Promoted = rs.Promoted || f.states[shard].Promoted
-	if rs.Primary == "" {
-		rs.Primary = f.states[shard].Primary
-	}
-	if rs.DemotedFrom < f.states[shard].DemotedFrom && !rs.Promoted {
-		rs.DemotedFrom = f.states[shard].DemotedFrom
-	}
-	f.states[shard] = rs
+	f.lastContact = time.Now()
+	f.suspect = false
 	f.mu.Unlock()
 }
 
 // renewLease marks a successful exchange with the primary and adopts
-// its lease grant (grantMS > 0) under the epoch it arrived with. The
-// lease is persisted lazily with the next state save.
-func (f *Follower) renewLease(epoch uint64, grantMS int64) {
+// its lease grant (grantMS > 0) under the epoch it arrived with,
+// persisting it on every shard whose recorded lease it changes. A grant
+// that failed to persist still holds in memory.
+func (f *Follower) renewLease(epoch uint64, grantMS int64) error {
+	f.noteContact()
+	if grantMS <= 0 {
+		return nil
+	}
 	f.mu.Lock()
-	f.lastContact = time.Now()
-	f.suspect = false
-	if grantMS > 0 {
-		f.leaseTTL = time.Duration(grantMS) * time.Millisecond
-		for i := range f.states {
-			ls := f.states[i].Lease
-			if ls == nil || ls.Epoch != epoch || ls.TTLMS != grantMS {
-				f.states[i].Lease = &leaseState{Epoch: epoch, TTLMS: grantMS}
-				saveState(f.stores[i].Dir(), f.states[i])
-			}
+	defer f.mu.Unlock()
+	f.leaseTTL = time.Duration(grantMS) * time.Millisecond
+	var err error
+	for i := range f.states {
+		if ls := f.states[i].Lease; ls == nil || ls.Epoch != epoch || ls.TTLMS != grantMS {
+			err = errors.Join(err, f.updateLocked(i, true, func(s *replState) { s.Lease = &leaseState{Epoch: epoch, TTLMS: grantMS} }))
 		}
 	}
-	f.mu.Unlock()
+	return err
 }
 
 // leaseWindow returns the effective suspicion threshold: the primary's
@@ -532,22 +552,18 @@ func (f *Follower) setSuspect(v bool) {
 // replica count) from the primary while it is still healthy, so the
 // election can reach the other followers after the primary is gone.
 func (f *Follower) refreshMembership(primary string) {
-	ctx, cancel := context.WithTimeout(f.ctx, 2*time.Second)
-	defer cancel()
-	info, err := FetchInfo(ctx, f.httpc, primary)
-	if err != nil {
-		return
-	}
-	f.mu.Lock()
-	for _, id := range info.Followers {
-		if id != "" && id != f.self {
-			f.members[id] = true
+	for _, info := range probe(f.ctx, f.httpc, []string{primary}, f.self, 2*time.Second) {
+		f.mu.Lock()
+		for _, id := range info.Followers {
+			if id != "" && id != f.self {
+				f.members[id] = true
+			}
 		}
+		if info.Replicas > f.cfg.Replicas {
+			f.cfg.Replicas = info.Replicas
+		}
+		f.mu.Unlock()
 	}
-	if info.Replicas > f.cfg.Replicas {
-		f.cfg.Replicas = info.Replicas
-	}
-	f.mu.Unlock()
 }
 
 // electorate returns the other followers this node knows about.
@@ -585,33 +601,20 @@ func (f *Follower) tryFailover() {
 	peers := f.electorate()
 	myApplied := f.AppliedTotal()
 	myEpoch := f.Epoch()
-	visible := 1
-	for _, peer := range peers {
-		ctx, cancel := context.WithTimeout(f.ctx, 2*time.Second)
-		info, err := FetchInfo(ctx, f.httpc, peer)
-		cancel()
-		if err != nil {
-			continue
-		}
-		if info.Epoch > myEpoch && (info.Role == "primary" || info.Promoted) {
+	seen := probe(f.ctx, f.httpc, peers, f.self, 2*time.Second)
+	for _, info := range seen {
+		if info.Epoch > myEpoch && info.ClaimsPrimary() {
 			// A newer primary already won: follow it.
-			target := info.Advertise
-			if target == "" {
-				target = peer
+			if err := f.retarget(info.id); err != nil {
+				f.noteErr(err)
 			}
-			f.retarget(target)
 			return
 		}
-		visible++
-		if !info.Suspect && info.Role != "primary" && !info.Promoted {
+		if !info.Suspect && !info.ClaimsPrimary() {
 			// That peer still hears the primary; do not promote yet.
 			return
 		}
-		peerID := info.Advertise
-		if peerID == "" {
-			peerID = peer
-		}
-		if info.AppliedSeq > myApplied || (info.AppliedSeq == myApplied && peerID < f.self) {
+		if info.AppliedSeq > myApplied || (info.AppliedSeq == myApplied && info.id < f.self) {
 			// A better-placed candidate exists; let it win this round.
 			return
 		}
@@ -622,10 +625,15 @@ func (f *Follower) tryFailover() {
 		n = f.cfg.Replicas
 	}
 	f.mu.Unlock()
-	if visible < n/2+1 {
+	if len(seen)+1 < n/2+1 {
 		return // partitioned minority
 	}
-	f.autoPromote()
+	// The election win: Promote bumps the journal epoch past every
+	// generation this node has seen — the bump is what fences the old
+	// primary — persists the role and opens the keyspace for writes.
+	if _, err := f.Promote(-1); err != nil {
+		f.noteErr(err)
+	}
 }
 
 // primaryStillAlive is the election's last-gasp probe of the node it
@@ -638,56 +646,37 @@ func (f *Follower) tryFailover() {
 // election happens. A SIGKILLed primary's port refuses instantly, so
 // the probe costs a real failover nothing.
 func (f *Follower) primaryStillAlive() bool {
-	f.mu.Lock()
-	primary := f.primary
-	f.mu.Unlock()
-	if primary == "" {
+	seen := probe(f.ctx, f.httpc, []string{f.PrimaryURL()}, f.self, 2*time.Second)
+	if len(seen) == 0 || !seen[0].ClaimsPrimary() {
+		// No answer — or it answered, but it is nobody's primary anymore:
+		// a demoted zombie is no reason to hold the election back.
 		return false
 	}
-	ctx, cancel := context.WithTimeout(f.ctx, 2*time.Second)
-	info, err := FetchInfo(ctx, f.httpc, primary)
-	cancel()
-	if err != nil {
-		return false
-	}
-	if info.Role != "primary" && !info.Promoted {
-		// It answered, but it is nobody's primary anymore — a demoted
-		// zombie is no reason to hold the election back.
-		return false
-	}
-	f.renewLease(info.Epoch, 0)
+	f.noteContact()
 	return true
-}
-
-// autoPromote is the election win: bump the journal epoch past every
-// generation this node has seen, persist the promoted state, and open
-// the keyspace for writes. The epoch bump is what fences the old
-// primary — every subsequent replication and write RPC carries it.
-func (f *Follower) autoPromote() {
-	if _, err := f.Promote(-1); err != nil {
-		f.noteErr(err)
-	}
 }
 
 // retarget repoints every unpromoted shard at a new primary (the
 // election winner). The pull loops pick the new URL up on their next
 // iteration; the epoch change redirects them into a snapshot bootstrap.
-func (f *Follower) retarget(primary string) {
+// A pointer that failed to persist still holds in memory (a restart
+// would follow the old primary).
+func (f *Follower) retarget(primary string) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.primary == primary {
-		f.mu.Unlock()
-		return
+		return nil
 	}
 	f.primary = primary
 	f.lastContact = time.Now() // grace period against the new primary
 	f.suspect = false
+	var err error
 	for i := range f.states {
 		if !f.states[i].Promoted {
-			f.states[i].Primary = primary
-			saveState(f.stores[i].Dir(), f.states[i])
+			err = errors.Join(err, f.updateLocked(i, true, func(s *replState) { s.Primary = primary }))
 		}
 	}
-	f.mu.Unlock()
+	return err
 }
 
 // Rejoin demotes this node into a follower of primary: every promoted
@@ -702,25 +691,25 @@ func (f *Follower) Rejoin(primary string) error {
 	f.primary = primary
 	f.lastContact = time.Now()
 	for i := range f.states {
-		rs := f.states[i]
-		if rs.Promoted {
-			if rs.Epoch > f.demotedFrom {
-				f.demotedFrom = rs.Epoch
+		err := f.updateLocked(i, true, func(rs *replState) {
+			if rs.Promoted {
+				if rs.Epoch > f.demotedFrom {
+					f.demotedFrom = rs.Epoch
+				}
+				rs.DemotedFrom = rs.Epoch
+				rs.Promoted = false
+			} else if w := f.stores[i].WAL(); w != nil && w.Epoch() > f.demotedFrom && rs.DemotedFrom == 0 && f.demotedFrom == 0 {
+				// An unpromoted original primary: its own journal epoch is the
+				// generation being fenced out.
+				f.demotedFrom = w.Epoch()
+				rs.DemotedFrom = w.Epoch()
+			} else if rs.DemotedFrom != 0 && rs.DemotedFrom > f.demotedFrom {
+				f.demotedFrom = rs.DemotedFrom
 			}
-			rs.DemotedFrom = rs.Epoch
-			rs.Promoted = false
-		} else if w := f.stores[i].WAL(); w != nil && w.Epoch() > f.demotedFrom && rs.DemotedFrom == 0 && f.demotedFrom == 0 {
-			// An unpromoted original primary: its own journal epoch is the
-			// generation being fenced out.
-			f.demotedFrom = w.Epoch()
-			rs.DemotedFrom = w.Epoch()
-		} else if rs.DemotedFrom != 0 && rs.DemotedFrom > f.demotedFrom {
-			f.demotedFrom = rs.DemotedFrom
-		}
-		rs.Primary = primary
-		f.states[i] = rs
-		if err := saveState(f.stores[i].Dir(), rs); err != nil {
-			return fmt.Errorf("replica: shard %02d persist demotion: %w", i, err)
+			rs.Primary = primary
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -885,14 +874,13 @@ func (f *Follower) promote(shard int) ([]int, uint64, error) {
 				return promoted, newEpoch, fmt.Errorf("replica: shard %02d bump epoch: %w", i, err)
 			}
 		}
-		f.mu.Lock()
-		f.states[i].Promoted = true
-		f.states[i].Epoch = newEpoch
-		f.states[i].DemotedFrom = 0 // legitimate owner again
-		rs := f.states[i]
-		f.mu.Unlock()
-		if err := saveState(f.stores[i].Dir(), rs); err != nil {
-			return promoted, newEpoch, fmt.Errorf("replica: shard %02d persist promotion: %w", i, err)
+		err := f.update(i, true, func(rs *replState) {
+			rs.Promoted = true
+			rs.Epoch = newEpoch
+			rs.DemotedFrom = 0 // legitimate owner again
+		})
+		if err != nil {
+			return promoted, newEpoch, err
 		}
 		bumped = true
 		promoted = append(promoted, i)
@@ -1129,6 +1117,7 @@ func (f *Follower) Stats() Stats {
 		LeaseAgeMS:     -1,
 		Suspect:        f.suspect,
 		FencingRejects: f.fencingRejects.Load(),
+		LastError:      f.lastErr,
 	}
 	if !f.lastContact.IsZero() {
 		out.LeaseAgeMS = time.Since(f.lastContact).Milliseconds()
@@ -1147,37 +1136,13 @@ func (f *Follower) Stats() Stats {
 	return out
 }
 
-// FetchInfo retrieves a node's replication handshake — shape, role,
-// epoch, and electorate — used by followers for the election and by the
-// daemon's startup role reconciliation.
-func FetchInfo(ctx context.Context, httpc *http.Client, base string) (InfoResponse, error) {
-	var info InfoResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/replica/info", nil)
-	if err != nil {
-		return info, err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return info, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return info, fmt.Errorf("replica: GET %s/api/v1/replica/info: %s: %s", base, resp.Status, body)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return info, err
-	}
-	return info, nil
-}
-
 // getJSON fetches u and decodes the JSON body into v.
-func (f *Follower) getJSON(ctx context.Context, u string, v any) error {
+func getJSON(ctx context.Context, httpc *http.Client, u string, v any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := f.httpc.Do(req)
+	resp, err := httpc.Do(req)
 	if err != nil {
 		return err
 	}

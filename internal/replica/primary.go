@@ -390,9 +390,3 @@ func (l *shardLog) epochNow() uint64 {
 func PeersFilePath(storeDir string) string {
 	return filepath.Join(storeDir, stateDirName, peersFileName)
 }
-
-// LoadPeers reads the follower registry persisted at path (see
-// PeersFilePath); absent or torn files read as empty. The daemon's
-// startup rejoin handshake calls this before the store is opened, to
-// know whom to interrogate about a possibly newer epoch.
-func LoadPeers(path string) []string { return loadPeers(path) }

@@ -93,6 +93,10 @@ type InfoResponse struct {
 	Followers  []string `json:"followers,omitempty"`
 }
 
+// ClaimsPrimary reports whether the node presents itself as an owner of
+// keyspace: a primary, or a follower with at least one promoted shard.
+func (i InfoResponse) ClaimsPrimary() bool { return i.Role == "primary" || i.Promoted }
+
 // PromoteRequest asks a follower to take ownership of one shard's
 // keyspace (or every shard with Shard == -1, the whole-primary-death
 // case). Promotion is idempotent and one-way until restart with a
@@ -189,6 +193,9 @@ type Stats struct {
 	AsyncWrites uint64 `json:"async_writes,omitempty"`
 	// GateTimeouts counts writes refused because an attached follower
 	// failed to ack within the gate timeout.
-	GateTimeouts uint64           `json:"gate_timeouts,omitempty"`
-	Shards       []ShardReplStats `json:"shards"`
+	GateTimeouts uint64 `json:"gate_timeouts,omitempty"`
+	// LastError is the follower's most recent pull-path or election
+	// failure, a STATE.json write that did not persist included.
+	LastError string           `json:"last_error,omitempty"`
+	Shards    []ShardReplStats `json:"shards"`
 }

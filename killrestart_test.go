@@ -48,7 +48,11 @@ type daemon struct {
 	url string
 }
 
-// startDaemon launches pcd and waits for its serving handshake.
+// startDaemon launches pcd and waits for its "pcd: serving on" line —
+// that line specifically, not the first one holding a URL: recovery and
+// fault warnings may precede it, and an auto-failover node logs the
+// winner's URL while it demotes itself, before it serves. Stdout keeps
+// being drained afterwards so the child never blocks on a full pipe.
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(bin, "pcd"), args...)
@@ -64,17 +68,15 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	sc := bufio.NewScanner(stdout)
 	handshake := make(chan string, 1)
 	go func() {
-		// The serving line is not necessarily first — recovery and fault
-		// warnings may precede it.
+		sent := false
 		for sc.Scan() {
-			if line := sc.Text(); strings.Contains(line, "http://") {
+			if line := sc.Text(); !sent && strings.Contains(line, "pcd: serving on ") {
 				handshake <- line
-				break
+				sent = true
 			}
 		}
-		close(handshake)
-		// Keep draining so the child never blocks on a full pipe.
-		for sc.Scan() {
+		if !sent {
+			close(handshake)
 		}
 	}()
 	var serving string
