@@ -132,6 +132,8 @@ fuzz:
 	$(GO) test -fuzz FuzzParseMappings -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzParseFocus -fuzztime 10s ./internal/resource/
 	$(GO) test -fuzz FuzzSplitPath -fuzztime 10s ./internal/resource/
+	$(GO) test -fuzz FuzzDecodeWALPayload -fuzztime 10s ./internal/history/
+	$(GO) test -fuzz FuzzDecodeWALFrames -fuzztime 10s ./internal/history/
 
 clean:
 	$(GO) clean -testcache

@@ -326,7 +326,7 @@ func truncateWALSegment(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, good, _ := decodeWALFrames(data); good < len(data) {
+	if _, good, _ := DecodeWALFrames(data); good < len(data) {
 		return os.Truncate(path, int64(good))
 	}
 	return nil // nothing to cut

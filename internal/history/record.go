@@ -7,7 +7,10 @@ package history
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"unicode/utf8"
 
 	"repro/internal/consultant"
 	"repro/internal/resource"
@@ -94,13 +97,19 @@ func FromRun(appName, version, runID string, space *resource.Space,
 	return rec
 }
 
-// Validate checks the record for internal consistency.
+// Validate checks the record for internal consistency. Every string must
+// be valid UTF-8: the JSON encoder rewrites a stray byte to U+FFFD, so a
+// record holding one would be stored, keyed and replicated under a name
+// its own file bytes no longer spell.
 func (r *RunRecord) Validate() error {
 	if r.App == "" {
 		return fmt.Errorf("history: record missing app name")
 	}
 	if r.RunID == "" {
 		return fmt.Errorf("history: record missing run id")
+	}
+	if err := r.validUTF8(); err != nil {
+		return err
 	}
 	trues := 0
 	for i, nr := range r.Results {
@@ -117,6 +126,73 @@ func (r *RunRecord) Validate() error {
 		return fmt.Errorf("history: TrueCount=%d but %d true results", r.TrueCount, trues)
 	}
 	return nil
+}
+
+// validUTF8 names the first string of the record that is not valid UTF-8.
+func (r *RunRecord) validUTF8() error {
+	bad := func(what, s string) error {
+		return fmt.Errorf("history: %s %q is not valid UTF-8", what, s)
+	}
+	switch {
+	case !utf8.ValidString(r.App):
+		return bad("app", r.App)
+	case !utf8.ValidString(r.Version):
+		return bad("version", r.Version)
+	case !utf8.ValidString(r.RunID):
+		return bad("run id", r.RunID)
+	}
+	for h, paths := range r.Resources {
+		if !utf8.ValidString(h) {
+			return bad("hierarchy name", h)
+		}
+		for _, p := range paths {
+			if !utf8.ValidString(p) {
+				return bad("resource path", p)
+			}
+		}
+	}
+	for proc, node := range r.ProcNodes {
+		if !utf8.ValidString(proc) {
+			return bad("process name", proc)
+		}
+		if !utf8.ValidString(node) {
+			return bad("machine node", node)
+		}
+	}
+	for i, nr := range r.Results {
+		// State is held to its five spellings by Validate itself.
+		for _, s := range [...]string{nr.Hyp, nr.Focus, nr.Priority} {
+			if !utf8.ValidString(s) {
+				return bad(fmt.Sprintf("result %d field", i), s)
+			}
+		}
+	}
+	for path := range r.Usage {
+		if !utf8.ValidString(path) {
+			return bad("usage path", path)
+		}
+	}
+	return nil
+}
+
+// clone returns a copy of r that shares no map or slice with it, and is
+// reflect.DeepEqual to what decoding r's own encoding yields for every
+// record Validate accepts: a nil map or slice stays nil and an empty one
+// stays empty (maps.Clone and slices.Clone keep both). The index holds
+// clones, so a caller that keeps mutating the record it saved cannot
+// reach the store's copy. NodeResult holds only scalars and strings; a
+// field added to either struct that is a map, slice or pointer must be
+// copied here (TestCloneCoversEveryField fails until it is).
+func (r *RunRecord) clone() *RunRecord {
+	c := *r
+	c.Resources = maps.Clone(r.Resources)
+	for h, paths := range c.Resources {
+		c.Resources[h] = slices.Clone(paths)
+	}
+	c.ProcNodes = maps.Clone(r.ProcNodes)
+	c.Results = slices.Clone(r.Results)
+	c.Usage = maps.Clone(r.Usage)
+	return &c
 }
 
 // TrueResults returns the results concluded true, by conclusion time.

@@ -308,8 +308,11 @@ type mutation struct {
 	rec *RunRecord
 }
 
-// putMutation validates and encodes rec. The index copy is decoded back
-// from the encoding, detached from the caller's pointer.
+// putMutation validates and encodes rec — the one MarshalIndent that
+// fixes the record's file bytes. The index copy is a field-wise clone,
+// detached from the caller's pointer and equal to what decoding those
+// bytes would yield (Validate admits nothing the encoder would rewrite),
+// so the bytes are never decoded again on this node.
 func putMutation(rec *RunRecord) (mutation, error) {
 	if err := rec.Validate(); err != nil {
 		return mutation{}, err
@@ -318,13 +321,9 @@ func putMutation(rec *RunRecord) (mutation, error) {
 	if err != nil {
 		return mutation{}, fmt.Errorf("history: marshal: %w", err)
 	}
-	cached := &RunRecord{}
-	if err := json.Unmarshal(data, cached); err != nil {
-		return mutation{}, fmt.Errorf("history: unmarshal: %w", err)
-	}
 	return mutation{
 		WALEntry: WALEntry{Op: walOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: data},
-		rec:      cached,
+		rec:      rec.clone(),
 	}, nil
 }
 
@@ -480,9 +479,11 @@ func (s *Store) commit(ms []mutation, redo bool) (wrote int, err error) {
 }
 
 // preImage builds the mutation that sets key to its last acknowledged
-// state — what the index holds. Re-marshalling the indexed copy yields
-// exactly the bytes the acknowledged write stored, so a healed file, or
-// a follower's copy of a snapshot entry, is byte-identical to it.
+// state — what the index holds. The indexed copy is either the decode of
+// the stored bytes or a clone equal to it, and the encoding is a pure
+// function of the record, so re-marshalling it yields exactly the bytes
+// the acknowledged write stored: a healed file, or a follower's copy of
+// a snapshot entry, is byte-identical to it.
 func (s *Store) preImage(key RecordKey) (mutation, error) {
 	s.mu.RLock()
 	prev, ok := s.recs[key]
@@ -501,7 +502,7 @@ func (s *Store) preImage(key RecordKey) (mutation, error) {
 }
 
 // Save writes (or overwrites) a record — a batch of one. The index
-// caches its own decoded copy, detached from the caller's pointer.
+// caches its own copy, detached from the caller's pointer.
 func (s *Store) Save(rec *RunRecord) error {
 	m, err := putMutation(rec)
 	if err != nil {

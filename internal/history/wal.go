@@ -135,9 +135,13 @@ type WALEntry struct {
 	App     string `json:"app"`
 	Version string `json:"version,omitempty"`
 	RunID   string `json:"run_id"`
-	// Data is base64 in the frame ([]byte, not json.RawMessage, on
-	// purpose: the JSON encoder compacts embedded RawMessage, and replay
-	// must restore the record file byte-for-byte, indentation included).
+	// Data is the record file's bytes, indentation included. A journal
+	// frame carries them raw (EncodeWALFrame) and a decoded entry's Data
+	// is a slice of the frame it came from — read-only, and alive as long
+	// as the entry is. The JSON tags serve the replication snapshot and
+	// the read-only v1 frame format, where Data is base64 ([]byte, not
+	// json.RawMessage, on purpose: the JSON encoder compacts embedded
+	// RawMessage, and replay must restore the file byte-for-byte).
 	Data []byte `json:"data,omitempty"`
 }
 
@@ -180,7 +184,7 @@ func ReadWAL(dir string) ([]WALEntry, *WALScanReport, error) {
 		if err != nil {
 			return entries, rep, fmt.Errorf("history: wal %s: %w", seg, err)
 		}
-		es, _, bad := decodeWALFrames(data)
+		es, _, bad := DecodeWALFrames(data)
 		entries = append(entries, es...)
 		rep.Entries += len(es)
 		if bad != "" {
@@ -211,13 +215,102 @@ func walSegments(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// decodeWALFrames decodes the frames of one segment's bytes up to the
-// first bad one: good is the length of the valid prefix, bad describes
-// the frame that ended it ("" when the whole segment decoded).
-func decodeWALFrames(data []byte) (entries []WALEntry, good int, bad string) {
+// The frame payload, version 2: a version byte, an op byte, the three key
+// strings each behind a uvarint length, then the record bytes raw to the
+// end of the payload (none for a delete). Version 1 was the JSON encoding
+// of WALEntry, Data in base64; it is still read — a journal left by a
+// build that wrote it replays at the first open, which truncates it —
+// and never written. A v1 payload opens with '{', which is no version.
+const walPayloadV2 = 2
+
+// The op byte of a v2 payload.
+const (
+	walOpBytePut    = 1
+	walOpByteDelete = 2
+)
+
+// walFrameHeader is the frame header's size: payload length and CRC32,
+// both big-endian uint32.
+const walFrameHeader = 8
+
+// EncodeWALFrame builds e's journal frame — header and v2 payload — in
+// one buffer: the bytes WAL.Append writes, the append hook hands on and
+// a replication pull ships, unchanged from there to DecodeWALFrames.
+func EncodeWALFrame(e WALEntry) ([]byte, error) {
+	var op byte
+	switch e.Op {
+	case walOpPut:
+		op = walOpBytePut
+	case walOpDelete:
+		op = walOpByteDelete
+	default:
+		return nil, fmt.Errorf("history: wal: unknown op %q", e.Op)
+	}
+	n := 2 + 3*binary.MaxVarintLen32 + len(e.App) + len(e.Version) + len(e.RunID) + len(e.Data)
+	if n > maxWALFrame {
+		return nil, fmt.Errorf("history: wal: entry %s is %d bytes, over the %d-byte frame limit", e.Key(), n, maxWALFrame)
+	}
+	frame := make([]byte, walFrameHeader, walFrameHeader+n)
+	frame = append(frame, walPayloadV2, op)
+	for _, s := range [...]string{e.App, e.Version, e.RunID} {
+		frame = binary.AppendUvarint(frame, uint64(len(s)))
+		frame = append(frame, s...)
+	}
+	frame = append(frame, e.Data...)
+	payload := frame[walFrameHeader:]
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	return frame, nil
+}
+
+// DecodeWALPayload decodes one frame's payload, either version. A v2
+// entry's Data is a slice of payload, not a copy.
+func DecodeWALPayload(payload []byte) (WALEntry, error) {
+	var e WALEntry
+	if len(payload) > 0 && payload[0] == '{' {
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return WALEntry{}, fmt.Errorf("v1 payload: %v", err)
+		}
+		if e.Op != walOpPut && e.Op != walOpDelete {
+			return WALEntry{}, fmt.Errorf("unknown op %q", e.Op)
+		}
+		return e, nil
+	}
+	if len(payload) < 2 || payload[0] != walPayloadV2 {
+		return WALEntry{}, fmt.Errorf("unknown payload version")
+	}
+	switch payload[1] {
+	case walOpBytePut:
+		e.Op = walOpPut
+	case walOpByteDelete:
+		e.Op = walOpDelete
+	default:
+		return WALEntry{}, fmt.Errorf("unknown op byte %d", payload[1])
+	}
+	rest := payload[2:]
+	for _, s := range [...]*string{&e.App, &e.Version, &e.RunID} {
+		n, w := binary.Uvarint(rest)
+		if w <= 0 || n > uint64(len(rest)-w) {
+			return WALEntry{}, fmt.Errorf("key string runs past the payload")
+		}
+		*s = string(rest[w : w+int(n)])
+		rest = rest[w+int(n):]
+	}
+	if len(rest) > 0 {
+		e.Data = rest
+	}
+	return e, nil
+}
+
+// DecodeWALFrames decodes the frames of one segment's bytes — or of a
+// replication pull's body, which is the same bytes — up to the first bad
+// one: good is the length of the valid prefix, bad describes the frame
+// that ended it ("" when everything decoded). The entries' Data slices
+// point into data.
+func DecodeWALFrames(data []byte) (entries []WALEntry, good int, bad string) {
 	off := 0
 	for off < len(data) {
-		if len(data)-off < 8 {
+		if len(data)-off < walFrameHeader {
 			return entries, off, fmt.Sprintf("short frame header at offset %d", off)
 		}
 		n := binary.BigEndian.Uint32(data[off:])
@@ -225,22 +318,19 @@ func decodeWALFrames(data []byte) (entries []WALEntry, good int, bad string) {
 		if n == 0 || n > maxWALFrame {
 			return entries, off, fmt.Sprintf("implausible frame length %d at offset %d", n, off)
 		}
-		if len(data)-off-8 < int(n) {
+		if len(data)-off-walFrameHeader < int(n) {
 			return entries, off, fmt.Sprintf("truncated frame payload at offset %d", off)
 		}
-		payload := data[off+8 : off+8+int(n)]
+		payload := data[off+walFrameHeader : off+walFrameHeader+int(n)]
 		if crc32.ChecksumIEEE(payload) != sum {
 			return entries, off, fmt.Sprintf("CRC mismatch at offset %d", off)
 		}
-		var e WALEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		e, err := DecodeWALPayload(payload)
+		if err != nil {
 			return entries, off, fmt.Sprintf("undecodable frame at offset %d: %v", off, err)
 		}
-		if e.Op != walOpPut && e.Op != walOpDelete {
-			return entries, off, fmt.Sprintf("unknown op %q at offset %d", e.Op, off)
-		}
 		entries = append(entries, e)
-		off += 8 + int(n)
+		off += walFrameHeader + int(n)
 	}
 	return entries, off, ""
 }
@@ -287,9 +377,9 @@ type WAL struct {
 	writeHook func(f *os.File, frame []byte) (int, error)
 	// onAppend, when set, observes every successfully journaled frame
 	// (under w.mu, in append order): its sequence number within this
-	// epoch and the payload bytes and CRC exactly as written. The
-	// replication shipper hangs off this seam.
-	onAppend func(seq uint64, payload []byte, crc uint32)
+	// epoch and the frame's bytes exactly as written. The replication
+	// shipper hangs off this seam.
+	onAppend func(seq uint64, frame []byte)
 
 	// epoch counts journal generations: StartWAL discards segments, so
 	// (epoch, append seq) uniquely names a frame across restarts. Atomic
@@ -385,11 +475,11 @@ func MaxJournalEpoch(storeDir string) uint64 {
 
 // SetOnAppend installs fn to observe every journaled frame, called under
 // the journal lock in append order with the frame's sequence number
-// within the current epoch and the encoded entry and CRC32 the journal
-// wrote — an entry is encoded once, here, and shipped as is. fn may
-// retain payload but must not modify it. Install before concurrent
-// appends begin.
-func (w *WAL) SetOnAppend(fn func(seq uint64, payload []byte, crc uint32)) {
+// within the current epoch and the whole frame — length, CRC32, payload
+// — as the journal wrote it: an entry is framed once, in Append, and
+// shipped as is. fn may retain frame but must not modify it. Install
+// before concurrent appends begin.
+func (w *WAL) SetOnAppend(fn func(seq uint64, frame []byte)) {
 	w.mu.Lock()
 	w.onAppend = fn
 	w.mu.Unlock()
@@ -421,15 +511,10 @@ func (w *WAL) segmentPath(seq uint64) string {
 // Append journals one entry, rotating and syncing per the options. The
 // entry is durable per the sync policy when Append returns.
 func (w *WAL) Append(e WALEntry) error {
-	payload, err := json.Marshal(e)
+	frame, err := EncodeWALFrame(e)
 	if err != nil {
-		return fmt.Errorf("history: wal: %w", err)
+		return err
 	}
-	crc := crc32.ChecksumIEEE(payload)
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc)
-	copy(frame[8:], payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -458,7 +543,7 @@ func (w *WAL) Append(e WALEntry) error {
 	w.dirty = true
 	seq := w.appends.Add(1)
 	if w.onAppend != nil {
-		w.onAppend(seq, payload, crc)
+		w.onAppend(seq, frame)
 	}
 	switch w.opts.Sync {
 	case SyncAlways:

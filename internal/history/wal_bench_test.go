@@ -1,6 +1,7 @@
 package history
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -8,25 +9,34 @@ import (
 )
 
 // The durability benchmarks price the WAL: what one journaled append
-// costs under each sync policy (the fsync is the whole story), and what
-// a restart pays to roll the journal forward into the record files.
-// The repo's benchmark (bench/, BENCHMARK.json) reports the same layers
-// on real records as history.wal_append_*_us_p50 and history.reopen_s.
+// costs under each sync policy, what building a put's mutation and
+// reading its frame back cost with no disk at all, and what a restart
+// pays to roll the journal forward into the record files. The repo's
+// benchmark (bench/, BENCHMARK.json) reports the same layers on real
+// records as history.wal_append_*_us_p50, history.save_mem_us_p50 and
+// history.reopen_s; these are the ten-second local version.
 
 func benchWALEntry(i int, data []byte) WALEntry {
 	return WALEntry{
-		Op: walOpPut, App: "poisson", Version: "A",
+		Op: walOpPut, App: "poisson", Version: "C",
 		RunID: fmt.Sprintf("r%04d", i),
 		Data:  data,
 	}
 }
 
-// benchWALData is a payload in the size range of a real encoded run
-// record (a few KiB of canonical JSON).
-func benchWALData() []byte {
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte('a' + i%26)
+// benchRecord is a record of the benchmark corpus's mean size: pcrun
+// records encode to 45–483 KB, about 180 KB on average.
+func benchRecord() *RunRecord { return corpusShapedRecord("bench", 650) }
+
+// benchWALData is benchRecord's canonical encoding — what a put frame
+// carries.
+func benchWALData(b *testing.B) []byte {
+	data, err := json.MarshalIndent(benchRecord(), "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(data) < 150<<10 || len(data) > 210<<10 {
+		b.Fatalf("bench record encodes to %d bytes, want about 180 KB", len(data))
 	}
 	return data
 }
@@ -37,7 +47,7 @@ func benchDurabilityAppend(b *testing.B, sync SyncPolicy) {
 		b.Fatal(err)
 	}
 	defer w.Close()
-	data := benchWALData()
+	data := benchWALData(b)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,6 +73,57 @@ func BenchmarkDurabilityAppendInterval(b *testing.B) {
 // floor the sync policies are measured against.
 func BenchmarkDurabilityAppendNone(b *testing.B) {
 	benchDurabilityAppend(b, SyncNone)
+}
+
+// benchSink keeps the measured calls' results alive.
+var benchSink any
+
+// BenchmarkPutMutation is a Save's work above the journal and the
+// backend: validate, the one MarshalIndent, the index clone.
+func BenchmarkPutMutation(b *testing.B) {
+	rec := benchRecord()
+	b.SetBytes(int64(len(benchWALData(b))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := putMutation(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = m
+	}
+}
+
+// BenchmarkEncodeWALFrame is what Append does before it takes the
+// journal lock: one buffer, one copy of the record bytes, one CRC.
+func BenchmarkEncodeWALFrame(b *testing.B) {
+	e := benchWALEntry(0, benchWALData(b))
+	b.SetBytes(int64(len(e.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := EncodeWALFrame(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = frame
+	}
+}
+
+// BenchmarkDecodeWALPayload is what replay and a follower pay per frame
+// before the record itself is decoded: the CRC and the slicing.
+func BenchmarkDecodeWALPayload(b *testing.B) {
+	frame, err := EncodeWALFrame(benchWALEntry(0, benchWALData(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, _, bad := DecodeWALFrames(frame)
+		if bad != "" {
+			b.Fatal(bad)
+		}
+		benchSink = entries
+	}
 }
 
 // benchDurabilityReplay measures rolling a journal of n puts forward

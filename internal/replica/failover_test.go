@@ -270,7 +270,7 @@ func TestFollowerRefusesStaleEpochPull(t *testing.T) {
 	fst := openDurable(t, dir)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) {
-		writeWire(w, http.StatusOK, PullResponse{Epoch: 3})
+		writePull(w, PullResponse{Epoch: 3}, nil)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -287,6 +287,56 @@ func TestFollowerRefusesStaleEpochPull(t *testing.T) {
 	}
 }
 
+// TestFollowerStopsAtBadFrame: the pull body is read by the journal's own
+// decoder, so a frame damaged in transit ends the pull there — the good
+// frames before it are folded and checkpointed, the error says what was
+// wrong, and nothing after the damage reaches the store. A body that
+// carries frames but no first_seq is refused whole.
+func TestFollowerStopsAtBadFrame(t *testing.T) {
+	fst := openDurable(t, t.TempDir())
+	var frames [][]byte
+	for _, run := range []string{"r1", "r2", "r3"} {
+		data, err := json.MarshalIndent(rec("app", "", run, 0.5), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := history.EncodeWALFrame(entry(run, string(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, fr)
+	}
+	frames[1][len(frames[1])-3] ^= 0x40 // one bit, inside r2's record bytes
+	hdr := PullResponse{Epoch: 1, HeadSeq: 3, FirstSeq: 1}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writePull(w, hdr, frames)
+	}))
+	defer ts.Close()
+	fol, err := NewFollower(ts.URL, "http://b", fst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol.mu.Lock()
+	fol.states[0].Epoch = 1
+	fol.mu.Unlock()
+
+	n, err := fol.pullOnce(0, 0)
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("pull over a damaged second frame = (%d, %v), want 1 applied and a CRC error", n, err)
+	}
+	if keys := fst.Keys(); len(keys) != 1 || keys[0].RunID != "r1" {
+		t.Fatalf("store holds %v, want r1 only", keys)
+	}
+	if got := fol.Stats().Shards[0].AppliedSeq; got != 1 {
+		t.Fatalf("applied position %d, want 1", got)
+	}
+
+	hdr.FirstSeq = 0
+	if n, err := fol.pullOnce(0, 0); n != 0 || err == nil || !strings.Contains(err.Error(), "first_seq") {
+		t.Fatalf("pull with frames and no first_seq = (%d, %v), want it refused", n, err)
+	}
+}
+
 // TestFollowerRefusesStaleSnapshot: same guard on the bootstrap path —
 // a snapshot image from an older generation must never be installed.
 func TestFollowerRefusesStaleSnapshot(t *testing.T) {
@@ -294,7 +344,7 @@ func TestFollowerRefusesStaleSnapshot(t *testing.T) {
 	fst := openDurable(t, dir)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) {
-		writeWire(w, http.StatusOK, PullResponse{Epoch: 5, NeedSnapshot: true})
+		writePull(w, PullResponse{Epoch: 5, NeedSnapshot: true}, nil)
 	})
 	mux.HandleFunc("/api/v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		writeWire(w, http.StatusOK, SnapshotResponse{Epoch: 3})

@@ -1,11 +1,11 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
@@ -346,8 +346,8 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 		primary, shard, rs.Epoch, rs.Applied, url.QueryEscape(f.self), wait.Milliseconds())
 	ctx, cancel := context.WithTimeout(f.ctx, wait+15*time.Second)
 	defer cancel()
-	var resp PullResponse
-	if err := getJSON(ctx, f.httpc, u, &resp); err != nil {
+	resp, body, err := getPull(ctx, f.httpc, u)
+	if err != nil {
 		return 0, err
 	}
 	if resp.Epoch < rs.Epoch {
@@ -359,33 +359,39 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 	if resp.NeedSnapshot {
 		return 0, f.bootstrap(shard)
 	}
+	// The body is journal frames: the decoder that replays a segment at
+	// open checks each one's length and CRC — a bit flip in transit or in
+	// the primary's ring must not reach this store — and stops at the
+	// first bad one. What decoded before it is still applied.
+	entries, _, bad := history.DecodeWALFrames(body)
+	if len(entries) > 0 && resp.FirstSeq == 0 {
+		return 0, fmt.Errorf("replica: shard %02d pull: %d frames and no first_seq", shard, len(entries))
+	}
 	applied := 0
-	for _, fr := range resp.Frames {
-		if fr.Seq <= rs.Applied {
+	for i, e := range entries {
+		seq := resp.FirstSeq + uint64(i)
+		if seq <= rs.Applied {
 			continue // idempotent re-delivery
 		}
-		if fr.Seq != rs.Applied+1 {
+		if seq != rs.Applied+1 {
 			break // gap: re-pull from the persisted position
 		}
-		if crc32.ChecksumIEEE(fr.Payload) != fr.CRC {
-			return applied, fmt.Errorf("replica: shard %02d frame %d failed CRC", shard, fr.Seq)
+		if err = f.stores[shard].ApplyReplicated(e); err != nil {
+			err = fmt.Errorf("replica: shard %02d frame %d: %w", shard, seq, err)
+			break
 		}
-		var e history.WALEntry
-		if err := json.Unmarshal(fr.Payload, &e); err != nil {
-			return applied, fmt.Errorf("replica: shard %02d frame %d: %w", shard, fr.Seq, err)
-		}
-		if err := f.stores[shard].ApplyReplicated(e); err != nil {
-			return applied, fmt.Errorf("replica: shard %02d frame %d: %w", shard, fr.Seq, err)
-		}
-		rs.Applied = fr.Seq
+		rs.Applied = seq
 		applied++
+	}
+	if err == nil && bad != "" {
+		err = fmt.Errorf("replica: shard %02d pull from %d: %s", shard, resp.FirstSeq, bad)
 	}
 	if applied > 0 {
 		// The unsynced checkpoint: this write sits between the apply and
 		// the pull that acknowledges it.
-		return applied, f.update(shard, false, func(s *replState) { s.Applied = rs.Applied })
+		err = errors.Join(err, f.update(shard, false, func(s *replState) { s.Applied = rs.Applied }))
 	}
-	return applied, nil
+	return applied, err
 }
 
 // bootstrap installs a primary snapshot: local records not in the image
@@ -1136,22 +1142,59 @@ func (f *Follower) Stats() Stats {
 	return out
 }
 
-// getJSON fetches u and decodes the JSON body into v.
-func getJSON(ctx context.Context, httpc *http.Client, u string, v any) error {
+// get issues GET u and hands back the response once it is a 200; the
+// caller closes its body.
+func get(ctx context.Context, httpc *http.Client, u string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := httpc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		resp.Body.Close()
+		return nil, fmt.Errorf("replica: GET %s: %s: %s", u, resp.Status, body)
+	}
+	return resp, nil
+}
+
+// getJSON fetches u and decodes the JSON body into v.
+func getJSON(ctx context.Context, httpc *http.Client, u string, v any) error {
+	resp, err := get(ctx, httpc, u)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("replica: GET %s: %s: %s", u, resp.Status, body)
-	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// getPull fetches one pull answer (see writePull): the header line,
+// decoded, and the frame bytes that follow it. The body is read into one
+// buffer that the frames are then sliced out of.
+func getPull(ctx context.Context, httpc *http.Client, u string) (hdr PullResponse, frames []byte, err error) {
+	resp, err := get(ctx, httpc, u)
+	if err != nil {
+		return hdr, nil, err
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	// The primary announces the body's length, so the buffer is sized
+	// once (ReadFrom wants MinRead spare) — unless the announcement is
+	// beyond what a frame ring could hold, which is not taken on trust.
+	if n := resp.ContentLength; n > 0 && n <= 2*defaultRingBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return hdr, nil, fmt.Errorf("replica: GET %s: %w", u, err)
+	}
+	line, frames, _ := bytes.Cut(buf.Bytes(), []byte{'\n'})
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return hdr, nil, fmt.Errorf("replica: GET %s: pull header: %w", u, err)
+	}
+	return hdr, frames, nil
 }
 
 // decodeWireRecord unmarshals and validates one wire record.

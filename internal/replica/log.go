@@ -13,13 +13,12 @@ import (
 // snapshot instead.
 const defaultRingBytes = 8 << 20
 
-// frameRec is one retained frame: the encoded WALEntry and CRC exactly
-// as the journal wrote them, and its sequence number within the current
+// frameRec is one retained frame — length, CRC and payload exactly as
+// the journal wrote them — and its sequence number within the current
 // epoch.
 type frameRec struct {
-	seq     uint64
-	crc     uint32
-	payload []byte
+	seq   uint64
+	frame []byte
 }
 
 // followerAck is one follower's registry entry: the highest sequence it
@@ -73,18 +72,18 @@ func (l *shardLog) bumpLocked() {
 }
 
 // append retains one journaled frame. Called from the WAL OnAppend hook
-// with the bytes the journal wrote — the entry is not encoded a second
+// with the bytes the journal wrote — the entry is not framed a second
 // time, so every journaled frame is shipped and the shipped bytes are
 // the durable ones. seq is the frame's sequence within the journal
-// epoch, strictly increasing.
-func (l *shardLog) append(seq uint64, payload []byte, crc uint32) {
+// epoch, increasing by one per call.
+func (l *shardLog) append(seq uint64, frame []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.frames = append(l.frames, frameRec{seq: seq, crc: crc, payload: payload})
+	l.frames = append(l.frames, frameRec{seq: seq, frame: frame})
 	l.head = seq
-	l.bytes += int64(len(payload))
+	l.bytes += int64(len(frame))
 	for l.bytes > l.maxBytes && len(l.frames) > 1 {
-		l.bytes -= int64(len(l.frames[0].payload))
+		l.bytes -= int64(len(l.frames[0].frame))
 		l.floor = l.frames[0].seq
 		l.frames = l.frames[1:]
 	}
@@ -145,39 +144,43 @@ func (l *shardLog) lastPullAge() int64 {
 }
 
 // pull answers one follower pull from position (epoch, from): the
-// contiguous frames after from, capped at maxFrames, or a snapshot
-// demand when the position is unserveable. Blocks up to wait for new
-// frames when already caught up; done (the puller's request context)
-// cuts the wait short, so a vanished follower does not pin the handler
-// for the full poll window.
-func (l *shardLog) pull(epoch, from uint64, maxFrames int, wait time.Duration, done <-chan struct{}) PullResponse {
+// contiguous frames after from, capped at maxFrames — the header names
+// the first one's sequence — or a snapshot demand when the position is
+// unserveable. Blocks up to wait for new frames when already caught up;
+// done (the puller's request context) cuts the wait short, so a vanished
+// follower does not pin the handler for the full poll window.
+func (l *shardLog) pull(epoch, from uint64, maxFrames int, wait time.Duration, done <-chan struct{}) (PullResponse, [][]byte) {
 	deadline := time.Now().Add(wait)
 	l.mu.Lock()
 	for {
 		if epoch != l.epoch || from < l.floor {
 			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head, NeedSnapshot: true}
 			l.mu.Unlock()
-			return resp
+			return resp, nil
 		}
 		if l.head > from {
 			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
+			var frames [][]byte
 			for _, fr := range l.frames {
 				if fr.seq <= from {
 					continue
 				}
-				resp.Frames = append(resp.Frames, Frame{Seq: fr.seq, CRC: fr.crc, Payload: fr.payload})
-				if len(resp.Frames) >= maxFrames {
+				if frames == nil {
+					resp.FirstSeq = fr.seq
+				}
+				frames = append(frames, fr.frame)
+				if len(frames) >= maxFrames {
 					break
 				}
 			}
 			l.mu.Unlock()
-			return resp
+			return resp, frames
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
 			l.mu.Unlock()
-			return resp
+			return resp, nil
 		}
 		ch := l.notify
 		l.mu.Unlock()
@@ -191,7 +194,7 @@ func (l *shardLog) pull(epoch, from uint64, maxFrames int, wait time.Duration, d
 			l.mu.Lock()
 			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
 			l.mu.Unlock()
-			return resp
+			return resp, nil
 		}
 		l.mu.Lock()
 	}
@@ -306,7 +309,7 @@ func (l *shardLog) stats() ShardReplStats {
 			// ring floor reports the whole ring.
 			for _, fr := range l.frames {
 				if fr.seq > fa.ack {
-					fs.LagBytes += int64(len(fr.payload))
+					fs.LagBytes += int64(len(fr.frame))
 				}
 			}
 		}

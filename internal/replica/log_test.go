@@ -2,9 +2,10 @@ package replica
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"hash/crc32"
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,19 +19,20 @@ func entry(runID, data string) history.WALEntry {
 }
 
 // appendEntry feeds the log one frame the way the journal's append hook
-// does: the entry encoded once, with its CRC.
+// does: the entry framed once, by the journal's own encoder.
 func appendEntry(l *shardLog, seq uint64, e history.WALEntry) {
-	payload, err := json.Marshal(e)
+	frame, err := history.EncodeWALFrame(e)
 	if err != nil {
 		panic(err)
 	}
-	l.append(seq, payload, crc32.ChecksumIEEE(payload))
+	l.append(seq, frame)
 }
 
 // TestShardLogRetainsJournalBytes: the ring holds the very bytes the
-// journal wrote — the frame is encoded once, in WAL.Append — so what a
-// follower verifies and folds is what the primary made durable, and no
-// journaled frame can be missing from the ring.
+// journal wrote — the frame is encoded once, in WAL.Append — and a pull
+// ships them untouched, so what a follower verifies and folds is what
+// the primary made durable, byte for byte, and no journaled frame can be
+// missing from the ring.
 func TestShardLogRetainsJournalBytes(t *testing.T) {
 	dir := t.TempDir()
 	st, err := history.OpenStoreDurable(dir, history.DurableOptions{Create: true, WAL: true})
@@ -60,21 +62,34 @@ func TestShardLogRetainsJournalBytes(t *testing.T) {
 	if len(frames) != 3 {
 		t.Fatalf("ring holds %d frames, journal took 3 appends", len(frames))
 	}
+	var ring []byte
 	for i, fr := range frames {
-		n := binary.BigEndian.Uint32(seg)
-		crc := binary.BigEndian.Uint32(seg[4:])
-		payload := seg[8 : 8+n]
-		seg = seg[8+n:]
-		if fr.seq != uint64(i+1) || fr.crc != crc || !bytes.Equal(fr.payload, payload) {
-			t.Errorf("frame %d: ring (seq %d, crc %08x, %d bytes) != journal (crc %08x, %d bytes)",
-				i+1, fr.seq, fr.crc, len(fr.payload), crc, len(payload))
+		if fr.seq != uint64(i+1) {
+			t.Errorf("ring frame %d has seq %d", i+1, fr.seq)
 		}
-		if crc32.ChecksumIEEE(fr.payload) != fr.crc {
-			t.Errorf("frame %d: retained CRC does not cover the retained bytes", i+1)
-		}
+		ring = append(ring, fr.frame...)
 	}
-	if len(seg) != 0 {
-		t.Errorf("%d journal bytes beyond the frames the ring saw", len(seg))
+	if !bytes.Equal(ring, seg) {
+		t.Errorf("ring frames (%d bytes) != segment file (%d bytes)", len(ring), len(seg))
+	}
+
+	// Over the wire: a header line, then the segment file's bytes.
+	ts := httptest.NewServer(http.HandlerFunc(p.HandleWAL))
+	defer ts.Close()
+	u := fmt.Sprintf("%s?shard=0&epoch=%d&from=0&id=http://f", ts.URL, st.WAL().Epoch())
+	hdr, body, err := getPull(context.Background(), ts.Client(), u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.FirstSeq != 1 || hdr.HeadSeq != 3 || hdr.NeedSnapshot {
+		t.Errorf("pull header = %+v, want first_seq 1, head_seq 3", hdr)
+	}
+	if !bytes.Equal(body, seg) {
+		t.Errorf("pull body (%d bytes) != segment file (%d bytes)", len(body), len(seg))
+	}
+	entries, good, bad := history.DecodeWALFrames(body)
+	if bad != "" || good != len(seg) || len(entries) != 3 || entries[2].Op != history.WALOpDelete {
+		t.Errorf("pull body decoded to %d entries over %d bytes (%q)", len(entries), good, bad)
 	}
 }
 
@@ -87,35 +102,36 @@ func TestShardLogPull(t *testing.T) {
 	appendEntry(l, 2, entry("r2", `{"a":2}`))
 	appendEntry(l, 3, entry("r3", `{"a":3}`))
 
-	resp := l.pull(3, 0, 512, 0, nil)
-	if resp.NeedSnapshot || len(resp.Frames) != 3 || resp.HeadSeq != 3 {
-		t.Fatalf("pull from 0 = %+v, want 3 frames, head 3", resp)
+	resp, frames := l.pull(3, 0, 512, 0, nil)
+	if resp.NeedSnapshot || len(frames) != 3 || resp.FirstSeq != 1 || resp.HeadSeq != 3 {
+		t.Fatalf("pull from 0 = %+v with %d frames, want 3 frames from 1, head 3", resp, len(frames))
 	}
-	for i, fr := range resp.Frames {
-		if fr.Seq != uint64(i+1) {
-			t.Errorf("frame %d has seq %d, want %d", i, fr.Seq, i+1)
+	for i, fr := range frames {
+		want := fmt.Sprintf("r%d", i+1)
+		if es, _, bad := history.DecodeWALFrames(fr); bad != "" || len(es) != 1 || es[0].RunID != want {
+			t.Errorf("frame %d decodes to %+v (%q), want run %s", i, es, bad, want)
 		}
 	}
 
-	resp = l.pull(3, 2, 512, 0, nil)
-	if len(resp.Frames) != 1 || resp.Frames[0].Seq != 3 {
-		t.Fatalf("pull from 2 = %+v, want exactly frame 3", resp)
+	resp, frames = l.pull(3, 2, 512, 0, nil)
+	if len(frames) != 1 || resp.FirstSeq != 3 {
+		t.Fatalf("pull from 2 = %+v with %d frames, want exactly frame 3", resp, len(frames))
 	}
 
 	// Caught up: no frames, no snapshot demand.
-	resp = l.pull(3, 3, 512, 0, nil)
-	if resp.NeedSnapshot || len(resp.Frames) != 0 {
-		t.Fatalf("caught-up pull = %+v, want empty", resp)
+	resp, frames = l.pull(3, 3, 512, 0, nil)
+	if resp.NeedSnapshot || len(frames) != 0 {
+		t.Fatalf("caught-up pull = %+v with %d frames, want empty", resp, len(frames))
 	}
 
 	// Wrong epoch: the follower replicated a previous journal lifetime.
-	if resp = l.pull(2, 3, 512, 0, nil); !resp.NeedSnapshot {
+	if resp, _ = l.pull(2, 3, 512, 0, nil); !resp.NeedSnapshot {
 		t.Fatal("epoch-mismatch pull did not demand a snapshot")
 	}
 
 	// maxFrames caps a single response.
-	if resp = l.pull(3, 0, 2, 0, nil); len(resp.Frames) != 2 {
-		t.Fatalf("capped pull returned %d frames, want 2", len(resp.Frames))
+	if _, frames = l.pull(3, 0, 2, 0, nil); len(frames) != 2 {
+		t.Fatalf("capped pull returned %d frames, want 2", len(frames))
 	}
 }
 
@@ -130,11 +146,11 @@ func TestShardLogEviction(t *testing.T) {
 	if l.floor == 0 {
 		t.Fatal("no frames evicted from a 64-byte ring after 10 appends")
 	}
-	if resp := l.pull(1, l.floor-1, 512, 0, nil); !resp.NeedSnapshot {
+	if resp, _ := l.pull(1, l.floor-1, 512, 0, nil); !resp.NeedSnapshot {
 		t.Fatal("pull below the ring floor did not demand a snapshot")
 	}
-	if resp := l.pull(1, l.floor, 512, 0, nil); resp.NeedSnapshot || len(resp.Frames) == 0 {
-		t.Fatalf("pull at the ring floor = %+v, want frames", resp)
+	if resp, frames := l.pull(1, l.floor, 512, 0, nil); resp.NeedSnapshot || len(frames) == 0 || resp.FirstSeq != l.floor+1 {
+		t.Fatalf("pull at the ring floor = %+v with %d frames, want frames from %d", resp, len(frames), l.floor+1)
 	}
 }
 

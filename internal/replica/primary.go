@@ -232,9 +232,9 @@ func (p *Primary) WaitWrite(shard int) error {
 }
 
 // HandleWAL serves GET /api/v1/replica/wal — the follower pull, which
-// doubles as the heartbeat: the response carries the primary's lease
-// grant. Query: shard, epoch, from (last applied seq), id (the
-// follower's advertised URL, its registry key), wait (long-poll
+// doubles as the heartbeat: the response's header line carries the
+// primary's lease grant. Query: shard, epoch, from (last applied seq),
+// id (the follower's advertised URL, its registry key), wait (long-poll
 // milliseconds).
 func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -276,9 +276,32 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	if fresh {
 		p.notePeer(id)
 	}
-	resp := l.pull(epoch, from, maxPullFrames, wait, r.Context().Done())
+	resp, frames := l.pull(epoch, from, maxPullFrames, wait, r.Context().Done())
 	resp.LeaseTTLMS = p.leaseTTL
-	writeWire(w, http.StatusOK, resp)
+	writePull(w, resp, frames)
+}
+
+// writePull writes one pull answer: the header as a single line of JSON,
+// then the frames as the journal wrote them — the body after the newline
+// is what history.DecodeWALFrames reads off a segment file.
+func writePull(w http.ResponseWriter, hdr PullResponse, frames [][]byte) {
+	line, err := json.Marshal(hdr)
+	if err != nil {
+		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
+		return
+	}
+	line = append(line, '\n')
+	n := len(line)
+	for _, fr := range frames {
+		n += len(fr)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	w.Write(line)
+	for _, fr := range frames {
+		w.Write(fr)
+	}
 }
 
 // HandleSnapshot serves GET /api/v1/replica/snapshot?shard=N — the

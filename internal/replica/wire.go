@@ -1,11 +1,11 @@
 // Package replica implements primary/follower replication for the
 // history store on top of the write-ahead journal: the journal is
 // already a physical redo log, so a primary ships its CRC-framed
-// entries, sequence-numbered within a journal epoch, to followers that
-// fold them into their own durable stores and report applied offsets
-// back. Followers pull — a long-poll per shard, the ack piggybacked on
-// the pull — so the primary holds no connection state beyond a registry
-// of who has applied what. An anti-entropy path (store snapshot + WAL
+// entries, byte for byte as journaled and sequence-numbered within a
+// journal epoch, to followers that fold them into their own durable
+// stores and report applied offsets back. Followers pull — a long-poll
+// per shard, the ack piggybacked on the pull — so the primary holds no
+// connection state beyond a registry of who has applied what. An anti-entropy path (store snapshot + WAL
 // tail) bootstraps fresh or stale followers whose pull position has
 // fallen off the primary's in-memory frame ring.
 //
@@ -36,30 +36,22 @@ import (
 	"repro/internal/history"
 )
 
-// Frame is one replicated journal entry on the wire: the JSON-encoded
-// history.WALEntry as the primary journaled it, its CRC32 (IEEE), and
-// its sequence number within the primary's journal epoch. The follower
-// verifies the CRC before decoding — a bit flip in transit or in the
-// primary's ring must not reach a follower's store.
-type Frame struct {
-	Seq     uint64 `json:"seq"`
-	CRC     uint32 `json:"crc"`
-	Payload []byte `json:"payload"` // base64 on the wire
-}
-
-// PullResponse answers one follower pull. NeedSnapshot tells the
-// follower its position (epoch, from) is unserveable — wrong epoch, or
-// evicted from the frame ring — and it must bootstrap from /snapshot.
-// LeaseTTLMS is the primary's liveness lease grant: the follower may
-// treat the primary as alive for that long after this response, and
+// PullResponse is the header of one follower pull's answer: a single
+// line of JSON, followed in the body by the journal frames it announces
+// (see writePull). NeedSnapshot tells the follower its position (epoch,
+// from) is unserveable — wrong epoch, or evicted from the frame ring —
+// and it must bootstrap from /snapshot. FirstSeq is the sequence number,
+// within Epoch, of the first frame in the body; the rest follow it one
+// by one. LeaseTTLMS is the primary's liveness lease grant: the follower
+// may treat the primary as alive for that long after this response, and
 // declares it suspect once the lease (stamped with Epoch) expires
 // without renewal. Zero means the primary does not run the detector.
 type PullResponse struct {
-	Epoch        uint64  `json:"epoch"`
-	HeadSeq      uint64  `json:"head_seq"`
-	LeaseTTLMS   int64   `json:"lease_ttl_ms,omitempty"`
-	NeedSnapshot bool    `json:"need_snapshot,omitempty"`
-	Frames       []Frame `json:"frames,omitempty"`
+	Epoch        uint64 `json:"epoch"`
+	HeadSeq      uint64 `json:"head_seq"`
+	LeaseTTLMS   int64  `json:"lease_ttl_ms,omitempty"`
+	NeedSnapshot bool   `json:"need_snapshot,omitempty"`
+	FirstSeq     uint64 `json:"first_seq,omitempty"`
 }
 
 // SnapshotResponse is a consistent store image for follower bootstrap:
