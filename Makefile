@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-check chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
 
 all: build vet test
 
@@ -37,6 +37,12 @@ loc:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Every Benchmark* function in the root module executed once, no tests:
+# vet only compiles them, so one that fails or panics at run time would
+# otherwise pass CI. The numbers of a 1x run mean nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark module (bench/, BENCHMARK.json) is a Go module of its
 # own that the root build and tests never compile, so a changed

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/core"
+	"repro/internal/dyninst"
 	"repro/internal/harness"
+	"repro/internal/history"
 	"repro/internal/metric"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -289,18 +291,20 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 // BenchmarkBaseDiagnosis measures a complete undirected diagnosis of
 // Poisson C (the paper's base case).
 func BenchmarkBaseDiagnosis(b *testing.B) {
+	b.ReportAllocs()
+	var res *harness.SessionResult
 	for i := 0; i < b.N; i++ {
 		a, err := app.Poisson("C", app.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := harness.RunSession(a, harness.DefaultSessionConfig())
+		res, err = harness.RunSession(a, harness.DefaultSessionConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.EndTime, "vtime-s")
-		b.ReportMetric(float64(res.PairsTested), "pairs")
 	}
+	b.ReportMetric(res.EndTime, "vtime-s")
+	b.ReportMetric(float64(res.PairsTested), "pairs")
 }
 
 // BenchmarkDirectedDiagnosis measures a fully directed re-diagnosis.
@@ -314,7 +318,9 @@ func BenchmarkDirectedDiagnosis(b *testing.B) {
 		b.Fatal(err)
 	}
 	ds := core.Harvest(base.Record, core.HarvestOptions{GeneralPrunes: true, HistoricPrunes: true, Priorities: true})
+	b.ReportAllocs()
 	b.ResetTimer()
+	var res *harness.SessionResult
 	for i := 0; i < b.N; i++ {
 		a2, err := app.Poisson("C", app.Options{})
 		if err != nil {
@@ -322,11 +328,72 @@ func BenchmarkDirectedDiagnosis(b *testing.B) {
 		}
 		cfg := harness.DefaultSessionConfig()
 		cfg.Directives = ds
-		res, err := harness.RunSession(a2, cfg)
+		res, err = harness.RunSession(a2, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.EndTime, "vtime-s")
+	}
+	b.ReportMetric(res.EndTime, "vtime-s")
+}
+
+type intervalLog []sim.Interval
+
+func (l *intervalLog) OnInterval(iv sim.Interval) { *l = append(*l, iv) }
+
+// BenchmarkSessionObservers prices the two observers every session
+// attaches, apart from the simulator and the search: one recorded
+// Poisson C interval stream (20 virtual seconds, unperturbed) replayed
+// into a UsageCollector, and into a Manager holding 8, 32 and 128
+// probes. ns/op is per interval.
+func BenchmarkSessionObservers(b *testing.B) {
+	a, err := app.Poisson("C", app.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := a.NewSimulator(sim.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ivs intervalLog
+	s.AddObserver(&ivs)
+	if err := s.RunUntil(20); err != nil {
+		b.Fatal(err)
+	}
+	replay := func(b *testing.B, o sim.Observer) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.OnInterval(ivs[i%len(ivs)])
+		}
+	}
+	b.Run("usage", func(b *testing.B) { replay(b, history.NewUsageCollector(a.NProcs())) })
+
+	space, err := a.Space()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var procs []dyninst.ProcEntry
+	for _, ps := range a.Procs {
+		procs = append(procs, dyninst.ProcEntry{Name: ps.Name, Node: ps.Node})
+	}
+	// Probe i watches one resource of the space (all of them in turn)
+	// under one of the three time metrics.
+	paths := space.AllPaths()
+	mets := []metric.ID{metric.CPUTime, metric.SyncWaitTime, metric.ExecTime}
+	for _, n := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("probes=%d", n), func(b *testing.B) {
+			m, err := dyninst.NewManager(dyninst.DefaultConfig(), space, procs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				r, _ := space.Find(paths[i*len(paths)/n])
+				if _, err := m.Request(mets[i%len(mets)], space.WholeProgram().MustWithSelection(r), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			replay(b, m)
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ package dyninst
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/metric"
 	"repro/internal/resource"
@@ -154,7 +155,10 @@ type Manager struct {
 	procs  []ProcEntry
 	nextID int
 
-	probes map[int]*Probe
+	// active holds the inserted probes in insertion order. Each probe
+	// accumulates only into itself, so the order intervals are offered in
+	// reaches no result; insertion order keeps it deterministic anyway.
+	active []*Probe
 	// perProcCost is the summed fractional slowdown per process name.
 	perProcCost map[string]float64
 
@@ -184,7 +188,6 @@ func NewManager(cfg Config, space *resource.Space, procs []ProcEntry) (*Manager,
 		cfg:         cfg,
 		space:       space,
 		procs:       procs,
-		probes:      make(map[int]*Probe),
 		perProcCost: make(map[string]float64),
 	}
 	return m, nil
@@ -227,7 +230,7 @@ func (m *Manager) Request(met metric.ID, focus resource.Focus, at float64) (*Pro
 			m.perProcCost[pe.Name] += p.procCost
 		}
 	}
-	m.probes[p.id] = p
+	m.active = append(m.active, p)
 	m.totalRequests++
 	if c := m.TotalCost(); c > m.maxCost {
 		m.maxCost = c
@@ -241,12 +244,13 @@ func (m *Manager) Remove(p *Probe, at float64) {
 	if p == nil || p.removed {
 		return
 	}
-	if _, ok := m.probes[p.id]; !ok {
+	i := slices.Index(m.active, p)
+	if i < 0 {
 		return
 	}
+	m.active = slices.Delete(m.active, i, i+1)
 	p.removed = true
 	p.removedAt = at
-	delete(m.probes, p.id)
 	for _, pe := range m.procs {
 		if p.matcher.matchesProc(pe) {
 			m.perProcCost[pe.Name] -= p.procCost
@@ -258,7 +262,7 @@ func (m *Manager) Remove(p *Probe, at float64) {
 }
 
 // ActiveProbes returns the number of currently inserted probes.
-func (m *Manager) ActiveProbes() int { return len(m.probes) }
+func (m *Manager) ActiveProbes() int { return len(m.active) }
 
 // TotalRequests returns the number of probes ever requested.
 func (m *Manager) TotalRequests() int { return m.totalRequests }
@@ -305,12 +309,12 @@ func (m *Manager) Slowdown(proc string) float64 {
 // OnInterval implements sim.Observer: every completed activity interval is
 // offered to every active probe.
 func (m *Manager) OnInterval(iv sim.Interval) {
-	for _, p := range m.probes {
-		m.accumulate(p, iv)
+	for _, p := range m.active {
+		p.accumulate(&iv)
 	}
 }
 
-func (m *Manager) accumulate(p *Probe, iv sim.Interval) {
+func (p *Probe) accumulate(iv *sim.Interval) {
 	if !p.matcher.matches(iv) {
 		return
 	}

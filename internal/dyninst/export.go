@@ -27,7 +27,7 @@ func NewIntervalMatcher(met metric.ID, focus resource.Focus) (*IntervalMatcher, 
 }
 
 // Matches reports whether an interval is attributable to the pair.
-func (m *IntervalMatcher) Matches(iv sim.Interval) bool { return m.mt.matches(iv) }
+func (m *IntervalMatcher) Matches(iv sim.Interval) bool { return m.mt.matches(&iv) }
 
 // MatchesProc reports whether the pair's focus covers the process.
 func (m *IntervalMatcher) MatchesProc(pe ProcEntry) bool { return m.mt.matchesProc(pe) }

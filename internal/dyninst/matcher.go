@@ -71,7 +71,7 @@ func newMatcher(met metric.ID, focus resource.Focus) (matcher, error) {
 
 // matchesProc reports whether the focus covers the given process (Process
 // and Machine selections only); used for width and cost computation.
-func (mt matcher) matchesProc(pe ProcEntry) bool {
+func (mt *matcher) matchesProc(pe ProcEntry) bool {
 	if mt.proc != "" && mt.proc != pe.Name {
 		return false
 	}
@@ -82,7 +82,7 @@ func (mt matcher) matchesProc(pe ProcEntry) bool {
 }
 
 // matches reports whether an interval is attributable to this probe.
-func (mt matcher) matches(iv sim.Interval) bool {
+func (mt *matcher) matches(iv *sim.Interval) bool {
 	switch mt.met {
 	case metric.CPUTime:
 		if iv.Kind != sim.KindCPU {

@@ -50,7 +50,7 @@ func TestMatcherHierarchySelections(t *testing.T) {
 		if c.mut != nil {
 			c.mut(&iv)
 		}
-		if got := mt.matches(iv); got != c.want {
+		if got := mt.matches(&iv); got != c.want {
 			t.Errorf("%s: matches = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -61,15 +61,15 @@ func TestMatcherKindFilter(t *testing.T) {
 	f := sp.WholeProgram()
 	iv := baseInterval() // KindSyncWait
 	mtCPU, _ := newMatcher(metric.CPUTime, f)
-	if mtCPU.matches(iv) {
+	if mtCPU.matches(&iv) {
 		t.Error("cpu matcher accepted a sync interval")
 	}
 	mtSync, _ := newMatcher(metric.SyncWaitTime, f)
-	if !mtSync.matches(iv) {
+	if !mtSync.matches(&iv) {
 		t.Error("sync matcher rejected a sync interval")
 	}
 	mtExec, _ := newMatcher(metric.ExecTime, f)
-	if !mtExec.matches(iv) {
+	if !mtExec.matches(&iv) {
 		t.Error("exec matcher rejected an interval")
 	}
 }

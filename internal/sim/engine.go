@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -84,18 +83,57 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's strict total order: time, then scheduling order.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// eventQueue is a binary min-heap of events under before. seq is unique,
+// so the pop order is the sorted order whatever the heap's shape.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes the earliest event. The vacated slot is zeroed so the
+// backing array does not keep the executed closure, and the process and
+// statement it captured, reachable.
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h[l].before(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(h[least]) {
+			least = r
+		}
+		if least == i {
+			return top
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
 
 // Process is one simulated application process.
 type Process struct {
@@ -108,7 +146,7 @@ type Process struct {
 	done       bool
 	finishedAt float64
 
-	totals map[Kind]float64
+	totals [3]float64 // indexed by Kind
 	msgs   int
 	bytes  int
 	calls  int
@@ -130,8 +168,14 @@ func (p *Process) Done() bool { return p.done }
 // meaningful when Done).
 func (p *Process) FinishedAt() float64 { return p.finishedAt }
 
-// Total returns the accumulated time of the given kind.
-func (p *Process) Total(k Kind) float64 { return p.totals[k] }
+// Total returns the accumulated time of the given kind (0 for a kind no
+// interval carries).
+func (p *Process) Total(k Kind) float64 {
+	if k < 0 || int(k) >= len(p.totals) {
+		return 0
+	}
+	return p.totals[k]
+}
 
 // Msgs returns the number of completed message operations charged to the
 // process.
@@ -176,7 +220,7 @@ type Simulator struct {
 	cfg   Config
 	now   float64
 	seq   int64
-	queue eventHeap
+	queue eventQueue
 	rng   *rand.Rand
 
 	procs     []*Process
@@ -223,11 +267,10 @@ func (s *Simulator) AddProcess(name, node string, prog []Stmt) (*Process, error)
 		}
 	}
 	p := &Process{
-		rank:   len(s.procs),
-		name:   name,
-		node:   node,
-		cur:    newCursor(prog),
-		totals: make(map[Kind]float64),
+		rank: len(s.procs),
+		name: name,
+		node: node,
+		cur:  newCursor(prog),
 	}
 	s.procs = append(s.procs, p)
 	return p, nil
@@ -305,7 +348,7 @@ func (s *Simulator) RunUntil(t float64) error {
 		}
 	}
 	for len(s.queue) > 0 && s.queue[0].at <= t {
-		e := heap.Pop(&s.queue).(event)
+		e := s.queue.pop()
 		if e.at > s.now {
 			s.now = e.at
 		}
@@ -346,32 +389,23 @@ func (s *Simulator) Run(maxTime float64) error {
 
 func (s *Simulator) schedule(at float64, fn func()) {
 	s.seq++
-	heap.Push(&s.queue, event{at: at, seq: s.seq, fn: fn})
+	s.queue.push(event{at: at, seq: s.seq, fn: fn})
 }
 
-func (s *Simulator) emit(iv Interval) {
+// emit completes one activity of p: the interval is labelled with p's
+// name and node, charged to p's totals and offered to every observer.
+func (s *Simulator) emit(p *Process, iv Interval) {
+	iv.Process, iv.Node = p.name, p.node
 	if iv.End < iv.Start {
 		iv.End = iv.Start
 	}
-	p := s.findProc(iv.Process)
-	if p != nil {
-		p.totals[iv.Kind] += iv.Duration()
-		p.msgs += iv.Msgs
-		p.bytes += iv.Bytes
-		p.calls += iv.Calls
-	}
+	p.totals[iv.Kind] += iv.Duration()
+	p.msgs += iv.Msgs
+	p.bytes += iv.Bytes
+	p.calls += iv.Calls
 	for _, o := range s.observers {
 		o.OnInterval(iv)
 	}
-}
-
-func (s *Simulator) findProc(name string) *Process {
-	for _, p := range s.procs {
-		if p.name == name {
-			return p
-		}
-	}
-	return nil
 }
 
 func (s *Simulator) slow(p *Process) float64 {
@@ -418,8 +452,8 @@ func (s *Simulator) proceed(p *Process) {
 	case Compute:
 		dur := s.sample(op.Mean, op.Jitter) * s.slow(p)
 		s.schedule(start+dur, func() {
-			s.emit(Interval{
-				Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+			s.emit(p, Interval{
+				Module: op.Module, Function: op.Function,
 				Kind: KindCPU, Start: start, End: s.now, Calls: 1,
 			})
 			s.proceed(p)
@@ -427,8 +461,8 @@ func (s *Simulator) proceed(p *Process) {
 	case IO:
 		dur := s.sample(op.Mean, op.Jitter)
 		s.schedule(start+dur, func() {
-			s.emit(Interval{
-				Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+			s.emit(p, Interval{
+				Module: op.Module, Function: op.Function,
 				Kind: KindIOWait, Start: start, End: s.now, Calls: 1,
 			})
 			s.proceed(p)
@@ -457,8 +491,8 @@ func (s *Simulator) doSend(p *Process, op Send) {
 		arrival := start + overhead + s.xfer(op.Bytes)
 		s.channels[key] = append(s.channels[key], message{arrival: arrival, bytes: op.Bytes})
 		s.schedule(start+overhead, func() {
-			s.emit(Interval{
-				Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+			s.emit(p, Interval{
+				Module: op.Module, Function: op.Function,
 				Tag: op.Tag, Kind: KindCPU, Start: start, End: s.now, Msgs: 1, Bytes: op.Bytes, Calls: 1,
 			})
 			s.proceed(p)
@@ -474,12 +508,12 @@ func (s *Simulator) doSend(p *Process, op Send) {
 		recv := *pr
 		recv.p.blocked = false
 		s.schedule(end, func() {
-			s.emit(Interval{
-				Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+			s.emit(p, Interval{
+				Module: op.Module, Function: op.Function,
 				Tag: op.Tag, Kind: KindSyncWait, Start: start, End: s.now, Msgs: 1, Bytes: op.Bytes, Calls: 1,
 			})
-			s.emit(Interval{
-				Process: recv.p.name, Node: recv.p.node, Module: recv.fn.Module, Function: recv.fn.Function,
+			s.emit(recv.p, Interval{
+				Module: recv.fn.Module, Function: recv.fn.Function,
 				Tag: recv.fn.Tag, Kind: KindSyncWait, Start: recv.start, End: s.now, Calls: 1,
 			})
 			s.proceed(p)
@@ -502,8 +536,8 @@ func (s *Simulator) doRecv(p *Process, op Recv) {
 			// Already arrived: only the receive overhead is paid, as CPU.
 			end := start + s.cfg.RecvOverhead*s.slow(p)
 			s.schedule(end, func() {
-				s.emit(Interval{
-					Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+				s.emit(p, Interval{
+					Module: op.Module, Function: op.Function,
 					Tag: op.Tag, Kind: KindCPU, Start: start, End: s.now, Calls: 1,
 				})
 				s.proceed(p)
@@ -512,8 +546,8 @@ func (s *Simulator) doRecv(p *Process, op Recv) {
 		}
 		// In flight: wait out the remaining transfer as synchronization.
 		s.schedule(msg.arrival, func() {
-			s.emit(Interval{
-				Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+			s.emit(p, Interval{
+				Module: op.Module, Function: op.Function,
 				Tag: op.Tag, Kind: KindSyncWait, Start: start, End: s.now, Calls: 1,
 			})
 			s.proceed(p)
@@ -527,12 +561,12 @@ func (s *Simulator) doRecv(p *Process, op Recv) {
 		end := start + s.xfer(rec.bytes)
 		s.schedule(end, func() {
 			rec.p.blocked = false
-			s.emit(Interval{
-				Process: rec.p.name, Node: rec.p.node, Module: rec.fn.Module, Function: rec.fn.Function,
+			s.emit(rec.p, Interval{
+				Module: rec.fn.Module, Function: rec.fn.Function,
 				Tag: rec.fn.Tag, Kind: KindSyncWait, Start: rec.start, End: s.now, Msgs: 1, Bytes: rec.bytes, Calls: 1,
 			})
-			s.emit(Interval{
-				Process: p.name, Node: p.node, Module: op.Module, Function: op.Function,
+			s.emit(p, Interval{
+				Module: op.Module, Function: op.Function,
 				Tag: op.Tag, Kind: KindSyncWait, Start: start, End: s.now, Calls: 1,
 			})
 			s.proceed(rec.p)
@@ -558,8 +592,8 @@ func (s *Simulator) deliver(key msgKey) {
 	s.channels[key] = q[1:]
 	delete(s.pendingRecvs, key)
 	pr.p.blocked = false
-	s.emit(Interval{
-		Process: pr.p.name, Node: pr.p.node, Module: pr.fn.Module, Function: pr.fn.Function,
+	s.emit(pr.p, Interval{
+		Module: pr.fn.Module, Function: pr.fn.Function,
 		Tag: pr.fn.Tag, Kind: KindSyncWait, Start: pr.start, End: s.now, Calls: 1,
 	})
 	s.proceed(pr.p)
@@ -585,8 +619,8 @@ func (s *Simulator) doReduce(p *Process, op AllReduce) {
 		a := a
 		s.schedule(release, func() {
 			a.p.blocked = false
-			s.emit(Interval{
-				Process: a.p.name, Node: a.p.node, Module: a.fn.Module, Function: a.fn.Function,
+			s.emit(a.p, Interval{
+				Module: a.fn.Module, Function: a.fn.Function,
 				Tag: a.fn.Tag, Kind: KindSyncWait, Start: a.start, End: s.now, Calls: 1,
 			})
 			s.proceed(a.p)

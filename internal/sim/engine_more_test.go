@@ -115,6 +115,22 @@ func TestProcessAccessors(t *testing.T) {
 	if !p.Done() {
 		t.Error("process not done")
 	}
+	// The rendezvous is all the sender did; a kind no interval carries
+	// reads as zero.
+	for _, c := range []struct {
+		kind Kind
+		want float64
+	}{
+		{KindSyncWait, p.FinishedAt()},
+		{KindCPU, 0},
+		{KindIOWait, 0},
+		{Kind(7), 0},
+		{Kind(-1), 0},
+	} {
+		if got := p.Total(c.kind); got != c.want {
+			t.Errorf("Total(%v) = %v, want %v", c.kind, got, c.want)
+		}
+	}
 }
 
 func TestSendThenComputeKeepsReceiverTimesExact(t *testing.T) {
