@@ -15,7 +15,7 @@ import (
 
 // collectSamples runs the named archetype for maxTime virtual seconds
 // and returns its complete interval stream in wire form, in event order.
-func collectSamples(t *testing.T, name string, seed int64, maxTime float64) []ingest.Sample {
+func collectSamples(t testing.TB, name string, seed int64, maxTime float64) []ingest.Sample {
 	t.Helper()
 	a, err := app.Build(name, "", app.Options{})
 	if err != nil {
@@ -44,7 +44,7 @@ func (f observerFunc) OnInterval(iv sim.Interval) { f(iv) }
 
 // batchDiagnose is the canonical offline path: every sample at once
 // through the postmortem evaluator.
-func batchDiagnose(t *testing.T, appName, runID string, samples []ingest.Sample, elapsed float64) *history.RunRecord {
+func batchDiagnose(t testing.TB, appName, runID string, samples []ingest.Sample, elapsed float64) *history.RunRecord {
 	t.Helper()
 	rec := postmortem.NewRecorder()
 	for _, s := range samples {

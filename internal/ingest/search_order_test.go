@@ -1,0 +1,100 @@
+package ingest_test
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/core"
+	"repro/internal/ingest"
+)
+
+// The feed loop the stream workload of the benchmark runs, in-process:
+// one archetype at simulator seed 11 for 20 virtual seconds, shipped in
+// 64-sample batches to an engine with an evaluation budget of 24 and
+// the archetype's known signature watched.
+const (
+	loopSeed    = 11
+	loopMaxTime = 20.0
+	loopBatch   = 64
+	loopBudget  = 24
+)
+
+type feedLoop struct {
+	app     string
+	samples []ingest.Sample
+	watch   []ingest.Watch
+	// harvested is core.Harvest(…, HarvestAll()) of the batch diagnosis
+	// of samples: what a second stream of the same run is steered by.
+	harvested *core.DirectiveSet
+}
+
+func newFeedLoop(t testing.TB, appName string) *feedLoop {
+	t.Helper()
+	l := &feedLoop{app: appName, samples: collectSamples(t, appName, loopSeed, loopMaxTime)}
+	sig, err := app.KnownBottlenecks(appName, app.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range sig {
+		l.watch = append(l.watch, ingest.Watch{Hyp: b.Hyp, Path: b.Path})
+	}
+	l.harvested = core.Harvest(batchDiagnose(t, appName, "r0", l.samples, loopMaxTime), core.HarvestAll())
+	return l
+}
+
+func (l *feedLoop) engine(ds *core.DirectiveSet) *ingest.Engine {
+	return ingest.NewEngine(l.app, "", "r1", ingest.EngineOptions{Directives: ds, EvalBudget: loopBudget, Watch: l.watch})
+}
+
+// feed ships the whole stream to eng, calling after (when not nil)
+// once each batch has been folded in.
+func (l *feedLoop) feed(t testing.TB, eng *ingest.Engine, after func()) {
+	t.Helper()
+	for i := 0; i < len(l.samples); i += loopBatch {
+		end := i + loopBatch
+		if end > len(l.samples) {
+			end = len(l.samples)
+		}
+		if err := eng.Feed(l.samples[i:end]); err != nil {
+			t.Fatal(err)
+		}
+		if after != nil {
+			after()
+		}
+	}
+}
+
+// TestEngineSearchOrderPinned holds the live search — not the finalized
+// record, which Finalize recomputes from scratch — to a committed
+// transcript: after every batch, the evaluations spent so far, the pairs
+// provisionally true and the step the watched signature concluded at.
+// Every other engine test compares finalized records, and the
+// benchmark's gate compares step counts with an offline engine of the
+// same build, so neither notices the search changing order.
+func TestEngineSearchOrderPinned(t *testing.T) {
+	var got bytes.Buffer
+	for _, appName := range []string{"mw", "pipeline"} {
+		l := newFeedLoop(t, appName)
+		for _, mode := range []struct {
+			name string
+			ds   *core.DirectiveSet
+		}{{"undirected", nil}, {"directed", l.harvested}} {
+			fmt.Fprintf(&got, "# %s %s: steps true_count watch_steps per batch\n", appName, mode.name)
+			eng := l.engine(mode.ds)
+			l.feed(t, eng, func() {
+				fmt.Fprintf(&got, "%d %d %d\n", eng.Steps(), eng.TrueCount(), eng.WatchSteps())
+			})
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "search_order.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("live search differs from testdata/search_order.golden; this build produces:\n%s", got.String())
+	}
+}
