@@ -59,8 +59,16 @@ type pairNode struct {
 // refinement search whose state persists across sample arrivals. Each
 // Feed folds a batch of samples into the aggregated trace, grows the
 // resource hierarchies with whatever the batch discovered, and advances
-// the refinement frontier a bounded number of evaluations — reusing the
-// tree built by every earlier batch instead of rebuilding it.
+// the refinement frontier a bounded number of evaluations.
+//
+// What is kept across batches: the aggregate (rec), the space and the
+// label sets already added to it (known), every pair ever enqueued
+// (nodes) with the pending ones in the frontier and the true ones in
+// trues, the compiled guidance, and the space size all of that was last
+// enumerated against (grownAt). A batch that discovers no resource
+// enumerates nothing: it pays for its samples and for at most EvalBudget
+// evaluations. Only a batch that grew the space recompiles the guidance,
+// re-seeds the High pairs and re-expands the true pairs.
 //
 // Mid-stream conclusions are provisional (drawn on partial data, under
 // harvested thresholds). Finalize re-settles the complete aggregate
@@ -77,25 +85,31 @@ type Engine struct {
 
 	rec       *postmortem.Recorder
 	space     *resource.Space
+	known     map[labelSet]struct{} // label sets whose resources are in the space
 	procNodes map[string]string
 	procs     []dyninst.ProcEntry // sorted by name
 
-	root   *consultant.Hypothesis
-	guid   consultant.Guidance
-	guidAt int // space size the guidance was last compiled against
+	root *consultant.Hypothesis
+	guid consultant.Guidance
+	// grownAt is the space size at advance's last enumeration pass (-1
+	// before the first): the guidance is compiled against, and every
+	// true pair expanded over, a space of exactly this size.
+	grownAt int
 
 	nodes    map[string]*pairNode
 	frontier []*pairNode // pending pairs, insertion order
 	trues    []*pairNode // concluded true, conclusion order
 	nextSeq  int
-	seeded   bool
 	highDone map[string]bool
 
 	samples    int
 	steps      int
-	pruned     int
 	watchSteps int
 }
+
+// labelSet is the attribution of one sample: what addResources turns
+// into resources.
+type labelSet struct{ proc, node, mod, fn, tag string }
 
 // NewEngine opens an incremental session for one run.
 func NewEngine(app, version, runID string, opts EngineOptions) *Engine {
@@ -104,11 +118,12 @@ func NewEngine(app, version, runID string, opts EngineOptions) *Engine {
 		opts:      opts.normalize(),
 		rec:       postmortem.NewRecorder(),
 		space:     resource.NewStandardSpace(),
+		known:     map[labelSet]struct{}{},
 		procNodes: map[string]string{},
 		root:      consultant.StandardHypotheses(),
 		nodes:     map[string]*pairNode{},
 		highDone:  map[string]bool{},
-		guidAt:    -1,
+		grownAt:   -1,
 	}
 }
 
@@ -136,18 +151,25 @@ func (e *Engine) Feed(samples []Sample) error {
 		if err != nil {
 			return err
 		}
-		if prev, ok := e.procNodes[iv.Process]; ok && prev != iv.Node {
+		prev, seen := e.procNodes[iv.Process]
+		if seen && prev != iv.Node {
 			return fmt.Errorf("ingest: process %q reported from two nodes (%q, %q)", iv.Process, prev, iv.Node)
 		}
-		if _, ok := e.procNodes[iv.Process]; !ok {
-			e.procNodes[iv.Process] = iv.Node
-			i := sort.Search(len(e.procs), func(i int) bool { return e.procs[i].Name >= iv.Process })
-			e.procs = append(e.procs, dyninst.ProcEntry{})
-			copy(e.procs[i+1:], e.procs[i:])
-			e.procs[i] = dyninst.ProcEntry{Name: iv.Process, Node: iv.Node}
-		}
-		if err := e.addResources(iv.Process, iv.Node, iv.Module, iv.Function, iv.Tag); err != nil {
-			return err
+		ls := labelSet{iv.Process, iv.Node, iv.Module, iv.Function, iv.Tag}
+		if _, ok := e.known[ls]; !ok {
+			if !seen {
+				e.procNodes[iv.Process] = iv.Node
+				i := sort.Search(len(e.procs), func(i int) bool { return e.procs[i].Name >= iv.Process })
+				e.procs = append(e.procs, dyninst.ProcEntry{})
+				copy(e.procs[i+1:], e.procs[i:])
+				e.procs[i] = dyninst.ProcEntry{Name: iv.Process, Node: iv.Node}
+			}
+			if err := e.addResources(ls); err != nil {
+				return err
+			}
+			// Only an admitted set is remembered: a rejected one is
+			// rejected again, by the same check, every time it is resent.
+			e.known[ls] = struct{}{}
 		}
 		e.rec.OnInterval(iv)
 		e.samples++
@@ -155,20 +177,20 @@ func (e *Engine) Feed(samples []Sample) error {
 	return e.advance()
 }
 
-func (e *Engine) addResources(proc, node, mod, fn, tag string) error {
-	if _, err := e.space.Add("/" + resource.HierProcess + "/" + proc); err != nil {
+func (e *Engine) addResources(ls labelSet) error {
+	if _, err := e.space.Add("/" + resource.HierProcess + "/" + ls.proc); err != nil {
 		return err
 	}
-	if _, err := e.space.Add("/" + resource.HierMachine + "/" + node); err != nil {
+	if _, err := e.space.Add("/" + resource.HierMachine + "/" + ls.node); err != nil {
 		return err
 	}
-	if mod != "" && fn != "" {
-		if _, err := e.space.Add("/" + resource.HierCode + "/" + mod + "/" + fn); err != nil {
+	if ls.mod != "" && ls.fn != "" {
+		if _, err := e.space.Add("/" + resource.HierCode + "/" + ls.mod + "/" + ls.fn); err != nil {
 			return err
 		}
 	}
-	if tag != "" {
-		if _, err := e.space.Add("/" + resource.HierSyncObject + "/Message/" + tag); err != nil {
+	if ls.tag != "" {
+		if _, err := e.space.Add("/" + resource.HierSyncObject + "/Message/" + ls.tag); err != nil {
 			return err
 		}
 	}
@@ -181,19 +203,30 @@ func (e *Engine) advance() error {
 	if e.rec.End() < e.opts.MinData || len(e.procs) == 0 {
 		return nil
 	}
-	e.refreshGuidance()
-	if !e.seeded {
-		e.seeded = true
-		for _, h := range e.root.Children {
-			e.enqueue(h, e.space.WholeProgram())
+	// Enumeration depends only on the space, the guidance compiled
+	// against it and the pairs already known, and a pair that turns true
+	// is expanded at that moment — so a pass over a space that has not
+	// grown since the last one would enqueue nothing, and is skipped.
+	if sz := e.space.Size(); sz != e.grownAt {
+		first := e.grownAt < 0
+		e.grownAt = sz
+		// Recompile the directives against the grown space, so High pairs
+		// naming resources that were just discovered become seedable.
+		if e.opts.Directives != nil {
+			e.guid, _ = e.opts.Directives.Guidance(e.space)
 		}
-	}
-	e.seedHighPairs()
-	// Late-discovered resources: already-true pairs re-enumerate their
-	// children so a worker that first reported mid-run still gets
-	// refined under an old conclusion.
-	for _, n := range e.trues {
-		e.expand(n)
+		if first {
+			for _, h := range e.root.Children {
+				e.enqueue(h, e.space.WholeProgram())
+			}
+		}
+		e.seedHighPairs()
+		// Late-discovered resources: already-true pairs re-enumerate
+		// their children so a worker that first reported mid-run still
+		// gets refined under an old conclusion.
+		for _, n := range e.trues {
+			e.expand(n)
+		}
 	}
 	ev, err := postmortem.NewEvaluator(e.space, e.procs, e.rec, e.rec.End())
 	if err != nil {
@@ -242,19 +275,6 @@ func (e *Engine) advance() error {
 	return nil
 }
 
-// refreshGuidance recompiles the directive set against the space
-// whenever new resources appeared, so High pairs naming resources that
-// were just discovered become seedable.
-func (e *Engine) refreshGuidance() {
-	if e.opts.Directives == nil {
-		return
-	}
-	if sz := e.space.Size(); sz != e.guidAt {
-		e.guid, _ = e.opts.Directives.Guidance(e.space)
-		e.guidAt = sz
-	}
-}
-
 // seedHighPairs inserts every currently-resolvable High-priority pair
 // into the frontier — the streaming form of "instrument immediately at
 // search start".
@@ -277,7 +297,6 @@ func (e *Engine) enqueue(h *consultant.Hypothesis, f resource.Focus) {
 		return
 	}
 	if e.guid.Prune != nil && e.guid.Prune(h.Name, f) {
-		e.pruned++
 		return
 	}
 	prio := consultant.Medium
@@ -311,11 +330,11 @@ func (e *Engine) compactFrontier() {
 	e.frontier = keep
 }
 
-// focusHasPath reports whether a canonical focus name constrains the
-// given selection path exactly ("/Process/mw:1" does not match a focus
-// at "/Process/mw:10").
-func focusHasPath(name, path string) bool {
-	return strings.Contains(name, path+",") || strings.Contains(name, path+">")
+// focusHasPath reports whether a pair key — or the canonical focus name
+// it ends in — constrains the given selection path exactly
+// ("/Process/mw:1" does not match a focus at "/Process/mw:10").
+func focusHasPath(key, path string) bool {
+	return strings.Contains(key, path+",") || strings.Contains(key, path+">")
 }
 
 func (e *Engine) watchSatisfied() bool {
@@ -325,7 +344,7 @@ func (e *Engine) watchSatisfied() bool {
 	for _, w := range e.opts.Watch {
 		ok := false
 		for _, n := range e.trues {
-			if n.hyp.Name == w.Hyp && focusHasPath(n.focus.Name(), w.Path) {
+			if n.hyp.Name == w.Hyp && focusHasPath(n.key, w.Path) {
 				ok = true
 				break
 			}

@@ -2,6 +2,7 @@ package ingest_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/app"
@@ -36,6 +37,21 @@ func collectSamples(t testing.TB, name string, seed int64, maxTime float64) []in
 		t.Fatalf("%s produced no samples", name)
 	}
 	return out
+}
+
+// signatureWatch is the archetype's known bottleneck signature as the
+// watch a stream registers.
+func signatureWatch(t testing.TB, name string) []ingest.Watch {
+	t.Helper()
+	sig, err := app.KnownBottlenecks(name, app.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := make([]ingest.Watch, len(sig))
+	for i, b := range sig {
+		watch[i] = ingest.Watch{Hyp: b.Hyp, Path: b.Path}
+	}
+	return watch
 }
 
 type observerFunc func(sim.Interval)
@@ -131,14 +147,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 // and a watched signature reports the step it concluded at.
 func TestEngineIncrementalProgress(t *testing.T) {
 	samples := collectSamples(t, "mw", 11, 20)
-	sig, err := app.KnownBottlenecks("mw", app.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var watch []ingest.Watch
-	for _, b := range sig {
-		watch = append(watch, ingest.Watch{Hyp: b.Hyp, Path: b.Path})
-	}
+	watch := signatureWatch(t, "mw")
 	eng := ingest.NewEngine("mw", "", "r0", ingest.EngineOptions{Watch: watch, EvalBudget: 24})
 	for i := 0; i < len(samples); i += 100 {
 		end := i + 100
@@ -163,27 +172,45 @@ func TestEngineIncrementalProgress(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsBadSamples covers the validation path.
+// TestEngineRejectsBadSamples covers the validation path. Every bad
+// sample is sent twice: a label set is remembered only once the space
+// admitted it, so a resend is rejected by the same check again.
 func TestEngineRejectsBadSamples(t *testing.T) {
 	eng := ingest.NewEngine("x", "", "r", ingest.EngineOptions{})
 	for _, s := range []ingest.Sample{
 		{Proc: "p:1", Node: "n01", Kind: "warp", Start: 0, End: 1},
 		{Proc: "", Node: "n01", Kind: "cpu", Start: 0, End: 1},
 		{Proc: "p:1", Node: "n01", Kind: "cpu", Start: 2, End: 1},
+		{Proc: "p,1", Node: "n01", Kind: "cpu", Start: 0, End: 1},
+		{Proc: "p:1", Node: "n01/", Kind: "cpu", Start: 0, End: 1},
+		{Proc: "p:2", Node: "n02", Mod: "a,c", Fn: "f", Kind: "cpu", Start: 0, End: 1},
+		{Proc: "p:2", Node: "n02", Mod: "a.c", Fn: "f//g", Kind: "cpu", Start: 0, End: 1},
+		{Proc: "p:2", Node: "n02", Tag: "t,1", Kind: "sync_wait", Start: 0, End: 1},
 	} {
-		if err := eng.Feed([]ingest.Sample{s}); err == nil {
-			t.Errorf("sample %+v accepted", s)
+		for _, send := range []string{"first send", "resend"} {
+			if err := eng.Feed([]ingest.Sample{s}); err == nil {
+				t.Errorf("%s of sample %+v accepted", send, s)
+			}
 		}
 	}
-	// A process hopping nodes is a corrupt stream.
-	ok := ingest.Sample{Proc: "p:1", Node: "n01", Kind: "cpu", Start: 0, End: 1}
-	if err := eng.Feed([]ingest.Sample{ok}); err != nil {
+	if eng.Samples() != 0 {
+		t.Errorf("%d rejected samples were folded in", eng.Samples())
+	}
+	// A process hopping nodes is a corrupt stream, also when the hop is
+	// back to a label set the engine already knows.
+	ok := ingest.Sample{Proc: "q:1", Node: "n03", Kind: "cpu", Start: 0, End: 1}
+	if err := eng.Feed([]ingest.Sample{ok, ok}); err != nil {
 		t.Fatal(err)
 	}
 	hop := ok
-	hop.Node = "n02"
-	if err := eng.Feed([]ingest.Sample{hop}); err == nil {
-		t.Error("node hop accepted")
+	hop.Node = "n04"
+	for _, send := range []string{"first send", "resend"} {
+		if err := eng.Feed([]ingest.Sample{hop}); err == nil {
+			t.Errorf("%s of a node hop accepted", send)
+		}
+	}
+	if err := eng.Feed([]ingest.Sample{ok}); err != nil {
+		t.Errorf("known label set rejected after a refused hop: %v", err)
 	}
 }
 
@@ -194,14 +221,7 @@ func TestEngineRejectsBadSamples(t *testing.T) {
 func TestHarvestReducesStepsToSignature(t *testing.T) {
 	const elapsed = 20.0
 	samples := collectSamples(t, "mw", 11, elapsed)
-	sig, err := app.KnownBottlenecks("mw", app.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var watch []ingest.Watch
-	for _, b := range sig {
-		watch = append(watch, ingest.Watch{Hyp: b.Hyp, Path: b.Path})
-	}
+	watch := signatureWatch(t, "mw")
 
 	env := harness.NewEnv(nil)
 	mgr := ingest.NewManager(env, ingest.ManagerOptions{EvalBudget: 24})
@@ -261,5 +281,62 @@ func TestHarvestReducesStepsToSignature(t *testing.T) {
 	recWarm.RunID = recCold.RunID
 	if string(recordBytes(t, recWarm)) != string(recordBytes(t, recCold)) {
 		t.Error("steered stream finalized differently from cold stream")
+	}
+}
+
+// saturatedBatch is one 64-sample batch in which every one of nprocs
+// processes (one node, one function, one tag) spends a second 40 % on
+// the CPU, 35 % waiting on the tag and 25 % in I/O — so every pair the
+// search can reach concludes true and the frontier runs dry.
+func saturatedBatch(nprocs int) []ingest.Sample {
+	var out []ingest.Sample
+	for i := 0; i < 16; i++ {
+		p := fmt.Sprintf("p:%d", i%nprocs)
+		for _, k := range []struct {
+			kind       string
+			start, end float64
+		}{{"cpu", 0, 0.2}, {"cpu", 0.2, 0.4}, {"sync_wait", 0.4, 0.75}, {"io_wait", 0.75, 1}} {
+			out = append(out, ingest.Sample{Proc: p, Node: "n0", Mod: "m.c", Fn: "f", Tag: "t",
+				Kind: k.kind, Start: k.start, End: k.end})
+		}
+	}
+	return out
+}
+
+// TestFeedCostDoesNotGrowWithTree: once the labels are known and the
+// frontier is exhausted, a Feed allocates a handful of times — for the
+// evaluator's snapshot — however many pairs have concluded true.
+func TestFeedCostDoesNotGrowWithTree(t *testing.T) {
+	const bound = 8
+	trues := map[int]int{}
+	for _, nprocs := range []int{2, 16} {
+		batch := saturatedBatch(nprocs)
+		eng := ingest.NewEngine("sat", "", "r", ingest.EngineOptions{EvalBudget: 4096})
+		steps := -1
+		for i := 0; eng.Steps() != steps; i++ {
+			if i == 10 {
+				t.Fatalf("%d processes: the frontier never ran dry", nprocs)
+			}
+			steps = eng.Steps()
+			if err := eng.Feed(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if eng.TrueCount() != eng.Steps() {
+			t.Fatalf("%d processes: %d of %d evaluated pairs true; the stream is meant to saturate", nprocs, eng.TrueCount(), eng.Steps())
+		}
+		trues[nprocs] = eng.TrueCount()
+		n := testing.AllocsPerRun(20, func() {
+			if err := eng.Feed(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d processes, %d true pairs: %v allocations per Feed", nprocs, eng.TrueCount(), n)
+		if n > bound {
+			t.Errorf("%d processes, %d true pairs: Feed of a known batch allocates %v times, want at most %d", nprocs, eng.TrueCount(), n, bound)
+		}
+	}
+	if trues[16] < 5*trues[2] {
+		t.Errorf("true pairs %d and %d: the trees are too alike to show growth", trues[2], trues[16])
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/ingest"
 )
@@ -34,14 +33,7 @@ type feedLoop struct {
 
 func newFeedLoop(t testing.TB, appName string) *feedLoop {
 	t.Helper()
-	l := &feedLoop{app: appName, samples: collectSamples(t, appName, loopSeed, loopMaxTime)}
-	sig, err := app.KnownBottlenecks(appName, app.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range sig {
-		l.watch = append(l.watch, ingest.Watch{Hyp: b.Hyp, Path: b.Path})
-	}
+	l := &feedLoop{app: appName, samples: collectSamples(t, appName, loopSeed, loopMaxTime), watch: signatureWatch(t, appName)}
 	l.harvested = core.Harvest(batchDiagnose(t, appName, "r0", l.samples, loopMaxTime), core.HarvestAll())
 	return l
 }
@@ -55,11 +47,7 @@ func (l *feedLoop) engine(ds *core.DirectiveSet) *ingest.Engine {
 func (l *feedLoop) feed(t testing.TB, eng *ingest.Engine, after func()) {
 	t.Helper()
 	for i := 0; i < len(l.samples); i += loopBatch {
-		end := i + loopBatch
-		if end > len(l.samples) {
-			end = len(l.samples)
-		}
-		if err := eng.Feed(l.samples[i:end]); err != nil {
+		if err := eng.Feed(l.samples[i:min(i+loopBatch, len(l.samples))]); err != nil {
 			t.Fatal(err)
 		}
 		if after != nil {

@@ -34,24 +34,25 @@ type aggKey struct {
 	kind             sim.Kind
 }
 
+// agg is what one attribution combination has accumulated.
+type agg struct {
+	key     aggKey
+	seconds float64
+	msgs    int
+	bytes   int
+	calls   int
+}
+
 // Recorder is a sim.Observer that aggregates a whole execution's activity
 // by attribution.
 type Recorder struct {
-	seconds map[aggKey]float64
-	msgs    map[aggKey]int
-	bytes   map[aggKey]int
-	calls   map[aggKey]int
-	end     float64
+	aggs map[aggKey]*agg
+	end  float64
 }
 
 // NewRecorder creates an empty trace recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		seconds: make(map[aggKey]float64),
-		msgs:    make(map[aggKey]int),
-		bytes:   make(map[aggKey]int),
-		calls:   make(map[aggKey]int),
-	}
+	return &Recorder{aggs: make(map[aggKey]*agg)}
 }
 
 // OnInterval implements sim.Observer.
@@ -61,10 +62,15 @@ func (r *Recorder) OnInterval(iv sim.Interval) {
 		module: iv.Module, function: iv.Function,
 		tag: iv.Tag, kind: iv.Kind,
 	}
-	r.seconds[k] += iv.Duration()
-	r.msgs[k] += iv.Msgs
-	r.bytes[k] += iv.Bytes
-	r.calls[k] += iv.Calls
+	a := r.aggs[k]
+	if a == nil {
+		a = &agg{key: k}
+		r.aggs[k] = a
+	}
+	a.seconds += iv.Duration()
+	a.msgs += iv.Msgs
+	a.bytes += iv.Bytes
+	a.calls += iv.Calls
 	if iv.End > r.end {
 		r.end = iv.End
 	}
@@ -74,23 +80,48 @@ func (r *Recorder) OnInterval(iv sim.Interval) {
 func (r *Recorder) End() float64 { return r.end }
 
 // Combinations returns the number of distinct attribution combinations.
-func (r *Recorder) Combinations() int { return len(r.seconds) }
+func (r *Recorder) Combinations() int { return len(r.aggs) }
+
+// sorted returns the recorder's combinations in their canonical total
+// order. The slice is a snapshot; the *aggs are the live accumulators.
+func (r *Recorder) sorted() []*agg {
+	out := make([]*agg, 0, len(r.aggs))
+	for _, a := range r.aggs {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i].key, &out[j].key
+		if a.process != b.process {
+			return a.process < b.process
+		}
+		if a.node != b.node {
+			return a.node < b.node
+		}
+		if a.module != b.module {
+			return a.module < b.module
+		}
+		if a.function != b.function {
+			return a.function < b.function
+		}
+		if a.tag != b.tag {
+			return a.tag < b.tag
+		}
+		return a.kind < b.kind
+	})
+	return out
+}
 
 // InferExecution reconstructs the execution's resource hierarchies and
 // process set from the trace itself, for traces gathered by external
 // tools where no Paradyn resource discovery ran.
 func (r *Recorder) InferExecution() (*resource.Space, []dyninst.ProcEntry, error) {
-	if len(r.seconds) == 0 {
+	if len(r.aggs) == 0 {
 		return nil, nil, fmt.Errorf("postmortem: empty trace")
 	}
 	sp := resource.NewStandardSpace()
 	procNodes := make(map[string]string)
-	keys := make([]aggKey, 0, len(r.seconds))
-	for k := range r.seconds {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	for _, k := range keys {
+	for _, a := range r.sorted() {
+		k := &a.key
 		if prev, ok := procNodes[k.process]; ok && prev != k.node {
 			return nil, nil, fmt.Errorf("postmortem: process %q observed on two nodes (%q, %q)", k.process, prev, k.node)
 		}
@@ -128,37 +159,13 @@ func (r *Recorder) InferExecution() (*resource.Space, []dyninst.ProcEntry, error
 type Evaluator struct {
 	space   *resource.Space
 	procs   []dyninst.ProcEntry
-	rec     *Recorder
 	elapsed float64
-	// keys is the recorder's attribution set snapshotted in a total
+	// aggs is the recorder's attribution set snapshotted in a total
 	// order at construction. Every float accumulation (Value sums,
 	// BuildRecord usage fractions) walks this slice instead of ranging
-	// the maps: float addition is not associative, so a fixed order is
+	// the map: float addition is not associative, so a fixed order is
 	// what makes two evaluations of the same trace byte-identical.
-	keys []aggKey
-}
-
-// sortKeys puts an attribution key set into its canonical total order.
-func sortKeys(keys []aggKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.process != b.process {
-			return a.process < b.process
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.module != b.module {
-			return a.module < b.module
-		}
-		if a.function != b.function {
-			return a.function < b.function
-		}
-		if a.tag != b.tag {
-			return a.tag < b.tag
-		}
-		return a.kind < b.kind
-	})
+	aggs []*agg
 }
 
 // NewEvaluator creates an evaluator for a trace of the given execution.
@@ -177,12 +184,7 @@ func NewEvaluator(space *resource.Space, procs []dyninst.ProcEntry, rec *Recorde
 	if elapsed <= 0 {
 		return nil, fmt.Errorf("postmortem: empty trace")
 	}
-	keys := make([]aggKey, 0, len(rec.seconds))
-	for k := range rec.seconds {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	return &Evaluator{space: space, procs: procs, rec: rec, elapsed: elapsed, keys: keys}, nil
+	return &Evaluator{space: space, procs: procs, elapsed: elapsed, aggs: rec.sorted()}, nil
 }
 
 // Value computes the normalized metric value for a (metric : focus) pair
@@ -205,7 +207,8 @@ func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) 
 	}
 	var secs float64
 	var events int
-	for _, k := range e.keys {
+	for _, a := range e.aggs {
+		k := &a.key
 		iv := sim.Interval{
 			Process: k.process, Node: k.node,
 			Module: k.module, Function: k.function,
@@ -215,14 +218,14 @@ func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) 
 		if !m.Matches(iv) {
 			continue
 		}
-		secs += e.rec.seconds[k]
+		secs += a.seconds
 		switch met {
 		case metric.MsgCount:
-			events += e.rec.msgs[k]
+			events += a.msgs
 		case metric.MsgBytes:
-			events += e.rec.bytes[k]
+			events += a.bytes
 		case metric.ProcCalls:
-			events += e.rec.calls[k]
+			events += a.calls
 		}
 	}
 	info, _ := metric.Lookup(met)
@@ -319,8 +322,9 @@ func (e *Evaluator) BuildRecord(appName, version, runID string, thresholds map[s
 	// Per-resource usage fractions from the aggregated trace (the same
 	// quantities history.UsageCollector derives online).
 	denom := e.elapsed * float64(len(e.procs))
-	for _, k := range e.keys {
-		frac := e.rec.seconds[k] / denom
+	for _, a := range e.aggs {
+		k := &a.key
+		frac := a.seconds / denom
 		if k.module != "" {
 			rec.Usage["/"+resource.HierCode+"/"+k.module] += frac
 			if k.function != "" {

@@ -129,3 +129,75 @@ func TestQuickWholeProgramContainsEverything(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// recursivePath is Path as it was computed before resources stored it:
+// the labels from the hierarchy root down, joined on every call.
+func recursivePath(r *Resource) string {
+	if r.parent == nil {
+		return "/" + r.label
+	}
+	return recursivePath(r.parent) + "/" + r.label
+}
+
+// TestQuickStoredPathMatchesRecursive grows a standard space by a
+// thousand generated paths and holds every resource's stored path, and
+// every Add's answer, to the recursive form.
+func TestQuickStoredPathMatchesRecursive(t *testing.T) {
+	s := NewStandardSpace()
+	added := 0
+	prop := func(hier uint8, labels []string) bool {
+		path := "/" + StandardHierarchies[int(hier)%len(StandardHierarchies)]
+		for i, l := range labels {
+			if i == 4 {
+				break
+			}
+			if validateLabel(l) != nil {
+				l = fmt.Sprintf("l%d", len(l))
+			}
+			path += "/" + l
+		}
+		r, err := s.Add(path)
+		if err != nil {
+			t.Logf("Add(%q): %v", path, err)
+			return false
+		}
+		added++
+		return r.Path() == path && recursivePath(r) == path
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+	if added != 1000 || s.Size() <= len(StandardHierarchies) {
+		t.Fatalf("corpus added %d paths, space size %d", added, s.Size())
+	}
+	seen := 0
+	for _, h := range s.Hierarchies() {
+		h.Root().Walk(func(r *Resource) bool {
+			seen++
+			if got, want := r.Path(), recursivePath(r); got != want {
+				t.Errorf("Path() = %q, recursive form %q", got, want)
+			}
+			return true
+		})
+	}
+	if seen != s.Size() {
+		t.Errorf("walked %d resources of %d", seen, s.Size())
+	}
+}
+
+func TestPathAndFocusNameAllocations(t *testing.T) {
+	s := NewStandardSpace()
+	r := s.MustAdd("/Code/oned.f/main")
+	s.MustAdd("/Process/p1")
+	f, err := ParseFocus(s, "</Code/oned.f/main,/Machine,/Process/p1,/SyncObject>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = r.Path() }); n != 0 {
+		t.Errorf("Path of %s allocates %v times", sink, n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = f.Name() }); n != 1 {
+		t.Errorf("Focus.Name of %s allocates %v times, want 1", sink, n)
+	}
+}

@@ -19,6 +19,7 @@ import (
 // parent links and depth stay consistent.
 type Resource struct {
 	label    string
+	path     string // fixed at creation: label and parent never change
 	parent   *Resource
 	children map[string]*Resource
 	order    []string
@@ -42,12 +43,7 @@ func (r *Resource) Depth() int { return r.depth }
 func (r *Resource) IsRoot() bool { return r.parent == nil }
 
 // Path returns the canonical resource name, e.g. "/Code/oned.f/main".
-func (r *Resource) Path() string {
-	if r.parent == nil {
-		return "/" + r.label
-	}
-	return r.parent.Path() + "/" + r.label
-}
+func (r *Resource) Path() string { return r.path }
 
 // String implements fmt.Stringer.
 func (r *Resource) String() string { return r.Path() }
@@ -63,6 +59,7 @@ func (r *Resource) AddChild(label string) (*Resource, error) {
 	}
 	c := &Resource{
 		label:    label,
+		path:     r.path + "/" + label,
 		parent:   r,
 		children: make(map[string]*Resource),
 		hier:     r.hier,
@@ -155,6 +152,7 @@ func NewHierarchy(name string) (*Hierarchy, error) {
 	h := &Hierarchy{}
 	h.root = &Resource{
 		label:    name,
+		path:     "/" + name,
 		children: make(map[string]*Resource),
 		hier:     h,
 	}

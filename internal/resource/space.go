@@ -203,13 +203,18 @@ func (f Focus) MustWithSelection(r *Resource) Focus {
 
 // Name returns the canonical focus name.
 func (f Focus) Name() string {
+	n := 1 + len(f.sel) // '<', the commas, '>'
+	for _, r := range f.sel {
+		n += len(r.path)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteByte('<')
 	for i, r := range f.sel {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(r.Path())
+		b.WriteString(r.path)
 	}
 	b.WriteByte('>')
 	return b.String()
