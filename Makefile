@@ -140,6 +140,8 @@ fuzz:
 	$(GO) test -fuzz FuzzSplitPath -fuzztime 10s ./internal/resource/
 	$(GO) test -fuzz FuzzDecodeWALPayload -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeWALFrames -fuzztime 10s ./internal/history/
+	$(GO) test -fuzz FuzzDecodeRecordMatchesEncodingJSON -fuzztime 10s ./internal/history/
+	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
 
 clean:
 	$(GO) clean -testcache

@@ -122,7 +122,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := server.UnmarshalCanonical(data, out); err != nil {
 		return fmt.Errorf("client: decode %s response: %w", path, err)
 	}
 	return nil
@@ -138,7 +138,14 @@ func (c *Client) doRaw(ctx context.Context, method, path string, query url.Value
 	}
 	var payload []byte
 	if body != nil {
-		data, err := json.Marshal(body)
+		encode := json.Marshal
+		switch body.(type) {
+		case *history.RunRecord, server.PutRunsRequest:
+			// The shapes the codec writes directly; the server's strict
+			// decoder reads the canonical form as readily as the compact.
+			encode = server.MarshalCanonical
+		}
+		data, err := encode(body)
 		if err != nil {
 			return nil, fmt.Errorf("client: encode request: %w", err)
 		}
@@ -167,7 +174,7 @@ func (c *Client) once(ctx context.Context, method, u string, payload []byte, has
 		return nil, transportErr(err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := server.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, transportErr(fmt.Errorf("read response: %w", err))
 	}

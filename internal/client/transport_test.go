@@ -3,14 +3,18 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/history"
+	"repro/internal/server"
 )
 
 // Transport-failure classification: a request that never produced an
@@ -134,5 +138,62 @@ func TestFencedIsFinal(t *testing.T) {
 	}
 	if n := hits.Load(); n != 1 {
 		t.Fatalf("fenced request was attempted %d times, want exactly 1", n)
+	}
+}
+
+// TestResponseBodyFraming: the client sizes one buffer from a declared
+// length and reads to the end when there is none, and in every framing
+// a body that stops short is a transport failure (retry later), never a
+// decode error and never a short record.
+func TestResponseBodyFraming(t *testing.T) {
+	rec := &history.RunRecord{App: "a", RunID: "r", Usage: map[string]float64{}}
+	for i := 0; i < 200; i++ { // well over the 2 KB net/http sizes by itself
+		rec.Usage[fmt.Sprintf("/Code/f%03d.c/fn", i)] = float64(i) / 7
+	}
+	body, err := server.MarshalCanonical(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := func(b []byte) []byte {
+		half := len(b) / 2
+		return []byte(fmt.Sprintf("%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", half, b[:half], len(b)-half, b[half:]))
+	}
+	rows := []struct {
+		name    string
+		header  string
+		payload []byte
+		short   bool
+	}{
+		{"declared length", fmt.Sprintf("Content-Length: %d", len(body)), body, false},
+		{"declared length, short body", fmt.Sprintf("Content-Length: %d", len(body)), body[:len(body)/2], true},
+		{"no length, read to close", "Connection: close", body, false},
+		{"chunked", "Transfer-Encoding: chunked", chunked(body), false},
+		{"chunked, cut mid-chunk", "Transfer-Encoding: chunked", chunked(body)[:len(body)/3], true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n%s\r\n\r\n", row.header)
+				conn.Write(row.payload)
+				conn.Close()
+			}))
+			defer ts.Close()
+			got, err := client.New(ts.URL).GetRun(context.Background(), "a", ":r")
+			if row.short {
+				var te *client.TransportError
+				if !errors.As(err, &te) || !errors.Is(err, client.ErrUnavailable) {
+					t.Fatalf("short body = (%v, %v), want a TransportError that is ErrUnavailable", got, err)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("GetRun = (%+v, %v), want the record sent", got, err)
+			}
+		})
 	}
 }

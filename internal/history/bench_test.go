@@ -56,3 +56,27 @@ func BenchmarkStoreQueryUncached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCollectQueryHits is the store's whole share of a wide query
+// — 28 corpus-shaped runs, about 3 000 matches — against the two-sort
+// version it replaced (kept as the reference in query_test.go).
+func BenchmarkCollectQueryHits(b *testing.B) {
+	var recs []*RunRecord
+	for i := 0; i < 28; i++ {
+		rec := corpusShapedRecord(fmt.Sprintf("r%02d", i), 650)
+		for j := range rec.Results {
+			rec.Results[j].Value *= 1 + float64(i*7+j%5)/10000
+		}
+		recs = append(recs, rec)
+	}
+	for name, collect := range map[string]func([]*RunRecord, ResultFilter) []QueryHit{
+		"one-sort": collectQueryHits, "two-sort": collectQueryHitsRef,
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = collect(recs, ResultFilter{State: "true"})
+			}
+		})
+	}
+}

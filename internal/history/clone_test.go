@@ -289,11 +289,7 @@ func TestSaveDetachesCallerRecord(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("mutating the caller's record after Save changed what Load returns")
 	}
-	m, err := st.preImage(want.Key())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(m.Data, data) {
+	if m := st.preImage(want.Key()); !bytes.Equal(m.Data, data) {
 		t.Fatal("preImage of the indexed copy is not the stored bytes")
 	}
 	if err := st.Close(); err != nil {

@@ -1,7 +1,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,7 +24,7 @@ type ResultFilter struct {
 	MinValue float64
 }
 
-func (f ResultFilter) match(nr NodeResult) bool {
+func (f ResultFilter) match(nr *NodeResult) bool {
 	if f.Hyp != "" && f.Hyp != nr.Hyp {
 		return false
 	}
@@ -47,9 +49,9 @@ func (f ResultFilter) match(nr NodeResult) bool {
 // descending value.
 func (r *RunRecord) Select(f ResultFilter) []NodeResult {
 	var out []NodeResult
-	for _, nr := range r.Results {
-		if f.match(nr) {
-			out = append(out, nr)
+	for i := range r.Results {
+		if nr := &r.Results[i]; f.match(nr) {
+			out = append(out, *nr)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
@@ -80,25 +82,49 @@ func (s *Store) Query(app, version string, f ResultFilter) ([]QueryHit, error) {
 
 // collectQueryHits applies the filter to records already in canonical
 // (app, version, run id) order and sorts the hits by descending value
-// then run identity. Store and ShardedStore share this so a sharded
+// then run identity, hits that tie on both in the order their record's
+// Results hold them. Store and ShardedStore share this so a sharded
 // query over the merged record set is byte-identical to a single-store
-// one.
+// one. What is sorted is one small key a match — value, record, result
+// index, a total order — and the hits are laid out from the sorted keys:
+// moving whole QueryHits through a stable sort cost more than the rest
+// of a query together.
 func collectQueryHits(recs []*RunRecord, f ResultFilter) []QueryHit {
-	var out []QueryHit
-	for _, rec := range recs {
-		for _, nr := range rec.Select(f) {
-			out = append(out, QueryHit{App: rec.App, Version: rec.Version, RunID: rec.RunID, Result: nr})
+	type match struct {
+		value    float64
+		rec, res int
+	}
+	var ms []match
+	for ri, rec := range recs {
+		for i := range rec.Results {
+			if nr := &rec.Results[i]; f.match(nr) {
+				ms = append(ms, match{nr.Value, ri, i})
+			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Result.Value != out[j].Result.Value {
-			return out[i].Result.Value > out[j].Result.Value
+	if len(ms) == 0 {
+		return nil
+	}
+	slices.SortFunc(ms, func(a, b match) int {
+		if c := cmp.Compare(b.value, a.value); c != 0 {
+			return c
 		}
-		if out[i].Version != out[j].Version {
-			return out[i].Version < out[j].Version
+		if a.rec == b.rec {
+			return cmp.Compare(a.res, b.res)
 		}
-		return out[i].RunID < out[j].RunID
+		if c := strings.Compare(recs[a.rec].Version, recs[b.rec].Version); c != 0 {
+			return c
+		}
+		if c := strings.Compare(recs[a.rec].RunID, recs[b.rec].RunID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.rec, b.rec)
 	})
+	out := make([]QueryHit, len(ms))
+	for i, m := range ms {
+		rec := recs[m.rec]
+		out[i] = QueryHit{App: rec.App, Version: rec.Version, RunID: rec.RunID, Result: rec.Results[m.res]}
+	}
 	return out
 }
 
@@ -122,7 +148,11 @@ func countPersistent(recs []*RunRecord, minRuns int) map[string]int {
 	counts := make(map[string]int)
 	for _, rec := range recs {
 		seen := make(map[string]bool)
-		for _, nr := range rec.TrueResults() {
+		for i := range rec.Results {
+			nr := &rec.Results[i]
+			if nr.State != "true" {
+				continue
+			}
 			k := nr.Hyp + " " + nr.Focus
 			if !seen[k] {
 				seen[k] = true

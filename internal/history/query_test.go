@@ -1,6 +1,11 @@
 package history
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -103,5 +108,83 @@ func TestPersistentBottlenecks(t *testing.T) {
 	counts, _ = st.PersistentBottlenecks("poisson", "", 1)
 	if len(counts) != 2 {
 		t.Errorf("minRuns=1 set = %v", counts)
+	}
+}
+
+// collectQueryHitsRef is the version collectQueryHits replaced, kept as
+// its reference: every record's matches sorted by value (Select), then
+// all of them sorted again by value and run identity.
+func collectQueryHitsRef(recs []*RunRecord, f ResultFilter) []QueryHit {
+	var out []QueryHit
+	for _, rec := range recs {
+		for _, nr := range rec.Select(f) {
+			out = append(out, QueryHit{App: rec.App, Version: rec.Version, RunID: rec.RunID, Result: nr})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Result.Value != out[j].Result.Value {
+			return out[i].Result.Value > out[j].Result.Value
+		}
+		if out[i].Version != out[j].Version {
+			return out[i].Version < out[j].Version
+		}
+		return out[i].RunID < out[j].RunID
+	})
+	return out
+}
+
+// countPersistentRef counts through TrueResults, as countPersistent did.
+func countPersistentRef(recs []*RunRecord, minRuns int) map[string]int {
+	counts := make(map[string]int)
+	for _, rec := range recs {
+		seen := make(map[string]bool)
+		for _, nr := range rec.TrueResults() {
+			if k := nr.Hyp + " " + nr.Focus; !seen[k] {
+				seen[k] = true
+				counts[k]++
+			}
+		}
+	}
+	for k, c := range counts {
+		if c < minRuns {
+			delete(counts, k)
+		}
+	}
+	return counts
+}
+
+// TestQueryMatchesTwoSortReference: one stable sort over unsorted
+// matches orders the hits exactly as sorting each record first did, on
+// testing/quick records whose values are drawn from four, so that most
+// hits tie with hits of their own and of other records.
+func TestQueryMatchesTwoSortReference(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	values := []float64{0, math.Copysign(0, -1), 0.25, 0.5}
+	for round := 0; round < 200; round++ {
+		var recs []*RunRecord
+		for i, n := 0, 1+r.Intn(5); i < n; i++ {
+			rec := randomRecord(r)
+			rec.App, rec.Version, rec.RunID = "a", string(rune('A'+i/2)), fmt.Sprintf("r%d", i)
+			for j := range rec.Results {
+				nr := &rec.Results[j]
+				nr.Value = values[r.Intn(len(values))]
+				nr.Hyp = []string{"CPUbound", "ExcessiveSyncWaitingTime"}[r.Intn(2)]
+				nr.Focus = fmt.Sprintf("</Code/f%d>", r.Intn(4))
+			}
+			recs = append(recs, rec)
+		}
+		for _, f := range []ResultFilter{
+			{}, {State: "*"}, {State: "true"}, {Hyp: "CPUbound", MinValue: 0.25}, {FocusContains: "f1", State: "false"},
+		} {
+			got, want := collectQueryHits(recs, f), collectQueryHitsRef(recs, f)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, filter %+v: hits differ from the two-sort reference:\ngot  %+v\nwant %+v", round, f, got, want)
+			}
+		}
+		for minRuns := 1; minRuns <= 2; minRuns++ {
+			if got, want := countPersistent(recs, minRuns), countPersistentRef(recs, minRuns); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: persistent counts %v, reference %v", round, got, want)
+			}
+		}
 	}
 }

@@ -100,7 +100,9 @@ func FromRun(appName, version, runID string, space *resource.Space,
 // Validate checks the record for internal consistency. Every string must
 // be valid UTF-8: the JSON encoder rewrites a stray byte to U+FFFD, so a
 // record holding one would be stored, keyed and replicated under a name
-// its own file bytes no longer spell.
+// its own file bytes no longer spell. Every float must be finite: JSON
+// has no spelling for NaN or an infinity, and Validate is the one gate
+// in front of the encoder, which has no error to return.
 func (r *RunRecord) Validate() error {
 	if r.App == "" {
 		return fmt.Errorf("history: record missing app name")
@@ -109,6 +111,9 @@ func (r *RunRecord) Validate() error {
 		return fmt.Errorf("history: record missing run id")
 	}
 	if err := r.validUTF8(); err != nil {
+		return err
+	}
+	if err := r.CheckFinite(); err != nil {
 		return err
 	}
 	trues := 0
@@ -170,6 +175,41 @@ func (r *RunRecord) validUTF8() error {
 	for path := range r.Usage {
 		if !utf8.ValidString(path) {
 			return bad("usage path", path)
+		}
+	}
+	return nil
+}
+
+// finite reports whether f is neither NaN nor an infinity.
+func finite(f float64) bool { return f-f == 0 }
+
+// CheckFinite names the result's first float that is NaN or infinite.
+func (nr *NodeResult) CheckFinite() error {
+	switch {
+	case !finite(nr.Value):
+		return fmt.Errorf("value is %v", nr.Value)
+	case !finite(nr.Threshold):
+		return fmt.Errorf("threshold is %v", nr.Threshold)
+	case !finite(nr.ConcludedAt):
+		return fmt.Errorf("concluded_at is %v", nr.ConcludedAt)
+	}
+	return nil
+}
+
+// CheckFinite names the record's first float that is NaN or infinite —
+// the one thing that keeps a record from having a JSON encoding.
+func (r *RunRecord) CheckFinite() error {
+	if !finite(r.Duration) {
+		return fmt.Errorf("history: duration is %v", r.Duration)
+	}
+	for i := range r.Results {
+		if err := r.Results[i].CheckFinite(); err != nil {
+			return fmt.Errorf("history: result %d: %w", i, err)
+		}
+	}
+	for path, v := range r.Usage {
+		if !finite(v) {
+			return fmt.Errorf("history: usage of %q is %v", path, v)
 		}
 	}
 	return nil

@@ -285,12 +285,17 @@ func (s *Store) ScanIssues() []ScanIssue {
 	return out
 }
 
-// decodeRecord unmarshals and validates one encoded record — the check
+// decodeRecord decodes and validates one encoded record — the check
 // every byte read from disk or the network passes before it is served.
+// The codec's strict decoder reads what this tree writes; anything it
+// bails on is encoding/json's to decode or to refuse.
 func decodeRecord(data []byte) (*RunRecord, error) {
-	rec := &RunRecord{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, fmt.Errorf("history: unmarshal: %w", err)
+	rec, ok := ParseRecord(data)
+	if !ok {
+		rec = &RunRecord{}
+		if err := json.Unmarshal(data, rec); err != nil {
+			return nil, fmt.Errorf("history: unmarshal: %w", err)
+		}
 	}
 	if err := rec.Validate(); err != nil {
 		return nil, err
@@ -308,21 +313,17 @@ type mutation struct {
 	rec *RunRecord
 }
 
-// putMutation validates and encodes rec — the one MarshalIndent that
+// putMutation validates and encodes rec — the one EncodeRecord that
 // fixes the record's file bytes. The index copy is a field-wise clone,
 // detached from the caller's pointer and equal to what decoding those
-// bytes would yield (Validate admits nothing the encoder would rewrite),
-// so the bytes are never decoded again on this node.
+// bytes would yield (Validate admits nothing the encoder would rewrite
+// or could not spell), so the bytes are never decoded again on this node.
 func putMutation(rec *RunRecord) (mutation, error) {
 	if err := rec.Validate(); err != nil {
 		return mutation{}, err
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return mutation{}, fmt.Errorf("history: marshal: %w", err)
-	}
 	return mutation{
-		WALEntry: WALEntry{Op: walOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: data},
+		WALEntry: WALEntry{Op: walOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: EncodeRecord(rec)},
 		rec:      rec.clone(),
 	}, nil
 }
@@ -448,11 +449,7 @@ func (s *Store) commit(ms []mutation, redo bool) (wrote int, err error) {
 		miss := m.Op == walOpDelete && errors.Is(berr, os.ErrNotExist)
 		if berr != nil && !miss {
 			if s.wal != nil && !redo {
-				pre, herr := s.preImage(key)
-				if herr == nil {
-					_, herr = s.commit([]mutation{pre}, true)
-				}
-				if herr != nil {
+				if _, herr := s.commit([]mutation{s.preImage(key)}, true); herr != nil {
 					s.wal.markUnsafe()
 				}
 			}
@@ -481,24 +478,20 @@ func (s *Store) commit(ms []mutation, redo bool) (wrote int, err error) {
 // preImage builds the mutation that sets key to its last acknowledged
 // state — what the index holds. The indexed copy is either the decode of
 // the stored bytes or a clone equal to it, and the encoding is a pure
-// function of the record, so re-marshalling it yields exactly the bytes
+// function of the record, so re-encoding it yields exactly the bytes
 // the acknowledged write stored: a healed file, or a follower's copy of
 // a snapshot entry, is byte-identical to it.
-func (s *Store) preImage(key RecordKey) (mutation, error) {
+func (s *Store) preImage(key RecordKey) mutation {
 	s.mu.RLock()
 	prev, ok := s.recs[key]
 	s.mu.RUnlock()
 	if !ok {
-		return deleteMutation(key), nil
-	}
-	data, err := json.MarshalIndent(prev, "", "  ")
-	if err != nil {
-		return mutation{}, err
+		return deleteMutation(key)
 	}
 	return mutation{
-		WALEntry: WALEntry{Op: walOpPut, App: key.App, Version: key.Version, RunID: key.RunID, Data: data},
+		WALEntry: WALEntry{Op: walOpPut, App: key.App, Version: key.Version, RunID: key.RunID, Data: EncodeRecord(prev)},
 		rec:      prev,
-	}, nil
+	}
 }
 
 // Save writes (or overwrites) a record — a batch of one. The index
@@ -618,11 +611,7 @@ func (s *Store) ReplicaSnapshot() (epoch, seq uint64, entries []WALEntry, err er
 	keys := s.Keys()
 	entries = make([]WALEntry, 0, len(keys))
 	for _, k := range keys {
-		m, merr := s.preImage(k)
-		if merr != nil {
-			return 0, 0, nil, fmt.Errorf("history: replica snapshot %s: %w", k, merr)
-		}
-		entries = append(entries, m.WALEntry)
+		entries = append(entries, s.preImage(k).WALEntry)
 	}
 	return epoch, seq, entries, nil
 }

@@ -165,3 +165,56 @@ func benchDurabilityReplay(b *testing.B, n int) {
 func BenchmarkDurabilityReplay8(b *testing.B)   { benchDurabilityReplay(b, 8) }
 func BenchmarkDurabilityReplay64(b *testing.B)  { benchDurabilityReplay(b, 64) }
 func BenchmarkDurabilityReplay256(b *testing.B) { benchDurabilityReplay(b, 256) }
+
+// BenchmarkRecordEncode prices the one encoding a put pays for, the
+// codec against the reflective path it replaced.
+func BenchmarkRecordEncode(b *testing.B) {
+	rec := benchRecord()
+	size := int64(len(benchWALData(b)))
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			benchSink = EncodeRecord(rec)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			data, err := json.MarshalIndent(rec, "", "  ")
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = data
+		}
+	})
+}
+
+// BenchmarkRecordDecode prices the decode that admits a record from a
+// request body, a journal frame or a record file.
+func BenchmarkRecordDecode(b *testing.B) {
+	data := benchWALData(b)
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			rec, ok := ParseRecord(data)
+			if !ok {
+				b.Fatal("the strict decoder bailed")
+			}
+			benchSink = rec
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			rec := &RunRecord{}
+			if err := json.Unmarshal(data, rec); err != nil {
+				b.Fatal(err)
+			}
+			benchSink = rec
+		}
+	})
+}

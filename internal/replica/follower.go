@@ -750,19 +750,13 @@ func quarantineDivergence(sst *history.Store, shard int, demotedEpoch uint64, sn
 			if err != nil {
 				continue
 			}
-			local, err := json.MarshalIndent(rec, "", "  ")
-			if err != nil {
-				continue
-			}
+			// Both sides in the canonical encoding: a stored record is
+			// valid and a decoded one finite, so both have one.
 			var imgRec history.RunRecord
 			if err := json.Unmarshal(img, &imgRec); err != nil {
 				continue
 			}
-			imgBytes, err := json.MarshalIndent(&imgRec, "", "  ")
-			if err != nil {
-				continue
-			}
-			if string(local) == string(imgBytes) {
+			if bytes.Equal(history.EncodeRecord(rec), history.EncodeRecord(&imgRec)) {
 				continue
 			}
 			reason = "record differs from the new primary's image"

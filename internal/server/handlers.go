@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -91,9 +92,33 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, data)
+}
+
+// writeBody sends an encoded JSON body with its length declared:
+// net/http only works the length out for itself below 2 KB, and a get
+// or a query body sent chunked is one the client cannot size a buffer
+// for.
+func writeBody(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(status)
 	w.Write(data)
+}
+
+// decodeBody reads a request body whole (ReadBody) and decodes it into
+// the zero *out: through the codec's strict decoder when it reads the
+// shape and the bytes, otherwise through encoding/json's stream decoder,
+// which takes the first JSON value of the body as it always has.
+func decodeBody(r *http.Request, out any) error {
+	body, err := ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		return err
+	}
+	if unmarshalStrict(body, out) {
+		return nil
+	}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(out)
 }
 
 // writeErr maps an error to a JSON error response: come-back-later
@@ -207,8 +232,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
 	var rec history.RunRecord
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&rec); err != nil {
+	if err := decodeBody(r, &rec); err != nil {
 		writeErr(w, fmt.Errorf("decode run record: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -459,7 +483,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			// The session already ran (here or before a crash-restart):
 			// replay the stored bytes verbatim.
 			s.counts.journalHits.Add(1)
-			writeStored(w, stored)
+			writeBody(w, http.StatusOK, stored)
 			return
 		}
 	}
@@ -484,14 +508,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		// its result either way; only replay durability is lost.
 		s.journal.finish(key, json.RawMessage(body), raw)
 	}
-	writeStored(w, raw)
-}
-
-// writeStored sends pre-encoded canonical response bytes.
-func writeStored(w http.ResponseWriter, raw []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	writeBody(w, http.StatusOK, raw)
 }
 
 // runDiagnose executes one diagnose request end to end — build, gated

@@ -94,7 +94,7 @@ func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
 	var req PutRunsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, fmt.Errorf("decode runs batch: %w", err), http.StatusBadRequest)
 		return
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -15,15 +16,97 @@ import (
 // tool run against -store DIR and one run against -server URL emit
 // byte-identical JSON.
 
-// MarshalCanonical renders v in the service's canonical JSON encoding:
-// two-space indent and a trailing newline. Every response body and every
-// CLI -json document goes through this one encoder.
+// MarshalCanonical renders v in the service's canonical JSON encoding
+// (FORMATS.md "Wire API"): two-space indent and a trailing newline.
+// Every response body and every CLI -json document goes through this one
+// encoder. The shapes that carry results — a run record, a query
+// response, a batch of records — are written by the direct codec of
+// internal/history, byte for byte what encoding/json writes for them;
+// everything else, and any of those holding a float JSON cannot spell
+// (which encoding/json refuses with the error returned here), takes the
+// reflective path.
 func MarshalCanonical(v any) ([]byte, error) {
+	switch v := v.(type) {
+	case *history.RunRecord:
+		if v != nil && v.CheckFinite() == nil {
+			dst := make([]byte, 0, v.EncodedSizeHint())
+			return append(history.AppendRecord(dst, v, 0), '\n'), nil
+		}
+	case QueryResponse:
+		if n, ok := v.sizeHint(); ok {
+			return v.appendCanonical(make([]byte, 0, n)), nil
+		}
+	case *QueryResponse:
+		if v != nil {
+			return MarshalCanonical(*v)
+		}
+	case PutRunsRequest:
+		if n, ok := v.sizeHint(); ok {
+			return v.appendCanonical(make([]byte, 0, n)), nil
+		}
+	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
+}
+
+// UnmarshalCanonical is json.Unmarshal for a wire body, into a zero
+// *out: the shapes the codec knows are read by its strict decoder, and
+// whatever that bails on — like every other shape — by encoding/json.
+func UnmarshalCanonical(data []byte, out any) error {
+	if unmarshalStrict(data, out) {
+		return nil
+	}
+	return json.Unmarshal(data, out)
+}
+
+// unmarshalStrict decodes data into *out when out is one of the codec's
+// shapes and the strict decoder reads all of data; otherwise *out is
+// untouched and the caller runs encoding/json.
+func unmarshalStrict(data []byte, out any) bool {
+	switch out := out.(type) {
+	case *history.RunRecord:
+		return strict(data, out, (*history.Decoder).Record)
+	case *QueryResponse:
+		return strict(data, out, decodeQuery)
+	case *PutRunsRequest:
+		return strict(data, out, decodePutRuns)
+	}
+	return false
+}
+
+func strict[T any](data []byte, out *T, decode func(*history.Decoder, *T)) bool {
+	d := history.NewDecoder(data)
+	var v T
+	decode(d, &v)
+	if !d.End() {
+		return false
+	}
+	*out = v
+	return true
+}
+
+// maxTrustedLength is the largest declared body length a buffer is
+// sized to up front; beyond it the body is read as it arrives, so a
+// header alone cannot make the reader allocate.
+const maxTrustedLength = 64 << 20
+
+// ReadBody reads a request or response body whose declared length is n
+// (negative when unknown): a known length is read into one buffer of
+// exactly that size, and a body that ends before it is an error
+// (io.ErrUnexpectedEOF; io.EOF when nothing arrived); an unknown one is
+// read to its end by doubling.
+func ReadBody(body io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxTrustedLength {
+		return io.ReadAll(body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // ErrorResponse is the body of every non-2xx response.
@@ -121,6 +204,44 @@ type PutRunsRequest struct {
 	Runs []*history.RunRecord `json:"runs"`
 }
 
+// sizeHint is the buffer to encode q into; ok is false when a record
+// of q holds a float JSON cannot spell.
+func (q PutRunsRequest) sizeHint() (n int, ok bool) {
+	for _, rec := range q.Runs {
+		if rec != nil {
+			if rec.CheckFinite() != nil {
+				return 0, false
+			}
+			n += rec.EncodedSizeHint()
+		}
+	}
+	return n + 64, true
+}
+
+func (q PutRunsRequest) appendCanonical(dst []byte) []byte {
+	dst = append(dst, "{\n  \"runs\": "...)
+	dst = history.AppendArray(dst, len(q.Runs), q.Runs == nil, 1, func(dst []byte, i int) []byte {
+		if q.Runs[i] == nil {
+			return append(dst, "null"...)
+		}
+		return history.AppendRecord(dst, q.Runs[i], 2)
+	})
+	return append(dst, "\n}\n"...)
+}
+
+var putRunsFields = []string{"runs"}
+
+func decodePutRuns(d *history.Decoder, q *PutRunsRequest) {
+	d.Object(putRunsFields, func(int) {
+		q.Runs = []*history.RunRecord{}
+		d.Array(func() {
+			rec := &history.RunRecord{}
+			d.Record(rec)
+			q.Runs = append(q.Runs, rec)
+		})
+	})
+}
+
 // PutRunsResponse reports the saved records' display names, in input
 // order.
 type PutRunsResponse struct {
@@ -139,6 +260,65 @@ type QueryHit struct {
 type QueryResponse struct {
 	App  string     `json:"app"`
 	Hits []QueryHit `json:"hits"`
+}
+
+// sizeHint is the buffer to encode q into; ok is false when a hit of q
+// holds a float JSON cannot spell.
+func (q *QueryResponse) sizeHint() (n int, ok bool) {
+	for i := range q.Hits {
+		h := &q.Hits[i]
+		if h.Result.CheckFinite() != nil {
+			return 0, false
+		}
+		n += 320 + len(h.Version) + len(h.RunID) + len(h.Result.Hyp) + len(h.Result.Focus)
+	}
+	return n + len(q.App) + 64, true
+}
+
+func (q *QueryResponse) appendCanonical(dst []byte) []byte {
+	dst = append(dst, "{\n  \"app\": "...)
+	dst = history.AppendString(dst, q.App)
+	dst = append(dst, ",\n  \"hits\": "...)
+	dst = history.AppendArray(dst, len(q.Hits), q.Hits == nil, 1, func(dst []byte, i int) []byte {
+		h := &q.Hits[i]
+		dst = append(dst, "{\n      \"version\": "...)
+		dst = history.AppendString(dst, h.Version)
+		dst = append(dst, ",\n      \"run_id\": "...)
+		dst = history.AppendString(dst, h.RunID)
+		dst = append(dst, ",\n      \"result\": "...)
+		dst = history.AppendResult(dst, &h.Result, 3)
+		return append(dst, "\n    }"...)
+	})
+	return append(dst, "\n}\n"...)
+}
+
+var (
+	queryResponseFields = []string{"app", "hits"}
+	queryHitFields      = []string{"version", "run_id", "result"}
+)
+
+func decodeQuery(d *history.Decoder, q *QueryResponse) {
+	d.Object(queryResponseFields, func(i int) {
+		if i == 0 {
+			q.App = d.String()
+			return
+		}
+		q.Hits = []QueryHit{}
+		d.Array(func() {
+			q.Hits = append(q.Hits, QueryHit{})
+			h := &q.Hits[len(q.Hits)-1]
+			d.Object(queryHitFields, func(i int) {
+				switch i {
+				case 0:
+					h.Version = d.String()
+				case 1:
+					h.RunID = d.String()
+				case 2:
+					d.Result(&h.Result)
+				}
+			})
+		})
+	})
 }
 
 // PersistentPair is one (hypothesis : focus) pair with the number of
