@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
 
 all: build vet test
 
@@ -51,6 +51,15 @@ bench-smoke:
 # itself.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# The ten-pair protocol against a parent commit: REF's committed files
+# and the working tree, PAIRS alternating pairs of the benchmark per
+# workload, and per workload x end-to-end metric both medians, the
+# parent's inter-quartile distance, wins/pairs and a verdict against the
+# bound BENCHMARK.json sets. Usage: make bench-pairs REF=<commit>
+# [WORKLOADS="write-durable diagnose"] [PAIRS=10]; about a minute a pair.
+bench-pairs:
+	REF="$(REF)" PAIRS="$(PAIRS)" WORKLOADS="$(WORKLOADS)" sh scripts/bench-pairs.sh
 
 # Chaos soak under the race detector: the client→server→store pipeline
 # with a seeded fault mix must produce byte-identical diagnosis output
@@ -142,6 +151,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeWALFrames -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeRecordMatchesEncodingJSON -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
+	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
 
 clean:
 	$(GO) clean -testcache

@@ -1,7 +1,10 @@
 package history
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -142,5 +145,92 @@ func TestPutBatchShardedDownShard(t *testing.T) {
 	}
 	if _, err := sh.Load("poisson", "A", "r1"); err == nil || !errors.Is(err, errShardDown) {
 		t.Errorf("down group load err = %v", err)
+	}
+}
+
+// handOver is a ShardFailover whose every shard is served by one store —
+// the receiving end of ShardReplica is Store itself.
+type handOver struct{ to *Store }
+
+func (h handOver) Reader(int) (ShardReplica, bool)   { return h.to, true }
+func (h handOver) Promote(int) (ShardReplica, error) { return h.to, nil }
+
+// TestShardedHandOverAppliesPreparedEntries: a write to a down shard goes
+// to the promoted follower as the journal entries the local shard would
+// have committed, so the follower's file holds the bytes a local Save
+// writes (EncodeRecord, once, on the sender); a delete of an absent key
+// is still a miss; and a batch with one entry that does not check out is
+// refused before its first entry is written.
+func TestShardedHandOverAppliesPreparedEntries(t *testing.T) {
+	sh, err := OpenSharded(t.TempDir(), 4, DurableOptions{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	folDir, localDir := t.TempDir(), t.TempDir()
+	fol, err := OpenStoreDurable(folDir, DurableOptions{Create: true, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	local, err := NewStore(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.SetFailover(handOver{fol}, true)
+	// poisson/A routes to shard 3 (pinned by TestShardForKeyStable).
+	for i := 0; i < sh.threshold; i++ {
+		sh.shards[3].noteErr(sh.threshold, errors.New("forced down for test"))
+	}
+
+	recs := []*RunRecord{shardSample("poisson", "A", "r1", 0.5), shardSample("poisson", "A", "r2", 0.25), shardSample("poisson", "A", "r3", 1)}
+	if err := sh.Save(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sh.PutBatch(recs[1:]); n != 2 || err != nil {
+		t.Fatalf("handed-over PutBatch = %d, %v", n, err)
+	}
+	if err := sh.Delete("poisson", "A", "r3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Delete("poisson", "A", "r3"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("handed-over delete of an absent key = %v, want a miss", err)
+	}
+	for _, rec := range recs[:2] {
+		if err := local.Save(rec); err != nil {
+			t.Fatal(err)
+		}
+		name := fileName(rec.Key())
+		got, err := os.ReadFile(filepath.Join(folDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(localDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(got, EncodeRecord(rec)) {
+			t.Errorf("%s on the follower differs from a local Save's file", name)
+		}
+	}
+	if fol.Len() != 2 {
+		t.Fatalf("follower holds %v, want r1 and r2", fol.Keys())
+	}
+
+	// The receiving end trusts nothing it was handed.
+	other, invalid := shardSample("poisson", "A", "r9", 2), shardSample("poisson", "A", "r5", 3)
+	invalid.TrueCount = 7
+	for what, second := range map[string]WALEntry{
+		"another key's record": {Op: WALOpPut, App: "poisson", Version: "A", RunID: "r5", Data: EncodeRecord(other)},
+		"an invalid record":    {Op: WALOpPut, App: "poisson", Version: "A", RunID: "r5", Data: EncodeRecord(invalid)},
+		"an unknown op":        {Op: "merge", App: "poisson", Version: "A", RunID: "r5"},
+	} {
+		n, err := fol.Apply([]WALEntry{StoredEntry(shardSample("poisson", "A", "r4", 4)), second})
+		if n != 0 || err == nil || IsBackendError(err) {
+			t.Errorf("Apply with %s second = %d, %v; want it refused whole, not as storage trouble", what, n, err)
+		}
+		if _, err := os.Stat(filepath.Join(folDir, fileName(RecordKey{App: "poisson", Version: "A", RunID: "r4"}))); !os.IsNotExist(err) {
+			t.Errorf("Apply with %s second wrote its first entry (stat: %v)", what, err)
+		}
 	}
 }

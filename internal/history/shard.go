@@ -122,13 +122,14 @@ type ShardInfo struct {
 
 // ShardReplica is a replica's serving surface for one shard — the point
 // and scan operations ShardedStore redirects to a follower when the
-// local shard store is down. The replication layer implements it over
-// HTTP; it lives here so the store does not import the transport.
+// local shard store is down. Writes travel as what the store has already
+// prepared: Apply takes the validated, encoded journal entries a local
+// shard would have committed (Store.Apply is the receiving end). The
+// replication layer implements it over HTTP; it lives here so the store
+// does not import the transport.
 type ShardReplica interface {
-	Save(rec *RunRecord) error
-	PutBatch(recs []*RunRecord) (int, error)
+	Apply(entries []WALEntry) (int, error)
 	Load(app, version, runID string) (*RunRecord, error)
-	Delete(app, version, runID string) error
 	Keys() []RecordKey
 	Len() int
 	LoadAll(app, version string) ([]*RunRecord, error)
@@ -563,16 +564,31 @@ func (s *ShardedStore) routed(sh *shardState, op string, write bool, local func(
 	return err
 }
 
-// Save routes the record to its shard, validated and encoded once here;
-// the shard store commits the prepared mutation.
+// write commits one shard's prepared mutations on whoever owns its
+// keyspace: the local shard store, or the promoted follower, which is
+// handed the same journal entries. Either way they were built once.
+func (s *ShardedStore) write(sh *shardState, op string, ms []mutation) (n int, err error) {
+	err = s.routed(sh, op, true,
+		func(st *Store) (err error) { n, err = st.commit(ms, false); return err },
+		func(r ShardReplica) (err error) {
+			entries := make([]WALEntry, len(ms))
+			for i, m := range ms {
+				entries[i] = m.WALEntry
+			}
+			n, err = r.Apply(entries)
+			return err
+		})
+	return n, err
+}
+
+// Save routes the record to its shard, validated and encoded once here.
 func (s *ShardedStore) Save(rec *RunRecord) error {
 	m, err := putMutation(rec)
 	if err != nil {
 		return err
 	}
-	return s.routed(s.route(rec.App, rec.Version), "put", true,
-		func(st *Store) error { _, err := st.commit([]mutation{m}, false); return err },
-		func(r ShardReplica) error { return r.Save(rec) })
+	_, err = s.write(s.route(rec.App, rec.Version), "put", []mutation{m})
+	return err
 }
 
 // PutBatch validates and encodes every record, then groups the batch by
@@ -586,25 +602,17 @@ func (s *ShardedStore) PutBatch(recs []*RunRecord) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	type group struct {
-		ms   []mutation
-		recs []*RunRecord
-	}
-	groups := make([]group, s.n)
-	for i, rec := range recs {
-		g := &groups[ShardForKey(rec.App, rec.Version, s.n)]
-		g.ms = append(g.ms, ms[i])
-		g.recs = append(g.recs, rec)
+	groups := make([][]mutation, s.n)
+	for _, m := range ms {
+		idx := ShardForKey(m.App, m.Version, s.n)
+		groups[idx] = append(groups[idx], m)
 	}
 	saved := 0
 	for idx, g := range groups {
-		if len(g.recs) == 0 {
+		if len(g) == 0 {
 			continue
 		}
-		var n int
-		err := s.routed(s.shards[idx], "put", true,
-			func(st *Store) (err error) { n, err = st.commit(g.ms, false); return err },
-			func(r ShardReplica) (err error) { n, err = r.PutBatch(g.recs); return err })
+		n, err := s.write(s.shards[idx], "put", g)
 		saved += n
 		if err != nil {
 			return saved, err
@@ -626,9 +634,9 @@ func (s *ShardedStore) Load(app, version, runID string) (rec *RunRecord, err err
 // Save, a down shard's delete goes to the promoted follower when write
 // failover is enabled.
 func (s *ShardedStore) Delete(app, version, runID string) error {
-	return s.routed(s.route(app, version), "delete", true,
-		func(st *Store) error { return st.Delete(app, version, runID) },
-		func(r ShardReplica) error { return r.Delete(app, version, runID) })
+	m := deleteMutation(RecordKey{App: app, Version: version, RunID: runID})
+	_, err := s.write(s.route(app, version), "delete", []mutation{m})
+	return err
 }
 
 // shardResult carries one shard's scatter contribution back by index,

@@ -322,10 +322,30 @@ func putMutation(rec *RunRecord) (mutation, error) {
 	if err := rec.Validate(); err != nil {
 		return mutation{}, err
 	}
-	return mutation{
-		WALEntry: WALEntry{Op: walOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: EncodeRecord(rec)},
-		rec:      rec.clone(),
-	}, nil
+	return mutation{WALEntry: StoredEntry(rec), rec: rec.clone()}, nil
+}
+
+// StoredEntry is the put entry of a valid record: its key and the bytes
+// it is stored under. The encoding is a pure function of the record, so
+// for a record the store handed out these are the bytes its file and its
+// journal frame hold — the form a record takes on every path between
+// replicas, and what Record reads back.
+func StoredEntry(rec *RunRecord) WALEntry {
+	return WALEntry{Op: walOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: EncodeRecord(rec)}
+}
+
+// Record decodes the record a put entry carries — this node's one decode
+// of bytes that arrived already encoded: decoded by the codec, validated,
+// and refused when it identifies as another key than the entry's.
+func (e WALEntry) Record() (*RunRecord, error) {
+	rec, err := decodeRecord(e.Data)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Key() != e.Key() {
+		return nil, fmt.Errorf("record identifies as %s", rec.Key())
+	}
+	return rec, nil
 }
 
 // putMutations builds a batch's mutations, validating every record
@@ -351,20 +371,14 @@ func deleteMutation(key RecordKey) mutation {
 }
 
 // journaledMutation builds the mutation an entry that arrived already
-// encoded — replicated from a primary, or read back from the journal —
-// stands for. Its bytes came from outside this process, so a put's
-// payload is decoded and validated and must identify as the entry's key.
+// encoded — replicated or handed over from a primary, or read back from
+// the journal — stands for. Its bytes came from outside this process, so
+// a put's payload passes Record first.
 func journaledMutation(e WALEntry) (mutation, error) {
 	switch e.Op {
 	case walOpPut:
-		rec, err := decodeRecord(e.Data)
-		if err != nil {
-			return mutation{}, err
-		}
-		if rec.Key() != e.Key() {
-			return mutation{}, fmt.Errorf("record identifies as %s", rec.Key())
-		}
-		return mutation{WALEntry: e, rec: rec}, nil
+		rec, err := e.Record()
+		return mutation{WALEntry: e, rec: rec}, err
 	case walOpDelete:
 		return mutation{WALEntry: e}, nil
 	}
@@ -488,10 +502,7 @@ func (s *Store) preImage(key RecordKey) mutation {
 	if !ok {
 		return deleteMutation(key)
 	}
-	return mutation{
-		WALEntry: WALEntry{Op: walOpPut, App: key.App, Version: key.Version, RunID: key.RunID, Data: EncodeRecord(prev)},
-		rec:      prev,
-	}
+	return mutation{WALEntry: StoredEntry(prev), rec: prev}
 }
 
 // Save writes (or overwrites) a record — a batch of one. The index
@@ -573,20 +584,34 @@ func (s *Store) SyncWAL() error {
 	return s.wal.Sync()
 }
 
-// ApplyReplicated folds one replicated journal entry into the store: the
-// entry is appended to this store's own journal (the follower's
-// durability holds independently of the primary's) and the exact
-// journaled bytes are written to the backend, so a replicated record
-// file is byte-identical to the primary's. Re-applying an entry the
-// store already reflects is a no-op in effect — replication retries and
-// restarts converge rather than diverge.
-func (s *Store) ApplyReplicated(e WALEntry) error {
-	m, err := journaledMutation(e)
-	if err != nil {
-		return fmt.Errorf("history: replicated entry %s: %w", e.Key(), err)
+// Apply commits entries that arrived already encoded, in order — the
+// writes a primary hands over to the follower that owns a shard's
+// keyspace (ShardReplica), each the entry the primary's own shard store
+// would have committed. Every entry is decoded and checked before any is
+// written, so a damaged batch fails whole; from there it is PutBatch:
+// the first failure stops the batch and wrote is how many landed.
+// Each entry is appended to this store's own journal and its exact bytes
+// written to the backend, so the record file is byte-identical to the
+// one the sender would have written.
+func (s *Store) Apply(entries []WALEntry) (wrote int, err error) {
+	ms := make([]mutation, len(entries))
+	for i, e := range entries {
+		if ms[i], err = journaledMutation(e); err != nil {
+			return 0, fmt.Errorf("history: entry %d (%s): %w", i, e.Key(), err)
+		}
 	}
-	_, err = s.commit([]mutation{m}, false)
-	if m.Op == walOpDelete && errors.Is(err, os.ErrNotExist) {
+	return s.commit(ms, false)
+}
+
+// ApplyReplicated folds one replicated journal entry into the store —
+// Apply of one (the follower's durability holds independently of the
+// primary's, and a replicated record file is byte-identical to the
+// primary's). Re-applying an entry the store already reflects is a no-op
+// in effect — replication retries and restarts converge rather than
+// diverge.
+func (s *Store) ApplyReplicated(e WALEntry) error {
+	_, err := s.Apply([]WALEntry{e})
+	if e.Op == walOpDelete && errors.Is(err, os.ErrNotExist) {
 		return nil // already absent: a re-delivered delete converges
 	}
 	return err

@@ -138,10 +138,10 @@ type WALEntry struct {
 	// Data is the record file's bytes, indentation included. A journal
 	// frame carries them raw (EncodeWALFrame) and a decoded entry's Data
 	// is a slice of the frame it came from — read-only, and alive as long
-	// as the entry is. The JSON tags serve the replication snapshot and
-	// the read-only v1 frame format, where Data is base64 ([]byte, not
-	// json.RawMessage, on purpose: the JSON encoder compacts embedded
-	// RawMessage, and replay must restore the file byte-for-byte).
+	// as the entry is. The JSON tags serve the read-only v1 journal
+	// payload alone, where Data is base64 ([]byte, not json.RawMessage, on
+	// purpose: the JSON encoder compacts embedded RawMessage, and replay
+	// must restore the file byte-for-byte).
 	Data []byte `json:"data,omitempty"`
 }
 

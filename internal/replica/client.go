@@ -15,14 +15,74 @@ import (
 	"repro/internal/history"
 )
 
+// httpc is the client every request between replicas goes out on. It
+// sets no timeout of its own: each caller bounds its exchange with a
+// context.
+var httpc = &http.Client{}
+
+// exchange is the one way this package talks to a peer — pull, snapshot,
+// redirected op, promote, info probe: method on url, the request body
+// writeFrames(header, frames) when header is non-nil, and the whole
+// response body back once the peer answered 200. Everything else is an
+// error of one of three kinds: 404 is a miss (os.ErrNotExist), 409 a
+// fencing refusal (ErrFenced), and a dead socket or any other status
+// storage trouble (history.BackendError) — each carrying what the peer
+// said.
+func exchange(ctx context.Context, method, url string, header any, frames [][]byte) ([]byte, error) {
+	var reqBody io.Reader
+	if header != nil {
+		var buf bytes.Buffer
+		if err := writeFrames(&buf, header, frames); err != nil {
+			return nil, err
+		}
+		reqBody = &buf
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, reqBody)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return nil, &history.BackendError{Op: "replica", Err: err}
+	}
+	defer resp.Body.Close()
+	body, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, &history.BackendError{Op: "replica", Err: fmt.Errorf("%s %s: %w", method, url, err)}
+	}
+	if resp.StatusCode == http.StatusOK {
+		return body, nil
+	}
+	said := bytes.TrimSpace(body[:min(len(body), 512)])
+	switch resp.StatusCode {
+	case http.StatusNotFound:
+		return nil, &history.BackendError{Op: "replica", Err: fmt.Errorf("%s: %w", said, os.ErrNotExist)}
+	case http.StatusConflict:
+		return nil, fmt.Errorf("replica: %s: %w", said, ErrFenced)
+	}
+	return nil, &history.BackendError{Op: "replica", Err: fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, said)}
+}
+
+// readBody reads r whole into one buffer, sized once (ReadFrom wants
+// MinRead spare) when the sender announced a length — unless the
+// announcement is beyond what a frame ring could hold, which is not
+// taken on trust.
+func readBody(r io.Reader, announced int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if announced > 0 && announced <= 2*defaultRingBytes {
+		buf.Grow(int(announced) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // Failover implements history.ShardFailover over the primary's follower
 // registry: Reader elects the most-caught-up follower for a shard's
 // reads, Promote additionally tells that follower to take the keyspace
 // for writes. Promotion is cached — one follower owns a shard for the
 // rest of the process's life.
 type Failover struct {
-	p     *Primary
-	httpc *http.Client
+	p *Primary
 
 	mu       sync.Mutex
 	promoted map[int]*remoteShard
@@ -30,11 +90,7 @@ type Failover struct {
 
 // NewFailover builds the failover seam over p's registry.
 func NewFailover(p *Primary) *Failover {
-	return &Failover{
-		p:        p,
-		httpc:    &http.Client{Timeout: 30 * time.Second},
-		promoted: make(map[int]*remoteShard),
-	}
+	return &Failover{p: p, promoted: make(map[int]*remoteShard)}
 }
 
 // Reader returns the most-caught-up follower able to serve shard's
@@ -53,7 +109,7 @@ func (fo *Failover) Reader(shard int) (history.ShardReplica, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &remoteShard{base: id, shard: shard, httpc: fo.httpc}, true
+	return &remoteShard{base: id, shard: shard}, true
 }
 
 // Promote elects the most-caught-up follower for shard, tells it to take
@@ -72,17 +128,26 @@ func (fo *Failover) Promote(shard int) (history.ShardReplica, error) {
 	if !ok {
 		return nil, fmt.Errorf("replica: shard %02d has no attached follower to promote", shard)
 	}
-	r := &remoteShard{base: id, shard: shard, httpc: fo.httpc}
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+	defer cancel()
 	var resp PromoteResponse
-	if err := r.post("/api/v1/replica/promote", PromoteRequest{Shard: shard}, &resp); err != nil {
+	body, err := exchange(ctx, http.MethodPost, id+"/api/v1/replica/promote", PromoteRequest{Shard: shard}, nil)
+	if err == nil {
+		err = json.Unmarshal(body, &resp)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("replica: promote shard %02d on %s: %w", shard, id, err)
 	}
 	// Every subsequent op through this handle carries the promotion
 	// epoch, so a newer promotion elsewhere fences this seam out.
+	r := &remoteShard{base: id, shard: shard}
 	r.epoch.Store(resp.Epoch)
 	fo.promoted[shard] = r
 	return r, nil
 }
+
+// opTimeout bounds one request of the failover seam.
+const opTimeout = 30 * time.Second
 
 // remoteShard is a follower's shard served over the replica op
 // endpoint; it satisfies history.ShardReplica, so ShardedStore can use
@@ -92,126 +157,75 @@ func (fo *Failover) Promote(shard int) (history.ShardReplica, error) {
 type remoteShard struct {
 	base  string
 	shard int
-	httpc *http.Client
 	epoch atomic.Uint64
 }
 
-func (r *remoteShard) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
+// op sends one redirected operation — entries ride an apply — and reads
+// the answer: its header, and the records of a load or loadall, each
+// decoded from the bytes the follower stores it under.
+func (r *remoteShard) op(req OpRequest, entries []history.WALEntry) (resp OpResponse, recs []*history.RunRecord, err error) {
+	frames, err := encodeFrames(entries)
 	if err != nil {
-		return err
+		return resp, nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+path, bytes.NewReader(body))
+	req.Shard, req.Epoch = r.shard, r.epoch.Load()
+	body, err := exchange(ctx, http.MethodPost, r.base+"/api/v1/replica/op", req, frames)
 	if err != nil {
-		return err
+		return resp, nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := r.httpc.Do(hreq)
-	if err != nil {
-		return &history.BackendError{Op: "replica", Err: err}
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode == http.StatusNotFound {
-		return &history.BackendError{Op: "replica", Err: os.ErrNotExist}
-	}
-	if hresp.StatusCode == http.StatusConflict {
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
-		return fmt.Errorf("replica: %s: %w", msg, ErrFenced)
-	}
-	if hresp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
-		return &history.BackendError{Op: "replica", Err: fmt.Errorf("%s: %s", hresp.Status, msg)}
-	}
-	if resp == nil {
-		return nil
-	}
-	return json.NewDecoder(hresp.Body).Decode(resp)
-}
-
-func (r *remoteShard) op(req OpRequest) (*OpResponse, error) {
-	req.Shard = r.shard
-	req.Epoch = r.epoch.Load()
-	var resp OpResponse
-	if err := r.post("/api/v1/replica/op", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (r *remoteShard) Save(rec *history.RunRecord) error {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = r.op(OpRequest{Op: "save", Record: raw})
-	return err
-}
-
-func (r *remoteShard) PutBatch(recs []*history.RunRecord) (int, error) {
-	raws := make([]json.RawMessage, 0, len(recs))
-	for _, rec := range recs {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			return 0, err
+	stored, err := decodeFramed(body, &resp)
+	if err == nil {
+		recs = make([]*history.RunRecord, len(stored))
+		for i, e := range stored {
+			if recs[i], err = e.Record(); err != nil {
+				break
+			}
 		}
-		raws = append(raws, raw)
 	}
-	resp, err := r.op(OpRequest{Op: "putbatch", Records: raws})
 	if err != nil {
-		return 0, err
+		return resp, nil, &history.BackendError{Op: "replica", Err: fmt.Errorf("op %s answer: %w", req.Op, err)}
 	}
-	return resp.Saved, nil
+	return resp, recs, nil
+}
+
+func (r *remoteShard) Apply(entries []history.WALEntry) (int, error) {
+	resp, _, err := r.op(OpRequest{Op: "apply"}, entries)
+	return resp.Saved, err
 }
 
 func (r *remoteShard) Load(app, version, runID string) (*history.RunRecord, error) {
-	resp, err := r.op(OpRequest{Op: "load", App: app, Version: version, RunID: runID})
+	_, recs, err := r.op(OpRequest{Op: "load", App: app, Version: version, RunID: runID}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return decodeWireRecord(resp.Record)
-}
-
-func (r *remoteShard) Delete(app, version, runID string) error {
-	_, err := r.op(OpRequest{Op: "delete", App: app, Version: version, RunID: runID})
-	return err
+	if len(recs) != 1 {
+		return nil, &history.BackendError{Op: "replica", Err: fmt.Errorf("op load answered %d records", len(recs))}
+	}
+	return recs[0], nil
 }
 
 func (r *remoteShard) Keys() []history.RecordKey {
-	resp, err := r.op(OpRequest{Op: "keys"})
+	resp, _, err := r.op(OpRequest{Op: "keys"}, nil)
 	if err != nil {
 		return nil
 	}
 	out := make([]history.RecordKey, 0, len(resp.Keys))
 	for _, k := range resp.Keys {
-		out = append(out, history.RecordKey{App: k.App, Version: k.Version, RunID: k.RunID})
+		out = append(out, history.RecordKey(k))
 	}
 	return out
 }
 
 func (r *remoteShard) Len() int {
-	resp, err := r.op(OpRequest{Op: "len"})
-	if err != nil {
-		return 0
-	}
+	resp, _, _ := r.op(OpRequest{Op: "len"}, nil)
 	return resp.Len
 }
 
 func (r *remoteShard) LoadAll(app, version string) ([]*history.RunRecord, error) {
-	resp, err := r.op(OpRequest{Op: "loadall", App: app, Version: version})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*history.RunRecord, 0, len(resp.Records))
-	for _, raw := range resp.Records {
-		rec, err := decodeWireRecord(raw)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+	_, recs, err := r.op(OpRequest{Op: "loadall", App: app, Version: version}, nil)
+	return recs, err
 }
 
 var _ history.ShardReplica = (*remoteShard)(nil)
@@ -282,7 +296,7 @@ func (n *Node) Stats() *Stats {
 // HandleInfo serves GET /api/v1/replica/info — the layout handshake and
 // the failover election's ballot.
 func (n *Node) HandleInfo(w http.ResponseWriter, r *http.Request) {
-	info := InfoResponse{Role: n.Role(), Advertise: n.Advertise}
+	info := InfoResponse{Role: n.Role(), Advertise: n.Advertise, Wire: wireGeneration}
 	if n.Primary != nil {
 		info.Shards = n.Primary.Shards()
 		info.Replicas = n.Primary.Replicas()

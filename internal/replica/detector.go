@@ -2,7 +2,6 @@ package replica
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"time"
 
@@ -28,7 +27,6 @@ type Detector struct {
 	advertise string
 	leaseTTL  time.Duration
 	every     time.Duration
-	httpc     *http.Client
 
 	// shardHealth and promoteShard arm the shard-failover check; nil
 	// leaves only zombie fencing active.
@@ -73,7 +71,6 @@ func NewDetector(p *Primary, cfg DetectorConfig) *Detector {
 		advertise:     cfg.Advertise,
 		leaseTTL:      cfg.LeaseTTL,
 		every:         cfg.Every,
-		httpc:         &http.Client{},
 		shardHealth:   cfg.ShardHealth,
 		promoteShard:  cfg.PromoteShard,
 		extraPeers:    cfg.Peers,
@@ -126,7 +123,7 @@ func (d *Detector) Stop() {
 func (d *Detector) probePeers() {
 	peers := append(append([]string(nil), d.prim.Peers()...), d.extraPeers...)
 	mine := d.prim.Epoch()
-	for _, info := range probe(context.Background(), d.httpc, peers, d.advertise, d.every) {
+	for _, info := range probe(context.Background(), peers, d.advertise, d.every) {
 		if !info.ClaimsPrimary() {
 			continue
 		}

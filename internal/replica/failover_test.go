@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -270,7 +271,7 @@ func TestFollowerRefusesStaleEpochPull(t *testing.T) {
 	fst := openDurable(t, dir)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) {
-		writePull(w, PullResponse{Epoch: 3}, nil)
+		writeFrames(w, PullResponse{Epoch: 3}, nil)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -309,7 +310,7 @@ func TestFollowerStopsAtBadFrame(t *testing.T) {
 	frames[1][len(frames[1])-3] ^= 0x40 // one bit, inside r2's record bytes
 	hdr := PullResponse{Epoch: 1, HeadSeq: 3, FirstSeq: 1}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writePull(w, hdr, frames)
+		writeFrames(w, hdr, frames)
 	}))
 	defer ts.Close()
 	fol, err := NewFollower(ts.URL, "http://b", fst)
@@ -344,10 +345,10 @@ func TestFollowerRefusesStaleSnapshot(t *testing.T) {
 	fst := openDurable(t, dir)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) {
-		writePull(w, PullResponse{Epoch: 5, NeedSnapshot: true}, nil)
+		writeFrames(w, PullResponse{Epoch: 5, NeedSnapshot: true}, nil)
 	})
 	mux.HandleFunc("/api/v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		writeWire(w, http.StatusOK, SnapshotResponse{Epoch: 3})
+		writeFrames(w, SnapshotResponse{Epoch: 3}, nil)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -592,10 +593,16 @@ func TestHandleOpFencesStaleWrite(t *testing.T) {
 	epoch := fol.Epoch()
 	ts := followerServer(t, &fol)
 
-	raw, _ := json.Marshal(rec("poisson", "A", "stale", 1))
+	frames, err := encodeFrames([]history.WALEntry{history.StoredEntry(rec("poisson", "A", "stale", 1))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	post := func(opEpoch uint64) int {
-		body, _ := json.Marshal(OpRequest{Shard: 0, Op: "save", Epoch: opEpoch, Record: raw})
-		resp, err := http.Post(ts.URL+"/api/v1/replica/op", "application/json", strings.NewReader(string(body)))
+		var body bytes.Buffer
+		if err := writeFrames(&body, OpRequest{Shard: 0, Op: "apply", Epoch: opEpoch}, frames); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/replica/op", "application/octet-stream", &body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -163,7 +162,6 @@ func (c AutoConfig) withDefaults() AutoConfig {
 type Follower struct {
 	self   string // this node's advertised URL, the registry id
 	stores []*history.Store
-	httpc  *http.Client
 	ctx    context.Context // canceled by Stop: aborts in-flight pulls
 	cancel context.CancelFunc
 
@@ -201,7 +199,6 @@ func NewFollower(primaryURL, selfURL string, st history.Storage) (*Follower, err
 		primary:  primaryURL,
 		self:     selfURL,
 		stores:   stores,
-		httpc:    &http.Client{},
 		stop:     make(chan struct{}),
 		pollWait: 20 * time.Second,
 		members:  make(map[string]bool),
@@ -346,9 +343,18 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 		primary, shard, rs.Epoch, rs.Applied, url.QueryEscape(f.self), wait.Milliseconds())
 	ctx, cancel := context.WithTimeout(f.ctx, wait+15*time.Second)
 	defer cancel()
-	resp, body, err := getPull(ctx, f.httpc, u)
+	body, err := exchange(ctx, http.MethodGet, u, nil, nil)
 	if err != nil {
 		return 0, err
+	}
+	// The body is journal frames: the decoder that replays a segment at
+	// open checks each one's length and CRC — a bit flip in transit or in
+	// the primary's ring must not reach this store — and stops at the
+	// first bad one. What decoded before it is still applied.
+	var resp PullResponse
+	entries, bad := decodeFramed(body, &resp)
+	if bad != nil && !errors.Is(bad, errBadFrame) {
+		return 0, fmt.Errorf("replica: shard %02d pull: %w", shard, bad)
 	}
 	if resp.Epoch < rs.Epoch {
 		return 0, &FencingError{Op: "pull", Local: resp.Epoch, Remote: rs.Epoch}
@@ -359,11 +365,6 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 	if resp.NeedSnapshot {
 		return 0, f.bootstrap(shard)
 	}
-	// The body is journal frames: the decoder that replays a segment at
-	// open checks each one's length and CRC — a bit flip in transit or in
-	// the primary's ring must not reach this store — and stops at the
-	// first bad one. What decoded before it is still applied.
-	entries, _, bad := history.DecodeWALFrames(body)
 	if len(entries) > 0 && resp.FirstSeq == 0 {
 		return 0, fmt.Errorf("replica: shard %02d pull: %d frames and no first_seq", shard, len(entries))
 	}
@@ -383,8 +384,8 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 		rs.Applied = seq
 		applied++
 	}
-	if err == nil && bad != "" {
-		err = fmt.Errorf("replica: shard %02d pull from %d: %s", shard, resp.FirstSeq, bad)
+	if err == nil && bad != nil {
+		err = fmt.Errorf("replica: shard %02d pull from %d: %w", shard, resp.FirstSeq, bad)
 	}
 	if applied > 0 {
 		// The unsynced checkpoint: this write sits between the apply and
@@ -410,34 +411,40 @@ func (f *Follower) bootstrap(shard int) error {
 	f.mu.Unlock()
 	ctx, cancel := context.WithTimeout(f.ctx, 60*time.Second)
 	defer cancel()
-	var snap SnapshotResponse
 	u := fmt.Sprintf("%s/api/v1/replica/snapshot?shard=%d", primary, shard)
-	if err := getJSON(ctx, f.httpc, u, &snap); err != nil {
+	body, err := exchange(ctx, http.MethodGet, u, nil, nil)
+	if err != nil {
 		return err
+	}
+	// One bad frame refuses the image whole, before anything is pruned.
+	var snap SnapshotResponse
+	entries, err := decodeFramed(body, &snap)
+	if err != nil {
+		return fmt.Errorf("replica: shard %02d snapshot: %w", shard, err)
 	}
 	if snap.Epoch < cur.Epoch {
 		return &FencingError{Op: "snapshot", Local: snap.Epoch, Remote: cur.Epoch}
 	}
 	f.noteContact()
 	sst := f.stores[shard]
-	keep := make(map[history.RecordKey]bool, len(snap.Entries))
-	for _, e := range snap.Entries {
-		keep[e.Key()] = true
+	image := make(map[history.RecordKey][]byte, len(entries))
+	for _, e := range entries {
+		image[e.Key()] = e.Data
 	}
 	if demoted != 0 {
-		if err := quarantineDivergence(sst, shard, demoted, snap, keep); err != nil {
+		if err := quarantineDivergence(sst, shard, demoted, snap.Epoch, image); err != nil {
 			return fmt.Errorf("replica: shard %02d divergence record: %w", shard, err)
 		}
 	}
 	for _, k := range sst.Keys() {
-		if keep[k] {
+		if _, ok := image[k]; ok {
 			continue
 		}
 		if err := sst.Delete(k.App, k.Version, k.RunID); err != nil {
 			return fmt.Errorf("replica: shard %02d snapshot prune %s: %w", shard, k, err)
 		}
 	}
-	for _, e := range snap.Entries {
+	for _, e := range entries {
 		if err := sst.ApplyReplicated(e); err != nil {
 			return fmt.Errorf("replica: shard %02d snapshot %s: %w", shard, e.Key(), err)
 		}
@@ -558,7 +565,7 @@ func (f *Follower) setSuspect(v bool) {
 // replica count) from the primary while it is still healthy, so the
 // election can reach the other followers after the primary is gone.
 func (f *Follower) refreshMembership(primary string) {
-	for _, info := range probe(f.ctx, f.httpc, []string{primary}, f.self, 2*time.Second) {
+	for _, info := range probe(f.ctx, []string{primary}, f.self, 2*time.Second) {
 		f.mu.Lock()
 		for _, id := range info.Followers {
 			if id != "" && id != f.self {
@@ -607,7 +614,7 @@ func (f *Follower) tryFailover() {
 	peers := f.electorate()
 	myApplied := f.AppliedTotal()
 	myEpoch := f.Epoch()
-	seen := probe(f.ctx, f.httpc, peers, f.self, 2*time.Second)
+	seen := probe(f.ctx, peers, f.self, 2*time.Second)
 	for _, info := range seen {
 		if info.Epoch > myEpoch && info.ClaimsPrimary() {
 			// A newer primary already won: follow it.
@@ -652,7 +659,7 @@ func (f *Follower) tryFailover() {
 // election happens. A SIGKILLed primary's port refuses instantly, so
 // the probe costs a real failover nothing.
 func (f *Follower) primaryStillAlive() bool {
-	seen := probe(f.ctx, f.httpc, []string{f.PrimaryURL()}, f.self, 2*time.Second)
+	seen := probe(f.ctx, []string{f.PrimaryURL()}, f.self, 2*time.Second)
 	if len(seen) == 0 || !seen[0].ClaimsPrimary() {
 		// No answer — or it answered, but it is nobody's primary anymore:
 		// a demoted zombie is no reason to hold the election back.
@@ -685,12 +692,14 @@ func (f *Follower) retarget(primary string) error {
 	return err
 }
 
-// Rejoin demotes this node into a follower of primary: every promoted
-// shard gives up its ownership, recording the epoch it owned as
-// DemotedFrom — public writes are refused with the typed fencing error
-// from here on, and the next snapshot bootstrap quarantines whatever
-// the old generation wrote that the new one does not hold. The daemon
-// calls this at startup when the info handshake reveals a newer epoch.
+// Rejoin demotes this node into a follower of primary: every shard gives
+// up its ownership, recording the generation it owned as DemotedFrom — a
+// promoted shard its state epoch, a shard of an original primary its own
+// journal epoch — so public writes to any of them are refused with the
+// typed fencing error from here on, and the next snapshot bootstrap
+// quarantines whatever the old generation wrote that the new one does
+// not hold. The daemon calls this at startup when the info handshake
+// reveals a newer epoch.
 func (f *Follower) Rejoin(primary string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -699,17 +708,11 @@ func (f *Follower) Rejoin(primary string) error {
 	for i := range f.states {
 		err := f.updateLocked(i, true, func(rs *replState) {
 			if rs.Promoted {
-				if rs.Epoch > f.demotedFrom {
-					f.demotedFrom = rs.Epoch
-				}
-				rs.DemotedFrom = rs.Epoch
-				rs.Promoted = false
-			} else if w := f.stores[i].WAL(); w != nil && w.Epoch() > f.demotedFrom && rs.DemotedFrom == 0 && f.demotedFrom == 0 {
-				// An unpromoted original primary: its own journal epoch is the
-				// generation being fenced out.
-				f.demotedFrom = w.Epoch()
+				rs.DemotedFrom, rs.Promoted = rs.Epoch, false
+			} else if w := f.stores[i].WAL(); w != nil && rs.DemotedFrom == 0 {
 				rs.DemotedFrom = w.Epoch()
-			} else if rs.DemotedFrom != 0 && rs.DemotedFrom > f.demotedFrom {
+			}
+			if rs.DemotedFrom > f.demotedFrom {
 				f.demotedFrom = rs.DemotedFrom
 			}
 			rs.Primary = primary
@@ -723,17 +726,11 @@ func (f *Follower) Rejoin(primary string) error {
 
 // quarantineDivergence sets aside, before a demoted ex-primary's
 // bootstrap prunes or rewrites them, every local record the new
-// generation's image does not contain byte-identically — the observable
-// remains of the old generation's unshipped WAL tail. The record lands
-// in quarantine/ as a DIVERGENCE file with a REPORT.txt line, where
-// pcfsck surfaces it as residue.
-func quarantineDivergence(sst *history.Store, shard int, demotedEpoch uint64, snap SnapshotResponse, keep map[history.RecordKey]bool) error {
-	inImage := make(map[history.RecordKey]json.RawMessage, len(snap.Entries))
-	for _, e := range snap.Entries {
-		if e.Op == "put" {
-			inImage[e.Key()] = e.Data
-		}
-	}
+// generation's image (key → stored bytes) does not contain
+// byte-identically — the observable remains of the old generation's
+// unshipped WAL tail. The record lands in quarantine/ as a DIVERGENCE
+// file with a REPORT.txt line, where pcfsck surfaces it as residue.
+func quarantineDivergence(sst *history.Store, shard int, demotedEpoch, adoptedEpoch uint64, image map[history.RecordKey][]byte) error {
 	type divergedRecord struct {
 		Key    Key             `json:"key"`
 		Reason string          `json:"reason"`
@@ -741,38 +738,19 @@ func quarantineDivergence(sst *history.Store, shard int, demotedEpoch uint64, sn
 	}
 	var diverged []divergedRecord
 	for _, k := range sst.Keys() {
-		var reason string
-		img, ok := inImage[k]
-		if !ok && !keep[k] {
-			reason = "record absent from the new primary's image"
-		} else if ok {
-			rec, err := sst.Load(k.App, k.Version, k.RunID)
-			if err != nil {
-				continue
-			}
-			// Both sides in the canonical encoding: a stored record is
-			// valid and a decoded one finite, so both have one.
-			var imgRec history.RunRecord
-			if err := json.Unmarshal(img, &imgRec); err != nil {
-				continue
-			}
-			if bytes.Equal(history.EncodeRecord(rec), history.EncodeRecord(&imgRec)) {
-				continue
-			}
-			reason = "record differs from the new primary's image"
-		} else {
+		rec, err := sst.Load(k.App, k.Version, k.RunID)
+		if err != nil {
 			continue
 		}
-		rec, err := sst.Load(k.App, k.Version, k.RunID)
-		var raw json.RawMessage
-		if err == nil {
-			raw, _ = json.Marshal(rec)
+		// Both sides are stored bytes, from the one encoder.
+		local := history.StoredEntry(rec).Data
+		reason := "record differs from the new primary's image"
+		if img, ok := image[k]; !ok {
+			reason = "record absent from the new primary's image"
+		} else if bytes.Equal(local, img) {
+			continue
 		}
-		diverged = append(diverged, divergedRecord{
-			Key:    Key{App: k.App, Version: k.Version, RunID: k.RunID},
-			Reason: reason,
-			Record: raw,
-		})
+		diverged = append(diverged, divergedRecord{Key: Key(k), Reason: reason, Record: local})
 	}
 	if len(diverged) == 0 {
 		return nil
@@ -781,13 +759,13 @@ func quarantineDivergence(sst *history.Store, shard int, demotedEpoch uint64, sn
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return err
 	}
-	name := fmt.Sprintf("DIVERGENCE-e%d-to-e%d.json", demotedEpoch, snap.Epoch)
+	name := fmt.Sprintf("DIVERGENCE-e%d-to-e%d.json", demotedEpoch, adoptedEpoch)
 	payload := struct {
 		DemotedEpoch uint64           `json:"demoted_epoch"`
 		AdoptedEpoch uint64           `json:"adopted_epoch"`
 		Shard        int              `json:"shard"`
 		Records      []divergedRecord `json:"records"`
-	}{DemotedEpoch: demotedEpoch, AdoptedEpoch: snap.Epoch, Shard: shard, Records: diverged}
+	}{DemotedEpoch: demotedEpoch, AdoptedEpoch: adoptedEpoch, Shard: shard, Records: diverged}
 	data, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
 		return err
@@ -801,7 +779,7 @@ func quarantineDivergence(sst *history.Store, shard int, demotedEpoch uint64, sn
 	}
 	defer rf.Close()
 	_, err = fmt.Fprintf(rf, "%s\t%s\n", name,
-		fmt.Sprintf("replica: %d record(s) from fenced epoch %d truncated at rejoin under epoch %d", len(diverged), demotedEpoch, snap.Epoch))
+		fmt.Sprintf("replica: %d record(s) from fenced epoch %d truncated at rejoin under epoch %d", len(diverged), demotedEpoch, adoptedEpoch))
 	return err
 }
 
@@ -990,12 +968,20 @@ func (f *Follower) HandlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleOp serves POST /api/v1/replica/op — the redirected store
-// operations a primary's failover seam sends. Reads are always served;
-// writes require the shard to have been promoted first (the seam
-// promotes before it writes).
+// operations a primary's failover seam sends. Reads are always served,
+// each record as the put frame of its stored bytes; an apply requires
+// the shard to have been promoted first (the seam promotes before it
+// writes) and commits the entries the sender's own shard store would
+// have — refused whole, before anything is written, if one frame of the
+// body is bad or one entry does not check out.
 func (f *Follower) HandleOp(w http.ResponseWriter, r *http.Request) {
 	var req OpRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var entries []history.WALEntry
+	body, err := readBody(r.Body, r.ContentLength)
+	if err == nil {
+		entries, err = decodeFramed(body, &req)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decode op request: %v", err))
 		return
 	}
@@ -1004,8 +990,10 @@ func (f *Follower) HandleOp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sst := f.stores[req.Shard]
+	var resp OpResponse
+	var stored []history.WALEntry
 	switch req.Op {
-	case "save", "putbatch", "delete":
+	case "apply":
 		f.mu.Lock()
 		promoted := f.states[req.Shard].Promoted
 		epoch := f.states[req.Shard].Epoch
@@ -1014,98 +1002,53 @@ func (f *Follower) HandleOp(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusServiceUnavailable, fmt.Sprintf("shard %02d is not promoted; refusing replicated write", req.Shard))
 			return
 		}
-		// A write op stamped with a generation older than the shard's is
-		// a zombie primary's seam still flushing: refuse with the typed
+		// A write stamped with a generation older than the shard's is a
+		// zombie primary's seam still flushing: refuse with the typed
 		// fencing error so it cannot mutate a keyspace a newer promotion
 		// owns. Unstamped (epoch 0) ops predate fencing and pass.
 		if req.Epoch != 0 && req.Epoch < epoch {
 			f.fencingRejects.Add(1)
-			httpError(w, http.StatusConflict, (&FencingError{Op: "op " + req.Op, Local: req.Epoch, Remote: epoch}).Error())
+			httpError(w, http.StatusConflict, (&FencingError{Op: "op apply", Local: req.Epoch, Remote: epoch}).Error())
 			return
 		}
-	}
-	switch req.Op {
-	case "save":
-		rec, err := decodeWireRecord(req.Record)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if err := sst.Save(rec); err != nil {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		writeWire(w, http.StatusOK, OpResponse{Saved: 1})
-	case "putbatch":
-		recs := make([]*history.RunRecord, 0, len(req.Records))
-		for _, raw := range req.Records {
-			rec, err := decodeWireRecord(raw)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			recs = append(recs, rec)
-		}
-		n, err := sst.PutBatch(recs)
-		if err != nil {
-			writeWire(w, http.StatusServiceUnavailable, OpResponse{Saved: n})
-			return
-		}
-		writeWire(w, http.StatusOK, OpResponse{Saved: n})
-	case "delete":
-		if err := sst.Delete(req.App, req.Version, req.RunID); err != nil {
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, os.ErrNotExist) {
-				status = http.StatusNotFound
-			}
-			httpError(w, status, err.Error())
-			return
-		}
-		writeWire(w, http.StatusOK, OpResponse{})
+		resp.Saved, err = sst.Apply(entries)
 	case "load":
-		rec, err := sst.Load(req.App, req.Version, req.RunID)
-		if err != nil {
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, os.ErrNotExist) {
-				status = http.StatusNotFound
-			}
-			httpError(w, status, err.Error())
-			return
+		var rec *history.RunRecord
+		if rec, err = sst.Load(req.App, req.Version, req.RunID); err == nil {
+			stored = []history.WALEntry{history.StoredEntry(rec)}
 		}
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeWire(w, http.StatusOK, OpResponse{Record: raw})
-	case "keys":
-		keys := sst.Keys()
-		out := make([]Key, 0, len(keys))
-		for _, k := range keys {
-			out = append(out, Key{App: k.App, Version: k.Version, RunID: k.RunID})
-		}
-		writeWire(w, http.StatusOK, OpResponse{Keys: out})
-	case "len":
-		writeWire(w, http.StatusOK, OpResponse{Len: sst.Len()})
 	case "loadall":
-		recs, err := sst.LoadAll(req.App, req.Version)
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		raws := make([]json.RawMessage, 0, len(recs))
+		var recs []*history.RunRecord
+		recs, err = sst.LoadAll(req.App, req.Version)
 		for _, rec := range recs {
-			raw, err := json.Marshal(rec)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			raws = append(raws, raw)
+			stored = append(stored, history.StoredEntry(rec))
 		}
-		writeWire(w, http.StatusOK, OpResponse{Records: raws})
+	case "keys":
+		for _, k := range sst.Keys() {
+			resp.Keys = append(resp.Keys, Key(k))
+		}
+	case "len":
+		resp.Len = sst.Len()
 	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown op %q", req.Op))
+		err = fmt.Errorf("unknown op %q", req.Op)
 	}
+	var frames [][]byte
+	if err == nil {
+		frames, err = encodeFrames(stored)
+	}
+	if err != nil {
+		// What the seam's exchange maps back: a miss, storage trouble, or
+		// a request this store will never take.
+		status := http.StatusBadRequest
+		if errors.Is(err, os.ErrNotExist) {
+			status = http.StatusNotFound
+		} else if history.IsBackendError(err) {
+			status = http.StatusServiceUnavailable
+		}
+		httpError(w, status, err.Error())
+		return
+	}
+	_ = writeFrames(w, resp, frames) // fails only when the sender is gone
 }
 
 // Stats snapshots the follower's replication gauges.
@@ -1134,71 +1077,4 @@ func (f *Follower) Stats() Stats {
 		})
 	}
 	return out
-}
-
-// get issues GET u and hands back the response once it is a 200; the
-// caller closes its body.
-func get(ctx context.Context, httpc *http.Client, u string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		return nil, fmt.Errorf("replica: GET %s: %s: %s", u, resp.Status, body)
-	}
-	return resp, nil
-}
-
-// getJSON fetches u and decodes the JSON body into v.
-func getJSON(ctx context.Context, httpc *http.Client, u string, v any) error {
-	resp, err := get(ctx, httpc, u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// getPull fetches one pull answer (see writePull): the header line,
-// decoded, and the frame bytes that follow it. The body is read into one
-// buffer that the frames are then sliced out of.
-func getPull(ctx context.Context, httpc *http.Client, u string) (hdr PullResponse, frames []byte, err error) {
-	resp, err := get(ctx, httpc, u)
-	if err != nil {
-		return hdr, nil, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	// The primary announces the body's length, so the buffer is sized
-	// once (ReadFrom wants MinRead spare) — unless the announcement is
-	// beyond what a frame ring could hold, which is not taken on trust.
-	if n := resp.ContentLength; n > 0 && n <= 2*defaultRingBytes {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return hdr, nil, fmt.Errorf("replica: GET %s: %w", u, err)
-	}
-	line, frames, _ := bytes.Cut(buf.Bytes(), []byte{'\n'})
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return hdr, nil, fmt.Errorf("replica: GET %s: pull header: %w", u, err)
-	}
-	return hdr, frames, nil
-}
-
-// decodeWireRecord unmarshals and validates one wire record.
-func decodeWireRecord(raw json.RawMessage) (*history.RunRecord, error) {
-	rec := &history.RunRecord{}
-	if err := json.Unmarshal(raw, rec); err != nil {
-		return nil, fmt.Errorf("decode record: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }

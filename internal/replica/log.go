@@ -200,15 +200,6 @@ func (l *shardLog) pull(epoch, from uint64, maxFrames int, wait time.Duration, d
 	}
 }
 
-// maxAck returns the highest applied position among followers seen
-// within window, and whether any follower qualified.
-func (l *shardLog) maxAck(window time.Duration) (uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ack, n := l.quorumAckLocked(1, window)
-	return ack, n >= 1
-}
-
 // quorumAckLocked returns the position the q-th most-caught-up fresh
 // follower has applied — the highest seq known to be on at least q
 // followers — and how many followers are fresh at all. With fewer than

@@ -77,10 +77,15 @@ func TestShardLogRetainsJournalBytes(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(p.HandleWAL))
 	defer ts.Close()
 	u := fmt.Sprintf("%s?shard=0&epoch=%d&from=0&id=http://f", ts.URL, st.WAL().Epoch())
-	hdr, body, err := getPull(context.Background(), ts.Client(), u)
+	raw, err := exchange(context.Background(), http.MethodGet, u, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hdr PullResponse
+	if _, err := decodeFramed(raw, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := bytes.Cut(raw, []byte{'\n'})
 	if hdr.FirstSeq != 1 || hdr.HeadSeq != 3 || hdr.NeedSnapshot {
 		t.Errorf("pull header = %+v, want first_seq 1, head_seq 3", hdr)
 	}
@@ -182,8 +187,11 @@ func TestWaitAck(t *testing.T) {
 
 	// A stale (lower) ack never regresses the registry.
 	l.registerAck("http://f1", 0)
-	if ack, ok := l.maxAck(time.Minute); !ok || ack != 1 {
-		t.Fatalf("maxAck after a stale re-ack = (%d, %v), want (1, true)", ack, ok)
+	l.mu.Lock()
+	ack, fresh := l.quorumAckLocked(1, time.Minute)
+	l.mu.Unlock()
+	if ack != 1 || fresh != 1 {
+		t.Fatalf("quorumAckLocked(1) after a stale re-ack = (%d, %d), want (1, 1)", ack, fresh)
 	}
 }
 

@@ -278,34 +278,12 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, frames := l.pull(epoch, from, maxPullFrames, wait, r.Context().Done())
 	resp.LeaseTTLMS = p.leaseTTL
-	writePull(w, resp, frames)
-}
-
-// writePull writes one pull answer: the header as a single line of JSON,
-// then the frames as the journal wrote them — the body after the newline
-// is what history.DecodeWALFrames reads off a segment file.
-func writePull(w http.ResponseWriter, hdr PullResponse, frames [][]byte) {
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	line = append(line, '\n')
-	n := len(line)
-	for _, fr := range frames {
-		n += len(fr)
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(n))
-	w.WriteHeader(http.StatusOK)
-	w.Write(line)
-	for _, fr := range frames {
-		w.Write(fr)
-	}
+	_ = writeFrames(w, resp, frames) // fails only when the puller is gone
 }
 
 // HandleSnapshot serves GET /api/v1/replica/snapshot?shard=N — the
-// anti-entropy bootstrap image.
+// anti-entropy bootstrap image: its journal position on the header line,
+// then every record as the put frame its journal entry would be.
 func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil || shard < 0 || shard >= len(p.stores) {
@@ -313,11 +291,15 @@ func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch, seq, entries, err := p.stores[shard].ReplicaSnapshot()
+	var frames [][]byte
+	if err == nil {
+		frames, err = encodeFrames(entries)
+	}
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	writeWire(w, http.StatusOK, SnapshotResponse{Epoch: epoch, Seq: seq, Entries: entries})
+	_ = writeFrames(w, SnapshotResponse{Epoch: epoch, Seq: seq}, frames) // fails only when the follower is gone
 }
 
 // Stats snapshots the primary's replication gauges.

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,9 +12,12 @@ import (
 
 // FetchInfo retrieves a node's replication handshake — shape, role,
 // epoch, and electorate. It is the only GET of /api/v1/replica/info.
-func FetchInfo(ctx context.Context, httpc *http.Client, base string) (InfoResponse, error) {
+func FetchInfo(ctx context.Context, base string) (InfoResponse, error) {
 	var info InfoResponse
-	err := getJSON(ctx, httpc, base+"/api/v1/replica/info", &info)
+	body, err := exchange(ctx, http.MethodGet, base+"/api/v1/replica/info", nil, nil)
+	if err == nil {
+		err = json.Unmarshal(body, &info)
+	}
 	return info, err
 }
 
@@ -29,7 +33,7 @@ type peerInfo struct {
 // by timeout, and returns the ones that answered; empty entries, self
 // and repeats are skipped. The election, the primary-side detector and
 // the startup rejoin check all read the cluster through this one scan.
-func probe(ctx context.Context, httpc *http.Client, peers []string, self string, timeout time.Duration) []peerInfo {
+func probe(ctx context.Context, peers []string, self string, timeout time.Duration) []peerInfo {
 	var out []peerInfo
 	seen := map[string]bool{"": true, self: true}
 	for _, peer := range peers {
@@ -38,7 +42,7 @@ func probe(ctx context.Context, httpc *http.Client, peers []string, self string,
 		}
 		seen[peer] = true
 		pctx, cancel := context.WithTimeout(ctx, timeout)
-		info, err := FetchInfo(pctx, httpc, peer)
+		info, err := FetchInfo(pctx, peer)
 		cancel()
 		if err != nil {
 			continue
@@ -61,7 +65,7 @@ func probe(ctx context.Context, httpc *http.Client, peers []string, self string,
 func SupersededBy(ctx context.Context, storeDir string, peers []string, self string) (winner string, theirs, ours uint64) {
 	ours = history.MaxJournalEpoch(storeDir)
 	known := append(loadPeers(PeersFilePath(storeDir)), peers...)
-	for _, info := range probe(ctx, http.DefaultClient, known, self, 2*time.Second) {
+	for _, info := range probe(ctx, known, self, 2*time.Second) {
 		if info.ClaimsPrimary() && info.Epoch > ours && info.Epoch > theirs {
 			winner, theirs = info.url, info.Epoch
 		}
@@ -72,15 +76,20 @@ func SupersededBy(ctx context.Context, storeDir string, peers []string, self str
 // AwaitPrimary fetches the layout handshake of the primary at base,
 // retrying until ctx ends while it is still coming up (a follower is
 // typically started seconds after — or concurrently with — its
-// primary), and refuses a node that does not claim the primary role.
+// primary), and refuses a node that does not claim the primary role or
+// that speaks another generation of the replication bodies — what such a
+// pair would otherwise do is loop on undecodable pulls.
 func AwaitPrimary(ctx context.Context, base string) (InfoResponse, error) {
 	for {
 		actx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		info, err := FetchInfo(actx, http.DefaultClient, base)
+		info, err := FetchInfo(actx, base)
 		cancel()
 		if err == nil {
 			if !info.ClaimsPrimary() {
 				return info, fmt.Errorf("replica: %s is %q, not a primary", base, info.Role)
+			}
+			if info.Wire != wireGeneration {
+				return info, fmt.Errorf("replica: %s speaks replication wire %d, this build speaks %d: run the same build on both", base, info.Wire, wireGeneration)
 			}
 			return info, nil
 		}

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"errors"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +20,7 @@ func TestProbe(t *testing.T) {
 	b := infoServer(t, InfoResponse{Role: "primary", Epoch: 4})
 	self := "http://self"
 	peers := []string{"", self, b.URL, "http://127.0.0.1:1", a.URL, b.URL}
-	got := probe(context.Background(), http.DefaultClient, peers, self, time.Second)
+	got := probe(context.Background(), peers, self, time.Second)
 	if len(got) != 2 {
 		t.Fatalf("probe returned %d peers, want 2 (b then a): %+v", len(got), got)
 	}

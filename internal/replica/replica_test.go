@@ -269,28 +269,29 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	}
 }
 
-// TestShardedFailoverPromotion is the in-process version of the
-// kill-the-primary story: a sharded primary replicates to a follower,
-// one shard's backend dies, reads for that keyspace fail over to the
-// follower, and — with promote on — a write to the dead keyspace
-// promotes the follower and succeeds instead of degrading to 503.
-func TestShardedFailoverPromotion(t *testing.T) {
-	faults := make(map[int]*history.FaultBackend)
+// shardedPair builds a 2-shard primary with the failover seam armed for
+// writes and its follower, both behind real HTTP, and replicates three
+// runs each of poisson/A and poisson/B (one version per shard). fault
+// wraps the backend of the primary's shard that owns poisson/B.
+func shardedPair(t *testing.T) (pst, fst *history.ShardedStore, fol *Follower, folURL string, fault *history.FaultBackend) {
+	t.Helper()
+	down := history.ShardForKey("poisson", "B", 2)
 	pst, err := history.OpenSharded(t.TempDir(), 2, history.DurableOptions{
 		Create:                true,
 		WAL:                   true,
 		ShardBreakerThreshold: 2,
 		WrapShard: func(shard int, b history.Backend) history.Backend {
-			fb := history.NewFaultBackend(b, history.FaultConfig{Seed: int64(shard)})
-			faults[shard] = fb
-			return fb
+			if shard != down {
+				return b
+			}
+			fault = history.NewFaultBackend(b, history.FaultConfig{Seed: int64(shard)})
+			return fault
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pst.Close()
-
+	t.Cleanup(func() { pst.Close() })
 	prim, err := NewPrimary(pst, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -298,36 +299,42 @@ func TestShardedFailoverPromotion(t *testing.T) {
 	pst.SetFailover(NewFailover(prim), true)
 	tsP := primaryServer(t, prim)
 
-	fst, err := history.OpenSharded(t.TempDir(), 2, history.DurableOptions{Create: true, WAL: true})
+	fst, err = history.OpenSharded(t.TempDir(), 2, history.DurableOptions{Create: true, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fst.Close()
-	var fol *Follower
+	t.Cleanup(func() { fst.Close() })
 	tsF := followerServer(t, &fol)
-	fol, err = NewFollower(tsP.URL, tsF.URL, fst)
-	if err != nil {
+	if fol, err = NewFollower(tsP.URL, tsF.URL, fst); err != nil {
 		t.Fatal(err)
 	}
 	fol.pollWait = 100 * time.Millisecond
 	fol.Start()
-	defer fol.Stop()
+	t.Cleanup(fol.Stop)
 
-	// Seed both keyspaces; version B pins to one shard, A to the other.
-	downShard := history.ShardForKey("poisson", "B", 2)
 	g := Gate(pst, prim)
 	for i := 1; i <= 3; i++ {
-		if err := g.Save(rec("poisson", "B", fmt.Sprintf("r%d", i), float64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Save(rec("poisson", "A", fmt.Sprintf("r%d", i), float64(i))); err != nil {
-			t.Fatal(err)
+		for _, version := range []string{"B", "A"} {
+			if err := g.Save(rec("poisson", version, fmt.Sprintf("r%d", i), float64(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	waitFor(t, 5*time.Second, "follower to catch up", func() bool { return fst.Len() == 6 })
+	return pst, fst, fol, tsF.URL, fault
+}
+
+// TestShardedFailoverPromotion is the in-process version of the
+// kill-the-primary story: a sharded primary replicates to a follower,
+// one shard's backend dies, reads for that keyspace fail over to the
+// follower, and — with promote on — a write to the dead keyspace
+// promotes the follower and succeeds instead of degrading to 503.
+func TestShardedFailoverPromotion(t *testing.T) {
+	pst, fst, fol, _, fault := shardedPair(t)
+	downShard := history.ShardForKey("poisson", "B", 2)
 
 	// Kill the shard owning version B.
-	faults[downShard].SetConfig(history.FaultConfig{ErrRate: 1})
+	fault.SetConfig(history.FaultConfig{ErrRate: 1})
 	for i := 0; i < 2; i++ {
 		pst.Save(rec("poisson", "B", "trip", 9)) // trips the breaker
 	}
@@ -369,7 +376,7 @@ func TestShardedFailoverPromotion(t *testing.T) {
 	// Healing the fault must NOT revive the promoted shard: the follower
 	// owns the keyspace until a restart reconciles them (split-brain
 	// prevention).
-	faults[downShard].SetConfig(history.FaultConfig{})
+	fault.SetConfig(history.FaultConfig{})
 	pst.Ping()
 	if fi := pst.ShardStats()[downShard]; fi.Failover != "promoted" {
 		t.Fatalf("promoted shard reverted to %q after heal", fi.Failover)

@@ -31,16 +31,94 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 
 	"repro/internal/history"
 )
 
-// PullResponse is the header of one follower pull's answer: a single
-// line of JSON, followed in the body by the journal frames it announces
-// (see writePull). NeedSnapshot tells the follower its position (epoch,
-// from) is unserveable — wrong epoch, or evicted from the frame ring —
-// and it must bootstrap from /snapshot. FirstSeq is the sequence number,
+// wireGeneration numbers what replication peers say to each other: the
+// framed bodies below and the frame format inside them. Nothing is
+// negotiated — peers run the same build — so a follower refuses at the
+// handshake (AwaitPrimary) a node that announces another number. Raise
+// it with any change to a body or to the frame.
+const wireGeneration = 1
+
+// writeFrames writes the one body that carries record bytes between
+// replicas, in either direction: hdr as a single line of JSON, a newline,
+// then frames exactly as history.EncodeWALFrame built them — what
+// follows the newline is what a journal segment holds, and decodeFramed
+// reads it with the journal's decoder. An HTTP response announces the
+// body's length first, so the reader can size its buffer once.
+func writeFrames(w io.Writer, hdr any, frames [][]byte) error {
+	line, err := json.Marshal(hdr)
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	if rw, ok := w.(http.ResponseWriter); ok {
+		n := len(line)
+		for _, fr := range frames {
+			n += len(fr)
+		}
+		rw.Header().Set("Content-Type", "application/octet-stream")
+		rw.Header().Set("Content-Length", strconv.Itoa(n))
+	}
+	if _, err := w.Write(line); err != nil {
+		return err
+	}
+	for _, fr := range frames {
+		if _, err := w.Write(fr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeFrames frames entries the way the journal would.
+func encodeFrames(entries []history.WALEntry) ([][]byte, error) {
+	frames := make([][]byte, len(entries))
+	for i, e := range entries {
+		fr, err := history.EncodeWALFrame(e)
+		if err != nil {
+			return nil, err
+		}
+		frames[i] = fr
+	}
+	return frames, nil
+}
+
+// errBadFrame marks a body whose header line read but whose frames did
+// not all decode: decodeFramed returns the good prefix with it. Only the
+// pull applies that prefix; every other reader refuses the body whole.
+var errBadFrame = errors.New("bad frame")
+
+// decodeFramed reads a body writeFrames wrote: the header line into hdr,
+// the rest through history.DecodeWALFrames — each frame's length and
+// CRC32 checked, so a bit flipped in transit or in the sender's memory
+// does not reach a store. The entries' Data slices point into body.
+func decodeFramed(body []byte, hdr any) ([]history.WALEntry, error) {
+	line, rest, _ := bytes.Cut(body, []byte{'\n'})
+	if err := json.Unmarshal(line, hdr); err != nil {
+		return nil, fmt.Errorf("header line: %w", err)
+	}
+	entries, _, bad := history.DecodeWALFrames(rest)
+	if bad != "" {
+		return entries, fmt.Errorf("%w: %s", errBadFrame, bad)
+	}
+	return entries, nil
+}
+
+// PullResponse is the header of one follower pull's answer; the journal
+// frames it announces follow it in the body (writeFrames). NeedSnapshot
+// tells the follower its position (epoch, from) is unserveable — wrong
+// epoch, or evicted from the frame ring — and it must bootstrap from
+// /snapshot. FirstSeq is the sequence number,
 // within Epoch, of the first frame in the body; the rest follow it one
 // by one. LeaseTTLMS is the primary's liveness lease grant: the follower
 // may treat the primary as alive for that long after this response, and
@@ -54,14 +132,14 @@ type PullResponse struct {
 	FirstSeq     uint64 `json:"first_seq,omitempty"`
 }
 
-// SnapshotResponse is a consistent store image for follower bootstrap:
-// every record as a put entry (exact stored bytes), stamped with the
-// journal position it reflects. A follower that installs the entries
-// and resumes pulling after (Epoch, Seq) converges to the primary.
+// SnapshotResponse is the header of a consistent store image for
+// follower bootstrap: the journal position the image reflects. The body
+// carries every record behind it as a put frame (exact stored bytes); a
+// follower that installs them and resumes pulling after (Epoch, Seq)
+// converges to the primary.
 type SnapshotResponse struct {
-	Epoch   uint64             `json:"epoch"`
-	Seq     uint64             `json:"seq"`
-	Entries []history.WALEntry `json:"entries"`
+	Epoch uint64 `json:"epoch"`
+	Seq   uint64 `json:"seq"`
 }
 
 // InfoResponse describes a node's replication shape — the handshake a
@@ -83,6 +161,9 @@ type InfoResponse struct {
 	Advertise  string   `json:"advertise,omitempty"`
 	AckQuorum  int      `json:"ack_quorum,omitempty"`
 	Followers  []string `json:"followers,omitempty"`
+	// Wire is the sender's wireGeneration; a build that predates the
+	// field reads as 0.
+	Wire int `json:"wire,omitempty"`
 }
 
 // ClaimsPrimary reports whether the node presents itself as an owner of
@@ -105,22 +186,20 @@ type PromoteResponse struct {
 	Epoch    uint64 `json:"epoch,omitempty"`
 }
 
-// OpRequest is one redirected store operation: the primary's failover
-// seam executes point and scan operations against a follower's shard
-// store when the local shard is down. Records travel as raw JSON.
-// Epoch, when non-zero, is the journal epoch the sender believes the
-// shard is at; a write op carrying a stale epoch is refused with the
-// typed fencing error (409) so a zombie primary's seam cannot mutate a
-// keyspace a newer promotion owns.
+// OpRequest is the header of one redirected store operation: the
+// primary's failover seam executes point and scan operations against a
+// follower's shard store when the local shard is down. An apply's journal
+// entries follow it in the body. Epoch, when non-zero, is the journal
+// epoch the sender believes the shard is at; an apply carrying a stale
+// epoch is refused with the typed fencing error (409) so a zombie
+// primary's seam cannot mutate a keyspace a newer promotion owns.
 type OpRequest struct {
-	Shard   int               `json:"shard"`
-	Op      string            `json:"op"` // save|putbatch|load|delete|keys|len|loadall
-	Epoch   uint64            `json:"epoch,omitempty"`
-	App     string            `json:"app,omitempty"`
-	Version string            `json:"version,omitempty"`
-	RunID   string            `json:"run_id,omitempty"`
-	Record  json.RawMessage   `json:"record,omitempty"`
-	Records []json.RawMessage `json:"records,omitempty"`
+	Shard   int    `json:"shard"`
+	Op      string `json:"op"` // apply|load|loadall|keys|len
+	Epoch   uint64 `json:"epoch,omitempty"`
+	App     string `json:"app,omitempty"`
+	Version string `json:"version,omitempty"`
+	RunID   string `json:"run_id,omitempty"`
 }
 
 // Key is a record key with wire tags.
@@ -130,13 +209,13 @@ type Key struct {
 	RunID   string `json:"run_id"`
 }
 
-// OpResponse carries one redirected operation's result.
+// OpResponse is the header of one redirected operation's result; the
+// records of a load or loadall follow it in the body as put frames, the
+// stored bytes untouched.
 type OpResponse struct {
-	Record  json.RawMessage   `json:"record,omitempty"`
-	Records []json.RawMessage `json:"records,omitempty"`
-	Keys    []Key             `json:"keys,omitempty"`
-	Len     int               `json:"len,omitempty"`
-	Saved   int               `json:"saved,omitempty"`
+	Keys  []Key `json:"keys,omitempty"`
+	Len   int   `json:"len,omitempty"`
+	Saved int   `json:"saved,omitempty"`
 }
 
 // FollowerStats is one follower's position against a shard's log, as
