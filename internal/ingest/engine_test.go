@@ -18,7 +18,13 @@ import (
 // and returns its complete interval stream in wire form, in event order.
 func collectSamples(t testing.TB, name string, seed int64, maxTime float64) []ingest.Sample {
 	t.Helper()
-	a, err := app.Build(name, "", app.Options{})
+	return collectVersion(t, name, "", seed, maxTime)
+}
+
+// collectVersion is collectSamples for one version of an application.
+func collectVersion(t testing.TB, name, version string, seed int64, maxTime float64) []ingest.Sample {
+	t.Helper()
+	a, err := app.Build(name, version, app.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
