@@ -152,6 +152,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeRecordMatchesEncodingJSON -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
 	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
+	$(GO) test -fuzz FuzzSampleLine -fuzztime 10s ./internal/postmortem/
 
 clean:
 	$(GO) clean -testcache

@@ -3,6 +3,7 @@ package repro
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -130,6 +131,24 @@ func TestCLIPipeline(t *testing.T) {
 	out = run("pcquery", "-store", benchStore, "-app", "poisson", "-list")
 	if !strings.Contains(out, "poisson-C-t1-base") {
 		t.Fatalf("pcbench -store records not browsable:\n%s", out)
+	}
+
+	// 6d. The whole evaluation, held to committed bytes: every table and
+	// figure the paper reproduction prints, three trials each.
+	want, err := os.ReadFile(filepath.Join("testdata", "pcbench_all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out = run("pcbench", "-exp", "all", "-trials", "3"); out != string(want) {
+		t.Fatalf("pcbench -exp all -trials 3 differs from testdata/pcbench_all.golden; this build prints:\n%s", out)
+	}
+
+	// 6e. A mistyped experiment is a usage error that names the valid
+	// ones, not an empty success.
+	typo, err := exec.Command(filepath.Join(bin, "pcbench"), "-exp", "tabel1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(typo), "table1") {
+		t.Fatalf("pcbench -exp tabel1: %v, want exit status 2 naming table1\n%s", err, typo)
 	}
 
 	// 7. Most specific bottlenecks of a stored run.

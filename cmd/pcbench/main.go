@@ -27,11 +27,22 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/history"
 )
+
+// render is the common tail of an experiment: its result's table.
+func render[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
 
 func main() {
 	log.SetFlags(0)
@@ -44,6 +55,35 @@ func main() {
 	shards := flag.Int("shards", 0, "open -store as a consistent-hash sharded layout with N shards (0 = single store, or whatever layout exists)")
 	flag.Parse()
 
+	// The experiments in the order "all" prints them; env is set below,
+	// once the name is known to be one of these.
+	var env *harness.Env
+	experiments := []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"fig1", harness.Figure1},
+		{"fig2", harness.Figure2},
+		{"fig3", harness.Figure3},
+		{"table1", func() (string, error) { return render(env.Table1(*trials, *parallel)) }},
+		{"table2", func() (string, error) { return render(harness.Table2(*trials, *parallel)) }},
+		{"ocean", func() (string, error) { return render(harness.OceanThresholds(*trials, *parallel)) }},
+		{"table3", func() (string, error) { return render(env.Table3(*trials, *parallel)) }},
+		{"table4", func() (string, error) { return render(env.Table4(*parallel)) }},
+		{"combine", func() (string, error) { return render(env.CombineStudy(*parallel)) }},
+		{"postmortem", func() (string, error) { return render(env.PostmortemStudy(*parallel)) }},
+		{"ablation", func() (string, error) { return render(env.Ablation(*parallel)) }},
+		{"scale", func() (string, error) { return render(env.ScaleStudy(nil, *parallel)) }},
+	}
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "pcbench: unknown -exp %q (want %s)\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+
 	var st history.Storage
 	if *storeDir != "" {
 		var err error
@@ -55,83 +95,16 @@ func main() {
 	} else if *shards > 0 {
 		log.Fatal("-shards needs -store (an in-memory store has no shard layout)")
 	}
-	env := harness.NewEnv(st)
+	env = harness.NewEnv(st)
 
-	run := func(name string, f func() (string, error)) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		out, err := f()
+		out, err := e.run()
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", e.name, err)
 		}
 		fmt.Println(out)
 	}
-
-	run("fig1", func() (string, error) { return harness.Figure1() })
-	run("fig2", func() (string, error) { return harness.Figure2() })
-	run("fig3", func() (string, error) { return harness.Figure3() })
-	run("table1", func() (string, error) {
-		r, err := env.Table1(*trials, *parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("table2", func() (string, error) {
-		r, err := harness.Table2(*trials, *parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("ocean", func() (string, error) {
-		r, err := harness.OceanThresholds(*trials, *parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("table3", func() (string, error) {
-		r, err := env.Table3(*trials, *parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("table4", func() (string, error) {
-		r, err := env.Table4(*parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("combine", func() (string, error) {
-		r, err := env.CombineStudy(*parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("postmortem", func() (string, error) {
-		r, err := env.PostmortemStudy(*parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("ablation", func() (string, error) {
-		r, err := env.Ablation(*parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("scale", func() (string, error) {
-		r, err := env.ScaleStudy(nil, *parallel)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
 }

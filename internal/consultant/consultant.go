@@ -8,31 +8,6 @@ import (
 	"repro/internal/resource"
 )
 
-// SearchPolicy selects what the Performance Consultant examines next when
-// several pending pairs have equal priority.
-type SearchPolicy int
-
-// Search policies. BreadthFirst (the default, and Paradyn's behaviour)
-// works through refinements level by level in creation order; DepthFirst
-// drills into the children of the most recent true conclusions first,
-// reaching specific diagnoses sooner at the price of breadth.
-const (
-	BreadthFirst SearchPolicy = iota
-	DepthFirst
-)
-
-// String implements fmt.Stringer.
-func (p SearchPolicy) String() string {
-	switch p {
-	case BreadthFirst:
-		return "breadth-first"
-	case DepthFirst:
-		return "depth-first"
-	default:
-		return fmt.Sprintf("SearchPolicy(%d)", int(p))
-	}
-}
-
 // Config holds the Performance Consultant's search parameters.
 type Config struct {
 	// TestInterval is how many seconds of collected data a node needs
@@ -61,50 +36,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// HF names a (hypothesis : focus) pair in guidance data.
-type HF struct {
-	Hyp   string
-	Focus resource.Focus
-}
-
-// Guidance is the search-directive hook: the compiled form of the prune,
-// priority and threshold directives harvested from historical runs. A
-// zero Guidance reproduces the stock single-button Performance Consultant.
-type Guidance struct {
-	// Prune reports whether the (hypothesis : focus) pair (and therefore
-	// its whole refinement subtree) should be ignored.
-	Prune func(hyp string, f resource.Focus) bool
-	// Priority returns the search priority of a pair; nil means Medium
-	// for everything.
-	Priority func(hyp string, f resource.Focus) Priority
-	// HighPairs lists the pairs to instrument immediately at search start
-	// and test persistently throughout the run.
-	HighPairs []HF
-	// Thresholds overrides hypothesis default thresholds by name.
-	Thresholds map[string]float64
-}
-
-func (g Guidance) prune(hyp string, f resource.Focus) bool {
-	return g.Prune != nil && g.Prune(hyp, f)
-}
-
-func (g Guidance) priority(hyp string, f resource.Focus) Priority {
-	if g.Priority == nil {
-		return Medium
-	}
-	return g.Priority(hyp, f)
-}
-
-// Consultant runs one online diagnosis over one application execution.
+// Consultant runs one online diagnosis over one application execution:
+// it drives a Search with dynamic instrumentation, and owns what is about
+// probes — admission under the cost limit, the test interval, the recency
+// window, persistent re-testing and stall accounting.
 type Consultant struct {
-	cfg   Config
-	guid  Guidance
-	space *resource.Space
-	inst  *dyninst.Manager
-	root  *Hypothesis
-	shg   *SHG
+	cfg    Config
+	inst   *dyninst.Manager
+	search *Search
 
-	pending []*Node // awaiting an instrumentation slot
 	testing []*Node // probe active, collecting data
 
 	started     bool
@@ -122,32 +62,15 @@ func New(cfg Config, space *resource.Space, inst *dyninst.Manager, hypRoot *Hypo
 	if cfg.CostLimit <= 0 {
 		return nil, fmt.Errorf("consultant: CostLimit must be positive")
 	}
-	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = DefaultConfig().MaxNodes
+	search, err := NewSearch(space, hypRoot, guid, cfg.Policy, cfg.MaxNodes)
+	if err != nil {
+		return nil, err
 	}
-	if hypRoot == nil || len(hypRoot.Children) == 0 {
-		return nil, fmt.Errorf("consultant: hypothesis root must have children")
-	}
-	rootNode := &Node{
-		Hyp:       hypRoot,
-		Focus:     space.WholeProgram(),
-		State:     StateTrue, // the root is true by definition
-		Priority:  Medium,
-		Threshold: 0,
-	}
-	c := &Consultant{
-		cfg:   cfg,
-		guid:  guid,
-		space: space,
-		inst:  inst,
-		root:  hypRoot,
-		shg:   NewSHG(rootNode),
-	}
-	return c, nil
+	return &Consultant{cfg: cfg, inst: inst, search: search}, nil
 }
 
 // SHG returns the Search History Graph.
-func (c *Consultant) SHG() *SHG { return c.shg }
+func (c *Consultant) SHG() *SHG { return c.search.SHG() }
 
 // TestedPairs returns how many (hypothesis : focus) pairs have been
 // instrumented so far.
@@ -158,93 +81,31 @@ func (c *Consultant) TestedPairs() int { return c.testedPairs }
 func (c *Consultant) StallEvents() int { return c.stallEvents }
 
 // Frontier returns the names of the search's live (hypothesis : focus)
-// pairs — pending and testing — sorted. It is a read-only snapshot for
-// session checkpointing and progress display.
+// pairs — pending and testing — sorted. It is a snapshot for session
+// checkpointing and progress display.
 func (c *Consultant) Frontier() []string {
-	out := make([]string, 0, len(c.pending)+len(c.testing))
-	for _, n := range c.pending {
-		out = append(out, n.Hyp.Name+" "+n.Focus.Name())
+	pending := c.search.Pending()
+	out := make([]string, 0, len(pending)+len(c.testing))
+	for _, n := range pending {
+		out = append(out, n.Key())
 	}
 	for _, n := range c.testing {
-		out = append(out, n.Hyp.Name+" "+n.Focus.Name())
+		out = append(out, n.Key())
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Threshold returns the effective threshold for a hypothesis.
-func (c *Consultant) Threshold(h *Hypothesis) float64 {
-	if v, ok := c.guid.Thresholds[h.Name]; ok {
-		return v
-	}
-	return h.DefaultThreshold
-}
-
-// Start seeds the search: the top-level hypotheses at the whole-program
-// focus, plus every High-priority pair from guidance (instrumented
-// immediately and persistently, ahead of the normal top-down order).
+// Start seeds the search and instruments as much of it as the cost limit
+// admits.
 func (c *Consultant) Start(now float64) error {
 	if c.started {
 		return fmt.Errorf("consultant: already started")
 	}
 	c.started = true
-	root := c.shg.Root()
-	root.refined = true
-	for _, h := range c.root.Children {
-		c.spawn(root, h, c.space.WholeProgram(), now)
-	}
-	for _, hf := range c.guid.HighPairs {
-		h := c.root.Find(hf.Hyp)
-		if h == nil || h == c.root {
-			continue
-		}
-		if c.guid.prune(hf.Hyp, hf.Focus) {
-			continue
-		}
-		n, _ := c.shg.addChild(root, h, hf.Focus, now)
-		if n.State == StatePending {
-			n.Priority = High
-			n.Persistent = true
-			if !c.inPending(n) {
-				c.pending = append(c.pending, n)
-			}
-		}
-	}
+	c.search.Seed(now)
 	c.activate(now)
 	return nil
-}
-
-func (c *Consultant) inPending(n *Node) bool {
-	for _, x := range c.pending {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
-
-// spawn creates (or links) a child node under parent, applying prune and
-// priority directives.
-func (c *Consultant) spawn(parent *Node, h *Hypothesis, f resource.Focus, now float64) {
-	if c.shg.Len() >= c.cfg.MaxNodes {
-		return
-	}
-	if c.guid.prune(h.Name, f) {
-		n, created := c.shg.addChild(parent, h, f, now)
-		if created {
-			n.State = StatePruned
-		}
-		return
-	}
-	n, created := c.shg.addChild(parent, h, f, now)
-	if !created {
-		return
-	}
-	n.Priority = c.guid.priority(h.Name, f)
-	if n.Priority == High {
-		n.Persistent = true
-	}
-	c.pending = append(c.pending, n)
 }
 
 // Tick advances the search at virtual time now: concluded nodes are
@@ -277,95 +138,31 @@ func (c *Consultant) evaluate(n *Node, now float64) bool {
 	if n.probe.ObservedWindow(now) < c.cfg.TestInterval {
 		return false
 	}
+	var value float64
 	if c.cfg.RecencyWindow > 0 {
-		n.Value = n.probe.ValueOver(now, c.cfg.RecencyWindow)
+		value = n.probe.ValueOver(now, c.cfg.RecencyWindow)
 	} else {
-		n.Value = n.probe.Value(now)
+		value = n.probe.Value(now)
 	}
-	n.Threshold = c.Threshold(n.Hyp)
-	isTrue := n.Value > n.Threshold
-
-	if n.Persistent {
-		// Persistent (High-priority) nodes keep being tested after their
-		// first conclusion; one that turns true later is refined at that
-		// point. When other pairs are starved for instrumentation budget,
-		// a concluded persistent probe yields its slot.
-		if isTrue && n.State != StateTrue {
-			n.State = StateTrue
-			n.ConcludedAt = now
-			c.refine(n, now)
-		} else if !isTrue && n.State != StateFalse {
-			// Persistent testing tracks the application: a conclusion may
-			// flip either way as behaviour changes (most visibly with a
-			// recency window configured).
-			n.State = StateFalse
-			n.ConcludedAt = now
-		}
-		if c.stalled && c.pendingWork() && (n.State == StateTrue || n.State == StateFalse) {
-			// The cost limit is starving other pairs: yield the slot.
-			c.inst.Remove(n.probe, now)
-			return true
-		}
+	// A persistent (High-priority) pair's conclusion may flip either way
+	// as the application's behaviour changes (most visibly with a recency
+	// window configured); one that turns true later is refined then.
+	c.search.Conclude(n, value, now)
+	if n.Persistent && !(c.stalled && c.search.Waiting()) {
 		return false // stays under observation
 	}
-
-	n.ConcludedAt = now
-	if isTrue {
-		n.State = StateTrue
-		c.refine(n, now)
-		// The parent's conclusion is drawn; its instrumentation is
-		// deleted once its children are generated so the cost budget
-		// tracks the search frontier.
-		c.inst.Remove(n.probe, now)
-		return true
-	}
-	n.State = StateFalse
+	// A non-persistent pair's instrumentation is deleted once its
+	// conclusion is drawn (and its children generated), so the cost budget
+	// tracks the search frontier; a persistent one yields its slot only
+	// while the cost limit is starving other pairs.
 	c.inst.Remove(n.probe, now)
 	return true
-}
-
-// refine expands a true node: a more specific hypothesis at the same
-// focus, and a more specific focus (one edge down each relevant
-// hierarchy) for the same hypothesis.
-func (c *Consultant) refine(n *Node, now float64) {
-	if n.refined {
-		return
-	}
-	n.refined = true
-	for _, ch := range n.Hyp.Children {
-		c.spawn(n, ch, n.Focus, now)
-	}
-	for _, hierName := range n.Hyp.RelevantHierarchies {
-		for _, f := range n.Focus.Children(hierName) {
-			c.spawn(n, n.Hyp, f, now)
-		}
-	}
 }
 
 // activate starts instrumentation for pending nodes in priority order
 // while the cost limit allows.
 func (c *Consultant) activate(now float64) {
-	if len(c.pending) == 0 {
-		return
-	}
-	sort.SliceStable(c.pending, func(i, j int) bool {
-		a, b := c.pending[i], c.pending[j]
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		if c.cfg.Policy == DepthFirst {
-			if da, db := a.Focus.Depth(), b.Focus.Depth(); da != db {
-				return da > db
-			}
-			return a.seq > b.seq // most recently spawned first
-		}
-		return a.seq < b.seq
-	})
-	var rest []*Node
-	for i, n := range c.pending {
-		if n.State != StatePending {
-			continue
-		}
+	for _, n := range c.search.Pending() {
 		add := c.inst.CostOf(n.Hyp.Metric, n.Focus)
 		if add > c.cfg.CostLimit {
 			// This pair can never fit the instrumentation budget, even
@@ -379,8 +176,7 @@ func (c *Consultant) activate(now float64) {
 				c.stalled = true
 				c.stallEvents++
 			}
-			rest = append(rest, c.pending[i:]...)
-			break
+			return
 		}
 		c.stalled = false
 		probe, err := c.inst.Request(n.Hyp.Metric, n.Focus, now)
@@ -397,37 +193,17 @@ func (c *Consultant) activate(now float64) {
 		c.testedPairs++
 		c.testing = append(c.testing, n)
 	}
-	c.pending = rest
-}
-
-// pendingWork reports whether any pair is still waiting for an
-// instrumentation slot.
-func (c *Consultant) pendingWork() bool {
-	for _, n := range c.pending {
-		if n.State == StatePending {
-			return true
-		}
-	}
-	return false
 }
 
 // Quiesced reports whether the search has nothing left to do: no pending
 // pairs and no non-persistent node still awaiting a conclusion.
 func (c *Consultant) Quiesced() bool {
-	if !c.started {
+	if !c.started || c.search.Waiting() {
 		return false
 	}
-	for _, n := range c.pending {
-		if n.State == StatePending {
-			return false
-		}
-	}
 	for _, n := range c.testing {
-		if !n.Persistent {
-			return false
-		}
-		if n.State == StatePending || n.State == StateTesting {
-			return false // persistent node not yet concluded once
+		if !n.Persistent || n.State == StateTesting {
+			return false // a persistent node must have concluded once
 		}
 	}
 	return true
@@ -436,7 +212,7 @@ func (c *Consultant) Quiesced() bool {
 // Bottlenecks returns the true nodes ordered by conclusion time, excluding
 // the trivially true root.
 func (c *Consultant) Bottlenecks() []*Node {
-	all := c.shg.TrueNodes()
+	all := c.search.SHG().TrueNodes()
 	out := make([]*Node, 0, len(all))
 	for _, n := range all {
 		if n.Hyp.Name == TopLevelHypothesis {

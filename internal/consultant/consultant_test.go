@@ -177,7 +177,7 @@ func TestHighPriorityPairsStartImmediately(t *testing.T) {
 	// Build the high pair against the rig's space.
 	tag, _ := r.sp.Find("/SyncObject/Message/tag_3_0")
 	deep := r.sp.WholeProgram().MustWithSelection(tag)
-	r.c.guid.HighPairs = []HF{{Hyp: ExcessiveSync, Focus: deep}}
+	r.c.search.guid.HighPairs = []HF{{Hyp: ExcessiveSync, Focus: deep}}
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}

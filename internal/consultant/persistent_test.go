@@ -18,7 +18,7 @@ func TestPersistentNodeFlipsTrueLater(t *testing.T) {
 	io, _ := r.sp.Find("/Code/oned.f/setup")
 	_ = io
 	whole := r.sp.WholeProgram()
-	r.c.guid.HighPairs = []HF{{Hyp: ExcessiveIO, Focus: whole}}
+	r.c.search.guid.HighPairs = []HF{{Hyp: ExcessiveIO, Focus: whole}}
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestHighPairOnPrunedFocusIsSkipped(t *testing.T) {
 	r := newRig(t, cfg, Guidance{})
 	tag, _ := r.sp.Find("/SyncObject/Message/tag_3_0")
 	deep := r.sp.WholeProgram().MustWithSelection(tag)
-	r.c.guid.HighPairs = []HF{{Hyp: ExcessiveSync, Focus: deep}}
-	r.c.guid.Prune = func(hyp string, f resource.Focus) bool { return f.Equal(deep) }
+	r.c.search.guid.HighPairs = []HF{{Hyp: ExcessiveSync, Focus: deep}}
+	r.c.search.guid.Prune = func(hyp string, f resource.Focus) bool { return f.Equal(deep) }
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 	cfg.RecencyWindow = 3.0
 	r := newRig(t, cfg, Guidance{})
 	whole := r.sp.WholeProgram()
-	r.c.guid.HighPairs = []HF{{Hyp: ExcessiveIO, Focus: whole}}
+	r.c.search.guid.HighPairs = []HF{{Hyp: ExcessiveIO, Focus: whole}}
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 	// t=14 (10s of I/O over 14s x 2 procs = 0.36 > 0.1).
 	cfg2 := defaultTestConfig()
 	r2 := newRig(t, cfg2, Guidance{})
-	r2.c.guid.HighPairs = []HF{{Hyp: ExcessiveIO, Focus: r2.sp.WholeProgram()}}
+	r2.c.search.guid.HighPairs = []HF{{Hyp: ExcessiveIO, Focus: r2.sp.WholeProgram()}}
 	if err := r2.c.Start(0); err != nil {
 		t.Fatal(err)
 	}

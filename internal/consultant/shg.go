@@ -97,13 +97,18 @@ type Node struct {
 	probe   *dyninst.Probe
 	refined bool
 	seq     int
+	key     string
 
 	parents  []*Node
 	children []*Node
 }
 
 // Key returns the node's unique SHG key.
-func (n *Node) Key() string { return NodeKey(n.Hyp.Name, n.Focus) }
+func (n *Node) Key() string { return n.key }
+
+// FocusName returns the canonical name of the node's focus: the part of
+// the key after the hypothesis name.
+func (n *Node) FocusName() string { return n.key[len(n.Hyp.Name)+1:] }
 
 // NodeKey builds the SHG key for a (hypothesis name : focus) pair.
 func NodeKey(hyp string, focus resource.Focus) string {
@@ -139,8 +144,9 @@ type SHG struct {
 	order []*Node
 }
 
-// NewSHG creates a graph with the given root node.
-func NewSHG(root *Node) *SHG {
+// newSHG creates a graph whose root, true by definition, is (hyp : focus).
+func newSHG(hyp *Hypothesis, focus resource.Focus) *SHG {
+	root := &Node{Hyp: hyp, Focus: focus, State: StateTrue, Priority: Medium, key: NodeKey(hyp.Name, focus)}
 	g := &SHG{root: root, nodes: make(map[string]*Node)}
 	g.insert(root)
 	return g
@@ -167,7 +173,7 @@ func (g *SHG) Len() int { return len(g.order) }
 
 func (g *SHG) insert(n *Node) {
 	n.seq = len(g.order)
-	g.nodes[n.Key()] = n
+	g.nodes[n.key] = n
 	g.order = append(g.order, n)
 }
 
@@ -189,6 +195,7 @@ func (g *SHG) addChild(parent *Node, hyp *Hypothesis, focus resource.Focus, now 
 		Priority:  Medium,
 		CreatedAt: now,
 		parents:   []*Node{parent},
+		key:       key,
 	}
 	parent.children = append(parent.children, n)
 	g.insert(n)

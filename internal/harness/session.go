@@ -227,7 +227,7 @@ func RunSession(a *app.App, cfg SessionConfig) (*SessionResult, error) {
 			FoundAt: n.ConcludedAt,
 		})
 	}
-	res.Record = history.FromRun(a.Name, a.Version, cfg.RunID, space, pc,
+	res.Record = history.FromRun(a.Name, a.Version, cfg.RunID, space, pc.SHG(), pc.TestedPairs(),
 		usage.Fractions(t), procNodes, t)
 	return res, nil
 }

@@ -51,49 +51,45 @@ type RunRecord struct {
 	TrueCount   int `json:"true_count"`
 }
 
-// FromRun builds a record from a finished (or stopped) consultant search.
+// FromRun assembles the record of a finished (or stopped) search — an
+// online session's or a trace diagnosis's — from its Search History
+// Graph and the number of pairs it instrumented. The record keeps the
+// usage and procNodes maps it is given.
 func FromRun(appName, version, runID string, space *resource.Space,
-	c *consultant.Consultant, usage map[string]float64, procNodes map[string]string,
+	shg *consultant.SHG, tested int, usage map[string]float64, procNodes map[string]string,
 	duration float64) *RunRecord {
 
 	rec := &RunRecord{
-		App:       appName,
-		Version:   version,
-		RunID:     runID,
-		Duration:  duration,
-		Resources: make(map[string][]string),
-		ProcNodes: make(map[string]string, len(procNodes)),
-		Usage:     make(map[string]float64, len(usage)),
+		App:         appName,
+		Version:     version,
+		RunID:       runID,
+		Duration:    duration,
+		Resources:   make(map[string][]string),
+		ProcNodes:   procNodes,
+		Usage:       usage,
+		PairsTested: tested,
 	}
 	for _, h := range space.Hierarchies() {
 		rec.Resources[h.Name()] = h.Paths()
 	}
-	for k, v := range procNodes {
-		rec.ProcNodes[k] = v
-	}
-	for k, v := range usage {
-		rec.Usage[k] = v
-	}
-	for _, n := range c.SHG().Nodes() {
-		if n.Hyp.Name == consultant.TopLevelHypothesis {
+	for _, n := range shg.Nodes() {
+		if n == shg.Root() {
 			continue
 		}
-		nr := NodeResult{
+		rec.Results = append(rec.Results, NodeResult{
 			Hyp:         n.Hyp.Name,
-			Focus:       n.Focus.Name(),
+			Focus:       n.FocusName(),
 			State:       n.State.String(),
 			Value:       n.Value,
 			Threshold:   n.Threshold,
 			ConcludedAt: n.ConcludedAt,
 			Priority:    n.Priority.String(),
 			Persistent:  n.Persistent,
-		}
-		rec.Results = append(rec.Results, nr)
+		})
 		if n.State == consultant.StateTrue {
 			rec.TrueCount++
 		}
 	}
-	rec.PairsTested = c.TestedPairs()
 	return rec
 }
 

@@ -33,6 +33,24 @@ func NewUsageCollector(nprocs int) *UsageCollector {
 	}
 }
 
+// UsagePaths lists the resource paths an interval's time is charged to:
+// its module and function, its process and node, and — for tagged
+// communication — the message class and the tag.
+func UsagePaths(iv *sim.Interval) []string {
+	paths := make([]string, 0, 6)
+	if iv.Module != "" {
+		paths = append(paths, "/"+resource.HierCode+"/"+iv.Module)
+		if iv.Function != "" {
+			paths = append(paths, "/"+resource.HierCode+"/"+iv.Module+"/"+iv.Function)
+		}
+	}
+	paths = append(paths, "/"+resource.HierProcess+"/"+iv.Process, "/"+resource.HierMachine+"/"+iv.Node)
+	if iv.Tag != "" {
+		paths = append(paths, "/"+resource.HierSyncObject+"/Message", "/"+resource.HierSyncObject+"/Message/"+iv.Tag)
+	}
+	return paths
+}
+
 // OnInterval implements sim.Observer. Every path receives its additions
 // in interval order, so its sum does not depend on how labels are
 // resolved.
@@ -44,36 +62,17 @@ func (u *UsageCollector) OnInterval(iv sim.Interval) {
 	k := usageLabels{iv.Module, iv.Function, iv.Process, iv.Node, iv.Tag}
 	accs, ok := u.seen[k]
 	if !ok {
-		accs = u.resolve(k)
+		for _, path := range UsagePaths(&iv) {
+			if u.seconds[path] == nil {
+				u.seconds[path] = new(float64)
+			}
+			accs = append(accs, u.seconds[path])
+		}
 		u.seen[k] = accs
 	}
 	for _, acc := range accs {
 		*acc += d
 	}
-}
-
-// resolve returns the accumulators of the paths an interval labelled k
-// is charged to.
-func (u *UsageCollector) resolve(k usageLabels) []*float64 {
-	paths := make([]string, 0, 6)
-	if k.module != "" {
-		paths = append(paths, "/"+resource.HierCode+"/"+k.module)
-		if k.function != "" {
-			paths = append(paths, "/"+resource.HierCode+"/"+k.module+"/"+k.function)
-		}
-	}
-	paths = append(paths, "/"+resource.HierProcess+"/"+k.process, "/"+resource.HierMachine+"/"+k.node)
-	if k.tag != "" {
-		paths = append(paths, "/"+resource.HierSyncObject+"/Message", "/"+resource.HierSyncObject+"/Message/"+k.tag)
-	}
-	accs := make([]*float64, len(paths))
-	for i, path := range paths {
-		if u.seconds[path] == nil {
-			u.seconds[path] = new(float64)
-		}
-		accs[i] = u.seconds[path]
-	}
-	return accs
 }
 
 // Fractions returns per-path fractions of total execution time

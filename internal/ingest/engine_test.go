@@ -178,6 +178,31 @@ func TestEngineIncrementalProgress(t *testing.T) {
 	}
 }
 
+// TestMalformedWatchNeverConcludes: a watch is met by a true pair one of
+// whose selections is exactly the watched path. Each of these is a
+// suffix of a real selection path of an mw stream ("/Machine/node",
+// "/Code/mw.c"), and under a substring match reported a bogus
+// steps-to-signature of 1, 1 and 5. The engine validates nothing (the
+// manager's Start does); it must simply never find them.
+func TestMalformedWatchNeverConcludes(t *testing.T) {
+	samples := collectSamples(t, "mw", 11, 20)
+	for _, path := range []string{"", "ode", "/mw.c"} {
+		eng := ingest.NewEngine("mw", "", "r0", ingest.EngineOptions{EvalBudget: 24,
+			Watch: []ingest.Watch{{Hyp: "CPUbound", Path: path}}})
+		for i := 0; i < len(samples); i += 64 {
+			if err := eng.Feed(samples[i:min(i+64, len(samples))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if eng.TrueCount() == 0 {
+			t.Fatal("the search never ran")
+		}
+		if eng.WatchSteps() != 0 {
+			t.Errorf("watch on path %q concluded at step %d", path, eng.WatchSteps())
+		}
+	}
+}
+
 // TestEngineRejectsBadSamples covers the validation path. Every bad
 // sample is sent twice: a label set is remembered only once the space
 // admitted it, so a resend is rejected by the same check again.

@@ -3,25 +3,21 @@ package ingest
 import (
 	"fmt"
 	"io"
-	"sort"
+
+	"repro/internal/consultant"
 )
 
 // WriteLiveState renders everything the live search has decided so far,
 // for the external test package: the counters, then every pair ever
-// queued, in creation order, as "key priority state". A pair that could
-// not be measured reads "false", as the batch path records it.
+// queued, in creation order, as "key priority state". Pruned pairs —
+// which the graph records and the engine's first search loop never
+// stored — are left out, so testdata/diagnosis.golden reads the same
+// from either.
 func WriteLiveState(w io.Writer, e *Engine) {
 	fmt.Fprintf(w, "%d %d %d\n", e.Steps(), e.TrueCount(), e.WatchSteps())
-	pairs := make([]*pairNode, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		pairs = append(pairs, n)
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].seq < pairs[j].seq })
-	for _, n := range pairs {
-		state := n.state
-		if state == "error" {
-			state = "false"
+	for _, n := range e.search.SHG().Nodes()[1:] {
+		if n.State != consultant.StatePruned {
+			fmt.Fprintf(w, "%s %v %v\n", n.Key(), n.Priority, n.State)
 		}
-		fmt.Fprintf(w, "%s %v %s\n", n.key, n.prio, state)
 	}
 }

@@ -2,108 +2,107 @@ package ingest
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/consultant"
 	"repro/internal/core"
 	"repro/internal/postmortem"
 )
 
-// refEngine drives an Engine's state with the advance of the commit
-// before enumeration became conditional: the High pairs are re-seeded
-// and every true pair re-expanded on every pass, whether or not the
-// batch discovered a resource. It is the reference the engine's
-// "only when the space grew" pass is held to.
+// refEngine is the live search as it ran before enumeration became
+// conditional, written as its own loop over a consultant.Search: the
+// guidance is recompiled when the space grew, but the High pairs are
+// re-seeded and every true pair re-refined on every pass, whether or not
+// the batch discovered a resource, and the whole watch list is checked
+// against every true pair each time one is added. It is the reference
+// the engine's "only when the space grew" pass, and its "only the newly
+// true pair, only the open watches" check, are held to.
 type refEngine struct {
-	*Engine
-	minData float64
-	guidAt  int
-	seeded  bool
+	opts   EngineOptions
+	rec    *postmortem.Recorder
+	exec   *postmortem.Execution
+	search *consultant.Search
+	guidAt int
+	trues  []*consultant.Node
+
+	steps, watchSteps int
 }
 
 func newRefEngine(opts EngineOptions) *refEngine {
-	e := NewEngine("late", "", "ref", opts)
-	r := &refEngine{Engine: e, minData: e.opts.MinData, guidAt: -1}
-	// With no amount of data enough, Engine.Feed folds the samples and
-	// its own advance returns at the first check.
-	e.opts.MinData = math.Inf(1)
-	return r
+	exec := postmortem.NewExecution()
+	search, _ := consultant.NewSearch(exec.Space, consultant.StandardHypotheses(), consultant.Guidance{}, consultant.BreadthFirst, 0)
+	return &refEngine{opts: opts, rec: postmortem.NewRecorder(), exec: exec, search: search, guidAt: -1}
 }
 
 func (r *refEngine) Feed(samples []Sample) error {
-	if err := r.Engine.Feed(samples); err != nil {
-		return err
+	for _, s := range samples {
+		iv, err := s.Interval()
+		if err != nil {
+			return err
+		}
+		if err := r.exec.Discover(&iv); err != nil {
+			return err
+		}
+		r.rec.OnInterval(iv)
 	}
-	return r.advance()
-}
-
-func (r *refEngine) advance() error {
-	e := r.Engine
-	if e.rec.End() < r.minData || len(e.procs) == 0 {
+	now := r.rec.End()
+	if now < minData || len(r.exec.Procs) == 0 {
 		return nil
 	}
-	if e.opts.Directives != nil {
-		if sz := e.space.Size(); sz != r.guidAt {
-			e.guid, _ = e.opts.Directives.Guidance(e.space)
-			r.guidAt = sz
-		}
+	if sz := r.exec.Space.Size(); r.opts.Directives != nil && sz != r.guidAt {
+		guid, _ := r.opts.Directives.Guidance(r.exec.Space)
+		r.search.Steer(guid)
+		r.guidAt = sz
 	}
-	if !r.seeded {
-		r.seeded = true
-		for _, h := range e.root.Children {
-			e.enqueue(h, e.space.WholeProgram())
-		}
+	r.search.Seed(now)
+	for _, n := range r.trues {
+		r.search.Refine(n, now)
 	}
-	e.seedHighPairs()
-	for _, n := range e.trues {
-		e.expand(n)
-	}
-	ev, err := postmortem.NewEvaluator(e.space, e.procs, e.rec, e.rec.End())
+	ev, err := postmortem.NewEvaluator(r.exec.Space, r.exec.Procs, r.rec, now)
 	if err != nil {
 		return err
 	}
-	order := make([]*pairNode, len(e.frontier))
-	copy(order, e.frontier)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].prio != order[j].prio {
-			return order[i].prio > order[j].prio
-		}
-		return order[i].seq < order[j].seq
-	})
-	budget := e.opts.EvalBudget
-	for _, n := range order {
+	budget := r.opts.EvalBudget
+	for _, n := range r.search.Pending() {
 		if budget == 0 {
 			break
 		}
-		if n.state != "pending" {
-			continue
-		}
 		budget--
-		e.steps++
-		v, err := ev.Value(n.hyp.Metric, n.focus)
+		r.steps++
+		v, err := ev.Value(n.Hyp.Metric, n.Focus)
 		if err != nil {
-			n.state = "error"
+			r.search.Unmeasurable(n, now)
 			continue
 		}
-		th, ok := e.guid.Thresholds[n.hyp.Name]
-		if !ok {
-			th = n.hyp.DefaultThreshold
-		}
-		if v > th {
-			n.state = "true"
-			e.trues = append(e.trues, n)
-			e.expand(n)
-			if e.watchSteps == 0 && e.watchSatisfied() {
-				e.watchSteps = e.steps
+		if v > r.search.Threshold(n.Hyp) {
+			r.search.Conclude(n, v, now)
+			r.trues = append(r.trues, n)
+			if r.watchSteps == 0 && r.watchSatisfied() {
+				r.watchSteps = r.steps
 			}
 		}
 	}
-	e.compactFrontier()
 	return nil
+}
+
+func (r *refEngine) watchSatisfied() bool {
+	for _, w := range r.opts.Watch {
+		met := false
+		for _, n := range r.trues {
+			for _, h := range r.exec.Space.Hierarchies() {
+				sel, _ := n.Focus.Selection(h.Name())
+				met = met || n.Hyp.Name == w.Hyp && sel.Path() == w.Path
+			}
+		}
+		if !met {
+			return false
+		}
+	}
+	return len(r.opts.Watch) > 0
 }
 
 // Two processes report from the start; at lateFrom a third process on
@@ -161,22 +160,16 @@ func lateDirectives(t *testing.T, samples []Sample) *core.DirectiveSet {
 	return ds
 }
 
-// searchState renders everything the live search has decided: the
-// counters, and every pair ever enqueued with its sequence number,
-// priority and state.
-func searchState(e *Engine) string {
-	keys := make([]string, 0, len(e.nodes))
-	for k := range e.nodes {
-		keys = append(keys, k)
+// searchState renders everything a live search has decided: the
+// counters, the queue's length, and every pair the graph holds with its
+// creation rank, priority and state.
+func searchState(steps, trues, watchSteps int, s *consultant.Search) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "steps %d true %d watch %d queued %d\n", steps, trues, watchSteps, len(s.Pending()))
+	for i, n := range s.SHG().Nodes() {
+		fmt.Fprintf(&b, "%d %s %v %v\n", i, n.Key(), n.Priority, n.State)
 	}
-	sort.Slice(keys, func(i, j int) bool { return e.nodes[keys[i]].seq < e.nodes[keys[j]].seq })
-	var s strings.Builder
-	fmt.Fprintf(&s, "steps %d true %d watch %d frontier %d\n", e.Steps(), e.TrueCount(), e.WatchSteps(), len(e.frontier))
-	for _, k := range keys {
-		n := e.nodes[k]
-		fmt.Fprintf(&s, "%d %s %v %s\n", n.seq, k, n.prio, n.state)
-	}
-	return s.String()
+	return b.String()
 }
 
 // TestLateJoinerRefined is the behaviour the per-batch re-expansion
@@ -207,11 +200,11 @@ func TestLateJoinerRefined(t *testing.T) {
 			"CPUbound </Code/app.c,/Machine,/Process,/SyncObject>",
 			"ExcessiveSyncWaitingTime </Code,/Machine,/Process,/SyncObject/Message>",
 		} {
-			if n := e.nodes[parent]; n == nil || n.state != "true" {
+			if n, ok := e.search.SHG().Lookup(parent); !ok || n.State != consultant.StateTrue {
 				t.Fatalf("%s: parent %s not concluded true before the late joiners report", mode.name, parent)
 			}
 		}
-		if _, ok := e.space.Find("/Process/a:2"); ok {
+		if _, ok := e.exec.Space.Find("/Process/a:2"); ok {
 			t.Fatalf("%s: the late process is already known", mode.name)
 		}
 		feed(samples[early:])
@@ -220,7 +213,7 @@ func TestLateJoinerRefined(t *testing.T) {
 			"CPUbound </Code/app.c/late_fn,/Machine,/Process,/SyncObject>",
 			"ExcessiveSyncWaitingTime </Code,/Machine,/Process,/SyncObject/Message/t9>",
 		} {
-			if n := e.nodes[child]; n == nil || n.state != "true" {
+			if n, ok := e.search.SHG().Lookup(child); !ok || n.State != consultant.StateTrue {
 				t.Errorf("%s: late joiner %s not refined to true (node %+v)", mode.name, child, n)
 			}
 		}
@@ -244,7 +237,8 @@ func agreesWithReference(t *testing.T, samples []Sample, batch int, opts EngineO
 		if err := ref.Feed(b); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := searchState(eng), searchState(ref.Engine); got != want {
+		got := searchState(eng.Steps(), eng.TrueCount(), eng.WatchSteps(), eng.search)
+		if want := searchState(ref.steps, len(ref.trues), ref.watchSteps, ref.search); got != want {
 			t.Errorf("batch %d, budget %d, directed %v: after sample %d the search is at\n%s\nthe reference at\n%s",
 				batch, opts.EvalBudget, opts.Directives != nil, i+len(b), got, want)
 			return false

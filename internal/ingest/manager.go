@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/consultant"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/resource"
 )
 
 // Sentinel errors the service layer maps onto wire statuses.
@@ -42,10 +44,8 @@ type ManagerOptions struct {
 	// nothing for this long — the end-of-stream marker for clients that
 	// died without sending one (<= 0 means 2 minutes).
 	IdleTimeout time.Duration
-	// EvalBudget and MinData tune each stream's engine (see
-	// EngineOptions).
+	// EvalBudget tunes each stream's engine (see EngineOptions).
 	EvalBudget int
-	MinData    float64
 	// HarvestSources caps how many stored runs of (app, version) are
 	// harvested into a new stream's directive set (<= 0 means 8, the
 	// last in canonical order).
@@ -209,6 +209,21 @@ func (m *Manager) Start(req *StartRequest) (*StartResponse, error) {
 	if req.App == "" || req.RunID == "" {
 		return nil, fmt.Errorf("ingest: start needs app and run_id")
 	}
+	// The engine matches a watch by comparison and never looks at its
+	// shape; one that names no possible pair would only never conclude.
+	space, hyps := resource.NewStandardSpace(), consultant.StandardHypotheses()
+	for _, w := range req.Watch {
+		parts, err := resource.SplitPath(w.Path)
+		if err != nil {
+			return nil, fmt.Errorf("ingest: watch %q: %w", w.Hyp, err)
+		}
+		if _, ok := space.Hierarchy(parts[0]); !ok {
+			return nil, fmt.Errorf("ingest: watch path %q is under no resource hierarchy", w.Path)
+		}
+		if hyps.Find(w.Hyp) == nil {
+			return nil, fmt.Errorf("ingest: watch names unknown hypothesis %q", w.Hyp)
+		}
+	}
 	key := StreamKey{App: req.App, Version: req.Version, RunID: req.RunID}
 	if _, err := m.env.Store().Load(req.App, req.Version, req.RunID); err == nil {
 		return nil, fmt.Errorf("ingest: run %s is already finalized in the store", key)
@@ -222,7 +237,6 @@ func (m *Manager) Start(req *StartRequest) (*StartResponse, error) {
 	eng := NewEngine(req.App, req.Version, req.RunID, EngineOptions{
 		Directives: ds,
 		EvalBudget: m.opts.EvalBudget,
-		MinData:    m.opts.MinData,
 		Watch:      req.Watch,
 	})
 	s := &stream{

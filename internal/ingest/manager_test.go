@@ -157,6 +157,21 @@ func TestManagerStartGuards(t *testing.T) {
 	if _, err := m.Start(&StartRequest{App: "x"}); err == nil {
 		t.Error("start without run_id accepted")
 	}
+	// A watch that names no possible pair is refused before a stream
+	// exists: the first three are suffixes of real selection paths, which
+	// the engine once matched by substring.
+	for _, w := range []Watch{
+		{Hyp: "CPUbound", Path: ""}, {Hyp: "CPUbound", Path: "ode"}, {Hyp: "CPUbound", Path: "/mw.c"},
+		{Hyp: "CPUbound", Path: "/Process//mw:1"}, {Hyp: "CPUbound", Path: "/Process/a,b"},
+		{Hyp: "Slow", Path: "/Process/mw:1"},
+	} {
+		if _, err := m.Start(&StartRequest{App: "x", RunID: "r1", Watch: []Watch{{Hyp: "CPUbound", Path: "/Process/mw:1"}, w}}); err == nil {
+			t.Errorf("start with watch %+v accepted", w)
+		}
+	}
+	if m.Snapshot().Started != 0 {
+		t.Error("a refused start opened a stream")
+	}
 	startStream(t, m, "r1")
 	if _, err := m.Start(&StartRequest{App: "x", RunID: "r1"}); !errors.Is(err, ErrStreamExists) {
 		t.Errorf("double start err = %v", err)

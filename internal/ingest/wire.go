@@ -16,82 +16,26 @@
 package ingest
 
 import (
-	"fmt"
-
 	"repro/internal/history"
+	"repro/internal/postmortem"
 	"repro/internal/sim"
 )
 
-// Sample is one attributed activity interval on the wire. The field
-// set and JSON keys are exactly the postmortem trace-file schema
-// (FORMATS.md "Trace files"), so anything that can emit a trace line
-// can report live samples.
-type Sample struct {
-	Proc  string  `json:"proc"`
-	Node  string  `json:"node"`
-	Mod   string  `json:"mod,omitempty"`
-	Fn    string  `json:"fn,omitempty"`
-	Tag   string  `json:"tag,omitempty"`
-	Kind  string  `json:"kind"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-	Msgs  int     `json:"msgs,omitempty"`
-	Bytes int     `json:"bytes,omitempty"`
-	Calls int     `json:"calls,omitempty"`
-}
-
-// KindName renders a sim activity kind in its wire form.
-func KindName(k sim.Kind) string { return k.String() }
-
-// ParseKind parses the wire form of an activity kind.
-func ParseKind(s string) (sim.Kind, error) {
-	switch s {
-	case "cpu":
-		return sim.KindCPU, nil
-	case "sync_wait":
-		return sim.KindSyncWait, nil
-	case "io_wait":
-		return sim.KindIOWait, nil
-	}
-	return 0, fmt.Errorf("ingest: unknown activity kind %q", s)
-}
+// Sample is one attributed activity interval on the wire: the
+// postmortem trace-file line itself (FORMATS.md "Trace files"), with its
+// one validator (Sample.Interval), so anything that can emit a trace
+// line can report live samples.
+type Sample = postmortem.Sample
 
 // FromInterval converts a simulator interval to its wire form.
-func FromInterval(iv sim.Interval) Sample {
-	return Sample{
-		Proc: iv.Process, Node: iv.Node,
-		Mod: iv.Module, Fn: iv.Function, Tag: iv.Tag,
-		Kind:  KindName(iv.Kind),
-		Start: iv.Start, End: iv.End,
-		Msgs: iv.Msgs, Bytes: iv.Bytes, Calls: iv.Calls,
-	}
-}
-
-// Interval converts a wire sample back to a simulator interval.
-func (s Sample) Interval() (sim.Interval, error) {
-	k, err := ParseKind(s.Kind)
-	if err != nil {
-		return sim.Interval{}, err
-	}
-	if s.Proc == "" || s.Node == "" {
-		return sim.Interval{}, fmt.Errorf("ingest: sample missing proc or node")
-	}
-	if s.End < s.Start {
-		return sim.Interval{}, fmt.Errorf("ingest: sample interval ends (%g) before it starts (%g)", s.End, s.Start)
-	}
-	return sim.Interval{
-		Process: s.Proc, Node: s.Node,
-		Module: s.Mod, Function: s.Fn, Tag: s.Tag,
-		Kind:  k,
-		Start: s.Start, End: s.End,
-		Msgs: s.Msgs, Bytes: s.Bytes, Calls: s.Calls,
-	}, nil
-}
+func FromInterval(iv sim.Interval) Sample { return postmortem.FromInterval(iv) }
 
 // Watch names one (hypothesis : selection-path) pair of a workload's
-// known bottleneck signature. The engine reports the number of
-// refinement steps it took until every watched pair had concluded true
-// — the paper's time-to-diagnosis metric in step form.
+// known bottleneck signature: it is met by a true pair of that
+// hypothesis one of whose focus selections is exactly that path. The
+// engine reports the number of refinement steps it took until every
+// watched pair had concluded true — the paper's time-to-diagnosis metric
+// in step form.
 type Watch struct {
 	Hyp  string `json:"hyp"`
 	Path string `json:"path"`

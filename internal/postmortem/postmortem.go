@@ -7,13 +7,14 @@
 // A Recorder captures every activity interval of an execution; an
 // Evaluator then computes the value of any (hypothesis : focus) pair over
 // the whole run, using exactly the normalization the live probes use, and
-// replays the Performance Consultant's top-down refinement offline to
-// produce a history.RunRecord that the ordinary directive harvester
-// (internal/core) accepts unchanged.
+// drives the Performance Consultant's own search (consultant.Search)
+// offline to produce a history.RunRecord that the ordinary directive
+// harvester (internal/core) accepts unchanged.
 package postmortem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/consultant"
@@ -32,6 +33,13 @@ type aggKey struct {
 	module, function string
 	tag              string
 	kind             sim.Kind
+}
+
+// interval returns an interval carrying the combination's labels (and no
+// times or counts): what a matcher, resource discovery and usage
+// attribution read.
+func (k *aggKey) interval() sim.Interval {
+	return sim.Interval{Process: k.process, Node: k.node, Module: k.module, Function: k.function, Tag: k.tag, Kind: k.kind}
 }
 
 // agg is what one attribution combination has accumulated.
@@ -111,48 +119,75 @@ func (r *Recorder) sorted() []*agg {
 	return out
 }
 
+// Execution is where a trace ran, as far as its labels tell: the
+// resource hierarchies they name and the process set.
+type Execution struct {
+	Space *resource.Space
+	Procs []dyninst.ProcEntry // sorted by name
+	nodes map[string]string   // process → the node it reports from
+	known map[labelSet]struct{}
+}
+
+// labelSet is the attribution of one interval: what Discover turns into
+// resources.
+type labelSet struct{ proc, node, mod, fn, tag string }
+
+// NewExecution returns the standard space with nothing discovered yet.
+func NewExecution() *Execution {
+	return &Execution{Space: resource.NewStandardSpace(), nodes: map[string]string{}, known: map[labelSet]struct{}{}}
+}
+
+// Discover adds the resources an interval's labels name, and refuses a
+// process reported from two nodes. Only an admitted label set is
+// remembered: a refused one is refused again, by the same check, every
+// time it is seen — and since a process never changes node, a remembered
+// set needs no second look.
+func (x *Execution) Discover(iv *sim.Interval) error {
+	ls := labelSet{iv.Process, iv.Node, iv.Module, iv.Function, iv.Tag}
+	if _, ok := x.known[ls]; ok {
+		return nil
+	}
+	prev, seen := x.nodes[ls.proc]
+	if seen && prev != ls.node {
+		return fmt.Errorf("postmortem: process %q observed on two nodes (%q, %q)", ls.proc, prev, ls.node)
+	}
+	paths := []string{"/" + resource.HierProcess + "/" + ls.proc, "/" + resource.HierMachine + "/" + ls.node}
+	if ls.mod != "" && ls.fn != "" {
+		paths = append(paths, "/"+resource.HierCode+"/"+ls.mod+"/"+ls.fn)
+	}
+	if ls.tag != "" {
+		paths = append(paths, "/"+resource.HierSyncObject+"/Message/"+ls.tag)
+	}
+	for _, path := range paths {
+		if _, err := x.Space.Add(path); err != nil {
+			return err
+		}
+	}
+	if !seen {
+		x.nodes[ls.proc] = ls.node
+		i := sort.Search(len(x.Procs), func(i int) bool { return x.Procs[i].Name >= ls.proc })
+		x.Procs = slices.Insert(x.Procs, i, dyninst.ProcEntry{Name: ls.proc, Node: ls.node})
+	}
+	x.known[ls] = struct{}{}
+	return nil
+}
+
 // InferExecution reconstructs the execution's resource hierarchies and
-// process set from the trace itself, for traces gathered by external
-// tools where no Paradyn resource discovery ran.
+// process set from the trace itself, in the canonical order of its
+// combinations, for traces gathered by external tools where no Paradyn
+// resource discovery ran.
 func (r *Recorder) InferExecution() (*resource.Space, []dyninst.ProcEntry, error) {
 	if len(r.aggs) == 0 {
 		return nil, nil, fmt.Errorf("postmortem: empty trace")
 	}
-	sp := resource.NewStandardSpace()
-	procNodes := make(map[string]string)
+	x := NewExecution()
 	for _, a := range r.sorted() {
-		k := &a.key
-		if prev, ok := procNodes[k.process]; ok && prev != k.node {
-			return nil, nil, fmt.Errorf("postmortem: process %q observed on two nodes (%q, %q)", k.process, prev, k.node)
-		}
-		procNodes[k.process] = k.node
-		if _, err := sp.Add("/" + resource.HierProcess + "/" + k.process); err != nil {
+		iv := a.key.interval()
+		if err := x.Discover(&iv); err != nil {
 			return nil, nil, err
 		}
-		if _, err := sp.Add("/" + resource.HierMachine + "/" + k.node); err != nil {
-			return nil, nil, err
-		}
-		if k.module != "" && k.function != "" {
-			if _, err := sp.Add("/" + resource.HierCode + "/" + k.module + "/" + k.function); err != nil {
-				return nil, nil, err
-			}
-		}
-		if k.tag != "" {
-			if _, err := sp.Add("/" + resource.HierSyncObject + "/Message/" + k.tag); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
-	procs := make([]dyninst.ProcEntry, 0, len(procNodes))
-	names := make([]string, 0, len(procNodes))
-	for p := range procNodes {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	for _, p := range names {
-		procs = append(procs, dyninst.ProcEntry{Name: p, Node: procNodes[p]})
-	}
-	return sp, procs, nil
+	return x.Space, x.Procs, nil
 }
 
 // Evaluator tests hypotheses over a recorded trace.
@@ -208,14 +243,7 @@ func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) 
 	var secs float64
 	var events int
 	for _, a := range e.aggs {
-		k := &a.key
-		iv := sim.Interval{
-			Process: k.process, Node: k.node,
-			Module: k.module, Function: k.function,
-			Tag: k.tag, Kind: k.kind,
-			Start: 0, End: 1, // matcher ignores times
-		}
-		if !m.Matches(iv) {
+		if !m.Matches(a.key.interval()) {
 			continue
 		}
 		secs += a.seconds
@@ -236,113 +264,53 @@ func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) 
 	return float64(events) / denom, nil
 }
 
-// Evaluate replays the Performance Consultant's top-down search offline:
+// Evaluate runs the Performance Consultant's top-down search offline:
 // starting from each top-level hypothesis at the whole-program focus,
 // true pairs are refined one edge down each relevant hierarchy, false
 // pairs are not. There are no cost limits and no timing — the whole
-// trace is available — so the result is the complete diagnosis the
-// online tool approximates.
-func (e *Evaluator) Evaluate(hypRoot *consultant.Hypothesis, thresholds map[string]float64) ([]history.NodeResult, error) {
-	if hypRoot == nil || len(hypRoot.Children) == 0 {
-		return nil, fmt.Errorf("postmortem: hypothesis root must have children")
+// trace is available — so the Search History Graph it returns is the
+// complete diagnosis the online tool approximates.
+func (e *Evaluator) Evaluate(hypRoot *consultant.Hypothesis, thresholds map[string]float64) (*consultant.SHG, error) {
+	s, err := consultant.NewSearch(e.space, hypRoot, consultant.Guidance{Thresholds: thresholds}, consultant.BreadthFirst, 0)
+	if err != nil {
+		return nil, err
 	}
-	type pair struct {
-		hyp   *consultant.Hypothesis
-		focus resource.Focus
-	}
-	var out []history.NodeResult
-	seen := make(map[string]bool)
-	var queue []pair
-	for _, h := range hypRoot.Children {
-		queue = append(queue, pair{hyp: h, focus: e.space.WholeProgram()})
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		key := consultant.NodeKey(p.hyp.Name, p.focus)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		th, ok := thresholds[p.hyp.Name]
-		if !ok {
-			th = p.hyp.DefaultThreshold
-		}
-		v, err := e.Value(p.hyp.Metric, p.focus)
-		if err != nil {
-			// Unmeasurable pair (focus too deep): record as false.
-			out = append(out, history.NodeResult{
-				Hyp: p.hyp.Name, Focus: p.focus.Name(), State: "false",
-				Threshold: th, Priority: consultant.Medium.String(),
-			})
-			continue
-		}
-		state := "false"
-		if v > th {
-			state = "true"
-			for _, ch := range p.hyp.Children {
-				queue = append(queue, pair{hyp: ch, focus: p.focus})
-			}
-			for _, hierName := range p.hyp.RelevantHierarchies {
-				for _, f := range p.focus.Children(hierName) {
-					queue = append(queue, pair{hyp: p.hyp, focus: f})
-				}
+	s.Seed(0)
+	for queue := s.Pending(); len(queue) > 0; queue = s.Pending() {
+		for _, n := range queue {
+			if v, err := e.Value(n.Hyp.Metric, n.Focus); err != nil {
+				s.Unmeasurable(n, 0) // focus too deep for the metric
+			} else {
+				s.Conclude(n, v, 0)
 			}
 		}
-		out = append(out, history.NodeResult{
-			Hyp: p.hyp.Name, Focus: p.focus.Name(), State: state,
-			Value: v, Threshold: th, Priority: consultant.Medium.String(),
-		})
 	}
-	return out, nil
+	return s.SHG(), nil
 }
 
 // BuildRecord evaluates the trace and packages everything as a
 // history.RunRecord, so that core.Harvest extracts directives from
 // postmortem data exactly as it does from an online run.
 func (e *Evaluator) BuildRecord(appName, version, runID string, thresholds map[string]float64) (*history.RunRecord, error) {
-	results, err := e.Evaluate(consultant.StandardHypotheses(), thresholds)
+	shg, err := e.Evaluate(consultant.StandardHypotheses(), thresholds)
 	if err != nil {
 		return nil, err
 	}
-	rec := &history.RunRecord{
-		App: appName, Version: version, RunID: runID,
-		Duration:  e.elapsed,
-		Resources: make(map[string][]string),
-		ProcNodes: make(map[string]string, len(e.procs)),
-		Usage:     make(map[string]float64),
-		Results:   results,
-	}
-	for _, h := range e.space.Hierarchies() {
-		rec.Resources[h.Name()] = h.Paths()
-	}
+	procNodes := make(map[string]string, len(e.procs))
 	for _, pe := range e.procs {
-		rec.ProcNodes[pe.Name] = pe.Node
+		procNodes[pe.Name] = pe.Node
 	}
 	// Per-resource usage fractions from the aggregated trace (the same
 	// quantities history.UsageCollector derives online).
+	usage := make(map[string]float64)
 	denom := e.elapsed * float64(len(e.procs))
 	for _, a := range e.aggs {
-		k := &a.key
-		frac := a.seconds / denom
-		if k.module != "" {
-			rec.Usage["/"+resource.HierCode+"/"+k.module] += frac
-			if k.function != "" {
-				rec.Usage["/"+resource.HierCode+"/"+k.module+"/"+k.function] += frac
-			}
-		}
-		rec.Usage["/"+resource.HierProcess+"/"+k.process] += frac
-		rec.Usage["/"+resource.HierMachine+"/"+k.node] += frac
-		if k.tag != "" {
-			rec.Usage["/"+resource.HierSyncObject+"/Message"] += frac
-			rec.Usage["/"+resource.HierSyncObject+"/Message/"+k.tag] += frac
+		iv := a.key.interval()
+		for _, path := range history.UsagePaths(&iv) {
+			usage[path] += a.seconds / denom
 		}
 	}
-	for _, nr := range results {
-		if nr.State == "true" {
-			rec.TrueCount++
-		}
-	}
+	rec := history.FromRun(appName, version, runID, e.space, shg, 0, usage, procNodes, e.elapsed)
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package postmortem
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/consultant"
@@ -121,13 +123,13 @@ func TestEvaluatorValidation(t *testing.T) {
 
 func TestEvaluateRefinesTopDown(t *testing.T) {
 	ev, _ := newEvaluator(t)
-	results, err := ev.Evaluate(consultant.StandardHypotheses(), nil)
+	shg, err := ev.Evaluate(consultant.StandardHypotheses(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byKey := map[string]string{}
-	for _, nr := range results {
-		byKey[nr.Hyp+" "+nr.Focus] = nr.State
+	for _, n := range shg.Nodes() {
+		byKey[n.Key()] = n.State.String()
 	}
 	whole := "</Code,/Machine,/Process,/SyncObject>"
 	if byKey[consultant.CPUBound+" "+whole] != "true" {
@@ -150,12 +152,33 @@ func TestEvaluateRefinesTopDown(t *testing.T) {
 	if _, ok := byKey[consultant.ExcessiveIO+" </Code/oned.f,/Machine,/Process,/SyncObject>"]; ok {
 		t.Error("false IO node was refined")
 	}
-	// Thresholds override.
-	results2, _ := ev.Evaluate(consultant.StandardHypotheses(), map[string]float64{consultant.ExcessiveSync: 0.9})
-	for _, nr := range results2 {
-		if nr.Hyp == consultant.ExcessiveSync && nr.Focus == whole && nr.State != "false" {
-			t.Error("threshold override not applied")
+	// The diagnosis leaves the Performance Consultant's own graph behind:
+	// a pair reachable by two refinements is one node under both parents.
+	byProc := consultant.ExcessiveSync + " </Code,/Machine,/Process/p2,/SyncObject>"
+	byMsg := consultant.ExcessiveSync + " </Code,/Machine,/Process,/SyncObject/Message>"
+	shared, ok := shg.Lookup(consultant.ExcessiveSync + " </Code,/Machine,/Process/p2,/SyncObject/Message>")
+	if !ok {
+		t.Fatal("the pair under both the p2 and the Message refinement is missing")
+	}
+	var parents []string
+	for _, p := range shared.Parents() {
+		parents = append(parents, p.Key())
+	}
+	if !slices.Equal(parents, []string{byProc, byMsg}) {
+		t.Errorf("shared pair's parents = %q, want the p2 and the Message refinements", parents)
+	}
+	if shg.Root().State != consultant.StateTrue || len(shg.Root().Children()) != 3 {
+		t.Errorf("root is %v with %d children", shg.Root().State, len(shg.Root().Children()))
+	}
+	for what, text := range map[string]string{"Render": shg.Render(), "DOT": shg.DOT()} {
+		if !strings.Contains(text, "/Process/p2,/SyncObject/Message>") || !strings.Contains(text, consultant.ExcessiveIO) {
+			t.Errorf("%s does not print the trace diagnosis:\n%s", what, text)
 		}
+	}
+	// Thresholds override.
+	shg2, _ := ev.Evaluate(consultant.StandardHypotheses(), map[string]float64{consultant.ExcessiveSync: 0.9})
+	if n, ok := shg2.Lookup(consultant.ExcessiveSync + " " + whole); !ok || n.State != consultant.StateFalse || n.Threshold != 0.9 {
+		t.Errorf("threshold override not applied: %+v", n)
 	}
 }
 
@@ -200,15 +223,15 @@ func TestEvaluateWithExtendedHypotheses(t *testing.T) {
 	ev, _ := newEvaluator(t)
 	// Lower the message-rate threshold below the trace's actual rate so
 	// the sub-hypothesis under ExcessiveSyncWaitingTime tests true.
-	results, err := ev.Evaluate(consultant.ExtendedHypotheses(),
+	shg, err := ev.Evaluate(consultant.ExtendedHypotheses(),
 		map[string]float64{consultant.FrequentMessages: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	whole := "</Code,/Machine,/Process,/SyncObject>"
 	seen := map[string]string{}
-	for _, nr := range results {
-		seen[nr.Hyp+" "+nr.Focus] = nr.State
+	for _, n := range shg.Nodes() {
+		seen[n.Key()] = n.State.String()
 	}
 	if seen[consultant.FrequentMessages+" "+whole] != "true" {
 		t.Error("child hypothesis not evaluated postmortem")

@@ -9,13 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The trace file format: one JSON object per line, each one activity
-// interval. This is the interchange point with "different monitoring
-// tools": anything that can emit attributed intervals can feed the
-// postmortem evaluator.
-
-// traceLine is the serialized form of one interval.
-type traceLine struct {
+// Sample is the serialized form of one attributed activity interval:
+// one line of a trace file (one JSON object per line), one element of a
+// streamed sample batch. It is the interchange point with "different
+// monitoring tools": anything that can emit attributed intervals can
+// feed the postmortem evaluator, from a file or live.
+type Sample struct {
 	Proc  string  `json:"proc"`
 	Node  string  `json:"node"`
 	Mod   string  `json:"mod,omitempty"`
@@ -29,18 +28,39 @@ type traceLine struct {
 	Calls int     `json:"calls,omitempty"`
 }
 
-func kindName(k sim.Kind) string { return k.String() }
-
-func kindFromName(s string) (sim.Kind, error) {
-	switch s {
-	case "cpu":
-		return sim.KindCPU, nil
-	case "sync_wait":
-		return sim.KindSyncWait, nil
-	case "io_wait":
-		return sim.KindIOWait, nil
+// FromInterval converts a simulator interval to its serialized form; the
+// kind is spelled as sim.Kind prints it.
+func FromInterval(iv sim.Interval) Sample {
+	return Sample{
+		Proc: iv.Process, Node: iv.Node,
+		Mod: iv.Module, Fn: iv.Function, Tag: iv.Tag,
+		Kind: iv.Kind.String(), Start: iv.Start, End: iv.End,
+		Msgs: iv.Msgs, Bytes: iv.Bytes, Calls: iv.Calls,
 	}
-	return 0, fmt.Errorf("postmortem: unknown activity kind %q", s)
+}
+
+// Interval validates a sample and converts it back to a simulator
+// interval.
+func (s Sample) Interval() (sim.Interval, error) {
+	// sim.Kind.String is the one table of kind names; this inverts it.
+	kind := sim.KindCPU
+	for ; kind.String() != s.Kind; kind++ {
+		if kind == sim.KindIOWait {
+			return sim.Interval{}, fmt.Errorf("postmortem: unknown activity kind %q", s.Kind)
+		}
+	}
+	if s.Proc == "" || s.Node == "" {
+		return sim.Interval{}, fmt.Errorf("postmortem: sample missing proc or node")
+	}
+	if s.End < s.Start {
+		return sim.Interval{}, fmt.Errorf("postmortem: sample interval ends (%g) before it starts (%g)", s.End, s.Start)
+	}
+	return sim.Interval{
+		Process: s.Proc, Node: s.Node,
+		Module: s.Mod, Function: s.Fn, Tag: s.Tag,
+		Kind: kind, Start: s.Start, End: s.End,
+		Msgs: s.Msgs, Bytes: s.Bytes, Calls: s.Calls,
+	}, nil
 }
 
 // TraceWriter is a sim.Observer that streams every interval to a writer
@@ -61,13 +81,7 @@ func (t *TraceWriter) OnInterval(iv sim.Interval) {
 	if t.err != nil {
 		return
 	}
-	line := traceLine{
-		Proc: iv.Process, Node: iv.Node,
-		Mod: iv.Module, Fn: iv.Function, Tag: iv.Tag,
-		Kind: kindName(iv.Kind), Start: iv.Start, End: iv.End,
-		Msgs: iv.Msgs, Bytes: iv.Bytes, Calls: iv.Calls,
-	}
-	data, err := json.Marshal(line)
+	data, err := json.Marshal(FromInterval(iv))
 	if err != nil {
 		t.err = err
 		return
@@ -102,23 +116,15 @@ func ReadTrace(r io.Reader) (*Recorder, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var line traceLine
+		var line Sample
 		if err := json.Unmarshal(raw, &line); err != nil {
 			return nil, fmt.Errorf("postmortem: trace line %d: %w", lineno, err)
 		}
-		kind, err := kindFromName(line.Kind)
+		iv, err := line.Interval()
 		if err != nil {
 			return nil, fmt.Errorf("postmortem: trace line %d: %w", lineno, err)
 		}
-		if line.End < line.Start || line.Proc == "" || line.Node == "" {
-			return nil, fmt.Errorf("postmortem: trace line %d: malformed interval", lineno)
-		}
-		rec.OnInterval(sim.Interval{
-			Process: line.Proc, Node: line.Node,
-			Module: line.Mod, Function: line.Fn, Tag: line.Tag,
-			Kind: kind, Start: line.Start, End: line.End,
-			Msgs: line.Msgs, Bytes: line.Bytes, Calls: line.Calls,
-		})
+		rec.OnInterval(iv)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -109,6 +109,11 @@ func TestIngestOverHTTP(t *testing.T) {
 	if _, err := plain.IngestStart(ctx, &ingest.StartRequest{App: "mw", RunID: "wire1"}); err == nil {
 		t.Error("restart of a finalized run succeeded")
 	}
+	// A watch that names no possible pair is a bad request.
+	_, err = plain.IngestStart(ctx, &ingest.StartRequest{App: "mw", RunID: "wire2", Watch: []ingest.Watch{{Hyp: "CPUbound", Path: "ode"}}})
+	if !errors.As(err, &se) || se.Status != 400 {
+		t.Errorf("start with a malformed watch: %v", err)
+	}
 	// A double start of an active stream is a conflict.
 	if _, err := plain.IngestStart(ctx, &ingest.StartRequest{App: "mw", RunID: "wire2"}); err != nil {
 		t.Fatal(err)
