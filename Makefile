@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
 	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
 	$(GO) test -fuzz FuzzSampleLine -fuzztime 10s ./internal/postmortem/
+	$(GO) test -fuzz FuzzSamplesRequestMatchesEncodingJSON -fuzztime 10s ./internal/ingest/
 
 clean:
 	$(GO) clean -testcache

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/history"
+	"repro/internal/ingest"
 	"repro/internal/server"
 )
 
@@ -138,18 +139,21 @@ func (c *Client) doRaw(ctx context.Context, method, path string, query url.Value
 	}
 	var payload []byte
 	if body != nil {
-		encode := json.Marshal
-		switch body.(type) {
+		var err error
+		switch body := body.(type) {
 		case *history.RunRecord, server.PutRunsRequest:
 			// The shapes the codec writes directly; the server's strict
 			// decoder reads the canonical form as readily as the compact.
-			encode = server.MarshalCanonical
+			payload, err = server.MarshalCanonical(body)
+		case *ingest.SamplesRequest:
+			// A sample batch, compact as json.Marshal has it.
+			payload, err = ingest.MarshalSamplesRequest(body)
+		default:
+			payload, err = json.Marshal(body)
 		}
-		data, err := encode(body)
 		if err != nil {
 			return nil, fmt.Errorf("client: encode request: %w", err)
 		}
-		payload = data
 	}
 	return c.send(ctx, idempotent, func() ([]byte, error) {
 		return c.once(ctx, method, u, payload, body != nil)

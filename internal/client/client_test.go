@@ -1,8 +1,13 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
@@ -10,6 +15,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/harness"
+	"repro/internal/ingest"
 	"repro/internal/server"
 )
 
@@ -84,5 +90,46 @@ func TestConnectionError(t *testing.T) {
 	var se *client.StatusError
 	if errors.As(err, &se) {
 		t.Fatalf("transport failure decoded as StatusError: %v", err)
+	}
+}
+
+// TestIngestSamplesBodyIsJSONMarshals proves the batch the client puts on
+// the wire is byte for byte what json.Marshal made of it before the
+// direct codec wrote it, and that a sample time JSON cannot spell is
+// refused with encoding/json's error before anything is sent.
+func TestIngestSamplesBodyIsJSONMarshals(t *testing.T) {
+	var bodies [][]byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		bodies = append(bodies, body)
+		w.Write([]byte(`{"accepted":0}`))
+	}))
+	defer ts.Close()
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+
+	reqs := []*ingest.SamplesRequest{
+		{App: "mw", Version: "<v>", RunID: "r ", Seq: 3, Samples: []ingest.Sample{
+			{Proc: "mw:1", Node: "n01", Mod: "worker.c", Fn: "compute", Kind: "cpu", Start: 1e-7, End: 1.5, Calls: 1},
+			{Proc: "mw:0", Node: "n00", Tag: "t\"1", Kind: "sync_wait", Start: 1.5, End: 1e21, Msgs: 1, Bytes: -64},
+		}},
+		{App: "mw", RunID: "r", Seq: 1, Samples: []ingest.Sample{}},
+		{App: "mw", RunID: "r", Seq: 1},
+		nil,
+	}
+	for i, req := range reqs {
+		if _, err := cl.IngestSamples(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(req); len(bodies) != i+1 || !bytes.Equal(bodies[i], want) {
+			t.Fatalf("request %d went out as %s, want %s", i, bodies[len(bodies)-1], want)
+		}
+	}
+
+	bad := &ingest.SamplesRequest{App: "mw", RunID: "r", Seq: 1, Samples: []ingest.Sample{{Proc: "p", Node: "n", Kind: "cpu", End: math.NaN()}}}
+	_, err := cl.IngestSamples(ctx, bad)
+	_, want := json.Marshal(bad)
+	if err == nil || want == nil || err.Error() != "client: encode request: "+want.Error() || len(bodies) != len(reqs) {
+		t.Fatalf("a NaN sample: %v, want encoding/json's %v and nothing sent", err, want)
 	}
 }

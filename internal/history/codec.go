@@ -20,7 +20,10 @@ import (
 // whose meaning needs no interpretation, and bails on everything else —
 // the caller then runs encoding/json over the same bytes, so any input
 // yields encoding/json's value or encoding/json's error. The tests in
-// codec_test.go hold both halves to the standard library.
+// codec_test.go hold both halves to the standard library. The
+// serialized interval (internal/postmortem) and its batch envelope
+// (internal/ingest) are written and read the same way, with this file's
+// appenders and its Decoder.
 
 // ---- encode --------------------------------------------------------
 
@@ -88,11 +91,11 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendFloat appends a finite f the way encoding/json spells a
+// AppendFloat appends a finite f the way encoding/json spells a
 // float64: the shortest decimal that round-trips, in plain notation,
 // or in exponent notation below 1e-6 and from 1e21 with a two-digit
 // exponent's leading zero dropped (e-09 becomes e-9).
-func appendFloat(dst []byte, f float64) []byte {
+func AppendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -188,9 +191,9 @@ func AppendResult(dst []byte, nr *NodeResult, depth int) []byte {
 	dst = AppendString(appendKey(dst, true, depth+1, "hyp"), nr.Hyp)
 	dst = AppendString(appendKey(dst, false, depth+1, "focus"), nr.Focus)
 	dst = AppendString(appendKey(dst, false, depth+1, "state"), nr.State)
-	dst = appendFloat(appendKey(dst, false, depth+1, "value"), nr.Value)
-	dst = appendFloat(appendKey(dst, false, depth+1, "threshold"), nr.Threshold)
-	dst = appendFloat(appendKey(dst, false, depth+1, "concluded_at"), nr.ConcludedAt)
+	dst = AppendFloat(appendKey(dst, false, depth+1, "value"), nr.Value)
+	dst = AppendFloat(appendKey(dst, false, depth+1, "threshold"), nr.Threshold)
+	dst = AppendFloat(appendKey(dst, false, depth+1, "concluded_at"), nr.ConcludedAt)
 	dst = AppendString(appendKey(dst, false, depth+1, "priority"), nr.Priority)
 	if nr.Persistent {
 		dst = append(appendKey(dst, false, depth+1, "persistent"), "true"...)
@@ -210,7 +213,7 @@ func AppendRecord(dst []byte, r *RunRecord, depth int) []byte {
 	dst = AppendString(appendKey(dst, true, depth+1, "app"), r.App)
 	dst = AppendString(appendKey(dst, false, depth+1, "version"), r.Version)
 	dst = AppendString(appendKey(dst, false, depth+1, "run_id"), r.RunID)
-	dst = appendFloat(appendKey(dst, false, depth+1, "duration"), r.Duration)
+	dst = AppendFloat(appendKey(dst, false, depth+1, "duration"), r.Duration)
 	dst = appendKey(dst, false, depth+1, "resources")
 	dst = appendMap(dst, r.Resources, depth+1, func(dst []byte, paths []string) []byte {
 		return AppendArray(dst, len(paths), paths == nil, depth+2, func(dst []byte, i int) []byte {
@@ -224,7 +227,7 @@ func AppendRecord(dst []byte, r *RunRecord, depth int) []byte {
 		return AppendResult(dst, &r.Results[i], depth+2)
 	})
 	dst = appendKey(dst, false, depth+1, "usage")
-	dst = appendMap(dst, r.Usage, depth+1, appendFloat)
+	dst = appendMap(dst, r.Usage, depth+1, AppendFloat)
 	dst = strconv.AppendInt(appendKey(dst, false, depth+1, "pairs_tested"), int64(r.PairsTested), 10)
 	dst = strconv.AppendInt(appendKey(dst, false, depth+1, "true_count"), int64(r.TrueCount), 10)
 	dst = appendIndent(dst, depth)
@@ -391,9 +394,10 @@ func (d *Decoder) Object(fields []string, member func(i int)) {
 	})
 }
 
-// str reads a string literal and returns its decoded bytes, which alias
-// the input or the scratch buffer and are good until the next read.
-func (d *Decoder) str() []byte {
+// StringBytes reads a string literal and returns its decoded bytes,
+// which alias the input or the scratch buffer and are good until the
+// next read.
+func (d *Decoder) StringBytes() []byte {
 	if !d.expect('"') {
 		return nil
 	}
@@ -421,8 +425,8 @@ func (d *Decoder) str() []byte {
 	return nil
 }
 
-// unescape finishes str for a literal that began at start and has its
-// first backslash at i.
+// unescape finishes StringBytes for a literal that began at start and
+// has its first backslash at i.
 func (d *Decoder) unescape(start, i int) []byte {
 	buf := append(d.buf[:0], d.data[start:i]...)
 	for i+1 < len(d.data) { // at a backslash, with a byte after it
@@ -498,7 +502,7 @@ func hex4(b []byte) (r rune) {
 }
 
 // String reads a string into memory of its own.
-func (d *Decoder) String() string { return string(d.str()) }
+func (d *Decoder) String() string { return string(d.StringBytes()) }
 
 // internable are the closed sets the consultant defines — states,
 // priorities, hypothesis names — which most results spell, the ones a
@@ -511,7 +515,7 @@ var internable = [...]string{
 // interned reads a string that is usually one of internable, and then
 // costs no allocation.
 func (d *Decoder) interned() string {
-	b := d.str()
+	b := d.StringBytes()
 	for _, s := range internable {
 		if string(b) == s {
 			return s
@@ -561,8 +565,8 @@ func (d *Decoder) number() []byte {
 	return d.data[start:d.pos]
 }
 
-// float reads a number into a float64 field.
-func (d *Decoder) float() float64 {
+// Float reads a number into a float64 field.
+func (d *Decoder) Float() float64 {
 	f, err := strconv.ParseFloat(string(d.number()), 64)
 	if err != nil { // empty after a bail, or out of range
 		d.bail()
@@ -570,9 +574,9 @@ func (d *Decoder) float() float64 {
 	return f
 }
 
-// integer reads a number into an int field, which takes no fraction
+// Int reads a number into an int field, which takes no fraction
 // and no exponent.
-func (d *Decoder) integer() int {
+func (d *Decoder) Int() int {
 	n, err := strconv.ParseInt(string(d.number()), 10, strconv.IntSize)
 	if err != nil {
 		d.bail()
@@ -609,11 +613,11 @@ func (d *Decoder) Result(nr *NodeResult) {
 		case 2:
 			nr.State = d.interned()
 		case 3:
-			nr.Value = d.float()
+			nr.Value = d.Float()
 		case 4:
-			nr.Threshold = d.float()
+			nr.Threshold = d.Float()
 		case 5:
-			nr.ConcludedAt = d.float()
+			nr.ConcludedAt = d.Float()
 		case 6:
 			nr.Priority = d.interned()
 		case 7:
@@ -637,7 +641,7 @@ func (d *Decoder) Record(r *RunRecord) {
 		case 2:
 			r.RunID = d.String()
 		case 3:
-			r.Duration = d.float()
+			r.Duration = d.Float()
 		case 4:
 			r.Resources = map[string][]string{}
 			d.dict(func(hier string) {
@@ -656,11 +660,11 @@ func (d *Decoder) Record(r *RunRecord) {
 			})
 		case 7:
 			r.Usage = map[string]float64{}
-			d.dict(func(path string) { r.Usage[path] = d.float() })
+			d.dict(func(path string) { r.Usage[path] = d.Float() })
 		case 8:
-			r.PairsTested = d.integer()
+			r.PairsTested = d.Int()
 		case 9:
-			r.TrueCount = d.integer()
+			r.TrueCount = d.Int()
 		}
 	})
 }

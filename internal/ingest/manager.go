@@ -297,7 +297,9 @@ func (m *Manager) harvestFor(app, version string) (*core.DirectiveSet, int) {
 
 // Samples applies one batch to its stream's queue. Resends of an
 // already-accepted seq are acknowledged without effect; a gap is
-// rejected; a full queue answers ErrStreamBusy.
+// rejected; a full queue answers ErrStreamBusy. The queue outlives the
+// call, so Samples takes ownership of req.Samples: a caller that reuses
+// its buffer hands over a copy (LocalSender does).
 func (m *Manager) Samples(req *SamplesRequest) (*SamplesResponse, error) {
 	s, err := m.lookup(req.App, req.Version, req.RunID)
 	if err != nil {
@@ -306,10 +308,6 @@ func (m *Manager) Samples(req *SamplesRequest) (*SamplesResponse, error) {
 	if req.Seq <= 0 {
 		return nil, fmt.Errorf("ingest: batch seq must be positive (got %d)", req.Seq)
 	}
-	// The queue outlives this call; detach the batch from the caller's
-	// buffer (in-process senders reuse theirs between batches).
-	batch := make([]Sample, len(req.Samples))
-	copy(batch, req.Samples)
 	s.mu.Lock()
 	if s.ferr != nil {
 		err := s.ferr
@@ -327,7 +325,7 @@ func (m *Manager) Samples(req *SamplesRequest) (*SamplesResponse, error) {
 		return nil, fmt.Errorf("%w: got batch %d, want %d", ErrOutOfOrder, req.Seq, s.nextSeq)
 	}
 	select {
-	case s.ch <- feedMsg{samples: batch}:
+	case s.ch <- feedMsg{samples: req.Samples}:
 		s.nextSeq++
 		s.lastActive = m.opts.Now()
 	default:

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -25,8 +26,12 @@ func (l LocalSender) IngestStart(_ context.Context, req *StartRequest) (*StartRe
 	return l.M.Start(req)
 }
 
+// IngestSamples hands the manager a copy of the batch: the manager
+// keeps what it is given, and a Reporter refills its buffer.
 func (l LocalSender) IngestSamples(_ context.Context, req *SamplesRequest) (*SamplesResponse, error) {
-	return l.M.Samples(req)
+	own := *req
+	own.Samples = slices.Clone(req.Samples)
+	return l.M.Samples(&own)
 }
 
 func (l LocalSender) IngestEnd(_ context.Context, req *EndRequest) (*EndResponse, error) {

@@ -7,12 +7,15 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/postmortem"
+	"repro/internal/sim"
 )
 
 // FuzzSampleLine feeds arbitrary bytes to the one decoder of a
 // serialized interval, as both of its callers do. As a trace line they
-// must never panic ReadTrace, and a line it accepts, written back by
-// TraceWriter and read again, must aggregate to the same Recorder. As a
+// must never panic ReadTrace, which must accept, refuse and aggregate
+// them exactly as encoding/json and Sample.Interval alone would; a line
+// it accepts, written back by TraceWriter — json.Marshal's bytes — and
+// read again, must aggregate to the same Recorder. As a
 // one-sample batch of a stream, Engine.Feed and Finalize must either
 // return an error or a record that validates.
 func FuzzSampleLine(f *testing.F) {
@@ -34,22 +37,37 @@ func FuzzSampleLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		line, _, _ := bytes.Cut(data, []byte("\n"))
 		rec, err := postmortem.ReadTrace(bytes.NewReader(line))
-		if err != nil || rec.Combinations() == 0 {
+		line = bytes.TrimSuffix(line, []byte("\r")) // as the line scanner does
+		if len(line) == 0 {
 			return
 		}
+		// The line as encoding/json and the validator alone have it: the
+		// strict reader in front of them changes neither verdict nor value.
 		var s postmortem.Sample
-		if err := json.Unmarshal(line, &s); err != nil {
-			t.Fatalf("ReadTrace accepted a line that does not decode: %v", err)
+		var iv sim.Interval
+		wantErr := json.Unmarshal(line, &s)
+		if wantErr == nil {
+			iv, wantErr = s.Interval()
 		}
-		iv, err := s.Interval()
-		if err != nil {
-			t.Fatalf("ReadTrace accepted a sample that does not validate: %v", err)
+		if wantErr != nil {
+			if err == nil || err.Error() != "postmortem: trace line 1: "+wantErr.Error() {
+				t.Fatalf("ReadTrace(%q) = %v, want %v", line, err, wantErr)
+			}
+			return
+		}
+		want := postmortem.NewRecorder()
+		want.OnInterval(iv)
+		if err != nil || !postmortem.SameAggregate(rec, want) {
+			t.Fatalf("ReadTrace(%q) = %v, or not the aggregate of %+v", line, err, iv)
 		}
 		var out bytes.Buffer
 		tw := postmortem.NewTraceWriter(&out)
 		tw.OnInterval(iv)
 		if err := tw.Flush(); err != nil {
 			t.Fatal(err)
+		}
+		if std, err := json.Marshal(postmortem.FromInterval(iv)); err != nil || !bytes.Equal(out.Bytes(), append(std, '\n')) {
+			t.Fatalf("TraceWriter wrote %q, json.Marshal %q (%v)", out.Bytes(), std, err)
 		}
 		again, err := postmortem.ReadTrace(bytes.NewReader(out.Bytes()))
 		if err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -39,7 +38,7 @@ func (s *Server) writeIngestErr(w http.ResponseWriter, err error) {
 
 func (s *Server) handleIngestStart(w http.ResponseWriter, r *http.Request) {
 	var req ingest.StartRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, fmt.Errorf("decode ingest start: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -53,7 +52,7 @@ func (s *Server) handleIngestStart(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
 	var req ingest.SamplesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, fmt.Errorf("decode ingest samples: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -67,7 +66,7 @@ func (s *Server) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 	var req ingest.EndRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, fmt.Errorf("decode ingest end: %w", err), http.StatusBadRequest)
 		return
 	}

@@ -19,7 +19,7 @@ import (
 
 // streamRun drives one simulated run of the named archetype through a
 // Reporter shipping to snd, and returns the finalized end response.
-func streamRun(t *testing.T, snd ingest.Sender, name, runID string, seed int64, maxTime float64) *ingest.EndResponse {
+func streamRun(t testing.TB, snd ingest.Sender, name, runID string, seed int64, maxTime float64) *ingest.EndResponse {
 	t.Helper()
 	a, err := app.Build(name, "", app.Options{})
 	if err != nil {
@@ -44,6 +44,20 @@ func streamRun(t *testing.T, snd ingest.Sender, name, runID string, seed int64, 
 	return resp
 }
 
+// scribbler is an in-process sender whose caller reuses its batch buffer
+// the moment the batch is acknowledged.
+type scribbler struct{ ingest.LocalSender }
+
+func (s scribbler) IngestSamples(ctx context.Context, req *ingest.SamplesRequest) (*ingest.SamplesResponse, error) {
+	resp, err := s.LocalSender.IngestSamples(ctx, req)
+	if err == nil { // a refused batch is resent from the same buffer
+		for i := range req.Samples {
+			req.Samples[i] = ingest.Sample{Proc: "overwritten", Node: "overwritten", Kind: "cpu", End: 1e6}
+		}
+	}
+	return resp, err
+}
+
 // TestIngestOverHTTP proves the wire adds nothing and loses nothing:
 // a run streamed through the HTTP client finalizes into a record
 // byte-identical to the same run streamed through an in-process
@@ -63,11 +77,13 @@ func TestIngestOverHTTP(t *testing.T) {
 	}
 
 	// The same run through an in-process manager, for the byte-identity
-	// claim.
+	// claim — from a sender that overwrites its buffer the moment a batch
+	// is acknowledged: the manager keeps what it is handed, so the sender
+	// that keeps its buffer is the one that copies.
 	env2 := harness.NewEnv(nil)
 	mgr := ingest.NewManager(env2, opts)
 	defer mgr.Close()
-	local := streamRun(t, ingest.LocalSender{M: mgr}, "mw", "wire1", 11, 20)
+	local := streamRun(t, scribbler{ingest.LocalSender{M: mgr}}, "mw", "wire1", 11, 20)
 	if local.Saved != resp.Saved {
 		t.Fatalf("saved keys differ: wire %q, local %q", resp.Saved, local.Saved)
 	}

@@ -73,6 +73,8 @@ func unmarshalStrict(data []byte, out any) bool {
 		return strict(data, out, decodeQuery)
 	case *PutRunsRequest:
 		return strict(data, out, decodePutRuns)
+	case *ingest.SamplesRequest:
+		return ingest.ParseSamplesRequest(data, out)
 	}
 	return false
 }
