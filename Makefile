@@ -123,7 +123,7 @@ ingest:
 # shard primary killed mid-traffic, the follower taking over).
 replicate:
 	$(GO) test -race -run 'TestKillPrimaryFailover|TestKillFollowerMidApply' -v .
-	$(GO) test -race ./internal/replica/
+	$(GO) test -race -short ./internal/replica/
 	$(GO) run ./cmd/pcload -suite replica-failover -check -v
 
 # Automatic failover smoke: SIGKILL the primary process under load with
@@ -131,11 +131,15 @@ replicate:
 # promote the follower on its own, fence the revived zombie with the
 # typed 409, and lose nothing acked. Then the flapping harness (three
 # kill/revive cycles, exactly one writable primary at every step), then
-# the auto-failover load suite (`pcd -auto-failover` and its follower
-# hosted in-process, a shard backend killed mid-traffic, no operator).
+# the replica package under the race detector (-short is the explorer's
+# small budget: its states cost ten times the memory there), the explorer
+# at full width without it, then the auto-failover load suite (`pcd
+# -auto-failover` and its follower hosted in-process, a shard backend
+# killed mid-traffic, no operator; -check fails on one 409 fenced).
 failover:
 	$(GO) test -race -run 'TestKillPrimaryAutoFailover|TestFailoverFlapping' -v .
-	$(GO) test -race ./internal/replica/
+	$(GO) test -race -short ./internal/replica/
+	$(GO) test -run 'TestExplore|TestRoleStepIsPure' -v ./internal/replica/
 	$(GO) run ./cmd/pcload -suite auto-failover -check -v
 
 # Regenerate every table and figure of the paper's evaluation.

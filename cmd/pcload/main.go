@@ -81,8 +81,8 @@ func main() {
 			verdict = "FAIL: " + err.Error()
 			failed++
 		}
-		fmt.Printf("%-24s %7d ops %8.1f ops/s  errors %d  unavailable %d  %s\n",
-			sc.Name, rep.Ops, rep.OpsPerSec, rep.Errors, rep.Unavailable, verdict)
+		fmt.Printf("%-24s %7d ops %8.1f ops/s  errors %d  unavailable %d  fenced %d  %s\n",
+			sc.Name, rep.Ops, rep.OpsPerSec, rep.Errors, rep.Unavailable, rep.Fenced, verdict)
 		for _, cr := range rep.Classes {
 			fmt.Printf("  %-10s %7d ops  p50 %8.2fms  p99 %8.2fms  p999 %8.2fms\n",
 				cr.Class, cr.Ops, cr.P50Ms, cr.P99Ms, cr.P999Ms)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // The write-ahead journal: the durability rung beneath the Store. Every
@@ -268,6 +269,11 @@ func EncodeWALFrame(e WALEntry) ([]byte, error) {
 func DecodeWALPayload(payload []byte) (WALEntry, error) {
 	var e WALEntry
 	if len(payload) > 0 && payload[0] == '{' {
+		// json.Marshal wrote every v1 payload and never emits invalid UTF-8:
+		// such bytes are corruption, which Unmarshal would replay as U+FFFD.
+		if !utf8.Valid(payload) {
+			return WALEntry{}, fmt.Errorf("v1 payload: invalid UTF-8")
+		}
 		if err := json.Unmarshal(payload, &e); err != nil {
 			return WALEntry{}, fmt.Errorf("v1 payload: %v", err)
 		}
@@ -456,21 +462,21 @@ func JournalEpoch(storeDir string) (uint64, error) {
 	return readWALEpoch(filepath.Join(storeDir, WALDirName))
 }
 
-// MaxJournalEpoch is JournalEpoch over either layout: a sharded store
-// reports the highest generation among its shards/NN journals, a plain
-// one its own. A missing journal reads as zero.
-func MaxJournalEpoch(storeDir string) uint64 {
-	dirs := []string{storeDir}
-	if IsShardedLayout(storeDir) {
-		dirs, _ = filepath.Glob(filepath.Join(storeDir, ShardsDirName, "*"))
+// ShardDirs lists, without opening anything, the directories a store's
+// shards live in, in shard order: shards/NN of a sharded layout, storeDir
+// itself of a plain one. Start-up reconciliation reads each one's
+// JournalEpoch, and what the replication layer keeps beside it.
+func ShardDirs(storeDir string) (dirs []string) {
+	if !IsShardedLayout(storeDir) {
+		return []string{storeDir}
 	}
-	var max uint64
-	for _, dir := range dirs {
-		if e, err := JournalEpoch(dir); err == nil && e > max {
-			max = e
+	for i := 0; ; i++ {
+		dir := filepath.Join(storeDir, ShardsDirName, shardDirName(i))
+		if _, err := os.Stat(dir); err != nil {
+			return dirs
 		}
+		dirs = append(dirs, dir)
 	}
-	return max
 }
 
 // SetOnAppend installs fn to observe every journaled frame, called under

@@ -219,6 +219,12 @@ func FuzzDecodeWALPayload(f *testing.F) {
 		f.Add(v1Frame(f, e)[walFrameHeader:], e.App, e.Version, e.RunID, e.Data, e.Op == walOpDelete)
 	}
 	f.Add([]byte{walPayloadV2, walOpBytePut, 0xff, 0xff, 0xff, 0xff, 0x0f}, "a\xff", "", "\x00", []byte{}, false)
+	// A v1 payload with invalid UTF-8 in a key: refused, not replayed with
+	// each bad byte grown into U+FFFD — past thirteen of them the entry
+	// outgrew its payload, which is how the fuzzer found it.
+	for _, n := range []int{12, 16} {
+		f.Add([]byte(`{"op":"delete","App":"`+strings.Repeat("\xbc", n)+`"}`), "", "", "", []byte{}, true)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte, app, version, runID string, data []byte, del bool) {
 		if e, err := DecodeWALPayload(payload); err == nil {
 			if e.Op != walOpPut && e.Op != walOpDelete {

@@ -17,10 +17,12 @@ type ClassReport struct {
 	Class string `json:"class"`
 	// Ops counts completed requests (success or failure); Errors counts
 	// hard failures; Unavailable counts 503s and breaker fast-fails —
-	// load the server shed rather than served.
+	// load the server shed rather than served; Fenced counts 409s — a node
+	// refusing a shard it lost to a newer epoch.
 	Ops         uint64  `json:"ops"`
 	Errors      uint64  `json:"errors,omitempty"`
 	Unavailable uint64  `json:"unavailable,omitempty"`
+	Fenced      uint64  `json:"fenced,omitempty"`
 	P50Ms       float64 `json:"p50_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 	P999Ms      float64 `json:"p999_ms"`
@@ -113,6 +115,9 @@ type SuiteReport struct {
 	Ops         uint64  `json:"ops"`
 	Errors      uint64  `json:"errors"`
 	Unavailable uint64  `json:"unavailable"`
+	// Fenced counts answers that unwrap to client.ErrFenced. No suite
+	// scripts the death of a whole primary, so none expects one.
+	Fenced uint64 `json:"fenced"`
 	// Stalls counts open-loop dispatches that found the in-flight cap
 	// full and had to wait — arrivals the harness could not keep open.
 	Stalls uint64 `json:"stalls,omitempty"`
@@ -131,12 +136,15 @@ type SuiteReport struct {
 }
 
 // Passed reports whether the run met the harness's correctness bar:
-// traffic actually flowed, nothing acknowledged was lost or altered,
-// and the quiesced store is fsck-clean (severity 0; -1 external skips
-// the check).
+// traffic actually flowed, no node refused a write as fenced, nothing
+// acknowledged was lost or altered, and the quiesced store is fsck-clean
+// (severity 0; -1 external skips the check).
 func (r *SuiteReport) Passed() error {
 	if r.Ops == 0 || r.OpsPerSec <= 0 {
 		return fmt.Errorf("loadgen: suite %s: no throughput (%d ops)", r.Suite, r.Ops)
+	}
+	if r.Fenced > 0 {
+		return fmt.Errorf("loadgen: suite %s: %d requests answered 409 fenced: a node was fenced out of a shard it should still own", r.Suite, r.Fenced)
 	}
 	if r.Verify.ReadBackMissing > 0 || r.Verify.ReadBackMismatches > 0 {
 		return fmt.Errorf("loadgen: suite %s: acked-write loss: %d missing, %d mismatched of %d acked",
@@ -155,13 +163,14 @@ func (r *SuiteReport) Passed() error {
 
 // classReport folds one class's histogram and counters into the report
 // row.
-func classReport(class string, h *metric.LatencyHistogram, ops, errs, unavail uint64, wall float64) ClassReport {
+func classReport(class string, h *metric.LatencyHistogram, ops, errs, unavail, fenced uint64, wall float64) ClassReport {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	cr := ClassReport{
 		Class:       class,
 		Ops:         ops,
 		Errors:      errs,
 		Unavailable: unavail,
+		Fenced:      fenced,
 		P50Ms:       ms(h.Quantile(0.50)),
 		P99Ms:       ms(h.Quantile(0.99)),
 		P999Ms:      ms(h.Quantile(0.999)),

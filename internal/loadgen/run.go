@@ -194,17 +194,18 @@ func RunSuite(sc *Scenario, opt Options) (*SuiteReport, error) {
 	rep.Verify.OpLogHash = hashLines(run.log)
 	for _, class := range sc.MixClasses() {
 		cc := run.col.classes[class]
-		cr := classReport(class, cc.hist, cc.ops, cc.errs, cc.unavail, rep.WallSeconds)
+		cr := classReport(class, cc.hist, cc.ops, cc.errs, cc.unavail, cc.fenced, rep.WallSeconds)
 		rep.Classes = append(rep.Classes, cr)
 		rep.Ops += cc.ops
 		rep.Errors += cc.errs
 		rep.Unavailable += cc.unavail
+		rep.Fenced += cc.fenced
 	}
 	if rep.WallSeconds > 0 {
 		rep.OpsPerSec = float64(rep.Ops) / rep.WallSeconds
 	}
-	opt.logf("suite %s: %d ops in %.2fs (%.1f ops/s, %d errors, %d unavailable)",
-		sc.Name, rep.Ops, rep.WallSeconds, rep.OpsPerSec, rep.Errors, rep.Unavailable)
+	opt.logf("suite %s: %d ops in %.2fs (%.1f ops/s, %d errors, %d unavailable, %d fenced)",
+		sc.Name, rep.Ops, rep.WallSeconds, rep.OpsPerSec, rep.Errors, rep.Unavailable, rep.Fenced)
 
 	// Post-run correctness sweep.
 	if local != nil {
@@ -311,8 +312,8 @@ func prefill(ctx context.Context, c *client.Client, sc *Scenario, acked *ackedSe
 
 // classCounts aggregates one op class.
 type classCounts struct {
-	hist               *metric.LatencyHistogram
-	ops, errs, unavail uint64
+	hist                       *metric.LatencyHistogram
+	ops, errs, unavail, fenced uint64
 }
 
 // collector aggregates per-class latency and outcome counts. The open
@@ -338,12 +339,14 @@ func (col *collector) record(class string, d time.Duration, err error) {
 	cc := col.classes[class]
 	cc.ops++
 	cc.hist.Record(d)
-	if err != nil {
-		if errors.Is(err, client.ErrUnavailable) || errors.Is(err, client.ErrBreakerOpen) {
-			cc.unavail++
-		} else {
-			cc.errs++
-		}
+	switch {
+	case err == nil:
+	case errors.Is(err, client.ErrUnavailable) || errors.Is(err, client.ErrBreakerOpen):
+		cc.unavail++
+	case errors.Is(err, client.ErrFenced):
+		cc.fenced++
+	default:
+		cc.errs++
 	}
 }
 
@@ -356,6 +359,7 @@ func (col *collector) merge(other *collector) {
 		cc.ops += oc.ops
 		cc.errs += oc.errs
 		cc.unavail += oc.unavail
+		cc.fenced += oc.fenced
 	}
 }
 

@@ -1,9 +1,13 @@
 package loadgen
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/history"
 )
 
@@ -137,5 +141,32 @@ func TestRunSuiteChaos(t *testing.T) {
 	}
 	if rep.Verify.FsckSeverity != 0 {
 		t.Errorf("fsck severity %d after chaos, want 0: %v", rep.Verify.FsckSeverity, rep.Verify.FsckFindings)
+	}
+}
+
+// TestFencedAnswersFailTheSuite: an answer that unwraps to
+// client.ErrFenced is counted as fenced — beside errors and unavailable,
+// in neither — and one of them fails a suite that is otherwise clean: no
+// suite scripts the death of a whole primary, so none expects a 409.
+func TestFencedAnswersFailTheSuite(t *testing.T) {
+	col := newCollector([]string{"put"})
+	col.record("put", time.Millisecond, nil)
+	col.record("put", time.Millisecond, fmt.Errorf("put run: %w", client.ErrFenced))
+	col.record("put", time.Millisecond, fmt.Errorf("put run: %w", client.ErrUnavailable))
+	col.record("put", time.Millisecond, errors.New("boom"))
+	cc := col.classes["put"]
+	if cc.ops != 4 || cc.fenced != 1 || cc.unavail != 1 || cc.errs != 1 {
+		t.Fatalf("counts = %d ops, %d fenced, %d unavailable, %d errors; want 4/1/1/1", cc.ops, cc.fenced, cc.unavail, cc.errs)
+	}
+	if cr := classReport("put", cc.hist, cc.ops, cc.errs, cc.unavail, cc.fenced, 1); cr.Fenced != 1 {
+		t.Errorf("class report carries fenced = %d, want 1", cr.Fenced)
+	}
+	rep := &SuiteReport{Suite: "s", Ops: 4, OpsPerSec: 4}
+	if err := rep.Passed(); err != nil {
+		t.Fatalf("clean report: %v", err)
+	}
+	rep.Fenced = 1
+	if err := rep.Passed(); err == nil || !strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("Passed() with a fenced answer = %v, want it refused", err)
 	}
 }

@@ -73,13 +73,15 @@ type Node struct {
 func Open(cfg Config) (n *Node, err error) {
 	// Before the store opens, so before StartWAL bumps the journal epoch:
 	// a primary revived under auto-failover asks its last known followers
-	// whether a promotion happened while it was down, and if so comes up
-	// as the winner's follower instead of splitting the brain.
-	followURL, rejoined := cfg.Follow, false
+	// which of its shards were claimed while it was down — and its own
+	// directory which it gave up at an earlier rejoin — and comes up
+	// following those instead of splitting the brain. Like any follower, it
+	// then waits for the node it follows to answer.
+	followURL := cfg.Follow
+	var lost []replica.Superseded
 	if cfg.AutoFailover && cfg.Replicas > 0 {
-		if winner, theirs, ours := replica.SupersededBy(context.Background(), cfg.Dir, cfg.Peers, cfg.Advertise); winner != "" {
-			log.Printf("rejoin: %s owns epoch %d, ours is %d; demoting to follower", winner, theirs, ours)
-			followURL, rejoined = winner, true
+		if lost = replica.SupersededBy(context.Background(), cfg.Dir, cfg.Peers, cfg.Advertise); len(lost) > 0 {
+			followURL = lost[0].Winner
 		}
 	}
 	// A follower mirrors its primary's shard count, so its store can fold
@@ -132,7 +134,7 @@ func Open(cfg Config) (n *Node, err error) {
 		opts    = cfg.Server
 	)
 	switch {
-	case cfg.Replicas > 0 && !rejoined:
+	case cfg.Replicas > 0 && len(lost) == 0:
 		role = fmt.Sprintf(", primary of %d replicas", cfg.Replicas)
 		// Under auto-failover a write that finds its shard dead promotes
 		// too; the detector only covers shards no write is hitting.
@@ -155,8 +157,10 @@ func Open(cfg Config) (n *Node, err error) {
 		if err != nil {
 			return nil, err
 		}
-		if rejoined {
-			if err := fol.Rejoin(followURL); err != nil {
+		// Shard by shard: the claimed ones follow their winners, the rest
+		// are still this node's.
+		if len(lost) > 0 {
+			if err := fol.Rejoin(lost); err != nil {
 				return nil, err
 			}
 		}
@@ -168,9 +172,12 @@ func Open(cfg Config) (n *Node, err error) {
 			if err != nil {
 				return nil, err
 			}
-			// The gate is inert until promotion: public writes are refused
-			// by fol.Writable first, and the standby degrades to async
-			// until its own first follower attaches.
+			// One table under both sides: the standby's logs, gate and
+			// detector follow every stand the follower makes. The gate is
+			// inert on a shard until then: public writes are refused by
+			// fol.Writable first, and the standby degrades to async until its
+			// own first follower attaches.
+			standby.StandbyOf(fol)
 			serveSt = replica.Gate(st, standby)
 			opts.Replication.Primary = standby
 			det = replica.NewDetector(standby, dcfg)
@@ -179,13 +186,6 @@ func Open(cfg Config) (n *Node, err error) {
 				HeartbeatEvery: cfg.HeartbeatEvery,
 				Peers:          cfg.Peers,
 				Replicas:       standbyN,
-				OnPromote: func(epoch uint64) {
-					// Flip the standby to the won generation and start
-					// fencing rival epochs — this node is the primary now.
-					standby.SetEpochs(epoch)
-					det.Start()
-					log.Printf("failover: self-promoted under epoch %d", epoch)
-				},
 			})
 		}
 	}
@@ -199,14 +199,13 @@ func Open(cfg Config) (n *Node, err error) {
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	n.srv, n.httpSrv = srv, httpSrv
-	if det != nil {
-		n.det = det
-	}
 	if fol != nil {
 		n.fol = fol
 		fol.Start()
-	} else if det != nil {
-		det.Start() // a standby's starts when its follower wins the election
+	}
+	if det != nil {
+		n.det = det
+		det.Start() // idle while the node owns no shard
 	}
 
 	slots := opts.Sessions

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/history"
@@ -77,34 +76,34 @@ func readBody(r io.Reader, announced int64) ([]byte, error) {
 }
 
 // Failover implements history.ShardFailover over the primary's follower
-// registry: Reader elects the most-caught-up follower for a shard's
-// reads, Promote additionally tells that follower to take the keyspace
-// for writes. Promotion is cached — one follower owns a shard for the
-// rest of the process's life.
+// registry and the node's table: Reader elects the most-caught-up
+// follower for a shard's reads, Promote additionally tells that follower
+// to stand for the shard and records the hand-over in the table — one
+// follower owns a handed-over shard for the rest of the process's life.
 type Failover struct {
 	p *Primary
-
-	mu       sync.Mutex
-	promoted map[int]*remoteShard
+	// mu makes a hand-over one decision: it is held from reading the row
+	// through electing a follower, asking it to stand and recording the
+	// answer, so two writers that find the shard dead — or a writer and the
+	// detector — cannot each elect a follower of their own.
+	mu sync.Mutex
 }
 
 // NewFailover builds the failover seam over p's registry.
-func NewFailover(p *Primary) *Failover {
-	return &Failover{p: p, promoted: make(map[int]*remoteShard)}
-}
+func NewFailover(p *Primary) *Failover { return &Failover{p: p} }
 
-// Reader returns the most-caught-up follower able to serve shard's
-// reads, or false when no follower has pulled recently.
+// Reader returns the new owner of a shard this node handed over, else the
+// most-caught-up follower able to serve shard's reads, or false when no
+// follower has pulled recently.
 func (fo *Failover) Reader(shard int) (history.ShardReplica, bool) {
 	if shard < 0 || shard >= len(fo.p.logs) {
 		return nil, false
 	}
-	fo.mu.Lock()
-	if r, ok := fo.promoted[shard]; ok {
-		fo.mu.Unlock()
-		return r, true
+	// Every op through a hand-over's handle carries the epoch the new owner
+	// stood under, so a newer claim elsewhere fences this seam out.
+	if r := fo.p.tab.read().rows[shard]; r.role == roleHandedOver {
+		return &remoteShard{base: r.peer, shard: shard, epoch: r.epoch}, true
 	}
-	fo.mu.Unlock()
 	id, _, ok := fo.p.logs[shard].bestFollower(fo.p.window)
 	if !ok {
 		return nil, false
@@ -112,37 +111,33 @@ func (fo *Failover) Reader(shard int) (history.ShardReplica, bool) {
 	return &remoteShard{base: id, shard: shard}, true
 }
 
-// Promote elects the most-caught-up follower for shard, tells it to take
-// the keyspace, and returns its write-capable handle. Idempotent: the
-// first successful promotion is cached and later calls return it.
+// Promote elects the most-caught-up follower for shard, tells it to stand
+// for the keyspace, and returns its write-capable handle. Idempotent: the
+// table remembers the first hand-over and later calls return its handle.
 func (fo *Failover) Promote(shard int) (history.ShardReplica, error) {
 	if shard < 0 || shard >= len(fo.p.logs) {
 		return nil, fmt.Errorf("replica: no shard %d", shard)
 	}
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	if r, ok := fo.promoted[shard]; ok {
-		return r, nil
+	if fo.p.tab.read().rows[shard].role != roleHandedOver {
+		id, _, ok := fo.p.logs[shard].bestFollower(fo.p.window)
+		if !ok {
+			return nil, fmt.Errorf("replica: shard %02d has no attached follower to promote", shard)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+		defer cancel()
+		var resp PromoteResponse
+		body, err := exchange(ctx, http.MethodPost, id+"/api/v1/replica/promote", PromoteRequest{Shard: shard}, nil)
+		if err == nil {
+			err = json.Unmarshal(body, &resp)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("replica: promote shard %02d on %s: %w", shard, id, err)
+		}
+		fo.p.tab.apply(event{kind: evHandedOver, shard: shard, peer: id, epoch: resp.Epoch})
 	}
-	id, _, ok := fo.p.logs[shard].bestFollower(fo.p.window)
-	if !ok {
-		return nil, fmt.Errorf("replica: shard %02d has no attached follower to promote", shard)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	var resp PromoteResponse
-	body, err := exchange(ctx, http.MethodPost, id+"/api/v1/replica/promote", PromoteRequest{Shard: shard}, nil)
-	if err == nil {
-		err = json.Unmarshal(body, &resp)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("replica: promote shard %02d on %s: %w", shard, id, err)
-	}
-	// Every subsequent op through this handle carries the promotion
-	// epoch, so a newer promotion elsewhere fences this seam out.
-	r := &remoteShard{base: id, shard: shard}
-	r.epoch.Store(resp.Epoch)
-	fo.promoted[shard] = r
+	r, _ := fo.Reader(shard)
 	return r, nil
 }
 
@@ -157,7 +152,7 @@ const opTimeout = 30 * time.Second
 type remoteShard struct {
 	base  string
 	shard int
-	epoch atomic.Uint64
+	epoch uint64
 }
 
 // op sends one redirected operation — entries ride an apply — and reads
@@ -170,7 +165,7 @@ func (r *remoteShard) op(req OpRequest, entries []history.WALEntry) (resp OpResp
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	req.Shard, req.Epoch = r.shard, r.epoch.Load()
+	req.Shard, req.Epoch = r.shard, r.epoch
 	body, err := exchange(ctx, http.MethodPost, r.base+"/api/v1/replica/op", req, frames)
 	if err != nil {
 		return resp, nil, err
@@ -242,79 +237,87 @@ type Node struct {
 	Advertise string
 }
 
-// Role resolves what this node currently is: a node with an unpromoted
-// follower side is a follower (its standby primary is dormant); once
-// any shard promotes — or there is no follower side — it is a primary.
+// table is the node's one ownership table, whichever side holds it.
+func (n *Node) table() *state {
+	if n != nil && n.Follower != nil {
+		return n.Follower.tab.read()
+	}
+	if n != nil && n.Primary != nil {
+		return n.Primary.tab.read()
+	}
+	return &state{}
+}
+
+// Role resolves what this node currently is: a follower while it
+// replicates every shard (its standby primary is dormant), a primary
+// once any row of its table says otherwise.
 func (n *Node) Role() string {
-	if n == nil {
-		return ""
-	}
-	if n.Follower != nil && !n.Follower.AnyPromoted() {
-		return "follower"
-	}
-	if n.Primary != nil {
+	st := n.table()
+	if len(st.following()) < len(st.rows) {
 		return "primary"
 	}
 	return "follower"
 }
 
-// Stats merges the roles' gauges under the resolved role: the active
-// side is the base, the dormant side contributes its fencing and shard
-// gauges.
+// Stats is the node's /statsz block, read off the table and each side's
+// gauges: the primary side's gate counters and logs once the node is a
+// primary (a dormant standby contributes its fencing count only), the
+// follower side's lease, last error and rows.
 func (n *Node) Stats() *Stats {
-	if n == nil {
+	if n == nil || n.Primary == nil && n.Follower == nil {
 		return nil
 	}
-	switch {
-	case n.Role() == "primary" && n.Primary != nil:
-		s := n.Primary.Stats()
-		if n.Follower != nil {
-			fs := n.Follower.Stats()
-			if fs.Epoch > s.Epoch {
-				s.Epoch = fs.Epoch
+	st := n.table()
+	out := &Stats{Role: n.Role(), LeaseAgeMS: -1}
+	if p := n.Primary; p != nil {
+		out.FencingRejects = p.fencingRejects.Load()
+		if out.Role == "primary" {
+			out.Epoch, out.AckQuorum = p.Epoch(), p.quorum
+			out.QuorumAcks, out.AsyncWrites, out.GateTimeouts = p.quorumAcks.Load(), p.asyncWrites.Load(), p.gateTimeouts.Load()
+			for _, l := range p.logs {
+				if age := l.lastPullAge(); age >= 0 && (out.LeaseAgeMS < 0 || age < out.LeaseAgeMS) {
+					out.LeaseAgeMS = age
+				}
+				out.Shards = append(out.Shards, l.stats())
 			}
-			s.FencingRejects += fs.FencingRejects
-			if s.LeaseAgeMS < 0 {
-				s.LeaseAgeMS = fs.LeaseAgeMS
-			}
-			s.Shards = append(s.Shards, fs.Shards...)
 		}
-		return &s
-	case n.Follower != nil:
-		s := n.Follower.Stats()
-		if n.Primary != nil {
-			s.FencingRejects += n.Primary.Stats().FencingRejects
-		}
-		return &s
-	case n.Primary != nil:
-		s := n.Primary.Stats()
-		return &s
 	}
-	return nil
+	if f := n.Follower; f != nil {
+		out.FencingRejects += f.fencingRejects.Load()
+		out.Suspect = len(st.suspects()) > 0
+		f.mu.Lock()
+		out.LastError = f.lastErr
+		f.mu.Unlock()
+		// The lease is as old as the quietest followed peer's.
+		age := int64(-1)
+		for i, r := range st.rows {
+			if r.role == roleFollowing && !r.heard.IsZero() {
+				age = max(age, time.Since(r.heard).Milliseconds())
+			}
+			out.Epoch = max(out.Epoch, r.epoch)
+			out.Shards = append(out.Shards, ShardReplStats{Shard: i, Epoch: r.epoch, AppliedSeq: r.applied, Promoted: r.role == roleOwner})
+		}
+		if out.LeaseAgeMS < 0 {
+			out.LeaseAgeMS = age
+		}
+	}
+	return out
 }
 
 // HandleInfo serves GET /api/v1/replica/info — the layout handshake and
-// the failover election's ballot.
+// the failover election's ballot, read off the table.
 func (n *Node) HandleInfo(w http.ResponseWriter, r *http.Request) {
-	info := InfoResponse{Role: n.Role(), Advertise: n.Advertise, Wire: wireGeneration}
-	if n.Primary != nil {
-		info.Shards = n.Primary.Shards()
-		info.Replicas = n.Primary.Replicas()
-		info.AckQuorum = n.Primary.Quorum()
-		info.Epoch = n.Primary.Epoch()
-		info.Followers = n.Primary.Peers()
+	st := n.table()
+	info := InfoResponse{Role: n.Role(), Advertise: n.Advertise, Wire: wireGeneration,
+		Shards: len(st.rows), Owned: st.owned(), Suspect: len(st.suspects()) > 0, Epoch: st.seen}
+	for _, r := range st.rows {
+		info.Epoch = max(info.Epoch, r.epoch)
+		info.AppliedSeq += r.applied
 	}
-	if n.Follower != nil {
-		info.Shards = n.Follower.Shards()
-		info.Promoted = n.Follower.AnyPromoted()
-		info.Suspect = n.Follower.Suspect()
-		info.AppliedSeq = n.Follower.AppliedTotal()
-		if e := n.Follower.Epoch(); e > info.Epoch {
-			info.Epoch = e
-		}
-		if info.Advertise == "" {
-			info.Advertise = n.Follower.Self()
-		}
+	if n.Primary != nil {
+		info.Replicas, info.AckQuorum = n.Primary.replicas, n.Primary.quorum
+		info.Epoch = max(info.Epoch, n.Primary.Epoch())
+		info.Followers = n.Primary.Peers()
 	}
 	writeWire(w, http.StatusOK, info)
 }

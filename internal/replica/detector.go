@@ -8,44 +8,32 @@ import (
 	"repro/internal/history"
 )
 
-// Detector is the primary-side half of the failure detector. It runs
-// two checks on a heartbeat cadence:
+// Detector is the primary side's observer. On a heartbeat cadence, while
+// the node owns any shard, it reports two things to the table:
 //
-//   - Zombie fencing: probe the known peers' info handshakes; if any
-//     carries a higher epoch and claims the primary role, this node was
-//     superseded while it kept serving (a partition healed, a kill -9
-//     restarted faster than the lease) — fence the local primary so
-//     every further gated write is refused with the typed fencing
-//     error. On an epoch tie with another claimant, the larger
-//     advertise URL yields, mirroring the election's smallest-URL win.
-//   - Shard failover: a shard that stays degraded for a full lease TTL
-//     is handed to its most-caught-up follower through the store's
+//   - Claims: the known peers' info handshakes. A peer owning one of this
+//     node's shards under a higher epoch means that shard was taken while
+//     this node kept serving it (a partition healed, a kill -9 restarted
+//     faster than the lease) — the table fences that row, and only that
+//     row.
+//   - Shard health: a shard the store reports degraded for a full lease
+//     TTL is handed to its most-caught-up follower through the store's
 //     failover seam — the detector, not just the breaker's read
-//     fallback, drives promotion.
+//     fallback, drives the hand-over.
 type Detector struct {
-	prim      *Primary
-	advertise string
-	leaseTTL  time.Duration
-	every     time.Duration
+	prim *Primary
+	cfg  DetectorConfig
 
-	// shardHealth and promoteShard arm the shard-failover check; nil
-	// leaves only zombie fencing active.
-	shardHealth  func() []history.ShardInfo
-	promoteShard func(shard int) error
-	// extraPeers are probe targets beyond the live registry (the -peers
-	// flag), so a primary that never saw a pull still finds its rivals.
-	extraPeers []string
-
-	mu            sync.Mutex
-	degradedSince map[int]time.Time
-	promoted      map[int]bool
-	stop          chan struct{}
-	started       bool
-	stopped       bool
-	wg            sync.WaitGroup
+	start  sync.Once
+	ctx    context.Context // canceled by Stop: ends the loop, aborts its probes
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
-// DetectorConfig configures NewDetector.
+// DetectorConfig configures NewDetector. ShardHealth and PromoteShard arm
+// the shard-health report; nil leaves only the claims. Peers are probe
+// targets beyond the live registry (the -peers flag), so a primary that
+// never saw a pull still finds its rivals.
 type DetectorConfig struct {
 	Advertise    string
 	LeaseTTL     time.Duration
@@ -57,124 +45,66 @@ type DetectorConfig struct {
 
 // NewDetector builds (but does not start) the primary-side detector.
 func NewDetector(p *Primary, cfg DetectorConfig) *Detector {
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 3 * time.Second
-	}
-	if cfg.Every <= 0 {
-		cfg.Every = cfg.LeaseTTL / 3
-	}
-	if cfg.Every < 25*time.Millisecond {
-		cfg.Every = 25 * time.Millisecond
-	}
-	return &Detector{
-		prim:          p,
-		advertise:     cfg.Advertise,
-		leaseTTL:      cfg.LeaseTTL,
-		every:         cfg.Every,
-		shardHealth:   cfg.ShardHealth,
-		promoteShard:  cfg.PromoteShard,
-		extraPeers:    cfg.Peers,
-		degradedSince: make(map[int]time.Time),
-		promoted:      make(map[int]bool),
-		stop:          make(chan struct{}),
-	}
+	cfg.LeaseTTL, cfg.Every = cadence(cfg.LeaseTTL, cfg.Every, 3)
+	p.tab.apply(event{kind: evArm, peer: cfg.Advertise, lease: cfg.LeaseTTL})
+	d := &Detector{prim: p, cfg: cfg}
+	d.ctx, d.cancel = context.WithCancel(context.Background())
+	return d
 }
 
-// Start launches the probe loop. Idempotent.
-func (d *Detector) Start() {
-	d.mu.Lock()
-	if d.started || d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.mu.Unlock()
-	d.wg.Add(1)
+// everyTick starts a goroutine under wg that calls fn once per window
+// until ctx ends.
+func everyTick(ctx context.Context, wg *sync.WaitGroup, window time.Duration, fn func(tick int)) {
+	wg.Add(1)
 	go func() {
-		defer d.wg.Done()
-		t := time.NewTicker(d.every)
+		defer wg.Done()
+		t := time.NewTicker(window)
 		defer t.Stop()
-		for {
+		for tick := 0; ; tick++ {
 			select {
-			case <-d.stop:
+			case <-ctx.Done():
 				return
 			case <-t.C:
 			}
-			d.probePeers()
-			d.checkShards()
+			fn(tick)
 		}
 	}()
 }
 
+// Start launches the probe loop. Idempotent; after Stop the loop it
+// launches ends at once.
+func (d *Detector) Start() {
+	d.start.Do(func() { everyTick(d.ctx, &d.wg, d.cfg.Every, func(int) { d.tick() }) })
+}
+
 // Stop halts the probe loop and waits for it.
 func (d *Detector) Stop() {
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.stopped = true
-	close(d.stop)
-	d.mu.Unlock()
+	d.cancel()
 	d.wg.Wait()
 }
 
-// probePeers fences the local primary if any peer has moved past it.
-func (d *Detector) probePeers() {
-	peers := append(append([]string(nil), d.prim.Peers()...), d.extraPeers...)
-	mine := d.prim.Epoch()
-	for _, info := range probe(context.Background(), peers, d.advertise, d.every) {
-		if !info.ClaimsPrimary() {
-			continue
-		}
-		if info.Epoch > mine {
-			d.prim.Fence(info.Epoch)
-			return
-		}
-		if info.Epoch == mine && d.advertise != "" && info.Advertise != "" && info.Advertise < d.advertise {
-			// Equal-epoch split claim: exactly one of the two observers
-			// yields, deterministically.
-			d.prim.Fence(info.Epoch)
-			return
-		}
-	}
-}
-
-// checkShards promotes a follower for any shard degraded past the
-// lease TTL.
-func (d *Detector) checkShards() {
-	if d.shardHealth == nil || d.promoteShard == nil {
+// tick reports one round of observations. A node that owns nothing has
+// nothing to be fenced out of and nothing to hand over.
+func (d *Detector) tick() {
+	tab := d.prim.tab
+	if len(tab.read().owned()) == 0 {
 		return
 	}
-	now := time.Now()
-	for _, si := range d.shardHealth() {
-		d.mu.Lock()
-		done := d.promoted[si.Shard]
-		d.mu.Unlock()
-		if done || si.Failover == "promoted" {
-			continue
+	peers := append(append([]string(nil), d.prim.Peers()...), d.cfg.Peers...)
+	for _, info := range probe(d.ctx, peers, d.cfg.Advertise, len(tab.read().rows), d.cfg.Every) {
+		if info.ClaimsPrimary() {
+			tab.apply(event{kind: evClaim, peer: info.Advertise, claims: info.Owned})
 		}
-		if !si.Degraded {
-			d.mu.Lock()
-			delete(d.degradedSince, si.Shard)
-			d.mu.Unlock()
-			continue
-		}
-		d.mu.Lock()
-		since, ok := d.degradedSince[si.Shard]
-		if !ok {
-			d.degradedSince[si.Shard] = now
-			d.mu.Unlock()
-			continue
-		}
-		d.mu.Unlock()
-		if now.Sub(since) < d.leaseTTL {
-			continue
-		}
-		if err := d.promoteShard(si.Shard); err == nil {
-			d.mu.Lock()
-			d.promoted[si.Shard] = true
-			d.mu.Unlock()
+	}
+	if d.cfg.ShardHealth == nil || d.cfg.PromoteShard == nil {
+		return
+	}
+	for _, si := range d.cfg.ShardHealth() {
+		_, fx, _ := tab.apply(event{kind: evHealth, shard: si.Shard, down: si.Degraded})
+		for range fx {
+			// The seam records a hand-over that worked in the table; one
+			// that did not is asked for again next tick.
+			_ = d.cfg.PromoteShard(si.Shard)
 		}
 	}
 }

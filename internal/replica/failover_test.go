@@ -66,13 +66,10 @@ func TestAutoFailoverPromotesOnLeaseLapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var promotedEpoch uint64
-	gotPromote := make(chan uint64, 1)
 	fol.SetAutoFailover(AutoConfig{
 		LeaseTTL:       300 * time.Millisecond,
 		HeartbeatEvery: 50 * time.Millisecond,
 		Replicas:       1,
-		OnPromote:      func(e uint64) { gotPromote <- e },
 	})
 	fol.Start()
 	defer fol.Stop()
@@ -100,11 +97,7 @@ func TestAutoFailoverPromotesOnLeaseLapse(t *testing.T) {
 	tsP.CloseClientConnections()
 	tsP.Close()
 	waitFor(t, 5*time.Second, "self-promotion", fol.AnyPromoted)
-	select {
-	case promotedEpoch = <-gotPromote:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnPromote never fired")
-	}
+	promotedEpoch := fol.Epoch()
 	if promotedEpoch <= before {
 		t.Fatalf("promotion epoch %d did not advance past %d", promotedEpoch, before)
 	}
@@ -177,7 +170,7 @@ func TestElectionVetoedByPeerStillHearingPrimary(t *testing.T) {
 	}
 	peer := infoServer(t, InfoResponse{Role: "follower", Advertise: "http://a", Suspect: false})
 	fol.SetAutoFailover(AutoConfig{LeaseTTL: time.Second, Replicas: 2, Peers: []string{peer.URL}})
-	fol.setSuspect(true)
+	fol.lapse()
 	fol.tryFailover()
 	if fol.AnyPromoted() {
 		t.Fatal("promoted despite a peer still hearing the primary")
@@ -206,7 +199,7 @@ func TestElectionLosesToMoreCaughtUpPeer(t *testing.T) {
 			}
 			peer := infoServer(t, tc.peer)
 			fol.SetAutoFailover(AutoConfig{LeaseTTL: time.Second, Replicas: 2, Peers: []string{peer.URL}})
-			fol.setSuspect(true)
+			fol.lapse()
 			fol.tryFailover()
 			if got := fol.AnyPromoted(); got != tc.promote {
 				t.Fatalf("promoted = %v, want %v", got, tc.promote)
@@ -221,14 +214,14 @@ func TestElectionLosesToMoreCaughtUpPeer(t *testing.T) {
 // last-gasp probe asks the suspected primary directly; if it answers
 // and still claims the role, no election happens and the lease renews.
 func TestElectionClearedByLiveReachablePrimary(t *testing.T) {
-	prim := infoServer(t, InfoResponse{Role: "primary", Advertise: "http://a", Epoch: 1})
+	prim := infoServer(t, InfoResponse{Role: "primary", Advertise: "http://a", Epoch: 1, Owned: []Claim{{Shard: 0, Epoch: 1}}})
 	fst := openDurable(t, t.TempDir())
 	fol, err := NewFollower(prim.URL, "http://b", fst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fol.SetAutoFailover(AutoConfig{LeaseTTL: time.Second, Replicas: 1})
-	fol.setSuspect(true)
+	fol.lapse()
 	fol.tryFailover()
 	if fol.AnyPromoted() {
 		t.Fatal("deposed a primary that answered the last-gasp probe")
@@ -248,9 +241,9 @@ func TestElectionAdoptsHigherEpochClaimant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	winner := infoServer(t, InfoResponse{Role: "primary", Advertise: "http://new-primary", Epoch: 99})
+	winner := infoServer(t, InfoResponse{Role: "primary", Advertise: "http://new-primary", Epoch: 99, Owned: []Claim{{Shard: 0, Epoch: 99}}})
 	fol.SetAutoFailover(AutoConfig{LeaseTTL: time.Second, Replicas: 2, Peers: []string{winner.URL}})
-	fol.setSuspect(true)
+	fol.lapse()
 	fol.tryFailover()
 	if fol.AnyPromoted() {
 		t.Fatal("promoted instead of adopting the election winner")
@@ -279,9 +272,7 @@ func TestFollowerRefusesStaleEpochPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol.mu.Lock()
-	fol.states[0].Epoch = 5
-	fol.mu.Unlock()
+	editState(fol.tab, func(s *state) { s.rows[0].epoch = 5 })
 	_, err = fol.pullOnce(0, 0)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-epoch pull returned %v, want ErrFenced", err)
@@ -317,9 +308,7 @@ func TestFollowerStopsAtBadFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol.mu.Lock()
-	fol.states[0].Epoch = 1
-	fol.mu.Unlock()
+	editState(fol.tab, func(s *state) { s.rows[0].epoch = 1 })
 
 	n, err := fol.pullOnce(0, 0)
 	if n != 1 || err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
@@ -356,9 +345,7 @@ func TestFollowerRefusesStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol.mu.Lock()
-	fol.states[0].Epoch = 5
-	fol.mu.Unlock()
+	editState(fol.tab, func(s *state) { s.rows[0].epoch = 5 })
 	_, err = fol.pullOnce(0, 0)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale snapshot returned %v, want ErrFenced", err)
@@ -384,8 +371,8 @@ func TestHandleWALFencesHigherEpochPuller(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("higher-epoch pull answered %d, want 409", resp.StatusCode)
 	}
-	if got := prim.FencedBy(); got != mine+5 {
-		t.Fatalf("FencedBy = %d, want %d", got, mine+5)
+	if r := prim.tab.read().rows[0]; r.role != roleFenced || r.epoch != mine+5 || r.demoted != mine {
+		t.Fatalf("row = %+v, want fenced out of %d by %d", r, mine, mine+5)
 	}
 	if st := prim.Stats(); st.FencingRejects == 0 {
 		t.Fatal("fencing reject not counted")
@@ -406,7 +393,7 @@ func TestWaitWriteFencedAndShedAfterPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	mine := prim.Epoch()
-	prim.Fence(mine + 5)
+	prim.tab.apply(event{kind: evClaim, peer: "http://rival", claims: []Claim{{Shard: 0, Epoch: mine + 5}}})
 	err = prim.WaitWrite(0)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced WaitWrite returned %v, want ErrFenced", err)
@@ -416,7 +403,9 @@ func TestWaitWriteFencedAndShedAfterPromotion(t *testing.T) {
 		t.Fatalf("fencing error = %+v, want local %d remote %d", fe, mine, mine+5)
 	}
 	// The standby promotes past the rival: the fence no longer binds.
-	prim.SetEpochs(mine + 6)
+	if st, _, err := prim.tab.apply(event{kind: evStand, shards: []int{0}, forced: true}); err != nil || st.rows[0].epoch != mine+6 {
+		t.Fatalf("stand past the rival = %+v, %v; want epoch %d", st.rows[0], err, mine+6)
+	}
 	if err := prim.WaitWrite(0); err != nil {
 		t.Fatalf("WaitWrite after shedding the stale fence: %v", err)
 	}
@@ -500,7 +489,7 @@ func TestRejoinDemotionAndDivergenceQuarantine(t *testing.T) {
 	}
 	tsP := primaryServer(t, prim)
 
-	if err := fol.Rejoin(tsP.URL); err != nil {
+	if err := fol.Rejoin([]Superseded{{Claim: Claim{Shard: 0, Epoch: oldEpoch + 8}, Winner: tsP.URL}}); err != nil {
 		t.Fatal(err)
 	}
 	err = fol.Writable("poisson", "A")

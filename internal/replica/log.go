@@ -143,6 +143,29 @@ func (l *shardLog) lastPullAge() int64 {
 	return l.clock().Sub(l.lastPull).Milliseconds()
 }
 
+// waitLocked releases l.mu until the next append or ack, until deadline,
+// or until done closes (nil never does), and reports whether the caller
+// should look again: false once the deadline has passed or done closed.
+// Callers hold l.mu, and hold it again on return.
+func (l *shardLog) waitLocked(deadline time.Time, done <-chan struct{}) bool {
+	remain := time.Until(deadline)
+	if remain <= 0 {
+		return false
+	}
+	ch := l.notify
+	l.mu.Unlock()
+	defer l.mu.Lock()
+	t := time.NewTimer(remain)
+	defer t.Stop()
+	select {
+	case <-ch:
+	case <-t.C:
+	case <-done:
+		return false
+	}
+	return true
+}
+
 // pull answers one follower pull from position (epoch, from): the
 // contiguous frames after from, capped at maxFrames — the header names
 // the first one's sequence — or a snapshot demand when the position is
@@ -152,51 +175,29 @@ func (l *shardLog) lastPullAge() int64 {
 func (l *shardLog) pull(epoch, from uint64, maxFrames int, wait time.Duration, done <-chan struct{}) (PullResponse, [][]byte) {
 	deadline := time.Now().Add(wait)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
+		resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
 		if epoch != l.epoch || from < l.floor {
-			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head, NeedSnapshot: true}
-			l.mu.Unlock()
+			resp.NeedSnapshot = true
 			return resp, nil
 		}
-		if l.head > from {
-			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
-			var frames [][]byte
-			for _, fr := range l.frames {
-				if fr.seq <= from {
-					continue
-				}
-				if frames == nil {
-					resp.FirstSeq = fr.seq
-				}
-				frames = append(frames, fr.frame)
-				if len(frames) >= maxFrames {
-					break
-				}
+		var frames [][]byte
+		for _, fr := range l.frames {
+			if fr.seq <= from {
+				continue
 			}
-			l.mu.Unlock()
+			if frames == nil {
+				resp.FirstSeq = fr.seq
+			}
+			frames = append(frames, fr.frame)
+			if len(frames) >= maxFrames {
+				break
+			}
+		}
+		if frames != nil || !l.waitLocked(deadline, done) {
 			return resp, frames
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
-			l.mu.Unlock()
-			return resp, nil
-		}
-		ch := l.notify
-		l.mu.Unlock()
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-		case <-done:
-			t.Stop()
-			l.mu.Lock()
-			resp := PullResponse{Epoch: l.epoch, HeadSeq: l.head}
-			l.mu.Unlock()
-			return resp, nil
-		}
-		l.mu.Lock()
 	}
 }
 
@@ -250,33 +251,21 @@ func (l *shardLog) bestFollower(window time.Duration) (string, uint64, bool) {
 func (l *shardLog) waitAck(seq uint64, q int, timeout, window time.Duration) (acked, attached bool) {
 	deadline := time.Now().Add(timeout)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
 		ack, n := l.quorumAckLocked(q, window)
 		if n >= q && ack >= seq {
-			l.mu.Unlock()
 			return true, true
 		}
 		if n == 0 && !l.everAttached {
 			// Nobody has ever attached: the gate degrades to async
 			// immediately rather than stalling every write until the
 			// first follower joins.
-			l.mu.Unlock()
 			return false, false
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			l.mu.Unlock()
+		if !l.waitLocked(deadline, nil) {
 			return false, true
 		}
-		ch := l.notify
-		l.mu.Unlock()
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-		}
-		l.mu.Lock()
 	}
 }
 

@@ -2,11 +2,12 @@ package replica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,6 @@ const (
 // fed by the journals' append hooks, served to followers over the pull
 // and snapshot endpoints, and consulted by the semi-sync write gate.
 type Primary struct {
-	stores   []*history.Store
 	logs     []*shardLog
 	replicas int
 	window   time.Duration
@@ -46,11 +46,9 @@ type Primary struct {
 	quorum   int   // follower acks a gated write demands (min 1)
 	leaseTTL int64 // milliseconds granted to pullers; 0 = no detector
 
-	// fencedBy, when non-zero, is a newer cluster epoch this primary has
-	// observed: every gated write is refused with the typed fencing
-	// error from then on. A fenced primary stays fenced until restart,
-	// where the startup handshake demotes it to follower.
-	fencedBy atomic.Uint64
+	// tab is the node's ownership table: its own on a configured primary
+	// (every shard owned from the start), the follower's on a standby.
+	tab *table
 
 	asyncWrites    atomic.Uint64
 	gateTimeouts   atomic.Uint64
@@ -59,7 +57,20 @@ type Primary struct {
 
 	peersMu   sync.Mutex
 	peersPath string // "" = don't persist
-	peers     map[string]bool
+	peers     peerSet
+}
+
+// peerSet is a set of peer URLs, kept sorted.
+type peerSet []string
+
+// add inserts id and reports whether it was new; "" never is.
+func (s *peerSet) add(id string) bool {
+	i, found := slices.BinarySearch(*s, id)
+	if found || id == "" {
+		return false
+	}
+	*s = slices.Insert(*s, i, id)
+	return true
 }
 
 // StoreShards flattens a storage layout into its per-shard stores: a
@@ -94,13 +105,12 @@ func NewPrimary(st history.Storage, replicas int) (*Primary, error) {
 		return nil, err
 	}
 	p := &Primary{
-		stores:   stores,
 		replicas: replicas,
 		window:   defaultFollowerWindow,
 		gate:     defaultGateTimeout,
 		quorum:   1,
-		peers:    make(map[string]bool),
 	}
+	var rows []row
 	for i, s := range stores {
 		w := s.WAL()
 		if w == nil {
@@ -109,15 +119,20 @@ func NewPrimary(st history.Storage, replicas int) (*Primary, error) {
 		l := newShardLog(i, w.Epoch())
 		p.logs = append(p.logs, l)
 		w.SetOnAppend(l.append)
+		rows = append(rows, row{role: roleOwner, epoch: w.Epoch()})
 	}
+	p.tab = newTable(stores, p.logs, false, state{rows: rows})
 	return p, nil
 }
 
-// Shards returns the shard count.
-func (p *Primary) Shards() int { return len(p.logs) }
-
-// Replicas returns the expected follower count.
-func (p *Primary) Replicas() int { return p.replicas }
+// StandbyOf makes p the primary side of f's node: the two share f's
+// table, so the logs p serves pulls from move to the generation of every
+// stand f makes, and p's gate and detector act on the rows f owns. Call
+// it before either side serves.
+func (p *Primary) StandbyOf(f *Follower) {
+	p.tab = f.tab
+	p.tab.logs = p.logs
+}
 
 // SetQuorum sets how many follower acks the write gate demands (clamped
 // to [1, replicas]).
@@ -130,9 +145,6 @@ func (p *Primary) SetQuorum(q int) {
 	}
 	p.quorum = q
 }
-
-// Quorum returns the gate's ack quorum.
-func (p *Primary) Quorum() int { return p.quorum }
 
 // SetLeaseTTL arms the liveness lease: every pull response grants the
 // follower ttl of presumed primary liveness, and followers run their
@@ -148,46 +160,16 @@ func (p *Primary) SetPeersPath(path string) {
 	defer p.peersMu.Unlock()
 	p.peersPath = path
 	for _, id := range loadPeers(path) {
-		p.peers[id] = true
+		p.peers.add(id)
 	}
 }
-
-// Fence marks this primary as superseded by epoch: every gated write is
-// refused with the typed fencing error until the process restarts and
-// rejoins as a follower. Idempotent; only ever raises.
-func (p *Primary) Fence(epoch uint64) {
-	for {
-		cur := p.fencedBy.Load()
-		if epoch <= cur {
-			return
-		}
-		if p.fencedBy.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
-
-// FencedBy returns the newer epoch that fenced this primary, or 0.
-func (p *Primary) FencedBy() uint64 { return p.fencedBy.Load() }
 
 // Epoch returns the node's journal epoch (max across shards).
-func (p *Primary) Epoch() uint64 {
-	var max uint64
+func (p *Primary) Epoch() (epoch uint64) {
 	for _, l := range p.logs {
-		if e := l.epochNow(); e > max {
-			max = e
-		}
+		epoch = max(epoch, l.epochNow())
 	}
-	return max
-}
-
-// SetEpochs raises every shard log's fencing epoch — the standby
-// primary inside a promoted follower calls this so the logs it serves
-// pulls from match the bumped journal epoch.
-func (p *Primary) SetEpochs(epoch uint64) {
-	for _, l := range p.logs {
-		l.setEpoch(epoch)
-	}
+	return epoch
 }
 
 // WaitWrite is the semi-sync gate: after a local write, wait until an
@@ -197,18 +179,22 @@ func (p *Primary) SetEpochs(epoch uint64) {
 // follower has attached, a lagging or vanished quorum refuses the write
 // — so the acked-write set stays a subset of what any quorum member
 // holds, and promotion by the most-caught-up follower loses nothing. A
-// fenced primary refuses every gated write with the typed fencing
-// error.
+// shard the table says this node lost refuses with the typed fencing
+// error; one it handed over does not wait — its log stopped with the
+// hand-over, and no follower will ever ack it.
 func (p *Primary) WaitWrite(shard int) error {
 	if p.replicas <= 0 || shard < 0 || shard >= len(p.logs) {
 		return nil
 	}
-	// The fence binds only while the observed epoch is still ahead of
-	// ours: a standby fenced before its own promotion sheds the stale
-	// fence when SetEpochs moves it past the rival generation.
-	if mine := p.Epoch(); p.fencedBy.Load() > mine {
+	// One load of the table: a shard this node handed over is the new
+	// owner's to acknowledge, a shard it lost refuses for good.
+	st := p.tab.read()
+	if st.rows[shard].role == roleHandedOver {
+		return nil
+	}
+	if err := st.writable(shard); errors.Is(err, ErrFenced) {
 		p.fencingRejects.Add(1)
-		return &FencingError{Op: "write", Local: mine, Remote: p.fencedBy.Load()}
+		return err
 	}
 	l := p.logs[shard]
 	seq := l.headSeq()
@@ -246,19 +232,14 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
 	from, _ := strconv.ParseUint(q.Get("from"), 10, 64)
 	waitMS, _ := strconv.Atoi(q.Get("wait"))
-	wait := time.Duration(waitMS) * time.Millisecond
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxPullWait {
-		wait = maxPullWait
-	}
+	wait := min(max(time.Duration(waitMS)*time.Millisecond, 0), maxPullWait)
 	l := p.logs[shard]
-	// A puller holding a HIGHER epoch than ours means a newer primary
-	// has been elected while we kept serving: fence ourselves rather
-	// than hand out frames a promotion already superseded.
+	// A puller holding a HIGHER epoch than ours means this shard was
+	// claimed while we kept serving it: the row is fenced rather than
+	// frames a newer generation superseded handed out.
+	id := q.Get("id")
 	if mine := l.epochNow(); epoch > mine {
-		p.Fence(epoch)
+		p.tab.apply(event{kind: evClaim, peer: id, claims: []Claim{{Shard: shard, Epoch: epoch}}})
 		p.fencingRejects.Add(1)
 		httpError(w, http.StatusConflict, (&FencingError{Op: "pull", Local: mine, Remote: epoch}).Error())
 		return
@@ -266,14 +247,12 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	// The ack is registered before any long-poll wait: the pull position
 	// IS the follower's applied offset, so the write gate releases the
 	// moment the follower comes back for more, not when it next applies.
-	id := q.Get("id")
-	var fresh bool
-	if epoch == l.epochNow() {
-		fresh = l.registerAck(id, from)
-	} else {
-		fresh = l.registerAck(id, 0)
+	// A position under another epoch acknowledges nothing of this one.
+	ack := from
+	if epoch != l.epochNow() {
+		ack = 0
 	}
-	if fresh {
+	if fresh := l.registerAck(id, ack); fresh {
 		p.notePeer(id)
 	}
 	resp, frames := l.pull(epoch, from, maxPullFrames, wait, r.Context().Done())
@@ -286,11 +265,11 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 // then every record as the put frame its journal entry would be.
 func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-	if err != nil || shard < 0 || shard >= len(p.stores) {
+	if err != nil || shard < 0 || shard >= len(p.logs) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad shard %q", r.URL.Query().Get("shard")))
 		return
 	}
-	epoch, seq, entries, err := p.stores[shard].ReplicaSnapshot()
+	epoch, seq, entries, err := p.tab.stores[shard].ReplicaSnapshot()
 	var frames [][]byte
 	if err == nil {
 		frames, err = encodeFrames(entries)
@@ -302,59 +281,20 @@ func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_ = writeFrames(w, SnapshotResponse{Epoch: epoch, Seq: seq}, frames) // fails only when the follower is gone
 }
 
-// Stats snapshots the primary's replication gauges.
-func (p *Primary) Stats() Stats {
-	out := Stats{
-		Role:           "primary",
-		Epoch:          p.Epoch(),
-		LeaseAgeMS:     -1,
-		AckQuorum:      p.quorum,
-		QuorumAcks:     p.quorumAcks.Load(),
-		FencingRejects: p.fencingRejects.Load(),
-		AsyncWrites:    p.asyncWrites.Load(),
-		GateTimeouts:   p.gateTimeouts.Load(),
-	}
-	for _, l := range p.logs {
-		if age := l.lastPullAge(); age >= 0 && (out.LeaseAgeMS < 0 || age < out.LeaseAgeMS) {
-			out.LeaseAgeMS = age
-		}
-		out.Shards = append(out.Shards, l.stats())
-	}
-	return out
-}
-
 // Peers returns the persisted-or-live follower ids, sorted.
 func (p *Primary) Peers() []string {
 	p.peersMu.Lock()
 	defer p.peersMu.Unlock()
-	out := make([]string, 0, len(p.peers))
-	for id := range p.peers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(p.peers)
 }
 
 // notePeer records a first-seen follower id and persists the registry.
 func (p *Primary) notePeer(id string) {
-	if id == "" {
-		return
-	}
 	p.peersMu.Lock()
 	defer p.peersMu.Unlock()
-	if p.peers[id] {
-		return
+	if p.peers.add(id) && p.peersPath != "" {
+		savePeers(p.peersPath, p.peers)
 	}
-	p.peers[id] = true
-	if p.peersPath == "" {
-		return
-	}
-	ids := make([]string, 0, len(p.peers))
-	for pid := range p.peers {
-		ids = append(ids, pid)
-	}
-	sort.Strings(ids)
-	savePeers(p.peersPath, ids)
 }
 
 // loadPeers reads a persisted peer list; absent or torn files read as
@@ -374,14 +314,7 @@ func loadPeers(path string) []string {
 // savePeers persists the peer list. Best-effort: it is discovery state,
 // and a peer that fails to persist is re-learned at its next pull.
 func savePeers(path string, ids []string) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(ids, "", "  ")
-	if err != nil {
-		return
-	}
-	history.WriteFileAtomic(path, ".peers-*.tmp", append(data, '\n'))
+	_ = writeJSONFile(path, ".peers-*.tmp", ids, true)
 }
 
 // epochNow returns the shard log's epoch.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/history"
@@ -32,8 +34,10 @@ type peerInfo struct {
 // probe asks every peer for its info handshake, in order, each bounded
 // by timeout, and returns the ones that answered; empty entries, self
 // and repeats are skipped. The election, the primary-side detector and
-// the startup rejoin check all read the cluster through this one scan.
-func probe(ctx context.Context, peers []string, self string, timeout time.Duration) []peerInfo {
+// the startup rejoin check all read the cluster through this one scan,
+// so this is where a claim on a shard this node does not have (shards is
+// its count) is dropped: what a peer says is not trusted to be in range.
+func probe(ctx context.Context, peers []string, self string, shards int, timeout time.Duration) []peerInfo {
 	var out []peerInfo
 	seen := map[string]bool{"": true, self: true}
 	for _, peer := range peers {
@@ -47,6 +51,7 @@ func probe(ctx context.Context, peers []string, self string, timeout time.Durati
 		if err != nil {
 			continue
 		}
+		info.Owned = slices.DeleteFunc(info.Owned, func(c Claim) bool { return c.Shard < 0 || c.Shard >= shards })
 		id := info.Advertise
 		if id == "" {
 			id = peer
@@ -56,21 +61,30 @@ func probe(ctx context.Context, peers []string, self string, timeout time.Durati
 	return out
 }
 
+// Superseded is one shard of this node that a peer claimed while the node
+// was down: the claim, and the URL the claimant answered at.
+type Superseded struct {
+	Claim
+	Winner string
+}
+
 // SupersededBy is the startup rejoin check (DESIGN.md §15), run before
-// the store at storeDir opens: it probes the persisted follower registry
-// (PEERS.json) plus peers for a node claiming the primary role under a
-// strictly newer epoch than the store's on-disk generation. A hit means
-// a promotion happened while this primary was down: it returns the
-// winner's URL and the two epochs, and the caller demotes.
-func SupersededBy(ctx context.Context, storeDir string, peers []string, self string) (winner string, theirs, ours uint64) {
-	ours = history.MaxJournalEpoch(storeDir)
-	known := append(loadPeers(PeersFilePath(storeDir)), peers...)
-	for _, info := range probe(ctx, known, self, 2*time.Second) {
-		if info.ClaimsPrimary() && info.Epoch > ours && info.Epoch > theirs {
-			winner, theirs = info.url, info.Epoch
-		}
+// the store at storeDir opens — so before StartWAL bumps the journals: it
+// reads what each shard's directory says survived (its STATE.json, its
+// journal's generation), probes the persisted follower registry
+// (PEERS.json) plus peers for their claims, and returns the shards this
+// node lost, each with the peer to follow it from (role.go, lostAtBoot).
+// The caller comes up following those, and owning the rest.
+func SupersededBy(ctx context.Context, storeDir string, peers []string, self string) []Superseded {
+	dirs := history.ShardDirs(storeDir)
+	cols, journals := make([]replState, len(dirs)), make([]uint64, len(dirs))
+	for i, dir := range dirs {
+		cols[i], _ = loadState(dir)
+		journals[i], _ = history.JournalEpoch(dir)
 	}
-	return winner, theirs, ours
+	known := append(loadPeers(PeersFilePath(storeDir)), peers...)
+	// The store is not open yet: Rejoin checks the shards against it.
+	return lostAtBoot(cols, journals, probe(ctx, known, self, math.MaxInt, 2*time.Second))
 }
 
 // AwaitPrimary fetches the layout handshake of the primary at base,

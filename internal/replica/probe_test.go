@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,16 +14,20 @@ import (
 )
 
 // TestProbe: the one peer scan skips "", self and repeats, leaves an
-// unreachable peer out of the result, keeps the order it was given, and
-// remembers the URL each answer came from.
+// unreachable peer out of the result, keeps the order it was given,
+// remembers the URL each answer came from, and drops a claim on a shard
+// the prober does not have.
 func TestProbe(t *testing.T) {
 	a := infoServer(t, InfoResponse{Role: "follower", Advertise: "http://adv-a", AppliedSeq: 3})
-	b := infoServer(t, InfoResponse{Role: "primary", Epoch: 4})
+	b := infoServer(t, InfoResponse{Role: "primary", Epoch: 4, Owned: []Claim{{Shard: 0, Epoch: 4}, {Shard: 7, Epoch: 4}, {Shard: -1, Epoch: 4}}})
 	self := "http://self"
 	peers := []string{"", self, b.URL, "http://127.0.0.1:1", a.URL, b.URL}
-	got := probe(context.Background(), peers, self, time.Second)
+	got := probe(context.Background(), peers, self, 1, time.Second)
 	if len(got) != 2 {
 		t.Fatalf("probe returned %d peers, want 2 (b then a): %+v", len(got), got)
+	}
+	if len(got[0].Owned) != 1 || got[0].Owned[0].Shard != 0 {
+		t.Errorf("first claims %+v, want shard 0 alone of the prober's one", got[0].Owned)
 	}
 	if got[0].url != b.URL || got[0].Epoch != 4 || got[0].id != b.URL {
 		t.Errorf("first = %+v (id %q), want b reached at %s with no advertise", got[0], got[0].id, b.URL)
@@ -32,25 +37,38 @@ func TestProbe(t *testing.T) {
 	}
 }
 
-// TestClaimsPrimary pins the predicate against the expression it
-// replaced, on every (role, promoted) combination.
+// TestClaimsPrimary pins the claim a node announces against its table,
+// row by row: every combination of roles over two shards claims exactly
+// the rows it owns, each under its own epoch, and claims the primary role
+// iff there is one — a row followed, handed over or fenced is nobody's
+// claim, whatever the other row is.
 func TestClaimsPrimary(t *testing.T) {
-	for _, role := range []string{"primary", "follower"} {
-		for _, promoted := range []bool{false, true} {
-			info := InfoResponse{Role: role, Promoted: promoted}
-			if want := info.Role == "primary" || info.Promoted; info.ClaimsPrimary() != want {
-				t.Errorf("ClaimsPrimary(%s, promoted=%v) = %v, want %v", role, promoted, info.ClaimsPrimary(), want)
+	roles := []role{roleFollowing, roleOwner, roleHandedOver, roleFenced}
+	for _, r0 := range roles {
+		for _, r1 := range roles {
+			st := state{rows: []row{{role: r0, epoch: 3}, {role: r1, epoch: 7}}}
+			var want []Claim
+			if r0 == roleOwner {
+				want = append(want, Claim{Shard: 0, Epoch: 3})
+			}
+			if r1 == roleOwner {
+				want = append(want, Claim{Shard: 1, Epoch: 7})
+			}
+			info := InfoResponse{Owned: st.owned()}
+			if !reflect.DeepEqual(info.Owned, want) || info.ClaimsPrimary() != (len(want) > 0) {
+				t.Errorf("rows (%s, %s) claim %v (primary=%v), want %v", r0, r1, info.Owned, info.ClaimsPrimary(), want)
 			}
 		}
 	}
 }
 
-// TestDetectorCheckShards walks one shard through the detector's
-// shard-failover check: a blip shorter than the lease promotes nothing
-// and recovery resets the clock; degradation held past one lease
-// promotes exactly once, after a failed attempt is retried; a shard
-// already promoted — by this detector or by the write path — is left
-// alone.
+// TestDetectorCheckShards walks a two-shard table through the detector's
+// shard-health report. Shard 1: a blip shorter than the lease hands
+// nothing over and recovery resets the clock; degradation held past one
+// lease asks for the hand-over, again after a failed attempt, and never
+// once the seam recorded it. Shard 0, degraded throughout, was handed
+// over by the write path before the detector looked: it is never asked
+// for — and neither row's fate touches the other's.
 func TestDetectorCheckShards(t *testing.T) {
 	const ttl = 200 * time.Millisecond
 	var (
@@ -58,14 +76,20 @@ func TestDetectorCheckShards(t *testing.T) {
 		calls   []int
 		failing bool
 	)
-	d := NewDetector(nil, DetectorConfig{
-		LeaseTTL:    ttl,
-		ShardHealth: func() []history.ShardInfo { return []history.ShardInfo{health} },
+	prim := &Primary{tab: newTable(nil, nil, false, state{rows: []row{{role: roleOwner, epoch: 1}, {role: roleOwner, epoch: 1}}})}
+	prim.tab.apply(event{kind: evHandedOver, shard: 0, peer: "http://f", epoch: 2})
+	d := NewDetector(prim, DetectorConfig{
+		LeaseTTL: ttl,
+		ShardHealth: func() []history.ShardInfo {
+			return []history.ShardInfo{{Shard: 0, Degraded: true, Failover: "promoted"}, health}
+		},
 		PromoteShard: func(shard int) error {
 			calls = append(calls, shard)
 			if failing {
 				return errors.New("no attached follower")
 			}
+			// What the seam does once the follower answered.
+			prim.tab.apply(event{kind: evHandedOver, shard: shard, peer: "http://f", epoch: 2})
 			return nil
 		},
 	})
@@ -87,9 +111,12 @@ func TestDetectorCheckShards(t *testing.T) {
 	for _, s := range steps {
 		time.Sleep(s.wait)
 		health, failing = s.info, s.failing
-		d.checkShards()
+		d.tick()
 		if len(calls) != s.wantCalls {
 			t.Fatalf("%s: PromoteShard called %d times (%v), want %d", s.name, len(calls), calls, s.wantCalls)
+		}
+		if r := prim.tab.read().rows[0]; r.role != roleHandedOver || r.epoch != 2 {
+			t.Fatalf("%s: shard 0's row moved to %+v", s.name, r)
 		}
 	}
 	for _, shard := range calls {
@@ -97,29 +124,11 @@ func TestDetectorCheckShards(t *testing.T) {
 			t.Errorf("PromoteShard(%d), want shard 1", shard)
 		}
 	}
-
-	// The write path got there first: the store reports the shard as
-	// promoted, and the detector never calls.
-	calls = nil
-	d2 := NewDetector(nil, DetectorConfig{
-		LeaseTTL: time.Millisecond,
-		ShardHealth: func() []history.ShardInfo {
-			return []history.ShardInfo{{Shard: 0, Degraded: true, Failover: "promoted"}}
-		},
-		PromoteShard: func(shard int) error { calls = append(calls, shard); return nil },
-	})
-	for i := 0; i < 3; i++ {
-		d2.checkShards()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if len(calls) != 0 {
-		t.Errorf("PromoteShard called %d times on a shard the write path already promoted", len(calls))
-	}
 }
 
 // TestStateWriteErrorsSurface: a lease grant and a new primary pointer
 // that fail to persist are reported — to the pull loop and the election,
-// which record them for /statsz — instead of vanishing, and the
+// which records them for /statsz — instead of vanishing, and the
 // in-memory state advances regardless.
 func TestStateWriteErrorsSurface(t *testing.T) {
 	pst := openDurable(t, t.TempDir())
@@ -145,24 +154,16 @@ func TestStateWriteErrorsSurface(t *testing.T) {
 	if _, err := fol.pullOnce(0, 0); err == nil || !strings.Contains(err.Error(), "persist state") {
 		t.Fatalf("pull with an unwritable lease grant returned %v, want a persist-state error", err)
 	}
-	fol.mu.Lock()
-	lease := fol.states[0].Lease
-	fol.mu.Unlock()
-	if lease == nil || lease.TTLMS != 300 {
+	if lease := fol.tab.read().rows[0].lease; lease.TTLMS != 300 {
 		t.Fatalf("in-memory lease = %+v, want the 300ms grant adopted despite the failed write", lease)
-	}
-
-	if err := fol.retarget("http://127.0.0.1:1"); err == nil || !strings.Contains(err.Error(), "persist state") {
-		t.Fatalf("retarget with an unwritable state file returned %v, want a persist-state error", err)
-	}
-	if got := fol.PrimaryURL(); got != "http://127.0.0.1:1" {
-		t.Fatalf("PrimaryURL = %q after a retarget whose write failed, want the new primary", got)
 	}
 
 	// Through the election: adopting a higher-epoch claimant records the
 	// failed write where /statsz shows it.
-	winner := infoServer(t, InfoResponse{Role: "primary", Epoch: 9})
+	winner := infoServer(t, InfoResponse{Role: "primary", Epoch: 9, Owned: []Claim{{Shard: 0, Epoch: 9}}})
 	fol.SetAutoFailover(AutoConfig{Peers: []string{winner.URL}})
+	tsP.Close() // or the last-gasp probe finds the primary alive
+	fol.lapse()
 	fol.tryFailover()
 	if got := fol.PrimaryURL(); got != winner.URL {
 		t.Fatalf("PrimaryURL = %q, want the election to have adopted %s", got, winner.URL)

@@ -56,6 +56,43 @@ func followerServer(t *testing.T, fol **Follower) *httptest.Server {
 	return ts
 }
 
+// One side's /statsz block.
+func (p *Primary) Stats() Stats  { return *(&Node{Primary: p}).Stats() }
+func (f *Follower) Stats() Stats { return *(&Node{Follower: f}).Stats() }
+
+// What the election tests read off a follower's table.
+func (f *Follower) AnyPromoted() bool  { return len(f.tab.read().owned()) > 0 }
+func (f *Follower) Suspect() bool      { return len(f.tab.read().suspects()) > 0 }
+func (f *Follower) PrimaryURL() string { return f.tab.read().rows[0].peer }
+func (f *Follower) Epoch() (e uint64) {
+	for _, r := range f.tab.read().rows {
+		e = max(e, r.epoch)
+	}
+	return e
+}
+
+// editState rewrites a table's published state in place of the history
+// that would have led there.
+func editState(t *table, edit func(*state)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := *t.read()
+	s.rows = append([]row(nil), s.rows...)
+	edit(&s)
+	t.cur.Store(&s)
+}
+
+// lapse ages the follower's lease past its window, as if no pull had been
+// answered for that long, and lets the monitor's tick notice.
+func (f *Follower) lapse() {
+	editState(f.tab, func(s *state) {
+		for i := range s.rows {
+			s.rows[i].heard = time.Time{}
+		}
+	})
+	f.tab.apply(event{kind: evTick})
+}
+
 // waitFor polls cond until it holds or the deadline lapses.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()

@@ -266,7 +266,11 @@ func TestRejoinFencesEveryShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.Rejoin("http://127.0.0.1:1"); err != nil {
+	var lost []Superseded
+	for shard := 0; shard < 2; shard++ {
+		lost = append(lost, Superseded{Claim: Claim{Shard: shard, Epoch: 99}, Winner: "http://127.0.0.1:1"})
+	}
+	if err := fol.Rejoin(lost); err != nil {
 		t.Fatal(err)
 	}
 	for _, version := range []string{"A", "B"} { // one key on each shard
@@ -278,11 +282,6 @@ func TestRejoinFencesEveryShard(t *testing.T) {
 			t.Errorf("Writable on shard %d of a rejoined ex-primary = %v, want ErrFenced naming epoch %d", shard, err, sst.WAL().Epoch())
 		}
 	}
-	fol.mu.Lock()
-	defer fol.mu.Unlock()
-	if want := max(fol.states[0].DemotedFrom, fol.states[1].DemotedFrom); fol.demotedFrom != want || want == 0 {
-		t.Errorf("demotedFrom = %d, want the shards' maximum %d", fol.demotedFrom, want)
-	}
 }
 
 // TestAwaitPrimaryRefusesAnotherWire: the follow handshake checks that
@@ -290,7 +289,7 @@ func TestRejoinFencesEveryShard(t *testing.T) {
 // both numbers, instead of leaving the pull loop to fail on every body.
 func TestAwaitPrimaryRefusesAnotherWire(t *testing.T) {
 	for _, wire := range []int{0, wireGeneration + 1} {
-		peer := infoServer(t, InfoResponse{Role: "primary", Shards: 1, Wire: wire})
+		peer := infoServer(t, InfoResponse{Role: "primary", Shards: 1, Wire: wire, Owned: []Claim{{Epoch: 1}}})
 		_, err := AwaitPrimary(context.Background(), peer.URL)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wire %d, this build speaks %d", wire, wireGeneration)) {
 			t.Errorf("AwaitPrimary of a wire-%d node = %v, want a refusal naming both", wire, err)
@@ -307,7 +306,7 @@ func TestAwaitPrimaryRefusesAnotherWire(t *testing.T) {
 	if _, err := AwaitPrimary(context.Background(), same.URL); err == nil || !strings.Contains(err.Error(), "not a primary") {
 		t.Errorf("AwaitPrimary of a same-wire non-primary = %v", err)
 	}
-	info.Role = "primary"
+	info.Role, info.Owned = "primary", []Claim{{Epoch: 1}}
 	same = infoServer(t, info)
 	if _, err := AwaitPrimary(context.Background(), same.URL); err != nil {
 		t.Errorf("AwaitPrimary of a same-wire primary = %v", err)

@@ -5,29 +5,26 @@
 // journal epoch, to followers that fold them into their own durable
 // stores and report applied offsets back. Followers pull — a long-poll
 // per shard, the ack piggybacked on the pull — so the primary holds no
-// connection state beyond a registry of who has applied what. An anti-entropy path (store snapshot + WAL
-// tail) bootstraps fresh or stale followers whose pull position has
-// fallen off the primary's in-memory frame ring.
+// connection state beyond a registry of who has applied what. An
+// anti-entropy path (store snapshot + WAL tail) bootstraps fresh or stale
+// followers whose pull position has fallen off the primary's in-memory
+// frame ring.
 //
-// Failover has two rungs sharing this substrate. Store-level: the
-// primary's ShardedStore, through the history.ShardFailover seam, serves
-// a broken shard's reads from the most-caught-up follower and — when
-// promotion is enabled — hands the keyspace over for writes. Process-
-// level: when the whole primary dies, the heartbeat/lease failure
-// detector notices (pulls double as heartbeats; the primary grants an
-// epoch-stamped lease on each one) and the most-caught-up follower that
-// can see a quorum of the cluster self-promotes by bumping the journal
-// epoch — every replication and write RPC carries the epoch, so traffic
-// from the dead primary's generation is refused with a typed fencing
-// error (ErrFenced / 409) and at most one primary per keyspace is ever
-// writable. A revived old primary discovers the higher epoch via the
-// info handshake, demotes itself to follower, quarantines its unshipped
-// WAL tail as a divergence record, and catches up via the snapshot
-// bootstrap. Operator promotion (POST /promote) remains as a manual
-// override. The semi-synchronous write gate generalizes to a quorum of
-// acks, so the promotion winner — chosen by (applied_seq, advertise
-// URL) — holds every acknowledged write by quorum intersection. See
-// DESIGN.md §14–§15 and FORMATS.md "Replication stream".
+// Who owns a shard is one fact in one place: each node keeps a table, a
+// row per shard (following, owner, handedOver, fenced; an epoch; a peer),
+// and every decision over it is the pure step of role.go — the pull
+// loops, the monitor, the detector, the promote endpoint and the store's
+// failover seam only report what they observe and execute what step asks.
+// A node comes to own a shard through one transition, a stand: won on
+// ballots when the lease on the owner lapses (pulls double as heartbeats),
+// or forced by an operator's POST /promote or by the seam handing over a
+// shard whose store died. A stand bumps the journal epoch of the shards it
+// covers and of no other; every replication and write RPC carries the
+// epoch, so the old owner's traffic is refused with the typed fencing
+// error (ErrFenced / 409), shard by shard, and a revived node follows the
+// shards it lost and keeps the rest. The semi-synchronous write gate waits
+// for a quorum of acks, so an election's winner holds every acknowledged
+// write. See DESIGN.md §14–§15 and FORMATS.md "Replication stream".
 package replica
 
 import (
@@ -47,7 +44,7 @@ import (
 // negotiated — peers run the same build — so a follower refuses at the
 // handshake (AwaitPrimary) a node that announces another number. Raise
 // it with any change to a body or to the frame.
-const wireGeneration = 1
+const wireGeneration = 2
 
 // writeFrames writes the one body that carries record bytes between
 // replicas, in either direction: hdr as a single line of JSON, a newline,
@@ -142,21 +139,28 @@ type SnapshotResponse struct {
 	Seq   uint64 `json:"seq"`
 }
 
+// Claim is one shard a node owns and the epoch it owns it under.
+type Claim struct {
+	Shard int    `json:"shard"`
+	Epoch uint64 `json:"epoch"`
+}
+
 // InfoResponse describes a node's replication shape — the handshake a
 // follower uses to open a matching local layout, and the electorate's
-// ballot during automatic failover: Epoch/AppliedSeq/Promoted feed the
+// ballot during automatic failover: Owned is the node's claim, shard by
+// shard (what a peer fences, follows or rejoins by), AppliedSeq feeds the
 // most-caught-up election, Suspect reports whether this node has also
 // lost its primary (a peer that still sees the primary vetoes
 // promotion), Advertise is the deterministic tie-break key, and
 // Followers lets nodes learn the electorate from the primary while it
 // is still healthy.
 type InfoResponse struct {
-	Role       string   `json:"role"` // "primary" | "follower"
+	Role       string   `json:"role"` // "primary" while it owns or owned any shard, else "follower"
 	Shards     int      `json:"shards"`
 	Replicas   int      `json:"replicas"`
-	Epoch      uint64   `json:"epoch,omitempty"`
+	Epoch      uint64   `json:"epoch,omitempty"`       // newest across shards
 	AppliedSeq uint64   `json:"applied_seq,omitempty"` // summed across shards
-	Promoted   bool     `json:"promoted,omitempty"`    // any shard promoted
+	Owned      []Claim  `json:"owned,omitempty"`
 	Suspect    bool     `json:"suspect,omitempty"`
 	Advertise  string   `json:"advertise,omitempty"`
 	AckQuorum  int      `json:"ack_quorum,omitempty"`
@@ -167,8 +171,8 @@ type InfoResponse struct {
 }
 
 // ClaimsPrimary reports whether the node presents itself as an owner of
-// keyspace: a primary, or a follower with at least one promoted shard.
-func (i InfoResponse) ClaimsPrimary() bool { return i.Role == "primary" || i.Promoted }
+// keyspace: it owns at least one shard.
+func (i InfoResponse) ClaimsPrimary() bool { return len(i.Owned) > 0 }
 
 // PromoteRequest asks a follower to take ownership of one shard's
 // keyspace (or every shard with Shard == -1, the whole-primary-death
