@@ -272,6 +272,8 @@ func BenchmarkRunSessionsParallel(b *testing.B) { benchmarkRunSessions(b, runtim
 // BenchmarkSimulatorEvents measures raw event throughput of the
 // discrete-event engine on the Poisson C workload.
 func BenchmarkSimulatorEvents(b *testing.B) {
+	b.ReportAllocs()
+	var events int64
 	for i := 0; i < b.N; i++ {
 		a, err := app.Poisson("C", app.Options{})
 		if err != nil {
@@ -284,8 +286,9 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 		if err := s.RunUntil(100); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(s.EventsProcessed()), "events/run")
+		events = s.EventsProcessed()
 	}
+	b.ReportMetric(float64(events), "events/run")
 }
 
 // BenchmarkBaseDiagnosis measures a complete undirected diagnosis of

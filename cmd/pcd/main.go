@@ -17,6 +17,7 @@
 //	    [-auto-failover] [-lease-ttl 3s] [-heartbeat-every 0]
 //	    [-ack-quorum 1] [-peers URL,URL]
 //	    [-fault-seed N] [-fault-err-rate P] [-fault-torn-rate P]
+//	    [-debug-addr host:port]
 //
 // The store directory must already exist unless -create is given — a
 // daemon pointed at a mistyped path should fail loudly, not serve an
@@ -103,6 +104,9 @@
 // it heals — no restart needed. On SIGINT/SIGTERM the daemon drains:
 // new diagnoses are refused with 503 while in-flight sessions run to
 // completion (bounded by -drain-timeout).
+//
+// -debug-addr host:port serves net/http/pprof (/debug/pprof/) on a
+// listener and mux of its own, never on -addr; off by default.
 package main
 
 import (
@@ -156,6 +160,7 @@ func main() {
 	flag.DurationVar(&cfg.HeartbeatEvery, "heartbeat-every", 0, "failure-detector tick and pull long-poll cap (0 = lease-ttl/6)")
 	flag.IntVar(&cfg.AckQuorum, "ack-quorum", 1, "follower acks that release a gated write, clamped to [1, replicas]")
 	peers := flag.String("peers", "", "comma-separated advertise URLs of the other replicas (the failover electorate)")
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve net/http/pprof on this host:port, a listener of its own (empty = off)")
 	flag.Parse()
 	if cfg.Dir == "" {
 		log.Fatal("-store is required")

@@ -248,8 +248,14 @@ func (ds *DirectiveSet) Guidance(space *resource.Space) (consultant.Guidance, in
 }
 
 // normalizeFocusName canonicalizes a focus name's whitespace so that
-// name-based directive matching is robust to formatting.
+// name-based directive matching is robust to formatting. Guidance runs
+// it over every priority and pair prune, and nearly all arrive canonical
+// (the form Focus.Name and the directive writer emit), so a name the
+// scan finds canonical is returned as it is, unallocated.
 func normalizeFocusName(focus string) (string, error) {
+	if isCanonicalFocusName(focus) {
+		return focus, nil
+	}
 	paths, err := focusPaths(focus)
 	if err != nil {
 		return "", err
@@ -260,6 +266,32 @@ func normalizeFocusName(focus string) (string, error) {
 		}
 	}
 	return "<" + strings.Join(paths, ",") + ">", nil
+}
+
+// isCanonicalFocusName reports whether normalizeFocusName's allocating
+// path would rebuild focus byte for byte: "<" path {"," path} ">". It
+// errs towards no: a path ending in a control or non-ASCII byte, like
+// every invalid name, is left to that path.
+func isCanonicalFocusName(focus string) bool {
+	n := len(focus)
+	if n < 2 || focus[0] != '<' || focus[n-1] != '>' {
+		return false
+	}
+	prev := byte(',') // a path starts after '<' as after ','
+	for i := 1; i < n; i++ {
+		c := focus[i]
+		if i == n-1 {
+			c = ',' // and ends at '>' as at ','
+		}
+		switch {
+		case prev == ',' && c != '/', // a path is "/"-led,
+			prev == '/' && (c == '/' || c == ','),     // none of its components is empty,
+			c == ',' && (prev <= ' ' || prev >= 0x80): // and TrimSpace would leave its end alone
+			return false
+		}
+		prev = c
+	}
+	return true
 }
 
 // focusPaths splits a canonical focus name into its selection paths.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/consultant"
@@ -235,5 +237,85 @@ func TestSortIsDeterministic(t *testing.T) {
 	}
 	if ds.Priorities[0].Focus != "<a>" || ds.Thresholds[0].Hypothesis != "A" {
 		t.Error("priority/threshold sort wrong")
+	}
+}
+
+// rebuildFocusName is normalizeFocusName as it was before it learned to
+// recognise a canonical name: every name split, trimmed, validated and
+// joined again. The reference of the property below.
+func rebuildFocusName(focus string) (string, error) {
+	paths, err := focusPaths(focus)
+	if err != nil {
+		return "", err
+	}
+	for _, p := range paths {
+		if _, err := resource.SplitPath(p); err != nil {
+			return "", err
+		}
+	}
+	return "<" + strings.Join(paths, ",") + ">", nil
+}
+
+// normalizeFocusName answers a canonical name from one scan; whatever it
+// answers must be what the reference answers, value and error-ness, over
+// canonical names with whitespace and junk injected.
+func TestNormalizeFocusNameMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	labels := []string{"Code", "oned.f", "main", "p 1", "sp01", "tag_3_0", "é", "a<b", "x>", "naïve ", " pad", "t\t"}
+	junk := []string{" ", "\t", "\n", "\u00a0", "\u2003", "\x85", ",", "/", "<", ">", "x"}
+	check := func(name string) {
+		t.Helper()
+		got, gotErr := normalizeFocusName(name)
+		want, wantErr := rebuildFocusName(name)
+		if got != want || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("normalizeFocusName(%q) = %q, %v; rebuilt: %q, %v", name, got, gotErr, want, wantErr)
+		}
+	}
+	canonical := 0
+	for i := 0; i < 20_000; i++ {
+		var paths []string
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			path := ""
+			for d := 1 + rng.Intn(3); d > 0; d-- {
+				path += "/" + labels[rng.Intn(len(labels))]
+			}
+			paths = append(paths, path)
+		}
+		name := "<" + strings.Join(paths, ",") + ">"
+		check(name)
+		if isCanonicalFocusName(name) {
+			canonical++
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			at := rng.Intn(len(name) + 1)
+			if rng.Intn(4) == 0 && at < len(name) {
+				name = name[:at] + name[at+1:] // drop a byte: a bracket, a slash, half a rune
+			} else {
+				name = name[:at] + junk[rng.Intn(len(junk))] + name[at:]
+			}
+			check(name)
+		}
+	}
+	if canonical < 10_000 {
+		t.Errorf("the scan recognised only %d of 20000 generated canonical names", canonical)
+	}
+	for _, name := range []string{"", "<", ">", "<>", "><", "</>", "</a,>", "<,/a>", "</a//b>", "</a/>", "</a>", " </a>", "</a> ", "< /a >"} {
+		check(name)
+	}
+}
+
+// The names Guidance meets are the ones Focus.Name emits; those must
+// come back as they went in, without an allocation.
+func TestNormalizeFocusNameKeepsCanonicalInput(t *testing.T) {
+	sp := testSpace(t)
+	for _, name := range []string{
+		sp.WholeProgram().Name(),
+		focusName(t, sp, "/Code/oned.f/main", "/Process/p2", "/SyncObject/Message/tag_3_0"),
+	} {
+		var got string
+		allocs := testing.AllocsPerRun(100, func() { got, _ = normalizeFocusName(name) })
+		if got != name || allocs != 0 {
+			t.Errorf("normalizeFocusName(%q) = %q with %v allocations, want the input and none", name, got, allocs)
+		}
 	}
 }

@@ -21,6 +21,10 @@ type matcher struct {
 
 	tagDepth int    // 0 = any; 1 = any message tag; 2 = exact tag
 	tag      string // exact tag when tagDepth == 2
+
+	// verdict remembers matchesLabels per Interval.Site (a site is a label
+	// set, emitted thousands of times): 0 unknown, 1 match, -1 no match.
+	verdict []int8
 }
 
 func newMatcher(met metric.ID, focus resource.Focus) (matcher, error) {
@@ -81,24 +85,42 @@ func (mt *matcher) matchesProc(pe ProcEntry) bool {
 	return true
 }
 
-// matches reports whether an interval is attributable to this probe.
+// matches reports whether an interval is attributable to this probe:
+// its kind is the metric's and its labels are the focus's. The labels of
+// an interval a simulator numbered are compared once per site.
 func (mt *matcher) matches(iv *sim.Interval) bool {
+	if !mt.matchesKind(iv.Kind) {
+		return false
+	}
+	site := iv.Site
+	if site <= 0 {
+		return mt.matchesLabels(iv)
+	}
+	if site >= len(mt.verdict) { // with room for the sites around it: one growth a probe, not one a site
+		mt.verdict = append(mt.verdict, make([]int8, site+32-len(mt.verdict))...)
+	}
+	if mt.verdict[site] == 0 {
+		mt.verdict[site] = -1
+		if mt.matchesLabels(iv) {
+			mt.verdict[site] = 1
+		}
+	}
+	return mt.verdict[site] > 0
+}
+
+func (mt *matcher) matchesKind(k sim.Kind) bool {
 	switch mt.met {
 	case metric.CPUTime:
-		if iv.Kind != sim.KindCPU {
-			return false
-		}
+		return k == sim.KindCPU
 	case metric.SyncWaitTime:
-		if iv.Kind != sim.KindSyncWait {
-			return false
-		}
+		return k == sim.KindSyncWait
 	case metric.IOWaitTime:
-		if iv.Kind != sim.KindIOWait {
-			return false
-		}
-	case metric.ExecTime, metric.MsgCount, metric.MsgBytes, metric.ProcCalls:
-		// any kind
+		return k == sim.KindIOWait
 	}
+	return true // ExecTime, MsgCount, MsgBytes, ProcCalls: any kind
+}
+
+func (mt *matcher) matchesLabels(iv *sim.Interval) bool {
 	if mt.proc != "" && mt.proc != iv.Process {
 		return false
 	}

@@ -11,12 +11,15 @@ import (
 // historic pruning directives are derived from.
 //
 // It sees every interval of a session, so the per-interval work is one
-// map lookup and up to six float additions: the path strings of a label
+// slice index and up to six float additions: the path strings of a label
 // set are built the first time the set is seen and remembered as that
-// set's accumulators.
+// set's accumulators, under its labels and — for an interval a simulator
+// numbered — under its Site, so that the five strings are hashed once a
+// site rather than once an interval.
 type UsageCollector struct {
 	seconds map[string]*float64
 	seen    map[usageLabels][]*float64
+	bySite  [][]*float64 // seen, indexed by Interval.Site; nil where the site is yet to be met
 	nprocs  int
 }
 
@@ -59,10 +62,25 @@ func (u *UsageCollector) OnInterval(iv sim.Interval) {
 	if d <= 0 {
 		return
 	}
+	var accs []*float64
+	if iv.Site > 0 && iv.Site < len(u.bySite) {
+		accs = u.bySite[iv.Site]
+	}
+	if accs == nil {
+		accs = u.resolve(&iv)
+	}
+	for _, acc := range accs {
+		*acc += d
+	}
+}
+
+// resolve finds a label set's accumulators by its strings, building them
+// the first time, and files them under the interval's Site if it has one.
+func (u *UsageCollector) resolve(iv *sim.Interval) []*float64 {
 	k := usageLabels{iv.Module, iv.Function, iv.Process, iv.Node, iv.Tag}
 	accs, ok := u.seen[k]
 	if !ok {
-		for _, path := range UsagePaths(&iv) {
+		for _, path := range UsagePaths(iv) {
 			if u.seconds[path] == nil {
 				u.seconds[path] = new(float64)
 			}
@@ -70,9 +88,13 @@ func (u *UsageCollector) OnInterval(iv sim.Interval) {
 		}
 		u.seen[k] = accs
 	}
-	for _, acc := range accs {
-		*acc += d
+	if iv.Site > 0 {
+		for len(u.bySite) <= iv.Site {
+			u.bySite = append(u.bySite, nil)
+		}
+		u.bySite[iv.Site] = accs
 	}
+	return accs
 }
 
 // Fractions returns per-path fractions of total execution time

@@ -62,26 +62,43 @@ func stringKeyedSeconds(ivs []sim.Interval) map[string]float64 {
 
 // Usage fractions are stored in every record, so the collector must give
 // the reference's floats exactly: same paths, same additions in the same
-// order.
+// order — whether it finds a label set by the Site its simulator gave
+// it, by its strings (Site 0: a trace line, a streamed sample), or by
+// both in turn.
 func TestUsageCollectorMatchesStringKeyedReference(t *testing.T) {
 	ivs := poissonCIntervals(t)
-	u := NewUsageCollector(4)
-	for _, iv := range ivs {
-		u.OnInterval(iv)
-	}
 	want := stringKeyedSeconds(ivs)
-	got := u.Seconds()
-	if len(got) != len(want) {
-		t.Fatalf("%d paths, want %d", len(got), len(want))
+	replays := map[string]func(i int, iv sim.Interval) sim.Interval{
+		"numbered":    func(_ int, iv sim.Interval) sim.Interval { return iv },
+		"site zeroed": func(_ int, iv sim.Interval) sim.Interval { iv.Site = 0; return iv },
+		"interleaved": func(i int, iv sim.Interval) sim.Interval {
+			if i%3 == 0 {
+				iv.Site = 0
+			}
+			return iv
+		},
 	}
-	const elapsed = 20
-	fr := u.Fractions(elapsed)
-	for path, w := range want {
-		if g, ok := got[path]; !ok || g != w {
-			t.Errorf("Seconds[%s] = %v (present %v), want %v", path, g, ok, w)
+	for name, as := range replays {
+		u := NewUsageCollector(4)
+		for i, iv := range ivs {
+			if iv.Site == 0 {
+				t.Fatalf("interval %d of a simulator has no Site: %+v", i, iv)
+			}
+			u.OnInterval(as(i, iv))
 		}
-		if g, w := fr[path], w/(elapsed*4.0); g != w {
-			t.Errorf("Fractions[%s] = %v, want %v", path, g, w)
+		got := u.Seconds()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d paths, want %d", name, len(got), len(want))
+		}
+		const elapsed = 20
+		fr := u.Fractions(elapsed)
+		for path, w := range want {
+			if g, ok := got[path]; !ok || g != w {
+				t.Errorf("%s: Seconds[%s] = %v (present %v), want %v", name, path, g, ok, w)
+			}
+			if g, w := fr[path], w/(elapsed*4.0); g != w {
+				t.Errorf("%s: Fractions[%s] = %v, want %v", name, path, g, w)
+			}
 		}
 	}
 }
@@ -90,8 +107,11 @@ func TestUsageCollectorSteadyStateDoesNotAllocate(t *testing.T) {
 	u := NewUsageCollector(2)
 	iv := sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
 		Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: 0, End: 2}
-	u.OnInterval(iv)
-	if n := testing.AllocsPerRun(100, func() { u.OnInterval(iv) }); n != 0 {
-		t.Errorf("OnInterval on a seen label set allocates %v times", n)
+	for _, site := range []int{0, 7} {
+		iv.Site = site
+		u.OnInterval(iv)
+		if n := testing.AllocsPerRun(100, func() { u.OnInterval(iv) }); n != 0 {
+			t.Errorf("OnInterval on a seen label set (Site %d) allocates %v times", site, n)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -46,6 +47,7 @@ type Config struct {
 	HeartbeatEvery  time.Duration // -heartbeat-every
 	AckQuorum       int           // -ack-quorum
 	Peers           []string      // -peers
+	DebugAddr       string        // -debug-addr: serve net/http/pprof here ("" = off)
 }
 
 // Node is one running pcd node.
@@ -56,12 +58,15 @@ type Node struct {
 	ServingLine string
 	// ServeErr delivers the listener's error, should serving stop early.
 	ServeErr <-chan error
+	// DebugURL is where -debug-addr serves /debug/pprof/; empty when off.
+	DebugURL string
 
 	// The drain's parties, in drain order — interfaces so the drain-order
 	// test can record the calls; det and fol stay nil on a node whose
 	// role has none.
 	srv, httpSrv interface{ Shutdown(context.Context) error }
 	det, fol     interface{ Stop() }
+	debug        *http.Server
 	store        history.Storage
 	closeOnce    sync.Once
 	closeErr     error
@@ -199,6 +204,23 @@ func Open(cfg Config) (n *Node, err error) {
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	n.srv, n.httpSrv = srv, httpSrv
+	// The profiler gets a listener and mux of its own: an operator's
+	// loopback port, never a route of the data listener.
+	if cfg.DebugAddr != "" {
+		dln, err := net.Listen("tcp", cfg.DebugAddr)
+		if err != nil {
+			return nil, err
+		}
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		n.debug, n.DebugURL = &http.Server{Handler: mux}, "http://"+dln.Addr().String()
+		go n.debug.Serve(dln)
+		log.Printf("debug: pprof on %s/debug/pprof/", n.DebugURL)
+	}
 	if fol != nil {
 		n.fol = fol
 		fol.Start()
@@ -304,6 +326,9 @@ func (n *Node) Close(ctx context.Context) error {
 		}
 		if err := n.httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			failed("shutdown", err)
+		}
+		if n.debug != nil {
+			n.debug.Close() // a profile still streaming is cut: the node is going down
 		}
 		if n.det != nil {
 			n.det.Stop()

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -197,5 +199,54 @@ func TestFollowerNodeServesPublicAPI(t *testing.T) {
 	}
 	if _, err := fc.PutRun(ctx, &rec2); err != nil {
 		t.Fatalf("public PUT after promotion: %v", err)
+	}
+}
+
+// TestDebugAddrServesPprofOnItsOwnListener: -debug-addr brings up the
+// profiler on a second listener, the data listener never routes to it,
+// and Close takes it down with the node.
+func TestDebugAddrServesPprofOnItsOwnListener(t *testing.T) {
+	n, err := Open(Config{Addr: "127.0.0.1:0", Dir: t.TempDir(), Store: durable(), DebugAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close(context.Background())
+	if n.DebugURL == "" || n.DebugURL == n.URL {
+		t.Fatalf("DebugURL = %q beside URL %q, want a listener of its own", n.DebugURL, n.URL)
+	}
+	get := func(base string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + "/debug/pprof/cmdline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get(n.DebugURL); code != http.StatusOK || !strings.Contains(body, os.Args[0]) {
+		t.Errorf("GET /debug/pprof/cmdline on the debug listener: %d %q, want 200 and this binary's command line", code, body)
+	}
+	if code, _ := get(n.URL); code != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/cmdline on the data listener: %d, want 404", code)
+	}
+	if err := n.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.Get(n.DebugURL + "/debug/pprof/cmdline"); err == nil {
+		resp.Body.Close()
+		t.Error("the debug listener still answers after Close")
+	}
+
+	off, err := Open(Config{Addr: "127.0.0.1:0", Dir: t.TempDir(), Store: durable()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close(context.Background())
+	if off.DebugURL != "" || off.debug != nil {
+		t.Errorf("a node without -debug-addr has DebugURL %q", off.DebugURL)
 	}
 }

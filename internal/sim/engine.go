@@ -34,6 +34,14 @@ func (k Kind) String() string {
 // Interval is one completed activity of one process. The string labels
 // name the resources the activity is attributed to; Tag is empty for
 // activities not associated with a synchronization object.
+//
+// Site numbers the label set (Process, Node, Module, Function, Tag)
+// densely from 1 within the simulator that emitted the interval, so an
+// observer can index what it keeps per label set instead of hashing
+// five strings. It means something only within that simulator — an
+// observer serves one — and is 0 on an interval no simulator emitted (a
+// trace line, a streamed sample, a test literal), whose labels are then
+// all there is.
 type Interval struct {
 	Process, Node    string
 	Module, Function string
@@ -42,6 +50,7 @@ type Interval struct {
 	Start, End       float64
 	Msgs, Bytes      int
 	Calls            int
+	Site             int
 }
 
 // Duration returns End-Start.
@@ -77,10 +86,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// eventKind says what fire does with an event's operands.
+type eventKind uint8
+
+const (
+	evProceed eventKind = iota // p executes its next statement
+	evDone                     // p's activity completes and p goes on
+	evPair                     // a rendezvous transfer completes: sender p, then receiver q
+	evDeliver                  // an eager message arrives on ch
+)
+
+// event is a record with no captured state: what it acts on beyond its
+// operands (labels, start, message counts) is the activity its process
+// is in.
 type event struct {
-	at  float64
-	seq int64
-	fn  func()
+	at   float64
+	seq  int64
+	kind eventKind
+	p, q *Process
+	ch   *channel
 }
 
 // before is the queue's strict total order: time, then scheduling order.
@@ -109,8 +133,8 @@ func (q *eventQueue) push(e event) {
 }
 
 // pop removes the earliest event. The vacated slot is zeroed so the
-// backing array does not keep the executed closure, and the process and
-// statement it captured, reachable.
+// backing array does not keep the executed event's processes and channel
+// reachable.
 func (q *eventQueue) pop() event {
 	h := *q
 	n := len(h) - 1
@@ -142,14 +166,16 @@ type Process struct {
 	node string
 	cur  *cursor
 
+	// act is the activity in progress — a process has at most one — as
+	// the interval its completion emits: everything but End.
+	act Interval
+
 	blocked    bool
 	done       bool
 	finishedAt float64
 
 	totals [3]float64 // indexed by Kind
 	msgs   int
-	bytes  int
-	calls  int
 }
 
 // Name returns the process name (e.g. "poisson_0").
@@ -186,33 +212,43 @@ type msgKey struct {
 	tag      string
 }
 
-type message struct {
-	arrival float64
-	bytes   int
+// channel is the traffic of one (dst, src, tag): the eager messages not
+// yet received and whichever side is waiting for the other. Either side
+// is one process with one activity in progress (the sender's carries the
+// bytes), so at most one sender and one receiver wait.
+type channel struct {
+	arrivals []float64 // eager messages' arrival times in send order; [head:] are unreceived
+	head     int
+	sender   *Process // blocked in a rendezvous send
+	recv     *Process // blocked in a receive
 }
 
-type pendingSend struct {
-	p     *Process
-	bytes int
-	start float64
-	fn    Send
+func (c *channel) pending() bool { return c.head < len(c.arrivals) }
+
+func (c *channel) push(arrival float64) {
+	// Reuse the received prefix, once it is at least half, before growing.
+	if n := len(c.arrivals); n == cap(c.arrivals) && 2*c.head >= n {
+		c.arrivals = c.arrivals[:copy(c.arrivals, c.arrivals[c.head:])]
+		c.head = 0
+	}
+	c.arrivals = append(c.arrivals, arrival)
 }
 
-type pendingRecv struct {
-	p     *Process
-	start float64
-	fn    Recv
+func (c *channel) pop() float64 {
+	c.head++
+	return c.arrivals[c.head-1]
 }
 
+// collective is one tag's rendezvous of every live process.
 type collective struct {
-	arrived []collArrival
+	arrived []*Process
 	bytes   int
 }
 
-type collArrival struct {
-	p     *Process
-	start float64
-	fn    AllReduce
+// siteKey is a label set; the process stands for its name and node.
+type siteKey struct {
+	rank                  int
+	module, function, tag string
 }
 
 // Simulator is the discrete-event engine.
@@ -224,14 +260,15 @@ type Simulator struct {
 	rng   *rand.Rand
 
 	procs     []*Process
-	active    int
+	active    int // processes that have not finished
 	started   bool
 	processed int64
 
-	channels     map[msgKey][]message
-	pendingSends map[msgKey][]pendingSend
-	pendingRecvs map[msgKey]*pendingRecv
-	collectives  map[string]*collective
+	// What AddProcess binds statements to, looked up there only: the
+	// per-event path holds the *channel, *collective and site itself.
+	channels    map[msgKey]*channel
+	collectives map[string]*collective
+	sites       map[siteKey]int
 
 	observers []Observer
 	slowdown  func(proc string) float64
@@ -243,12 +280,11 @@ func New(cfg Config) *Simulator {
 		cfg.MaxEvents = DefaultConfig().MaxEvents
 	}
 	return &Simulator{
-		cfg:          cfg,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		channels:     make(map[msgKey][]message),
-		pendingSends: make(map[msgKey][]pendingSend),
-		pendingRecvs: make(map[msgKey]*pendingRecv),
-		collectives:  make(map[string]*collective),
+		cfg:         cfg,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		channels:    make(map[msgKey]*channel),
+		collectives: make(map[string]*collective),
+		sites:       make(map[siteKey]int),
 	}
 }
 
@@ -266,12 +302,8 @@ func (s *Simulator) AddProcess(name, node string, prog []Stmt) (*Process, error)
 			return nil, fmt.Errorf("sim: duplicate process name %q", name)
 		}
 	}
-	p := &Process{
-		rank: len(s.procs),
-		name: name,
-		node: node,
-		cur:  newCursor(prog),
-	}
+	p := &Process{rank: len(s.procs), name: name, node: node}
+	p.cur = newCursor(s.bind(p, prog))
 	s.procs = append(s.procs, p)
 	return p, nil
 }
@@ -320,8 +352,7 @@ func (s *Simulator) BlockedProcesses() []string {
 // EventsProcessed returns the number of events executed so far.
 func (s *Simulator) EventsProcessed() int64 { return s.processed }
 
-// Start schedules the first step of every process. Validation of each
-// program against the process count happens here.
+// Start schedules the first step of every process.
 func (s *Simulator) Start() error {
 	if s.started {
 		return fmt.Errorf("sim: already started")
@@ -332,8 +363,7 @@ func (s *Simulator) Start() error {
 	s.started = true
 	s.active = len(s.procs)
 	for _, p := range s.procs {
-		p := p
-		s.schedule(0, func() { s.proceed(p) })
+		s.schedule(event{kind: evProceed, p: p})
 	}
 	return nil
 }
@@ -356,7 +386,7 @@ func (s *Simulator) RunUntil(t float64) error {
 		if s.processed > s.cfg.MaxEvents {
 			return fmt.Errorf("sim: event cap %d exceeded at t=%.3f (zero-time loop?)", s.cfg.MaxEvents, s.now)
 		}
-		e.fn()
+		s.fire(e)
 	}
 	if t > s.now {
 		s.now = t
@@ -387,24 +417,40 @@ func (s *Simulator) Run(maxTime float64) error {
 	return s.RunUntil(maxTime)
 }
 
-func (s *Simulator) schedule(at float64, fn func()) {
+func (s *Simulator) schedule(e event) {
 	s.seq++
-	s.queue.push(event{at: at, seq: s.seq, fn: fn})
+	e.seq = s.seq
+	s.queue.push(e)
 }
 
-// emit completes one activity of p: the interval is labelled with p's
-// name and node, charged to p's totals and offered to every observer.
-func (s *Simulator) emit(p *Process, iv Interval) {
-	iv.Process, iv.Node = p.name, p.node
-	if iv.End < iv.Start {
-		iv.End = iv.Start
+func (s *Simulator) fire(e event) {
+	switch e.kind {
+	case evProceed:
+		s.proceed(e.p)
+	case evDone:
+		e.p.blocked = false // it was if this is a collective's release
+		s.emit(e.p)
+		s.proceed(e.p)
+	case evPair:
+		e.p.blocked = false // it was if the sender came first
+		s.emit(e.p)
+		s.emit(e.q)
+		s.proceed(e.p)
+		s.proceed(e.q)
+	case evDeliver:
+		s.deliver(e.ch)
 	}
+}
+
+// emit completes p's activity at the current time: the interval is
+// charged to p's totals and offered to every observer.
+func (s *Simulator) emit(p *Process) {
+	iv := &p.act
+	iv.End = s.now
 	p.totals[iv.Kind] += iv.Duration()
 	p.msgs += iv.Msgs
-	p.bytes += iv.Bytes
-	p.calls += iv.Calls
 	for _, o := range s.observers {
-		o.OnInterval(iv)
+		o.OnInterval(*iv)
 	}
 }
 
@@ -448,194 +494,104 @@ func (s *Simulator) proceed(p *Process) {
 		return
 	}
 	start := s.now
-	switch op := st.(type) {
+	p.act = st.iv
+	p.act.Start = start
+	switch op := st.op.(type) {
 	case Compute:
 		dur := s.sample(op.Mean, op.Jitter) * s.slow(p)
-		s.schedule(start+dur, func() {
-			s.emit(p, Interval{
-				Module: op.Module, Function: op.Function,
-				Kind: KindCPU, Start: start, End: s.now, Calls: 1,
-			})
-			s.proceed(p)
-		})
+		s.schedule(event{at: start + dur, kind: evDone, p: p})
 	case IO:
-		dur := s.sample(op.Mean, op.Jitter)
-		s.schedule(start+dur, func() {
-			s.emit(p, Interval{
-				Module: op.Module, Function: op.Function,
-				Kind: KindIOWait, Start: start, End: s.now, Calls: 1,
-			})
-			s.proceed(p)
-		})
+		s.schedule(event{at: start + s.sample(op.Mean, op.Jitter), kind: evDone, p: p})
 	case Send:
-		s.doSend(p, op)
+		s.doSend(p, st.ch, op)
 	case Recv:
-		s.doRecv(p, op)
+		s.doRecv(p, st.ch)
 	case AllReduce:
-		s.doReduce(p, op)
+		s.doReduce(p, st.coll, op.Bytes)
 	case Barrier:
-		s.doReduce(p, AllReduce{Module: op.Module, Function: op.Function, Tag: op.Tag})
+		s.doReduce(p, st.coll, 0)
 	default:
 		// Validate() rejects unknown statements before Start; skip defensively.
-		s.schedule(start, func() { s.proceed(p) })
+		s.schedule(event{at: start, kind: evProceed, p: p})
 	}
 }
 
-func (s *Simulator) doSend(p *Process, op Send) {
-	key := msgKey{dst: op.Dst, src: p.rank, tag: op.Tag}
+func (s *Simulator) doSend(p *Process, ch *channel, op Send) {
 	start := s.now
 	if !op.Blocking {
 		// Eager: pay copy overhead as CPU, deposit the message, and let
 		// the arrival event wake any waiting receiver.
 		overhead := s.cfg.SendOverhead * s.slow(p)
 		arrival := start + overhead + s.xfer(op.Bytes)
-		s.channels[key] = append(s.channels[key], message{arrival: arrival, bytes: op.Bytes})
-		s.schedule(start+overhead, func() {
-			s.emit(p, Interval{
-				Module: op.Module, Function: op.Function,
-				Tag: op.Tag, Kind: KindCPU, Start: start, End: s.now, Msgs: 1, Bytes: op.Bytes, Calls: 1,
-			})
-			s.proceed(p)
-		})
-		s.schedule(arrival, func() { s.deliver(key) })
+		ch.push(arrival)
+		s.schedule(event{at: start + overhead, kind: evDone, p: p})
+		s.schedule(event{at: arrival, kind: evDeliver, ch: ch})
 		return
 	}
 	// Rendezvous: if the receiver is already waiting, the transfer starts
 	// now; otherwise the sender blocks until the receive is posted.
-	if pr := s.pendingRecvs[key]; pr != nil {
-		delete(s.pendingRecvs, key)
-		end := start + s.xfer(op.Bytes)
-		recv := *pr
-		recv.p.blocked = false
-		s.schedule(end, func() {
-			s.emit(p, Interval{
-				Module: op.Module, Function: op.Function,
-				Tag: op.Tag, Kind: KindSyncWait, Start: start, End: s.now, Msgs: 1, Bytes: op.Bytes, Calls: 1,
-			})
-			s.emit(recv.p, Interval{
-				Module: recv.fn.Module, Function: recv.fn.Function,
-				Tag: recv.fn.Tag, Kind: KindSyncWait, Start: recv.start, End: s.now, Calls: 1,
-			})
-			s.proceed(p)
-			s.proceed(recv.p)
-		})
+	if r := ch.recv; r != nil {
+		ch.recv = nil
+		r.blocked = false
+		s.schedule(event{at: start + s.xfer(op.Bytes), kind: evPair, p: p, q: r})
 		return
 	}
-	s.pendingSends[key] = append(s.pendingSends[key], pendingSend{p: p, bytes: op.Bytes, start: start, fn: op})
+	ch.sender = p
 	p.blocked = true
 }
 
-func (s *Simulator) doRecv(p *Process, op Recv) {
-	key := msgKey{dst: p.rank, src: op.Src, tag: op.Tag}
+func (s *Simulator) doRecv(p *Process, ch *channel) {
 	start := s.now
 	// Eagerly sent message already in the channel?
-	if q := s.channels[key]; len(q) > 0 {
-		msg := q[0]
-		s.channels[key] = q[1:]
-		if msg.arrival <= start {
-			// Already arrived: only the receive overhead is paid, as CPU.
-			end := start + s.cfg.RecvOverhead*s.slow(p)
-			s.schedule(end, func() {
-				s.emit(p, Interval{
-					Module: op.Module, Function: op.Function,
-					Tag: op.Tag, Kind: KindCPU, Start: start, End: s.now, Calls: 1,
-				})
-				s.proceed(p)
-			})
-			return
-		}
+	if ch.pending() {
 		// In flight: wait out the remaining transfer as synchronization.
-		s.schedule(msg.arrival, func() {
-			s.emit(p, Interval{
-				Module: op.Module, Function: op.Function,
-				Tag: op.Tag, Kind: KindSyncWait, Start: start, End: s.now, Calls: 1,
-			})
-			s.proceed(p)
-		})
+		end := ch.pop()
+		if end <= start {
+			// Already arrived: only the receive overhead is paid, as CPU.
+			p.act.Kind = KindCPU
+			end = start + s.cfg.RecvOverhead*s.slow(p)
+		}
+		s.schedule(event{at: end, kind: evDone, p: p})
 		return
 	}
 	// A blocking sender waiting in rendezvous?
-	if ps := s.pendingSends[key]; len(ps) > 0 {
-		rec := ps[0]
-		s.pendingSends[key] = ps[1:]
-		end := start + s.xfer(rec.bytes)
-		s.schedule(end, func() {
-			rec.p.blocked = false
-			s.emit(rec.p, Interval{
-				Module: rec.fn.Module, Function: rec.fn.Function,
-				Tag: rec.fn.Tag, Kind: KindSyncWait, Start: rec.start, End: s.now, Msgs: 1, Bytes: rec.bytes, Calls: 1,
-			})
-			s.emit(p, Interval{
-				Module: op.Module, Function: op.Function,
-				Tag: op.Tag, Kind: KindSyncWait, Start: start, End: s.now, Calls: 1,
-			})
-			s.proceed(rec.p)
-			s.proceed(p)
-		})
+	if snd := ch.sender; snd != nil {
+		ch.sender = nil
+		s.schedule(event{at: start + s.xfer(snd.act.Bytes), kind: evPair, p: snd, q: p})
 		return
 	}
 	// Nothing available: block until a message or sender shows up.
-	s.pendingRecvs[key] = &pendingRecv{p: p, start: start, fn: op}
+	ch.recv = p
 	p.blocked = true
 }
 
-// deliver wakes a receiver blocked on key if its message has arrived.
-func (s *Simulator) deliver(key msgKey) {
-	pr := s.pendingRecvs[key]
-	if pr == nil {
+// deliver wakes the receiver blocked on ch if its message has arrived.
+func (s *Simulator) deliver(ch *channel) {
+	r := ch.recv
+	if r == nil || !ch.pending() || ch.arrivals[ch.head] > s.now {
 		return
 	}
-	q := s.channels[key]
-	if len(q) == 0 || q[0].arrival > s.now {
-		return
-	}
-	s.channels[key] = q[1:]
-	delete(s.pendingRecvs, key)
-	pr.p.blocked = false
-	s.emit(pr.p, Interval{
-		Module: pr.fn.Module, Function: pr.fn.Function,
-		Tag: pr.fn.Tag, Kind: KindSyncWait, Start: pr.start, End: s.now, Calls: 1,
-	})
-	s.proceed(pr.p)
+	ch.pop()
+	ch.recv = nil
+	r.blocked = false
+	s.emit(r)
+	s.proceed(r)
 }
 
-func (s *Simulator) doReduce(p *Process, op AllReduce) {
-	c := s.collectives[op.Tag]
-	if c == nil {
-		c = &collective{}
-		s.collectives[op.Tag] = c
-	}
-	c.arrived = append(c.arrived, collArrival{p: p, start: s.now, fn: op})
-	if op.Bytes > c.bytes {
-		c.bytes = op.Bytes
+// doReduce has p arrive at a collective, which completes when every
+// live process has.
+func (s *Simulator) doReduce(p *Process, c *collective, bytes int) {
+	c.arrived = append(c.arrived, p)
+	if bytes > c.bytes {
+		c.bytes = bytes
 	}
 	p.blocked = true
-	if len(c.arrived) < s.liveProcs() {
+	if len(c.arrived) < s.active {
 		return
 	}
-	delete(s.collectives, op.Tag)
 	release := s.now + s.cfg.CollectiveBase + float64(c.bytes)*s.cfg.SecPerByte
 	for _, a := range c.arrived {
-		a := a
-		s.schedule(release, func() {
-			a.p.blocked = false
-			s.emit(a.p, Interval{
-				Module: a.fn.Module, Function: a.fn.Function,
-				Tag: a.fn.Tag, Kind: KindSyncWait, Start: a.start, End: s.now, Calls: 1,
-			})
-			s.proceed(a.p)
-		})
+		s.schedule(event{at: release, kind: evDone, p: a})
 	}
-}
-
-// liveProcs counts processes that have not finished; collectives complete
-// when every live process arrives.
-func (s *Simulator) liveProcs() int {
-	n := 0
-	for _, p := range s.procs {
-		if !p.done {
-			n++
-		}
-	}
-	return n
+	c.arrived, c.bytes = c.arrived[:0], 0
 }

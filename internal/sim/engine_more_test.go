@@ -294,3 +294,81 @@ func TestRecvPrefersArrivedEagerOverWaitingBlockingSender(t *testing.T) {
 		t.Fatal("mixed eager/blocking exchange did not complete")
 	}
 }
+
+// siteLabels is the label set a Site stands for.
+type siteLabels struct{ process, node, module, function, tag string }
+
+func labelsOf(iv Interval) siteLabels {
+	return siteLabels{iv.Process, iv.Node, iv.Module, iv.Function, iv.Tag}
+}
+
+func TestSitesAreDenseAndStable(t *testing.T) {
+	// pa's second receive finds its message arrived (CPU), its first
+	// waits (sync): one statement text, one site. The barrier and the
+	// reduce carry equal labels; so do both computes of pb.
+	recv := Recv{Module: "m", Function: "x", Tag: "t", Src: 1}
+	pa := []Stmt{
+		recv,
+		Compute{Module: "m", Function: "f", Mean: 1.0},
+		recv,
+		Barrier{Module: "m", Function: "sync", Tag: "all"},
+		AllReduce{Module: "m", Function: "sync", Tag: "all", Bytes: 8},
+	}
+	pb := []Stmt{
+		Compute{Module: "m", Function: "f", Mean: 0.5},
+		Send{Module: "m", Function: "x", Tag: "t", Dst: 0, Bytes: 10},
+		Send{Module: "m", Function: "x", Tag: "t", Dst: 0, Bytes: 20},
+		Loop{Count: 2, Body: []Stmt{Compute{Module: "m", Function: "f", Mean: 0.5}}},
+		Barrier{Module: "m", Function: "sync", Tag: "all"},
+		AllReduce{Module: "m", Function: "sync", Tag: "all", Bytes: 8},
+	}
+	run := func() []Interval {
+		s, col := newSim(t, pa, pb)
+		if err := s.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Done() {
+			t.Fatal("not done")
+		}
+		return col.ivs
+	}
+	ivs := run()
+	siteOf := map[siteLabels]int{}
+	labelsAt := map[int]siteLabels{}
+	kinds := map[int]map[Kind]bool{}
+	for _, iv := range ivs {
+		l := labelsOf(iv)
+		if s, ok := siteOf[l]; ok && s != iv.Site {
+			t.Errorf("label set %v has sites %d and %d", l, s, iv.Site)
+		}
+		if o, ok := labelsAt[iv.Site]; ok && o != l {
+			t.Errorf("site %d stands for %v and %v", iv.Site, o, l)
+		}
+		siteOf[l], labelsAt[iv.Site] = iv.Site, l
+		if kinds[iv.Site] == nil {
+			kinds[iv.Site] = map[Kind]bool{}
+		}
+		kinds[iv.Site][iv.Kind] = true
+	}
+	// pa: recv, f, sync; pb: f, x, sync.
+	if len(labelsAt) != 6 {
+		t.Fatalf("%d sites, want 6: %v", len(labelsAt), labelsAt)
+	}
+	for site := 1; site <= len(labelsAt); site++ {
+		if _, ok := labelsAt[site]; !ok {
+			t.Errorf("sites are not 1..%d: %d is missing from %v", len(labelsAt), site, labelsAt)
+		}
+	}
+	if k := kinds[siteOf[siteLabels{"pa", "na", "m", "x", "t"}]]; !k[KindCPU] || !k[KindSyncWait] {
+		t.Errorf("the receive completed as %v, want both CPU and sync-wait under one site", k)
+	}
+	again := run()
+	if len(again) != len(ivs) {
+		t.Fatalf("second build emitted %d intervals, first %d", len(again), len(ivs))
+	}
+	for i := range ivs {
+		if again[i] != ivs[i] {
+			t.Fatalf("interval %d differs between two builds: %+v vs %+v", i, again[i], ivs[i])
+		}
+	}
+}

@@ -10,8 +10,11 @@ package sim
 
 import "fmt"
 
-// Stmt is one statement of a simulated process's program.
-type Stmt interface{ isStmt() }
+// Stmt is one statement of a simulated process's program; labels names
+// what a primitive statement's time is attributed to (a Loop has none).
+type Stmt interface {
+	labels() (module, function, tag string)
+}
 
 // Compute burns CPU in the given function for Mean seconds (± Jitter
 // fraction, sampled per execution). Instrumentation perturbation slows
@@ -73,62 +76,117 @@ type Loop struct {
 	Body  []Stmt
 }
 
-func (Compute) isStmt()   {}
-func (IO) isStmt()        {}
-func (Send) isStmt()      {}
-func (Recv) isStmt()      {}
-func (AllReduce) isStmt() {}
-func (Barrier) isStmt()   {}
-func (Loop) isStmt()      {}
+func (c Compute) labels() (string, string, string)   { return c.Module, c.Function, "" }
+func (o IO) labels() (string, string, string)        { return o.Module, o.Function, "" }
+func (s Send) labels() (string, string, string)      { return s.Module, s.Function, s.Tag }
+func (r Recv) labels() (string, string, string)      { return r.Module, r.Function, r.Tag }
+func (a AllReduce) labels() (string, string, string) { return a.Module, a.Function, a.Tag }
+func (b Barrier) labels() (string, string, string)   { return b.Module, b.Function, b.Tag }
+func (Loop) labels() (string, string, string)        { return "", "", "" }
 
-// frame is one level of the program interpreter's control stack.
-type frame struct {
-	body      []Stmt
-	idx       int
-	remaining int // loop iterations left; <0 means forever
-	isLoop    bool
+// bound is a statement bound to the process that runs it, once, at
+// AddProcess: what the per-event path would otherwise look up or build
+// per execution.
+type bound struct {
+	op Stmt
+	// iv is what completing op emits, less Start and End; only the Kind
+	// of a Recv is not settled here (CPU if its message has arrived).
+	iv   Interval
+	ch   *channel    // Send, Recv: the (dst, src, tag) it travels on
+	coll *collective // AllReduce, Barrier: the tag's rendezvous
+	body []bound     // Loop
 }
 
-// cursor interprets a statement list with nested loops.
+// bind binds prog to p. Sites are numbered in order of first appearance.
+func (s *Simulator) bind(p *Process, prog []Stmt) []bound {
+	out := make([]bound, len(prog))
+	for i, st := range prog {
+		b := &out[i]
+		b.op = st
+		if st == nil {
+			continue // Validate rejects it; proceed skips it
+		}
+		iv := Interval{Process: p.name, Node: p.node, Kind: KindSyncWait, Calls: 1}
+		iv.Module, iv.Function, iv.Tag = st.labels()
+		switch op := st.(type) {
+		case Compute:
+			iv.Kind = KindCPU
+		case IO:
+			iv.Kind = KindIOWait
+		case Send:
+			iv.Msgs, iv.Bytes = 1, op.Bytes
+			if !op.Blocking {
+				iv.Kind = KindCPU
+			}
+			b.ch = intern(s.channels, msgKey{dst: op.Dst, src: p.rank, tag: op.Tag})
+		case Recv:
+			b.ch = intern(s.channels, msgKey{dst: p.rank, src: op.Src, tag: op.Tag})
+		case AllReduce, Barrier:
+			b.coll = intern(s.collectives, iv.Tag)
+		case Loop:
+			b.body = s.bind(p, op.Body)
+			continue
+		}
+		k := siteKey{p.rank, iv.Module, iv.Function, iv.Tag}
+		if s.sites[k] == 0 {
+			s.sites[k] = len(s.sites) + 1
+		}
+		iv.Site = s.sites[k]
+		b.iv = iv
+	}
+	return out
+}
+
+// intern returns m[k], made the first time it is asked for.
+func intern[K comparable, V any](m map[K]*V, k K) *V {
+	if m[k] == nil {
+		m[k] = new(V)
+	}
+	return m[k]
+}
+
+// frame is one level of the program interpreter's control stack: a loop
+// body, or the program itself as a loop of one iteration.
+type frame struct {
+	body      []bound
+	idx       int
+	remaining int // iterations left; <0 means forever
+}
+
+// cursor interprets a bound statement list with nested loops.
 type cursor struct {
 	stack []frame
 }
 
-func newCursor(prog []Stmt) *cursor {
+func newCursor(prog []bound) *cursor {
 	return &cursor{stack: []frame{{body: prog, remaining: 1}}}
 }
 
 // next returns the next primitive statement, descending into loops, or nil
 // when the program is finished.
-func (c *cursor) next() Stmt {
+func (c *cursor) next() *bound {
 	for len(c.stack) > 0 {
 		f := &c.stack[len(c.stack)-1]
 		if f.idx >= len(f.body) {
-			if f.isLoop {
-				if f.remaining < 0 { // infinite
-					f.idx = 0
-					continue
-				}
-				f.remaining--
-				if f.remaining > 0 {
-					f.idx = 0
-					continue
-				}
+			if f.remaining < 0 { // infinite
+				f.idx = 0
+				continue
+			}
+			f.remaining--
+			if f.remaining > 0 {
+				f.idx = 0
+				continue
 			}
 			c.stack = c.stack[:len(c.stack)-1]
 			continue
 		}
-		st := f.body[f.idx]
+		st := &f.body[f.idx]
 		f.idx++
-		if l, ok := st.(Loop); ok {
-			if len(l.Body) == 0 || l.Count == 0 {
+		if l, ok := st.op.(Loop); ok {
+			if len(st.body) == 0 || l.Count == 0 {
 				continue
 			}
-			rem := l.Count
-			if rem < 0 {
-				rem = -1
-			}
-			c.stack = append(c.stack, frame{body: l.Body, remaining: rem, isLoop: true})
+			c.stack = append(c.stack, frame{body: st.body, remaining: l.Count})
 			continue
 		}
 		return st

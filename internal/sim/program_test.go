@@ -2,16 +2,21 @@ package sim
 
 import "testing"
 
+// testCursor walks prog bound to a lone process, as AddProcess binds it.
+func testCursor(prog []Stmt) *cursor {
+	return newCursor(New(DefaultConfig()).bind(&Process{name: "p", node: "n"}, prog))
+}
+
 func TestCursorFlatProgram(t *testing.T) {
 	prog := []Stmt{
 		Compute{Module: "m", Function: "f", Mean: 1},
 		IO{Module: "m", Function: "f", Mean: 1},
 	}
-	c := newCursor(prog)
-	if _, ok := c.next().(Compute); !ok {
+	c := testCursor(prog)
+	if _, ok := c.next().op.(Compute); !ok {
 		t.Fatal("first stmt not Compute")
 	}
-	if _, ok := c.next().(IO); !ok {
+	if _, ok := c.next().op.(IO); !ok {
 		t.Fatal("second stmt not IO")
 	}
 	if c.next() != nil {
@@ -27,13 +32,13 @@ func TestCursorLoopCount(t *testing.T) {
 		Loop{Count: 3, Body: []Stmt{Compute{Module: "m", Function: "f", Mean: 1}}},
 		IO{Module: "m", Function: "g", Mean: 1},
 	}
-	c := newCursor(prog)
+	c := testCursor(prog)
 	for i := 0; i < 3; i++ {
-		if _, ok := c.next().(Compute); !ok {
+		if _, ok := c.next().op.(Compute); !ok {
 			t.Fatalf("iteration %d not Compute", i)
 		}
 	}
-	if _, ok := c.next().(IO); !ok {
+	if _, ok := c.next().op.(IO); !ok {
 		t.Fatal("post-loop stmt not IO")
 	}
 	if c.next() != nil {
@@ -48,10 +53,10 @@ func TestCursorNestedLoops(t *testing.T) {
 			Loop{Count: 3, Body: []Stmt{Compute{Module: "m", Function: "inner", Mean: 1}}},
 		}},
 	}
-	c := newCursor(prog)
+	c := testCursor(prog)
 	var seq []string
 	for st := c.next(); st != nil; st = c.next() {
-		seq = append(seq, st.(Compute).Function)
+		seq = append(seq, st.op.(Compute).Function)
 	}
 	want := []string{"outer", "inner", "inner", "inner", "outer", "inner", "inner", "inner"}
 	if len(seq) != len(want) {
@@ -66,7 +71,7 @@ func TestCursorNestedLoops(t *testing.T) {
 
 func TestCursorInfiniteLoop(t *testing.T) {
 	prog := []Stmt{Loop{Count: -1, Body: []Stmt{Compute{Module: "m", Function: "f", Mean: 1}}}}
-	c := newCursor(prog)
+	c := testCursor(prog)
 	for i := 0; i < 1000; i++ {
 		if c.next() == nil {
 			t.Fatal("infinite loop terminated")
@@ -80,11 +85,11 @@ func TestCursorEmptyAndZeroLoops(t *testing.T) {
 		Loop{Count: 2, Body: nil},
 		Compute{Module: "m", Function: "after", Mean: 1},
 	}
-	c := newCursor(prog)
+	c := testCursor(prog)
 	st := c.next()
-	cp, ok := st.(Compute)
+	cp, ok := st.op.(Compute)
 	if !ok || cp.Function != "after" {
-		t.Fatalf("got %v, want the trailing Compute", st)
+		t.Fatalf("got %v, want the trailing Compute", st.op)
 	}
 	if c.next() != nil {
 		t.Fatal("should be done")

@@ -35,19 +35,19 @@ func TestEventQueuePopsInSortedOrder(t *testing.T) {
 	}
 }
 
-// An executed event's closure captures its process and statement; the
-// queue must not keep it reachable from the backing array.
+// An executed event names its processes and channel; the queue must not
+// keep them reachable from the backing array.
 func TestEventQueuePopClearsVacatedSlot(t *testing.T) {
 	var q eventQueue
 	for i := 0; i < 100; i++ {
-		q.push(event{at: float64(100 - i), seq: int64(i + 1), fn: func() {}})
+		q.push(event{at: float64(100 - i), seq: int64(i + 1), p: &Process{}, ch: &channel{}})
 	}
 	for len(q) > 0 {
 		q.pop()
 	}
 	for i, e := range q[:cap(q)] {
-		if e.fn != nil || e.at != 0 || e.seq != 0 {
-			t.Fatalf("slot %d of the backing array still holds (%v, %d, fn set: %v)", i, e.at, e.seq, e.fn != nil)
+		if e != (event{}) {
+			t.Fatalf("slot %d of the backing array still holds %+v", i, e)
 		}
 	}
 }

@@ -85,6 +85,104 @@ func TestQuickTimeConservation(t *testing.T) {
 	}
 }
 
+// flatten lists the primitive statements prog executes, in order.
+func flatten(prog []Stmt) []Stmt {
+	var out []Stmt
+	for _, st := range prog {
+		if l, ok := st.(Loop); ok {
+			for i := 0; i < l.Count; i++ {
+				out = append(out, flatten(l.Body)...)
+			}
+			continue
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// stmtLabels is what a randomPipeline statement's interval must carry.
+func stmtLabels(st Stmt) (function, tag string) {
+	switch op := st.(type) {
+	case Compute:
+		return op.Function, ""
+	case IO:
+		return op.Function, ""
+	case Send:
+		return op.Function, op.Tag
+	case Recv:
+		return op.Function, op.Tag
+	case AllReduce:
+		return op.Function, op.Tag
+	}
+	return "", ""
+}
+
+// A process keeps its one activity in progress in itself, and events
+// only name the process: an activity begun before the last one completed
+// would overwrite it. So each process's intervals must be its program's
+// statements, one for one and in order, each beginning at the very
+// instant (bit for bit) the previous ended, from 0 to FinishedAt — and a
+// second run of the seed must emit the identical stream, Sites included.
+func TestQuickActivityIsNeverOverwritten(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 40}
+	run := func(seed int64) ([][]Stmt, *Simulator, []Interval, bool) {
+		rng := rand.New(rand.NewSource(seed))
+		nprocs := 2 * (1 + rng.Intn(3))
+		progs := randomPipeline(rng, nprocs)
+		c := DefaultConfig()
+		c.Seed = seed
+		s := New(c)
+		col := &collector{}
+		s.AddObserver(col)
+		for i, p := range progs {
+			if _, err := s.AddProcess(procName(i), nodeName(i), p); err != nil {
+				return nil, nil, nil, false
+			}
+		}
+		if err := s.Run(1e6); err != nil || !s.Done() {
+			return nil, nil, nil, false
+		}
+		return progs, s, col.ivs, true
+	}
+	prop := func(seed int64) bool {
+		progs, s, ivs, ok := run(seed)
+		if !ok {
+			return false
+		}
+		for rank, p := range s.Processes() {
+			want, at := flatten(progs[rank]), 0.0
+			for _, iv := range ivs {
+				if iv.Process != p.Name() {
+					continue
+				}
+				if len(want) == 0 || iv.Start != at || iv.Site == 0 {
+					return false
+				}
+				if f, tag := stmtLabels(want[0]); iv.Function != f || iv.Tag != tag {
+					return false
+				}
+				want, at = want[1:], iv.End
+			}
+			if len(want) != 0 || at != p.FinishedAt() {
+				return false
+			}
+		}
+		_, _, again, ok := run(seed)
+		if !ok || len(again) != len(ivs) {
+			return false
+		}
+		for i := range ivs {
+			if again[i] != ivs[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickIntervalsAreWellFormed(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	prop := func(seed int64) bool {
