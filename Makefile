@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz clean
 
 all: build vet test
 
@@ -73,6 +73,16 @@ chaos:
 # leave a store pcfsck grades clean (killrestart_test.go).
 killrestart:
 	$(GO) test -race -run 'TestKillRestart' -v .
+
+# Every crash point of one commit: Save, overwrite, Delete and
+# PutBatch(3) on a durable store, the store directory copied at every
+# boundary of the commit (inside each journal frame, after the journal
+# sync, after each staged file, after each rename, before the directory
+# sync, at the acknowledgement), every copy reopened and held to the
+# crash contract. Prints the points of each operation and ops x points
+# explored.
+crashpoints:
+	$(GO) test -count=1 -run 'TestCrashPoints' -v ./internal/history/
 
 # Offline store verification. Usage: make fsck STORE=/path/to/store
 # (add FSCK_FLAGS=-repair to fix what it finds). Exit code 0 = clean,

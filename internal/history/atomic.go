@@ -59,9 +59,6 @@ func ReplaceFile(path, tmpPattern string, data []byte) error {
 }
 
 func writeFileAtomic(path, tmpPattern string, data []byte, ops fsOps) error {
-	if ops.syncFile == nil {
-		ops.syncFile = (*os.File).Sync
-	}
 	if ops.rename == nil {
 		ops.rename = os.Rename
 	}
@@ -69,34 +66,51 @@ func writeFileAtomic(path, tmpPattern string, data []byte, ops fsOps) error {
 		ops.syncDir = syncDir
 	}
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tmpPattern)
+	tmp, err := stageFile(dir, tmpPattern, data, ops.syncFile)
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		// Fsync the data before the rename can publish it: a durable
-		// rename of a file whose blocks never reached the disk survives a
-		// power loss as a zero-length or torn file.
-		err = ops.syncFile(tmp)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp.Name(), 0o644)
-	}
-	if err == nil {
-		err = ops.rename(tmp.Name(), path)
-	}
-	if err != nil {
-		// A crash between write and rename still orphans the temp file;
-		// the owners that can accumulate them sweep at open.
-		os.Remove(tmp.Name())
+	if err := ops.rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := ops.syncDir(dir); err != nil {
 		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
+}
+
+// stageFile is the half of an atomic write before anything is visible:
+// data goes to a fresh temp file in dir (named from tmpPattern), is
+// given its final mode on the descriptor and fsynced — through syncFile
+// when non-nil; the closed file's name comes back, ready to be renamed
+// over its target. The temp file is removed on every failure. A crash
+// before the rename still orphans it; the owners that can accumulate
+// them sweep at open.
+func stageFile(dir, tmpPattern string, data []byte, syncFile func(*os.File) error) (string, error) {
+	if syncFile == nil {
+		syncFile = (*os.File).Sync
+	}
+	tmp, err := os.CreateTemp(dir, tmpPattern)
+	if err != nil {
+		return "", err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		// Fsync the data before the rename can publish it: a durable
+		// rename of a file whose blocks never reached the disk survives a
+		// power loss as a zero-length or torn file.
+		err = syncFile(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
 }

@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
 // TestCommitMatrix drives the store's one write path through every kind
-// of mutation × every point it can fail at, and holds each outcome to
-// the same invariant: the index, the record files and the fold of the
-// journal name one state — the acknowledged one: the operation's effect
-// when it succeeded, the pre-image when it did not — and a reopen (the
-// crash-recovery path) reproduces it from disk alone.
+// of mutation × every point it can fail at × both shapes of backend (the
+// bare FSBackend, whose record files are staged beside the journal and
+// published together, and a wrapped one, which gets a Put per record),
+// and holds each outcome to the same invariant: the index, the record
+// files and the fold of the journal name one state — the acknowledged
+// one: the effect of the mutations ahead of the failure, the pre-image of
+// the rest — and a reopen (the crash-recovery path) reproduces it from
+// disk alone.
 func TestCommitMatrix(t *testing.T) {
 	type state map[RecordKey]string // key → stored bytes
 
@@ -34,110 +39,152 @@ func TestCommitMatrix(t *testing.T) {
 	entryOf := func(rec *RunRecord) WALEntry {
 		return WALEntry{Op: WALOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: []byte(encode(rec))}
 	}
-	put := func(s state, recs ...*RunRecord) {
+	puts := func(recs ...*RunRecord) (effects []func(state)) {
 		for _, rec := range recs {
-			s[rec.Key()] = encode(rec)
+			effects = append(effects, func(s state) { s[rec.Key()] = encode(rec) })
 		}
+		return effects
 	}
 	r1 := sampleRecord("r1").Key()
+	deletesR1 := []func(state){func(s state) { delete(s, r1) }}
 
 	// Every case starts from a store holding r1 and r2. do runs the
-	// operation; effect is what it does to the acknowledged state when it
-	// succeeds. wantMiss marks the one operation whose success is an
-	// os.ErrNotExist answer.
+	// operation, answering how many records it says it wrote (-1 when the
+	// operation does not say); effects are what its mutations, in order, do
+	// to the acknowledged state and runs the run ids they touch. wantMiss
+	// marks the one operation whose success is an os.ErrNotExist answer.
 	kinds := []struct {
 		name     string
-		do       func(st *Store) error
-		effect   func(s state)
+		do       func(st *Store) (int, error)
+		runs     []string
+		effects  []func(state)
 		wantMiss bool
 		deletes  bool
 	}{
 		{
-			name:   "put",
-			do:     func(st *Store) error { return st.Save(sampleRecord("r9")) },
-			effect: func(s state) { put(s, sampleRecord("r9")) },
+			name:    "put",
+			do:      func(st *Store) (int, error) { return -1, st.Save(sampleRecord("r9")) },
+			runs:    []string{"r9"},
+			effects: puts(sampleRecord("r9")),
 		},
 		{
-			name:   "overwrite",
-			do:     func(st *Store) error { return st.Save(changed("r1")) },
-			effect: func(s state) { put(s, changed("r1")) },
+			name:    "overwrite",
+			do:      func(st *Store) (int, error) { return -1, st.Save(changed("r1")) },
+			runs:    []string{"r1"},
+			effects: puts(changed("r1")),
 		},
 		{
 			name:    "delete",
-			do:      func(st *Store) error { return st.Delete("poisson", "A", "r1") },
-			effect:  func(s state) { delete(s, r1) },
+			do:      func(st *Store) (int, error) { return -1, st.Delete("poisson", "A", "r1") },
+			runs:    []string{"r1"},
+			effects: deletesR1,
 			deletes: true,
 		},
 		{
 			name:     "delete-of-absent",
-			do:       func(st *Store) error { return st.Delete("poisson", "A", "r7") },
-			effect:   func(s state) {},
+			do:       func(st *Store) (int, error) { return -1, st.Delete("poisson", "A", "r7") },
+			runs:     []string{"r7"},
+			effects:  []func(state){func(state) {}},
 			wantMiss: true,
 			deletes:  true,
 		},
 		{
-			name:   "replicated put",
-			do:     func(st *Store) error { return st.ApplyReplicated(entryOf(changed("r1"))) },
-			effect: func(s state) { put(s, changed("r1")) },
+			name:    "replicated put",
+			do:      func(st *Store) (int, error) { return -1, st.ApplyReplicated(entryOf(changed("r1"))) },
+			runs:    []string{"r1"},
+			effects: puts(changed("r1")),
 		},
 		{
 			name: "replicated delete",
-			do: func(st *Store) error {
-				return st.ApplyReplicated(WALEntry{Op: WALOpDelete, App: "poisson", Version: "A", RunID: "r1"})
+			do: func(st *Store) (int, error) {
+				return -1, st.ApplyReplicated(WALEntry{Op: WALOpDelete, App: "poisson", Version: "A", RunID: "r1"})
 			},
-			effect:  func(s state) { delete(s, r1) },
+			runs:    []string{"r1"},
+			effects: deletesR1,
 			deletes: true,
 		},
 		{
 			name: "batch of 3",
-			do: func(st *Store) error {
-				_, err := st.PutBatch([]*RunRecord{sampleRecord("r8"), changed("r1"), sampleRecord("r9")})
-				return err
+			do: func(st *Store) (int, error) {
+				return st.PutBatch([]*RunRecord{sampleRecord("r8"), changed("r1"), sampleRecord("r9")})
 			},
-			effect: func(s state) { put(s, sampleRecord("r8"), changed("r1"), sampleRecord("r9")) },
+			runs:    []string{"r8", "r1", "r9"},
+			effects: puts(sampleRecord("r8"), changed("r1"), sampleRecord("r9")),
 		},
 	}
 
-	// arm injects the failure and returns how to clear it. filesLag marks
-	// the one failure that may leave a record file behind the journal
-	// until the next open (the heal could not reach the backend either);
-	// sparesMiss the one a delete of an absent record never reaches.
+	// failOnce answers an injected error the first time it is asked.
+	failOnce := func() func() error {
+		failed := false
+		return func() error {
+			if failed {
+				return nil
+			}
+			failed = true
+			return errors.New("injected backend failure")
+		}
+	}
+
+	// arm injects the failure and returns how to clear it; target is the
+	// run id of the mutation it is to strike, mutation `at` of the kind (a
+	// failure aimed past a kind's last mutation is not run). journal marks
+	// the failures the journal refuses the whole group at: nothing of it
+	// may be journaled or reach the append hook. filesLag marks the one
+	// failure that may leave a record file behind the journal until the
+	// next open (the heal could not reach the backend either); sparesMiss
+	// the ones a delete of an absent record never reaches; needsFault the
+	// one only a wrapped backend can suffer.
 	failures := []struct {
 		name       string
-		arm        func(st *Store, fb *FSBackend, fault *FaultBackend, deletes bool) (disarm func())
+		at         int
+		arm        func(st *Store, fb *FSBackend, fault *FaultBackend, deletes bool, target string) (disarm func())
 		fails      bool
+		journal    bool
 		filesLag   bool
 		sparesMiss bool
+		needsFault bool
 	}{
 		{
 			name: "none",
-			arm:  func(*Store, *FSBackend, *FaultBackend, bool) func() { return func() {} },
+			arm:  func(*Store, *FSBackend, *FaultBackend, bool, string) func() { return func() {} },
 		},
 		{
 			name: "journal append fails",
-			arm: func(st *Store, _ *FSBackend, _ *FaultBackend, _ bool) func() {
+			arm: func(st *Store, _ *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
 				st.wal.writeHook = func(f *os.File, frame []byte) (int, error) {
 					n, _ := f.Write(frame[:len(frame)/2]) // torn, then refused
 					return n, errors.New("injected append failure")
 				}
 				return func() { st.wal.writeHook = nil }
 			},
-			fails: true,
+			fails:   true,
+			journal: true,
+		},
+		{
+			// The group's first frame is written whole, the second torn.
+			name: "journal write fails on the 2nd frame",
+			at:   1,
+			arm: func(st *Store, _ *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
+				frames := 0
+				st.wal.writeHook = func(f *os.File, frame []byte) (int, error) {
+					if frames++; frames < 2 {
+						return f.Write(frame)
+					}
+					n, _ := f.Write(frame[:len(frame)/2])
+					return n, errors.New("injected append failure")
+				}
+				return func() { st.wal.writeHook = nil }
+			},
+			fails:   true,
+			journal: true,
 		},
 		{
 			// The backend fails once: a put's rename is refused; a delete's
 			// directory sync fails after the file is already gone, so the
 			// compensation has a record to put back.
 			name: "backend mutation fails",
-			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool) func() {
-				failed := false
-				once := func() error {
-					if failed {
-						return nil
-					}
-					failed = true
-					return errors.New("injected backend failure")
-				}
+			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
+				once := failOnce()
 				fb.renameHook = func(oldpath, newpath string) error {
 					if err := once(); err != nil {
 						return err
@@ -156,11 +203,66 @@ func TestCommitMatrix(t *testing.T) {
 			sparesMiss: true, // the remove misses before any hook runs
 		},
 		{
+			// The second record's temp file cannot be synced.
+			name: "stage fails on the 2nd record",
+			at:   1,
+			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, target string) func() {
+				fb.fileSyncHook = func(f *os.File) error {
+					data, err := os.ReadFile(f.Name())
+					if err != nil {
+						return err
+					}
+					if rec, err := decodeRecord(data); err == nil && rec.RunID == target {
+						return errors.New("injected data sync failure")
+					}
+					return f.Sync()
+				}
+				return func() { fb.fileSyncHook = nil }
+			},
+			fails: true,
+		},
+		{
+			// The second record's rename is refused, once.
+			name: "publish fails on the 2nd record",
+			at:   1,
+			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, target string) func() {
+				once := failOnce()
+				name := fileName(RecordKey{App: "poisson", Version: "A", RunID: target})
+				fb.renameHook = func(oldpath, newpath string) error {
+					if filepath.Base(newpath) == name {
+						if err := once(); err != nil {
+							return err
+						}
+					}
+					return os.Rename(oldpath, newpath)
+				}
+				return func() { fb.renameHook = nil }
+			},
+			fails: true,
+		},
+		{
+			// Every rename and removal happened; the directory sync that
+			// would make them durable fails, once — nothing is acknowledged.
+			name: "directory fsync fails",
+			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
+				once := failOnce()
+				fb.syncHook = func(dir string) error {
+					if err := once(); err != nil {
+						return err
+					}
+					return syncDir(dir)
+				}
+				return func() { fb.syncHook = nil }
+			},
+			fails:      true,
+			sparesMiss: true,
+		},
+		{
 			// The backend keeps failing, so the compensating entry is
 			// journaled but cannot be healed into the files: puts tear the
 			// record file, deletes are refused outright.
 			name: "heal after compensation fails",
-			arm: func(_ *Store, _ *FSBackend, fault *FaultBackend, deletes bool) func() {
+			arm: func(_ *Store, _ *FSBackend, fault *FaultBackend, deletes bool, _ string) func() {
 				cfg := FaultConfig{TornWriteRate: 1}
 				if deletes {
 					cfg = FaultConfig{ErrRate: 1}
@@ -168,8 +270,9 @@ func TestCommitMatrix(t *testing.T) {
 				fault.SetConfig(cfg)
 				return func() { fault.SetConfig(FaultConfig{}) }
 			},
-			fails:    true,
-			filesLag: true,
+			fails:      true,
+			filesLag:   true,
+			needsFault: true,
 		},
 	}
 
@@ -216,74 +319,120 @@ func TestCommitMatrix(t *testing.T) {
 
 	for _, kind := range kinds {
 		for _, failure := range failures {
-			kind, failure := kind, failure
+			if failure.at >= len(kind.effects) {
+				continue
+			}
 			t.Run(kind.name+"/"+failure.name, func(t *testing.T) {
-				dir := t.TempDir()
-				var fault *FaultBackend
-				st := openDurable(t, dir, DurableOptions{Wrap: func(b Backend) Backend {
-					fault = NewFaultBackend(b, FaultConfig{})
-					return fault
-				}})
-				fb := fault.Inner().(*FSBackend)
-				want := state{}
-				for _, rec := range []*RunRecord{sampleRecord("r1"), sampleRecord("r2")} {
-					if err := st.Save(rec); err != nil {
-						t.Fatal(err)
+				for _, wrapped := range []bool{false, true} {
+					if failure.needsFault && !wrapped {
+						continue
 					}
-					put(want, rec)
-				}
-
-				disarm := failure.arm(st, fb, fault, kind.deletes)
-				err := kind.do(st)
-				disarm()
-
-				failed := failure.fails && !(kind.wantMiss && failure.sparesMiss)
-				switch {
-				case failed:
-					if err == nil || !IsBackendError(err) || errors.Is(err, os.ErrNotExist) {
-						t.Fatalf("err = %v, want a backend failure", err)
+					name := "bare"
+					if wrapped {
+						name = "wrapped"
 					}
-				case kind.wantMiss:
-					if !errors.Is(err, os.ErrNotExist) {
-						t.Fatalf("err = %v, want not-exist", err)
-					}
-				case err != nil:
-					t.Fatal(err)
-				}
-				if !failed {
-					kind.effect(want)
-				}
+					t.Run(name, func(t *testing.T) {
+						dir := t.TempDir()
+						var fault *FaultBackend
+						var opts DurableOptions
+						if wrapped {
+							opts.Wrap = func(b Backend) Backend {
+								fault = NewFaultBackend(b, FaultConfig{})
+								return fault
+							}
+						}
+						st := openDurable(t, dir, opts)
+						fb, bare := st.Backend().(*FSBackend)
+						if !bare {
+							fb = fault.Inner().(*FSBackend)
+						}
+						want := state{}
+						for _, rec := range []*RunRecord{sampleRecord("r1"), sampleRecord("r2")} {
+							if err := st.Save(rec); err != nil {
+								t.Fatal(err)
+							}
+							want[rec.Key()] = encode(rec)
+						}
+						shipped := 0
+						st.wal.SetOnAppend(func(uint64, []byte) { shipped++ })
+						journaled := st.wal.size
 
-				if got := indexState(st); !reflect.DeepEqual(got, want) {
-					t.Errorf("index holds %v, want %v", keysOf(got), keysOf(want))
-				}
-				if got := foldState(dir); !reflect.DeepEqual(got, want) {
-					t.Errorf("journal folds to %v, want %v", keysOf(got), keysOf(want))
-				}
-				if got := fileState(dir); !reflect.DeepEqual(got, want) {
-					// Only a compensation that could not be healed may leave the
-					// files behind, and then the journal must stop compacting.
-					if !failed || !failure.filesLag {
-						t.Errorf("record files hold %v, want %v", keysOf(got), keysOf(want))
-					} else if !st.wal.unsafeCompact {
-						t.Error("record files lag the journal, yet the journal still compacts")
-					}
-				}
+						disarm := failure.arm(st, fb, fault, kind.deletes, kind.runs[failure.at])
+						wrote, err := kind.do(st)
+						disarm()
 
-				// The crash-recovery path: no Close, reopen from disk alone.
-				st2, err := OpenStoreDurable(dir, DurableOptions{WAL: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st2.Close()
-				if got := indexState(st2); !reflect.DeepEqual(got, want) {
-					t.Errorf("reopened index holds %v, want %v", keysOf(got), keysOf(want))
-				}
-				if got := fileState(dir); !reflect.DeepEqual(got, want) {
-					t.Errorf("record files after reopen hold %v, want %v", keysOf(got), keysOf(want))
-				}
-				if q := st2.Recovery().Quarantined; len(q) != 0 {
-					t.Errorf("reopen quarantined %v; the journal should have healed it", q)
+						failed := failure.fails && !(kind.wantMiss && failure.sparesMiss)
+						switch {
+						case failed:
+							if err == nil || !IsBackendError(err) || errors.Is(err, os.ErrNotExist) {
+								t.Fatalf("err = %v, want a backend failure", err)
+							}
+						case kind.wantMiss:
+							if !errors.Is(err, os.ErrNotExist) {
+								t.Fatalf("err = %v, want not-exist", err)
+							}
+						case err != nil:
+							t.Fatal(err)
+						}
+						stand := len(kind.effects)
+						if failed {
+							stand = failure.at
+							if failure.journal {
+								stand = 0 // the group is refused whole
+							}
+						}
+						for _, effect := range kind.effects[:stand] {
+							effect(want)
+						}
+						if wrote >= 0 && wrote != stand {
+							t.Errorf("wrote = %d, want %d", wrote, stand)
+						}
+						if failure.journal {
+							if shipped != 0 {
+								t.Errorf("%d frames of a refused group reached the append hook", shipped)
+							}
+							fi, err := os.Stat(st.wal.segmentPath(st.wal.seq))
+							if err != nil || fi.Size() != journaled || st.wal.size != journaled {
+								t.Errorf("segment is %d bytes (%v), journal says %d; the refused group began at %d",
+									fi.Size(), err, st.wal.size, journaled)
+							}
+						}
+
+						if got := indexState(st); !reflect.DeepEqual(got, want) {
+							t.Errorf("index holds %v, want %v", keysOf(got), keysOf(want))
+						}
+						if got := foldState(dir); !reflect.DeepEqual(got, want) {
+							t.Errorf("journal folds to %v, want %v", keysOf(got), keysOf(want))
+						}
+						if got := fileState(dir); !reflect.DeepEqual(got, want) {
+							// Only a compensation that could not be healed may leave the
+							// files behind, and then the journal must stop compacting.
+							if !failed || !failure.filesLag {
+								t.Errorf("record files hold %v, want %v", keysOf(got), keysOf(want))
+							} else if !st.wal.unsafeCompact {
+								t.Error("record files lag the journal, yet the journal still compacts")
+							}
+						}
+						if tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp")); len(tmps) != 0 {
+							t.Errorf("the commit left staged files behind: %v", tmps)
+						}
+
+						// The crash-recovery path: no Close, reopen from disk alone.
+						st2, err := OpenStoreDurable(dir, DurableOptions{WAL: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer st2.Close()
+						if got := indexState(st2); !reflect.DeepEqual(got, want) {
+							t.Errorf("reopened index holds %v, want %v", keysOf(got), keysOf(want))
+						}
+						if got := fileState(dir); !reflect.DeepEqual(got, want) {
+							t.Errorf("record files after reopen hold %v, want %v", keysOf(got), keysOf(want))
+						}
+						if q := st2.Recovery().Quarantined; len(q) != 0 {
+							t.Errorf("reopen quarantined %v; the journal should have healed it", q)
+						}
+					})
 				}
 			})
 		}
@@ -305,20 +454,23 @@ func keysOf[V any](s map[RecordKey]V) []string {
 	return out
 }
 
-// TestCommitSyncsOncePerEntry pins the record path's fsync cost, which
-// the one-path refactor must not change: at SyncAlways a Save is one
-// journal append and one journal sync, and a PutBatch of k is k of each.
-func TestCommitSyncsOncePerEntry(t *testing.T) {
+// TestCommitSyncsOncePerCommit pins the record path's fsync cost: at
+// SyncAlways a commit is one journal sync however many entries it
+// journals — a Save is one append and one sync, a PutBatch of k is k
+// appends and one sync — and over the bare FSBackend one directory sync.
+func TestCommitSyncsOncePerCommit(t *testing.T) {
 	st := openDurable(t, t.TempDir(), DurableOptions{WALOptions: WALOptions{Sync: SyncAlways}})
 	defer st.Close()
+	dirSyncs := 0
+	st.Backend().(*FSBackend).syncHook = func(dir string) error { dirSyncs++; return syncDir(dir) }
 	const n, k = 5, 3
 	for i := 0; i < n; i++ {
 		if err := st.Save(sampleRecord(string(rune('a' + i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ws := st.WALStats(); ws.Appends != n || ws.Syncs != n {
-		t.Fatalf("%d Saves cost %d appends and %d syncs, want %d of each", n, ws.Appends, ws.Syncs, n)
+	if ws := st.WALStats(); ws.Appends != n || ws.Syncs != n || dirSyncs != n {
+		t.Fatalf("%d Saves cost %d appends, %d syncs and %d directory syncs, want %d of each", n, ws.Appends, ws.Syncs, dirSyncs, n)
 	}
 	batch := make([]*RunRecord, k)
 	for i := range batch {
@@ -327,8 +479,91 @@ func TestCommitSyncsOncePerEntry(t *testing.T) {
 	if saved, err := st.PutBatch(batch); err != nil || saved != k {
 		t.Fatalf("PutBatch = %d, %v", saved, err)
 	}
-	if ws := st.WALStats(); ws.Appends != n+k || ws.Syncs != n+k {
-		t.Fatalf("a batch of %d cost %d appends and %d syncs, want %d of each", k, ws.Appends-n, ws.Syncs-n, k)
+	if ws := st.WALStats(); ws.Appends != n+k || ws.Syncs != n+1 || dirSyncs != n+1 {
+		t.Fatalf("a batch of %d cost %d appends, %d syncs and %d directory syncs, want %d, 1 and 1",
+			k, ws.Appends-n, ws.Syncs-n, dirSyncs-n, k)
+	}
+}
+
+// TestCommitGroupNeverStraddlesRotation: with segments too small for two
+// frames a group still lands in one segment — rotation discards closed
+// segments as applied, and a group's entries are not until its commit is
+// over: after every group the journal holds that group whole, in order,
+// and nothing else (a rotation inside it would have discarded its head).
+func TestCommitGroupNeverStraddlesRotation(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir, DurableOptions{WALOptions: WALOptions{SegmentBytes: 64}})
+	defer st.Close()
+	for round := 0; round < 4; round++ {
+		batch := make([]*RunRecord, 3)
+		for i := range batch {
+			batch[i] = sampleRecord(fmt.Sprintf("r%d-%d", round, i))
+		}
+		rotations := st.WALStats().Rotations
+		if n, err := st.PutBatch(batch); err != nil || n != len(batch) {
+			t.Fatalf("PutBatch = %d, %v", n, err)
+		}
+		if got := st.WALStats().Rotations - rotations; got > 1 {
+			t.Fatalf("a group of %d rotated the journal %d times, want at most once, ahead of it", len(batch), got)
+		}
+		entries, scan, err := ReadWAL(walDirOf(dir))
+		if err != nil || scan.TornTail || len(scan.Corrupt) != 0 || len(entries) != len(batch) {
+			t.Fatalf("journal after group %d holds %d entries (%v %+v), want the group whole and nothing else", round, len(entries), err, scan)
+		}
+		for i, e := range entries {
+			if e.RunID != batch[i].RunID {
+				t.Fatalf("journal entry %d is %s, want %s", i, e.RunID, batch[i].RunID)
+			}
+		}
+	}
+	if got := st.WALStats().Rotations; got != 3 {
+		t.Fatalf("%d rotations over 4 groups, want one ahead of each but the first", got)
+	}
+}
+
+// TestCommitDurabilityOrder holds one commit to the order its
+// acknowledgement depends on: every record file's data sync and the
+// journal's sync come before the first rename, the directory sync after
+// the last, and nothing is indexed (so nothing acknowledged) before it.
+func TestCommitDurabilityOrder(t *testing.T) {
+	st := openDurable(t, t.TempDir(), DurableOptions{})
+	defer st.Close()
+	fb := st.Backend().(*FSBackend)
+	var mu sync.Mutex
+	var steps []string
+	note := func(step string) {
+		mu.Lock()
+		steps = append(steps, step)
+		mu.Unlock()
+	}
+	fb.fileSyncHook = func(f *os.File) error { err := f.Sync(); note("data sync"); return err }
+	st.wal.syncHook = func(f *os.File) error { err := f.Sync(); note("journal sync"); return err }
+	fb.renameHook = func(oldpath, newpath string) error { note("rename"); return os.Rename(oldpath, newpath) }
+	fb.syncHook = func(dir string) error {
+		if st.Len() != 0 {
+			t.Error("records indexed before the directory sync")
+		}
+		note("dir sync")
+		return syncDir(dir)
+	}
+	const k = 6 // more than stageWorkers
+	batch := make([]*RunRecord, k)
+	for i := range batch {
+		batch[i] = sampleRecord(fmt.Sprintf("r%d", i))
+	}
+	if n, err := st.PutBatch(batch); err != nil || n != k {
+		t.Fatalf("PutBatch = %d, %v", n, err)
+	}
+	if len(steps) != 2*k+2 {
+		t.Fatalf("steps = %v, want %d data syncs, a journal sync, %d renames and a directory sync", steps, k, k)
+	}
+	for i, step := range steps {
+		switch {
+		case i <= k && step != "data sync" && step != "journal sync",
+			i > k && i <= 2*k && step != "rename",
+			i == 2*k+1 && step != "dir sync":
+			t.Fatalf("step %d is %q in %v", i, step, steps)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // FSBackend stores one JSON file per record in a directory.
@@ -84,16 +86,119 @@ func fileName(key RecordKey) string {
 		escapeComponent(key.RunID) + ".json"
 }
 
-// Put implements Backend: an atomic write (unique temp file, data
-// fsync, rename, directory fsync) that removes the temp file on every
-// failure path.
-func (b *FSBackend) Put(key RecordKey, data []byte) error {
-	err := writeFileAtomic(filepath.Join(b.dir, fileName(key)), ".put-*.tmp", data,
-		fsOps{syncFile: b.fileSyncHook, rename: b.renameHook, syncDir: b.syncHook})
-	if err != nil {
+// The filesystem write, in the steps Store.commit runs across a whole
+// commit and Put runs for one record: stage, publish (or remove), and
+// the directory fsync that makes renames and removals durable.
+
+// stage writes one record's bytes to a unique temp file beside the
+// records — created, written, data-fsynced, invisible to Scan and Get.
+func (b *FSBackend) stage(data []byte) (tmp string, err error) {
+	if tmp, err = stageFile(b.dir, ".put-*.tmp", data, b.fileSyncHook); err != nil {
+		return "", fmt.Errorf("history: write: %w", err)
+	}
+	return tmp, nil
+}
+
+// publish renames a staged file over key's record file; a refused rename
+// removes the temp file.
+func (b *FSBackend) publish(tmp string, key RecordKey) error {
+	rename := os.Rename
+	if b.renameHook != nil {
+		rename = b.renameHook
+	}
+	if err := rename(tmp, filepath.Join(b.dir, fileName(key))); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("history: write: %w", err)
 	}
 	return nil
+}
+
+// remove unlinks key's record file.
+func (b *FSBackend) remove(key RecordKey) error {
+	if err := os.Remove(filepath.Join(b.dir, fileName(key))); err != nil {
+		return fmt.Errorf("history: delete: %w", err)
+	}
+	return nil
+}
+
+// syncRecords fsyncs the record directory after op's renames or removals.
+func (b *FSBackend) syncRecords(op string) error {
+	if err := b.sync(b.dir); err != nil {
+		return fmt.Errorf("history: %s: sync dir: %w", op, err)
+	}
+	return nil
+}
+
+// Put implements Backend: an atomic write (unique temp file, data
+// fsync, rename, directory fsync) that removes the temp file on every
+// failure path — stage, publish and sync of one.
+func (b *FSBackend) Put(key RecordKey, data []byte) error {
+	tmp, err := b.stage(data)
+	if err == nil {
+		err = b.publish(tmp, key)
+	}
+	if err == nil {
+		err = b.syncRecords("write")
+	}
+	return err
+}
+
+// stageWorkers bounds how many record files of one commit are staged at
+// once. Concurrent fsyncs fold into one commit of the file system's own
+// journal; past a handful the gain is gone and the descriptors are not.
+const stageWorkers = 4
+
+// staging is the record files of one commit on their way to disk: one
+// temp file per put, written while the commit's journal group is.
+type staging struct {
+	b    *FSBackend
+	wg   sync.WaitGroup
+	next atomic.Int64 // the next mutation a worker takes
+	tmps []string     // per mutation: the staged file; "" for a delete or a put that failed
+	errs []error      // per mutation: why it could not be staged
+}
+
+// stageAll starts staging the puts of ms on up to stageWorkers goroutines.
+func (b *FSBackend) stageAll(ms []mutation) *staging {
+	st := &staging{b: b, tmps: make([]string, len(ms)), errs: make([]error, len(ms))}
+	for range min(len(ms), stageWorkers) {
+		st.wg.Add(1)
+		go func() {
+			defer st.wg.Done()
+			for i := int(st.next.Add(1)) - 1; i < len(ms); i = int(st.next.Add(1)) - 1 {
+				if ms[i].Op == walOpPut {
+					st.tmps[i], st.errs[i] = b.stage(ms[i].Data)
+				}
+			}
+		}()
+	}
+	return st
+}
+
+// write publishes mutation i once every file is staged: a put's staged
+// file is renamed over its record, a delete's record is removed. Neither
+// is durable before syncRecords.
+func (st *staging) write(i int, m mutation) error {
+	st.wg.Wait()
+	if m.Op == walOpDelete {
+		return st.b.remove(m.Key())
+	}
+	tmp := st.tmps[i]
+	if tmp == "" {
+		return st.errs[i]
+	}
+	st.tmps[i] = ""
+	return st.b.publish(tmp, m.Key())
+}
+
+// discard removes the staged files that were not published.
+func (st *staging) discard() {
+	st.wg.Wait()
+	for _, tmp := range st.tmps {
+		if tmp != "" {
+			os.Remove(tmp)
+		}
+	}
 }
 
 // Get implements Backend.
@@ -107,13 +212,10 @@ func (b *FSBackend) Get(key RecordKey) ([]byte, error) {
 
 // Delete implements Backend.
 func (b *FSBackend) Delete(key RecordKey) error {
-	if err := os.Remove(filepath.Join(b.dir, fileName(key))); err != nil {
-		return fmt.Errorf("history: delete: %w", err)
+	if err := b.remove(key); err != nil {
+		return err
 	}
-	if err := b.sync(b.dir); err != nil {
-		return fmt.Errorf("history: delete: sync dir: %w", err)
-	}
-	return nil
+	return b.syncRecords("delete")
 }
 
 // adopt gives the valid record stored under a non-canonical name its

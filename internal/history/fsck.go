@@ -312,7 +312,7 @@ func fsckWALAgreement(dir string, fold map[RecordKey]WALEntry, index map[RecordK
 		repaired := false
 		if repair {
 			ms, _ := foldMutations([]WALEntry{e})
-			_, rerr := st.commit(ms, true)
+			_, rerr := st.commit(ms, commitRedo)
 			repaired = len(ms) == 1 && rerr == nil
 		}
 		rep.add(FsckResidue, fileName(k), problem, "replay journal entry", repaired)

@@ -569,7 +569,7 @@ func (s *ShardedStore) routed(sh *shardState, op string, write bool, local func(
 // handed the same journal entries. Either way they were built once.
 func (s *ShardedStore) write(sh *shardState, op string, ms []mutation) (n int, err error) {
 	err = s.routed(sh, op, true,
-		func(st *Store) (err error) { n, err = st.commit(ms, false); return err },
+		func(st *Store) (err error) { n, err = st.commit(ms, commitWrite); return err },
 		func(r ShardReplica) (err error) {
 			entries := make([]WALEntry, len(ms))
 			for i, m := range ms {

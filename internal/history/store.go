@@ -151,7 +151,7 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 			return nil, fmt.Errorf("history: recover store: %w", err)
 		}
 		ms, invalid := foldMutations(entries)
-		applied, err := st.commit(ms, true)
+		applied, err := st.commit(ms, commitRedo)
 		rep.WAL = &WALRecovery{
 			Segments: scan.Segments,
 			Entries:  scan.Entries,
@@ -407,86 +407,159 @@ func foldMutations(entries []WALEntry) (ms []mutation, invalid []string) {
 	return ms, invalid
 }
 
+// commitMode says whose decision a commit carries out.
+type commitMode int
+
+const (
+	// commitWrite is a caller's write. Deleting an absent record is that
+	// caller's answer: os.ErrNotExist, and the end of the batch.
+	commitWrite commitMode = iota
+	// commitReplicated folds a primary's journal frames into a follower.
+	// The outcome was the primary's to decide, so a delete of a record
+	// already absent — a frame delivered twice — converges and the run
+	// goes on.
+	commitReplicated
+	// commitRedo repeats a decided outcome — the replay at open, a
+	// compensation: the backend is read first and written only where it
+	// disagrees, a failure is returned rather than compensated, and the
+	// caller already holds walMu (or, at open, is alone).
+	commitRedo
+)
+
 // commit is the store's one write path: every mutation — a Save, each
-// record of a PutBatch, a Delete, a replicated entry, a compensation,
-// the journal replay at open — is appended to the journal (durable
-// stores), applied to the backend, and only then reflected in the
-// index, in that order, here and nowhere else. Mutations commit in
-// order and the first failure stops the batch; wrote is how many
-// changed the backend.
+// record of a PutBatch, a Delete, a replicated run, a compensation, the
+// journal replay at open — is journaled (durable stores), applied to the
+// backend, and only then reflected in the index, in that order, here and
+// nowhere else. A commit is three stages over the whole list:
 //
-// An entry the journal cannot take is refused before the backend sees
-// it. A backend mutation that fails after its entry was journaled must
-// not win the replay fold — it was never acknowledged — so the key's
-// pre-image is committed as a compensating entry, healing the backend
-// in place (a failed write can leave the file torn); when that fails
-// too the journal stops compacting until the next open's replay.
+//   - journal: the entries go to the journal as one group — one write
+//     pass, one fsync. A group the journal cannot take is refused before
+//     the backend sees any of it.
+//   - stage, beside the journal: over a bare FSBackend every put's record
+//     file is written and fsynced under a temp name meanwhile — invisible,
+//     and removed again if the journal refuses the group. Any other
+//     backend (memory, a wrapper) and every redo has no such step.
+//   - publish, once the journal is durable and every file staged: the
+//     mutations reach the backend in order — staged files renamed, deleted
+//     records removed, then one directory fsync for all of them; a plain
+//     backend gets its Put or Delete per mutation — and the first failure
+//     stops the batch. Only then does the index follow.
 //
-// redo marks mutations whose outcome is already decided — the replay,
-// the compensation: the backend is read first and written only where it
-// disagrees, a failure is returned rather than compensated, and the
-// caller already holds walMu (or, at open, is alone).
-func (s *Store) commit(ms []mutation, redo bool) (wrote int, err error) {
+// wrote is how many mutations changed the backend. Nothing is
+// acknowledged that is not journaled, written and named durably; the
+// stages only settle how many calls that takes.
+//
+// A mutation that fails after the group was journaled must not win the
+// replay fold — it was never acknowledged, nor was any after it — so the
+// pre-image of each is committed as a compensating entry, healing the
+// backend in place (a failed write can leave the file torn); when that
+// fails too the journal stops compacting until the next open's replay.
+func (s *Store) commit(ms []mutation, mode commitMode) (wrote int, err error) {
+	if len(ms) == 0 {
+		return 0, nil
+	}
+	redo := mode == commitRedo
 	if s.wal != nil && !redo {
 		s.walMu.Lock()
 		defer s.walMu.Unlock()
 	}
-	for _, m := range ms {
-		key := m.Key()
-		if s.wal != nil {
-			if err := s.wal.Append(m.WALEntry); err != nil {
-				return wrote, asBackendError("wal append", err)
-			}
+	write := func(_ int, m mutation) error {
+		if m.Op == walOpDelete {
+			return s.backend.Delete(m.Key())
 		}
+		return s.backend.Put(m.Key(), m.Data)
+	}
+	fb, _ := s.backend.(*FSBackend)
+	var staged *staging
+	if fb != nil && !redo {
+		staged = fb.stageAll(ms)
+		defer staged.discard()
+		write = staged.write
+	}
+	if s.wal != nil {
+		entries := make([]WALEntry, len(ms))
+		for i, m := range ms {
+			entries[i] = m.WALEntry
+		}
+		if err := s.wal.AppendGroup(entries); err != nil {
+			return 0, asBackendError("wal append", err)
+		}
+	}
+
+	// ms[:done] stand in the backend; fail is why the rest do not.
+	done, op, fail := 0, "", error(nil)
+	for done < len(ms) && fail == nil {
+		m := ms[done]
+		op = m.Op
 		stale := true
 		if redo {
-			cur, err := s.backend.Get(key)
-			switch {
-			case errors.Is(err, os.ErrNotExist):
-				stale = m.Op == walOpPut
-			case err != nil:
-				return wrote, asBackendError("get", err)
-			default:
-				stale = m.Op == walOpDelete || !bytes.Equal(cur, m.Data)
+			if stale, fail = s.disagrees(m); fail != nil {
+				op = "get"
+				break
 			}
-		}
-		var berr error
-		switch {
-		case !stale:
-		case m.Op == walOpDelete:
-			berr = s.backend.Delete(key)
-		default:
-			berr = s.backend.Put(key, m.Data)
-		}
-		// Deleting an absent record is an answer, not a failure: absent
-		// is what was journaled, so nothing needs compensating.
-		miss := m.Op == walOpDelete && errors.Is(berr, os.ErrNotExist)
-		if berr != nil && !miss {
-			if s.wal != nil && !redo {
-				if _, herr := s.commit([]mutation{s.preImage(key)}, true); herr != nil {
-					s.wal.markUnsafe()
-				}
-			}
-			// Classified as a backend failure so the service layer can
-			// degrade instead of blaming the caller. The index is never
-			// touched: it must not hold a record the backend rejected.
-			return wrote, asBackendError(m.Op, berr)
-		}
-		s.mu.Lock()
-		if m.rec != nil {
-			s.recs[key] = m.rec
-		} else {
-			delete(s.recs, key)
-		}
-		s.mu.Unlock()
-		if miss && !redo {
-			return wrote, asBackendError(m.Op, berr)
 		}
 		if stale {
+			fail = write(done, m)
+		}
+		// Deleting an absent record is an answer, not a failure: absent is
+		// what was journaled, so the entry stands and nothing needs
+		// compensating; only a caller whose write it is hears about it.
+		miss := m.Op == walOpDelete && errors.Is(fail, os.ErrNotExist)
+		if miss && mode != commitWrite {
+			fail = nil
+		}
+		if fail != nil && !miss {
+			break
+		}
+		done++
+		if stale && fail == nil {
 			wrote++
 		}
 	}
-	return wrote, nil
+	if staged != nil && wrote > 0 {
+		// One directory fsync names every rename and removal of the commit.
+		// Until it returns none of them is acknowledged.
+		if err := fb.syncRecords("write"); err != nil {
+			done, wrote, op, fail = 0, 0, ms[0].Op, err
+		}
+	}
+	s.mu.Lock()
+	for _, m := range ms[:done] {
+		if m.rec != nil {
+			s.recs[m.Key()] = m.rec
+		} else {
+			delete(s.recs, m.Key())
+		}
+	}
+	s.mu.Unlock()
+	if fail == nil {
+		return wrote, nil
+	}
+	if s.wal != nil && !redo && done < len(ms) {
+		pre := make([]mutation, len(ms)-done)
+		for i, m := range ms[done:] {
+			pre[i] = s.preImage(m.Key())
+		}
+		if _, err := s.commit(pre, commitRedo); err != nil {
+			s.wal.markUnsafe()
+		}
+	}
+	// Classified as a backend failure so the service layer can degrade
+	// instead of blaming the caller. The index never holds a record the
+	// backend rejected.
+	return wrote, asBackendError(op, fail)
+}
+
+// disagrees reports whether the backend does not yet hold what m decided.
+func (s *Store) disagrees(m mutation) (bool, error) {
+	cur, err := s.backend.Get(m.Key())
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return m.Op == walOpPut, nil
+	case err != nil:
+		return false, err
+	}
+	return m.Op == walOpDelete || !bytes.Equal(cur, m.Data), nil
 }
 
 // preImage builds the mutation that sets key to its last acknowledged
@@ -512,7 +585,7 @@ func (s *Store) Save(rec *RunRecord) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.commit([]mutation{m}, false)
+	_, err = s.commit([]mutation{m}, commitWrite)
 	return err
 }
 
@@ -526,7 +599,7 @@ func (s *Store) PutBatch(recs []*RunRecord) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.commit(ms, false)
+	return s.commit(ms, commitWrite)
 }
 
 // Load reads one record by app, version and run id. The returned record
@@ -565,7 +638,7 @@ func (s *Store) Load(app, version, runID string) (*RunRecord, error) {
 
 // Delete removes one record from the backend and the index.
 func (s *Store) Delete(app, version, runID string) error {
-	_, err := s.commit([]mutation{deleteMutation(RecordKey{App: app, Version: version, RunID: runID})}, false)
+	_, err := s.commit([]mutation{deleteMutation(RecordKey{App: app, Version: version, RunID: runID})}, commitWrite)
 	return err
 }
 
@@ -590,30 +663,53 @@ func (s *Store) SyncWAL() error {
 // would have committed. Every entry is decoded and checked before any is
 // written, so a damaged batch fails whole; from there it is PutBatch:
 // the first failure stops the batch and wrote is how many landed.
-// Each entry is appended to this store's own journal and its exact bytes
-// written to the backend, so the record file is byte-identical to the
-// one the sender would have written.
+// The entries are one group in this store's own journal and their exact
+// bytes are written to the backend, so each record file is byte-identical
+// to the one the sender would have written.
 func (s *Store) Apply(entries []WALEntry) (wrote int, err error) {
+	ms, err := journaledMutations(entries)
+	if err != nil {
+		return 0, err
+	}
+	return s.commit(ms, commitWrite)
+}
+
+// journaledMutations checks entries in order; on the first that does not
+// check out it answers the mutations of those before it and an error
+// naming the offender's position.
+func journaledMutations(entries []WALEntry) ([]mutation, error) {
 	ms := make([]mutation, len(entries))
 	for i, e := range entries {
+		var err error
 		if ms[i], err = journaledMutation(e); err != nil {
-			return 0, fmt.Errorf("history: entry %d (%s): %w", i, e.Key(), err)
+			return ms[:i], fmt.Errorf("history: entry %d (%s): %w", i, e.Key(), err)
 		}
 	}
-	return s.commit(ms, false)
+	return ms, nil
+}
+
+// ApplyRun folds a run of a primary's journal entries into the store as
+// one commit (the follower's durability holds independently of the
+// primary's, and a replicated record file is byte-identical to the
+// primary's). It differs from Apply where a follower must: the entries
+// ahead of one that does not check out are still applied — they were
+// acknowledged on the primary — and a delete of a record already absent
+// does not stop the run, so re-applying entries the store already
+// reflects is a no-op in effect and replication retries and restarts
+// converge rather than diverge. applied is how many entries, from the
+// first, the store now reflects.
+func (s *Store) ApplyRun(entries []WALEntry) (applied int, err error) {
+	ms, bad := journaledMutations(entries)
+	if applied, err = s.commit(ms, commitReplicated); err != nil {
+		return applied, err
+	}
+	return applied, bad
 }
 
 // ApplyReplicated folds one replicated journal entry into the store —
-// Apply of one (the follower's durability holds independently of the
-// primary's, and a replicated record file is byte-identical to the
-// primary's). Re-applying an entry the store already reflects is a no-op
-// in effect — replication retries and restarts converge rather than
-// diverge.
+// ApplyRun of one.
 func (s *Store) ApplyReplicated(e WALEntry) error {
-	_, err := s.Apply([]WALEntry{e})
-	if e.Op == walOpDelete && errors.Is(err, os.ErrNotExist) {
-		return nil // already absent: a re-delivered delete converges
-	}
+	_, err := s.ApplyRun([]WALEntry{e})
 	return err
 }
 

@@ -381,6 +381,9 @@ type WAL struct {
 	// writeHook replaces the active segment's frame write when non-nil —
 	// the seam torn-append tests use to fail a write partway through.
 	writeHook func(f *os.File, frame []byte) (int, error)
+	// syncHook replaces the active segment's fsync when non-nil — the seam
+	// the durability-order and crash-point tests observe it through.
+	syncHook func(f *os.File) error
 	// onAppend, when set, observes every successfully journaled frame
 	// (under w.mu, in append order): its sequence number within this
 	// epoch and the frame's bytes exactly as written. The replication
@@ -514,12 +517,29 @@ func (w *WAL) segmentPath(seq uint64) string {
 	return filepath.Join(w.dir, fmt.Sprintf("%08d%s", seq, walSuffix))
 }
 
-// Append journals one entry, rotating and syncing per the options. The
-// entry is durable per the sync policy when Append returns.
-func (w *WAL) Append(e WALEntry) error {
-	frame, err := EncodeWALFrame(e)
-	if err != nil {
-		return err
+// Append journals one entry — a group of one.
+func (w *WAL) Append(e WALEntry) error { return w.AppendGroup([]WALEntry{e}) }
+
+// AppendGroup journals the entries of one commit, in order, as one write
+// pass and one sync: each entry is its own frame, exactly the bytes
+// Append would have written for it, and all of them are durable per the
+// sync policy when AppendGroup returns. The group is journaled whole or
+// not at all: a frame that cannot be encoded refuses it before anything
+// is written, and a failed write restores the segment to where the group
+// began, so nothing of it is replayed and nothing of it reached the
+// append hook. The segment rotates only ahead of a group's first frame —
+// rotation discards closed segments on the promise that their entries
+// were applied, and this group's are not yet.
+func (w *WAL) AppendGroup(es []WALEntry) error {
+	frames := make([][]byte, len(es))
+	total := int64(0)
+	for i, e := range es {
+		frame, err := EncodeWALFrame(e)
+		if err != nil {
+			return err
+		}
+		frames[i] = frame
+		total += int64(len(frame))
 	}
 
 	w.mu.Lock()
@@ -527,7 +547,7 @@ func (w *WAL) Append(e WALEntry) error {
 	if w.f == nil {
 		return fmt.Errorf("history: wal: closed")
 	}
-	if w.size > 0 && w.size+int64(len(frame)) > w.opts.SegmentBytes {
+	if w.size > 0 && w.size+total > w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
@@ -536,20 +556,25 @@ func (w *WAL) Append(e WALEntry) error {
 	if w.writeHook != nil {
 		write = w.writeHook
 	}
-	if _, err := write(w.f, frame); err != nil {
-		// A failed write may have left part of the frame on disk. No
-		// frame must ever follow a torn one — replay stops at the first
-		// bad frame, which would hide every later acknowledged entry —
-		// so restore the segment to its last good frame before any
-		// further append can land.
-		w.repairTornTailLocked()
-		return fmt.Errorf("history: wal append: %w", err)
+	for _, frame := range frames {
+		if _, err := write(w.f, frame); err != nil {
+			// A failed write may have left part of a frame — and the whole
+			// of the group's earlier ones — on disk. No frame must ever
+			// follow a torn one (replay stops at the first bad frame, which
+			// would hide every later acknowledged entry) and no frame of a
+			// refused group may be replayed, so restore the segment to the
+			// group's start (w.size) before any further append can land.
+			w.repairTornTailLocked()
+			return fmt.Errorf("history: wal append: %w", err)
+		}
 	}
-	w.size += int64(len(frame))
+	w.size += total
 	w.dirty = true
-	seq := w.appends.Add(1)
-	if w.onAppend != nil {
-		w.onAppend(seq, frame)
+	for _, frame := range frames {
+		seq := w.appends.Add(1)
+		if w.onAppend != nil {
+			w.onAppend(seq, frame)
+		}
 	}
 	switch w.opts.Sync {
 	case SyncAlways:
@@ -563,11 +588,12 @@ func (w *WAL) Append(e WALEntry) error {
 }
 
 // repairTornTailLocked recovers from a failed frame write: truncate the
-// active segment back to its last complete frame (w.size) so the next
-// append lands where the torn one began. If even the truncate fails,
-// the segment is abandoned for a fresh one — the abandoned tail reads
-// as corrupt at the next open, but every frame before it still replays
-// (the segment is retained, never compacted away). Callers hold w.mu.
+// active segment back to the end of its last whole group (w.size) so the
+// next append lands where the refused one began. If even the truncate
+// fails, the segment is abandoned for a fresh one — the abandoned tail
+// reads as corrupt at the next open, but every frame before it still
+// replays (the segment is retained, never compacted away). Callers hold
+// w.mu.
 func (w *WAL) repairTornTailLocked() {
 	if w.f.Truncate(w.size) == nil {
 		if _, err := w.f.Seek(w.size, io.SeekStart); err == nil {
@@ -618,7 +644,11 @@ func (w *WAL) syncLocked() error {
 	if !w.dirty {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
+	sync := (*os.File).Sync
+	if w.syncHook != nil {
+		sync = w.syncHook
+	}
+	if err := sync(w.f); err != nil {
 		return fmt.Errorf("history: wal sync: %w", err)
 	}
 	w.dirty = false

@@ -152,7 +152,7 @@ func benchDurabilityReplay(b *testing.B, n int) {
 		}
 		b.StartTimer()
 		ms, _ := foldMutations(entries)
-		applied, err := st.commit(ms, true)
+		applied, err := st.commit(ms, commitRedo)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,4 +217,45 @@ func BenchmarkRecordDecode(b *testing.B) {
 			benchSink = rec
 		}
 	})
+}
+
+// BenchmarkCommit prices one commit of k records of the corpus's mean
+// size on a durable store at SyncAlways, over the bare FSBackend — the
+// whole I/O of a Save (k=1) and of a PutBatch of eight (k=8) with the
+// mutations built beforehand: the journal group, the staged record files
+// beside it, the renames, the directory sync. It reports the cost per
+// record and the journal syncs per record (1 for a Save, 1/k for a
+// batch). Point TMPDIR at the file system to be priced.
+func BenchmarkCommit(b *testing.B) {
+	const keys = 64 // cycled, so the store directory stays a dozen megabytes
+	ms := make([]mutation, keys)
+	for i := range ms {
+		rec := benchRecord()
+		rec.RunID = fmt.Sprintf("r%04d", i)
+		var err error
+		if ms[i], err = putMutation(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, k := range []int{1, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			b.SetBytes(int64(k * len(ms[0].Data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := i * k % keys
+				if n, err := st.commit(ms[at:at+k], commitWrite); err != nil || n != k {
+					b.Fatalf("commit = %d, %v", n, err)
+				}
+			}
+			b.StopTimer()
+			records := float64(b.N * k)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+			b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
+		})
+	}
 }

@@ -351,7 +351,7 @@ func TestReplayWALOnlyWhereDiskDiffers(t *testing.T) {
 	if len(invalid) != 1 || !strings.Contains(invalid[0], "r5") {
 		t.Errorf("invalid = %v, want only the r5 entry", invalid)
 	}
-	applied, err := st.commit(ms, true)
+	applied, err := st.commit(ms, commitRedo)
 	if err != nil {
 		t.Fatal(err)
 	}

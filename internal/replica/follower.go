@@ -54,9 +54,14 @@ func cadence(ttl, every time.Duration, fraction time.Duration) (time.Duration, t
 	return ttl, max(every, 25*time.Millisecond)
 }
 
+// maxApplyRun bounds the entries a follower folds as one commit: a pull
+// may answer hundreds of frames after an outage, and a commit holds the
+// journal frames of all its entries at once.
+const maxApplyRun = 32
+
 // Follower is the side of a node that replicates: per shard it follows,
 // a pull loop long-polls the owner's WAL endpoint, CRC-verifies and folds
-// frames through Store.ApplyReplicated, and reports what it saw to the
+// frames through Store.ApplyRun, and reports what it saw to the
 // node's ownership table — an answered pull, an applied position, an
 // installed snapshot. Its monitor turns a lapsed lease into an election,
 // its promote endpoint an operator's or a seam's request into a forced
@@ -206,22 +211,25 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 	if len(entries) > 0 && resp.FirstSeq == 0 {
 		return 0, fmt.Errorf("replica: shard %02d pull: %d frames and no first_seq", shard, len(entries))
 	}
-	applied, pos := 0, r.applied
-	for i, e := range entries {
-		seq := resp.FirstSeq + uint64(i)
-		if seq <= pos {
-			continue // idempotent re-delivery
-		}
-		if seq != pos+1 {
-			break // gap: re-pull from the persisted position
-		}
-		if err = f.stores[shard].ApplyReplicated(e); err != nil {
-			err = fmt.Errorf("replica: shard %02d frame %d: %w", shard, seq, err)
-			break
-		}
-		pos = seq
-		applied++
+	// The frames that continue this shard's position — past the ones
+	// delivered before; none when the first is a gap, which is re-pulled
+	// from the persisted position — are folded as commits of up to
+	// maxApplyRun entries: a primary's batch costs the follower what it
+	// cost the primary, one journal sync and one directory sync, and the
+	// quorum gate waits for one commit.
+	var run []history.WALEntry
+	if skip := r.applied + 1 - resp.FirstSeq; resp.FirstSeq <= r.applied+1 && skip < uint64(len(entries)) {
+		run = entries[skip:]
 	}
+	pos := r.applied
+	for len(run) > 0 && err == nil {
+		n := min(len(run), maxApplyRun)
+		if n, err = f.stores[shard].ApplyRun(run[:n]); err != nil {
+			err = fmt.Errorf("replica: shard %02d frame %d: %w", shard, pos+uint64(n)+1, err)
+		}
+		run, pos = run[n:], pos+uint64(n)
+	}
+	applied := int(pos - r.applied)
 	if err == nil && bad != nil {
 		err = fmt.Errorf("replica: shard %02d pull from %d: %w", shard, resp.FirstSeq, bad)
 	}

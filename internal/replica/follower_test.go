@@ -1,0 +1,132 @@
+package replica
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/history"
+)
+
+// scriptedPull is a primary that answers each pull with the next prepared
+// body: a header naming the first frame's sequence number, then frames.
+type scriptedPull struct {
+	first   uint64
+	entries []history.WALEntry
+}
+
+func scriptedPrimary(t *testing.T, script *[]scriptedPull) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) {
+		if len(*script) == 0 {
+			t.Error("pull past the end of the script")
+			return
+		}
+		next := (*script)[0]
+		*script = (*script)[1:]
+		frames, err := encodeFrames(next.entries)
+		if err != nil {
+			t.Error(err)
+		}
+		writeFrames(w, PullResponse{HeadSeq: next.first + uint64(len(frames)) - 1, FirstSeq: next.first}, frames)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestFollowerFoldsPullAsOneCommit: the frames of one pull that continue
+// the shard's position are one commit on the follower — a primary's batch
+// of eight costs it eight journal appends and one journal sync, as it
+// cost the primary — and the edges of the frame-at-a-time loop are kept:
+// frames delivered before are skipped, a delete of a record already
+// absent does not stop the run, the entries ahead of one that does not
+// check out are applied and the error names the offender's sequence
+// number, a gap applies nothing, and the position is recorded once, at
+// the last applied frame.
+func TestFollowerFoldsPullAsOneCommit(t *testing.T) {
+	put := func(run string, val float64) history.WALEntry {
+		return history.StoredEntry(rec("poisson", "A", run, val))
+	}
+	del := func(run string) history.WALEntry {
+		return history.WALEntry{Op: history.WALOpDelete, App: "poisson", Version: "A", RunID: run}
+	}
+	var batch []history.WALEntry
+	for i := 0; i < 8; i++ {
+		batch = append(batch, put(string(rune('a'+i)), float64(i)))
+	}
+	misnamed := put("x", 1)
+	misnamed.RunID = "y" // the payload identifies as another run: a damaged stream
+	script := []scriptedPull{
+		{first: 1, entries: batch},
+		// Frames 7 and 8 again, then a delete, the same delete re-delivered
+		// (the record is already gone), and a put after it.
+		{first: 7, entries: []history.WALEntry{batch[6], batch[7], del("a"), del("a"), put("i", 9)}},
+		// Two good frames, one that does not check out, one more good one.
+		{first: 12, entries: []history.WALEntry{put("j", 1), put("k", 2), misnamed, put("l", 3)}},
+		// A gap: the body starts past the next frame wanted.
+		{first: 20, entries: []history.WALEntry{put("z", 1)}},
+	}
+	ts := scriptedPrimary(t, &script)
+
+	dir := t.TempDir()
+	fst, err := history.OpenStoreDurable(dir, history.DurableOptions{Create: true, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fst.Close()
+	fol, err := NewFollower(ts.URL, "http://follower-1", fst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Stop()
+	persisted := func() uint64 {
+		rs, err := loadState(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Applied
+	}
+	pull := func(wantApplied int, wantAppends, wantSyncs, wantPos uint64) error {
+		t.Helper()
+		before := fst.WALStats()
+		n, err := fol.pullOnce(0, 0)
+		after := fst.WALStats()
+		if n != wantApplied || after.Appends-before.Appends != wantAppends || after.Syncs-before.Syncs != wantSyncs {
+			t.Fatalf("pull applied %d frames for %d journal appends and %d syncs (%v), want %d, %d and %d",
+				n, after.Appends-before.Appends, after.Syncs-before.Syncs, err, wantApplied, wantAppends, wantSyncs)
+		}
+		if pos := fol.tab.read().rows[0].applied; pos != wantPos || persisted() != wantPos {
+			t.Fatalf("position %d (persisted %d), want %d", pos, persisted(), wantPos)
+		}
+		return err
+	}
+
+	if err := pull(8, 8, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := pull(3, 3, 1, 11); err != nil {
+		t.Fatalf("a re-delivered delete stopped the run: %v", err)
+	}
+	if _, err := fst.Load("poisson", "A", "a"); err == nil {
+		t.Fatal("deleted record still served")
+	}
+	if _, err := fst.Load("poisson", "A", "i"); err != nil {
+		t.Fatalf("the put after the re-delivered delete: %v", err)
+	}
+	err = pull(2, 2, 1, 13)
+	if err == nil || !strings.Contains(err.Error(), "frame 14") {
+		t.Fatalf("err = %v, want one naming frame 14", err)
+	}
+	if _, err := fst.Load("poisson", "A", "l"); err == nil {
+		t.Fatal("a frame past the one that did not check out was applied")
+	}
+	if err := pull(0, 0, 0, 13); err != nil {
+		t.Fatal(err)
+	}
+	if fst.Len() != 10 { // a..h less a, plus i, j, k
+		t.Fatalf("store holds %d records, want 10: %v", fst.Len(), fst.Keys())
+	}
+}
