@@ -74,13 +74,16 @@ chaos:
 killrestart:
 	$(GO) test -race -run 'TestKillRestart' -v .
 
-# Every crash point of one commit: Save, overwrite, Delete and
-# PutBatch(3) on a durable store, the store directory copied at every
+# Every crash point of one commit: Save, overwrite, Delete, PutBatch(3)
+# and a PutBatch(3) that rotates the journal on a durable store; at every
 # boundary of the commit (inside each journal frame, after the journal
 # sync, after each staged file, after each rename, before the directory
-# sync, at the acknowledgement), every copy reopened and held to the
-# crash contract. Prints the points of each operation and ops x points
-# explored.
+# sync, after the next segment is created and after the closed one is
+# discarded, at the acknowledgement) the store directory is copied as a
+# process death leaves it and imaged as a power loss does (only synced
+# bytes and synced directory entries), every image reopened and held to
+# the crash contract. Prints the points of each operation per mode and
+# ops x points explored.
 crashpoints:
 	$(GO) test -count=1 -run 'TestCrashPoints' -v ./internal/history/
 
@@ -164,6 +167,8 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeWALPayload -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeWALFrames -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeRecordMatchesEncodingJSON -fuzztime 10s ./internal/history/
+	$(GO) test -fuzz FuzzReadWALEpoch -fuzztime 10s ./internal/history/
+	$(GO) test -fuzz FuzzParseShardManifest -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
 	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
 	$(GO) test -fuzz FuzzSampleLine -fuzztime 10s ./internal/postmortem/

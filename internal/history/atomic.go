@@ -2,25 +2,59 @@ package history
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// fsOps are the three filesystem steps of an atomic write that the
-// durability tests intercept; a nil field means the real call.
-type fsOps struct {
-	syncFile func(f *os.File) error
-	rename   func(oldpath, newpath string) error
-	syncDir  func(dir string) error
+// fsys is every call by which the store changes the disk, and only
+// those: reads go to os directly. FSBackend and WAL each hold one, set
+// to osFS by every constructor; a test wraps osFS to watch the calls,
+// fail one, or keep what a power loss would.
+type fsys interface {
+	CreateExcl(path string) (file, error) // a new file, write-only; fails if path exists
+	CreateTemp(dir, pattern string) (file, error)
+	OpenAppend(path string) (file, error) // write-only, appending, created when absent
+	Rename(oldpath, newpath string) error
+	Remove(path string) error
+	MkdirAll(path string) error
+	SyncDir(dir string) error
 }
 
-// atomicOps is the seam under WriteFileAtomic. Only tests replace it.
-var atomicOps fsOps
+// file is a file an fsys opened, by the calls that change it.
+type file interface {
+	io.Writer
+	Name() string
+	Sync() error
+	Chmod(mode os.FileMode) error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
 
-// syncDir fsyncs a directory, making a just-committed rename inside it
+// osFS is the real file system.
+type osFS struct{}
+
+func (osFS) CreateExcl(path string) (file, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+}
+
+func (osFS) CreateTemp(dir, pattern string) (file, error) { return os.CreateTemp(dir, pattern) }
+
+func (osFS) OpenAppend(path string) (file, error) {
+	return os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Remove(path string) error { return os.Remove(path) }
+
+func (osFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
+
+// SyncDir fsyncs a directory, making a just-committed rename inside it
 // durable across power loss. (The rename itself only orders the metadata
 // in memory; the directory entry reaches the platter on its fsync.)
-func syncDir(dir string) error {
+func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -42,7 +76,7 @@ func syncDir(dir string) error {
 // layer and the session journal persist goes through here, as do the
 // record files themselves.
 func WriteFileAtomic(path, tmpPattern string, data []byte) error {
-	return writeFileAtomic(path, tmpPattern, data, atomicOps)
+	return writeFileAtomic(osFS{}, path, tmpPattern, data, true)
 }
 
 // ReplaceFile is WriteFileAtomic without the two fsyncs: a crash of the
@@ -52,29 +86,25 @@ func WriteFileAtomic(path, tmpPattern string, data []byte) error {
 // too often to pay for durability — a follower's applied-position
 // checkpoint sits on every replicated write's acknowledgement path.
 func ReplaceFile(path, tmpPattern string, data []byte) error {
-	return writeFileAtomic(path, tmpPattern, data, fsOps{
-		syncFile: func(*os.File) error { return nil },
-		syncDir:  func(string) error { return nil },
-	})
+	return writeFileAtomic(osFS{}, path, tmpPattern, data, false)
 }
 
-func writeFileAtomic(path, tmpPattern string, data []byte, ops fsOps) error {
-	if ops.rename == nil {
-		ops.rename = os.Rename
-	}
-	if ops.syncDir == nil {
-		ops.syncDir = syncDir
-	}
+// writeFileAtomic is WriteFileAtomic through fs; durable false skips
+// both fsyncs (ReplaceFile).
+func writeFileAtomic(fs fsys, path, tmpPattern string, data []byte, durable bool) error {
 	dir := filepath.Dir(path)
-	tmp, err := stageFile(dir, tmpPattern, data, ops.syncFile)
+	tmp, err := stageFile(fs, dir, tmpPattern, data, durable)
 	if err != nil {
 		return err
 	}
-	if err := ops.rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := fs.Rename(tmp, path); err != nil {
+		fs.Remove(tmp)
 		return err
 	}
-	if err := ops.syncDir(dir); err != nil {
+	if !durable {
+		return nil
+	}
+	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
@@ -82,16 +112,13 @@ func writeFileAtomic(path, tmpPattern string, data []byte, ops fsOps) error {
 
 // stageFile is the half of an atomic write before anything is visible:
 // data goes to a fresh temp file in dir (named from tmpPattern), is
-// given its final mode on the descriptor and fsynced — through syncFile
-// when non-nil; the closed file's name comes back, ready to be renamed
-// over its target. The temp file is removed on every failure. A crash
-// before the rename still orphans it; the owners that can accumulate
-// them sweep at open.
-func stageFile(dir, tmpPattern string, data []byte, syncFile func(*os.File) error) (string, error) {
-	if syncFile == nil {
-		syncFile = (*os.File).Sync
-	}
-	tmp, err := os.CreateTemp(dir, tmpPattern)
+// given its final mode on the descriptor and, when durable, fsynced;
+// the closed file's name comes back, ready to be renamed over its
+// target. The temp file is removed on every failure. A crash before the
+// rename still orphans it; the owners that can accumulate them sweep at
+// open.
+func stageFile(fs fsys, dir, tmpPattern string, data []byte, durable bool) (string, error) {
+	tmp, err := fs.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return "", err
 	}
@@ -99,17 +126,17 @@ func stageFile(dir, tmpPattern string, data []byte, syncFile func(*os.File) erro
 	if err == nil {
 		err = tmp.Chmod(0o644)
 	}
-	if err == nil {
+	if err == nil && durable {
 		// Fsync the data before the rename can publish it: a durable
 		// rename of a file whose blocks never reached the disk survives a
 		// power loss as a zero-length or torn file.
-		err = syncFile(tmp)
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
+		fs.Remove(tmp.Name())
 		return "", err
 	}
 	return tmp.Name(), nil

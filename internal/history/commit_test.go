@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -125,37 +124,42 @@ func TestCommitMatrix(t *testing.T) {
 		}
 	}
 
-	// arm injects the failure and returns how to clear it; target is the
-	// run id of the mutation it is to strike, mutation `at` of the kind (a
-	// failure aimed past a kind's last mutation is not run). journal marks
-	// the failures the journal refuses the whole group at: nothing of it
-	// may be journaled or reach the append hook. filesLag marks the one
-	// failure that may leave a record file behind the journal until the
-	// next open (the heal could not reach the backend either); sparesMiss
-	// the ones a delete of an absent record never reaches; needsFault the
-	// one only a wrapped backend can suffer.
+	// arm injects the failure through the case's fsys (cleared after the
+	// operation) or its FaultBackend; target is the run id of the
+	// mutation it is to strike, mutation `at` of the kind (a failure
+	// aimed past a kind's last mutation is not run). journal marks the
+	// failures the journal refuses the whole group at: nothing of it may
+	// be journaled or reach the append hook. rotates marks the ones that
+	// strike the rotation ahead of the group: the next commit must
+	// rotate and succeed. filesLag marks the one failure that may leave a
+	// record file behind the journal until the next open (the heal could
+	// not reach the backend either); sparesMiss the ones a delete of an
+	// absent record never reaches; needsFault the one only a wrapped
+	// backend can suffer.
 	failures := []struct {
 		name       string
 		at         int
-		arm        func(st *Store, fb *FSBackend, fault *FaultBackend, deletes bool, target string) (disarm func())
+		arm        func(fs *testFS, st *Store, fault *FaultBackend, deletes bool, target string)
 		fails      bool
 		journal    bool
+		rotates    bool
 		filesLag   bool
 		sparesMiss bool
 		needsFault bool
 	}{
 		{
 			name: "none",
-			arm:  func(*Store, *FSBackend, *FaultBackend, bool, string) func() { return func() {} },
+			arm:  func(*testFS, *Store, *FaultBackend, bool, string) {},
 		},
 		{
 			name: "journal append fails",
-			arm: func(st *Store, _ *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
-				st.wal.writeHook = func(f *os.File, frame []byte) (int, error) {
-					n, _ := f.Write(frame[:len(frame)/2]) // torn, then refused
-					return n, errors.New("injected append failure")
+			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
+				fs.before = func(op fsOp) error {
+					if op.kind == "write" && isSegment(op.path) {
+						return errors.New("injected append failure") // torn, then refused
+					}
+					return nil
 				}
-				return func() { st.wal.writeHook = nil }
 			},
 			fails:   true,
 			journal: true,
@@ -164,40 +168,68 @@ func TestCommitMatrix(t *testing.T) {
 			// The group's first frame is written whole, the second torn.
 			name: "journal write fails on the 2nd frame",
 			at:   1,
-			arm: func(st *Store, _ *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
+			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
 				frames := 0
-				st.wal.writeHook = func(f *os.File, frame []byte) (int, error) {
-					if frames++; frames < 2 {
-						return f.Write(frame)
+				fs.before = func(op fsOp) error {
+					if op.kind == "write" && isSegment(op.path) {
+						if frames++; frames == 2 {
+							return errors.New("injected append failure")
+						}
 					}
-					n, _ := f.Write(frame[:len(frame)/2])
-					return n, errors.New("injected append failure")
+					return nil
 				}
-				return func() { st.wal.writeHook = nil }
 			},
 			fails:   true,
 			journal: true,
+		},
+		{
+			// The journal cannot create the segment it rotates to, once.
+			name: "next segment create fails",
+			arm: func(fs *testFS, st *Store, _ *FaultBackend, _ bool, _ string) {
+				st.wal.opts.SegmentBytes = 1
+				once := failOnce()
+				fs.before = func(op fsOp) error {
+					if op.kind == "create" && isSegment(op.path) {
+						return once()
+					}
+					return nil
+				}
+			},
+			fails:   true,
+			journal: true,
+			rotates: true,
+		},
+		{
+			// The segment it rotates to is created, but its name cannot be
+			// made durable, once.
+			name: "next segment dir sync fails",
+			arm: func(fs *testFS, st *Store, _ *FaultBackend, _ bool, _ string) {
+				st.wal.opts.SegmentBytes = 1
+				once := failOnce()
+				fs.before = func(op fsOp) error {
+					if op.kind == "syncdir" && op.path == st.wal.dir {
+						return once()
+					}
+					return nil
+				}
+			},
+			fails:   true,
+			journal: true,
+			rotates: true,
 		},
 		{
 			// The backend fails once: a put's rename is refused; a delete's
 			// directory sync fails after the file is already gone, so the
 			// compensation has a record to put back.
 			name: "backend mutation fails",
-			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
+			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
 				once := failOnce()
-				fb.renameHook = func(oldpath, newpath string) error {
-					if err := once(); err != nil {
-						return err
+				fs.before = func(op fsOp) error {
+					if op.kind == "rename" || op.kind == "syncdir" {
+						return once()
 					}
-					return os.Rename(oldpath, newpath)
+					return nil
 				}
-				fb.syncHook = func(dir string) error {
-					if err := once(); err != nil {
-						return err
-					}
-					return syncDir(dir)
-				}
-				return func() { fb.renameHook, fb.syncHook = nil, nil }
 			},
 			fails:      true,
 			sparesMiss: true, // the remove misses before any hook runs
@@ -206,18 +238,20 @@ func TestCommitMatrix(t *testing.T) {
 			// The second record's temp file cannot be synced.
 			name: "stage fails on the 2nd record",
 			at:   1,
-			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, target string) func() {
-				fb.fileSyncHook = func(f *os.File) error {
-					data, err := os.ReadFile(f.Name())
+			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, target string) {
+				fs.before = func(op fsOp) error {
+					if op.kind != "sync" {
+						return nil
+					}
+					data, err := os.ReadFile(op.path)
 					if err != nil {
 						return err
 					}
 					if rec, err := decodeRecord(data); err == nil && rec.RunID == target {
 						return errors.New("injected data sync failure")
 					}
-					return f.Sync()
+					return nil
 				}
-				return func() { fb.fileSyncHook = nil }
 			},
 			fails: true,
 		},
@@ -225,18 +259,15 @@ func TestCommitMatrix(t *testing.T) {
 			// The second record's rename is refused, once.
 			name: "publish fails on the 2nd record",
 			at:   1,
-			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, target string) func() {
+			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, target string) {
 				once := failOnce()
 				name := fileName(RecordKey{App: "poisson", Version: "A", RunID: target})
-				fb.renameHook = func(oldpath, newpath string) error {
-					if filepath.Base(newpath) == name {
-						if err := once(); err != nil {
-							return err
-						}
+				fs.before = func(op fsOp) error {
+					if op.kind == "rename" && filepath.Base(op.to) == name {
+						return once()
 					}
-					return os.Rename(oldpath, newpath)
+					return nil
 				}
-				return func() { fb.renameHook = nil }
 			},
 			fails: true,
 		},
@@ -244,15 +275,14 @@ func TestCommitMatrix(t *testing.T) {
 			// Every rename and removal happened; the directory sync that
 			// would make them durable fails, once — nothing is acknowledged.
 			name: "directory fsync fails",
-			arm: func(_ *Store, fb *FSBackend, _ *FaultBackend, _ bool, _ string) func() {
+			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
 				once := failOnce()
-				fb.syncHook = func(dir string) error {
-					if err := once(); err != nil {
-						return err
+				fs.before = func(op fsOp) error {
+					if op.kind == "syncdir" {
+						return once()
 					}
-					return syncDir(dir)
+					return nil
 				}
-				return func() { fb.syncHook = nil }
 			},
 			fails:      true,
 			sparesMiss: true,
@@ -262,13 +292,12 @@ func TestCommitMatrix(t *testing.T) {
 			// journaled but cannot be healed into the files: puts tear the
 			// record file, deletes are refused outright.
 			name: "heal after compensation fails",
-			arm: func(_ *Store, _ *FSBackend, fault *FaultBackend, deletes bool, _ string) func() {
+			arm: func(_ *testFS, _ *Store, fault *FaultBackend, deletes bool, _ string) {
 				cfg := FaultConfig{TornWriteRate: 1}
 				if deletes {
 					cfg = FaultConfig{ErrRate: 1}
 				}
 				fault.SetConfig(cfg)
-				return func() { fault.SetConfig(FaultConfig{}) }
 			},
 			fails:      true,
 			filesLag:   true,
@@ -289,7 +318,7 @@ func TestCommitMatrix(t *testing.T) {
 	}
 	fileState := func(dir string) state {
 		s := state{}
-		entries, issues, err := (&FSBackend{dir: dir}).Scan()
+		entries, issues, err := fsBackendAt(dir).Scan()
 		if err != nil || len(issues) != 0 {
 			t.Fatalf("scan record files: %v, issues %v", err, issues)
 		}
@@ -357,9 +386,14 @@ func TestCommitMatrix(t *testing.T) {
 						st.wal.SetOnAppend(func(uint64, []byte) { shipped++ })
 						journaled := st.wal.size
 
-						disarm := failure.arm(st, fb, fault, kind.deletes, kind.runs[failure.at])
+						fs := newTestFS(t, dir)
+						fs.install(fb, st.wal)
+						failure.arm(fs, st, fault, kind.deletes, kind.runs[failure.at])
 						wrote, err := kind.do(st)
-						disarm()
+						fs.before = nil
+						if fault != nil {
+							fault.SetConfig(FaultConfig{})
+						}
 
 						failed := failure.fails && !(kind.wantMiss && failure.sparesMiss)
 						switch {
@@ -416,6 +450,21 @@ func TestCommitMatrix(t *testing.T) {
 						if tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp")); len(tmps) != 0 {
 							t.Errorf("the commit left staged files behind: %v", tmps)
 						}
+						if failure.rotates {
+							// The journal kept its active segment: the next commit
+							// rotates and lands.
+							rotations, next := st.WALStats().Rotations, sampleRecord("r5")
+							if err := st.Save(next); err != nil {
+								t.Fatalf("the commit after a failed rotation: %v", err)
+							}
+							if got := st.WALStats().Rotations; got != rotations+1 {
+								t.Errorf("the commit after a failed rotation rotated %d times, want once", got-rotations)
+							}
+							want[next.Key()] = encode(next)
+							if got := indexState(st); !reflect.DeepEqual(got, want) {
+								t.Errorf("after the next commit the index holds %v, want %v", keysOf(got), keysOf(want))
+							}
+						}
 
 						// The crash-recovery path: no Close, reopen from disk alone.
 						st2, err := OpenStoreDurable(dir, DurableOptions{WAL: true})
@@ -459,10 +508,17 @@ func keysOf[V any](s map[RecordKey]V) []string {
 // journals — a Save is one append and one sync, a PutBatch of k is k
 // appends and one sync — and over the bare FSBackend one directory sync.
 func TestCommitSyncsOncePerCommit(t *testing.T) {
-	st := openDurable(t, t.TempDir(), DurableOptions{WALOptions: WALOptions{Sync: SyncAlways}})
+	dir := t.TempDir()
+	st := openDurable(t, dir, DurableOptions{WALOptions: WALOptions{Sync: SyncAlways}})
 	defer st.Close()
 	dirSyncs := 0
-	st.Backend().(*FSBackend).syncHook = func(dir string) error { dirSyncs++; return syncDir(dir) }
+	fs := newTestFS(t, dir)
+	fs.install(st.Backend().(*FSBackend), st.wal)
+	fs.after = func(op fsOp) {
+		if op.kind == "syncdir" && op.path == dir {
+			dirSyncs++
+		}
+	}
 	const n, k = 5, 3
 	for i := 0; i < n; i++ {
 		if err := st.Save(sampleRecord(string(rune('a' + i)))); err != nil {
@@ -526,25 +582,31 @@ func TestCommitGroupNeverStraddlesRotation(t *testing.T) {
 // journal's sync come before the first rename, the directory sync after
 // the last, and nothing is indexed (so nothing acknowledged) before it.
 func TestCommitDurabilityOrder(t *testing.T) {
-	st := openDurable(t, t.TempDir(), DurableOptions{})
+	dir := t.TempDir()
+	st := openDurable(t, dir, DurableOptions{})
 	defer st.Close()
-	fb := st.Backend().(*FSBackend)
-	var mu sync.Mutex
 	var steps []string
-	note := func(step string) {
-		mu.Lock()
-		steps = append(steps, step)
-		mu.Unlock()
-	}
-	fb.fileSyncHook = func(f *os.File) error { err := f.Sync(); note("data sync"); return err }
-	st.wal.syncHook = func(f *os.File) error { err := f.Sync(); note("journal sync"); return err }
-	fb.renameHook = func(oldpath, newpath string) error { note("rename"); return os.Rename(oldpath, newpath) }
-	fb.syncHook = func(dir string) error {
-		if st.Len() != 0 {
-			t.Error("records indexed before the directory sync")
+	fs := newTestFS(t, dir)
+	fs.install(st.Backend().(*FSBackend), st.wal)
+	fs.before = func(op fsOp) error {
+		switch op.kind {
+		case "rename":
+			steps = append(steps, "rename")
+		case "syncdir":
+			if st.Len() != 0 {
+				t.Error("records indexed before the directory sync")
+			}
+			steps = append(steps, "dir sync")
 		}
-		note("dir sync")
-		return syncDir(dir)
+		return nil
+	}
+	fs.after = func(op fsOp) {
+		switch {
+		case op.kind == "sync" && isSegment(op.path):
+			steps = append(steps, "journal sync")
+		case op.kind == "sync":
+			steps = append(steps, "data sync")
+		}
 	}
 	const k = 6 // more than stageWorkers
 	batch := make([]*RunRecord, k)
@@ -575,23 +637,20 @@ func TestCommitDurabilityOrder(t *testing.T) {
 // next open as a bad epoch file — or a STATE.json without its promoted
 // flag.)
 func TestMetadataWritesAreDurable(t *testing.T) {
-	var steps []string
-	atomicOps = fsOps{
-		syncFile: func(f *os.File) error { steps = append(steps, "sync data"); return f.Sync() },
-		rename: func(oldpath, newpath string) error {
-			steps = append(steps, "rename")
-			return os.Rename(oldpath, newpath)
-		},
-		syncDir: func(dir string) error { steps = append(steps, "sync dir"); return syncDir(dir) },
-	}
-	defer func() { atomicOps = fsOps{} }()
-	want := []string{"sync data", "rename", "sync dir"}
-
 	dir := t.TempDir()
 	if err := os.MkdirAll(walDirOf(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeWALEpoch(walDirOf(dir), 7); err != nil {
+	var steps []string
+	fs := newTestFS(t, dir)
+	fs.after = func(op fsOp) {
+		if step := map[string]string{"sync": "sync data", "rename": "rename", "syncdir": "sync dir"}[op.kind]; step != "" {
+			steps = append(steps, step)
+		}
+	}
+	want := []string{"sync data", "rename", "sync dir"}
+
+	if err := writeWALEpoch(fs, walDirOf(dir), 7); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(steps, want) {
@@ -603,7 +662,7 @@ func TestMetadataWritesAreDurable(t *testing.T) {
 
 	writeReplicaState(t, dir, map[string]any{"epoch": 3, "applied_seq": 9, "promoted": true})
 	steps = nil
-	if err := syncPromotedStateEpoch(dir, 7); err != nil {
+	if err := syncPromotedStateEpoch(fs, dir, 7); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(steps, want) {
@@ -619,9 +678,14 @@ func TestMetadataWritesAreDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atomicOps.syncFile = func(*os.File) error { return errors.New("injected sync failure") }
+	fs.before = func(op fsOp) error {
+		if op.kind == "sync" {
+			return errors.New("injected sync failure")
+		}
+		return nil
+	}
 	steps = nil
-	if err := writeWALEpoch(walDirOf(dir), 8); err == nil {
+	if err := writeWALEpoch(fs, walDirOf(dir), 8); err == nil {
 		t.Fatal("epoch write survived a failed data sync")
 	}
 	if len(steps) != 0 {

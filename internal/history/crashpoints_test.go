@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -37,37 +36,50 @@ func copyTree(t *testing.T, src, dst string) {
 
 // TestCrashPoints enumerates every crash point of one commit. Each kind
 // of operation runs once on a store holding r1 and r2 with the store's
-// own seams observing its boundaries — halfway through each journal
-// frame, after the journal sync, after each record file is staged, after
-// each rename, before the directory sync, at the acknowledgement — and at each boundary the store directory is
-// copied as a crash there would leave it. Every copy is then recovered
-// and held to what a commit promises across a crash: each record is
-// wholly its pre-image or its post-image, never torn and never a third
-// thing; a batch survives as a prefix; what the journal folds to, the
-// record files and the index agree; no staged file outlives the open;
-// pcfsck grades the wreck residue at worst; and opening it a second time
-// finds nothing left to do.
+// fsys observing its boundaries — halfway through each journal frame,
+// after the journal sync, after each record file is staged, after each
+// rename, before the directory sync, at the acknowledgement, and where
+// the journal rotates: after the next segment is created and after the
+// closed one is discarded. At each boundary two images of the store are
+// kept: the directory copied as the death of the process there would
+// leave it, and what a power loss would — each file's bytes as of its
+// last sync, each directory's entries as of its last sync. Every image
+// is then recovered and held to what a commit promises across a crash:
+// each record is wholly its pre-image or its post-image, never torn and
+// never a third thing; a batch survives as a prefix; what the journal
+// folds to, the record files and the index agree; no staged file
+// outlives the open; pcfsck grades the wreck residue at worst; and
+// opening it a second time finds nothing left to do.
 func TestCrashPoints(t *testing.T) {
 	changed := sampleRecord("r1")
 	changed.Duration = 999
+	batch := func(st *Store) error {
+		_, err := st.PutBatch([]*RunRecord{sampleRecord("r8"), changed, sampleRecord("r9")})
+		return err
+	}
 	ops := []struct {
 		name string
+		wal  WALOptions
 		do   func(st *Store) error
 		runs []string // the run ids its mutations touch, in order
 	}{
-		{"save", func(st *Store) error { return st.Save(sampleRecord("r9")) }, []string{"r9"}},
-		{"overwrite", func(st *Store) error { return st.Save(changed) }, []string{"r1"}},
-		{"delete", func(st *Store) error { return st.Delete("poisson", "A", "r1") }, []string{"r1"}},
-		{"batch of 3", func(st *Store) error {
-			_, err := st.PutBatch([]*RunRecord{sampleRecord("r8"), changed, sampleRecord("r9")})
-			return err
-		}, []string{"r8", "r1", "r9"}},
+		{"save", WALOptions{}, func(st *Store) error { return st.Save(sampleRecord("r9")) }, []string{"r9"}},
+		{"overwrite", WALOptions{}, func(st *Store) error { return st.Save(changed) }, []string{"r1"}},
+		{"delete", WALOptions{}, func(st *Store) error { return st.Delete("poisson", "A", "r1") }, []string{"r1"}},
+		{"batch of 3", WALOptions{}, batch, []string{"r8", "r1", "r9"}},
+		// Segments too small for two frames: the group rotates the journal.
+		{"batch across a rotation", WALOptions{SegmentBytes: 64}, batch, []string{"r8", "r1", "r9"}},
 	}
-	explored := 0
+	modes := []struct{ name, dir string }{{"process death", "death"}, {"power loss", "power"}}
+	explored := map[string]int{}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
 			dir, snaps := t.TempDir(), t.TempDir()
-			st := openDurable(t, dir, DurableOptions{})
+			st := openDurable(t, dir, DurableOptions{WALOptions: op.wal})
+			// Recorded from here, so a power loss also forgets what the
+			// setup left unsynced: the rotation case discards its segment.
+			fs := newTestFS(t, dir)
+			fs.install(st.Backend().(*FSBackend), st.wal)
 			for _, run := range []string{"r1", "r2"} {
 				if err := st.Save(sampleRecord(run)); err != nil {
 					t.Fatal(err)
@@ -95,49 +107,64 @@ func TestCrashPoints(t *testing.T) {
 			}
 			pre := image()
 
-			var mu sync.Mutex
+			// crash runs inside the fsys's hooks (one at a time) or once
+			// the operation is over.
 			var points []string
 			crash := func(at string) {
-				mu.Lock()
-				defer mu.Unlock()
 				points = append(points, at)
-				copyTree(t, dir, filepath.Join(snaps, fmt.Sprintf("%02d", len(points))))
-			}
-			fb := st.Backend().(*FSBackend)
-			fb.fileSyncHook = func(f *os.File) error { err := f.Sync(); crash("after a stage"); return err }
-			st.wal.writeHook = func(f *os.File, frame []byte) (int, error) {
-				n, err := f.Write(frame[:len(frame)/2])
-				if err != nil {
-					return n, err
+				snap := filepath.Join(snaps, fmt.Sprintf("%02d", len(points)))
+				copyTree(t, dir, filepath.Join(snap, modes[0].dir))
+				if err := fs.durableImage(filepath.Join(snap, modes[1].dir)); err != nil {
+					t.Fatal(err)
 				}
-				crash("inside a journal write")
-				m, err := f.Write(frame[n:])
-				return n + m, err
 			}
-			st.wal.syncHook = func(f *os.File) error { err := f.Sync(); crash("after the journal sync"); return err }
-			fb.renameHook = func(oldpath, newpath string) error {
-				err := os.Rename(oldpath, newpath)
-				crash("after a rename")
-				return err
+			fs.before = func(o fsOp) error {
+				switch {
+				case o.kind == "write" && isSegment(o.path):
+					crash("inside a journal write")
+				case o.kind == "syncdir" && o.path == dir:
+					crash("before the directory sync")
+				}
+				return nil
 			}
-			fb.syncHook = func(d string) error { crash("before the directory sync"); return syncDir(d) }
+			fs.after = func(o fsOp) {
+				switch {
+				case o.kind == "sync" && isSegment(o.path):
+					crash("after the journal sync")
+				case o.kind == "sync":
+					crash("after a stage")
+				case o.kind == "rename":
+					crash("after a rename")
+				case o.kind == "create" && isSegment(o.path):
+					crash("after a segment is created")
+				case o.kind == "remove" && isSegment(o.path):
+					crash("after a rotation discards a segment")
+				}
+			}
 			if err := op.do(st); err != nil {
 				t.Fatal(err)
 			}
 			crash("at the acknowledgement")
+			fs.before, fs.after = nil, nil
 			post := image()
 			st.Close()
 
-			for i, at := range points {
-				snap := filepath.Join(snaps, fmt.Sprintf("%02d", i+1))
-				acked := i == len(points)-1
-				checkCrashPoint(t, fmt.Sprintf("point %d (%s)", i+1, at), snap, keys, muts, pre, post, acked)
+			for _, mode := range modes {
+				t.Run(mode.name, func(t *testing.T) {
+					for i, at := range points {
+						snap := filepath.Join(snaps, fmt.Sprintf("%02d", i+1), mode.dir)
+						acked := i == len(points)-1
+						checkCrashPoint(t, fmt.Sprintf("point %d (%s)", i+1, at), snap, keys, muts, pre, post, acked)
+					}
+					t.Logf("%-23s %-13s %2d crash points: %v", op.name, mode.name, len(points), points)
+				})
+				explored[mode.name] += len(points)
 			}
-			t.Logf("%-10s %d crash points: %v", op.name, len(points), points)
-			explored += len(points)
 		})
 	}
-	t.Logf("explored %d ops × their boundaries = %d crash points", len(ops), explored)
+	for _, mode := range modes {
+		t.Logf("%-13s explored %d ops × their boundaries = %d crash points", mode.name, len(ops), explored[mode.name])
+	}
 }
 
 // checkCrashPoint recovers one copied store directory and holds it to

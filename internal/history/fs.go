@@ -21,27 +21,7 @@ import (
 // open-time recovery pass and by pcfsck, never read through a fallback.
 type FSBackend struct {
 	dir string
-
-	// renameHook replaces os.Rename in Put when non-nil — the seam the
-	// fault-injection tests use to fail the commit step of an atomic
-	// write without touching the filesystem's behaviour.
-	renameHook func(oldpath, newpath string) error
-	// syncHook replaces syncDir when non-nil — the seam the durability
-	// tests use to observe (or fail) the directory fsync that follows a
-	// committed rename.
-	syncHook func(dir string) error
-	// fileSyncHook replaces the temp file's fsync in Put when non-nil —
-	// the seam the durability tests use to observe (or fail) the data
-	// sync that must precede the rename.
-	fileSyncHook func(f *os.File) error
-}
-
-// sync fsyncs a directory, through the test hook when set.
-func (b *FSBackend) sync(dir string) error {
-	if b.syncHook != nil {
-		return b.syncHook(dir)
-	}
-	return syncDir(dir)
+	fs  fsys
 }
 
 // NewFSBackend opens (creating if needed) a record directory.
@@ -49,11 +29,15 @@ func NewFSBackend(dir string) (*FSBackend, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("history: empty store directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b := fsBackendAt(dir)
+	if err := b.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("history: create store: %w", err)
 	}
-	return &FSBackend{dir: dir}, nil
+	return b, nil
 }
+
+// fsBackendAt is the backend of an existing record directory.
+func fsBackendAt(dir string) *FSBackend { return &FSBackend{dir: dir, fs: osFS{}} }
 
 // Dir returns the backend's directory.
 func (b *FSBackend) Dir() string { return b.dir }
@@ -93,7 +77,7 @@ func fileName(key RecordKey) string {
 // stage writes one record's bytes to a unique temp file beside the
 // records — created, written, data-fsynced, invisible to Scan and Get.
 func (b *FSBackend) stage(data []byte) (tmp string, err error) {
-	if tmp, err = stageFile(b.dir, ".put-*.tmp", data, b.fileSyncHook); err != nil {
+	if tmp, err = stageFile(b.fs, b.dir, ".put-*.tmp", data, true); err != nil {
 		return "", fmt.Errorf("history: write: %w", err)
 	}
 	return tmp, nil
@@ -102,12 +86,8 @@ func (b *FSBackend) stage(data []byte) (tmp string, err error) {
 // publish renames a staged file over key's record file; a refused rename
 // removes the temp file.
 func (b *FSBackend) publish(tmp string, key RecordKey) error {
-	rename := os.Rename
-	if b.renameHook != nil {
-		rename = b.renameHook
-	}
-	if err := rename(tmp, filepath.Join(b.dir, fileName(key))); err != nil {
-		os.Remove(tmp)
+	if err := b.fs.Rename(tmp, filepath.Join(b.dir, fileName(key))); err != nil {
+		b.fs.Remove(tmp)
 		return fmt.Errorf("history: write: %w", err)
 	}
 	return nil
@@ -115,7 +95,7 @@ func (b *FSBackend) publish(tmp string, key RecordKey) error {
 
 // remove unlinks key's record file.
 func (b *FSBackend) remove(key RecordKey) error {
-	if err := os.Remove(filepath.Join(b.dir, fileName(key))); err != nil {
+	if err := b.fs.Remove(filepath.Join(b.dir, fileName(key))); err != nil {
 		return fmt.Errorf("history: delete: %w", err)
 	}
 	return nil
@@ -123,7 +103,7 @@ func (b *FSBackend) remove(key RecordKey) error {
 
 // syncRecords fsyncs the record directory after op's renames or removals.
 func (b *FSBackend) syncRecords(op string) error {
-	if err := b.sync(b.dir); err != nil {
+	if err := b.fs.SyncDir(b.dir); err != nil {
 		return fmt.Errorf("history: %s: sync dir: %w", op, err)
 	}
 	return nil
@@ -196,7 +176,7 @@ func (st *staging) discard() {
 	st.wg.Wait()
 	for _, tmp := range st.tmps {
 		if tmp != "" {
-			os.Remove(tmp)
+			st.b.fs.Remove(tmp)
 		}
 	}
 }
@@ -232,10 +212,10 @@ func (b *FSBackend) adopt(name string, key RecordKey) (renamed bool, err error) 
 	} else if !os.IsNotExist(err) {
 		return false, fmt.Errorf("history: rename %s: %w", name, err)
 	}
-	if err := os.Rename(filepath.Join(b.dir, name), filepath.Join(b.dir, want)); err != nil {
+	if err := b.fs.Rename(filepath.Join(b.dir, name), filepath.Join(b.dir, want)); err != nil {
 		return false, fmt.Errorf("history: rename %s: %w", name, err)
 	}
-	if err := b.sync(b.dir); err != nil {
+	if err := b.fs.SyncDir(b.dir); err != nil {
 		return true, fmt.Errorf("history: rename %s: sync dir: %w", name, err)
 	}
 	return true, nil
@@ -264,7 +244,7 @@ func (b *FSBackend) SweepTemp() ([]string, error) {
 		if e.IsDir() || !strings.HasPrefix(name, ".put-") || !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
-		if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
+		if err := b.fs.Remove(filepath.Join(b.dir, name)); err != nil {
 			return swept, fmt.Errorf("history: sweep: %w", err)
 		}
 		swept = append(swept, name)
@@ -282,25 +262,24 @@ func (b *FSBackend) Quarantine(name, reason string) error {
 		return fmt.Errorf("history: quarantine: bad entry name %q", name)
 	}
 	qdir := filepath.Join(b.dir, QuarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
+	if err := b.fs.MkdirAll(qdir); err != nil {
 		return fmt.Errorf("history: quarantine: %w", err)
 	}
-	if err := os.Rename(filepath.Join(b.dir, name), filepath.Join(qdir, name)); err != nil {
+	if err := b.fs.Rename(filepath.Join(b.dir, name), filepath.Join(qdir, name)); err != nil {
 		return fmt.Errorf("history: quarantine: %w", err)
 	}
 	// The move is two directory mutations; fsync both so a power loss
 	// cannot resurrect the corrupt file in the store (or lose it from the
 	// quarantine).
-	if err := b.sync(qdir); err != nil {
+	if err := b.fs.SyncDir(qdir); err != nil {
 		return fmt.Errorf("history: quarantine: sync dir: %w", err)
 	}
-	if err := b.sync(b.dir); err != nil {
+	if err := b.fs.SyncDir(b.dir); err != nil {
 		return fmt.Errorf("history: quarantine: sync dir: %w", err)
 	}
 	// The report is advisory; failing to append must not fail the
 	// recovery that just made the store readable again.
-	f, err := os.OpenFile(filepath.Join(qdir, quarantineReport),
-		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := b.fs.OpenAppend(filepath.Join(qdir, quarantineReport))
 	if err == nil {
 		fmt.Fprintf(f, "%s\t%s\n", name, reason)
 		f.Close()

@@ -146,7 +146,7 @@ func fsckReplicaState(dir string, rep *FsckReport, repair bool) {
 	}
 	rep.add(FsckResidue, filepath.Join("replica", "STATE.json"),
 		fmt.Sprintf("promoted shard's state epoch %d disagrees with journal epoch %d (crash between epoch bump and state persist)", stateEpoch, walEpoch),
-		"reconcile state to the journal's epoch", repair && writeStateEpoch(spath, st, walEpoch) == nil)
+		"reconcile state to the journal's epoch", repair && writeStateEpoch(osFS{}, spath, st, walEpoch) == nil)
 }
 
 // fsckTempFiles flags (and with repair, removes) orphaned atomic-write
@@ -191,7 +191,7 @@ func fsckRecords(dir string, fold map[RecordKey]WALEntry, rep *FsckReport, repai
 			healable[fileName(k)] = true
 		}
 	}
-	b := &FSBackend{dir: dir}
+	b := fsBackendAt(dir)
 	entries, issues, err := b.Scan()
 	if err != nil {
 		rep.add(FsckCorrupt, ".", fmt.Sprintf("cannot scan store: %v", err), "", false)
@@ -294,7 +294,7 @@ func fsckWALAgreement(dir string, fold map[RecordKey]WALEntry, index map[RecordK
 		keys = append(keys, k)
 	}
 	sortKeys(keys)
-	st := &Store{backend: &FSBackend{dir: dir}, recs: make(map[RecordKey]*RunRecord)}
+	st := &Store{backend: fsBackendAt(dir), recs: make(map[RecordKey]*RunRecord)}
 	for _, k := range keys {
 		e := fold[k]
 		cur, ok := index[k]
@@ -440,7 +440,7 @@ func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repa
 		return
 	}
 	sdir := filepath.Join(shardsDir, shardDirName(i))
-	b := &FSBackend{dir: sdir}
+	b := fsBackendAt(sdir)
 	entries, _, err := b.Scan()
 	if err != nil {
 		return // the per-shard pass already reported the scan failure
@@ -480,7 +480,7 @@ func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repa
 // store, outside any shard, and with repair moves readable ones onto
 // the shard their key hashes to.
 func fsckRootRecords(dir string, n int, rep *FsckReport, repair bool) {
-	b := &FSBackend{dir: dir}
+	b := fsBackendAt(dir)
 	entries, issues, err := b.Scan()
 	if err != nil {
 		return

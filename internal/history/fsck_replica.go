@@ -105,7 +105,7 @@ func foldStoreState(dir string) (map[RecordKey][]byte, error) {
 // not this pass's — they are skipped here.
 func foldSingleState(dir string) (map[RecordKey][]byte, error) {
 	out := make(map[RecordKey][]byte)
-	b := &FSBackend{dir: dir}
+	b := fsBackendAt(dir)
 	entries, _, err := b.Scan()
 	if err != nil {
 		return nil, err

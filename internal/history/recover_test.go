@@ -168,7 +168,14 @@ func TestFSBackendRenameFailureCleansTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	renameErr := errors.New("injected rename failure")
-	b.renameHook = func(oldpath, newpath string) error { return renameErr }
+	fs := newTestFS(t, dir)
+	fs.install(b, nil)
+	fs.before = func(op fsOp) error {
+		if op.kind == "rename" {
+			return renameErr
+		}
+		return nil
+	}
 
 	err = b.Put(RecordKey{App: "a", RunID: "r"}, []byte("{}"))
 	if !errors.Is(err, renameErr) {

@@ -645,3 +645,35 @@ func TestFsckShardedLayoutDamage(t *testing.T) {
 		t.Errorf("missing shard dir graded %d, want corrupt", rep.Severity())
 	}
 }
+
+// FuzzParseShardManifest: any bytes either parse or are refused without
+// a panic; an accepted manifest pins this build's hash scheme and at
+// least one shard, and its re-encoding parses back to the same value.
+func FuzzParseShardManifest(f *testing.F) {
+	for _, s := range []string{
+		`{"version":1,"shards":4,"hash":"fnv64a-jump"}`,
+		`{"version":2,"shards":2,"hash":"fnv64a-jump","replicas":1}`,
+		`{"version":1,"shards":0,"hash":"fnv64a-jump"}`,
+		`{"version":1,"shards":4,"hash":"crc32-mod"}`,
+		`{"SHARDS":3,"Hash":"fnv64a-jump","shards":1}`,
+		`{"shards":4`, ``, `null`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseShardManifest(data)
+		if err != nil {
+			return
+		}
+		if m.Hash != shardHashScheme || m.Shards < 1 {
+			t.Fatalf("accepted %q as %+v", data, m)
+		}
+		again, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := parseShardManifest(again); err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("%+v re-encodes to %s, which parses as %+v, %v", m, again, back, err)
+		}
+	})
+}

@@ -176,7 +176,7 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 		// advertises), so re-sync it. Keeps the pcfsck invariant — a
 		// promoted replica/STATE.json epoch equals wal/EPOCH at rest —
 		// true across restarts, not just right after promotion.
-		if err := syncPromotedStateEpoch(dir, st.wal.Epoch()); err != nil {
+		if err := syncPromotedStateEpoch(fb.fs, dir, st.wal.Epoch()); err != nil {
 			return nil, fmt.Errorf("history: recover store: %w", err)
 		}
 	}
@@ -854,13 +854,13 @@ func promotedState(storeDir string) (spath string, st map[string]any, epoch uint
 }
 
 // writeStateEpoch rewrites a state document with its epoch patched.
-func writeStateEpoch(spath string, st map[string]any, epoch uint64) error {
+func writeStateEpoch(fs fsys, spath string, st map[string]any, epoch uint64) error {
 	st["epoch"] = epoch
 	out, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(spath, ".state-*.tmp", append(out, '\n'))
+	return writeFileAtomic(fs, spath, ".state-*.tmp", append(out, '\n'), true)
 }
 
 // syncPromotedStateEpoch rewrites a promoted shard's replica/STATE.json
@@ -868,10 +868,10 @@ func writeStateEpoch(spath string, st map[string]any, epoch uint64) error {
 // every open, and the state file — the epoch a promoted node advertises
 // and persists across restarts — must track it, or the node would fence
 // against its own journal.
-func syncPromotedStateEpoch(storeDir string, epoch uint64) error {
+func syncPromotedStateEpoch(fs fsys, storeDir string, epoch uint64) error {
 	spath, st, cur, ok := promotedState(storeDir)
 	if !ok || cur == epoch {
 		return nil
 	}
-	return writeStateEpoch(spath, st, epoch)
+	return writeStateEpoch(fs, spath, st, epoch)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,8 +114,8 @@ func readWALEpoch(dir string) (uint64, error) {
 		}
 		return 0, err
 	}
-	var epoch uint64
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(data)), "%d", &epoch); err != nil {
+	epoch, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
+	if err != nil {
 		return 0, fmt.Errorf("bad epoch file: %w", err)
 	}
 	return epoch, nil
@@ -122,8 +123,8 @@ func readWALEpoch(dir string) (uint64, error) {
 
 // writeWALEpoch persists epoch under dir. The counter is the fencing
 // token, so a crash or power loss must never leave it torn or empty.
-func writeWALEpoch(dir string, epoch uint64) error {
-	return WriteFileAtomic(filepath.Join(dir, walEpochName), ".epoch-*.tmp", []byte(fmt.Sprintf("%d\n", epoch)))
+func writeWALEpoch(fs fsys, dir string, epoch uint64) error {
+	return writeFileAtomic(fs, filepath.Join(dir, walEpochName), ".epoch-*.tmp", []byte(fmt.Sprintf("%d\n", epoch)), true)
 }
 
 // WALEntry is one journaled mutation. Put entries carry the full encoded
@@ -365,9 +366,10 @@ type WALStats struct {
 type WAL struct {
 	dir  string
 	opts WALOptions
+	fs   fsys
 
 	mu       sync.Mutex
-	f        *os.File
+	f        file
 	seq      uint64
 	size     int64
 	lastSync time.Time
@@ -378,12 +380,6 @@ type WAL struct {
 	unsafeCompact bool
 	stale         []string // rotated, fully-applied segments awaiting removal
 	segments      int
-	// writeHook replaces the active segment's frame write when non-nil —
-	// the seam torn-append tests use to fail a write partway through.
-	writeHook func(f *os.File, frame []byte) (int, error)
-	// syncHook replaces the active segment's fsync when non-nil — the seam
-	// the durability-order and crash-point tests observe it through.
-	syncHook func(f *os.File) error
 	// onAppend, when set, observes every successfully journaled frame
 	// (under w.mu, in append order): its sequence number within this
 	// epoch and the frame's bytes exactly as written. The replication
@@ -405,8 +401,8 @@ type WAL struct {
 // replayed them into the record files. The first segment is created
 // eagerly so an empty journal is distinguishable from an absent one.
 func StartWAL(dir string, opts WALOptions) (*WAL, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	w := &WAL{dir: dir, opts: opts.withDefaults(), fs: osFS{}}
+	if err := w.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("history: wal: %w", err)
 	}
 	segs, err := walSegments(dir)
@@ -414,7 +410,7 @@ func StartWAL(dir string, opts WALOptions) (*WAL, error) {
 		return nil, fmt.Errorf("history: wal: %w", err)
 	}
 	for _, seg := range segs {
-		if err := os.Remove(filepath.Join(dir, seg)); err != nil {
+		if err := w.fs.Remove(filepath.Join(dir, seg)); err != nil {
 			return nil, fmt.Errorf("history: wal: %w", err)
 		}
 	}
@@ -423,10 +419,9 @@ func StartWAL(dir string, opts WALOptions) (*WAL, error) {
 		return nil, fmt.Errorf("history: wal: %w", err)
 	}
 	epoch++
-	if err := writeWALEpoch(dir, epoch); err != nil {
+	if err := writeWALEpoch(w.fs, dir, epoch); err != nil {
 		return nil, fmt.Errorf("history: wal: %w", err)
 	}
-	w := &WAL{dir: dir, opts: opts}
 	w.epoch.Store(epoch)
 	if err := w.openSegment(1); err != nil {
 		return nil, err
@@ -450,7 +445,7 @@ func (w *WAL) SetEpoch(epoch uint64) error {
 	if epoch <= w.epoch.Load() {
 		return fmt.Errorf("history: wal: epoch must advance (have %d, asked %d)", w.epoch.Load(), epoch)
 	}
-	if err := writeWALEpoch(w.dir, epoch); err != nil {
+	if err := writeWALEpoch(w.fs, w.dir, epoch); err != nil {
 		return fmt.Errorf("history: wal: %w", err)
 	}
 	w.epoch.Store(epoch)
@@ -494,16 +489,19 @@ func (w *WAL) SetOnAppend(fn func(seq uint64, frame []byte)) {
 	w.mu.Unlock()
 }
 
-// openSegment creates and switches to segment seq. Callers hold w.mu
-// (or have exclusive access during construction).
+// openSegment creates and switches to segment seq; a segment whose name
+// cannot be made durable is removed again, so a retry can create it.
+// Callers hold w.mu (or have exclusive access during construction).
 func (w *WAL) openSegment(seq uint64) error {
-	f, err := os.OpenFile(w.segmentPath(seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	path := w.segmentPath(seq)
+	f, err := w.fs.CreateExcl(path)
 	if err != nil {
 		return fmt.Errorf("history: wal: %w", err)
 	}
 	// The segment must exist by name before frames are acknowledged.
-	if err := syncDir(w.dir); err != nil {
+	if err := w.fs.SyncDir(w.dir); err != nil {
 		f.Close()
+		w.fs.Remove(path)
 		return fmt.Errorf("history: wal: %w", err)
 	}
 	w.f = f
@@ -552,12 +550,8 @@ func (w *WAL) AppendGroup(es []WALEntry) error {
 			return err
 		}
 	}
-	write := (*os.File).Write
-	if w.writeHook != nil {
-		write = w.writeHook
-	}
 	for _, frame := range frames {
-		if _, err := write(w.f, frame); err != nil {
+		if _, err := w.f.Write(frame); err != nil {
 			// A failed write may have left part of a frame — and the whole
 			// of the group's earlier ones — on disk. No frame must ever
 			// follow a torn one (replay stops at the first bad frame, which
@@ -610,26 +604,28 @@ func (w *WAL) repairTornTailLocked() {
 	}
 }
 
-// rotateLocked closes the active segment and opens the next. Entries in
-// closed segments were either applied to the backend or compensated, so
-// the closed segments are discarded — unless a compensation could not be
-// healed, in which case every closed segment is retained for the next
-// open's replay.
+// rotateLocked opens the next segment and closes the active one — in
+// that order, so a journal that cannot rotate goes on appending where it
+// was. Entries in closed segments were either applied to the backend or
+// compensated, so the closed segments are discarded — unless a
+// compensation could not be healed, in which case every closed segment
+// is retained for the next open's replay.
 func (w *WAL) rotateLocked() error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("history: wal rotate: %w", err)
-	}
-	w.stale = append(w.stale, w.segmentPath(w.seq))
-	w.rotations.Add(1)
+	active, closed := w.f, w.segmentPath(w.seq)
 	if err := w.openSegment(w.seq + 1); err != nil {
 		return err
 	}
+	w.stale = append(w.stale, closed)
+	w.rotations.Add(1)
+	if err := active.Close(); err != nil {
+		return fmt.Errorf("history: wal rotate: %w", err)
+	}
 	if !w.unsafeCompact {
 		for _, path := range w.stale {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			if err := w.fs.Remove(path); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("history: wal compact: %w", err)
 			}
 			w.segments--
@@ -644,11 +640,7 @@ func (w *WAL) syncLocked() error {
 	if !w.dirty {
 		return nil
 	}
-	sync := (*os.File).Sync
-	if w.syncHook != nil {
-		sync = w.syncHook
-	}
-	if err := sync(w.f); err != nil {
+	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("history: wal sync: %w", err)
 	}
 	w.dirty = false

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"math/big"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -281,6 +282,36 @@ func FuzzDecodeWALFrames(f *testing.F) {
 		again, g2, b2 := DecodeWALFrames(data[:good])
 		if b2 != "" || g2 != good || !reflect.DeepEqual(again, entries) {
 			t.Fatalf("the valid prefix re-decodes to %d entries over %d bytes (%q), first pass %d over %d", len(again), g2, b2, len(entries), good)
+		}
+	})
+}
+
+// FuzzReadWALEpoch: the fencing token is read strictly — a file is
+// accepted exactly when its content, trimmed, is a decimal uint64, and
+// reads back as that number (Sscanf("%d") took "7abc" and "7 8" for 7
+// and "0x10" for 0) — and whatever writeWALEpoch writes reads back equal.
+func FuzzReadWALEpoch(f *testing.F) {
+	for _, s := range []string{"7\n", "0", " 12 \n", "7abc", "7 8", "0x10", "", "-1", "+5", "1_0",
+		"18446744073709551615", "18446744073709551616", "007"} {
+		f.Add([]byte(s), uint64(7))
+	}
+	dir := f.TempDir() // a worker runs its inputs one at a time
+	f.Fuzz(func(t *testing.T, data []byte, epoch uint64) {
+		if err := os.WriteFile(filepath.Join(dir, walEpochName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := strings.TrimSpace(string(data))
+		want, ok := new(big.Int).SetString(s, 10)
+		ok = ok && strings.Trim(s, "0123456789") == "" && want.IsUint64()
+		got, err := readWALEpoch(dir)
+		if (err == nil) != ok || ok && got != want.Uint64() {
+			t.Fatalf("epoch file %q reads as %d, %v", data, got, err)
+		}
+		if err := writeWALEpoch(osFS{}, dir, epoch); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readWALEpoch(dir); err != nil || got != epoch {
+			t.Fatalf("epoch %d written reads back as %d, %v", epoch, got, err)
 		}
 	})
 }

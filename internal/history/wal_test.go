@@ -483,8 +483,14 @@ func TestDurableStoreCompensation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := st.Backend().(*FSBackend)
-	fb.renameHook = func(_, _ string) error { return fmt.Errorf("injected rename failure") }
+	fs := newTestFS(t, dir)
+	fs.install(st.Backend().(*FSBackend), st.wal)
+	fs.before = func(op fsOp) error {
+		if op.kind == "rename" {
+			return fmt.Errorf("injected rename failure")
+		}
+		return nil
+	}
 	changed := sampleRecord("r1")
 	changed.Duration = 999
 	if err := st.Save(changed); err == nil {
@@ -494,7 +500,7 @@ func TestDurableStoreCompensation(t *testing.T) {
 	if err := st.Save(sampleRecord("r9")); err == nil {
 		t.Fatal("Save succeeded through a failing rename")
 	}
-	fb.renameHook = nil
+	fs.before = nil
 
 	// Replay the journal as the next open would: the failed writes' intent
 	// must not surface.
@@ -567,15 +573,16 @@ func TestFSBackendPutFsyncsDirAfterRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	b.renameHook = func(oldpath, newpath string) error {
-		order = append(order, "rename")
-		return os.Rename(oldpath, newpath)
-	}
-	b.syncHook = func(d string) error {
-		if d == dir {
+	fs := newTestFS(t, dir)
+	fs.install(b, nil)
+	fs.before = func(op fsOp) error {
+		switch {
+		case op.kind == "rename":
+			order = append(order, "rename")
+		case op.kind == "syncdir" && op.path == dir:
 			order = append(order, "syncdir")
 		}
-		return syncDir(d)
+		return nil
 	}
 	key := RecordKey{App: "a", RunID: "r1"}
 	if err := b.Put(key, []byte(`{"app":"a","run_id":"r1"}`)); err != nil {
@@ -586,7 +593,15 @@ func TestFSBackendPutFsyncsDirAfterRename(t *testing.T) {
 	}
 	// A failed rename must not fsync (nothing committed).
 	order = nil
-	b.renameHook = func(_, _ string) error { return fmt.Errorf("injected") }
+	fs.before = func(op fsOp) error {
+		switch op.kind {
+		case "rename":
+			return fmt.Errorf("injected")
+		case "syncdir":
+			order = append(order, "syncdir")
+		}
+		return nil
+	}
 	if err := b.Put(key, []byte(`{}`)); err == nil {
 		t.Fatal("Put succeeded through a failing rename")
 	}
@@ -596,8 +611,12 @@ func TestFSBackendPutFsyncsDirAfterRename(t *testing.T) {
 		}
 	}
 	// A failing fsync fails the Put: the write is not durable.
-	b.renameHook = nil
-	b.syncHook = func(string) error { return fmt.Errorf("injected fsync failure") }
+	fs.before = func(op fsOp) error {
+		if op.kind == "syncdir" {
+			return fmt.Errorf("injected fsync failure")
+		}
+		return nil
+	}
 	if err := b.Put(key, []byte(`{"app":"a","run_id":"r1"}`)); err == nil ||
 		!strings.Contains(err.Error(), "sync dir") {
 		t.Errorf("Put with failing dir fsync returned %v, want a sync dir error", err)
@@ -616,13 +635,16 @@ func TestFSBackendPutFsyncsFileBeforeRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	b.fileSyncHook = func(f *os.File) error {
-		order = append(order, "syncfile")
-		return f.Sync()
-	}
-	b.renameHook = func(oldpath, newpath string) error {
-		order = append(order, "rename")
-		return os.Rename(oldpath, newpath)
+	fs := newTestFS(t, dir)
+	fs.install(b, nil)
+	fs.before = func(op fsOp) error {
+		switch op.kind {
+		case "sync":
+			order = append(order, "syncfile")
+		case "rename":
+			order = append(order, "rename")
+		}
+		return nil
 	}
 	key := RecordKey{App: "a", RunID: "r1"}
 	if err := b.Put(key, []byte(`{"app":"a","run_id":"r1"}`)); err != nil {
@@ -634,7 +656,15 @@ func TestFSBackendPutFsyncsFileBeforeRename(t *testing.T) {
 	// A failing data fsync fails the Put before anything is published,
 	// and the temp file does not survive.
 	order = nil
-	b.fileSyncHook = func(*os.File) error { return fmt.Errorf("injected data fsync failure") }
+	fs.before = func(op fsOp) error {
+		switch op.kind {
+		case "sync":
+			return fmt.Errorf("injected data fsync failure")
+		case "rename":
+			order = append(order, "rename")
+		}
+		return nil
+	}
 	if err := b.Put(key, []byte(`{}`)); err == nil {
 		t.Fatal("Put succeeded through a failing data fsync")
 	}
@@ -669,14 +699,18 @@ func TestWALAppendTornFrameRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the next frame: half its bytes land, then the write fails.
-	w.writeHook = func(f *os.File, frame []byte) (int, error) {
-		n, _ := f.Write(frame[:len(frame)/2])
-		return n, fmt.Errorf("injected torn write")
+	fs := newTestFS(t, dir)
+	fs.install(nil, w)
+	fs.before = func(op fsOp) error {
+		if op.kind == "write" {
+			return fmt.Errorf("injected torn write")
+		}
+		return nil
 	}
 	if err := w.Append(WALEntry{Op: walOpPut, App: "a", RunID: "r2", Data: []byte("two")}); err == nil {
 		t.Fatal("Append succeeded through a torn write")
 	}
-	w.writeHook = nil
+	fs.before = nil
 	// The next append must land where the torn frame began, not after
 	// its garbage.
 	if err := w.Append(WALEntry{Op: walOpPut, App: "a", RunID: "r3", Data: []byte("three")}); err != nil {
@@ -709,9 +743,13 @@ func TestFSBackendQuarantineFsyncsDirs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var synced []string
-	b.syncHook = func(d string) error {
-		synced = append(synced, d)
-		return syncDir(d)
+	fs := newTestFS(t, dir)
+	fs.install(b, nil)
+	fs.before = func(op fsOp) error {
+		if op.kind == "syncdir" {
+			synced = append(synced, op.path)
+		}
+		return nil
 	}
 	if err := b.Quarantine("bad.json", "testing"); err != nil {
 		t.Fatal(err)
