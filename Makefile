@@ -62,15 +62,20 @@ bench-pairs:
 	REF="$(REF)" PAIRS="$(PAIRS)" WORKLOADS="$(WORKLOADS)" sh scripts/bench-pairs.sh
 
 # Chaos soak under the race detector: the client→server→store pipeline
-# with a seeded fault mix must produce byte-identical diagnosis output
-# to a fault-free run (chaosSeed in internal/server/chaos_test.go).
+# with a seeded fault mix on the store's disk — record files and journal,
+# through the commit that ships — must produce byte-identical diagnosis
+# output to a fault-free run (chaosSeed in internal/server/chaos_test.go).
+# Then the injector's own promise: the faults it fires depend on the
+# seed, not on how the commit's stagers are scheduled.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/server/
+	$(GO) test -race -count=1 -run 'TestFaultsKeyedUnderConcurrency' -v ./internal/history/
 
 # Kill-9 recovery soak: a real pcd is SIGKILLed mid-write (under
-# injected torn writes) and mid-session, restarted, and must lose no
-# acknowledged write, resume the orphaned session byte-identically, and
-# leave a store pcfsck grades clean (killrestart_test.go).
+# injected torn and failed writes of the journal and the record files)
+# and mid-session, restarted, and must lose no acknowledged write, resume
+# the orphaned session byte-identically, and leave a store pcfsck grades
+# clean (killrestart_test.go).
 killrestart:
 	$(GO) test -race -run 'TestKillRestart' -v .
 
@@ -171,6 +176,8 @@ fuzz:
 	$(GO) test -fuzz FuzzParseShardManifest -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
 	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
+	$(GO) test -fuzz FuzzLoadState -fuzztime 10s ./internal/replica/
+	$(GO) test -fuzz FuzzLoadPeers -fuzztime 10s ./internal/replica/
 	$(GO) test -fuzz FuzzSampleLine -fuzztime 10s ./internal/postmortem/
 	$(GO) test -fuzz FuzzSamplesRequestMatchesEncodingJSON -fuzztime 10s ./internal/ingest/
 

@@ -92,9 +92,10 @@
 // the primary, or POSTing /api/v1/replica/promote to a follower —
 // still works as a documented operator override.
 //
-// The -fault-* flags wrap the store backend with deterministic seeded
-// fault injection (errors and torn writes) — the chaos layer the
-// kill-restart harness drives. Never set them in production.
+// The -fault-* flags put a deterministic, seeded fault injector (errors
+// and torn writes) under every shard's record files and journal, armed
+// once the store is open — the chaos layer the kill-restart harness
+// drives through the commit that ships. Never set them in production.
 //
 // When the store's backend starts failing (-breaker-threshold
 // consecutive failures), the daemon degrades instead of dying: reads
@@ -186,7 +187,7 @@ func main() {
 	if faults.ErrRate > 0 || faults.TornWriteRate > 0 {
 		log.Printf("warning: fault injection active (seed %d, err %.3f, torn %.3f)",
 			faults.Seed, faults.ErrRate, faults.TornWriteRate)
-		cfg.Store.Wrap = func(b history.Backend) history.Backend { return history.NewFaultBackend(b, faults) }
+		cfg.Store.Faults = func(int) *history.Faults { return history.NewFaults(faults) }
 	}
 	n, err := node.Open(cfg)
 	if err != nil {

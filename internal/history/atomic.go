@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 )
 
-// fsys is every call by which the store changes the disk, and only
-// those: reads go to os directly. FSBackend and WAL each hold one, set
-// to osFS by every constructor; a test wraps osFS to watch the calls,
-// fail one, or keep what a power loss would.
+// fsys is every call by which the store changes the disk, and the one
+// read a served request makes (FSBackend.Get); the scans of open and
+// pcfsck read through os directly. FSBackend and WAL each hold one, set
+// to osFS by every constructor; Faults wraps osFS to fail, tear or slow
+// the calls, and the tests hook it to watch them or keep what a power
+// loss would.
 type fsys interface {
 	CreateExcl(path string) (file, error) // a new file, write-only; fails if path exists
 	CreateTemp(dir, pattern string) (file, error)
@@ -19,6 +21,7 @@ type fsys interface {
 	Remove(path string) error
 	MkdirAll(path string) error
 	SyncDir(dir string) error
+	ReadFile(path string) ([]byte, error)
 }
 
 // file is a file an fsys opened, by the calls that change it.
@@ -50,6 +53,8 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 func (osFS) Remove(path string) error { return os.Remove(path) }
 
 func (osFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
+
+func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 // SyncDir fsyncs a directory, making a just-committed rename inside it
 // durable across power loss. (The rename itself only orders the metadata

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -125,35 +126,32 @@ func TestCommitMatrix(t *testing.T) {
 	}
 
 	// arm injects the failure through the case's fsys (cleared after the
-	// operation) or its FaultBackend; target is the run id of the
-	// mutation it is to strike, mutation `at` of the kind (a failure
-	// aimed past a kind's last mutation is not run). journal marks the
-	// failures the journal refuses the whole group at: nothing of it may
-	// be journaled or reach the append hook. rotates marks the ones that
-	// strike the rotation ahead of the group: the next commit must
-	// rotate and succeed. filesLag marks the one failure that may leave a
-	// record file behind the journal until the next open (the heal could
-	// not reach the backend either); sparesMiss the ones a delete of an
-	// absent record never reaches; needsFault the one only a wrapped
-	// backend can suffer.
+	// operation); target is the run id of the mutation it is to strike,
+	// mutation `at` of the kind (a failure aimed past a kind's last
+	// mutation is not run). journal marks the failures the journal refuses
+	// the whole group at: nothing of it may be journaled or reach the
+	// append hook. rotates marks the ones that strike the rotation ahead of
+	// the group: the next commit must rotate and succeed. filesLag marks
+	// the one failure that may leave a record file behind the journal until
+	// the next open (the heal could not reach the backend either);
+	// sparesMiss the ones a delete of an absent record never reaches.
 	failures := []struct {
 		name       string
 		at         int
-		arm        func(fs *testFS, st *Store, fault *FaultBackend, deletes bool, target string)
+		arm        func(fs *testFS, st *Store, target string)
 		fails      bool
 		journal    bool
 		rotates    bool
 		filesLag   bool
 		sparesMiss bool
-		needsFault bool
 	}{
 		{
 			name: "none",
-			arm:  func(*testFS, *Store, *FaultBackend, bool, string) {},
+			arm:  func(*testFS, *Store, string) {},
 		},
 		{
 			name: "journal append fails",
-			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
+			arm: func(fs *testFS, _ *Store, _ string) {
 				fs.before = func(op fsOp) error {
 					if op.kind == "write" && isSegment(op.path) {
 						return errors.New("injected append failure") // torn, then refused
@@ -168,7 +166,7 @@ func TestCommitMatrix(t *testing.T) {
 			// The group's first frame is written whole, the second torn.
 			name: "journal write fails on the 2nd frame",
 			at:   1,
-			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
+			arm: func(fs *testFS, _ *Store, _ string) {
 				frames := 0
 				fs.before = func(op fsOp) error {
 					if op.kind == "write" && isSegment(op.path) {
@@ -183,9 +181,24 @@ func TestCommitMatrix(t *testing.T) {
 			journal: true,
 		},
 		{
+			// The group is written — and handed to the append hook — but
+			// its sync fails, once: it is compensated, not acknowledged.
+			name: "journal sync fails",
+			arm: func(fs *testFS, _ *Store, _ string) {
+				once := failOnce()
+				fs.before = func(op fsOp) error {
+					if op.kind == "sync" && isSegment(op.path) {
+						return once()
+					}
+					return nil
+				}
+			},
+			fails: true,
+		},
+		{
 			// The journal cannot create the segment it rotates to, once.
 			name: "next segment create fails",
-			arm: func(fs *testFS, st *Store, _ *FaultBackend, _ bool, _ string) {
+			arm: func(fs *testFS, st *Store, _ string) {
 				st.wal.opts.SegmentBytes = 1
 				once := failOnce()
 				fs.before = func(op fsOp) error {
@@ -203,7 +216,7 @@ func TestCommitMatrix(t *testing.T) {
 			// The segment it rotates to is created, but its name cannot be
 			// made durable, once.
 			name: "next segment dir sync fails",
-			arm: func(fs *testFS, st *Store, _ *FaultBackend, _ bool, _ string) {
+			arm: func(fs *testFS, st *Store, _ string) {
 				st.wal.opts.SegmentBytes = 1
 				once := failOnce()
 				fs.before = func(op fsOp) error {
@@ -218,11 +231,32 @@ func TestCommitMatrix(t *testing.T) {
 			rotates: true,
 		},
 		{
+			// As above, and the created segment cannot be removed again
+			// either: the retry must take its place.
+			name: "next segment dir sync and its cleanup fail",
+			arm: func(fs *testFS, st *Store, _ string) {
+				st.wal.opts.SegmentBytes = 1
+				syncOnce, removeOnce := failOnce(), failOnce()
+				fs.before = func(op fsOp) error {
+					switch {
+					case op.kind == "syncdir" && op.path == st.wal.dir:
+						return syncOnce()
+					case op.kind == "remove" && isSegment(op.path):
+						return removeOnce()
+					}
+					return nil
+				}
+			},
+			fails:   true,
+			journal: true,
+			rotates: true,
+		},
+		{
 			// The backend fails once: a put's rename is refused; a delete's
 			// directory sync fails after the file is already gone, so the
 			// compensation has a record to put back.
 			name: "backend mutation fails",
-			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
+			arm: func(fs *testFS, _ *Store, _ string) {
 				once := failOnce()
 				fs.before = func(op fsOp) error {
 					if op.kind == "rename" || op.kind == "syncdir" {
@@ -238,7 +272,7 @@ func TestCommitMatrix(t *testing.T) {
 			// The second record's temp file cannot be synced.
 			name: "stage fails on the 2nd record",
 			at:   1,
-			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, target string) {
+			arm: func(fs *testFS, _ *Store, target string) {
 				fs.before = func(op fsOp) error {
 					if op.kind != "sync" {
 						return nil
@@ -259,7 +293,7 @@ func TestCommitMatrix(t *testing.T) {
 			// The second record's rename is refused, once.
 			name: "publish fails on the 2nd record",
 			at:   1,
-			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, target string) {
+			arm: func(fs *testFS, _ *Store, target string) {
 				once := failOnce()
 				name := fileName(RecordKey{App: "poisson", Version: "A", RunID: target})
 				fs.before = func(op fsOp) error {
@@ -275,7 +309,7 @@ func TestCommitMatrix(t *testing.T) {
 			// Every rename and removal happened; the directory sync that
 			// would make them durable fails, once — nothing is acknowledged.
 			name: "directory fsync fails",
-			arm: func(fs *testFS, _ *Store, _ *FaultBackend, _ bool, _ string) {
+			arm: func(fs *testFS, _ *Store, _ string) {
 				once := failOnce()
 				fs.before = func(op fsOp) error {
 					if op.kind == "syncdir" {
@@ -288,20 +322,29 @@ func TestCommitMatrix(t *testing.T) {
 			sparesMiss: true,
 		},
 		{
-			// The backend keeps failing, so the compensating entry is
-			// journaled but cannot be healed into the files: puts tear the
-			// record file, deletes are refused outright.
+			// The backend keeps failing after the first record file changed:
+			// that change is never named durably, and the compensating entry
+			// is journaled but cannot be healed into the files — every later
+			// rename or removal of a record is refused.
 			name: "heal after compensation fails",
-			arm: func(_ *testFS, _ *Store, fault *FaultBackend, deletes bool, _ string) {
-				cfg := FaultConfig{TornWriteRate: 1}
-				if deletes {
-					cfg = FaultConfig{ErrRate: 1}
+			arm: func(fs *testFS, _ *Store, _ string) {
+				changed := false
+				fs.before = func(op fsOp) error {
+					switch {
+					case op.kind == "syncdir":
+						return errors.New("injected dir sync failure")
+					case op.kind == "rename" || op.kind == "remove" && !strings.HasSuffix(op.path, ".tmp"):
+						if changed {
+							return errors.New("injected backend failure")
+						}
+						changed = true
+					}
+					return nil
 				}
-				fault.SetConfig(cfg)
 			},
 			fails:      true,
 			filesLag:   true,
-			needsFault: true,
+			sparesMiss: true,
 		},
 	}
 
@@ -353,27 +396,20 @@ func TestCommitMatrix(t *testing.T) {
 			}
 			t.Run(kind.name+"/"+failure.name, func(t *testing.T) {
 				for _, wrapped := range []bool{false, true} {
-					if failure.needsFault && !wrapped {
-						continue
-					}
 					name := "bare"
 					if wrapped {
 						name = "wrapped"
 					}
 					t.Run(name, func(t *testing.T) {
 						dir := t.TempDir()
-						var fault *FaultBackend
 						var opts DurableOptions
 						if wrapped {
-							opts.Wrap = func(b Backend) Backend {
-								fault = NewFaultBackend(b, FaultConfig{})
-								return fault
-							}
+							opts.Wrap = func(b Backend) Backend { return passThrough{b} }
 						}
 						st := openDurable(t, dir, opts)
 						fb, bare := st.Backend().(*FSBackend)
 						if !bare {
-							fb = fault.Inner().(*FSBackend)
+							fb = st.Backend().(passThrough).Backend.(*FSBackend)
 						}
 						want := state{}
 						for _, rec := range []*RunRecord{sampleRecord("r1"), sampleRecord("r2")} {
@@ -388,12 +424,9 @@ func TestCommitMatrix(t *testing.T) {
 
 						fs := newTestFS(t, dir)
 						fs.install(fb, st.wal)
-						failure.arm(fs, st, fault, kind.deletes, kind.runs[failure.at])
+						failure.arm(fs, st, kind.runs[failure.at])
 						wrote, err := kind.do(st)
 						fs.before = nil
-						if fault != nil {
-							fault.SetConfig(FaultConfig{})
-						}
 
 						failed := failure.fails && !(kind.wantMiss && failure.sparesMiss)
 						switch {
@@ -488,6 +521,13 @@ func TestCommitMatrix(t *testing.T) {
 	}
 }
 
+// passThrough is a backend wrapper that adds nothing but the shape of
+// one: the store writes it a Put or Delete per mutation, as it does a
+// tracing decorator.
+type passThrough struct{ Backend }
+
+func (p passThrough) Inner() Backend { return p.Backend }
+
 // keysOf renders a state's keys for failure messages (the bytes are too
 // long to print; a wrong key set or a differing record both show).
 func keysOf[V any](s map[RecordKey]V) []string {
@@ -507,13 +547,18 @@ func keysOf[V any](s map[RecordKey]V) []string {
 // SyncAlways a commit is one journal sync however many entries it
 // journals — a Save is one append and one sync, a PutBatch of k is k
 // appends and one sync — and over the bare FSBackend one directory sync.
+// The store runs under a fault injector installed as pcd -fault-*
+// installs one, armed at zero rates: faults reach the commit that
+// ships, not a Put per record.
 func TestCommitSyncsOncePerCommit(t *testing.T) {
 	dir := t.TempDir()
-	st := openDurable(t, dir, DurableOptions{WALOptions: WALOptions{Sync: SyncAlways}})
+	fs := newTestFS(t, dir)
+	st := openDurable(t, dir, DurableOptions{
+		WALOptions: WALOptions{Sync: SyncAlways},
+		Faults:     func(int) *Faults { return fs.Faults },
+	})
 	defer st.Close()
 	dirSyncs := 0
-	fs := newTestFS(t, dir)
-	fs.install(st.Backend().(*FSBackend), st.wal)
 	fs.after = func(op fsOp) {
 		if op.kind == "syncdir" && op.path == dir {
 			dirSyncs++
@@ -538,6 +583,9 @@ func TestCommitSyncsOncePerCommit(t *testing.T) {
 	if ws := st.WALStats(); ws.Appends != n+k || ws.Syncs != n+1 || dirSyncs != n+1 {
 		t.Fatalf("a batch of %d cost %d appends, %d syncs and %d directory syncs, want %d, 1 and 1",
 			k, ws.Appends-n, ws.Syncs-n, dirSyncs-n, k)
+	}
+	if c := fs.Counters(); c.Ops == 0 || c.Injected != 0 {
+		t.Errorf("injector counters %+v: want the commits drawn for and nothing injected", c)
 	}
 }
 

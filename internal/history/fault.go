@@ -3,16 +3,17 @@ package history
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
 	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
 
-// ErrInjected is the sentinel every fault the FaultBackend injects wraps.
-// Tests and retry layers classify injected failures with
+// ErrInjected is the sentinel every fault a Faults injects wraps. Tests
+// and retry layers classify injected failures with
 // errors.Is(err, ErrInjected).
 var ErrInjected = errors.New("injected fault")
 
@@ -61,30 +62,28 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// FaultConfig parameterizes a FaultBackend. All rates are probabilities
-// in [0, 1] evaluated independently per operation from the seeded PRNG —
-// no wall-clock randomness, so a fixed Seed reproduces the exact fault
-// schedule.
+// FaultConfig parameterizes a fault injector (Faults). Each rate is a
+// probability in [0, 1], drawn per call from a hash of the seed and the
+// call — never a wall clock or a shared sequence — so a fixed Seed
+// reproduces the exact fault schedule.
 type FaultConfig struct {
-	// Seed seeds the deterministic fault schedule.
 	Seed int64
-	// ErrRate is the probability that any operation (Put, Get, Delete,
-	// Scan) fails with a generic injected I/O error.
+	// ErrRate fails a create, rename, remove, read, file sync or
+	// directory sync with an injected I/O error.
 	ErrRate float64
-	// TornWriteRate is the probability that a Put writes only a prefix
-	// of the record to the inner backend before failing — the torn-write
-	// crash the recovery sweep must cope with.
+	// TornWriteRate fails a write once its first half has landed: the
+	// torn journal frame or staged record file the commit must survive.
 	TornWriteRate float64
-	// ENOSPCRate is the probability that a Put fails as if the device
-	// were full (wraps syscall.ENOSPC).
+	// ENOSPCRate fails a create or a write (its first half landed) as a
+	// full device would (wraps syscall.ENOSPC).
 	ENOSPCRate float64
-	// Latency is added to every operation when non-zero. Keep it zero in
-	// unit tests; it exists for soak runs that want realistic slowness.
+	// Latency is added to every file sync, directory sync and read, where
+	// the device is waited on; for soak runs, not unit tests.
 	Latency time.Duration
 }
 
-// FaultCounters counts what a FaultBackend injected, exported so tests
-// and /statsz can prove faults actually happened.
+// FaultCounters counts what an injector drew for and injected, so tests
+// can prove faults actually happened.
 type FaultCounters struct {
 	Ops        uint64 `json:"ops"`
 	Injected   uint64 `json:"injected"`
@@ -92,153 +91,249 @@ type FaultCounters struct {
 	ENOSPC     uint64 `json:"enospc"`
 }
 
-// FaultBackend wraps any Backend with deterministic, seeded fault
-// injection: configurable error rates, torn/partial writes, ENOSPC, and
-// optional latency on every operation. It is the chaos layer the
-// resilience tests drive; with a zero FaultConfig it is a transparent
-// (but counted) pass-through. Safe for concurrent use.
-type FaultBackend struct {
-	inner Backend
-
-	mu  sync.Mutex
-	rng *rand.Rand
-	cfg FaultConfig
-
-	ops        atomic.Uint64
-	injected   atomic.Uint64
-	tornWrites atomic.Uint64
-	enospc     atomic.Uint64
+// Faults is the store's fault injector: the fsys over the real disk that
+// a shard's record directory and journal write through when
+// DurableOptions.Faults hands it one, failing, tearing, filling and
+// slowing calls on a seeded schedule. The store arms it once it is open,
+// so recovery runs on the real disk. Safe for concurrent use.
+//
+// A draw is keyed by (seed, call kind, stable name, n), n counting that
+// kind on that name. The stable name is the path below the store, except
+// for a CreateTemp file, whose path is random: there it is its directory
+// and a hash of its first write's bytes, and its create is drawn at that
+// write. So the files a commit stages on several goroutines draw the same
+// faults however those are scheduled. Counts are kept for every name
+// drawn for: an injector is for test and chaos runs.
+type Faults struct {
+	osFS   // mkdir, and a file's mode, truncate, seek and close, pass through
+	hook   faultHook
+	mu     sync.Mutex
+	cfg    FaultConfig
+	root   string            // names are relative to it; "" until armed
+	calls  map[string]uint64 // per call kind and stable name, the draws so far
+	temps  map[string]string // by path, each CreateTemp file's stable name ("" until written)
+	counts FaultCounters
 }
 
-// NewFaultBackend wraps inner with the given fault schedule.
-func NewFaultBackend(inner Backend, cfg FaultConfig) *FaultBackend {
-	return &FaultBackend{
-		inner: inner,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		cfg:   cfg,
+// faultHook is a test's hold on a Faults (the crash-point recorder): it
+// sees each call first and may fail it, then each call that succeeded,
+// and each fault drawn — one at a time, under the injector's lock.
+type faultHook interface {
+	beforeCall(op fsOp) error
+	afterCall(op fsOp)
+	onFault(op fsOp, name string, n uint64)
+}
+
+// fsOp is one call through the seam — create, createtemp, write, sync,
+// rename, remove, syncdir or read — and its path: a file's own for a
+// file's call and, once it succeeded, an open's; to is a rename's new one.
+type fsOp struct{ kind, path, to string }
+
+// NewFaults returns an unarmed injector drawing from cfg.
+func NewFaults(cfg FaultConfig) *Faults {
+	return &Faults{cfg: cfg, calls: map[string]uint64{}, temps: map[string]string{}}
+}
+
+// SetConfig swaps the fault rates at runtime — an outage starting
+// (ErrRate: 1) and healing (ErrRate: 0) without rebuilding the store. The
+// seed and the counts stay.
+func (fs *Faults) SetConfig(cfg FaultConfig) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	cfg.Seed, fs.cfg = fs.cfg.Seed, cfg
+}
+
+// Counters snapshots what the injector drew for and injected.
+func (fs *Faults) Counters() FaultCounters {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.counts
+}
+
+// arm starts the draws, naming paths relative to root.
+func (fs *Faults) arm(root string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.root = root
+}
+
+// NewFaultBackend returns b, when it is an *FSBackend, writing and
+// reading through an armed injector drawing from cfg. All that is left of
+// the backend wrapper the injector replaced, it is kept because the
+// benchmark module's decorator test calls it.
+func NewFaultBackend(b Backend, cfg FaultConfig) Backend {
+	if fb, ok := b.(*FSBackend); ok {
+		f := NewFaults(cfg)
+		f.arm(fb.dir)
+		fb.fs = f
 	}
+	return b
 }
 
-// SetConfig swaps the fault schedule at runtime — how a test simulates
-// an outage starting (ErrRate: 1) and healing (ErrRate: 0) without
-// rebuilding the store. The PRNG keeps its position; the Seed field of
-// the new config is ignored.
-func (b *FaultBackend) SetConfig(cfg FaultConfig) {
-	b.mu.Lock()
-	cfg.Seed = b.cfg.Seed
-	b.cfg = cfg
-	b.mu.Unlock()
-}
-
-// Counters snapshots the injection counters.
-func (b *FaultBackend) Counters() FaultCounters {
-	return FaultCounters{
-		Ops:        b.ops.Load(),
-		Injected:   b.injected.Load(),
-		TornWrites: b.tornWrites.Load(),
-		ENOSPC:     b.enospc.Load(),
+// do makes one call: shown to the hook, drawn for once armed (data is a
+// write's bytes), delayed where the device is waited on, made — an open
+// names its file in op —, and shown to the hook again once it succeeded.
+func (fs *Faults) do(op *fsOp, data []byte, call func() error) error {
+	wait, err := fs.decide(*op, data)
+	if err != nil {
+		return err
 	}
+	time.Sleep(wait)
+	if err := call(); err != nil {
+		return err
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	switch op.kind {
+	case "createtemp":
+		fs.temps[op.path] = ""
+	case "rename", "remove":
+		delete(fs.temps, op.path)
+	}
+	if fs.hook != nil {
+		fs.hook.afterCall(*op)
+	}
+	return nil
 }
 
-// Inner returns the wrapped backend.
-func (b *FaultBackend) Inner() Backend { return b.inner }
-
-// Name implements Backend.
-func (b *FaultBackend) Name() string { return "fault:" + b.inner.Name() }
-
-// roll draws the fault decision for one operation. kind is "" for no
-// fault, or one of "err", "torn", "enospc" (the latter two only for
-// writes).
-func (b *FaultBackend) roll(write bool) (kind string, frac float64, latency time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	latency = b.cfg.Latency
-	// One draw per possible fault keeps the schedule deterministic and
-	// independent of which rates are enabled.
-	if b.rng.Float64() < b.cfg.ErrRate {
-		kind = "err"
-	}
-	tornDraw := b.rng.Float64()
-	enospcDraw := b.rng.Float64()
-	frac = b.rng.Float64()
-	if kind == "" && write {
-		if tornDraw < b.cfg.TornWriteRate {
-			kind = "torn"
-		} else if enospcDraw < b.cfg.ENOSPCRate {
-			kind = "enospc"
+// decide shows a call to the hook and, armed, draws for it by its stable
+// name, returning how long the device keeps it waiting.
+func (fs *Faults) decide(op fsOp, data []byte) (time.Duration, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.hook != nil {
+		if err := fs.hook.beforeCall(op); err != nil {
+			return 0, err
 		}
 	}
-	return kind, frac, latency
-}
-
-func (b *FaultBackend) delay(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Put implements Backend, possibly injecting an error, a torn write
-// (a prefix of data reaches the inner backend, then the call fails), or
-// ENOSPC.
-func (b *FaultBackend) Put(key RecordKey, data []byte) error {
-	b.ops.Add(1)
-	kind, frac, latency := b.roll(true)
-	b.delay(latency)
-	switch kind {
-	case "err":
-		b.injected.Add(1)
-		return &BackendError{Op: "put", Err: fmt.Errorf("history: write %s: %w", key, ErrInjected)}
-	case "torn":
-		b.injected.Add(1)
-		b.tornWrites.Add(1)
-		n := int(frac * float64(len(data)))
-		if n >= len(data) && len(data) > 0 {
-			n = len(data) - 1
+	name, temp := fs.temps[op.path]
+	switch {
+	case fs.root == "" || op.kind == "createtemp":
+		return 0, nil
+	case !temp:
+		name = op.path
+	case name == "" && op.kind == "write":
+		h := fnv.New64a()
+		h.Write(data)
+		name = filepath.Join(filepath.Dir(op.path), "#"+strconv.FormatUint(h.Sum64(), 16))
+		fs.temps[op.path] = name
+		if err := fs.draw(fsOp{kind: "create", path: op.path}, name); err != nil {
+			return 0, err
 		}
-		// Best-effort partial write: the torn bytes land under the key,
-		// as a crash mid-write would leave them on disk.
-		b.inner.Put(key, data[:n])
-		return &BackendError{Op: "put", Err: fmt.Errorf("history: torn write %s (%d of %d bytes): %w", key, n, len(data), ErrInjected)}
-	case "enospc":
-		b.injected.Add(1)
-		b.enospc.Add(1)
-		return &BackendError{Op: "put", Err: fmt.Errorf("history: write %s: %w (%w)", key, syscall.ENOSPC, ErrInjected)}
 	}
-	return b.inner.Put(key, data)
+	if err := fs.draw(op, name); err != nil {
+		return 0, err
+	}
+	if op.kind == "sync" || op.kind == "syncdir" || op.kind == "read" {
+		return fs.cfg.Latency, nil
+	}
+	return 0, nil
 }
 
-// Get implements Backend.
-func (b *FaultBackend) Get(key RecordKey) ([]byte, error) {
-	b.ops.Add(1)
-	kind, _, latency := b.roll(false)
-	b.delay(latency)
-	if kind == "err" {
-		b.injected.Add(1)
-		return nil, &BackendError{Op: "get", Err: fmt.Errorf("history: load %s: %w", key, ErrInjected)}
+// draw decides one call on its name and makes the fault it injects, if
+// any. Callers hold mu.
+func (fs *Faults) draw(op fsOp, name string) error {
+	if rel, err := filepath.Rel(fs.root, name); err == nil {
+		name = rel
 	}
-	return b.inner.Get(key)
+	key := op.kind + "\x00" + name
+	n := fs.calls[key]
+	fs.calls[key]++
+	fs.counts.Ops++
+	var err error
+	switch {
+	case op.kind == "write" && fs.roll(key, n, 't') < fs.cfg.TornWriteRate:
+		fs.counts.TornWrites++
+		err = fmt.Errorf("torn write: %w", ErrInjected)
+	case (op.kind == "write" || op.kind == "create") && fs.roll(key, n, 'f') < fs.cfg.ENOSPCRate:
+		fs.counts.ENOSPC++
+		err = fmt.Errorf("%w (%w)", syscall.ENOSPC, ErrInjected)
+	case op.kind != "write" && fs.roll(key, n, 'e') < fs.cfg.ErrRate:
+		err = ErrInjected
+	default:
+		return nil
+	}
+	fs.counts.Injected++
+	if fs.hook != nil {
+		fs.hook.onFault(op, name, n)
+	}
+	return &os.PathError{Op: op.kind, Path: op.path, Err: err}
 }
 
-// Delete implements Backend.
-func (b *FaultBackend) Delete(key RecordKey) error {
-	b.ops.Add(1)
-	kind, _, latency := b.roll(false)
-	b.delay(latency)
-	if kind == "err" {
-		b.injected.Add(1)
-		return &BackendError{Op: "delete", Err: fmt.Errorf("history: delete %s: %w", key, ErrInjected)}
-	}
-	return b.inner.Delete(key)
+// roll is a uniform draw in [0, 1) for fault of the nth call of key.
+func (fs *Faults) roll(key string, n uint64, fault byte) float64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %d %c %s", fs.cfg.Seed, n, fault, key)
+	x := h.Sum64() // splitmix64's finalizer: FNV's high bits avalanche poorly
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return float64((x^x>>31)>>11) / (1 << 53)
 }
 
-// Scan implements Backend.
-func (b *FaultBackend) Scan() ([]ScanEntry, []ScanIssue, error) {
-	b.ops.Add(1)
-	kind, _, latency := b.roll(false)
-	b.delay(latency)
-	if kind == "err" {
-		b.injected.Add(1)
-		return nil, nil, &BackendError{Op: "scan", Err: fmt.Errorf("history: list: %w", ErrInjected)}
+func (fs *Faults) open(op fsOp, create func() (file, error)) (file, error) {
+	var f file
+	err := fs.do(&op, nil, func() (err error) {
+		if f, err = create(); err == nil {
+			op.path = f.Name()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return b.inner.Scan()
+	return &faultFile{f, fs}, nil
+}
+
+func (fs *Faults) CreateExcl(path string) (file, error) {
+	return fs.open(fsOp{kind: "create", path: path}, func() (file, error) { return fs.osFS.CreateExcl(path) })
+}
+
+func (fs *Faults) CreateTemp(dir, pattern string) (file, error) {
+	return fs.open(fsOp{kind: "createtemp", path: filepath.Join(dir, pattern)}, func() (file, error) { return fs.osFS.CreateTemp(dir, pattern) })
+}
+
+func (fs *Faults) OpenAppend(path string) (file, error) {
+	return fs.open(fsOp{kind: "create", path: path}, func() (file, error) { return fs.osFS.OpenAppend(path) })
+}
+
+func (fs *Faults) Rename(oldpath, newpath string) error {
+	return fs.do(&fsOp{kind: "rename", path: oldpath, to: newpath}, nil, func() error { return os.Rename(oldpath, newpath) })
+}
+
+func (fs *Faults) Remove(path string) error {
+	return fs.do(&fsOp{kind: "remove", path: path}, nil, func() error { return os.Remove(path) })
+}
+
+func (fs *Faults) SyncDir(dir string) error {
+	return fs.do(&fsOp{kind: "syncdir", path: dir}, nil, func() error { return fs.osFS.SyncDir(dir) })
+}
+
+func (fs *Faults) ReadFile(path string) (data []byte, err error) {
+	err = fs.do(&fsOp{kind: "read", path: path}, nil, func() (err error) { data, err = os.ReadFile(path); return err })
+	return data, err
+}
+
+// faultFile is a file a Faults opened.
+type faultFile struct {
+	file
+	fs *Faults
+}
+
+// Write lands the first half of p before the call is decided, so a
+// failed write is a torn one.
+func (f *faultFile) Write(p []byte) (int, error) {
+	half, err := f.file.Write(p[:len(p)/2])
+	if err != nil {
+		return half, err
+	}
+	rest := 0
+	err = f.fs.do(&fsOp{kind: "write", path: f.Name()}, p, func() (err error) {
+		rest, err = f.file.Write(p[half:])
+		return err
+	})
+	return half + rest, err
+}
+
+func (f *faultFile) Sync() error {
+	return f.fs.do(&fsOp{kind: "sync", path: f.Name()}, nil, f.file.Sync)
 }

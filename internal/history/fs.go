@@ -183,7 +183,7 @@ func (st *staging) discard() {
 
 // Get implements Backend.
 func (b *FSBackend) Get(key RecordKey) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(b.dir, fileName(key)))
+	data, err := b.fs.ReadFile(filepath.Join(b.dir, fileName(key)))
 	if err != nil {
 		return nil, fmt.Errorf("history: load: %w", err)
 	}
@@ -229,27 +229,36 @@ const QuarantineDir = "quarantine"
 // quarantineReport is the per-store log of what was quarantined and why.
 const quarantineReport = "REPORT.txt"
 
-// SweepTemp removes orphaned atomic-write temp files (".put-*.tmp") left
-// behind by a crash between write and rename, returning the names it
-// removed. Put never publishes a temp file, so any present when a store
-// is opened is garbage by construction.
-func (b *FSBackend) SweepTemp() ([]string, error) {
-	entries, err := os.ReadDir(b.dir)
-	if err != nil {
-		return nil, fmt.Errorf("history: sweep: %w", err)
-	}
-	var swept []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, ".put-") || !strings.HasSuffix(name, ".tmp") {
-			continue
+// tempFiles are the atomic-write temp files of each writer of a store
+// tree, by directory: the record files and wal/EPOCH — which a store's
+// open sweeps —, replica/STATE.json and PEERS.json, the session journal
+// and shards/MANIFEST.json. None is ever published, so one left over, by
+// a crash or by a failed rename whose cleanup failed too, is garbage.
+var tempFiles = [][2]string{{".", ".put-"}, {WALDirName, ".epoch-"}, {"replica", ".state-"},
+	{"replica", ".peers-"}, {"sessions", ".session-"}, {ShardsDirName, ".manifest-"}}
+
+// leftTemp lists the temp files of writers under dir, relative to it.
+func leftTemp(dir string, writers [][2]string) (rels []string) {
+	for _, w := range writers {
+		des, _ := os.ReadDir(filepath.Join(dir, w[0])) // most writers' directories are absent
+		for _, de := range des {
+			if name := de.Name(); !de.IsDir() && strings.HasPrefix(name, w[1]) && strings.HasSuffix(name, ".tmp") {
+				rels = append(rels, filepath.Join(w[0], name))
+			}
 		}
-		if err := b.fs.Remove(filepath.Join(b.dir, name)); err != nil {
+	}
+	return rels
+}
+
+// SweepTemp removes the store's own orphaned temp files, returning their
+// store-relative names.
+func (b *FSBackend) SweepTemp() (swept []string, err error) {
+	for _, rel := range leftTemp(b.dir, tempFiles[:2]) {
+		if err := b.fs.Remove(filepath.Join(b.dir, rel)); err != nil {
 			return swept, fmt.Errorf("history: sweep: %w", err)
 		}
-		swept = append(swept, name)
+		swept = append(swept, filepath.ToSlash(rel))
 	}
-	sort.Strings(swept)
 	return swept, nil
 }
 

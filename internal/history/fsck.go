@@ -116,7 +116,7 @@ func FsckStore(dir string, repair bool) (*FsckReport, error) {
 	}
 	rep := &FsckReport{Dir: dir}
 
-	fsckTempFiles(dir, ".put-", rep, "", repair)
+	fsckTempFiles(dir, rep, repair)
 	fold := fsckWALScan(dir, rep, repair)
 	index := fsckRecords(dir, fold, rep, repair)
 	fsckWALAgreement(dir, fold, index, rep, repair)
@@ -149,27 +149,12 @@ func fsckReplicaState(dir string, rep *FsckReport, repair bool) {
 		"reconcile state to the journal's epoch", repair && writeStateEpoch(osFS{}, spath, st, walEpoch) == nil)
 }
 
-// fsckTempFiles flags (and with repair, removes) orphaned atomic-write
-// temp files: ".put-*.tmp" in the store root, ".session-*.tmp" in the
-// session journal. They are garbage by construction — a temp file is
-// never published.
-func fsckTempFiles(dir, prefix string, rep *FsckReport, rel string, repair bool) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".tmp") {
-			continue
-		}
-		repaired := false
-		if repair {
-			repaired = os.Remove(filepath.Join(dir, name)) == nil
-		}
-		rep.add(FsckResidue, filepath.Join(rel, name),
-			"orphaned atomic-write temp file (crash between write and rename)",
-			"remove", repaired)
+// fsckTempFiles flags (and with repair, removes) the orphaned temp
+// files of every atomic writer under dir.
+func fsckTempFiles(dir string, rep *FsckReport, repair bool) {
+	for _, rel := range leftTemp(dir, tempFiles) {
+		rep.add(FsckResidue, rel, "orphaned atomic-write temp file (a crash or a failed rename left it unpublished)",
+			"remove", repair && os.Remove(filepath.Join(dir, rel)) == nil)
 	}
 }
 
@@ -367,7 +352,7 @@ func fsckSharded(dir string, repair bool) (*FsckReport, error) {
 	}
 	rep.ShardCount = n
 
-	fsckTempFiles(dir, ".put-", rep, "", repair)
+	fsckTempFiles(dir, rep, repair)
 	fsckRootRecords(dir, n, rep, repair)
 	fsckSessions(dir, rep, repair)
 	fsckShardsDirStrays(shardsDir, n, rep)
@@ -520,8 +505,8 @@ func fsckShardsDirStrays(shardsDir string, n int, rep *FsckReport) {
 	}
 	for _, de := range des {
 		name := de.Name()
-		if name == shardManifestName {
-			continue
+		if name == shardManifestName || strings.HasPrefix(name, ".manifest-") && strings.HasSuffix(name, ".tmp") {
+			continue // the manifest, or its temp file: fsckTempFiles reports that
 		}
 		if i, ok := parseShardDirName(name); ok && de.IsDir() && i < n {
 			continue
@@ -540,7 +525,6 @@ func fsckSessions(dir string, rep *FsckReport, repair bool) {
 	if err != nil {
 		return // no session journal — nothing to verify
 	}
-	fsckTempFiles(sdir, ".session-", rep, "sessions", repair)
 	for _, de := range des {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".json") {

@@ -52,32 +52,60 @@ func TestFsckMissingDirErrors(t *testing.T) {
 	}
 }
 
+// TestFsckTempOrphan: an orphan of every atomic-write temp file the
+// tree's writers stage — record files, wal/EPOCH, replica/STATE.json and
+// PEERS.json, the session journal, a sharded store's shards/MANIFEST.json
+// — is graded residue where it lies, and -repair removes it.
 func TestFsckTempOrphan(t *testing.T) {
-	dir := fsckDurableStore(t)
-	tmp := filepath.Join(dir, ".put-123.tmp")
-	if err := os.WriteFile(tmp, []byte("half a record"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := FsckStore(dir, false)
+	sharded := t.TempDir()
+	sh, err := OpenSharded(sharded, 2, DurableOptions{Create: true, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Severity() != FsckResidue {
-		t.Fatalf("temp orphan graded %d, want residue", rep.Severity())
-	}
-	// Repair removes it; the next pass is clean.
-	if _, err := FsckStore(dir, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("repair left the temp orphan: %v", err)
-	}
-	rep, err = FsckStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Severity() != FsckClean {
-		t.Fatalf("store after repair graded %d: %v", rep.Severity(), findingPaths(rep))
+	sh.Close()
+	for dir, tmps := range map[string][]string{
+		fsckDurableStore(t): {".put-123.tmp", "wal/.epoch-1.tmp", "replica/.state-2.tmp", "replica/.peers-3.tmp", "sessions/.session-4.tmp"},
+		sharded:             {"shards/.manifest-5.tmp", "shards/01/wal/.epoch-6.tmp", "sessions/.session-7.tmp"},
+	} {
+		for _, tmp := range tmps {
+			path := filepath.Join(dir, filepath.FromSlash(tmp))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte("half a file"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := FsckStore(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := findingPaths(rep)
+		for _, sh := range rep.Shards {
+			for _, f := range sh.Findings {
+				found = append(found, filepath.Join(ShardsDirName, shardDirName(sh.Shard), f.Path))
+			}
+		}
+		if rep.Severity() != FsckResidue || len(found) != len(tmps) {
+			t.Fatalf("temp orphans %v graded %d with findings %v, want residue at each", tmps, rep.Severity(), found)
+		}
+		for _, tmp := range tmps {
+			if !strings.Contains(strings.Join(found, " "), filepath.FromSlash(tmp)) {
+				t.Errorf("no finding for %s in %v", tmp, found)
+			}
+		}
+		// Repair removes them; the next pass is clean.
+		if _, err := FsckStore(dir, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, tmp := range tmps {
+			if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(tmp))); !os.IsNotExist(err) {
+				t.Errorf("repair left the temp orphan %s: %v", tmp, err)
+			}
+		}
+		if rep, err = FsckStore(dir, false); err != nil || rep.Severity() != FsckClean {
+			t.Fatalf("store after repair graded %d (%v): %v", rep.Severity(), err, findingPaths(rep))
+		}
 	}
 }
 

@@ -1,48 +1,43 @@
 package history
 
 import (
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// fsOp is one call through the seam: its kind — create, write, sync,
-// chmod, truncate, seek, close, rename, remove, mkdir, syncdir — and the
-// path it acts on (a file call: the file's name when opened; a rename:
-// path is the old name, to the new one).
-type fsOp struct{ kind, path, to string }
 
 // isSegment reports whether path names a journal segment.
 func isSegment(path string) bool { return strings.HasSuffix(path, walSuffix) }
 
-// testFS is the tests' one fsys: osFS on the real directory, each call
-// shown to before first — an error fails the call without running it,
-// except that a write's first half has landed when before sees it, so
-// failing a write tears it — and, once it succeeded, to after. The hooks
-// run one at a time under the recorder's lock (the stagers call from
-// goroutines), so they need no lock of their own.
+// testFS is the tests' hold on the seam: a Faults — the injector the
+// store ships — hooked by this type. Each call is shown to before first:
+// an error fails the call without running it, except that a write's
+// first half has landed when before sees it, so failing a write tears
+// it. Once it succeeded it is shown to after. The hooks run one at a time
+// under the injector's lock (the stagers call from goroutines), so they
+// need no lock of their own. Armed, the injector's own draws apply too,
+// and fired lists the faults they injected.
 //
-// It also keeps what a power loss would leave of the tree under root:
+// It also keeps what a power loss would leave of the tree under dir:
 // per file, by identity — a rename carries the file's bytes — the bytes
 // as of its last Sync; per directory the entries as of its last SyncDir;
 // both starting from the tree as it stood when the recorder was made.
 // durableImage writes that out.
 type testFS struct {
-	osFS
+	*Faults
 	dir  string
 	root *fsNode
 
-	mu     sync.Mutex
 	before func(op fsOp) error
 	after  func(op fsOp)
+	fired  []string // "kind name #n" of each fault drawn
 }
 
 // fsNode is one file or directory of a testFS's tree.
 type fsNode struct {
-	path    string             // where it is now; "" once removed or replaced
 	synced  []byte             // a file's bytes as of its last Sync
 	entries map[string]*fsNode // a directory's entries now (nil for a file)
 	kept    map[string]*fsNode // and as of its last SyncDir
@@ -57,7 +52,7 @@ func newTestFS(t *testing.T, dir string) *testFS {
 		if err != nil {
 			return err
 		}
-		n := &fsNode{path: path}
+		n := &fsNode{}
 		if d.IsDir() {
 			n.entries, n.kept = map[string]*fsNode{}, map[string]*fsNode{}
 		} else if n.synced, err = os.ReadFile(path); err != nil {
@@ -72,18 +67,20 @@ func newTestFS(t *testing.T, dir string) *testFS {
 	if err != nil {
 		t.Fatalf("record %s: %v", dir, err)
 	}
-	return &testFS{dir: dir, root: nodes[dir]}
+	fs := &testFS{Faults: NewFaults(FaultConfig{}), dir: dir, root: nodes[dir]}
+	fs.hook = fs
+	return fs
 }
 
 // install puts fs under a record directory and a journal (either may be
 // nil), the journal's open segment included.
 func (fs *testFS) install(b *FSBackend, w *WAL) {
 	if b != nil {
-		b.fs = fs
+		b.fs = fs.Faults
 	}
 	if w != nil {
-		w.fs = fs
-		w.f = &testFile{file: w.f, fs: fs, node: fs.lookup(w.f.Name())}
+		w.fs = fs.Faults
+		w.f = &faultFile{file: w.f, fs: fs.Faults}
 	}
 }
 
@@ -102,117 +99,68 @@ func (fs *testFS) lookup(path string) *fsNode {
 	return n
 }
 
-// do runs one call through the hooks and, once it succeeded, the model's
-// update.
-func (fs *testFS) do(op fsOp, call func() error, update func()) error {
-	fs.mu.Lock()
-	var err error
+// mkdirs finds dir's node, adding the directories on the way that were
+// made since — mkdir is no call the injector shows — and nil outside the
+// tree.
+func (fs *testFS) mkdirs(dir string) *fsNode {
+	rel, err := filepath.Rel(fs.dir, dir)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return nil
+	}
+	n := fs.root
+	for _, name := range strings.Split(rel, string(filepath.Separator)) {
+		if name == "." {
+			continue
+		}
+		if n.entries[name] == nil {
+			n.entries[name] = &fsNode{entries: map[string]*fsNode{}, kept: map[string]*fsNode{}}
+		}
+		n = n.entries[name]
+	}
+	return n
+}
+
+func (fs *testFS) beforeCall(op fsOp) error {
 	if fs.before != nil {
-		err = fs.before(op)
-	}
-	fs.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := call(); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if update != nil {
-		update()
-	}
-	if fs.after != nil {
-		fs.after(op)
+		return fs.before(op)
 	}
 	return nil
 }
 
-// open is the three ways of opening a file: the new file's entry joins
-// its directory (an existing one keeps its node).
-func (fs *testFS) open(path string, call func() (file, error)) (file, error) {
-	var f file
-	var node *fsNode
-	err := fs.do(fsOp{kind: "create", path: path}, func() (err error) {
-		f, err = call()
-		return err
-	}, func() {
-		name := f.Name()
-		if d := fs.lookup(filepath.Dir(name)); d != nil {
-			if node = d.entries[filepath.Base(name)]; node == nil {
-				node = &fsNode{path: name}
-				d.entries[filepath.Base(name)] = node
-			}
+// afterCall updates the model with a call that succeeded, then shows it
+// to after.
+func (fs *testFS) afterCall(op fsOp) {
+	d, base := fs.mkdirs(filepath.Dir(op.path)), filepath.Base(op.path)
+	switch op.kind {
+	case "create", "createtemp": // an existing file keeps its node
+		if d != nil && d.entries[base] == nil {
+			d.entries[base] = &fsNode{}
 		}
-	})
-	if err != nil {
-		return nil, err
+	case "sync":
+		if n := fs.lookup(op.path); n != nil {
+			n.synced, _ = os.ReadFile(op.path)
+		}
+	case "rename":
+		if to := fs.mkdirs(filepath.Dir(op.to)); d != nil && to != nil && d.entries[base] != nil {
+			to.entries[filepath.Base(op.to)] = d.entries[base]
+			delete(d.entries, base)
+		}
+	case "remove":
+		if d != nil {
+			delete(d.entries, base)
+		}
+	case "syncdir":
+		if n := fs.lookup(op.path); n != nil {
+			n.kept = maps.Clone(n.entries)
+		}
 	}
-	return &testFile{file: f, fs: fs, node: node}, nil
+	if fs.after != nil {
+		fs.after(op)
+	}
 }
 
-func (fs *testFS) CreateExcl(path string) (file, error) {
-	return fs.open(path, func() (file, error) { return fs.osFS.CreateExcl(path) })
-}
-
-func (fs *testFS) CreateTemp(dir, pattern string) (file, error) {
-	return fs.open(filepath.Join(dir, pattern), func() (file, error) { return fs.osFS.CreateTemp(dir, pattern) })
-}
-
-func (fs *testFS) OpenAppend(path string) (file, error) {
-	return fs.open(path, func() (file, error) { return fs.osFS.OpenAppend(path) })
-}
-
-func (fs *testFS) Rename(oldpath, newpath string) error {
-	return fs.do(fsOp{kind: "rename", path: oldpath, to: newpath}, func() error { return os.Rename(oldpath, newpath) }, func() {
-		from, to := fs.lookup(filepath.Dir(oldpath)), fs.lookup(filepath.Dir(newpath))
-		if from == nil || to == nil || from.entries[filepath.Base(oldpath)] == nil {
-			return
-		}
-		n := from.entries[filepath.Base(oldpath)]
-		delete(from.entries, filepath.Base(oldpath))
-		if prev := to.entries[filepath.Base(newpath)]; prev != nil {
-			prev.path = ""
-		}
-		to.entries[filepath.Base(newpath)], n.path = n, newpath
-	})
-}
-
-func (fs *testFS) Remove(path string) error {
-	return fs.do(fsOp{kind: "remove", path: path}, func() error { return os.Remove(path) }, func() {
-		if d := fs.lookup(filepath.Dir(path)); d != nil && d.entries[filepath.Base(path)] != nil {
-			d.entries[filepath.Base(path)].path = ""
-			delete(d.entries, filepath.Base(path))
-		}
-	})
-}
-
-func (fs *testFS) MkdirAll(path string) error {
-	return fs.do(fsOp{kind: "mkdir", path: path}, func() error { return fs.osFS.MkdirAll(path) }, func() {
-		rel, err := filepath.Rel(fs.dir, path)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return
-		}
-		n, at := fs.root, fs.dir
-		for _, name := range strings.Split(rel, string(filepath.Separator)) {
-			if name == "." {
-				continue
-			}
-			at = filepath.Join(at, name)
-			if n.entries[name] == nil {
-				n.entries[name] = &fsNode{path: at, entries: map[string]*fsNode{}, kept: map[string]*fsNode{}}
-			}
-			n = n.entries[name]
-		}
-	})
-}
-
-func (fs *testFS) SyncDir(dir string) error {
-	return fs.do(fsOp{kind: "syncdir", path: dir}, func() error { return fs.osFS.SyncDir(dir) }, func() {
-		if d := fs.lookup(dir); d != nil {
-			d.kept = maps.Clone(d.entries)
-		}
-	})
+func (fs *testFS) onFault(op fsOp, name string, n uint64) {
+	fs.fired = append(fs.fired, fmt.Sprintf("%s %s #%d", op.kind, name, n))
 }
 
 // durableImage writes what a power loss at this instant would leave of
@@ -239,52 +187,4 @@ func (fs *testFS) durableImage(dst string) error {
 		return nil
 	}
 	return write(fs.root, dst)
-}
-
-// testFile is a file a testFS opened; node is nil outside the tree.
-type testFile struct {
-	file
-	fs   *testFS
-	node *fsNode
-}
-
-func (f *testFile) Write(p []byte) (int, error) {
-	half, err := f.file.Write(p[:len(p)/2])
-	if err != nil {
-		return half, err
-	}
-	rest := 0
-	err = f.fs.do(fsOp{kind: "write", path: f.Name()}, func() (err error) {
-		rest, err = f.file.Write(p[half:])
-		return err
-	}, nil)
-	return half + rest, err
-}
-
-func (f *testFile) Sync() error {
-	return f.fs.do(fsOp{kind: "sync", path: f.Name()}, f.file.Sync, func() {
-		if f.node != nil && f.node.path != "" {
-			f.node.synced, _ = os.ReadFile(f.node.path)
-		}
-	})
-}
-
-func (f *testFile) Chmod(mode os.FileMode) error {
-	return f.fs.do(fsOp{kind: "chmod", path: f.Name()}, func() error { return f.file.Chmod(mode) }, nil)
-}
-
-func (f *testFile) Truncate(size int64) error {
-	return f.fs.do(fsOp{kind: "truncate", path: f.Name()}, func() error { return f.file.Truncate(size) }, nil)
-}
-
-func (f *testFile) Seek(offset int64, whence int) (pos int64, err error) {
-	err = f.fs.do(fsOp{kind: "seek", path: f.Name()}, func() (err error) {
-		pos, err = f.file.Seek(offset, whence)
-		return err
-	}, nil)
-	return pos, err
-}
-
-func (f *testFile) Close() error {
-	return f.fs.do(fsOp{kind: "close", path: f.Name()}, f.file.Close, nil)
 }

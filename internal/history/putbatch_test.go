@@ -47,26 +47,22 @@ func TestPutBatchStore(t *testing.T) {
 	}
 }
 
-// TestPutBatchStorePartialFailure injects a backend fault mid-batch and
+// TestPutBatchStorePartialFailure injects disk faults under a batch and
 // checks the count reflects what actually landed.
 func TestPutBatchStorePartialFailure(t *testing.T) {
-	fb := NewFaultBackend(NewMemBackend(), FaultConfig{})
-	st, err := NewStoreWith(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, faults := faultedStore(t, t.TempDir(), FaultConfig{Seed: 1})
 	if _, err := st.PutBatch([]*RunRecord{shardSample("a", "", "r1", 0.5)}); err != nil {
 		t.Fatal(err)
 	}
-	fb.SetConfig(FaultConfig{ErrRate: 1})
+	faults.SetConfig(FaultConfig{ErrRate: 1})
 	n, err := st.PutBatch([]*RunRecord{shardSample("a", "", "r2", 0.5), shardSample("a", "", "r3", 0.5)})
 	if err == nil {
 		t.Fatal("faulted batch succeeded")
 	}
-	if n != 0 {
-		t.Errorf("saved %d records through a failing backend", n)
+	if n != 0 || st.Len() != 1 {
+		t.Errorf("saved %d records through a failing disk; the index holds %d", n, st.Len())
 	}
-	fb.SetConfig(FaultConfig{})
+	faults.SetConfig(FaultConfig{})
 	if n, err := st.PutBatch([]*RunRecord{shardSample("a", "", "r2", 0.5)}); err != nil || n != 1 {
 		t.Errorf("recovered batch: n=%d err=%v", n, err)
 	}

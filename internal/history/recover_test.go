@@ -124,33 +124,31 @@ func TestOpenStoreQuarantinesCorruptRecords(t *testing.T) {
 	}
 }
 
-// TestOpenStoreRecoversTornFaultInjection drives the full crash story
-// through the injector: a torn write through a FaultBackend over a real
-// FSBackend leaves a truncated record on disk, and the next OpenStore
-// quarantines it.
+// TestOpenStoreRecoversTornFaultInjection drives the crash story through
+// the injector: torn writes tear the journal frame and the staged record
+// file of a Save, and neither reaches a record file — the commit takes
+// the frame back and removes the staged file — so the next open finds
+// nothing to repair. (A torn record file is a crash image's, which
+// TestCrashPoints and TestOpenStoreQuarantinesCorruptRecords cover.)
 func TestOpenStoreRecoversTornFaultInjection(t *testing.T) {
 	dir := t.TempDir()
-	fsb, err := NewFSBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := NewFaultBackend(fsb, FaultConfig{Seed: 11, TornWriteRate: 1})
-	st, err := NewStoreWith(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = st.Save(sampleRecord("torn"))
+	st, faults := faultedStore(t, dir, FaultConfig{Seed: 11, TornWriteRate: 1})
+	err := st.Save(sampleRecord("torn"))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Save through torn injector = %v, want injected failure", err)
 	}
+	if c := faults.Counters(); c.TornWrites != 2 {
+		t.Errorf("counters = %+v, want the frame and the staged file torn", c)
+	}
+	st.Close()
 
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreDurable(dir, DurableOptions{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := reopened.Recovery()
-	if rep == nil || len(rep.Quarantined) != 1 {
-		t.Fatalf("recovery report = %+v, want 1 quarantined torn record", rep)
+	defer reopened.Close()
+	if rep := reopened.Recovery(); !rep.Empty() {
+		t.Fatalf("recovery report = %+v, want nothing to repair", rep)
 	}
 	if reopened.Len() != 0 {
 		t.Errorf("torn record made it into the index")

@@ -310,8 +310,8 @@ func (s *ShardedStore) promoteShard(sh *shardState) (ShardReplica, error) {
 func (s *ShardedStore) Dir() string { return s.dir }
 
 // shardOptions derives one shard's open options: every shard is a full
-// durable store with the root's WAL settings, wrapped per shard when a
-// fault seam is installed.
+// durable store with the root's WAL settings and wrapper, and shard i's
+// fault injector as its shard 0's.
 func (s *ShardedStore) shardOptions(i int, create bool) DurableOptions {
 	so := DurableOptions{
 		Create:     create,
@@ -319,8 +319,8 @@ func (s *ShardedStore) shardOptions(i int, create bool) DurableOptions {
 		WALOptions: s.opts.WALOptions,
 		Wrap:       s.opts.Wrap,
 	}
-	if s.opts.WrapShard != nil {
-		so.Wrap = func(b Backend) Backend { return s.opts.WrapShard(i, b) }
+	if faults := s.opts.Faults; faults != nil {
+		so.Faults = func(int) *Faults { return faults(i) }
 	}
 	return so
 }

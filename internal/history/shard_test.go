@@ -275,21 +275,22 @@ func TestOpenStoreAutoDetectsLayout(t *testing.T) {
 	}
 }
 
-// TestShardedDegradationAndRevival walks the shard degradation ladder:
-// consecutive backend failures trip one shard's breaker, point
-// operations on its keyspace fail fast as transient backend errors
-// without touching the backend, scatter reads answer from the surviving
+// TestShardedDegradationAndRevival walks the shard degradation ladder
+// under the injector: consecutive disk failures trip one shard's breaker,
+// point operations on its keyspace fail fast as transient backend errors
+// without touching the disk, scatter reads answer from the surviving
 // shards, and after the fault heals a Ping re-admits the shard.
 func TestShardedDegradationAndRevival(t *testing.T) {
-	faults := make(map[int]*FaultBackend)
+	faults := make([]*Faults, 4)
+	for i := range faults {
+		faults[i] = NewFaults(FaultConfig{Seed: int64(i)})
+	}
 	sh, err := OpenSharded(t.TempDir(), 4, DurableOptions{
 		Create:                true,
+		WAL:                   true,
+		WALOptions:            WALOptions{Sync: SyncNone},
 		ShardBreakerThreshold: 2,
-		WrapShard: func(shard int, b Backend) Backend {
-			fb := NewFaultBackend(b, FaultConfig{Seed: int64(shard)})
-			faults[shard] = fb
-			return fb
-		},
+		Faults:                func(shard int) *Faults { return faults[shard] },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -76,16 +76,18 @@ type DurableOptions struct {
 	// append and 4 MiB segments.
 	WALOptions WALOptions
 	// Wrap, when non-nil, wraps the filesystem backend before the store
-	// is built over it — the seam the chaos tooling uses to interpose a
-	// FaultBackend. The journal replays through the wrapped backend too.
+	// is built over it — the seam a tracing decorator times the backend
+	// at. A wrapped backend is written a Put or Delete per mutation,
+	// without the staged commit, and the journal replays through it too.
 	Wrap func(Backend) Backend
+	// Faults, when non-nil, hands each shard (shard 0 of a plain store)
+	// its own fault injector, or nil: the fsys of its record directory and
+	// journal, armed once the store is open — the chaos tooling's seam.
+	Faults func(shard int) *Faults
 
 	// The remaining fields apply only to sharded layouts (OpenSharded /
 	// OpenStoreAuto); OpenStoreDurable ignores them.
 
-	// WrapShard wraps each shard's backend individually, taking
-	// precedence over Wrap — the seam for faulting a single shard.
-	WrapShard func(shard int, b Backend) Backend
 	// ShardTimeout bounds each shard's contribution to a scatter-gather
 	// read; a shard missing the deadline is treated as absent for that
 	// call. Zero means 2s.
@@ -125,6 +127,12 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	fb, err := NewFSBackend(dir)
 	if err != nil {
 		return nil, err
+	}
+	var faults *Faults
+	if o.Faults != nil {
+		if faults = o.Faults(0); faults != nil {
+			fb.fs = faults
+		}
 	}
 	st := &Store{backend: fb}
 	if o.Wrap != nil {
@@ -167,7 +175,7 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 		}
 		// Every journaled write is folded into the record files now;
 		// truncate the journal rather than replaying it forever.
-		st.wal, err = StartWAL(walDir, o.WALOptions)
+		st.wal, err = startWAL(fb.fs, walDir, o.WALOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -182,6 +190,9 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	}
 	st.quarantinePass(fb, rep, healed)
 	st.recovery = rep
+	if faults != nil {
+		faults.arm(dir)
+	}
 	return st, nil
 }
 
@@ -208,9 +219,10 @@ func NewStoreWith(b Backend) (*Store, error) {
 func (s *Store) Backend() Backend { return s.backend }
 
 // Dir returns the store's directory for filesystem-backed stores and ""
-// otherwise. Wrapping backends (FaultBackend, DurableOptions.Wrap) are
-// seen through, so the directory survives fault injection — the session
-// journal and quarantine paths must land inside the store either way.
+// otherwise. A backend wrapper (DurableOptions.Wrap) is seen through when
+// it has an Inner method, so the directory survives a tracing decorator —
+// the session journal and quarantine paths must land inside the store
+// either way.
 func (s *Store) Dir() string {
 	b := s.backend
 	for {
@@ -434,7 +446,8 @@ const (
 //
 //   - journal: the entries go to the journal as one group — one write
 //     pass, one fsync. A group the journal cannot take is refused before
-//     the backend sees any of it.
+//     the backend sees any of it; one it wrote but could not sync fails
+//     as a write of its first mutation does.
 //   - stage, beside the journal: over a bare FSBackend every put's record
 //     file is written and fsynced under a temp name meanwhile — invisible,
 //     and removed again if the journal refuses the group. Any other
@@ -476,18 +489,21 @@ func (s *Store) commit(ms []mutation, mode commitMode) (wrote int, err error) {
 		defer staged.discard()
 		write = staged.write
 	}
+	// ms[:done] stand in the backend; fail is why the rest do not.
+	done, op, fail := 0, "", error(nil)
 	if s.wal != nil {
 		entries := make([]WALEntry, len(ms))
 		for i, m := range ms {
 			entries[i] = m.WALEntry
 		}
-		if err := s.wal.AppendGroup(entries); err != nil {
+		if err := s.wal.AppendGroup(entries); errors.Is(err, errUnsynced) {
+			// Written, and perhaps shipped, but not durable: nothing of it is
+			// acknowledged, and it is compensated below as a failed write is.
+			op, fail = "wal append", err
+		} else if err != nil {
 			return 0, asBackendError("wal append", err)
 		}
 	}
-
-	// ms[:done] stand in the backend; fail is why the rest do not.
-	done, op, fail := 0, "", error(nil)
 	for done < len(ms) && fail == nil {
 		m := ms[done]
 		op = m.Op
@@ -807,7 +823,7 @@ func (s *Store) LoadAll(app, version string) ([]*RunRecord, error) {
 }
 
 // asBackendError wraps err as a BackendError unless it already is one
-// (the FaultBackend pre-classifies its injections).
+// (a down shard's refusal is classified where it is made).
 func asBackendError(op string, err error) error {
 	var be *BackendError
 	if errors.As(err, &be) {

@@ -3,6 +3,7 @@ package history
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -400,8 +401,11 @@ type WAL struct {
 // segments — the caller (OpenStoreDurable, pcfsck -repair) has already
 // replayed them into the record files. The first segment is created
 // eagerly so an empty journal is distinguishable from an absent one.
-func StartWAL(dir string, opts WALOptions) (*WAL, error) {
-	w := &WAL{dir: dir, opts: opts.withDefaults(), fs: osFS{}}
+func StartWAL(dir string, opts WALOptions) (*WAL, error) { return startWAL(osFS{}, dir, opts) }
+
+// startWAL is StartWAL through fs, the journal's for its lifetime.
+func startWAL(fs fsys, dir string, opts WALOptions) (*WAL, error) {
+	w := &WAL{dir: dir, opts: opts.withDefaults(), fs: fs}
 	if err := w.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("history: wal: %w", err)
 	}
@@ -495,6 +499,11 @@ func (w *WAL) SetOnAppend(fn func(seq uint64, frame []byte)) {
 func (w *WAL) openSegment(seq uint64) error {
 	path := w.segmentPath(seq)
 	f, err := w.fs.CreateExcl(path)
+	if os.IsExist(err) && w.fs.Remove(path) == nil {
+		// An empty leftover of a create whose name could not be made
+		// durable, nor removed again: a retry takes its place.
+		f, err = w.fs.CreateExcl(path)
+	}
 	if err != nil {
 		return fmt.Errorf("history: wal: %w", err)
 	}
@@ -525,9 +534,10 @@ func (w *WAL) Append(e WALEntry) error { return w.AppendGroup([]WALEntry{e}) }
 // not at all: a frame that cannot be encoded refuses it before anything
 // is written, and a failed write restores the segment to where the group
 // began, so nothing of it is replayed and nothing of it reached the
-// append hook. The segment rotates only ahead of a group's first frame —
-// rotation discards closed segments on the promise that their entries
-// were applied, and this group's are not yet.
+// append hook; a failed sync leaves the group written and handed on, and
+// says so (errUnsynced). The segment rotates only ahead of a group's
+// first frame — rotation discards closed segments on the promise that
+// their entries were applied, and this group's are not yet.
 func (w *WAL) AppendGroup(es []WALEntry) error {
 	frames := make([][]byte, len(es))
 	total := int64(0)
@@ -570,16 +580,26 @@ func (w *WAL) AppendGroup(es []WALEntry) error {
 			w.onAppend(seq, frame)
 		}
 	}
+	var err error
 	switch w.opts.Sync {
 	case SyncAlways:
-		return w.syncLocked()
+		err = w.syncLocked()
 	case SyncIntervalPolicy:
 		if time.Since(w.lastSync) >= w.opts.SyncEvery {
-			return w.syncLocked()
+			err = w.syncLocked()
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("%w (%w)", err, errUnsynced)
 	}
 	return nil
 }
+
+// errUnsynced marks a group whose frames were written — and handed to the
+// append hook — but whose sync failed: it is in the journal, only not
+// durable, so the store compensates it rather than leave the replay a
+// write nobody acknowledged.
+var errUnsynced = errors.New("journaled, not durable")
 
 // repairTornTailLocked recovers from a failed frame write: truncate the
 // active segment back to the end of its last whole group (w.size) so the

@@ -40,21 +40,21 @@ func TestParseSyncPolicy(t *testing.T) {
 }
 
 // TestStoreDirSeesThroughWrappers: Dir must report the filesystem
-// directory even when the backend is wrapped (fault injection) — the
+// directory even when the backend is wrapped (a tracing decorator) — the
 // session journal and quarantine paths pcd derives from it must land
 // inside the store, not in the daemon's working directory.
 func TestStoreDirSeesThroughWrappers(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStoreDurable(dir, DurableOptions{
 		Create: true, WAL: true,
-		Wrap: func(b Backend) Backend { return NewFaultBackend(b, FaultConfig{Seed: 1}) },
+		Wrap: func(b Backend) Backend { return passThrough{b} },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	if got := st.Dir(); got != dir {
-		t.Fatalf("Dir() through a FaultBackend = %q, want %q", got, dir)
+		t.Fatalf("Dir() through a wrapper = %q, want %q", got, dir)
 	}
 }
 

@@ -584,9 +584,10 @@ type localPCD struct {
 	dir, folDir string
 	prim, fol   *node.Node
 
-	// shardFaults holds the per-shard injectors when a scripted shard
-	// kill is armed; killShard flips one to a 100% error rate.
-	shardFaults []*history.FaultBackend
+	// shardFaults holds the primary's per-shard disk injectors (one for a
+	// plain store) when the scenario faults or kills a shard; killShard
+	// flips one to a 100% error rate.
+	shardFaults []*history.Faults
 }
 
 func startLocal(sc *Scenario, dir string) (*localPCD, error) {
@@ -610,24 +611,15 @@ func startLocal(sc *Scenario, dir string) (*localPCD, error) {
 		LeaseTTL:     sc.LeaseTTL,
 	}
 	p := &localPCD{dir: dir}
-	switch {
-	case sc.KillAt > 0:
-		// A scripted shard kill needs a handle on each shard's injector;
-		// any scenario fault rates ride on the same wrapper.
-		faults := sc.Faults
-		p.shardFaults = make([]*history.FaultBackend, sc.Shards)
-		cfg.Store.WrapShard = func(shard int, b history.Backend) history.Backend {
-			fb := history.NewFaultBackend(b, faults)
-			p.shardFaults[shard] = fb
-			return fb
+	if sc.KillAt > 0 || armed(sc.Faults) {
+		// Every shard writes through an injector of its own, at the
+		// scenario's fault rates: the same seed, drawn against the shard's
+		// own paths.
+		p.shardFaults = make([]*history.Faults, max(sc.Shards, 1))
+		for i := range p.shardFaults {
+			p.shardFaults[i] = history.NewFaults(sc.Faults)
 		}
-	case armed(sc.Faults):
-		faults := sc.Faults
-		// In a sharded layout this wraps each shard's backend with its
-		// own injector (same seed, independent schedule per shard).
-		cfg.Store.Wrap = func(b history.Backend) history.Backend {
-			return history.NewFaultBackend(b, faults)
-		}
+		cfg.Store.Faults = func(shard int) *history.Faults { return p.shardFaults[shard] }
 	}
 	if p.prim, err = node.Open(cfg); err != nil {
 		return nil, err
@@ -650,8 +642,9 @@ func startLocal(sc *Scenario, dir string) (*localPCD, error) {
 	return p, nil
 }
 
-// killShard fails one shard's backend outright — every op errors from
-// here on, the shard-primary death the failover seam exists for.
+// killShard fails one shard's disk outright — every create, rename,
+// remove, sync and read errors from here on, the shard-primary death the
+// failover seam exists for.
 func (p *localPCD) killShard(shard int) {
 	if shard >= 0 && shard < len(p.shardFaults) && p.shardFaults[shard] != nil {
 		p.shardFaults[shard].SetConfig(history.FaultConfig{ErrRate: 1})
@@ -664,6 +657,12 @@ func (p *localPCD) killShard(shard int) {
 func (p *localPCD) stop() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	// The faults are the serving phase's: the drain runs on a healed disk,
+	// so that a killed shard's final journal sync says nothing about the
+	// suite.
+	for _, f := range p.shardFaults {
+		f.SetConfig(history.FaultConfig{})
+	}
 	var folErr error
 	if p.fol != nil {
 		folErr = p.fol.Close(ctx)
@@ -672,8 +671,8 @@ func (p *localPCD) stop() error {
 }
 
 // verifyStore is the self-hosted correctness sweep: reopen the quiesced
-// store with the standard recovery pass (no fault injection — the chaos
-// layer wrapped the serving phase only), read back every acknowledged
+// store with the standard recovery pass, on the real disk (the fault
+// injectors were the serving node's alone), read back every acknowledged
 // write against its rebuilt expected bytes, hash the full contents in
 // canonical encoding, close, and run the offline fsck grade. With a
 // follower replica (folDir non-empty) an acknowledged write may live on

@@ -30,8 +30,8 @@ type Config struct {
 	Addr   string // -addr
 	Dir    string // -store
 	Shards int    // -shards
-	// Store carries -create, -wal, -wal-sync and the -fault-* backend
-	// wrapper (Wrap, or WrapShard to fault one shard); Open sets Replicas.
+	// Store carries -create, -wal, -wal-sync and the -fault-* injectors
+	// (Faults hands each shard its own); Open sets Replicas.
 	Store history.DurableOptions
 	// Server carries -sessions, -session-timeout, -breaker-*,
 	// -session-retries and -ingest-*; Open sets Replication and WriteGate.

@@ -30,7 +30,7 @@ type tnode struct {
 	prim     *Primary
 	fol      *Follower // nil on the configured primary
 	srv      *httptest.Server
-	fault    *history.FaultBackend // the configured primary's shard of poisson/B
+	fault    *history.Faults // the disk of the configured primary's shard of poisson/B
 	dead     bool
 }
 
@@ -120,19 +120,13 @@ func handedOverPair(t *testing.T) (p, f *tnode, handed, kept int) {
 }
 
 // replicatedShards is a two-shard primary and its caught-up followers, the
-// primary's shard of poisson/B (handed) on a backend that can be made to
+// primary's shard of poisson/B (handed) on a disk that can be made to
 // fail; kept is the shard of poisson/A.
 func replicatedShards(t *testing.T, followers int) (p *tnode, fs []*tnode, handed, kept int) {
 	t.Helper()
 	handed, kept = history.ShardForKey("poisson", "B", 2), history.ShardForKey("poisson", "A", 2)
-	p = &tnode{dir: t.TempDir()}
-	p.st = openSharded(t, p.dir, history.DurableOptions{Create: true, WrapShard: func(shard int, b history.Backend) history.Backend {
-		if shard != handed {
-			return b
-		}
-		p.fault = history.NewFaultBackend(b, history.FaultConfig{Seed: 1})
-		return p.fault
-	}})
+	p = &tnode{dir: t.TempDir(), fault: history.NewFaults(history.FaultConfig{Seed: 1})}
+	p.st = openSharded(t, p.dir, history.DurableOptions{Create: true, Faults: shardFaults(handed, p.fault)})
 	var err error
 	if p.prim, err = NewPrimary(p.st, followers); err != nil {
 		t.Fatal(err)

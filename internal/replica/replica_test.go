@@ -306,24 +306,29 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	}
 }
 
+// shardFaults hands shard its injector and every other shard none.
+func shardFaults(shard int, faults *history.Faults) func(int) *history.Faults {
+	return func(i int) *history.Faults {
+		if i != shard {
+			return nil
+		}
+		return faults
+	}
+}
+
 // shardedPair builds a 2-shard primary with the failover seam armed for
 // writes and its follower, both behind real HTTP, and replicates three
 // runs each of poisson/A and poisson/B (one version per shard). fault
-// wraps the backend of the primary's shard that owns poisson/B.
-func shardedPair(t *testing.T) (pst, fst *history.ShardedStore, fol *Follower, folURL string, fault *history.FaultBackend) {
+// is the disk fault injector of the primary's shard that owns poisson/B.
+func shardedPair(t *testing.T) (pst, fst *history.ShardedStore, fol *Follower, folURL string, fault *history.Faults) {
 	t.Helper()
 	down := history.ShardForKey("poisson", "B", 2)
+	fault = history.NewFaults(history.FaultConfig{Seed: int64(down)})
 	pst, err := history.OpenSharded(t.TempDir(), 2, history.DurableOptions{
 		Create:                true,
 		WAL:                   true,
 		ShardBreakerThreshold: 2,
-		WrapShard: func(shard int, b history.Backend) history.Backend {
-			if shard != down {
-				return b
-			}
-			fault = history.NewFaultBackend(b, history.FaultConfig{Seed: int64(shard)})
-			return fault
-		},
+		Faults:                shardFaults(down, fault),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,9 +33,9 @@ func soakClient(url string) *client.Client {
 // pokes /healthz so a degraded server gets its recovery probe.
 func eventually(t *testing.T, cl *client.Client, what string, op func() error) {
 	t.Helper()
+	var err error
 	for i := 0; i < 500; i++ {
-		err := op()
-		if err == nil {
+		if err = op(); err == nil {
 			return
 		}
 		if !errors.Is(err, client.ErrUnavailable) {
@@ -44,7 +44,7 @@ func eventually(t *testing.T, cl *client.Client, what string, op func() error) {
 		cl.Health(context.Background())
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("%s: still unavailable after bounded retries", what)
+	t.Fatalf("%s: still unavailable after bounded retries: %v", what, err)
 }
 
 // runSoakWorkload drives the full client→server→store pipeline — puts,
@@ -131,12 +131,39 @@ func runSoakWorkload(t *testing.T, cl *client.Client, seeds []*harness.SessionRe
 	return digest.Bytes()
 }
 
+// chaosStore opens a journaled store at -wal-sync always — the shape
+// pcd ships — in a fresh directory, writing through faults when non-nil,
+// installed as pcd -fault-* installs it.
+func chaosStore(t *testing.T, faults *history.Faults) *history.Store {
+	t.Helper()
+	o := history.DurableOptions{Create: true, WAL: true}
+	if faults != nil {
+		o.Faults = func(int) *history.Faults { return faults }
+	}
+	st, err := history.OpenStoreDurable(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// The chaos soak's fault mixes. Every call of a write draws — the
+// journal frame and its sync, the staged file's create, bytes and sync,
+// the rename, the directory sync — so a calm write fails about one time
+// in seven and a storm write five in six.
+var (
+	chaosCalm  = history.FaultConfig{Seed: chaosSeed, ErrRate: 0.02, TornWriteRate: 0.03}
+	chaosStorm = history.FaultConfig{Seed: chaosSeed, ErrRate: 0.3, TornWriteRate: 0.05}
+)
+
 // TestChaosSoak is the capstone: the same workload runs against a
-// fault-free daemon and against one whose filesystem backend injects a
-// seeded 10% fault mix (errors and torn writes), and the final
-// bottleneck and query output must be byte-identical. The resilience
-// ladder — client retries, typed 503s, degraded mode with probe-based
-// recovery, session retries — is what closes the gap.
+// fault-free daemon and against one whose disk — record files and
+// journal, through the commit that ships — injects a seeded fault mix
+// (errors and torn writes), and the final bottleneck and query output
+// must be byte-identical. The resilience ladder — client retries, typed
+// 503s, degraded mode with probe-based recovery, session retries, the
+// compensation of a write the disk refused — is what closes the gap.
 func TestChaosSoak(t *testing.T) {
 	cfgA := harness.DefaultSessionConfig()
 	cfgA.RunID = "base"
@@ -152,46 +179,40 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// Fault-free baseline.
-	stGood, err := history.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsGood := httptest.NewServer(server.New(harness.NewEnv(stGood), opts).Handler())
+	tsGood := httptest.NewServer(server.New(harness.NewEnv(chaosStore(t, nil)), opts).Handler())
 	defer tsGood.Close()
 	want := runSoakWorkload(t, soakClient(tsGood.URL), seeds, nil)
 
-	// The same workload with 10% injected faults on every backend op.
-	fsb, err := history.NewFSBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := history.NewFaultBackend(fsb, history.FaultConfig{Seed: chaosSeed})
-	stBad, err := history.NewStoreWith(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.SetConfig(history.FaultConfig{Seed: chaosSeed, ErrRate: 0.1, TornWriteRate: 0.03})
+	// The same workload with the calm mix on every disk call, and the
+	// storm mix for the storm segment.
+	faults := history.NewFaults(chaosCalm)
+	stBad := chaosStore(t, faults)
 	srvBad := server.New(harness.NewEnv(stBad), opts)
 	tsBad := httptest.NewServer(srvBad.Handler())
 	defer tsBad.Close()
 	clBad := soakClient(tsBad.URL)
 	got := runSoakWorkload(t, clBad, seeds, func(p string) {
 		if p == "storm" {
-			fb.SetConfig(history.FaultConfig{Seed: chaosSeed, ErrRate: 0.6, TornWriteRate: 0.05})
+			faults.SetConfig(chaosStorm)
 			return
 		}
-		fb.SetConfig(history.FaultConfig{Seed: chaosSeed, ErrRate: 0.1, TornWriteRate: 0.03})
+		faults.SetConfig(chaosCalm)
 	})
 
 	if !bytes.Equal(got, want) {
 		t.Errorf("soak output diverged under faults:\n got: %s\nwant: %s", got, want)
 	}
 
-	// The run must actually have been chaotic: the injector fired and
+	// The run must actually have been chaotic: the injector fired, on the
+	// journal too — a group whose sync failed was written, compensated and
+	// never synced, so the journal counts more appends than syncs — and
 	// the server observed backend trouble.
-	fc := fb.Counters()
+	fc := faults.Counters()
 	if fc.Injected == 0 || fc.TornWrites == 0 {
 		t.Errorf("fault injector never fired: %+v (workload too small or seed too kind)", fc)
+	}
+	if ws := stBad.WALStats(); ws.Appends <= ws.Syncs {
+		t.Errorf("no journal sync failed: %+v", ws)
 	}
 	stats, err := clBad.Stats(context.Background())
 	if err != nil {
@@ -208,26 +229,25 @@ func TestChaosSoak(t *testing.T) {
 	if stats.Degraded {
 		t.Errorf("server still degraded after the workload: %+v", stats)
 	}
-	t.Logf("chaos: injector %+v; server faults=%d rejected=%d opens=%d probes=%d sessionRetries=%d; client %+v",
-		fc, stats.BackendFaults, stats.WritesRejected, stats.BreakerOpens,
+	t.Logf("chaos: injector %+v; journal %+v; server faults=%d rejected=%d opens=%d probes=%d sessionRetries=%d; client %+v",
+		fc, stBad.WALStats(), stats.BackendFaults, stats.WritesRejected, stats.BreakerOpens,
 		stats.BackendProbes, stats.SessionRetries, clBad.CounterSnapshot())
 }
 
-// TestChaosOutageRecovery is the acceptance walk at the wire level: a
-// total backend outage flips /healthz to "degraded" and writes to typed
-// 503s with a Retry-After; when the backend heals, the health probe
-// returns the daemon to "ok" with no restart, and writes flow again.
+// TestChaosOutageRecovery is the acceptance walk at the wire level, under
+// the disk's fault injector: a total outage flips /healthz to "degraded",
+// writes to typed 503s with a Retry-After, and a client with a breaker
+// to an open breaker that refuses without touching the network; when the
+// disk heals, the health probe returns the daemon to "ok" with no
+// restart, the client's next probe closes its breaker, and writes flow
+// again.
 func TestChaosOutageRecovery(t *testing.T) {
 	cfg := harness.DefaultSessionConfig()
 	cfg.RunID = "base"
 	res := runSession(t, "poisson", "A", app.Options{NodeOffset: 1, PidBase: 4000}, cfg)
 
-	fb := history.NewFaultBackend(history.NewMemBackend(), history.FaultConfig{Seed: 1})
-	st, err := history.NewStoreWith(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(harness.NewEnv(st), server.Options{
+	faults := history.NewFaults(history.FaultConfig{Seed: 1})
+	srv := server.New(harness.NewEnv(chaosStore(t, faults)), server.Options{
 		Sessions: 1, BreakerThreshold: 1, BreakerCooldown: time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -238,16 +258,35 @@ func TestChaosOutageRecovery(t *testing.T) {
 	if _, err := cl.PutRun(ctx, res.Record); err != nil {
 		t.Fatalf("pre-outage put: %v", err)
 	}
+	const cooldown = 200 * time.Millisecond
+	brk := client.New(ts.URL)
+	brk.Breaker = client.BreakerPolicy{Threshold: 2, Cooldown: cooldown}
 
 	// Total outage: the write fails, is typed, and carries Retry-After.
-	fb.SetConfig(history.FaultConfig{ErrRate: 1})
-	_, err = cl.PutRun(ctx, res.Record)
+	faults.SetConfig(history.FaultConfig{ErrRate: 1})
+	_, err := cl.PutRun(ctx, res.Record)
 	if !errors.Is(err, client.ErrUnavailable) {
 		t.Fatalf("outage put error = %v, want ErrUnavailable", err)
 	}
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.RetryAfter <= 0 {
 		t.Fatalf("outage put error %v carries no Retry-After", err)
+	}
+
+	// Two refused writes open the client's breaker, which then refuses
+	// without asking the server.
+	for i := 0; i < 2; i++ {
+		if _, err := brk.PutRun(ctx, res.Record); !errors.Is(err, client.ErrUnavailable) {
+			t.Fatalf("outage put %d through the breaker = %v, want ErrUnavailable", i, err)
+		}
+	}
+	opened := time.Now()
+	requests := brk.CounterSnapshot().Requests
+	if _, err := brk.PutRun(ctx, res.Record); !errors.Is(err, client.ErrBreakerOpen) {
+		t.Fatalf("put with the breaker open = %v, want ErrBreakerOpen", err)
+	}
+	if c := brk.CounterSnapshot(); c.BreakerOpens != 1 || c.Requests != requests {
+		t.Fatalf("client counters %+v: want one open and no request sent while open", c)
 	}
 
 	// The daemon is degraded but still answers reads.
@@ -258,9 +297,9 @@ func TestChaosOutageRecovery(t *testing.T) {
 		t.Fatalf("degraded reads broken: %v, %v", runs, err)
 	}
 
-	// Heal the backend; health probes bring the daemon back without a
+	// Heal the disk; health probes bring the daemon back without a
 	// restart.
-	fb.SetConfig(history.FaultConfig{})
+	faults.SetConfig(history.FaultConfig{})
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		status, err := cl.Health(ctx)
@@ -274,5 +313,17 @@ func TestChaosOutageRecovery(t *testing.T) {
 	}
 	if _, err := cl.PutRun(ctx, res.Record); err != nil {
 		t.Fatalf("post-recovery put: %v", err)
+	}
+
+	// Past its cooldown the client's breaker admits a probe; its success
+	// closes the breaker, and the next call goes straight through.
+	time.Sleep(time.Until(opened.Add(cooldown)))
+	for i := 0; i < 2; i++ {
+		if _, err := brk.PutRun(ctx, res.Record); err != nil {
+			t.Fatalf("put %d after the breaker's cooldown: %v", i, err)
+		}
+	}
+	if c := brk.CounterSnapshot(); c.BreakerOpens != 1 || c.BreakerRejects != 1 {
+		t.Errorf("client counters %+v: want the breaker opened once, refused once, closed", c)
 	}
 }

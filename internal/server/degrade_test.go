@@ -16,15 +16,21 @@ import (
 	"repro/internal/history"
 )
 
-// faultServer builds a server over a fault-injectable in-memory store.
-func faultServer(t *testing.T, opts Options) (*Server, *history.FaultBackend) {
+// faultServer builds a server over a journaled disk store writing through
+// a fault injector, installed as pcd -fault-* installs one; SyncNone,
+// since durability is not under test.
+func faultServer(t *testing.T, opts Options) (*Server, *history.Faults) {
 	t.Helper()
-	fb := history.NewFaultBackend(history.NewMemBackend(), history.FaultConfig{Seed: 1})
-	st, err := history.NewStoreWith(fb)
+	faults := history.NewFaults(history.FaultConfig{Seed: 1})
+	st, err := history.OpenStoreDurable(t.TempDir(), history.DurableOptions{
+		Create: true, WAL: true, WALOptions: history.WALOptions{Sync: history.SyncNone},
+		Faults: func(int) *history.Faults { return faults },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(harness.NewEnv(st), opts), fb
+	t.Cleanup(func() { st.Close() })
+	return New(harness.NewEnv(st), opts), faults
 }
 
 // doReq performs one request against the handler and returns status,
@@ -52,14 +58,14 @@ func doReq(t *testing.T, h http.Handler, method, target, body string) (*http.Res
 
 const putBody = `{"app":"poisson","version":"A","run_id":"r1"}`
 
-// TestDegradedModeLifecycle walks the degradation ladder end to end:
-// consecutive backend failures flip the server degraded, degraded mode
-// refuses writes with 503 + Retry-After without touching the backend
-// while reads keep working from the index, /healthz reports "degraded",
-// and after the backend heals a due health probe returns the server to
-// "ok" without a restart.
+// TestDegradedModeLifecycle walks the degradation ladder end to end under
+// the disk's fault injector: consecutive backend failures flip the
+// server degraded, degraded mode refuses writes with 503 + Retry-After
+// without touching the disk while reads keep working from the index,
+// /healthz reports "degraded", and after the disk heals a due health
+// probe returns the server to "ok" without a restart.
 func TestDegradedModeLifecycle(t *testing.T) {
-	srv, fb := faultServer(t, Options{Sessions: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	srv, faults := faultServer(t, Options{Sessions: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute})
 	clock := time.Unix(5000, 0)
 	srv.now = func() time.Time { return clock }
 	h := srv.Handler()
@@ -72,7 +78,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 
 	// The backend starts failing. Each failed write is 503 with a
 	// Retry-After, and the second one trips the breaker.
-	fb.SetConfig(history.FaultConfig{ErrRate: 1})
+	faults.SetConfig(history.FaultConfig{ErrRate: 1})
 	for i := 0; i < 2; i++ {
 		resp, _ := doReq(t, h, http.MethodPut, "/api/v1/run", putBody)
 		if resp.StatusCode != http.StatusServiceUnavailable {
@@ -87,7 +93,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 	}
 
 	// Degraded: writes are refused before the backend is touched.
-	opsBefore := fb.Counters().Ops
+	opsBefore := faults.Counters().Ops
 	resp, body := doReq(t, h, http.MethodPut, "/api/v1/run", putBody)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("degraded put: status %d, want 503", resp.StatusCode)
@@ -95,7 +101,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("degraded put: no Retry-After header")
 	}
-	if fb.Counters().Ops != opsBefore {
+	if faults.Counters().Ops != opsBefore {
 		t.Errorf("degraded put touched the backend: %v", body)
 	}
 
@@ -130,7 +136,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 
 	// The backend heals; the next due probe ends degraded mode — no
 	// restart involved.
-	fb.SetConfig(history.FaultConfig{})
+	faults.SetConfig(history.FaultConfig{})
 	clock = clock.Add(2 * time.Minute)
 	if _, body := doReq(t, h, http.MethodGet, "/healthz", ""); body["status"] != "ok" {
 		t.Fatalf("health after recovery = %v", body)
@@ -149,12 +155,12 @@ func TestDegradedModeLifecycle(t *testing.T) {
 // TestDegradedProbeOncePerWindow proves concurrent health checks admit
 // at most one backend probe per cooldown window.
 func TestDegradedProbeOncePerWindow(t *testing.T) {
-	srv, fb := faultServer(t, Options{Sessions: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	srv, faults := faultServer(t, Options{Sessions: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
 	clock := time.Unix(5000, 0)
 	srv.now = func() time.Time { return clock }
 	h := srv.Handler()
 
-	fb.SetConfig(history.FaultConfig{ErrRate: 1})
+	faults.SetConfig(history.FaultConfig{ErrRate: 1})
 	doReq(t, h, http.MethodPut, "/api/v1/run", putBody)
 	clock = clock.Add(2 * time.Minute)
 	for i := 0; i < 5; i++ {

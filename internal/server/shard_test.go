@@ -11,19 +11,20 @@ import (
 	"repro/internal/history"
 )
 
-// shardedFaultServer builds a server over an on-disk 4-shard store with
-// a fault seam on every shard's backend.
-func shardedFaultServer(t *testing.T, opts Options) (*Server, map[int]*history.FaultBackend) {
+// shardedFaultServer builds a server over an on-disk, journaled 4-shard
+// store (SyncNone) with a fault injector under every shard.
+func shardedFaultServer(t *testing.T, opts Options) (*Server, []*history.Faults) {
 	t.Helper()
-	faults := make(map[int]*history.FaultBackend)
+	faults := make([]*history.Faults, 4)
+	for i := range faults {
+		faults[i] = history.NewFaults(history.FaultConfig{Seed: int64(i)})
+	}
 	st, err := history.OpenSharded(t.TempDir(), 4, history.DurableOptions{
 		Create:                true,
+		WAL:                   true,
+		WALOptions:            history.WALOptions{Sync: history.SyncNone},
 		ShardBreakerThreshold: 2,
-		WrapShard: func(shard int, b history.Backend) history.Backend {
-			fb := history.NewFaultBackend(b, history.FaultConfig{Seed: int64(shard)})
-			faults[shard] = fb
-			return fb
-		},
+		Faults:                func(shard int) *history.Faults { return faults[shard] },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +71,12 @@ func queryVersions(t *testing.T, h http.Handler) ([]string, map[string]any) {
 }
 
 // TestShardedPartialFailure walks the sharded degradation ladder over
-// HTTP: one shard's backend dies, writes to its keyspace answer 503 +
-// Retry-After, scatter reads keep answering deterministically from the
-// surviving shards, the daemon itself stays (or returns) healthy because
-// the other shards serve, and the existing health probe revives the
-// shard once its backend heals — no restart anywhere.
+// HTTP under the shards' fault injectors: one shard's disk dies, writes
+// to its keyspace answer 503 + Retry-After, scatter reads keep answering
+// deterministically from the surviving shards, the daemon itself stays
+// (or returns) healthy because the other shards serve, and the existing
+// health probe revives the shard once its disk heals — no restart
+// anywhere.
 func TestShardedPartialFailure(t *testing.T) {
 	srv, faults := shardedFaultServer(t, Options{Sessions: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute})
 	clock := time.Unix(9000, 0)

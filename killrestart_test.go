@@ -140,9 +140,11 @@ func fsck(t *testing.T, bin, dir string, repair bool) (int, string) {
 }
 
 // TestKillRestartMidWrite hammers a WAL-backed daemon with writes under
-// injected torn-write faults, SIGKILLs it mid-stream, and requires
-// every acknowledged write to survive the restart byte-identically.
-// Three kill cycles; the last restart is verified with pcfsck.
+// injected faults — torn and failed writes of the journal and the record
+// files alike, through the commit that ships — SIGKILLs it mid-stream,
+// and requires every acknowledged write to survive the restart
+// byte-identically. Three kill cycles; each restart is verified with
+// pcfsck.
 func TestKillRestartMidWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and kills processes")
@@ -165,10 +167,18 @@ func TestKillRestartMidWrite(t *testing.T) {
 	ctx := context.Background()
 	acked := map[string][]byte{} // run id -> canonical record bytes as acked
 	next := 0
+	// A journal group whose sync the injector failed was written and
+	// compensated but never synced: the journal then counts more appends
+	// than syncs, which is how a cycle shows a faulted journal append.
+	journalFaulted := 0
 	faultArgs := []string{
 		"-store", store, "-addr", "127.0.0.1:0", "-create",
 		"-wal", "-wal-sync", "always",
 		"-fault-torn-rate", "0.2", "-fault-err-rate", "0.05",
+		// A degraded daemon probes its store again within milliseconds, so
+		// a cycle keeps writing through the faults instead of waiting out
+		// the default 5s cooldown.
+		"-breaker-cooldown", "5ms",
 	}
 	for cycle := 0; cycle < 3; cycle++ {
 		d := startDaemon(t, bin, faultArgs...)
@@ -182,6 +192,9 @@ func TestKillRestartMidWrite(t *testing.T) {
 		for !killed {
 			select {
 			case <-killAt:
+				if stats, err := cl.Stats(ctx); err == nil && stats.WALAppends > stats.WALSyncs {
+					journalFaulted++
+				}
 				d.kill(t)
 				killed = true
 			default:
@@ -194,6 +207,8 @@ func TestKillRestartMidWrite(t *testing.T) {
 						t.Fatal(merr)
 					}
 					acked[rec.RunID] = data
+				} else {
+					cl.Health(ctx) // the probe that ends degraded mode
 				}
 				// Injected faults and the kill race are expected; only an
 				// acknowledged write creates an obligation.
@@ -234,6 +249,10 @@ func TestKillRestartMidWrite(t *testing.T) {
 	if len(acked) == 0 {
 		t.Fatal("no write was ever acknowledged; the soak proved nothing")
 	}
+	if journalFaulted == 0 {
+		t.Fatal("no cycle faulted a journal append; the soak never reached the journal")
+	}
+	t.Logf("%d writes acknowledged; %d of 3 cycles faulted a journal append", len(acked), journalFaulted)
 }
 
 // TestKillRestartMidSession SIGKILLs a daemon while a journaled
