@@ -2,7 +2,8 @@
 // write-ahead-journal framing and CRCs, journal-vs-disk agreement, the
 // session journal, and quarantine accounting. Run it against a store no
 // daemon has open — after a crash, before restarting pcd, or from cron
-// as a consistency audit.
+// as a consistency audit. It grades the recovery plan the store's next
+// open would carry out, so the two never disagree about what is damage.
 //
 // A sharded store (a shards/ layout) is verified end-to-end: the layout
 // manifest, every shard as a full store, and the cross-shard placement
@@ -11,8 +12,8 @@
 // home. -json reports carry per-shard sections and a misplaced count.
 //
 // A replica is cross-verified with -primary DIR: the follower store
-// named by -store must be a subset of the primary's fold (record files
-// overlaid with its journal) with byte-identical records. A shared key
+// named by -store must be a subset of the primary's fold (the records
+// its next open would serve) with byte-identical records. A shared key
 // whose bytes differ grades corrupt — the replication stream or the
 // follower's fold is damaged. A follower-only key (a write taken after
 // promotion) and replication lag grade as residue.
@@ -24,15 +25,17 @@
 // Exit codes:
 //
 //	0  clean — nothing to report
-//	1  recoverable crash residue (torn WAL tail, unapplied journal
-//	   entries, orphaned temp files); OpenStore or -repair fixes it
-//	2  corruption (invalid records, bad frames before the journal
-//	   tail) or the store could not be checked at all
+//	1  crash residue (torn WAL tail, unapplied journal entries,
+//	   orphaned temp files, misnamed records): the next open repairs it
+//	2  corruption (records the open must quarantine, bad frames before
+//	   the journal tail) or the store could not be checked or repaired
 //
-// -repair takes the per-finding repair action in place: temp orphans
-// removed, corrupt records quarantined, torn tails truncated, unapplied
-// journal entries replayed. The exit code still reflects what was
-// FOUND, so scripts can tell a repaired store from a clean one.
+// -repair repairs in place. On a store, and on each shard, with anything
+// to repair it is an open and a close — what the next pcd start would do,
+// restarting the journal (wal/EPOCH advances by one) — and beside it torn
+// session entries are dropped, unrecorded quarantine files logged,
+// misplaced records moved home. The exit code still reflects what was FOUND, so scripts can
+// tell a repaired store from a clean one.
 package main
 
 import (

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -48,8 +50,9 @@ func copyTree(t *testing.T, src, dst string) {
 // each record is wholly its pre-image or its post-image, never torn and
 // never a third thing; a batch survives as a prefix; what the journal
 // folds to, the record files and the index agree; no staged file
-// outlives the open; pcfsck grades the wreck residue at worst; and
-// opening it a second time finds nothing left to do.
+// outlives the open; pcfsck grades the wreck residue at worst, and what
+// it grades is what the open does; and opening it a second time finds
+// nothing left to do.
 func TestCrashPoints(t *testing.T) {
 	changed := sampleRecord("r1")
 	changed.Duration = 999
@@ -71,7 +74,7 @@ func TestCrashPoints(t *testing.T) {
 		{"batch across a rotation", WALOptions{SegmentBytes: 64}, batch, []string{"r8", "r1", "r9"}},
 	}
 	modes := []struct{ name, dir string }{{"process death", "death"}, {"power loss", "power"}}
-	explored := map[string]int{}
+	explored, graded, done := map[string]int{}, map[string]int{}, map[string]int{}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
 			dir, snaps := t.TempDir(), t.TempDir()
@@ -154,7 +157,9 @@ func TestCrashPoints(t *testing.T) {
 					for i, at := range points {
 						snap := filepath.Join(snaps, fmt.Sprintf("%02d", i+1), mode.dir)
 						acked := i == len(points)-1
-						checkCrashPoint(t, fmt.Sprintf("point %d (%s)", i+1, at), snap, keys, muts, pre, post, acked)
+						g, d := checkCrashPoint(t, fmt.Sprintf("point %d (%s)", i+1, at), snap, keys, muts, pre, post, acked)
+						graded[mode.name] += g
+						done[mode.name] += d
 					}
 					t.Logf("%-23s %-13s %2d crash points: %v", op.name, mode.name, len(points), points)
 				})
@@ -163,15 +168,17 @@ func TestCrashPoints(t *testing.T) {
 		})
 	}
 	for _, mode := range modes {
-		t.Logf("%-13s explored %d ops × their boundaries = %d crash points", mode.name, len(ops), explored[mode.name])
+		t.Logf("%-13s explored %d ops × their boundaries = %d crash points; pcfsck graded %d repairs, the opens made %d",
+			mode.name, len(ops), explored[mode.name], graded[mode.name], done[mode.name])
 	}
 }
 
 // checkCrashPoint recovers one copied store directory and holds it to
 // the commit's crash contract. keys is every key the cases know, muts
 // the operation's in mutation order; pre and post are the keys' bytes on
-// either side of it.
-func checkCrashPoint(t *testing.T, at, snap string, keys, muts []RecordKey, pre, post map[RecordKey][]byte, acked bool) {
+// either side of it. It returns how many repairs pcfsck graded before the
+// open and how many the open made.
+func checkCrashPoint(t *testing.T, at, snap string, keys, muts []RecordKey, pre, post map[RecordKey][]byte, acked bool) (graded, done int) {
 	t.Helper()
 	rep, err := FsckStore(snap, false)
 	if err != nil || rep.Severity() > FsckResidue {
@@ -190,6 +197,7 @@ func checkCrashPoint(t *testing.T, at, snap string, keys, muts []RecordKey, pre,
 	if q := st.Recovery().Quarantined; len(q) != 0 {
 		t.Errorf("%s: reopen quarantined %v", at, q)
 	}
+	graded, done = crossCheck(t, at, rep, st.Recovery())
 	files, present := map[RecordKey][]byte{}, 0
 	for _, k := range keys {
 		data, err := st.backend.Get(k)
@@ -254,4 +262,51 @@ func checkCrashPoint(t *testing.T, at, snap string, keys, muts []RecordKey, pre,
 	if rep, err := FsckStore(snap, false); err != nil || rep.Severity() != FsckClean {
 		t.Errorf("%s: the recovered store grades %d (%v): %+v", at, rep.Severity(), err, rep.Findings)
 	}
+	return graded, done
+}
+
+// crossCheck holds what pcfsck graded before an open to what the open
+// reports doing: the same temp files swept, records renamed and files
+// quarantined, and as many journal entries replayed. It returns how many
+// repairs each side names.
+func crossCheck(t *testing.T, at string, grade *FsckReport, rep *RecoveryReport) (graded, done int) {
+	t.Helper()
+	var want, got [3][]string // swept, renamed, quarantined
+	replay := 0
+	for _, f := range grade.Findings {
+		switch {
+		case f.Repair == repairRemove && strings.HasSuffix(f.Path, ".tmp"):
+			want[0] = append(want[0], filepath.ToSlash(f.Path))
+		case strings.HasPrefix(f.Repair, "rename to "):
+			want[1] = append(want[1], f.Path)
+		case f.Repair == repairQuarantine:
+			want[2] = append(want[2], f.Path)
+		case f.Repair == repairReplay:
+			replay++
+		}
+	}
+	got[0] = rep.SweptTemp
+	for _, r := range rep.Renamed {
+		got[1] = append(got[1], r.From)
+	}
+	for _, q := range rep.Quarantined {
+		got[2] = append(got[2], q.Name)
+	}
+	replayed := 0
+	if rep.WAL != nil {
+		replayed = rep.WAL.Replayed
+	}
+	for i, what := range []string{"swept", "renamed", "quarantined"} {
+		slices.Sort(want[i])
+		slices.Sort(got[i])
+		if !slices.Equal(want[i], got[i]) {
+			t.Errorf("%s: pcfsck graded %v to be %s, the open %s %v", at, want[i], what, what, got[i])
+		}
+		graded += len(want[i])
+		done += len(got[i])
+	}
+	if replay != replayed {
+		t.Errorf("%s: pcfsck graded %d journal entries to replay, the open replayed %d", at, replay, replayed)
+	}
+	return graded + replay, done + replayed
 }

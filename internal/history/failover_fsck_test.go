@@ -71,8 +71,12 @@ func TestFsckPromotedStateEpochMismatch(t *testing.T) {
 	if !found {
 		t.Fatalf("no STATE.json finding in %v", findingPaths(rep))
 	}
-	// Repair reconciles to the journal's epoch; the next pass is clean.
+	// Repair is an open: it restarts the journal, advancing its epoch, and
+	// reconciles the state to it; the next pass is clean.
 	if _, err := FsckStore(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	if jepoch, err = JournalEpoch(dir); err != nil {
 		t.Fatal(err)
 	}
 	if got := readStateEpoch(t, dir); got != jepoch {

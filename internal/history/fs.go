@@ -18,7 +18,8 @@ import (
 // key has exactly one file name. Scan identifies every file by its JSON
 // content, not its name; a record found under any other name (the
 // pre-escaping app[-version]-runid.json scheme, say) is renamed by the
-// open-time recovery pass and by pcfsck, never read through a fallback.
+// open-time recovery (which pcfsck -repair runs), never read through a
+// fallback.
 type FSBackend struct {
 	dir string
 	fs  fsys
@@ -198,27 +199,23 @@ func (b *FSBackend) Delete(key RecordKey) error {
 	return b.syncRecords("delete")
 }
 
-// adopt gives the valid record stored under a non-canonical name its
-// key's one file name: a rename (directory fsynced) when that name is
-// free; when the key already has its file this copy is a shadowed
-// duplicate and is quarantined instead. Reports whether the record now
-// lives under fileName(key) because of this call. The open-time
-// recovery pass and pcfsck -repair share it, so both migrate a store
-// written under an older naming scheme the same way.
-func (b *FSBackend) adopt(name string, key RecordKey) (renamed bool, err error) {
-	want := fileName(key)
-	if _, err := os.Lstat(filepath.Join(b.dir, want)); err == nil {
-		return false, b.Quarantine(name, fmt.Sprintf("shadowed duplicate of %s (same record key %s)", want, key))
-	} else if !os.IsNotExist(err) {
-		return false, fmt.Errorf("history: rename %s: %w", name, err)
+// moveFile renames from to to and fsyncs the directories the move
+// changed, the destination's first, so a power loss can neither lose the
+// file from its new place nor resurrect it in its old one.
+func moveFile(fs fsys, from, to string) error {
+	if err := fs.Rename(from, to); err != nil {
+		return err
 	}
-	if err := b.fs.Rename(filepath.Join(b.dir, name), filepath.Join(b.dir, want)); err != nil {
-		return false, fmt.Errorf("history: rename %s: %w", name, err)
+	dirs := []string{filepath.Dir(to)}
+	if src := filepath.Dir(from); src != dirs[0] {
+		dirs = append(dirs, src)
 	}
-	if err := b.fs.SyncDir(b.dir); err != nil {
-		return true, fmt.Errorf("history: rename %s: sync dir: %w", name, err)
+	for _, dir := range dirs {
+		if err := fs.SyncDir(dir); err != nil {
+			return fmt.Errorf("sync dir: %w", err)
+		}
 	}
-	return true, nil
+	return nil
 }
 
 // QuarantineDir is the subdirectory OpenStore moves corrupt records
@@ -230,10 +227,11 @@ const QuarantineDir = "quarantine"
 const quarantineReport = "REPORT.txt"
 
 // tempFiles are the atomic-write temp files of each writer of a store
-// tree, by directory: the record files and wal/EPOCH — which a store's
-// open sweeps —, replica/STATE.json and PEERS.json, the session journal
-// and shards/MANIFEST.json. None is ever published, so one left over, by
-// a crash or by a failed rename whose cleanup failed too, is garbage.
+// tree, by directory: the record files, wal/EPOCH, replica/STATE.json
+// and PEERS.json, the session journal and shards/MANIFEST.json. None is
+// ever published, so one left over, by a crash or by a failed rename
+// whose cleanup failed too, is garbage: a store's open sweeps every one
+// in its directory, and pcfsck those at a sharded store's root.
 var tempFiles = [][2]string{{".", ".put-"}, {WALDirName, ".epoch-"}, {"replica", ".state-"},
 	{"replica", ".peers-"}, {"sessions", ".session-"}, {ShardsDirName, ".manifest-"}}
 
@@ -250,18 +248,6 @@ func leftTemp(dir string, writers [][2]string) (rels []string) {
 	return rels
 }
 
-// SweepTemp removes the store's own orphaned temp files, returning their
-// store-relative names.
-func (b *FSBackend) SweepTemp() (swept []string, err error) {
-	for _, rel := range leftTemp(b.dir, tempFiles[:2]) {
-		if err := b.fs.Remove(filepath.Join(b.dir, rel)); err != nil {
-			return swept, fmt.Errorf("history: sweep: %w", err)
-		}
-		swept = append(swept, filepath.ToSlash(rel))
-	}
-	return swept, nil
-}
-
 // Quarantine moves the named store file into the quarantine/
 // subdirectory and appends a line to quarantine/REPORT.txt recording the
 // reason — corrupt data is set aside restorably, never deleted. name
@@ -274,17 +260,8 @@ func (b *FSBackend) Quarantine(name, reason string) error {
 	if err := b.fs.MkdirAll(qdir); err != nil {
 		return fmt.Errorf("history: quarantine: %w", err)
 	}
-	if err := b.fs.Rename(filepath.Join(b.dir, name), filepath.Join(qdir, name)); err != nil {
+	if err := moveFile(b.fs, filepath.Join(b.dir, name), filepath.Join(qdir, name)); err != nil {
 		return fmt.Errorf("history: quarantine: %w", err)
-	}
-	// The move is two directory mutations; fsync both so a power loss
-	// cannot resurrect the corrupt file in the store (or lose it from the
-	// quarantine).
-	if err := b.fs.SyncDir(qdir); err != nil {
-		return fmt.Errorf("history: quarantine: sync dir: %w", err)
-	}
-	if err := b.fs.SyncDir(b.dir); err != nil {
-		return fmt.Errorf("history: quarantine: sync dir: %w", err)
 	}
 	// The report is advisory; failing to append must not fail the
 	// recovery that just made the store readable again.

@@ -9,17 +9,21 @@ import (
 )
 
 // Offline store verification — the engine behind cmd/pcfsck. FsckStore
-// walks a store directory without opening it as a Store: record files,
-// WAL framing and CRCs, WAL-vs-disk agreement, the session journal, and
-// quarantine accounting. Findings are graded so the CLI can exit 0
-// (clean), 1 (recoverable crash residue — what OpenStore would repair),
-// or 2 (corruption — data that cannot be reconstructed from the store
-// itself).
+// grades a store directory without opening it as a Store. A single store,
+// and each shard of a sharded one, is graded by its recovery plan
+// (planRecovery) — the one OpenStoreDurable carries out — so a finding is
+// residue exactly when the next open repairs it, and corrupt when the
+// open must quarantine the file or the journal holds a bad frame ahead of
+// its tail: data that cannot be reconstructed from the store itself. To
+// the plan fsck adds checks of its own: the session journal, quarantine
+// accounting and, on a sharded layout, the manifest, record placement,
+// records at the root and strays. The CLI exits 0 (clean), 1 (residue)
+// or 2 (corruption).
 
 // Fsck severities.
 const (
 	FsckClean   = 0 // nothing to report
-	FsckResidue = 1 // crash residue; recoverable mechanically
+	FsckResidue = 1 // crash residue; the next open repairs it
 	FsckCorrupt = 2 // corruption; cannot be reconstructed
 )
 
@@ -97,13 +101,29 @@ func (r *FsckReport) add(sev int, path, problem, repair string, repaired bool) {
 	})
 }
 
-// FsckStore verifies the store rooted at dir. With repair set, it also
-// takes the per-finding repair action: temp orphans are removed, corrupt
-// records quarantined, torn WAL tails truncated at the last valid frame,
-// unapplied journal entries replayed, torn session-journal entries
-// dropped, and unrecorded quarantine files logged. Repairs mirror what
-// OpenStoreDurable does at open, so a repaired store opens clean.
-func FsckStore(dir string, repair bool) (*FsckReport, error) {
+// The repair actions of a recovery plan's findings; a misnamed record's
+// is "rename to " and its key's file name.
+const (
+	repairRemove     = "remove"
+	repairQuarantine = "quarantine"
+	repairReplay     = "replay journal entry"
+	repairRestart    = "replay what reads, restart the journal"
+)
+
+// FsckStore verifies the store rooted at dir. With repair set it also
+// repairs it. A single store's (and each shard's) repair is an open and
+// a close — OpenStoreDurable, with the journal when wal/ exists — so it
+// does exactly what the next start would, restarting the journal (wal/
+// EPOCH advances by one) when there is anything to do; a finding is then
+// Repaired when a second plan no longer lists it. Beside the open, torn
+// session-journal entries are dropped, unrecorded quarantine files
+// logged, and on a sharded layout misplaced and root records moved home.
+func FsckStore(dir string, repair bool) (*FsckReport, error) { return fsck(dir, repair, nil) }
+
+// fsck is FsckStore with every change -repair makes — its opens', and
+// its own moves and removals — going through faults, or through the real
+// disk when faults is nil.
+func fsck(dir string, repair bool, faults *Faults) (*FsckReport, error) {
 	info, err := os.Stat(dir)
 	if err != nil {
 		return nil, fmt.Errorf("history: fsck: %w", err)
@@ -111,210 +131,109 @@ func FsckStore(dir string, repair bool) (*FsckReport, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("history: fsck: %s is not a directory", dir)
 	}
+	var fs fsys = osFS{}
+	if faults != nil {
+		fs = faults
+	}
 	if IsShardedLayout(dir) {
-		return fsckSharded(dir, repair)
+		return fsckSharded(dir, repair, faults, fs)
 	}
 	rep := &FsckReport{Dir: dir}
-
-	fsckTempFiles(dir, rep, repair)
-	fold := fsckWALScan(dir, rep, repair)
-	index := fsckRecords(dir, fold, rep, repair)
-	fsckWALAgreement(dir, fold, index, rep, repair)
-	fsckSessions(dir, rep, repair)
-	fsckQuarantine(dir, rep, repair)
-	fsckReplicaState(dir, rep, repair)
+	wal := hasJournal(dir)
+	if p, err := planRecovery(dir, wal); err != nil {
+		rep.add(FsckCorrupt, ".", fmt.Sprintf("cannot read store: %v", err), "", false)
+	} else {
+		rep.Records = len(p.index)
+		if p.wal != nil {
+			rep.WALSegments, rep.WALEntries = p.wal.Segments, p.wal.Entries
+		}
+		rep.Findings = p.findings()
+		if repair && len(rep.Findings) > 0 {
+			o := DurableOptions{WAL: wal}
+			if faults != nil {
+				o.Faults = func(int) *Faults { return faults }
+			}
+			st, err := OpenStoreDurable(dir, o)
+			if err == nil {
+				err = st.Close()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("history: fsck: repair: %w", err)
+			}
+			after, err := planRecovery(dir, wal)
+			for i := range rep.Findings {
+				rep.Findings[i].Repaired = err == nil && !after.lists(rep.Findings[i])
+			}
+		}
+	}
+	fsckSessions(dir, rep, repair, fs)
+	fsckQuarantine(dir, rep, repair, fs)
 	return rep, nil
 }
 
-// fsckReplicaState cross-checks a promoted shard's replication state
-// against the journal's epoch counter. A promoted node's replica/
-// STATE.json epoch and wal/EPOCH must agree — promotion persists the
-// journal epoch first, then the state, and every restart re-syncs — so
-// a mismatch is crash residue from between the two writes. The journal
-// is the authority (its epoch is what fencing compares), so -repair
-// reconciles the state file to it. An UNpromoted follower's state epoch
-// tracks its remote primary's journal, not the local one; no check
-// applies.
-func fsckReplicaState(dir string, rep *FsckReport, repair bool) {
-	spath, st, stateEpoch, ok := promotedState(dir)
-	if !ok {
-		return // no (promoted) replication state — nothing to cross-check
+// findings grades the plan, item by item, in the order the open carries
+// it out.
+func (p *recoveryPlan) findings() []FsckFinding {
+	var out []FsckFinding
+	add := func(sev int, path, problem, repair string) {
+		out = append(out, FsckFinding{Severity: sev, Path: path, Problem: problem, Repair: repair})
 	}
-	walEpoch, err := readWALEpoch(filepath.Join(dir, WALDirName))
-	if err != nil || walEpoch == 0 || stateEpoch == walEpoch {
-		return
+	for _, rel := range p.temps {
+		add(FsckResidue, rel, "orphaned atomic-write temp file (a crash or a failed rename left it unpublished)", repairRemove)
 	}
-	rep.add(FsckResidue, filepath.Join("replica", "STATE.json"),
-		fmt.Sprintf("promoted shard's state epoch %d disagrees with journal epoch %d (crash between epoch bump and state persist)", stateEpoch, walEpoch),
-		"reconcile state to the journal's epoch", repair && writeStateEpoch(osFS{}, spath, st, walEpoch) == nil)
+	for _, a := range p.adopt {
+		if a.dup {
+			add(FsckResidue, a.from, fmt.Sprintf("shadowed duplicate of %s (same record key %s)", fileName(a.key), a.key), repairQuarantine)
+		} else {
+			add(FsckResidue, a.from, fmt.Sprintf("record %s stored under a non-canonical name", a.key), "rename to "+fileName(a.key))
+		}
+	}
+	if p.wal != nil {
+		if p.wal.TornTail {
+			add(FsckResidue, WALDirName, "torn final frame (crash mid-append; the write was never acknowledged)", repairRestart)
+		}
+		for _, c := range p.wal.Corrupt {
+			seg, _, _ := strings.Cut(c, ":")
+			add(FsckCorrupt, filepath.Join(WALDirName, seg), "bad frame before the journal tail: "+c, repairRestart+" (frames after it are lost)")
+		}
+		for _, c := range p.invalid {
+			add(FsckCorrupt, WALDirName, "journal entry fails validation: "+c, repairRestart+" (the entry is lost)")
+		}
+	}
+	for _, r := range p.redo {
+		add(FsckResidue, fileName(r.Key()), r.problem, repairReplay)
+	}
+	for _, is := range p.quarantine {
+		add(FsckCorrupt, is.Name, fmt.Sprintf("unreadable record: %v", is.Err), repairQuarantine)
+	}
+	if p.journalEpoch != 0 {
+		// Promotion persists the journal epoch first, then the state, and
+		// every open re-syncs the state: a mismatch is a crash between two
+		// writes. The journal is the authority; fencing compares its epoch.
+		add(FsckResidue, filepath.Join("replica", "STATE.json"),
+			fmt.Sprintf("promoted shard's state epoch %d disagrees with journal epoch %d (crash between epoch bump and state persist)", p.stateEpoch, p.journalEpoch),
+			"reconcile state to the journal's epoch")
+	}
+	return out
+}
+
+// lists reports whether the plan still has f's repair to make.
+func (p *recoveryPlan) lists(f FsckFinding) bool {
+	for _, g := range p.findings() {
+		if g.Path == f.Path && g.Repair == f.Repair {
+			return true
+		}
+	}
+	return false
 }
 
 // fsckTempFiles flags (and with repair, removes) the orphaned temp
-// files of every atomic writer under dir.
-func fsckTempFiles(dir string, rep *FsckReport, repair bool) {
+// files of every atomic writer under a sharded store's root.
+func fsckTempFiles(dir string, rep *FsckReport, repair bool, fs fsys) {
 	for _, rel := range leftTemp(dir, tempFiles) {
 		rep.add(FsckResidue, rel, "orphaned atomic-write temp file (a crash or a failed rename left it unpublished)",
-			"remove", repair && os.Remove(filepath.Join(dir, rel)) == nil)
+			repairRemove, repair && fs.Remove(filepath.Join(dir, rel)) == nil)
 	}
-}
-
-// fsckRecords verifies every top-level .json record: it must parse,
-// validate, and live under the one name its key maps to. A valid record
-// under any other name is residue — a store written under an older
-// naming scheme, or a copy left beside the real file — and -repair
-// treats it as the open-time recovery pass does: renamed to its key's
-// name, or quarantined as a shadowed duplicate when the key already has
-// its file. A broken record whose name is covered by a journaled put is
-// NOT corruption — the journal can reconstruct it, and the agreement
-// pass reports (and replays) it. Returns the indexed bytes per key for
-// that pass.
-func fsckRecords(dir string, fold map[RecordKey]WALEntry, rep *FsckReport, repair bool) map[RecordKey][]byte {
-	index := make(map[RecordKey][]byte)
-	healable := make(map[string]bool, len(fold))
-	for k, e := range fold {
-		if e.Op == walOpPut {
-			healable[fileName(k)] = true
-		}
-	}
-	b := fsBackendAt(dir)
-	entries, issues, err := b.Scan()
-	if err != nil {
-		rep.add(FsckCorrupt, ".", fmt.Sprintf("cannot scan store: %v", err), "", false)
-		return index
-	}
-	for _, is := range issues {
-		if healable[is.Name] {
-			continue
-		}
-		rep.add(FsckCorrupt, is.Name, fmt.Sprintf("unreadable record: %v", is.Err),
-			"quarantine", repair && b.Quarantine(is.Name, "pcfsck: unreadable") == nil)
-	}
-	type misnamed struct {
-		name string
-		key  RecordKey
-		data []byte
-	}
-	var strays []misnamed
-	for _, e := range entries {
-		rec, derr := decodeRecord(e.Data)
-		if derr != nil {
-			if healable[e.Name] {
-				continue // the agreement pass reports and replays it
-			}
-			rep.add(FsckCorrupt, e.Name, fmt.Sprintf("invalid record: %v", derr),
-				"quarantine", repair && b.Quarantine(e.Name, "pcfsck: invalid record") == nil)
-			continue
-		}
-		if key := rec.Key(); e.Name == fileName(key) {
-			index[key] = e.Data
-		} else {
-			strays = append(strays, misnamed{e.Name, key, e.Data})
-		}
-	}
-	for _, m := range strays {
-		problem := fmt.Sprintf("record %s stored under a non-canonical name", m.key)
-		action := "rename to " + fileName(m.key)
-		if _, taken := index[m.key]; taken {
-			problem = fmt.Sprintf("shadowed duplicate of %s (same record key %s)", fileName(m.key), m.key)
-			action = "quarantine"
-		} else {
-			index[m.key] = m.data
-		}
-		repaired := false
-		if repair {
-			_, aerr := b.adopt(m.name, m.key)
-			repaired = aerr == nil
-		}
-		rep.add(FsckResidue, m.name, problem, action, repaired)
-	}
-	rep.Records = len(index)
-	return index
-}
-
-// fsckWALScan verifies journal framing and returns the folded journal
-// (last acknowledged state per key) for the record and agreement
-// passes.
-func fsckWALScan(dir string, rep *FsckReport, repair bool) map[RecordKey]WALEntry {
-	wdir := filepath.Join(dir, WALDirName)
-	entries, scan, err := ReadWAL(wdir)
-	if err != nil {
-		rep.add(FsckCorrupt, WALDirName, fmt.Sprintf("cannot read journal: %v", err), "", false)
-		return nil
-	}
-	rep.WALSegments, rep.WALEntries = scan.Segments, scan.Entries
-	segs, _ := walSegments(wdir)
-	if scan.TornTail && len(segs) > 0 {
-		last := segs[len(segs)-1]
-		path := filepath.Join(wdir, last)
-		repaired := false
-		if repair {
-			repaired = truncateWALSegment(path) == nil
-		}
-		rep.add(FsckResidue, filepath.Join(WALDirName, last),
-			"torn final frame (crash mid-append; the write was never acknowledged)",
-			"truncate at last valid frame", repaired)
-	}
-	for _, c := range scan.Corrupt {
-		seg := c
-		if i := strings.Index(c, ":"); i >= 0 {
-			seg = c[:i]
-		}
-		repaired := false
-		if repair {
-			repaired = truncateWALSegment(filepath.Join(wdir, seg)) == nil
-		}
-		rep.add(FsckCorrupt, filepath.Join(WALDirName, seg),
-			"bad frame before the journal tail: "+c,
-			"truncate at last valid frame (frames after it are lost)", repaired)
-	}
-	return WALFold(entries)
-}
-
-// fsckWALAgreement verifies that every acknowledged journal entry is
-// reflected on disk. Disagreement is the residue of a crash between
-// append and rename — exactly what replay repairs.
-func fsckWALAgreement(dir string, fold map[RecordKey]WALEntry, index map[RecordKey][]byte, rep *FsckReport, repair bool) {
-	keys := make([]RecordKey, 0, len(fold))
-	for k := range fold {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	st := &Store{backend: fsBackendAt(dir), recs: make(map[RecordKey]*RunRecord)}
-	for _, k := range keys {
-		e := fold[k]
-		cur, ok := index[k]
-		var problem string
-		switch {
-		case e.Op == walOpPut && !ok:
-			problem = "journaled write missing from disk"
-		case e.Op == walOpPut && string(cur) != string(e.Data):
-			problem = "record bytes differ from the journaled write"
-		case e.Op == walOpDelete && ok:
-			problem = "journaled delete still present on disk"
-		default:
-			continue
-		}
-		repaired := false
-		if repair {
-			ms, _ := foldMutations([]WALEntry{e})
-			_, rerr := st.commit(ms, commitRedo)
-			repaired = len(ms) == 1 && rerr == nil
-		}
-		rep.add(FsckResidue, fileName(k), problem, "replay journal entry", repaired)
-	}
-}
-
-// truncateWALSegment cuts a segment back to the end of its last valid
-// frame, dropping the torn or corrupt tail.
-func truncateWALSegment(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if _, good, _ := DecodeWALFrames(data); good < len(data) {
-		return os.Truncate(path, int64(good))
-	}
-	return nil // nothing to cut
 }
 
 // fsckSharded verifies a sharded store end-to-end: the layout manifest,
@@ -325,7 +244,7 @@ func truncateWALSegment(path string) error {
 // root-level records are moved onto their home shard — which is also
 // the migration path: drop a legacy store's record files at the root
 // and -repair distributes them onto the ring.
-func fsckSharded(dir string, repair bool) (*FsckReport, error) {
+func fsckSharded(dir string, repair bool, faults *Faults, fs fsys) (*FsckReport, error) {
 	rep := &FsckReport{Dir: dir, Sharded: true}
 	shardsDir := filepath.Join(dir, ShardsDirName)
 	manifestRel := filepath.Join(ShardsDirName, shardManifestName)
@@ -352,9 +271,9 @@ func fsckSharded(dir string, repair bool) (*FsckReport, error) {
 	}
 	rep.ShardCount = n
 
-	fsckTempFiles(dir, rep, repair)
-	fsckRootRecords(dir, n, rep, repair)
-	fsckSessions(dir, rep, repair)
+	fsckTempFiles(dir, rep, repair, fs)
+	fsckRootRecords(dir, n, rep, repair, fs)
+	fsckSessions(dir, rep, repair, fs)
 	fsckShardsDirStrays(shardsDir, n, rep)
 
 	for i := 0; i < n; i++ {
@@ -365,7 +284,7 @@ func fsckSharded(dir string, repair bool) (*FsckReport, error) {
 			rep.Shards = append(rep.Shards, &FsckShardReport{Shard: i, Dir: sdir})
 			continue
 		}
-		srep, serr := FsckStore(sdir, repair)
+		srep, serr := fsck(sdir, repair, faults)
 		if serr != nil {
 			rep.add(FsckCorrupt, rel, fmt.Sprintf("cannot fsck shard: %v", serr), "", false)
 			rep.Shards = append(rep.Shards, &FsckShardReport{Shard: i, Dir: sdir})
@@ -377,7 +296,7 @@ func fsckSharded(dir string, repair bool) (*FsckReport, error) {
 			WALSegments: srep.WALSegments, WALEntries: srep.WALEntries,
 			Findings: srep.Findings,
 		}
-		fsckShardPlacement(shardsDir, i, n, shard, repair)
+		fsckShardPlacement(shardsDir, i, n, shard, repair, fs)
 		rep.Records += shard.Records
 		rep.Quarantined += shard.Quarantined
 		rep.WALSegments += shard.WALSegments
@@ -420,7 +339,7 @@ func parseShardDirName(name string) (int, bool) {
 // the bytes are intact, but point reads miss it and a Save would
 // duplicate it — and -repair moves it home (unless a record already
 // holds that spot, which needs a human).
-func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repair bool) {
+func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repair bool, fs fsys) {
 	if n <= 1 {
 		return
 	}
@@ -445,12 +364,7 @@ func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repa
 		}
 		shard.Misplaced++
 		dest := filepath.Join(shardsDir, shardDirName(want), fileName(key))
-		repaired := false
-		if repair {
-			if _, serr := os.Stat(dest); os.IsNotExist(serr) {
-				repaired = os.Rename(filepath.Join(sdir, e.Name), dest) == nil
-			}
-		}
+		repaired := repair && moveHome(fs, filepath.Join(sdir, e.Name), dest)
 		shard.Findings = append(shard.Findings, FsckFinding{
 			Severity: FsckResidue,
 			Path:     e.Name,
@@ -464,8 +378,8 @@ func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repa
 // fsckRootRecords flags record files sitting at the root of a sharded
 // store, outside any shard, and with repair moves readable ones onto
 // the shard their key hashes to.
-func fsckRootRecords(dir string, n int, rep *FsckReport, repair bool) {
-	b := fsBackendAt(dir)
+func fsckRootRecords(dir string, n int, rep *FsckReport, repair bool, fs fsys) {
+	b := &FSBackend{dir: dir, fs: fs}
 	entries, issues, err := b.Scan()
 	if err != nil {
 		return
@@ -483,17 +397,21 @@ func fsckRootRecords(dir string, n int, rep *FsckReport, repair bool) {
 		}
 		key := rec.Key()
 		want := ShardForKey(key.App, key.Version, n)
-		repaired := false
-		if repair && n > 0 {
-			dest := filepath.Join(dir, ShardsDirName, shardDirName(want), fileName(key))
-			if _, serr := os.Stat(dest); os.IsNotExist(serr) {
-				repaired = os.Rename(filepath.Join(dir, e.Name), dest) == nil
-			}
-		}
+		dest := filepath.Join(dir, ShardsDirName, shardDirName(want), fileName(key))
+		repaired := repair && n > 0 && moveHome(fs, filepath.Join(dir, e.Name), dest)
 		rep.add(FsckResidue, e.Name,
 			fmt.Sprintf("record %s outside the shard layout", key),
 			"move to "+filepath.Join(ShardsDirName, shardDirName(want)), repaired)
 	}
+}
+
+// moveHome moves the record file at from to dest on its home shard,
+// durably, unless a record already holds that spot, which needs a human.
+func moveHome(fs fsys, from, dest string) bool {
+	if _, err := os.Stat(dest); !os.IsNotExist(err) {
+		return false
+	}
+	return moveFile(fs, from, dest) == nil
 }
 
 // fsckShardsDirStrays flags entries in shards/ that are neither the
@@ -519,7 +437,7 @@ func fsckShardsDirStrays(shardsDir string, n int, rep *FsckReport) {
 // fsckSessions verifies the session journal (when present): every entry
 // must be parseable JSON with a plausible state. The record schema is
 // owned by the server package, so fsck checks shape, not content.
-func fsckSessions(dir string, rep *FsckReport, repair bool) {
+func fsckSessions(dir string, rep *FsckReport, repair bool, fs fsys) {
 	sdir := filepath.Join(dir, "sessions")
 	des, err := os.ReadDir(sdir)
 	if err != nil {
@@ -541,19 +459,15 @@ func fsckSessions(dir string, rep *FsckReport, repair bool) {
 			State string `json:"state"`
 		}
 		if json.Unmarshal(data, &entry) != nil || (entry.State != "pending" && entry.State != "done") {
-			repaired := false
-			if repair {
-				repaired = os.Remove(path) == nil
-			}
 			rep.add(FsckResidue, filepath.Join("sessions", name),
-				"torn session-journal entry (never acknowledged)", "remove", repaired)
+				"torn session-journal entry (never acknowledged)", repairRemove, repair && fs.Remove(path) == nil)
 		}
 	}
 }
 
 // fsckQuarantine checks quarantine accounting: every set-aside file must
 // have a REPORT.txt line saying why.
-func fsckQuarantine(dir string, rep *FsckReport, repair bool) {
+func fsckQuarantine(dir string, rep *FsckReport, repair bool, fs fsys) {
 	qdir := filepath.Join(dir, QuarantineDir)
 	des, err := os.ReadDir(qdir)
 	if err != nil {
@@ -588,7 +502,7 @@ func fsckQuarantine(dir string, rep *FsckReport, repair bool) {
 		}
 		repaired := false
 		if repair {
-			if f, err := os.OpenFile(rpath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
+			if f, err := fs.OpenAppend(rpath); err == nil {
 				fmt.Fprintf(f, "%s\t%s\n", name, "pcfsck: quarantined by an earlier run; reason not recorded")
 				f.Close()
 				repaired = true

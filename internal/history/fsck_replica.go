@@ -2,8 +2,8 @@ package history
 
 import (
 	"fmt"
+	"maps"
 	"os"
-	"path/filepath"
 )
 
 // Cross-replica verification — pcfsck -primary. A follower replicates
@@ -64,70 +64,20 @@ func FsckReplica(followerDir, primaryDir string) (*FsckReport, error) {
 	return rep, nil
 }
 
-// foldStoreState reconstructs a store's effective record state offline:
-// the valid record files overlaid with the journal's fold (last
-// acknowledged write per key), exactly the state OpenStore would serve.
-// Sharded layouts merge every shard.
+// foldStoreState is a store's records as its next open will serve them:
+// each shard's recovery plan carried out (a plain store is its one
+// shard).
 func foldStoreState(dir string) (map[RecordKey][]byte, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, err
 	}
-	if !IsShardedLayout(dir) {
-		return foldSingleState(dir)
-	}
 	out := make(map[RecordKey][]byte)
-	shardsDir := filepath.Join(dir, ShardsDirName)
-	des, err := os.ReadDir(shardsDir)
-	if err != nil {
-		return nil, err
-	}
-	for _, de := range des {
-		if !de.IsDir() {
-			continue
-		}
-		if _, ok := parseShardDirName(de.Name()); !ok {
-			continue
-		}
-		st, err := foldSingleState(filepath.Join(shardsDir, de.Name()))
+	for _, sdir := range ShardDirs(dir) {
+		p, err := planRecovery(sdir, hasJournal(sdir))
 		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", de.Name(), err)
+			return nil, fmt.Errorf("%s: %w", sdir, err)
 		}
-		for k, v := range st {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
-// foldSingleState reconstructs one plain store's state: indexed record
-// bytes, then the journal fold on top (puts replace, deletes remove).
-// Unreadable records and torn journal tails are plain fsck's findings,
-// not this pass's — they are skipped here.
-func foldSingleState(dir string) (map[RecordKey][]byte, error) {
-	out := make(map[RecordKey][]byte)
-	b := fsBackendAt(dir)
-	entries, _, err := b.Scan()
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		rec, derr := decodeRecord(e.Data)
-		if derr != nil {
-			continue
-		}
-		out[rec.Key()] = e.Data
-	}
-	wentries, _, err := ReadWAL(filepath.Join(dir, WALDirName))
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range wentries {
-		switch e.Op {
-		case walOpPut:
-			out[e.Key()] = e.Data
-		case walOpDelete:
-			delete(out, e.Key())
-		}
+		maps.Copy(out, p.outcome())
 	}
 	return out, nil
 }

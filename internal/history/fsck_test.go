@@ -148,7 +148,7 @@ func TestFsckMisnamedRecordIsRenamed(t *testing.T) {
 	dir := fsckDurableStore(t)
 	canonical := filepath.Join(dir, "poisson-A-r1.json")
 	stray := filepath.Join(dir, "wrong-name-here.json")
-	if err := os.Rename(canonical, stray); err != nil {
+	if err := (osFS{}).Rename(canonical, stray); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := FsckStore(dir, false)
@@ -193,11 +193,11 @@ func TestFsckTornWALTail(t *testing.T) {
 		t.Fatalf("no wal segments: %v", err)
 	}
 	seg := filepath.Join(walDirOf(dir), segs[len(segs)-1])
-	info, err := os.Stat(seg)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(seg, info.Size()-5); err != nil {
+	if err := os.WriteFile(seg, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +208,7 @@ func TestFsckTornWALTail(t *testing.T) {
 	if rep.Severity() != FsckResidue {
 		t.Fatalf("torn tail graded %d, want residue: %v", rep.Severity(), findingPaths(rep))
 	}
-	// Repair truncates at the last valid frame; the journal then reads
+	// Repair restarts the journal past the torn frame; it then reads
 	// cleanly and still agrees with disk.
 	if _, err := FsckStore(dir, true); err != nil {
 		t.Fatal(err)
@@ -435,5 +435,104 @@ func TestFsckShadowedDuplicate(t *testing.T) {
 	}
 	if rep.Severity() != FsckClean {
 		t.Fatalf("store after duplicate repair graded %d: %v", rep.Severity(), findingPaths(rep))
+	}
+}
+
+// TestFsckTornRecordJournaledDelete: a torn record file whose key's last
+// journal entry is a delete is residue — the open replays the delete —
+// and -repair removes it without quarantining anything.
+func TestFsckTornRecordJournaledDelete(t *testing.T) {
+	dir := fsckDurableStore(t)
+	st := openDurable(t, dir, DurableOptions{WAL: true})
+	if err := st.Save(sampleRecord("r9")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Delete("poisson", "A", "r9"); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	path := filepath.Join(dir, "poisson-A-r9.json")
+	if err := os.WriteFile(path, []byte(`{"app": "poisson", "ver`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := FsckStore(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Severity() != FsckResidue {
+		t.Fatalf("torn record under a journaled delete graded %d, want residue: %+v", rep.Severity(), rep.Findings)
+	}
+	if rep, err = FsckStore(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Findings {
+		if !f.Repaired {
+			t.Errorf("repair left %+v", f)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("repair left the torn file: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir)); !os.IsNotExist(err) {
+		t.Errorf("repair quarantined something: %v", err)
+	}
+	if rep, err = FsckStore(dir, false); err != nil || rep.Severity() != FsckClean {
+		t.Fatalf("store after repair graded %d (%v): %v", rep.Severity(), err, findingPaths(rep))
+	}
+}
+
+// TestFsckRepairMovesDurably: the records -repair moves onto their home
+// shard — one misplaced on another shard, one at the root of the layout —
+// are there in what a power loss right after the repair leaves. (No
+// journal: a shard replaying a journaled put would rewrite the record at
+// home itself.)
+func TestFsckRepairMovesDurably(t *testing.T) {
+	dir := t.TempDir()
+	sh, err := OpenSharded(dir, 4, DurableOptions{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misplaced, rooted := sampleRecord("r1"), sampleRecord("r2")
+	rooted.Version = "B"
+	for _, rec := range []*RunRecord{misplaced, rooted} {
+		if err := sh.Save(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Close()
+	home := func(rec *RunRecord) string {
+		return filepath.Join(ShardsDirName, shardDirName(ShardForKey(rec.App, rec.Version, 4)), fileName(rec.Key()))
+	}
+	wrong := filepath.Join(ShardsDirName, shardDirName((ShardForKey(misplaced.App, misplaced.Version, 4)+1)%4), fileName(misplaced.Key()))
+	for from, to := range map[string]string{home(misplaced): wrong, home(rooted): fileName(rooted.Key())} {
+		if err := (osFS{}).Rename(filepath.Join(dir, from), filepath.Join(dir, to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fs := newTestFS(t, dir)
+	rep, err := fsck(dir, true, fs.Faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Severity() != FsckResidue || rep.Misplaced != 1 {
+		t.Fatalf("repair pass graded %d with %d misplaced, want residue and 1", rep.Severity(), rep.Misplaced)
+	}
+	img := t.TempDir()
+	if err := fs.durableImage(img); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*RunRecord{misplaced, rooted} {
+		if _, err := os.Stat(filepath.Join(img, home(rec))); err != nil {
+			t.Errorf("the power-loss image does not hold %s on its home shard: %v", rec.Key(), err)
+		}
+	}
+	for _, from := range []string{wrong, fileName(rooted.Key())} {
+		if _, err := os.Stat(filepath.Join(img, from)); !os.IsNotExist(err) {
+			t.Errorf("the power-loss image still holds %s: %v", from, err)
+		}
+	}
+	if rep, err := FsckStore(img, false); err != nil || rep.Severity() != FsckClean {
+		t.Fatalf("the power-loss image grades %d (%v): %+v", rep.Severity(), err, rep.Findings)
 	}
 }

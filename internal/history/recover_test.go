@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -198,5 +199,34 @@ func TestFSBackendRenameFailureCleansTemp(t *testing.T) {
 	}
 	if !st.Recovery().Empty() {
 		t.Errorf("recovery found leftovers: %+v", st.Recovery())
+	}
+}
+
+// TestEveryWritersTempSweptAtOpen: an open sweeps the orphaned temp file
+// of every writer of its directory — the replication state and peers and
+// the session journal as well as its own records and journal epoch — so a
+// store opened and closed once grades clean.
+func TestEveryWritersTempSweptAtOpen(t *testing.T) {
+	dir := fsckDurableStore(t)
+	tmps := []string{".put-1.tmp", "wal/.epoch-2.tmp", "replica/.state-3.tmp", "replica/.peers-4.tmp", "sessions/.session-5.tmp"}
+	for _, tmp := range tmps {
+		path := filepath.Join(dir, filepath.FromSlash(tmp))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeStoreFile(t, filepath.Dir(path), filepath.Base(path), []byte("half a file"))
+	}
+	st, err := OpenStoreDurable(dir, DurableOptions{WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if swept := st.Recovery().SweptTemp; !slices.Equal(swept, tmps) {
+		t.Errorf("open swept %v, want %v", swept, tmps)
+	}
+	if rep, err := FsckStore(dir, false); err != nil || rep.Severity() != FsckClean {
+		t.Fatalf("store after one open grades %d (%v): %v", rep.Severity(), err, findingPaths(rep))
 	}
 }

@@ -40,13 +40,10 @@ type Store struct {
 }
 
 // NewStore opens (creating if needed) a filesystem-backed store rooted
-// at dir — the historical on-disk format, readable across tool sessions.
+// at dir — the historical on-disk format, readable across tool sessions —
+// with OpenStore's crash recovery.
 func NewStore(dir string) (*Store, error) {
-	b, err := NewFSBackend(dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewStoreWith(b)
+	return OpenStoreDurable(dir, DurableOptions{Create: true})
 }
 
 // OpenStore opens an existing filesystem-backed store rooted at dir,
@@ -66,7 +63,7 @@ func OpenStore(dir string) (*Store, error) {
 // DurableOptions configures OpenStoreDurable.
 type DurableOptions struct {
 	// Create makes the store directory when absent instead of failing
-	// (NewStore semantics with the recovery pass of OpenStore).
+	// (NewStore).
 	Create bool
 	// WAL enables the write-ahead journal under <dir>/wal: Save and
 	// Delete append there before the backend mutation, and the journal
@@ -102,15 +99,16 @@ type DurableOptions struct {
 }
 
 // OpenStoreDurable opens a filesystem-backed store with the durability
-// ladder of DESIGN.md §10: temp-file sweep, one scan that indexes every
-// record (renaming any found under a non-canonical file name), then
+// ladder of DESIGN.md §10: it plans the directory's recovery in one
+// read-only pass (planRecovery) and carries the plan out — temp-file
+// sweep, renaming records found under a non-canonical file name,
 // write-ahead-journal replay through the store's commit path (so a torn
-// rename or a crash mid-write never loses an acknowledged record), then
-// the quarantine pass over whatever is still unreadable. The order
-// matters — a record the journal can roll forward is repaired, not
-// quarantined. The replay outcome is part of Recovery's report. A store
-// written before the journal existed (no wal/ directory) opens cleanly
-// with an empty journal.
+// rename or a crash mid-write never loses an acknowledged record), the
+// journal restart, then the quarantine of whatever is still unreadable.
+// The order matters — a record the journal can roll forward is repaired,
+// not quarantined. Recovery reports what was done. A store written
+// before the journal existed (no wal/ directory) opens cleanly with an
+// empty journal.
 func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("history: empty store directory")
@@ -138,58 +136,13 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if o.Wrap != nil {
 		st.backend = o.Wrap(fb)
 	}
-	rep := &RecoveryReport{}
-	swept, err := fb.SweepTemp()
-	rep.SweptTemp = swept
+	p, err := planRecovery(dir, o.WAL)
 	if err != nil {
 		return nil, fmt.Errorf("history: recover store: %w", err)
 	}
-	found, issues, err := st.scan()
-	if err != nil {
+	if err := st.carryOut(fb, p, o.WALOptions); err != nil {
 		return nil, err
 	}
-	st.setIndex(adoptNames(fb, found, rep), issues)
-	// healed names the record files the journal replay rewrote or
-	// removed: whatever the scan said about them is out of date.
-	healed := make(map[string]bool)
-	if o.WAL {
-		walDir := filepath.Join(dir, WALDirName)
-		entries, scan, err := ReadWAL(walDir)
-		if err != nil {
-			return nil, fmt.Errorf("history: recover store: %w", err)
-		}
-		ms, invalid := foldMutations(entries)
-		applied, err := st.commit(ms, commitRedo)
-		rep.WAL = &WALRecovery{
-			Segments: scan.Segments,
-			Entries:  scan.Entries,
-			Replayed: applied,
-			TornTail: scan.TornTail,
-			Corrupt:  append(scan.Corrupt, invalid...),
-		}
-		if err != nil {
-			return nil, fmt.Errorf("history: recover store: wal replay: %w", err)
-		}
-		for _, m := range ms {
-			healed[fileName(m.Key())] = true
-		}
-		// Every journaled write is folded into the record files now;
-		// truncate the journal rather than replaying it forever.
-		st.wal, err = startWAL(fb.fs, walDir, o.WALOptions)
-		if err != nil {
-			return nil, err
-		}
-		// StartWAL bumped the journal generation; a promoted shard's
-		// replication state tracks that generation (it is what fencing
-		// advertises), so re-sync it. Keeps the pcfsck invariant — a
-		// promoted replica/STATE.json epoch equals wal/EPOCH at rest —
-		// true across restarts, not just right after promotion.
-		if err := syncPromotedStateEpoch(fb.fs, dir, st.wal.Epoch()); err != nil {
-			return nil, fmt.Errorf("history: recover store: %w", err)
-		}
-	}
-	st.quarantinePass(fb, rep, healed)
-	st.recovery = rep
 	if faults != nil {
 		faults.arm(dir)
 	}
@@ -241,27 +194,9 @@ func (s *Store) Dir() string {
 // records written behind the store's back. Corrupt or invalid entries
 // are skipped and reported via ScanIssues.
 func (s *Store) Refresh() error {
-	found, issues, err := s.scan()
-	if err != nil {
-		return err
-	}
-	s.setIndex(found, issues)
-	return nil
-}
-
-// scannedRecord is one decodable entry of a backend scan: the decoded
-// record and the backend-level name it was stored under.
-type scannedRecord struct {
-	name string
-	rec  *RunRecord
-}
-
-// scan reads and decodes every stored record. Entries that cannot be
-// read or decoded come back as issues.
-func (s *Store) scan() ([]scannedRecord, []ScanIssue, error) {
 	entries, issues, err := s.backend.Scan()
 	if err != nil {
-		return nil, nil, &BackendError{Op: "scan", Err: err}
+		return &BackendError{Op: "scan", Err: err}
 	}
 	found := make([]scannedRecord, 0, len(entries))
 	for _, e := range entries {
@@ -272,7 +207,17 @@ func (s *Store) scan() ([]scannedRecord, []ScanIssue, error) {
 		}
 		found = append(found, scannedRecord{name: e.Name, rec: rec})
 	}
-	return found, issues, nil
+	s.setIndex(found, issues)
+	return nil
+}
+
+// scannedRecord is one decodable entry of a scan: the decoded record, the
+// name it was stored under and, in a recovery plan, the bytes it was
+// decoded from (the plan's broken files have no rec).
+type scannedRecord struct {
+	name string
+	rec  *RunRecord
+	data []byte
 }
 
 // setIndex replaces the index with a scan's outcome.
@@ -869,16 +814,6 @@ func promotedState(storeDir string) (spath string, st map[string]any, epoch uint
 	return spath, st, uint64(cur), true
 }
 
-// writeStateEpoch rewrites a state document with its epoch patched.
-func writeStateEpoch(fs fsys, spath string, st map[string]any, epoch uint64) error {
-	st["epoch"] = epoch
-	out, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(fs, spath, ".state-*.tmp", append(out, '\n'), true)
-}
-
 // syncPromotedStateEpoch rewrites a promoted shard's replica/STATE.json
 // epoch to the journal's generation. StartWAL bumps the generation at
 // every open, and the state file — the epoch a promoted node advertises
@@ -889,5 +824,10 @@ func syncPromotedStateEpoch(fs fsys, storeDir string, epoch uint64) error {
 	if !ok || cur == epoch {
 		return nil
 	}
-	return writeStateEpoch(fs, spath, st, epoch)
+	st["epoch"] = epoch
+	out, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(fs, spath, ".state-*.tmp", append(out, '\n'), true)
 }
