@@ -172,6 +172,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeWALPayload -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeWALFrames -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeRecordMatchesEncodingJSON -fuzztime 10s ./internal/history/
+	$(GO) test -fuzz FuzzCanonicalRecordBytes -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzReadWALEpoch -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzParseShardManifest -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/

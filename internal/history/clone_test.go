@@ -105,6 +105,9 @@ func randomRecord(r *rand.Rand) *RunRecord {
 	return &rec
 }
 
+// putMutation builds the put of a record its caller keeps, as Save does.
+func putMutation(rec *RunRecord) (mutation, error) { return detach(rec)[0].mutation() }
+
 // checkIndexCopy is the property: the copy putMutation hands the index
 // is what decoding the stored bytes yields, and encodes back to them.
 func checkIndexCopy(t *testing.T, rec *RunRecord) {

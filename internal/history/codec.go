@@ -1,7 +1,9 @@
 package history
 
 import (
+	"bytes"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -108,11 +110,14 @@ func AppendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
+// lineBreak is a line break and indentation enough for every level a
+// record reaches (a batch element's result members sit at level 5).
+const lineBreak = "\n                "
+
 // appendIndent starts a line at the given nesting depth.
 func appendIndent(dst []byte, depth int) []byte {
-	const line = "\n                " // deep enough for every shape here
-	if n := 1 + 2*depth; n <= len(line) {
-		return append(dst, line[:n]...)
+	if n := 1 + 2*depth; n <= len(lineBreak) {
+		return append(dst, lineBreak[:n]...)
 	}
 	dst = append(dst, '\n')
 	for ; depth > 0; depth-- {
@@ -275,6 +280,13 @@ type Decoder struct {
 	pos  int
 	bad  bool
 	buf  []byte // unescape scratch
+
+	// canon is the canonical check (see encoded): it stays true while
+	// what was read since it was set is AppendRecord's spelling, at the
+	// nesting depth level; spell is the scratch a float is re-spelled in.
+	canon bool
+	level int
+	spell []byte
 }
 
 // NewDecoder reads data.
@@ -337,6 +349,10 @@ func (d *Decoder) list(opening, closing byte, item func()) {
 	if !d.expect(opening) {
 		return
 	}
+	if d.canon {
+		d.checkedList(closing, item)
+		return
+	}
 	if d.peek() == closing {
 		d.pos++
 		return
@@ -345,15 +361,71 @@ func (d *Decoder) list(opening, closing byte, item func()) {
 	}
 }
 
+// checkedList is list past the opening bracket under the canonical
+// check, which accepts what list does and holds the layout to
+// AppendRecord's: [] for an empty list, else each item on a line of its
+// own a level deeper, its comma straight after it, and the closing
+// bracket on a line at the list's level. Once the check fails, the rest
+// of the record reads as list reads it.
+func (d *Decoder) checkedList(closing byte, item func()) {
+	if d.pos < len(d.data) && d.data[d.pos] == closing {
+		d.pos++
+		return
+	}
+	d.level++
+	if d.line(d.level); d.peek() == closing { // whitespace between the brackets
+		d.canon = false
+		d.pos++
+	} else {
+		for item(); ; item() {
+			if d.pos < len(d.data) && d.data[d.pos] == ',' {
+				d.pos++
+				d.line(d.level)
+			} else if d.line(d.level - 1); d.more(closing) {
+				d.canon = false // whitespace ahead of the comma
+			} else {
+				break
+			}
+		}
+	}
+	d.level--
+}
+
+// line is the canonical check of a line break: a newline, two spaces a
+// level and the next token must follow, and are skipped to it.
+func (d *Decoder) line(level int) {
+	n := 1 + 2*level
+	if rest := d.data[d.pos:]; d.canon && n < len(rest) && n <= len(lineBreak) && string(rest[:n]) == lineBreak[:n] && rest[n] > ' ' {
+		d.pos += n
+	} else {
+		d.canon = false
+	}
+}
+
+// colon consumes the colon after a member name, which the canonical
+// check wants straight after the name and followed by one space.
+func (d *Decoder) colon() bool {
+	if rest := d.data[d.pos:]; len(rest) > 2 && rest[0] == ':' && rest[1] == ' ' && rest[2] > ' ' {
+		d.pos += 2
+		return true
+	}
+	d.canon = false
+	return d.expect(':')
+}
+
 // Array reads an array, calling elem to read each element.
 func (d *Decoder) Array(elem func()) { d.list('[', ']', elem) }
 
 // dict reads an object with free-form member names, calling member with
 // each decoded name; member reads the value. A repeated name is met
-// twice, and the later value wins as it does in encoding/json.
+// twice, and the later value wins as it does in encoding/json. The
+// canonical check wants the names in strictly ascending order.
 func (d *Decoder) dict(member func(key string)) {
+	prev, first := "", true
 	d.list('{', '}', func() {
-		if key := d.String(); d.expect(':') {
+		key := d.String()
+		d.canon = d.canon && (first || key > prev)
+		if prev, first = key, false; d.colon() {
 			member(key)
 		}
 	})
@@ -361,8 +433,10 @@ func (d *Decoder) dict(member func(key string)) {
 
 // Object reads an object whose member names are among fields, calling
 // member with the index of each name met; member reads the value. A name
-// spelled any other way than in fields, or met twice, bails.
-func (d *Decoder) Object(fields []string, member func(i int)) {
+// spelled any other way than in fields, or met twice, bails. It returns
+// how many members it read; the canonical check wants them in the order
+// of fields.
+func (d *Decoder) Object(fields []string, member func(i int)) int {
 	var seen uint32
 	next := 0 // the encoder's order is the common case: try it first
 	d.list('{', '}', func() {
@@ -384,19 +458,38 @@ func (d *Decoder) Object(fields []string, member func(i int)) {
 			for i = 0; i < len(fields) && string(name) != fields[i]; i++ {
 			}
 		}
-		if i == len(fields) || seen&(1<<i) != 0 || !d.expect(':') {
+		if i == len(fields) || seen&(1<<i) != 0 || !d.colon() {
 			d.bail()
 			return
 		}
+		d.canon = d.canon && i == next
 		seen |= 1 << i
 		next = i + 1
 		member(i)
 	})
+	return bits.OnesCount32(seen)
 }
+
+// stringClass sorts the bytes of a string literal: below 3 the bytes a
+// literal holds as they are — 0 ASCII, 1 past ASCII, 2 the < > & that
+// AppendString escapes, so not canonical — then the closing quote (3),
+// a backslash (4), and a control byte, which no literal holds raw (5).
+var stringClass = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case c < 0x20:
+			t[c] = 5
+		case c >= utf8.RuneSelf:
+			t[c] = 1
+		}
+	}
+	t['<'], t['>'], t['&'], t['"'], t['\\'] = 2, 2, 2, 3, 4
+	return t
+}()
 
 // StringBytes reads a string literal and returns its decoded bytes,
 // which alias the input or the scratch buffer and are good until the
-// next read.
+// next read. The canonical check is folded into the one scan.
 func (d *Decoder) StringBytes() []byte {
 	if !d.expect('"') {
 		return nil
@@ -404,25 +497,42 @@ func (d *Decoder) StringBytes() []byte {
 	start := d.pos
 	ascii := true
 	for i := start; i < len(d.data); i++ {
-		switch c := d.data[i]; {
-		case c == '"':
+		k := stringClass[d.data[i]]
+		if k == 0 {
+			continue
+		}
+		switch k {
+		case 1:
+			ascii = false
+		case 2:
+			d.canon = false
+		case 3:
 			d.pos = i + 1
-			if !ascii && !utf8.Valid(d.data[start:i]) {
-				d.bail()
+			if !ascii && !d.validUTF8(d.data[start:i], d.data[start:i]) {
 				return nil
 			}
 			return d.data[start:i]
-		case c == '\\':
+		case 4:
 			return d.unescape(start, i)
-		case c < 0x20:
+		case 5:
 			d.bail()
 			return nil
-		case c >= utf8.RuneSelf:
-			ascii = false
 		}
 	}
 	d.bail() // unterminated
 	return nil
+}
+
+// validUTF8 bails unless s, a literal's decoded bytes, is UTF-8, and
+// holds the canonical check to lit, the literal, holding neither U+2028
+// nor U+2029 raw, which AppendString escapes.
+func (d *Decoder) validUTF8(s, lit []byte) bool {
+	if !utf8.Valid(s) {
+		d.bail()
+		return false
+	}
+	d.canon = d.canon && !bytes.Contains(lit, []byte("\u2028")) && !bytes.Contains(lit, []byte("\u2029"))
+	return true
 }
 
 // unescape finishes StringBytes for a literal that began at start and
@@ -432,8 +542,11 @@ func (d *Decoder) unescape(start, i int) []byte {
 	for i+1 < len(d.data) { // at a backslash, with a byte after it
 		i += 2
 		switch c := d.data[i-1]; c {
-		case '"', '\\', '/':
+		case '"', '\\':
 			buf = append(buf, c)
+		case '/':
+			buf = append(buf, c)
+			d.canon = false // AppendString leaves / as it is
 		case 'b':
 			buf = append(buf, '\b')
 		case 'f':
@@ -454,6 +567,7 @@ func (d *Decoder) unescape(start, i int) []byte {
 				d.bail()
 				return nil
 			}
+			d.canon = d.canon && canonicalEscape(r, d.data[i:i+4])
 			buf = utf8.AppendRune(buf, r)
 			i += 4
 		default:
@@ -462,15 +576,16 @@ func (d *Decoder) unescape(start, i int) []byte {
 		}
 		// The plain run up to the next backslash or the closing quote.
 		run := i
-		for i < len(d.data) && d.data[i] != '"' && d.data[i] != '\\' && d.data[i] >= 0x20 {
-			i++
+		for ; i < len(d.data) && stringClass[d.data[i]] < 3; i++ {
+			if stringClass[d.data[i]] == 2 {
+				d.canon = false
+			}
 		}
 		buf = append(buf, d.data[run:i]...)
 		if i < len(d.data) && d.data[i] == '"' {
 			d.pos = i + 1
 			d.buf = buf
-			if !utf8.Valid(buf) {
-				d.bail()
+			if !d.validUTF8(buf, d.data[start:i]) {
 				return nil
 			}
 			return buf
@@ -481,6 +596,19 @@ func (d *Decoder) unescape(start, i int) []byte {
 	}
 	d.bail() // unterminated, or not a string
 	return nil
+}
+
+// canonicalEscape reports whether \u and hex, which read as r, are how
+// AppendString writes r: in lower case, and only for a control byte with
+// no name, < > &, U+2028 and U+2029.
+func canonicalEscape(r rune, hex []byte) bool {
+	switch r {
+	case '\b', '\f', '\n', '\r', '\t':
+		return false
+	case '\u2028', '\u2029':
+		return true
+	}
+	return (r < 0x20 || r == '<' || r == '>' || r == '&') && hex[2] == hexDigits[r>>4] && hex[3] == hexDigits[r&0xF]
 }
 
 // hex4 reads four hex digits; -1 when b is anything else.
@@ -567,20 +695,48 @@ func (d *Decoder) number() []byte {
 
 // Float reads a number into a float64 field.
 func (d *Decoder) Float() float64 {
-	f, err := strconv.ParseFloat(string(d.number()), 64)
+	lit := d.number()
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil { // empty after a bail, or out of range
 		d.bail()
+	} else if d.canon && !plainShortest(lit, f) {
+		d.spell = AppendFloat(d.spell[:0], f)
+		d.canon = bytes.Equal(d.spell, lit)
 	}
 	return f
+}
+
+// plainShortest reports, by its shape alone, that a literal is
+// AppendFloat's spelling of f, its value: 'f' notation where AppendFloat
+// writes it, no trailing zero in a fraction, and at most 15 significant
+// digits — so few that no other decimal of as many rounds to f, let
+// alone a shorter one. false says only that it has to be formatted.
+func plainShortest(lit []byte, f float64) bool {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) ||
+		bytes.IndexByte(lit, '.') >= 0 && lit[len(lit)-1] == '0' {
+		return false
+	}
+	sig := 0
+	for _, c := range lit {
+		switch {
+		case c == 'e' || c == 'E':
+			return false
+		case '1' <= c && c <= '9' || c == '0' && sig > 0:
+			sig++
+		}
+	}
+	return sig <= 15
 }
 
 // Int reads a number into an int field, which takes no fraction
 // and no exponent.
 func (d *Decoder) Int() int {
-	n, err := strconv.ParseInt(string(d.number()), 10, strconv.IntSize)
+	lit := d.number()
+	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 	if err != nil {
 		d.bail()
 	}
+	d.canon = d.canon && string(lit) != "-0"
 	return int(n)
 }
 
@@ -602,9 +758,10 @@ func (d *Decoder) boolean() bool {
 
 var resultFields = []string{"hyp", "focus", "state", "value", "threshold", "concluded_at", "priority", "persistent"}
 
-// Result reads one result into nr, which must be zero.
+// Result reads one result into nr, which must be zero. The canonical
+// check wants every member, persistent only when true.
 func (d *Decoder) Result(nr *NodeResult) {
-	d.Object(resultFields, func(i int) {
+	n := d.Object(resultFields, func(i int) {
 		switch i {
 		case 0:
 			nr.Hyp = d.interned()
@@ -624,15 +781,16 @@ func (d *Decoder) Result(nr *NodeResult) {
 			nr.Persistent = d.boolean()
 		}
 	})
+	d.canon = d.canon && (n == len(resultFields)-1 || n == len(resultFields) && nr.Persistent)
 }
 
 var recordFields = []string{"app", "version", "run_id", "duration", "resources", "proc_nodes", "results", "usage", "pairs_tested", "true_count"}
 
 // Record reads one record into r, which must be zero. A present but
 // empty map or array decodes to an empty, non-nil one, as encoding/json
-// has it.
+// has it. The canonical check wants every member.
 func (d *Decoder) Record(r *RunRecord) {
-	d.Object(recordFields, func(i int) {
+	n := d.Object(recordFields, func(i int) {
 		switch i {
 		case 0:
 			r.App = d.String()
@@ -667,6 +825,7 @@ func (d *Decoder) Record(r *RunRecord) {
 			r.TrueCount = d.Int()
 		}
 	})
+	d.canon = d.canon && n == len(recordFields)
 }
 
 // ParseRecord decodes one record through the strict decoder. false

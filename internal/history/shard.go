@@ -583,11 +583,7 @@ func (s *ShardedStore) write(sh *shardState, op string, ms []mutation) (n int, e
 
 // Save routes the record to its shard, validated and encoded once here.
 func (s *ShardedStore) Save(rec *RunRecord) error {
-	m, err := putMutation(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.write(s.route(rec.App, rec.Version), "put", []mutation{m})
+	_, err := s.PutEncoded(detach(rec))
 	return err
 }
 
@@ -597,7 +593,12 @@ func (s *ShardedStore) Save(rec *RunRecord) error {
 // Groups are written in ascending shard order (input order within a
 // group); the first failing group stops the batch, reporting how many
 // records landed.
-func (s *ShardedStore) PutBatch(recs []*RunRecord) (int, error) {
+func (s *ShardedStore) PutBatch(recs []*RunRecord) (int, error) { return s.PutEncoded(detach(recs...)) }
+
+// PutEncoded is PutBatch for records decoded from put bodies, written
+// under the bytes they arrived in when those are canonical (Store's
+// PutEncoded).
+func (s *ShardedStore) PutEncoded(recs []Encoded) (int, error) {
 	ms, err := putMutations(recs)
 	if err != nil {
 		return 0, err

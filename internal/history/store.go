@@ -263,23 +263,40 @@ func decodeRecord(data []byte) (*RunRecord, error) {
 // mutation is one store write ready to commit: the journal entry —
 // validated, and for puts carrying the record's encoded bytes — plus
 // the decoded copy the index will hold (nil for deletes). A record is
-// validated and encoded once, where its mutation is built; everything
-// downstream moves these bytes.
+// validated and encoded at most once, where its mutation is built;
+// everything downstream moves these bytes.
 type mutation struct {
 	WALEntry
 	rec *RunRecord
 }
 
-// putMutation validates and encodes rec — the one EncodeRecord that
-// fixes the record's file bytes. The index copy is a field-wise clone,
-// detached from the caller's pointer and equal to what decoding those
-// bytes would yield (Validate admits nothing the encoder would rewrite
-// or could not spell), so the bytes are never decoded again on this node.
-func putMutation(rec *RunRecord) (mutation, error) {
-	if err := rec.Validate(); err != nil {
+// mutation validates e's record and takes it for the index as it is,
+// with the bytes it came with or else the one EncodeRecord that fixes
+// its file bytes. Either way the record equals what decoding those bytes
+// would yield (Validate admits nothing the encoder would rewrite or
+// could not spell), so they are never decoded again on this node.
+func (e Encoded) mutation() (mutation, error) {
+	if err := e.rec.Validate(); err != nil {
 		return mutation{}, err
 	}
-	return mutation{WALEntry: StoredEntry(rec), rec: rec.clone()}, nil
+	m := mutation{WALEntry: WALEntry{Op: walOpPut, App: e.rec.App, Version: e.rec.Version, RunID: e.rec.RunID, Data: e.data}, rec: e.rec}
+	if m.Data == nil {
+		m.Data = EncodeRecord(e.rec)
+	}
+	return m, nil
+}
+
+// detach wraps records their caller keeps for a write: the index holds
+// a field-wise clone of each, out of the reach of a caller that goes on
+// mutating its own.
+func detach(recs ...*RunRecord) []Encoded {
+	out := make([]Encoded, len(recs))
+	for i, rec := range recs {
+		if rec != nil {
+			out[i].rec = rec.clone()
+		}
+	}
+	return out
 }
 
 // StoredEntry is the put entry of a valid record: its key and the bytes
@@ -306,18 +323,20 @@ func (e WALEntry) Record() (*RunRecord, error) {
 }
 
 // putMutations builds a batch's mutations, validating every record
-// before any is written: a malformed batch fails whole.
-func putMutations(recs []*RunRecord) ([]mutation, error) {
+// before any is written: a malformed batch fails whole. The error of a
+// batch of one is its record's own.
+func putMutations(recs []Encoded) ([]mutation, error) {
 	ms := make([]mutation, len(recs))
-	for i, rec := range recs {
-		if rec == nil {
+	for i, e := range recs {
+		if e.rec == nil {
 			return nil, fmt.Errorf("history: batch record %d is nil", i)
 		}
-		m, err := putMutation(rec)
-		if err != nil {
+		var err error
+		if ms[i], err = e.mutation(); err != nil && len(recs) > 1 {
 			return nil, fmt.Errorf("history: batch record %d: %w", i, err)
+		} else if err != nil {
+			return nil, err
 		}
-		ms[i] = m
 	}
 	return ms, nil
 }
@@ -524,8 +543,8 @@ func (s *Store) disagrees(m mutation) (bool, error) {
 }
 
 // preImage builds the mutation that sets key to its last acknowledged
-// state — what the index holds. The indexed copy is either the decode of
-// the stored bytes or a clone equal to it, and the encoding is a pure
+// state — what the index holds. The indexed copy is the decode of the
+// stored bytes, or a record equal to it, and the encoding is a pure
 // function of the record, so re-encoding it yields exactly the bytes
 // the acknowledged write stored: a healed file, or a follower's copy of
 // a snapshot entry, is byte-identical to it.
@@ -542,11 +561,7 @@ func (s *Store) preImage(key RecordKey) mutation {
 // Save writes (or overwrites) a record — a batch of one. The index
 // caches its own copy, detached from the caller's pointer.
 func (s *Store) Save(rec *RunRecord) error {
-	m, err := putMutation(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.commit([]mutation{m}, commitWrite)
+	_, err := s.PutEncoded(detach(rec))
 	return err
 }
 
@@ -555,7 +570,12 @@ func (s *Store) Save(rec *RunRecord) error {
 // malformed batch fails whole without partial effects; a backend
 // failure mid-batch leaves the earlier records saved and reports how
 // many.
-func (s *Store) PutBatch(recs []*RunRecord) (int, error) {
+func (s *Store) PutBatch(recs []*RunRecord) (int, error) { return s.PutEncoded(detach(recs...)) }
+
+// PutEncoded is PutBatch for records decoded from put bodies: each is
+// written under the bytes it arrived in when they are canonical, and
+// indexed as it was decoded.
+func (s *Store) PutEncoded(recs []Encoded) (int, error) {
 	ms, err := putMutations(recs)
 	if err != nil {
 		return 0, err

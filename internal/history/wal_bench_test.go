@@ -217,6 +217,18 @@ func BenchmarkRecordDecode(b *testing.B) {
 			benchSink = rec
 		}
 	})
+	// A put body's decode: direct, and the canonical check beside it.
+	b.Run("put", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			e, err := DecodePut(data)
+			if err != nil || e.data == nil {
+				b.Fatal("the canonical check refused the record's own encoding", err)
+			}
+			benchSink = e
+		}
+	})
 }
 
 // BenchmarkCommit prices one commit of k records of the corpus's mean

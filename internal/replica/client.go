@@ -373,6 +373,20 @@ func (g *GatedStorage) PutBatch(recs []*history.RunRecord) (int, error) {
 	return n, g.acked(nil, keys...)
 }
 
+// PutEncoded is PutBatch for decoded put bodies, whose bytes the store
+// beneath keeps when it can (history.SaveEncoded).
+func (g *GatedStorage) PutEncoded(recs []history.Encoded) (int, error) {
+	n, err := history.SaveEncoded(g.Storage, recs)
+	if err != nil {
+		return n, err
+	}
+	keys := make([]history.RecordKey, len(recs))
+	for i, e := range recs {
+		keys[i] = e.Record().Key()
+	}
+	return n, g.acked(nil, keys...)
+}
+
 func (g *GatedStorage) Delete(app, version, runID string) error {
 	return g.acked(g.Storage.Delete(app, version, runID), history.RecordKey{App: app, Version: version})
 }

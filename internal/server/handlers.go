@@ -72,8 +72,10 @@ func (s *Server) handle(mux *http.ServeMux, pattern, op string, h http.HandlerFu
 }
 
 // counted registers a cumulative op counter under name and wraps h to
-// bump it and the in-flight gauge. The counter map is written only here,
-// during construction; serving reads it lock-free.
+// bump it and the in-flight gauge, and caps the request body at
+// maxTrustedLength: no record past the journal's frame limit could be
+// stored anyway, and reading more is writeErr's 413. The counter map is
+// written only here, during construction; serving reads it lock-free.
 func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 	ctr := &atomic.Uint64{}
 	s.opCounts[name] = ctr
@@ -81,6 +83,7 @@ func (s *Server) counted(name string, h http.HandlerFunc) http.HandlerFunc {
 		s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
 		ctr.Add(1)
+		r.Body = http.MaxBytesReader(w, r.Body, maxTrustedLength)
 		h(w, r)
 	}
 }
@@ -109,7 +112,8 @@ func writeBody(w http.ResponseWriter, status int, data []byte) {
 // decodeBody reads a request body whole (ReadBody) and decodes it into
 // the zero *out: through the codec's strict decoder when it reads the
 // shape and the bytes, otherwise through encoding/json's stream decoder,
-// which takes the first JSON value of the body as it always has.
+// which takes the first JSON value of the body as it always has. A put
+// body is history.DecodePut's or DecodePutBatch's instead.
 func decodeBody(r *http.Request, out any) error {
 	body, err := ReadBody(r.Body, r.ContentLength)
 	if err != nil {
@@ -122,13 +126,16 @@ func decodeBody(r *http.Request, out any) error {
 }
 
 // writeErr maps an error to a JSON error response: come-back-later
-// refusals are 503 + Retry-After, missing records 404, cancelled or
-// timed-out requests 503/504, everything else the fallback (usually
-// 400).
+// refusals are 503 + Retry-After, missing records 404, a request body
+// over the cap 413, cancelled or timed-out requests 503/504, everything
+// else the fallback (usually 400).
 func writeErr(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
 	var ue *unavailableError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, &ue):
 		w.Header().Set("Retry-After", strconv.Itoa(ue.retryAfter))
 		status = http.StatusServiceUnavailable
@@ -231,17 +238,25 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
-	var rec history.RunRecord
-	if err := decodeBody(r, &rec); err != nil {
+	body, err := ReadBody(r.Body, r.ContentLength)
+	var e history.Encoded
+	if err == nil {
+		e, err = history.DecodePut(body)
+	}
+	if err != nil {
 		writeErr(w, fmt.Errorf("decode run record: %w", err), http.StatusBadRequest)
 		return
 	}
-	err := s.storeWrite([]history.RecordKey{rec.Key()}, func() error { return s.env.Store().Save(&rec) })
+	key := e.Record().Key()
+	err = s.storeWrite([]history.RecordKey{key}, func() error {
+		_, err := history.SaveEncoded(s.env.Store(), []history.Encoded{e})
+		return err
+	})
 	if err != nil {
 		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, PutRunResponse{Saved: rec.Key().String()})
+	writeJSON(w, http.StatusOK, PutRunResponse{Saved: key.String()})
 }
 
 func (s *Server) handleDeleteRun(w http.ResponseWriter, r *http.Request) {

@@ -92,27 +92,31 @@ func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
-	var req PutRunsRequest
-	if err := decodeBody(r, &req); err != nil {
+	body, err := ReadBody(r.Body, r.ContentLength)
+	var recs []history.Encoded
+	if err == nil {
+		recs, err = history.DecodePutBatch(body)
+	}
+	if err != nil {
 		writeErr(w, fmt.Errorf("decode runs batch: %w", err), http.StatusBadRequest)
 		return
 	}
-	if len(req.Runs) == 0 {
+	if len(recs) == 0 {
 		writeErr(w, fmt.Errorf("empty batch"), http.StatusBadRequest)
 		return
 	}
-	keys := make([]history.RecordKey, 0, len(req.Runs))
-	for _, rec := range req.Runs {
-		if rec != nil { // PutBatch refuses the batch; nothing to gate
+	keys := make([]history.RecordKey, 0, len(recs))
+	for _, e := range recs {
+		if rec := e.Record(); rec != nil { // the store refuses the batch; nothing to gate
 			keys = append(keys, rec.Key())
 		}
 	}
-	err := s.storeWrite(keys, func() error {
-		n, err := s.env.Store().PutBatch(req.Runs)
+	err = s.storeWrite(keys, func() error {
+		n, err := history.SaveEncoded(s.env.Store(), recs)
 		if err != nil {
 			// n records landed before the failure; the client's resend
 			// overwrites them idempotently.
-			return fmt.Errorf("batch stopped after %d of %d: %w", n, len(req.Runs), err)
+			return fmt.Errorf("batch stopped after %d of %d: %w", n, len(recs), err)
 		}
 		return nil
 	})
@@ -120,9 +124,9 @@ func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	saved := make([]string, len(req.Runs))
-	for i, rec := range req.Runs {
-		saved[i] = rec.Key().String()
+	saved := make([]string, len(keys))
+	for i, key := range keys {
+		saved[i] = key.String()
 	}
 	writeJSON(w, http.StatusOK, PutRunsResponse{Saved: saved})
 }

@@ -71,8 +71,6 @@ func unmarshalStrict(data []byte, out any) bool {
 		return strict(data, out, (*history.Decoder).Record)
 	case *QueryResponse:
 		return strict(data, out, decodeQuery)
-	case *PutRunsRequest:
-		return strict(data, out, decodePutRuns)
 	case *ingest.SamplesRequest:
 		return ingest.ParseSamplesRequest(data, out)
 	}
@@ -92,7 +90,8 @@ func strict[T any](data []byte, out *T, decode func(*history.Decoder, *T)) bool 
 
 // maxTrustedLength is the largest declared body length a buffer is
 // sized to up front; beyond it the body is read as it arrives, so a
-// header alone cannot make the reader allocate.
+// header alone cannot make the reader allocate. It is also the cap on a
+// request body (counted), the journal's frame limit.
 const maxTrustedLength = 64 << 20
 
 // ReadBody reads a request or response body whose declared length is n
@@ -199,9 +198,9 @@ type DeleteRunResponse struct {
 }
 
 // PutRunsRequest is POST /api/v1/runs/batch: save several run records
-// in one round trip. The batch is validated whole before any write and
-// applied through Storage.PutBatch, so a sharded store visits each
-// owning shard once.
+// in one round trip. The server reads it with history.DecodePutBatch;
+// the batch is validated whole before any write and applied as one
+// batch, so a sharded store visits each owning shard once.
 type PutRunsRequest struct {
 	Runs []*history.RunRecord `json:"runs"`
 }
@@ -229,19 +228,6 @@ func (q PutRunsRequest) appendCanonical(dst []byte) []byte {
 		return history.AppendRecord(dst, q.Runs[i], 2)
 	})
 	return append(dst, "\n}\n"...)
-}
-
-var putRunsFields = []string{"runs"}
-
-func decodePutRuns(d *history.Decoder, q *PutRunsRequest) {
-	d.Object(putRunsFields, func(int) {
-		q.Runs = []*history.RunRecord{}
-		d.Array(func() {
-			rec := &history.RunRecord{}
-			d.Record(rec)
-			q.Runs = append(q.Runs, rec)
-		})
-	})
 }
 
 // PutRunsResponse reports the saved records' display names, in input
