@@ -176,6 +176,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadWALEpoch -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzParseShardManifest -fuzztime 10s ./internal/history/
 	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
+	$(GO) test -fuzz FuzzDirectiveShapesMatchEncodingJSON -fuzztime 10s ./internal/server/
 	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
 	$(GO) test -fuzz FuzzLoadState -fuzztime 10s ./internal/replica/
 	$(GO) test -fuzz FuzzLoadPeers -fuzztime 10s ./internal/replica/

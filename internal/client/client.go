@@ -149,7 +149,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, query url.Value
 			// A sample batch, compact as json.Marshal has it.
 			payload, err = ingest.MarshalSamplesRequest(body)
 		default:
-			payload, err = json.Marshal(body)
+			payload, err = server.MarshalCompact(body)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("client: encode request: %w", err)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/history"
 )
@@ -14,6 +16,11 @@ import (
 // (one decoded copy per key), so pointer identity is record identity
 // and a pointer-keyed cache is exact.
 //
+// It also carries a set across the wire and back: Format remembers the
+// text it wrote for a set, so a diagnose request carrying that text gets
+// the set from Directives without a parse, and Guide compiles each set
+// once for every session it steers.
+//
 // Cached sets are shared between callers and must be treated as
 // read-only; Clone before mutating. All methods are safe for concurrent
 // use.
@@ -22,8 +29,25 @@ type HarvestCache struct {
 	harvests map[harvestKey]*DirectiveSet
 	mapped   map[mappedKey]*DirectiveSet
 	combined map[combinedKey]*DirectiveSet
-	hits     uint64
-	misses   uint64
+	guides   map[*DirectiveSet]*Guide
+	texts    []*formatted // oldest first, at most maxTexts
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+}
+
+// maxTexts bounds the directive texts a cache remembers, a few hundred
+// KB at most each: room for every set a workload steers sessions with at
+// once, and a constant however many sets are harvested.
+const maxTexts = 16
+
+// formatted is a text Format wrote and the set it wrote it for. same
+// says whether ParseDirectives reads the text back as that set, checked
+// once, by the first request that carries the text.
+type formatted struct {
+	text  string
+	ds    *DirectiveSet
+	check sync.Once
+	same  bool
 }
 
 // harvestKey identifies one harvest: the interned record and the
@@ -55,6 +79,7 @@ func NewHarvestCache() *HarvestCache {
 		harvests: make(map[harvestKey]*DirectiveSet),
 		mapped:   make(map[mappedKey]*DirectiveSet),
 		combined: make(map[combinedKey]*DirectiveSet),
+		guides:   make(map[*DirectiveSet]*Guide),
 	}
 }
 
@@ -67,7 +92,7 @@ func (c *HarvestCache) Harvest(rec *history.RunRecord, opt HarvestOptions) *Dire
 	ds, ok := c.harvests[key]
 	c.mu.RUnlock()
 	if ok {
-		c.hit()
+		c.hits.Add(1)
 		return ds
 	}
 	ds = Harvest(rec, opt)
@@ -76,7 +101,7 @@ func (c *HarvestCache) Harvest(rec *history.RunRecord, opt HarvestOptions) *Dire
 		ds = prev // another goroutine computed it first; keep one copy
 	} else {
 		c.harvests[key] = ds
-		c.misses++
+		c.misses.Add(1)
 	}
 	c.mu.Unlock()
 	return ds
@@ -90,7 +115,7 @@ func (c *HarvestCache) Mapped(ds *DirectiveSet, maps []Mapping) (*DirectiveSet, 
 	out, ok := c.mapped[key]
 	c.mu.RUnlock()
 	if ok {
-		c.hit()
+		c.hits.Add(1)
 		return out, nil
 	}
 	out, err := ApplyMappings(ds, maps)
@@ -102,7 +127,7 @@ func (c *HarvestCache) Mapped(ds *DirectiveSet, maps []Mapping) (*DirectiveSet, 
 		out = prev
 	} else {
 		c.mapped[key] = out
-		c.misses++
+		c.misses.Add(1)
 	}
 	c.mu.Unlock()
 	return out, nil
@@ -124,7 +149,7 @@ func (c *HarvestCache) combine(op string, a, b *DirectiveSet, fn func(a, b *Dire
 	ds, ok := c.combined[key]
 	c.mu.RUnlock()
 	if ok {
-		c.hit()
+		c.hits.Add(1)
 		return ds
 	}
 	ds = fn(a, b)
@@ -133,21 +158,91 @@ func (c *HarvestCache) combine(op string, a, b *DirectiveSet, fn func(a, b *Dire
 		ds = prev
 	} else {
 		c.combined[key] = ds
-		c.misses++
+		c.misses.Add(1)
 	}
 	c.mu.Unlock()
 	return ds
 }
 
-func (c *HarvestCache) hit() {
+// Guide returns ds compiled, once: ds must be a set this cache returned,
+// which nobody mutates.
+func (c *HarvestCache) Guide(ds *DirectiveSet) *Guide {
+	c.mu.RLock()
+	g, ok := c.guides[ds]
+	c.mu.RUnlock()
+	if ok {
+		return g
+	}
+	g = ds.Compile()
 	c.mu.Lock()
-	c.hits++
+	if prev, ok := c.guides[ds]; ok {
+		g = prev
+	} else {
+		c.guides[ds] = g
+	}
 	c.mu.Unlock()
+	return g
+}
+
+// Format returns FormatDirectives(ds) for a set this cache returned and
+// remembers the text as ds's, forgetting the oldest text beyond
+// maxTexts. A set already remembered is not formatted again.
+func (c *HarvestCache) Format(ds *DirectiveSet) string {
+	c.mu.RLock()
+	f := c.lookup(func(f *formatted) bool { return f.ds == ds })
+	c.mu.RUnlock()
+	if f != nil {
+		return f.text
+	}
+	text := FormatDirectives(ds)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f := c.lookup(func(f *formatted) bool { return f.ds == ds }); f != nil {
+		return f.text
+	}
+	if len(c.texts) == maxTexts {
+		c.texts = append(c.texts[:0], c.texts[1:]...)
+	}
+	c.texts = append(c.texts, &formatted{text: text, ds: ds})
+	return text
+}
+
+// Directives returns the set a directive text spells, compiled. A text
+// Format wrote gives back the set it was written for, once a parse has
+// been seen to read the text as that set; any other text is parsed and
+// compiled afresh, and nothing of it is kept.
+func (c *HarvestCache) Directives(text string) (*DirectiveSet, *Guide, error) {
+	c.mu.RLock()
+	f := c.lookup(func(f *formatted) bool { return f.text == text })
+	c.mu.RUnlock()
+	if f != nil {
+		f.check.Do(func() {
+			parsed, err := ParseDirectives(strings.NewReader(text))
+			f.same = err == nil && parsed.equal(f.ds)
+		})
+		if f.same {
+			return f.ds, c.Guide(f.ds), nil
+		}
+	}
+	ds, err := ParseDirectives(strings.NewReader(text))
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, ds.Compile(), nil
+}
+
+// lookup returns the remembered text match picks, or nil; c.mu must
+// be held.
+func (c *HarvestCache) lookup(match func(*formatted) bool) *formatted {
+	for _, f := range c.texts {
+		if match(f) {
+			return f
+		}
+	}
+	return nil
 }
 
 // Stats reports cache hits and misses so far.
 func (c *HarvestCache) Stats() (hits, misses uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }

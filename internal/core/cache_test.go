@@ -123,6 +123,9 @@ func TestHarvestCacheConcurrent(t *testing.T) {
 				if _, err := c.Mapped(ds, maps); err != nil {
 					t.Error(err)
 				}
+				if got, guide, err := c.Directives(c.Format(ds)); got != ds || guide != c.Guide(ds) || err != nil {
+					t.Errorf("a formatted text came back as %p, %v", got, err)
+				}
 				sets[w] = ds
 			}
 		}()

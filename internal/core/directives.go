@@ -7,6 +7,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -76,6 +78,13 @@ func (ds *DirectiveSet) Clone() *DirectiveSet {
 	return out
 }
 
+// equal reports whether ds and other hold the same directives in the
+// same order.
+func (ds *DirectiveSet) equal(other *DirectiveSet) bool {
+	return ds.Source == other.Source && slices.Equal(ds.Prunes, other.Prunes) &&
+		slices.Equal(ds.Priorities, other.Priorities) && slices.Equal(ds.Thresholds, other.Thresholds)
+}
+
 // Merge appends other's directives (dropping exact duplicates and keeping
 // other's threshold for a hypothesis both sets mention).
 func (ds *DirectiveSet) Merge(other *DirectiveSet) {
@@ -142,109 +151,126 @@ func (ds *DirectiveSet) Sort() {
 	})
 }
 
-// Guidance compiles the directive set into the consultant's search hooks.
+// Guide is a directive set compiled into everything of its guidance that
+// no resource space decides: the prune and priority tables, the
+// thresholds, and the High pairs still to be resolved. It is read-only
+// once built, so one Guide serves every session its set steers, each
+// binding it to its own space.
 //
 // Prune and priority matching is by canonical resource *name*, not by
 // resolved resource identity, so directives that refer to resources the
 // tool has not discovered yet take effect the moment the Performance
 // Consultant generates a focus with that name — the paper's "cases in
 // which new resources are discovered later in an application run".
-//
-// Only High-priority pairs must resolve against the space immediately
-// (they are instrumented at search start); the returned count is the
-// number of directives that could not take effect at start — malformed
-// entries plus High pairs naming unknown resources (those still act as
-// priorities if the pair is reached top-down later).
-func (ds *DirectiveSet) Guidance(space *resource.Space) (consultant.Guidance, int) {
-	skipped := 0
+type Guide struct {
+	pairPrunes map[pair]bool
+	prunes     []subtreePrune
+	prio       map[pair]consultant.Priority
+	high       []pair // High priorities, focus as the directive spells it
+	thresholds map[string]float64
+	malformed  int
+}
 
-	type subtreePrune struct {
-		hyp  string
-		hier string
-		path string
-	}
-	var prunes []subtreePrune
-	pairPrunes := make(map[string]bool)
+// pair is one (hypothesis : focus) pair, focus by name.
+type pair struct{ hyp, focus string }
+
+// subtreePrune is a prune of the subtree at path, in hierarchy hier.
+type subtreePrune struct{ hyp, hier, path string }
+
+// Compile builds ds's Guide. A malformed entry is counted, not kept.
+func (ds *DirectiveSet) Compile() *Guide {
+	g := &Guide{thresholds: make(map[string]float64, len(ds.Thresholds))}
 	for _, p := range ds.Prunes {
 		if p.Focus != "" {
 			name, err := normalizeFocusName(p.Focus)
 			if err != nil {
-				skipped++
+				g.malformed++
 				continue
 			}
-			pairPrunes[p.Hypothesis+" "+name] = true
+			if g.pairPrunes == nil {
+				g.pairPrunes = make(map[pair]bool)
+			}
+			g.pairPrunes[pair{p.Hypothesis, name}] = true
 			continue
 		}
 		parts, err := resource.SplitPath(p.Path)
 		if err != nil {
-			skipped++
+			g.malformed++
 			continue
 		}
-		prunes = append(prunes, subtreePrune{hyp: p.Hypothesis, hier: parts[0], path: p.Path})
+		g.prunes = append(g.prunes, subtreePrune{hyp: p.Hypothesis, hier: parts[0], path: p.Path})
 	}
-
-	prio := make(map[string]consultant.Priority)
-	var high []consultant.HF
 	for _, p := range ds.Priorities {
 		name, err := normalizeFocusName(p.Focus)
+		if err != nil {
+			g.malformed++
+			continue
+		}
+		if g.prio == nil {
+			g.prio = make(map[pair]consultant.Priority, len(ds.Priorities))
+		}
+		g.prio[pair{p.Hypothesis, name}] = p.Level
+		if p.Level == consultant.High {
+			g.high = append(g.high, pair{p.Hypothesis, p.Focus})
+		}
+	}
+	for _, t := range ds.Thresholds {
+		g.thresholds[t.Hypothesis] = t.Value
+	}
+	return g
+}
+
+// Bind resolves g against space: only High-priority pairs must resolve
+// immediately (they are instrumented at search start). The returned
+// count is the number of directives that could not take effect at start
+// — malformed entries plus High pairs naming unknown resources (those
+// still act as priorities if the pair is reached top-down later).
+func (g *Guide) Bind(space *resource.Space) (consultant.Guidance, int) {
+	skipped := g.malformed
+	var high []consultant.HF
+	for _, p := range g.high {
+		f, err := resource.ParseFocus(space, p.focus)
 		if err != nil {
 			skipped++
 			continue
 		}
-		prio[p.Hypothesis+" "+name] = p.Level
-		if p.Level == consultant.High {
-			f, err := resource.ParseFocus(space, p.Focus)
-			if err != nil {
-				// The resource set of this execution does not (yet)
-				// contain the pair; it cannot be pre-instrumented, but
-				// the name-based priority above still applies if the
-				// search reaches it.
-				skipped++
-				continue
-			}
-			high = append(high, consultant.HF{Hyp: p.Hypothesis, Focus: f})
-		}
+		high = append(high, consultant.HF{Hyp: p.hyp, Focus: f})
 	}
+	out := consultant.Guidance{HighPairs: high, Thresholds: maps.Clone(g.thresholds)}
+	if len(g.prunes) > 0 || len(g.pairPrunes) > 0 {
+		out.Prune = g.prune
+	}
+	if len(g.prio) > 0 {
+		out.Priority = g.priority
+	}
+	return out, skipped
+}
 
-	thresholds := make(map[string]float64, len(ds.Thresholds))
-	for _, t := range ds.Thresholds {
-		thresholds[t.Hypothesis] = t.Value
+func (g *Guide) prune(hyp string, f resource.Focus) bool {
+	if len(g.pairPrunes) > 0 && g.pairPrunes[pair{hyp, f.Name()}] {
+		return true
 	}
+	for _, p := range g.prunes {
+		if p.hyp != AnyHypothesis && p.hyp != hyp {
+			continue
+		}
+		sel, ok := f.Selection(p.hier)
+		if !ok || sel.IsRoot() {
+			continue
+		}
+		selPath := sel.Path()
+		if selPath == p.path || strings.HasPrefix(selPath, p.path+"/") {
+			return true
+		}
+	}
+	return false
+}
 
-	g := consultant.Guidance{
-		HighPairs:  high,
-		Thresholds: thresholds,
+func (g *Guide) priority(hyp string, f resource.Focus) consultant.Priority {
+	if lv, ok := g.prio[pair{hyp, f.Name()}]; ok {
+		return lv
 	}
-	if len(prunes) > 0 || len(pairPrunes) > 0 {
-		g.Prune = func(hyp string, f resource.Focus) bool {
-			if len(pairPrunes) > 0 && pairPrunes[hyp+" "+f.Name()] {
-				return true
-			}
-			for _, p := range prunes {
-				if p.hyp != AnyHypothesis && p.hyp != hyp {
-					continue
-				}
-				sel, ok := f.Selection(p.hier)
-				if !ok || sel.IsRoot() {
-					continue
-				}
-				selPath := sel.Path()
-				if selPath == p.path || strings.HasPrefix(selPath, p.path+"/") {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	if len(prio) > 0 {
-		g.Priority = func(hyp string, f resource.Focus) consultant.Priority {
-			if lv, ok := prio[hyp+" "+f.Name()]; ok {
-				return lv
-			}
-			return consultant.Medium
-		}
-	}
-	return g, skipped
+	return consultant.Medium
 }
 
 // normalizeFocusName canonicalizes a focus name's whitespace so that

@@ -42,7 +42,7 @@ func TestSubtreePruneSemantics(t *testing.T) {
 		{Hypothesis: consultant.CPUBound, Path: "/SyncObject"},
 		{Hypothesis: AnyHypothesis, Path: "/Code/util.f"},
 	}}
-	g, skipped := ds.Guidance(sp)
+	g, skipped := ds.Compile().Bind(sp)
 	if skipped != 0 {
 		t.Fatalf("skipped = %d", skipped)
 	}
@@ -79,7 +79,7 @@ func TestPairPruneSemantics(t *testing.T) {
 	sp := testSpace(t)
 	fname := focusName(t, sp, "/Process/p1")
 	ds := &DirectiveSet{Prunes: []Prune{{Hypothesis: consultant.CPUBound, Focus: fname}}}
-	g, skipped := ds.Guidance(sp)
+	g, skipped := ds.Compile().Bind(sp)
 	if skipped != 0 {
 		t.Fatalf("skipped = %d", skipped)
 	}
@@ -111,7 +111,7 @@ func TestGuidanceSkipsOnlyUnstartableDirectives(t *testing.T) {
 			{Hypothesis: consultant.CPUBound, Focus: focusName(t, sp, "/Process/p1"), Level: consultant.High},
 		},
 	}
-	g, skipped := ds.Guidance(sp)
+	g, skipped := ds.Compile().Bind(sp)
 	if skipped != 3 {
 		t.Errorf("skipped = %d, want 3 (two malformed + one unstartable high pair)", skipped)
 	}
@@ -131,7 +131,7 @@ func TestGuidanceAppliesToLateDiscoveredResources(t *testing.T) {
 			{Hypothesis: consultant.ExcessiveSync, Focus: "</Code/late.f/hot,/Machine,/Process,/SyncObject>", Level: consultant.High},
 		},
 	}
-	g, _ := ds.Guidance(sp)
+	g, _ := ds.Compile().Bind(sp)
 	// Discover the resource after guidance compilation.
 	late := sp.MustAdd("/Code/late.f/hot")
 	f := sp.WholeProgram().MustWithSelection(late)
@@ -151,7 +151,7 @@ func TestGuidancePriorities(t *testing.T) {
 		{Hypothesis: consultant.CPUBound, Focus: p1, Level: consultant.High},
 		{Hypothesis: consultant.CPUBound, Focus: p2, Level: consultant.Low},
 	}}
-	g, _ := ds.Guidance(sp)
+	g, _ := ds.Compile().Bind(sp)
 	f1, _ := resource.ParseFocus(sp, p1)
 	f2, _ := resource.ParseFocus(sp, p2)
 	if g.Priority(consultant.CPUBound, f1) != consultant.High {
@@ -174,7 +174,7 @@ func TestGuidancePriorities(t *testing.T) {
 func TestGuidanceThresholds(t *testing.T) {
 	sp := testSpace(t)
 	ds := &DirectiveSet{Thresholds: []ThresholdDirective{{Hypothesis: consultant.ExcessiveSync, Value: 0.12}}}
-	g, _ := ds.Guidance(sp)
+	g, _ := ds.Compile().Bind(sp)
 	if g.Thresholds[consultant.ExcessiveSync] != 0.12 {
 		t.Error("threshold not compiled")
 	}

@@ -27,6 +27,11 @@ type SessionConfig struct {
 	MaxTime float64
 	// Directives guide the search (nil = stock single-button PC).
 	Directives *core.DirectiveSet
+	// Guide, when set, is Directives already compiled (a cached set's,
+	// HarvestCache.Guide): the session binds it to its space instead of
+	// compiling Directives again. Mappings, which rewrite the set, make
+	// the session compile the rewritten set instead.
+	Guide *core.Guide
 	// Mappings rewrite directive resource names into this run's namespace
 	// before the directives are read into the consultant.
 	Mappings []core.Mapping
@@ -151,14 +156,17 @@ func RunSession(a *app.App, cfg SessionConfig) (*SessionResult, error) {
 	var guid consultant.Guidance
 	skipped := 0
 	if cfg.Directives != nil {
-		ds := cfg.Directives
+		guide := cfg.Guide
 		if len(cfg.Mappings) > 0 {
-			ds, err = core.ApplyMappings(ds, cfg.Mappings)
+			ds, err := core.ApplyMappings(cfg.Directives, cfg.Mappings)
 			if err != nil {
 				return nil, err
 			}
+			guide = ds.Compile()
+		} else if guide == nil {
+			guide = cfg.Directives.Compile()
 		}
-		guid, skipped = ds.Guidance(space)
+		guid, skipped = guide.Bind(space)
 	}
 	hypRoot := cfg.Hypotheses
 	if hypRoot == nil {

@@ -536,9 +536,29 @@ func (d *Decoder) validUTF8(s, lit []byte) bool {
 }
 
 // unescape finishes StringBytes for a literal that began at start and
-// has its first backslash at i.
+// has its first backslash at i. The scratch is grown once, to the
+// literal's length — up to its first quote no backslash escapes — so a
+// long text (a directive set is one literal of up to a few hundred KB)
+// is not copied over and over as it grows.
 func (d *Decoder) unescape(start, i int) []byte {
-	buf := append(d.buf[:0], d.data[start:i]...)
+	end := i
+	for {
+		q := bytes.IndexByte(d.data[end:], '"')
+		if q < 0 {
+			end = len(d.data)
+			break
+		}
+		end += q
+		n := 0
+		for k := end - 1; d.data[k] == '\\'; k-- { // stops at the opening quote
+			n++
+		}
+		if n%2 == 0 {
+			break
+		}
+		end++
+	}
+	buf := append(slices.Grow(d.buf[:0], end-start), d.data[start:i]...)
 	for i+1 < len(d.data) { // at a backslash, with a byte after it
 		i += 2
 		switch c := d.data[i-1]; c {
@@ -740,8 +760,8 @@ func (d *Decoder) Int() int {
 	return int(n)
 }
 
-// boolean reads true or false.
-func (d *Decoder) boolean() bool {
+// Bool reads true or false.
+func (d *Decoder) Bool() bool {
 	d.peek()
 	rest := d.data[d.pos:]
 	switch {
@@ -778,7 +798,7 @@ func (d *Decoder) Result(nr *NodeResult) {
 		case 6:
 			nr.Priority = d.interned()
 		case 7:
-			nr.Persistent = d.boolean()
+			nr.Persistent = d.Bool()
 		}
 	})
 	d.canon = d.canon && (n == len(resultFields)-1 || n == len(resultFields) && nr.Persistent)

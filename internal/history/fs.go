@@ -231,7 +231,7 @@ const quarantineReport = "REPORT.txt"
 // and PEERS.json, the session journal and shards/MANIFEST.json. None is
 // ever published, so one left over, by a crash or by a failed rename
 // whose cleanup failed too, is garbage: a store's open sweeps every one
-// in its directory, and pcfsck those at a sharded store's root.
+// in its directory, and a sharded store's open those at its root.
 var tempFiles = [][2]string{{".", ".put-"}, {WALDirName, ".epoch-"}, {"replica", ".state-"},
 	{"replica", ".peers-"}, {"sessions", ".session-"}, {ShardsDirName, ".manifest-"}}
 

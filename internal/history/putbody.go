@@ -35,11 +35,26 @@ func (d *Decoder) encoded() Encoded {
 	e.rec.Results = slices.Clone(e.rec.Results)
 	if d.canon && !d.bad {
 		e.data = d.data[start:d.pos]
-		if level > 0 { // every line break of it carries 2*level spaces more
-			e.data = bytes.ReplaceAll(e.data, []byte(lineBreak[:1+2*level]), []byte("\n"))
+		if level > 0 {
+			e.data = outdent(e.data, 2*level)
 		}
 	}
 	return e
+}
+
+// outdent copies b with the first n bytes after each newline dropped:
+// the 2*level spaces every line break of a record checked at that depth
+// carries beyond depth 0's, which the check has seen there.
+func outdent(b []byte, n int) []byte {
+	out := make([]byte, 0, len(b))
+	for {
+		i := bytes.IndexByte(b, '\n')
+		if i < 0 {
+			return append(out, b...)
+		}
+		out = append(out, b[:i+1]...)
+		b = b[i+1+n:]
+	}
 }
 
 // DecodePut decodes the body of PUT /api/v1/run. A body the strict

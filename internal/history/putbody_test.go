@@ -235,6 +235,28 @@ func TestPlainShortestImpliesAppendFloat(t *testing.T) {
 	}
 }
 
+// checkOutdent spells a canonical encoding at depths 1 to 3 and holds
+// outdent's one pass to the bytes.ReplaceAll it replaced, and both to the
+// depth-0 bytes.
+func checkOutdent(t *testing.T, data []byte) {
+	t.Helper()
+	for level := 1; level <= 3; level++ {
+		deep := bytes.ReplaceAll(data, []byte("\n"), []byte(lineBreak[:1+2*level]))
+		got := outdent(deep, 2*level)
+		if want := bytes.ReplaceAll(deep, []byte(lineBreak[:1+2*level]), []byte("\n")); !bytes.Equal(got, want) || !bytes.Equal(got, data) {
+			t.Fatalf("depth %d: outdent differs from bytes.ReplaceAll:\ngot  %.400q\nwant %.400q", level, got, want)
+		}
+	}
+}
+
+// TestOutdentMatchesReplaceAll runs checkOutdent over the canonical
+// encodings FuzzCanonicalRecordBytes is seeded with.
+func TestOutdentMatchesReplaceAll(t *testing.T) {
+	for _, rec := range append(codecFixed()[2:], sampleRecord("r1"), corpusShapedRecord("small", 7), variantRecord()) {
+		checkOutdent(t, EncodeRecord(rec))
+	}
+}
+
 // FuzzCanonicalRecordBytes: whatever the checking decode accepts as
 // canonical is byte for byte EncodeRecord of the record it returns, and
 // that record is ParseRecord's of those bytes — for a put body at depth
@@ -266,6 +288,7 @@ func FuzzCanonicalRecordBytes(f *testing.F) {
 		}
 		if err == nil && e.data != nil {
 			checkEncoded(t, "depth 0", e)
+			checkOutdent(t, e.data)
 		}
 		body := []byte(batchHead + string(data) + batchTail)
 		recs, err := DecodePutBatch(body)

@@ -230,3 +230,42 @@ func TestEveryWritersTempSweptAtOpen(t *testing.T) {
 		t.Fatalf("store after one open grades %d (%v): %v", rep.Severity(), err, findingPaths(rep))
 	}
 }
+
+// TestShardedOpenSweepsRootTemp: the temp files of a sharded root's own
+// writers, the session journal and the manifest, are swept by its open
+// and reported, so the root grades clean without -repair.
+func TestShardedOpenSweepsRootTemp(t *testing.T) {
+	dir := t.TempDir()
+	sh, err := OpenSharded(dir, 2, DurableOptions{Create: true, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Close()
+	tmps := []string{"sessions/.session-1.tmp", "shards/.manifest-2.tmp"}
+	for _, tmp := range tmps {
+		path := filepath.Join(dir, filepath.FromSlash(tmp))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeStoreFile(t, filepath.Dir(path), filepath.Base(path), []byte("half a file"))
+	}
+	if rep, err := FsckStore(dir, false); err != nil || rep.Severity() != FsckResidue {
+		t.Fatalf("orphans graded %d (%v), want residue", rep.Severity(), err)
+	}
+	sh, err = OpenSharded(dir, 0, DurableOptions{WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Close()
+	if swept := sh.Recovery().SweptTemp; !slices.Equal(swept, tmps) {
+		t.Errorf("open swept %v, want %v", swept, tmps)
+	}
+	for _, tmp := range tmps {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(tmp))); !os.IsNotExist(err) {
+			t.Errorf("%s survived the open: %v", tmp, err)
+		}
+	}
+	if rep, err := FsckStore(dir, false); err != nil || rep.Severity() != FsckClean {
+		t.Fatalf("sharded root after one open grades %d (%v): %v", rep.Severity(), err, findingPaths(rep))
+	}
+}

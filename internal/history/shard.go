@@ -380,7 +380,16 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 		s.threshold = 3
 	}
 
+	// The root's own writers — the session journal, the manifest — are no
+	// shard's: their orphaned temp files are swept here, before the shards
+	// sweep theirs.
 	rep := &RecoveryReport{}
+	for _, rel := range leftTemp(dir, tempFiles) {
+		if err := (osFS{}).Remove(filepath.Join(dir, rel)); err != nil {
+			return nil, fmt.Errorf("history: sharded store %s: sweep: %w", dir, err)
+		}
+		rep.SweptTemp = append(rep.SweptTemp, filepath.ToSlash(rel))
+	}
 	opened := 0
 	var firstErr error
 	for i := 0; i < n; i++ {

@@ -28,6 +28,10 @@ type EngineOptions struct {
 	// Watch registers the known bottleneck signature to report
 	// steps-to-signature for.
 	Watch []Watch
+
+	// guide is Directives compiled, when the caller has it already (a
+	// cached set's); NewEngine compiles Directives otherwise.
+	guide *core.Guide
 }
 
 // minData is how many virtual seconds of samples must have arrived
@@ -48,8 +52,9 @@ const minData = 1.0
 // they concluded, and the space size all of that was last enumerated
 // against (grownAt). A batch that discovers no resource enumerates
 // nothing: it pays for its samples and for at most EvalBudget
-// evaluations. Only a batch that grew the space recompiles the guidance,
-// re-seeds the High pairs and re-refines the true pairs.
+// evaluations. Only a batch that grew the space rebinds the guidance
+// (compiled once, at NewEngine), re-seeds the High pairs and re-refines
+// the true pairs.
 //
 // Mid-stream conclusions are provisional (drawn on partial data, under
 // harvested thresholds). Finalize re-settles the complete aggregate
@@ -83,6 +88,9 @@ type Engine struct {
 func NewEngine(app, version, runID string, opts EngineOptions) *Engine {
 	if opts.EvalBudget <= 0 {
 		opts.EvalBudget = 16
+	}
+	if opts.guide == nil && opts.Directives != nil {
+		opts.guide = opts.Directives.Compile()
 	}
 	exec := postmortem.NewExecution()
 	// The standard tree has children, so the search cannot be refused.
@@ -144,10 +152,10 @@ func (e *Engine) advance() error {
 	// grown since the last one would queue nothing, and is skipped.
 	if sz := e.exec.Space.Size(); sz != e.grownAt {
 		e.grownAt = sz
-		// Recompile the directives against the grown space, so High pairs
-		// naming resources that were just discovered become seedable.
-		if e.opts.Directives != nil {
-			guid, _ := e.opts.Directives.Guidance(e.exec.Space)
+		// Rebind the directives to the grown space, so High pairs naming
+		// resources that were just discovered become seedable.
+		if e.opts.guide != nil {
+			guid, _ := e.opts.guide.Bind(e.exec.Space)
 			e.search.Steer(guid)
 		}
 		e.search.Seed(now)

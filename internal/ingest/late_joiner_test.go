@@ -54,7 +54,7 @@ func (r *refEngine) Feed(samples []Sample) error {
 		return nil
 	}
 	if sz := r.exec.Space.Size(); r.opts.Directives != nil && sz != r.guidAt {
-		guid, _ := r.opts.Directives.Guidance(r.exec.Space)
+		guid, _ := r.opts.Directives.Compile().Bind(r.exec.Space)
 		r.search.Steer(guid)
 		r.guidAt = sz
 	}

@@ -229,16 +229,16 @@ func (m *Manager) Start(req *StartRequest) (*StartResponse, error) {
 		return nil, fmt.Errorf("ingest: run %s is already finalized in the store", key)
 	}
 
-	var ds *core.DirectiveSet
+	opts := EngineOptions{EvalBudget: m.opts.EvalBudget, Watch: req.Watch}
 	sources := 0
 	if req.Harvest {
-		ds, sources = m.harvestFor(req.App, req.Version)
+		opts.Directives, sources = m.harvestFor(req.App, req.Version)
 	}
-	eng := NewEngine(req.App, req.Version, req.RunID, EngineOptions{
-		Directives: ds,
-		EvalBudget: m.opts.EvalBudget,
-		Watch:      req.Watch,
-	})
+	ds := opts.Directives
+	if ds != nil {
+		opts.guide = m.env.Cache().Guide(ds)
+	}
+	eng := NewEngine(req.App, req.Version, req.RunID, opts)
 	s := &stream{
 		key:        key,
 		eng:        eng,

@@ -455,7 +455,7 @@ func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := HarvestResponse{
 		Source:     ds.Source,
-		Directives: core.FormatDirectives(ds),
+		Directives: s.env.Cache().Format(ds),
 		Prunes:     len(ds.Prunes),
 		Priorities: len(ds.Priorities),
 		Thresholds: len(ds.Thresholds),
@@ -474,7 +474,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DiagnoseRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := UnmarshalCanonical(body, &req); err != nil {
 		writeErr(w, fmt.Errorf("decode diagnose request: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -607,11 +607,12 @@ func (s *Server) diagnoseJob(req *DiagnoseRequest) (*harness.SessionJob, *harnes
 		cfg.Sim.Seed = req.Seed
 	}
 	if req.Directives != "" {
-		ds, err := core.ParseDirectives(strings.NewReader(req.Directives))
+		// A text this server's harvest wrote is its set, compiled once.
+		ds, guide, err := s.env.Cache().Directives(req.Directives)
 		if err != nil {
 			return nil, nil, fmt.Errorf("directives: %w", err)
 		}
-		cfg.Directives = ds
+		cfg.Directives, cfg.Guide = ds, guide
 	}
 	if req.Mappings != "" {
 		maps, err := core.ParseMappings(strings.NewReader(req.Mappings))

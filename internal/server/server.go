@@ -9,7 +9,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"runtime"
@@ -191,7 +190,7 @@ func (s *Server) ResumeSessions(ctx context.Context) (int, error) {
 	n := 0
 	for _, rec := range orphans {
 		var req DiagnoseRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil {
+		if err := UnmarshalCanonical(rec.Request, &req); err != nil {
 			// The journaled request itself is unusable; drop it so it does
 			// not orphan forever.
 			s.journal.fail(rec.Key)

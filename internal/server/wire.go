@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -44,12 +46,32 @@ func MarshalCanonical(v any) ([]byte, error) {
 		if n, ok := v.sizeHint(); ok {
 			return v.appendCanonical(make([]byte, 0, n)), nil
 		}
+	case HarvestResponse:
+		// An eighth more than the texts: the escapes of a focus name's < and >.
+		dst := make([]byte, 0, 256+len(v.Directives)*9/8+len(v.Mappings)*9/8)
+		if data, ok := harvestShape.append(dst, &v, true); ok {
+			return append(data, '\n'), nil
+		}
 	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
+}
+
+// MarshalCompact is json.Marshal for a request body: a diagnose request,
+// which carries a directive text, is written by the codec, everything
+// else — and a request holding a float JSON cannot spell — by
+// encoding/json.
+func MarshalCompact(v any) ([]byte, error) {
+	if v, ok := v.(*DiagnoseRequest); ok && v != nil {
+		dst := make([]byte, 0, 256+len(v.Directives)*9/8+len(v.Mappings)*9/8)
+		if data, ok := diagnoseShape.append(dst, v, false); ok {
+			return data, nil
+		}
+	}
+	return json.Marshal(v)
 }
 
 // UnmarshalCanonical is json.Unmarshal for a wire body, into a zero
@@ -73,6 +95,10 @@ func unmarshalStrict(data []byte, out any) bool {
 		return strict(data, out, decodeQuery)
 	case *ingest.SamplesRequest:
 		return ingest.ParseSamplesRequest(data, out)
+	case *HarvestResponse:
+		return strict(data, out, harvestShape.decode)
+	case *DiagnoseRequest:
+		return strict(data, out, diagnoseShape.decode)
 	}
 	return false
 }
@@ -87,6 +113,123 @@ func strict[T any](data []byte, out *T, decode func(*history.Decoder, *T)) bool 
 	*out = v
 	return true
 }
+
+// shape is a flat wire object written once, as its member table: append
+// and decode both walk it, so the two cannot disagree on a name, an
+// order or an omitempty.
+type shape[T any] struct {
+	members []member[T]
+	names   []string
+}
+
+// member is one member of a shape: its JSON name, whether it is left out
+// when zero (omitempty), and the field of v it is — a *string, *int,
+// *int64, *float64 or *bool.
+type member[T any] struct {
+	name  string
+	omit  bool
+	field func(v *T) any
+}
+
+func newShape[T any](members ...member[T]) shape[T] {
+	s := shape[T]{members: members}
+	for _, m := range members {
+		s.names = append(s.names, m.name)
+	}
+	return s
+}
+
+// append appends v as encoding/json writes it — json.MarshalIndent with
+// a two-space indent when indent is set, json.Marshal otherwise — or
+// reports false for a float JSON cannot spell.
+func (s shape[T]) append(dst []byte, v *T, indent bool) ([]byte, bool) {
+	dst = append(dst, '{')
+	empty := true
+	for _, m := range s.members {
+		mark := len(dst)
+		if !empty {
+			dst = append(dst, ',')
+		}
+		if indent {
+			dst = append(dst, "\n  "...)
+		}
+		dst = append(append(append(dst, '"'), m.name...), '"', ':')
+		if indent {
+			dst = append(dst, ' ')
+		}
+		var zero bool
+		switch p := m.field(v).(type) {
+		case *string:
+			dst, zero = history.AppendString(dst, *p), *p == ""
+		case *int:
+			dst, zero = strconv.AppendInt(dst, int64(*p), 10), *p == 0
+		case *int64:
+			dst, zero = strconv.AppendInt(dst, *p, 10), *p == 0
+		case *bool:
+			dst, zero = strconv.AppendBool(dst, *p), !*p
+		case *float64:
+			if math.IsInf(*p, 0) || math.IsNaN(*p) {
+				return nil, false
+			}
+			dst, zero = history.AppendFloat(dst, *p), *p == 0
+		}
+		if m.omit && zero {
+			dst = dst[:mark] // omitempty: written, and taken back
+			continue
+		}
+		empty = false
+	}
+	if indent && !empty {
+		dst = append(dst, '\n')
+	}
+	return append(dst, '}'), true
+}
+
+// decode reads an object of s's members into v, which must be zero.
+func (s shape[T]) decode(d *history.Decoder, v *T) {
+	d.Object(s.names, func(i int) {
+		switch p := s.members[i].field(v).(type) {
+		case *string:
+			*p = d.String()
+		case *int:
+			*p = d.Int()
+		case *int64:
+			*p = int64(d.Int())
+		case *float64:
+			*p = d.Float()
+		case *bool:
+			*p = d.Bool()
+		}
+	})
+}
+
+// The two shapes that carry a directive text, member for member their
+// struct's fields and tags.
+var (
+	harvestShape = newShape(
+		member[HarvestResponse]{"source", true, func(v *HarvestResponse) any { return &v.Source }},
+		member[HarvestResponse]{"directives", false, func(v *HarvestResponse) any { return &v.Directives }},
+		member[HarvestResponse]{"prunes", false, func(v *HarvestResponse) any { return &v.Prunes }},
+		member[HarvestResponse]{"priorities", false, func(v *HarvestResponse) any { return &v.Priorities }},
+		member[HarvestResponse]{"thresholds", false, func(v *HarvestResponse) any { return &v.Thresholds }},
+		member[HarvestResponse]{"mappings", true, func(v *HarvestResponse) any { return &v.Mappings }},
+		member[HarvestResponse]{"mapping_count", true, func(v *HarvestResponse) any { return &v.MappingCount }},
+	)
+	diagnoseShape = newShape(
+		member[DiagnoseRequest]{"app", false, func(v *DiagnoseRequest) any { return &v.App }},
+		member[DiagnoseRequest]{"version", true, func(v *DiagnoseRequest) any { return &v.Version }},
+		member[DiagnoseRequest]{"run_id", true, func(v *DiagnoseRequest) any { return &v.RunID }},
+		member[DiagnoseRequest]{"node_offset", true, func(v *DiagnoseRequest) any { return &v.NodeOffset }},
+		member[DiagnoseRequest]{"pid_base", true, func(v *DiagnoseRequest) any { return &v.PidBase }},
+		member[DiagnoseRequest]{"procs", true, func(v *DiagnoseRequest) any { return &v.Procs }},
+		member[DiagnoseRequest]{"max_time", true, func(v *DiagnoseRequest) any { return &v.MaxTime }},
+		member[DiagnoseRequest]{"seed", true, func(v *DiagnoseRequest) any { return &v.Seed }},
+		member[DiagnoseRequest]{"directives", true, func(v *DiagnoseRequest) any { return &v.Directives }},
+		member[DiagnoseRequest]{"mappings", true, func(v *DiagnoseRequest) any { return &v.Mappings }},
+		member[DiagnoseRequest]{"save", true, func(v *DiagnoseRequest) any { return &v.Save }},
+		member[DiagnoseRequest]{"idempotency_key", true, func(v *DiagnoseRequest) any { return &v.IdempotencyKey }},
+	)
+)
 
 // maxTrustedLength is the largest declared body length a buffer is
 // sized to up front; beyond it the body is read as it arrives, so a
