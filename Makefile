@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench clean
 
 all: build vet test
 
@@ -164,24 +164,24 @@ failover:
 experiments:
 	$(GO) run ./cmd/pcbench -exp all -trials 3
 
+# Every fuzz target of the module for 10 s: each package's Fuzz*
+# functions are found by `go test -list`, so a new one runs here, and in
+# CI, which runs this target, without being listed anywhere.
 fuzz:
-	$(GO) test -fuzz FuzzParseDirectives -fuzztime 10s ./internal/core/
-	$(GO) test -fuzz FuzzParseMappings -fuzztime 10s ./internal/core/
-	$(GO) test -fuzz FuzzParseFocus -fuzztime 10s ./internal/resource/
-	$(GO) test -fuzz FuzzSplitPath -fuzztime 10s ./internal/resource/
-	$(GO) test -fuzz FuzzDecodeWALPayload -fuzztime 10s ./internal/history/
-	$(GO) test -fuzz FuzzDecodeWALFrames -fuzztime 10s ./internal/history/
-	$(GO) test -fuzz FuzzDecodeRecordMatchesEncodingJSON -fuzztime 10s ./internal/history/
-	$(GO) test -fuzz FuzzCanonicalRecordBytes -fuzztime 10s ./internal/history/
-	$(GO) test -fuzz FuzzReadWALEpoch -fuzztime 10s ./internal/history/
-	$(GO) test -fuzz FuzzParseShardManifest -fuzztime 10s ./internal/history/
-	$(GO) test -fuzz FuzzDecodeQueryMatchesEncodingJSON -fuzztime 10s ./internal/server/
-	$(GO) test -fuzz FuzzDirectiveShapesMatchEncodingJSON -fuzztime 10s ./internal/server/
-	$(GO) test -fuzz FuzzDecodeFramed -fuzztime 10s ./internal/replica/
-	$(GO) test -fuzz FuzzLoadState -fuzztime 10s ./internal/replica/
-	$(GO) test -fuzz FuzzLoadPeers -fuzztime 10s ./internal/replica/
-	$(GO) test -fuzz FuzzSampleLine -fuzztime 10s ./internal/postmortem/
-	$(GO) test -fuzz FuzzSamplesRequestMatchesEncodingJSON -fuzztime 10s ./internal/ingest/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "$$pkg $$target"; \
+			$(GO) test -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \
+		done; \
+	done
+
+# The wire codec's benchmarks, each against encoding/json: a record's
+# encode and decode, a put body through the handler, a query response, a
+# directive set's round trip, a sample batch and a trace file. One
+# package at a time (-p 1), so that no two run side by side.
+codec-bench:
+	$(GO) test -p 1 -run '^$$' -bench 'Record(En|De)code|PutBody|QueryResponse(En|De)code|DirectiveRoundTrip|Samples(En|De)code|ReadTrace' \
+		-benchmem -count 5 ./internal/history/ ./internal/server/ ./internal/ingest/ ./internal/postmortem/
 
 clean:
 	$(GO) clean -testcache

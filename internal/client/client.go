@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/history"
-	"repro/internal/ingest"
 	"repro/internal/server"
 )
 
@@ -140,14 +139,10 @@ func (c *Client) doRaw(ctx context.Context, method, path string, query url.Value
 	var payload []byte
 	if body != nil {
 		var err error
-		switch body := body.(type) {
+		switch body.(type) {
 		case *history.RunRecord, server.PutRunsRequest:
-			// The shapes the codec writes directly; the server's strict
-			// decoder reads the canonical form as readily as the compact.
+			// Canonical: pcd stores a canonical record's bytes as they arrive.
 			payload, err = server.MarshalCanonical(body)
-		case *ingest.SamplesRequest:
-			// A sample batch, compact as json.Marshal has it.
-			payload, err = ingest.MarshalSamplesRequest(body)
 		default:
 			payload, err = server.MarshalCompact(body)
 		}

@@ -3,7 +3,6 @@ package history
 import (
 	"bytes"
 	"math"
-	"math/bits"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -11,21 +10,26 @@ import (
 	"repro/internal/consultant"
 )
 
-// The direct JSON codec of the wire shapes that carry results: a
-// record's file, journal and response bytes are written, and read back,
-// by code that knows the record's shape instead of by reflection.
+// The direct JSON codec of the wire shapes: a record's file, journal
+// and response bytes, a query response, a put batch, a directive text's
+// harvest response and diagnose request, a trace line and a sample batch
+// are written, and read back, by code that knows their shape instead of
+// by reflection. Each shape is one member table (shape.go), declared
+// beside its struct — Result and Record here (record.go), QueryHit,
+// QueryResponse, PutRunsRequest, HarvestResponse and DiagnoseRequest in
+// internal/server, Sample in internal/postmortem, SamplesRequest in
+// internal/ingest — and this file holds what the tables are written and
+// read with: the string and float spellings, and the Decoder.
 //
 // The encoder spells out FORMATS.md "Canonical encoding" — what
-// json.MarshalIndent(v, "", "  ") has always produced for these types,
-// byte for byte, now independent of the toolchain's encoding/json. The
-// decoder is strict: it reads exactly the documents
+// json.MarshalIndent(v, "", "  ") (or json.Marshal) has always produced
+// for these types, byte for byte, now independent of the toolchain's
+// encoding/json. The decoder is strict: it reads exactly the documents
 // whose meaning needs no interpretation, and bails on everything else —
 // the caller then runs encoding/json over the same bytes, so any input
 // yields encoding/json's value or encoding/json's error. The tests in
-// codec_test.go hold both halves to the standard library. The
-// serialized interval (internal/postmortem) and its batch envelope
-// (internal/ingest) are written and read the same way, with this file's
-// appenders and its Decoder.
+// codec_test.go, and beside each table, hold both halves to the
+// standard library.
 
 // ---- encode --------------------------------------------------------
 
@@ -41,11 +45,11 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// AppendString appends s as a JSON string literal: `"` and `\` behind a
+// appendString appends s as a JSON string literal: `"` and `\` behind a
 // backslash, \b \f \n \r \t by name, every other control byte and
 // < > & as \u00XX, U+2028 and U+2029 as \u2028 and \u2029, a byte that
 // is not valid UTF-8 as \ufffd, everything else as itself.
-func AppendString(dst []byte, s string) []byte {
+func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -93,11 +97,11 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendFloat appends a finite f the way encoding/json spells a
+// appendFloat appends a finite f the way encoding/json spells a
 // float64: the shortest decimal that round-trips, in plain notation,
 // or in exponent notation below 1e-6 and from 1e21 with a two-digit
 // exponent's leading zero dropped (e-09 becomes e-9).
-func AppendFloat(dst []byte, f float64) []byte {
+func appendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -114,10 +118,13 @@ func AppendFloat(dst []byte, f float64) []byte {
 // record reaches (a batch element's result members sit at level 5).
 const lineBreak = "\n                "
 
-// appendIndent starts a line at the given nesting depth.
+// appendIndent starts a line at the given nesting depth, a negative
+// one for json.Marshal's form, which has no line breaks.
 func appendIndent(dst []byte, depth int) []byte {
-	if n := 1 + 2*depth; n <= len(lineBreak) {
+	if n := 1 + 2*depth; n > 0 && n <= len(lineBreak) {
 		return append(dst, lineBreak[:n]...)
+	} else if depth < 0 {
+		return dst
 	}
 	dst = append(dst, '\n')
 	for ; depth > 0; depth-- {
@@ -126,121 +133,8 @@ func appendIndent(dst []byte, depth int) []byte {
 	return dst
 }
 
-// appendKey starts an object member: a comma unless it is the first,
-// the line, the key (a constant that needs no escaping) and ": ".
-func appendKey(dst []byte, first bool, depth int, key string) []byte {
-	if !first {
-		dst = append(dst, ',')
-	}
-	dst = appendIndent(dst, depth)
-	dst = append(dst, '"')
-	dst = append(dst, key...)
-	return append(dst, '"', ':', ' ')
-}
-
-// appendMap appends m as an object whose opening brace sits at depth:
-// null when nil, {} when empty, otherwise one member a line in key
-// order, each value written by val.
-func appendMap[V any](dst []byte, m map[string]V, depth int, val func(dst []byte, v V) []byte) []byte {
-	if m == nil {
-		return append(dst, "null"...)
-	}
-	if len(m) == 0 {
-		return append(dst, '{', '}')
-	}
-	var few [64]string // more keys than any record the tools build has; a larger map spills to the heap
-	keys := few[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	dst = append(dst, '{')
-	for i, k := range keys {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendIndent(dst, depth+1)
-		dst = AppendString(dst, k)
-		dst = append(dst, ':', ' ')
-		dst = val(dst, m[k])
-	}
-	dst = appendIndent(dst, depth)
-	return append(dst, '}')
-}
-
-// AppendArray appends n elements as an array whose opening bracket sits
-// at depth: null when isNil, [] when empty, otherwise one element a line.
-func AppendArray(dst []byte, n int, isNil bool, depth int, elem func(dst []byte, i int) []byte) []byte {
-	if isNil {
-		return append(dst, "null"...)
-	}
-	if n == 0 {
-		return append(dst, '[', ']')
-	}
-	dst = append(dst, '[')
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendIndent(dst, depth+1)
-		dst = elem(dst, i)
-	}
-	dst = appendIndent(dst, depth)
-	return append(dst, ']')
-}
-
-// AppendResult appends nr's canonical encoding, its opening brace at
-// the given nesting depth. Its floats must be finite (CheckFinite).
-func AppendResult(dst []byte, nr *NodeResult, depth int) []byte {
-	dst = append(dst, '{')
-	dst = AppendString(appendKey(dst, true, depth+1, "hyp"), nr.Hyp)
-	dst = AppendString(appendKey(dst, false, depth+1, "focus"), nr.Focus)
-	dst = AppendString(appendKey(dst, false, depth+1, "state"), nr.State)
-	dst = AppendFloat(appendKey(dst, false, depth+1, "value"), nr.Value)
-	dst = AppendFloat(appendKey(dst, false, depth+1, "threshold"), nr.Threshold)
-	dst = AppendFloat(appendKey(dst, false, depth+1, "concluded_at"), nr.ConcludedAt)
-	dst = AppendString(appendKey(dst, false, depth+1, "priority"), nr.Priority)
-	if nr.Persistent {
-		dst = append(appendKey(dst, false, depth+1, "persistent"), "true"...)
-	}
-	dst = appendIndent(dst, depth)
-	return append(dst, '}')
-}
-
-// AppendRecord appends r's canonical encoding — the one function that
-// produces a record's file bytes — with its opening brace at the given
-// nesting depth (0 for a record file, a journal frame and a get_run
-// body; deeper inside an envelope). There is no trailing newline. The
-// record's floats must be finite, which Validate (and CheckFinite alone)
-// guarantees; with room in dst, encoding allocates nothing.
-func AppendRecord(dst []byte, r *RunRecord, depth int) []byte {
-	dst = append(dst, '{')
-	dst = AppendString(appendKey(dst, true, depth+1, "app"), r.App)
-	dst = AppendString(appendKey(dst, false, depth+1, "version"), r.Version)
-	dst = AppendString(appendKey(dst, false, depth+1, "run_id"), r.RunID)
-	dst = AppendFloat(appendKey(dst, false, depth+1, "duration"), r.Duration)
-	dst = appendKey(dst, false, depth+1, "resources")
-	dst = appendMap(dst, r.Resources, depth+1, func(dst []byte, paths []string) []byte {
-		return AppendArray(dst, len(paths), paths == nil, depth+2, func(dst []byte, i int) []byte {
-			return AppendString(dst, paths[i])
-		})
-	})
-	dst = appendKey(dst, false, depth+1, "proc_nodes")
-	dst = appendMap(dst, r.ProcNodes, depth+1, AppendString)
-	dst = appendKey(dst, false, depth+1, "results")
-	dst = AppendArray(dst, len(r.Results), r.Results == nil, depth+1, func(dst []byte, i int) []byte {
-		return AppendResult(dst, &r.Results[i], depth+2)
-	})
-	dst = appendKey(dst, false, depth+1, "usage")
-	dst = appendMap(dst, r.Usage, depth+1, AppendFloat)
-	dst = strconv.AppendInt(appendKey(dst, false, depth+1, "pairs_tested"), int64(r.PairsTested), 10)
-	dst = strconv.AppendInt(appendKey(dst, false, depth+1, "true_count"), int64(r.TrueCount), 10)
-	dst = appendIndent(dst, depth)
-	return append(dst, '}')
-}
-
 // EncodedSizeHint estimates the length of r's canonical encoding, for
-// sizing the buffer AppendRecord appends to: the long strings' own
+// sizing the buffer RecordShape appends to: the long strings' own
 // lengths plus what keys, numbers and indentation (up to depth 2) add.
 // A low guess costs one buffer growth, a high one a little slack.
 func (r *RunRecord) EncodedSizeHint() int {
@@ -261,7 +155,8 @@ func (r *RunRecord) EncodedSizeHint() int {
 
 // EncodeRecord returns r's canonical encoding in a buffer of its own.
 func EncodeRecord(r *RunRecord) []byte {
-	return AppendRecord(make([]byte, 0, r.EncodedSizeHint()), r, 0)
+	data, _ := RecordShape.Marshal(r, 0)
+	return data
 }
 
 // ---- decode --------------------------------------------------------
@@ -274,7 +169,7 @@ func EncodeRecord(r *RunRecord) []byte {
 // that is not valid UTF-8, a number outside the JSON grammar or the
 // range of its field, a missing or surplus separator, trailing data.
 // What it does accept it decodes exactly as encoding/json would, into
-// strings copied out of the input.
+// strings copied out of the input. A Shape says what it reads.
 type Decoder struct {
 	data []byte
 	pos  int
@@ -282,15 +177,22 @@ type Decoder struct {
 	buf  []byte // unescape scratch
 
 	// canon is the canonical check (see encoded): it stays true while
-	// what was read since it was set is AppendRecord's spelling, at the
+	// what was read since it was set is the Shape's own spelling, at the
 	// nesting depth level; spell is the scratch a float is re-spelled in.
 	canon bool
 	level int
 	spell []byte
+
+	// labels holds every label read so far that is not one of
+	// internable, each once.
+	labels map[string]string
 }
 
-// NewDecoder reads data.
-func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
+// Reset makes d read data, keeping the labels it has read: the lines of
+// one trace share them. A zero Decoder reads nothing until Reset.
+func (d *Decoder) Reset(data []byte) {
+	*d = Decoder{data: data, buf: d.buf, spell: d.spell, labels: d.labels}
+}
 
 // bail gives up on the input; every later read is a no-op.
 func (d *Decoder) bail() {
@@ -363,7 +265,7 @@ func (d *Decoder) list(opening, closing byte, item func()) {
 
 // checkedList is list past the opening bracket under the canonical
 // check, which accepts what list does and holds the layout to
-// AppendRecord's: [] for an empty list, else each item on a line of its
+// a Shape's: [] for an empty list, else each item on a line of its
 // own a level deeper, its comma straight after it, and the closing
 // bracket on a line at the list's level. Once the check fails, the rest
 // of the record reads as list reads it.
@@ -413,8 +315,8 @@ func (d *Decoder) colon() bool {
 	return d.expect(':')
 }
 
-// Array reads an array, calling elem to read each element.
-func (d *Decoder) Array(elem func()) { d.list('[', ']', elem) }
+// array reads an array, calling elem to read each element.
+func (d *Decoder) array(elem func()) { d.list('[', ']', elem) }
 
 // dict reads an object with free-form member names, calling member with
 // each decoded name; member reads the value. A repeated name is met
@@ -423,7 +325,7 @@ func (d *Decoder) Array(elem func()) { d.list('[', ']', elem) }
 func (d *Decoder) dict(member func(key string)) {
 	prev, first := "", true
 	d.list('{', '}', func() {
-		key := d.String()
+		key := d.str()
 		d.canon = d.canon && (first || key > prev)
 		if prev, first = key, false; d.colon() {
 			member(key)
@@ -431,12 +333,10 @@ func (d *Decoder) dict(member func(key string)) {
 	})
 }
 
-// Object reads an object whose member names are among fields, calling
+// object reads an object whose member names are among fields, calling
 // member with the index of each name met; member reads the value. A name
-// spelled any other way than in fields, or met twice, bails. It returns
-// how many members it read; the canonical check wants them in the order
-// of fields.
-func (d *Decoder) Object(fields []string, member func(i int)) int {
+// spelled any other way than in fields, or met twice, bails.
+func (d *Decoder) object(fields []string, member func(i int)) {
 	var seen uint32
 	next := 0 // the encoder's order is the common case: try it first
 	d.list('{', '}', func() {
@@ -462,17 +362,15 @@ func (d *Decoder) Object(fields []string, member func(i int)) int {
 			d.bail()
 			return
 		}
-		d.canon = d.canon && i == next
 		seen |= 1 << i
 		next = i + 1
 		member(i)
 	})
-	return bits.OnesCount32(seen)
 }
 
 // stringClass sorts the bytes of a string literal: below 3 the bytes a
 // literal holds as they are — 0 ASCII, 1 past ASCII, 2 the < > & that
-// AppendString escapes, so not canonical — then the closing quote (3),
+// appendString escapes, so not canonical — then the closing quote (3),
 // a backslash (4), and a control byte, which no literal holds raw (5).
 var stringClass = func() (t [256]byte) {
 	for c := range t {
@@ -487,10 +385,10 @@ var stringClass = func() (t [256]byte) {
 	return t
 }()
 
-// StringBytes reads a string literal and returns its decoded bytes,
+// stringBytes reads a string literal and returns its decoded bytes,
 // which alias the input or the scratch buffer and are good until the
 // next read. The canonical check is folded into the one scan.
-func (d *Decoder) StringBytes() []byte {
+func (d *Decoder) stringBytes() []byte {
 	if !d.expect('"') {
 		return nil
 	}
@@ -525,7 +423,7 @@ func (d *Decoder) StringBytes() []byte {
 
 // validUTF8 bails unless s, a literal's decoded bytes, is UTF-8, and
 // holds the canonical check to lit, the literal, holding neither U+2028
-// nor U+2029 raw, which AppendString escapes.
+// nor U+2029 raw, which appendString escapes.
 func (d *Decoder) validUTF8(s, lit []byte) bool {
 	if !utf8.Valid(s) {
 		d.bail()
@@ -535,7 +433,7 @@ func (d *Decoder) validUTF8(s, lit []byte) bool {
 	return true
 }
 
-// unescape finishes StringBytes for a literal that began at start and
+// unescape finishes stringBytes for a literal that began at start and
 // has its first backslash at i. The scratch is grown once, to the
 // literal's length — up to its first quote no backslash escapes — so a
 // long text (a directive set is one literal of up to a few hundred KB)
@@ -566,7 +464,7 @@ func (d *Decoder) unescape(start, i int) []byte {
 			buf = append(buf, c)
 		case '/':
 			buf = append(buf, c)
-			d.canon = false // AppendString leaves / as it is
+			d.canon = false // appendString leaves / as it is
 		case 'b':
 			buf = append(buf, '\b')
 		case 'f':
@@ -619,7 +517,7 @@ func (d *Decoder) unescape(start, i int) []byte {
 }
 
 // canonicalEscape reports whether \u and hex, which read as r, are how
-// AppendString writes r: in lower case, and only for a control byte with
+// appendString writes r: in lower case, and only for a control byte with
 // no name, < > &, U+2028 and U+2029.
 func canonicalEscape(r rune, hex []byte) bool {
 	switch r {
@@ -649,8 +547,8 @@ func hex4(b []byte) (r rune) {
 	return r
 }
 
-// String reads a string into memory of its own.
-func (d *Decoder) String() string { return string(d.StringBytes()) }
+// str reads a string into memory of its own.
+func (d *Decoder) str() string { return string(d.stringBytes()) }
 
 // internable are the closed sets the consultant defines — states,
 // priorities, hypothesis names — which most results spell, the ones a
@@ -660,16 +558,27 @@ var internable = [...]string{
 	"pruned", "high", "low", "pending", "testing",
 }
 
-// interned reads a string that is usually one of internable, and then
-// costs no allocation.
-func (d *Decoder) interned() string {
-	b := d.StringBytes()
+// label reads a string that is probably not the first of its spelling:
+// one of internable, or one read before, then costs no allocation.
+func (d *Decoder) label() string {
+	b := d.stringBytes()
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := d.labels[string(b)]; ok {
+		return s
+	}
 	for _, s := range internable {
 		if string(b) == s {
 			return s
 		}
 	}
-	return string(b)
+	if d.labels == nil {
+		d.labels = make(map[string]string, 32)
+	}
+	s := string(b)
+	d.labels[s] = s
+	return s
 }
 
 // skip consumes c if it is the next byte.
@@ -713,21 +622,21 @@ func (d *Decoder) number() []byte {
 	return d.data[start:d.pos]
 }
 
-// Float reads a number into a float64 field.
-func (d *Decoder) Float() float64 {
+// float reads a number into a float64 field.
+func (d *Decoder) float() float64 {
 	lit := d.number()
 	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil { // empty after a bail, or out of range
 		d.bail()
 	} else if d.canon && !plainShortest(lit, f) {
-		d.spell = AppendFloat(d.spell[:0], f)
+		d.spell = appendFloat(d.spell[:0], f)
 		d.canon = bytes.Equal(d.spell, lit)
 	}
 	return f
 }
 
 // plainShortest reports, by its shape alone, that a literal is
-// AppendFloat's spelling of f, its value: 'f' notation where AppendFloat
+// appendFloat's spelling of f, its value: 'f' notation where appendFloat
 // writes it, no trailing zero in a fraction, and at most 15 significant
 // digits — so few that no other decimal of as many rounds to f, let
 // alone a shorter one. false says only that it has to be formatted.
@@ -748,20 +657,20 @@ func plainShortest(lit []byte, f float64) bool {
 	return sig <= 15
 }
 
-// Int reads a number into an int field, which takes no fraction
-// and no exponent.
-func (d *Decoder) Int() int {
+// integer reads a number into an integer field of the given bit size,
+// which takes no fraction and no exponent.
+func (d *Decoder) integer(bitSize int) int64 {
 	lit := d.number()
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	n, err := strconv.ParseInt(string(lit), 10, bitSize)
 	if err != nil {
 		d.bail()
 	}
 	d.canon = d.canon && string(lit) != "-0"
-	return int(n)
+	return n
 }
 
-// Bool reads true or false.
-func (d *Decoder) Bool() bool {
+// boolean reads true or false.
+func (d *Decoder) boolean() bool {
 	d.peek()
 	rest := d.data[d.pos:]
 	switch {
@@ -776,86 +685,12 @@ func (d *Decoder) Bool() bool {
 	return false
 }
 
-var resultFields = []string{"hyp", "focus", "state", "value", "threshold", "concluded_at", "priority", "persistent"}
-
-// Result reads one result into nr, which must be zero. The canonical
-// check wants every member, persistent only when true.
-func (d *Decoder) Result(nr *NodeResult) {
-	n := d.Object(resultFields, func(i int) {
-		switch i {
-		case 0:
-			nr.Hyp = d.interned()
-		case 1:
-			nr.Focus = d.String()
-		case 2:
-			nr.State = d.interned()
-		case 3:
-			nr.Value = d.Float()
-		case 4:
-			nr.Threshold = d.Float()
-		case 5:
-			nr.ConcludedAt = d.Float()
-		case 6:
-			nr.Priority = d.interned()
-		case 7:
-			nr.Persistent = d.Bool()
-		}
-	})
-	d.canon = d.canon && (n == len(resultFields)-1 || n == len(resultFields) && nr.Persistent)
-}
-
-var recordFields = []string{"app", "version", "run_id", "duration", "resources", "proc_nodes", "results", "usage", "pairs_tested", "true_count"}
-
-// Record reads one record into r, which must be zero. A present but
-// empty map or array decodes to an empty, non-nil one, as encoding/json
-// has it. The canonical check wants every member.
-func (d *Decoder) Record(r *RunRecord) {
-	n := d.Object(recordFields, func(i int) {
-		switch i {
-		case 0:
-			r.App = d.String()
-		case 1:
-			r.Version = d.String()
-		case 2:
-			r.RunID = d.String()
-		case 3:
-			r.Duration = d.Float()
-		case 4:
-			r.Resources = map[string][]string{}
-			d.dict(func(hier string) {
-				paths := []string{}
-				d.Array(func() { paths = append(paths, d.String()) })
-				r.Resources[hier] = paths
-			})
-		case 5:
-			r.ProcNodes = map[string]string{}
-			d.dict(func(proc string) { r.ProcNodes[proc] = d.String() })
-		case 6:
-			r.Results = []NodeResult{}
-			d.Array(func() {
-				r.Results = append(r.Results, NodeResult{})
-				d.Result(&r.Results[len(r.Results)-1])
-			})
-		case 7:
-			r.Usage = map[string]float64{}
-			d.dict(func(path string) { r.Usage[path] = d.Float() })
-		case 8:
-			r.PairsTested = d.Int()
-		case 9:
-			r.TrueCount = d.Int()
-		}
-	})
-	d.canon = d.canon && n == len(recordFields)
-}
-
 // ParseRecord decodes one record through the strict decoder. false
 // means the decoder bailed and said nothing about data: run
 // encoding/json over it.
 func ParseRecord(data []byte) (*RunRecord, bool) {
-	d := Decoder{data: data}
 	r := &RunRecord{}
-	d.Record(r)
-	if !d.End() {
+	if !RecordShape.Parse(data, r) {
 		return nil, false
 	}
 	return r, true

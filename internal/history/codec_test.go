@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// The codec's contract, executable: what AppendRecord writes is what
+// The codec's contract, executable: what RecordShape writes is what
 // json.MarshalIndent writes, byte for byte; what ParseRecord accepts it
 // decodes to what json.Unmarshal decodes; and the encodings this tree
 // itself produces never take the slow path. encoding/json is the oracle
@@ -157,16 +157,16 @@ func hasNil(rec *RunRecord) bool {
 func checkRecordCodec(t *testing.T, rec *RunRecord) {
 	t.Helper()
 	want := wantRecordBytes(t, rec)
-	if got := AppendRecord(nil, rec, 0); !bytes.Equal(got, want) {
-		t.Fatalf("AppendRecord differs from json.MarshalIndent:\ngot  %s\nwant %s", got, want)
+	if got, _ := RecordShape.Append(nil, rec, 0); !bytes.Equal(got, want) {
+		t.Fatalf("RecordShape.Append differs from json.MarshalIndent:\ngot  %s\nwant %s", got, want)
 	}
 	nested, err := json.MarshalIndent([]*RunRecord{rec}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := append(AppendRecord([]byte("[\n  "), rec, 1), "\n]"...)
-	if !bytes.Equal(got, nested) {
-		t.Fatalf("AppendRecord at depth 1 differs from json.MarshalIndent:\ngot  %s\nwant %s", got, nested)
+	got, _ := RecordShape.Append([]byte("[\n  "), rec, 1)
+	if got = append(got, "\n]"...); !bytes.Equal(got, nested) {
+		t.Fatalf("RecordShape.Append at depth 1 differs from json.MarshalIndent:\ngot  %s\nwant %s", got, nested)
 	}
 	compact, err := json.Marshal(rec)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestAppendRecordMatchesMarshalIndent(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: the strict decoder bailed on a stored record", path)
 			}
-			if got := AppendRecord(nil, rec, 0); !bytes.Equal(got, data) {
+			if got, _ := RecordShape.Append(nil, rec, 0); !bytes.Equal(got, data) {
 				t.Fatalf("%s: re-encoding a stored record does not reproduce its file", path)
 			}
 			checkRecordCodec(t, rec)
@@ -243,8 +243,8 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("AppendString(%q) = %s, encoding/json writes %s", s, got, want)
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", s, got, want)
 		}
 	}
 }
@@ -254,8 +254,8 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 func TestEncodeAllocs(t *testing.T) {
 	rec := benchRecord()
 	buf := make([]byte, 0, 2*rec.EncodedSizeHint())
-	if n := testing.AllocsPerRun(20, func() { buf = AppendRecord(buf[:0], rec, 0) }); n != 0 {
-		t.Errorf("AppendRecord into a pre-sized buffer allocates %v times a record", n)
+	if n := testing.AllocsPerRun(20, func() { buf, _ = RecordShape.Append(buf[:0], rec, 0) }); n != 0 {
+		t.Errorf("RecordShape.Append into a pre-sized buffer allocates %v times a record", n)
 	}
 	if hint, n := rec.EncodedSizeHint(), len(buf); hint < n || hint > n+n/4 {
 		t.Errorf("EncodedSizeHint = %d for an encoding of %d bytes: want at least that and at most a quarter more", hint, n)

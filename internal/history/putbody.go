@@ -23,13 +23,13 @@ type Encoded struct {
 func (e Encoded) Record() *RunRecord { return e.rec }
 
 // encoded reads one record under the canonical check, keeping its bytes,
-// outdented to depth 0, when they are AppendRecord's at d's depth.
+// outdented to depth 0, when they are RecordShape's at d's depth.
 func (d *Decoder) encoded() Encoded {
 	d.canon = true
 	d.peek()
 	start, level := d.pos, d.level
 	e := Encoded{rec: &RunRecord{}}
-	d.Record(e.rec)
+	RecordShape.Decode(d, e.rec)
 	// The index keeps the record: its results take the room a clone's do,
 	// not the up to a quarter more the decoder's appends left.
 	e.rec.Results = slices.Clone(e.rec.Results)
@@ -107,9 +107,9 @@ func DecodePutBatch(body []byte) ([]Encoded, error) {
 func decodeBatchSeq(body []byte) ([]Encoded, bool) {
 	d := Decoder{data: body, canon: true} // the layout of the envelope too, to reach the records' depth
 	var recs []Encoded
-	d.Object(putRunsFields, func(int) {
+	d.object(putRunsFields, func(int) {
 		recs = []Encoded{}
-		d.Array(func() { recs = append(recs, d.encoded()) })
+		d.array(func() { recs = append(recs, d.encoded()) })
 	})
 	return recs, d.End()
 }

@@ -192,17 +192,17 @@ func TestCanonicalCheckRefusesVariants(t *testing.T) {
 }
 
 // TestPlainShortestImpliesAppendFloat: a literal plainShortest vouches
-// for is what AppendFloat writes for its value, over decimals of every
+// for is what appendFloat writes for its value, over decimals of every
 // shape around the rule's edges — up to 16 significant digits, a
-// magnitude from 1e-9 to 1e26 — and over AppendFloat's own output; and
+// magnitude from 1e-9 to 1e26 — and over appendFloat's own output; and
 // the values records hold take the shortcut.
 func TestPlainShortestImpliesAppendFloat(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	check := func(lit string) {
 		f, err := strconv.ParseFloat(lit, 64)
 		if err == nil && plainShortest([]byte(lit), f) {
-			if got := string(AppendFloat(nil, f)); got != lit {
-				t.Fatalf("plainShortest(%s) = true, but AppendFloat writes %s", lit, got)
+			if got := string(appendFloat(nil, f)); got != lit {
+				t.Fatalf("plainShortest(%s) = true, but appendFloat writes %s", lit, got)
 			}
 		}
 	}
@@ -226,7 +226,7 @@ func TestPlainShortestImpliesAppendFloat(t *testing.T) {
 			lit = "-" + lit
 		}
 		check(lit)
-		check(string(AppendFloat(nil, codecFloat(r))))
+		check(string(appendFloat(nil, codecFloat(r))))
 	}
 	for _, lit := range []string{"0", "-0", "0.5", "409.5", "0.2", "0.000001", "123456789012345"} {
 		if f, _ := strconv.ParseFloat(lit, 64); !plainShortest([]byte(lit), f) {

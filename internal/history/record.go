@@ -51,6 +51,33 @@ type RunRecord struct {
 	TrueCount   int `json:"true_count"`
 }
 
+// ResultShape and RecordShape are the member tables of a result and a
+// record: the canonical encoding of FORMATS.md, and its strict decode.
+var (
+	ResultShape = NewShape(
+		Field("hyp", func(r *NodeResult) *string { return &r.Hyp }, Label),
+		Field("focus", func(r *NodeResult) *string { return &r.Focus }, String),
+		Field("state", func(r *NodeResult) *string { return &r.State }, Label),
+		Field("value", func(r *NodeResult) *float64 { return &r.Value }, Float),
+		Field("threshold", func(r *NodeResult) *float64 { return &r.Threshold }, Float),
+		Field("concluded_at", func(r *NodeResult) *float64 { return &r.ConcludedAt }, Float),
+		Field("priority", func(r *NodeResult) *string { return &r.Priority }, Label),
+		OmitEmpty("persistent", func(r *NodeResult) *bool { return &r.Persistent }, Bool),
+	)
+	RecordShape = NewShape(
+		Field("app", func(r *RunRecord) *string { return &r.App }, String),
+		Field("version", func(r *RunRecord) *string { return &r.Version }, String),
+		Field("run_id", func(r *RunRecord) *string { return &r.RunID }, String),
+		Field("duration", func(r *RunRecord) *float64 { return &r.Duration }, Float),
+		Field("resources", func(r *RunRecord) *map[string][]string { return &r.Resources }, MapOf(ArrayOf(String))),
+		Field("proc_nodes", func(r *RunRecord) *map[string]string { return &r.ProcNodes }, MapOf(String)),
+		Field("results", func(r *RunRecord) *[]NodeResult { return &r.Results }, ArrayOf(ResultShape.Value())),
+		Field("usage", func(r *RunRecord) *map[string]float64 { return &r.Usage }, MapOf(Float)),
+		Field("pairs_tested", func(r *RunRecord) *int { return &r.PairsTested }, Int),
+		Field("true_count", func(r *RunRecord) *int { return &r.TrueCount }, Int),
+	).SizedBy((*RunRecord).EncodedSizeHint)
+)
+
 // FromRun assembles the record of a finished (or stopped) search — an
 // online session's or a trace diagnosis's — from its Search History
 // Graph and the number of pairs it instrumented. The record keeps the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ingest"
+	"repro/internal/server"
 )
 
 // BenchmarkEngineFeed is one whole stream through Engine.Feed per
@@ -62,7 +63,7 @@ func BenchmarkSamplesEncode(b *testing.B) {
 		name   string
 		encode func(*ingest.SamplesRequest) ([]byte, error)
 	}{
-		{"direct", ingest.MarshalSamplesRequest},
+		{"direct", func(req *ingest.SamplesRequest) ([]byte, error) { return server.MarshalCompact(req) }},
 		{"stdlib", func(req *ingest.SamplesRequest) ([]byte, error) { return json.Marshal(req) }},
 	} {
 		b.Run(enc.name, func(b *testing.B) {
@@ -92,7 +93,7 @@ func BenchmarkSamplesDecode(b *testing.B) {
 		name   string
 		decode func([]byte, *ingest.SamplesRequest) bool
 	}{
-		{"direct", ingest.ParseSamplesRequest},
+		{"direct", ingest.SamplesRequestShape.Parse},
 		{"stdlib", func(data []byte, req *ingest.SamplesRequest) bool {
 			return json.NewDecoder(bytes.NewReader(data)).Decode(req) == nil
 		}},

@@ -14,11 +14,13 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/postmortem"
+	"repro/internal/server"
 )
 
 // The batch envelope's half of the codec contract (internal/postmortem's
-// codec_test.go holds the sample's): MarshalSamplesRequest writes what
-// json.Marshal writes, ParseSamplesRequest reads what json.Unmarshal
+// codec_test.go holds the sample's): SamplesRequestShape, through the
+// client's server.MarshalCompact, writes what json.Marshal writes, and
+// through its Parse reads what json.Unmarshal
 // reads or bails, and no batch this tree produces takes the
 // encoding/json path unnoticed.
 
@@ -96,9 +98,9 @@ func checkMarshal(t *testing.T, req *ingest.SamplesRequest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ingest.MarshalSamplesRequest(req)
+	got, err := server.MarshalCompact(req)
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("MarshalSamplesRequest differs from json.Marshal (%v):\ngot  %.2000s\nwant %.2000s", err, got, want)
+		t.Fatalf("MarshalCompact differs from json.Marshal (%v):\ngot  %.2000s\nwant %.2000s", err, got, want)
 	}
 }
 
@@ -144,10 +146,10 @@ func TestMarshalSamplesRequestMatchesEncodingJSON(t *testing.T) {
 	t.Run("non-finite", func(t *testing.T) {
 		for _, bad := range []ingest.Sample{{Start: math.NaN()}, {End: math.Inf(1)}, {Start: math.Inf(-1), End: math.Inf(1)}} {
 			req := &ingest.SamplesRequest{App: "a", RunID: "r", Seq: 1, Samples: []ingest.Sample{{Proc: "p"}, bad, {Proc: "q"}}}
-			_, err := ingest.MarshalSamplesRequest(req)
+			_, err := server.MarshalCompact(req)
 			_, want := json.Marshal(req)
 			if err == nil || want == nil || err.Error() != want.Error() {
-				t.Errorf("MarshalSamplesRequest(%+v) = %v, want encoding/json's %v", bad, err, want)
+				t.Errorf("MarshalCompact(%+v) = %v, want encoding/json's %v", bad, err, want)
 			}
 		}
 	})
@@ -159,7 +161,7 @@ func checkParse(t *testing.T, data []byte) (read bool) {
 	t.Helper()
 	kept := ingest.SamplesRequest{App: "kept", Samples: []ingest.Sample{{Proc: "kept"}}}
 	got, want := kept, ingest.SamplesRequest{}
-	if !ingest.ParseSamplesRequest(data, &got) {
+	if !ingest.SamplesRequestShape.Parse(data, &got) {
 		if !reflect.DeepEqual(got, kept) {
 			t.Fatalf("a bail on %.200q wrote through: %+v", data, got)
 		}
@@ -174,7 +176,7 @@ func checkParse(t *testing.T, data []byte) (read bool) {
 		t.Fatalf("strict decode of %.200q differs from json.Unmarshal:\ngot  %.2000s\nwant %.2000s", data, a, b)
 	}
 	// And what it read, it writes as encoding/json does.
-	if re, err := ingest.MarshalSamplesRequest(&got); err != nil || !bytes.Equal(re, a) {
+	if re, err := server.MarshalCompact(&got); err != nil || !bytes.Equal(re, a) {
 		t.Fatalf("re-encoding differs from json.Marshal (%v):\ngot  %.2000s\nwant %.2000s", err, re, a)
 	}
 	return true
@@ -216,7 +218,7 @@ func samplesBodies(t testing.TB) (out []samplesBody) {
 func TestParseSamplesRequestMatchesEncodingJSON(t *testing.T) {
 	for _, c := range samplesBodies(t) {
 		if read := checkParse(t, []byte(c.body)); read != c.read {
-			t.Errorf("ParseSamplesRequest(%.120q) = %v, want %v", c.body, read, c.read)
+			t.Errorf("SamplesRequestShape.Parse(%.120q) = %v, want %v", c.body, read, c.read)
 		}
 	}
 	r := rand.New(rand.NewSource(43))
@@ -239,7 +241,7 @@ func TestSamplesRequestTakesFastPath(t *testing.T) {
 	for _, req := range codecBatches(t) {
 		// Averaged, so that an allocation on some other goroutine of the
 		// test binary does not read as the fallback's.
-		if n := testing.AllocsPerRun(10, func() { ingest.MarshalSamplesRequest(req) }); n >= 2 {
+		if n := testing.AllocsPerRun(10, func() { server.MarshalCompact(req) }); n >= 2 {
 			t.Fatalf("%s batch %d: encoding allocates %v times, want its one buffer", req.App, req.Seq, n)
 		}
 		compact, err := json.Marshal(req)
@@ -256,7 +258,7 @@ func TestSamplesRequestTakesFastPath(t *testing.T) {
 			}
 		}
 		var got ingest.SamplesRequest
-		n := testing.AllocsPerRun(1, func() { ingest.ParseSamplesRequest(compact, &got) })
+		n := testing.AllocsPerRun(1, func() { ingest.SamplesRequestShape.Parse(compact, &got) })
 		if len(req.Samples) == 64 && n >= 64 { // six labels a sample, were they not shared
 			t.Fatalf("%s batch %d: decoding 64 samples allocates %v times; labels are not shared", req.App, req.Seq, n)
 		}

@@ -16,9 +16,6 @@
 package ingest
 
 import (
-	"encoding/json"
-	"strconv"
-
 	"repro/internal/history"
 	"repro/internal/postmortem"
 	"repro/internal/sim"
@@ -83,75 +80,19 @@ type SamplesRequest struct {
 	Samples []Sample `json:"samples"`
 }
 
-// MarshalSamplesRequest is json.Marshal(req), written by the direct
-// codec of the serialized interval (postmortem.AppendSample) under this
-// envelope; a batch holding a float JSON cannot spell is encoding/json's
-// to refuse.
-func MarshalSamplesRequest(req *SamplesRequest) ([]byte, error) {
-	if req == nil {
-		return []byte("null"), nil
-	}
-	// 140-170 bytes a sample of this tree's applications: a low guess
-	// costs one buffer growth, a high one a little slack.
-	dst := make([]byte, 0, 128+len(req.App)+len(req.Version)+len(req.RunID)+192*len(req.Samples))
-	dst = history.AppendString(append(dst, `{"app":`...), req.App)
-	if req.Version != "" {
-		dst = history.AppendString(append(dst, `,"version":`...), req.Version)
-	}
-	dst = history.AppendString(append(dst, `,"run_id":`...), req.RunID)
-	dst = strconv.AppendInt(append(dst, `,"seq":`...), int64(req.Seq), 10)
-	dst = append(dst, `,"samples":`...)
-	if req.Samples == nil {
-		return append(dst, "null}"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range req.Samples {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var ok bool
-		if dst, ok = postmortem.AppendSample(dst, &req.Samples[i]); !ok {
-			return json.Marshal(req)
-		}
-	}
-	return append(dst, ']', '}'), nil
-}
-
-var samplesRequestFields = []string{"app", "version", "run_id", "seq", "samples"}
-
-// ParseSamplesRequest decodes one request through the strict decoder
-// into *req. false means the decoder bailed, left *req alone and said
-// nothing about data: run encoding/json over it.
-func ParseSamplesRequest(data []byte, req *SamplesRequest) bool {
-	d := history.NewDecoder(data)
-	var sd postmortem.SampleDecoder
-	var v SamplesRequest
-	d.Object(samplesRequestFields, func(i int) {
-		switch i {
-		case 0:
-			v.App = d.String()
-		case 1:
-			v.Version = d.String()
-		case 2:
-			v.RunID = d.String()
-		case 3:
-			v.Seq = d.Int()
-		case 4:
-			// Sized from the body, so a real batch is appended to without
-			// growing.
-			v.Samples = make([]Sample, 0, len(data)/128)
-			d.Array(func() {
-				v.Samples = append(v.Samples, Sample{})
-				sd.Sample(d, &v.Samples[len(v.Samples)-1])
-			})
-		}
-	})
-	if !d.End() {
-		return false
-	}
-	*req = v
-	return true
-}
+// SamplesRequestShape is the member table of a sample batch, the
+// request body a Reporter sends and the server's intake reads.
+var SamplesRequestShape = history.NewShape(
+	history.Field("app", func(r *SamplesRequest) *string { return &r.App }, history.String),
+	history.OmitEmpty("version", func(r *SamplesRequest) *string { return &r.Version }, history.String),
+	history.Field("run_id", func(r *SamplesRequest) *string { return &r.RunID }, history.String),
+	history.Field("seq", func(r *SamplesRequest) *int { return &r.Seq }, history.Int),
+	// 140-170 bytes a sample of this tree's applications: decoding
+	// reserves one for every 128 bytes of the body.
+	history.Field("samples", func(r *SamplesRequest) *[]Sample { return &r.Samples }, history.PresizedArrayOf(postmortem.SampleShape.Value(), 128)),
+).SizedBy(func(r *SamplesRequest) int {
+	return 128 + len(r.App) + len(r.Version) + len(r.RunID) + 192*len(r.Samples)
+})
 
 // SamplesResponse acknowledges a batch and reports the stream's
 // incremental progress as of the last applied batch.

@@ -17,8 +17,8 @@ import (
 
 // The serialized interval's half of the codec contract (internal/
 // history's codec_test.go holds the record's, internal/ingest's the
-// batch envelope's): AppendSample writes what json.Marshal writes,
-// SampleDecoder reads what json.Unmarshal reads or says it will not,
+// batch envelope's): SampleShape writes what json.Marshal writes, and
+// reads what json.Unmarshal reads or says it will not,
 // and a trace file's bytes and errors are what they were when
 // encoding/json did both.
 
@@ -61,14 +61,15 @@ func checkAppendSample(t *testing.T, s Sample) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := AppendSample([]byte("kept"), &s)
+	got, ok := SampleShape.Append([]byte("kept"), &s, -1)
 	if !ok || !bytes.Equal(got, append([]byte("kept"), want...)) {
-		t.Fatalf("AppendSample differs from json.Marshal (ok=%v):\ngot  %s\nwant kept%s", ok, got, want)
+		t.Fatalf("SampleShape.Append differs from json.Marshal (ok=%v):\ngot  %s\nwant kept%s", ok, got, want)
 	}
 	// What it wrote it reads back, without bailing, as encoding/json does.
 	var back, std Sample
-	d := history.NewDecoder(want)
-	new(SampleDecoder).Sample(d, &back)
+	var d history.Decoder
+	d.Reset(want)
+	SampleShape.Decode(&d, &back)
 	valid := true
 	for _, l := range []string{s.Proc, s.Node, s.Mod, s.Fn, s.Tag, s.Kind} {
 		valid = valid && strings.ToValidUTF8(l, "") == l
@@ -105,8 +106,8 @@ func TestAppendSampleMatchesEncodingJSON(t *testing.T) {
 			{Process: "p", Node: "n", Start: math.Inf(-1), End: math.Inf(1)},
 		} {
 			s := FromInterval(iv)
-			if got, ok := AppendSample([]byte("kept"), &s); ok || string(got) != "kept" {
-				t.Errorf("AppendSample(%+v) = %q, %v", s, got, ok)
+			if got, ok := SampleShape.Append([]byte("kept"), &s, -1); ok || string(got) != "kept" {
+				t.Errorf("SampleShape.Append(%+v) = %q, %v", s, got, ok)
 			}
 			var out bytes.Buffer
 			tw := NewTraceWriter(&out)
@@ -176,8 +177,9 @@ func checkSampleLine(t *testing.T, line []byte) {
 	t.Helper()
 	var got, std Sample
 	stdErr := json.Unmarshal(line, &std)
-	d := history.NewDecoder(line)
-	new(SampleDecoder).Sample(d, &got)
+	var d history.Decoder
+	d.Reset(line)
+	SampleShape.Decode(&d, &got)
 	if d.End() {
 		a, _ := json.Marshal(got) // tells -0 from 0, which DeepEqual does not
 		b, _ := json.Marshal(std)
@@ -226,11 +228,11 @@ func TestSampleCodecReadsAsEncodingJSON(t *testing.T) {
 // label alike hold one copy of it, and none of them aliases the input.
 func TestSampleDecoderSharesLabels(t *testing.T) {
 	line := []byte(`{"proc":"mw:1","node":"n01","mod":"w.c","fn":"f","tag":"t","kind":"cpu","start":0,"end":1}`)
-	var sd SampleDecoder
+	var d history.Decoder
 	var a, b Sample
 	for _, s := range []*Sample{&a, &b} {
-		d := history.NewDecoder(line)
-		if sd.Sample(d, s); !d.End() {
+		d.Reset(line)
+		if SampleShape.Decode(&d, s); !d.End() {
 			t.Fatal("bailed")
 		}
 	}

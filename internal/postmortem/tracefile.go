@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
-	"strconv"
 
 	"repro/internal/history"
 	"repro/internal/sim"
@@ -31,6 +29,23 @@ type Sample struct {
 	Bytes int     `json:"bytes,omitempty"`
 	Calls int     `json:"calls,omitempty"`
 }
+
+// SampleShape is the member table of a serialized interval: a trace
+// line and a batch element are written and read by it. Its strings are
+// labels, which repeat from sample to sample.
+var SampleShape = history.NewShape(
+	history.Field("proc", func(s *Sample) *string { return &s.Proc }, history.Label),
+	history.Field("node", func(s *Sample) *string { return &s.Node }, history.Label),
+	history.OmitEmpty("mod", func(s *Sample) *string { return &s.Mod }, history.Label),
+	history.OmitEmpty("fn", func(s *Sample) *string { return &s.Fn }, history.Label),
+	history.OmitEmpty("tag", func(s *Sample) *string { return &s.Tag }, history.Label),
+	history.Field("kind", func(s *Sample) *string { return &s.Kind }, history.Label),
+	history.Field("start", func(s *Sample) *float64 { return &s.Start }, history.Float),
+	history.Field("end", func(s *Sample) *float64 { return &s.End }, history.Float),
+	history.OmitEmpty("msgs", func(s *Sample) *int { return &s.Msgs }, history.Int),
+	history.OmitEmpty("bytes", func(s *Sample) *int { return &s.Bytes }, history.Int),
+	history.OmitEmpty("calls", func(s *Sample) *int { return &s.Calls }, history.Int),
+)
 
 // FromInterval converts a simulator interval to its serialized form; the
 // kind is spelled as sim.Kind prints it.
@@ -70,105 +85,6 @@ func (s Sample) Interval() (sim.Interval, error) {
 	}, nil
 }
 
-// The direct codec of the serialized interval, in the pattern of
-// internal/history's record codec and over its scanner and appenders:
-// the writer spells what json.Marshal has always produced for a Sample,
-// byte for byte; the reader is strict and bails on whatever it would
-// have to interpret, and the caller then runs encoding/json over the
-// same bytes. A trace file and a streamed batch both go through this
-// pair, and the tests hold both halves to the standard library.
-
-// AppendSample appends s as json.Marshal writes it: compact, members in
-// the struct's order, mod, fn, tag, msgs, bytes and calls left out when
-// zero. A start or end that JSON cannot spell appends nothing and
-// returns false: the error is encoding/json's to give.
-func AppendSample(dst []byte, s *Sample) ([]byte, bool) {
-	if math.IsInf(s.Start, 0) || math.IsNaN(s.Start) || math.IsInf(s.End, 0) || math.IsNaN(s.End) {
-		return dst, false
-	}
-	dst = history.AppendString(append(dst, `{"proc":`...), s.Proc)
-	dst = history.AppendString(append(dst, `,"node":`...), s.Node)
-	dst = appendLabel(dst, `,"mod":`, s.Mod)
-	dst = appendLabel(dst, `,"fn":`, s.Fn)
-	dst = appendLabel(dst, `,"tag":`, s.Tag)
-	dst = history.AppendString(append(dst, `,"kind":`...), s.Kind)
-	dst = history.AppendFloat(append(dst, `,"start":`...), s.Start)
-	dst = history.AppendFloat(append(dst, `,"end":`...), s.End)
-	dst = appendCount(dst, `,"msgs":`, s.Msgs)
-	dst = appendCount(dst, `,"bytes":`, s.Bytes)
-	dst = appendCount(dst, `,"calls":`, s.Calls)
-	return append(dst, '}'), true
-}
-
-// appendLabel and appendCount append an omitempty member.
-func appendLabel(dst []byte, key, v string) []byte {
-	if v == "" {
-		return dst
-	}
-	return history.AppendString(append(dst, key...), v)
-}
-
-func appendCount(dst []byte, key string, v int) []byte {
-	if v == 0 {
-		return dst
-	}
-	return strconv.AppendInt(append(dst, key...), int64(v), 10)
-}
-
-var sampleFields = []string{"proc", "node", "mod", "fn", "tag", "kind", "start", "end", "msgs", "bytes", "calls"}
-
-// SampleDecoder reads serialized intervals off a history.Decoder. The
-// labels of a batch or a trace repeat from sample to sample, so every
-// distinct one is copied out of the input once and shared by the
-// samples that carry it; the zero value is ready to use.
-type SampleDecoder struct {
-	labels map[string]string
-}
-
-// label reads a string that is probably not the first of its spelling.
-func (sd *SampleDecoder) label(d *history.Decoder) string {
-	b := d.StringBytes()
-	if s, ok := sd.labels[string(b)]; ok {
-		return s
-	}
-	if sd.labels == nil {
-		sd.labels = make(map[string]string, 32)
-	}
-	s := string(b)
-	sd.labels[s] = s
-	return s
-}
-
-// Sample reads one sample into s, which must be zero.
-func (sd *SampleDecoder) Sample(d *history.Decoder, s *Sample) {
-	d.Object(sampleFields, func(i int) {
-		switch i {
-		case 0:
-			s.Proc = sd.label(d)
-		case 1:
-			s.Node = sd.label(d)
-		case 2:
-			s.Mod = sd.label(d)
-		case 3:
-			s.Fn = sd.label(d)
-		case 4:
-			s.Tag = sd.label(d)
-		case 5:
-			s.Kind = sd.label(d)
-		case 6:
-			s.Start = d.Float()
-		case 7:
-			s.End = d.Float()
-		case 8:
-			s.Msgs = d.Int()
-		case 9:
-			s.Bytes = d.Int()
-		case 10:
-			s.Calls = d.Int()
-		}
-	})
-}
-
 // TraceWriter is a sim.Observer that streams every interval to a writer
 // in the trace file format.
 type TraceWriter struct {
@@ -188,7 +104,7 @@ func (t *TraceWriter) OnInterval(iv sim.Interval) {
 		return
 	}
 	s := FromInterval(iv)
-	line, ok := AppendSample(t.bw.AvailableBuffer(), &s)
+	line, ok := SampleShape.Append(t.bw.AvailableBuffer(), &s, -1)
 	if !ok {
 		_, t.err = json.Marshal(s)
 		return
@@ -214,7 +130,7 @@ func (t *TraceWriter) Intervals() int { return t.n }
 // ReadTrace loads a trace file into a Recorder.
 func ReadTrace(r io.Reader) (*Recorder, error) {
 	rec := NewRecorder()
-	var sd SampleDecoder
+	var d history.Decoder // one for the whole trace, which shares its labels
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	lineno := 0
@@ -225,8 +141,8 @@ func ReadTrace(r io.Reader) (*Recorder, error) {
 			continue
 		}
 		var line Sample
-		d := history.NewDecoder(raw)
-		if sd.Sample(d, &line); !d.End() {
+		d.Reset(raw)
+		if SampleShape.Decode(&d, &line); !d.End() {
 			line = Sample{}
 			if err := json.Unmarshal(raw, &line); err != nil {
 				return nil, fmt.Errorf("postmortem: trace line %d: %w", lineno, err)

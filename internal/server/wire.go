@@ -3,12 +3,11 @@ package server
 import (
 	"encoding/json"
 	"io"
-	"math"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/ingest"
+	"repro/internal/postmortem"
 	"repro/internal/replica"
 )
 
@@ -21,35 +20,13 @@ import (
 // MarshalCanonical renders v in the service's canonical JSON encoding
 // (FORMATS.md "Wire API"): two-space indent and a trailing newline.
 // Every response body and every CLI -json document goes through this one
-// encoder. The shapes that carry results — a run record, a query
-// response, a batch of records — are written by the direct codec of
-// internal/history, byte for byte what encoding/json writes for them;
-// everything else, and any of those holding a float JSON cannot spell
-// (which encoding/json refuses with the error returned here), takes the
-// reflective path.
+// encoder. The nine shapes with a member table (shapeOf) are written by
+// it, byte for byte what encoding/json writes for them; everything else,
+// and any of them holding a float JSON cannot spell (which encoding/json
+// refuses with the error returned here), takes the reflective path.
 func MarshalCanonical(v any) ([]byte, error) {
-	switch v := v.(type) {
-	case *history.RunRecord:
-		if v != nil && v.CheckFinite() == nil {
-			dst := make([]byte, 0, v.EncodedSizeHint())
-			return append(history.AppendRecord(dst, v, 0), '\n'), nil
-		}
-	case QueryResponse:
-		if n, ok := v.sizeHint(); ok {
-			return v.appendCanonical(make([]byte, 0, n)), nil
-		}
-	case *QueryResponse:
-		if v != nil {
-			return MarshalCanonical(*v)
-		}
-	case PutRunsRequest:
-		if n, ok := v.sizeHint(); ok {
-			return v.appendCanonical(make([]byte, 0, n)), nil
-		}
-	case HarvestResponse:
-		// An eighth more than the texts: the escapes of a focus name's < and >.
-		dst := make([]byte, 0, 256+len(v.Directives)*9/8+len(v.Mappings)*9/8)
-		if data, ok := harvestShape.append(dst, &v, true); ok {
+	if s := shapeOf(v); s != nil {
+		if data, ok := s.marshal(v, 0); ok {
 			return append(data, '\n'), nil
 		}
 	}
@@ -60,14 +37,11 @@ func MarshalCanonical(v any) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// MarshalCompact is json.Marshal for a request body: a diagnose request,
-// which carries a directive text, is written by the codec, everything
-// else — and a request holding a float JSON cannot spell — by
-// encoding/json.
+// MarshalCompact is json.Marshal for a request body, written by the
+// member table of v's shape when it has one.
 func MarshalCompact(v any) ([]byte, error) {
-	if v, ok := v.(*DiagnoseRequest); ok && v != nil {
-		dst := make([]byte, 0, 256+len(v.Directives)*9/8+len(v.Mappings)*9/8)
-		if data, ok := diagnoseShape.append(dst, v, false); ok {
+	if s := shapeOf(v); s != nil {
+		if data, ok := s.marshal(v, -1); ok {
 			return data, nil
 		}
 	}
@@ -84,152 +58,67 @@ func UnmarshalCanonical(data []byte, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-// unmarshalStrict decodes data into *out when out is one of the codec's
-// shapes and the strict decoder reads all of data; otherwise *out is
-// untouched and the caller runs encoding/json.
+// unmarshalStrict decodes data into *out when out points to one of the
+// codec's shapes and the strict decoder reads all of data; otherwise
+// *out is untouched and the caller runs encoding/json.
 func unmarshalStrict(data []byte, out any) bool {
-	switch out := out.(type) {
-	case *history.RunRecord:
-		return strict(data, out, (*history.Decoder).Record)
-	case *QueryResponse:
-		return strict(data, out, decodeQuery)
-	case *ingest.SamplesRequest:
-		return ingest.ParseSamplesRequest(data, out)
-	case *HarvestResponse:
-		return strict(data, out, harvestShape.decode)
-	case *DiagnoseRequest:
-		return strict(data, out, diagnoseShape.decode)
+	s := shapeOf(out)
+	return s != nil && s.parse(data, out)
+}
+
+// wireShape is a member table with its Go type set aside: what
+// MarshalCanonical, MarshalCompact and unmarshalStrict dispatch to.
+type wireShape interface {
+	marshal(v any, depth int) ([]byte, bool)
+	parse(data []byte, out any) bool
+}
+
+type wire[T any] struct{ *history.Shape[T] }
+
+// shapeOf is the member table of v's type — one of the nine shapes, as
+// a value or a pointer — or nil.
+func shapeOf(v any) wireShape {
+	switch v.(type) {
+	case history.NodeResult, *history.NodeResult:
+		return wire[history.NodeResult]{history.ResultShape}
+	case history.RunRecord, *history.RunRecord:
+		return wire[history.RunRecord]{history.RecordShape}
+	case QueryHit, *QueryHit:
+		return wire[QueryHit]{queryHitShape}
+	case QueryResponse, *QueryResponse:
+		return wire[QueryResponse]{queryResponseShape}
+	case PutRunsRequest, *PutRunsRequest:
+		return wire[PutRunsRequest]{putRunsShape}
+	case HarvestResponse, *HarvestResponse:
+		return wire[HarvestResponse]{harvestShape}
+	case DiagnoseRequest, *DiagnoseRequest:
+		return wire[DiagnoseRequest]{diagnoseShape}
+	case ingest.Sample, *ingest.Sample:
+		return wire[ingest.Sample]{postmortem.SampleShape}
+	case ingest.SamplesRequest, *ingest.SamplesRequest:
+		return wire[ingest.SamplesRequest]{ingest.SamplesRequestShape}
 	}
-	return false
+	return nil
 }
 
-func strict[T any](data []byte, out *T, decode func(*history.Decoder, *T)) bool {
-	d := history.NewDecoder(data)
-	var v T
-	decode(d, &v)
-	if !d.End() {
-		return false
+// marshal writes v, a T or a non-nil *T (a nil one is encoding/json's
+// null).
+func (w wire[T]) marshal(v any, depth int) ([]byte, bool) {
+	p, ok := v.(*T)
+	if !ok {
+		t := v.(T)
+		p = &t
 	}
-	*out = v
-	return true
-}
-
-// shape is a flat wire object written once, as its member table: append
-// and decode both walk it, so the two cannot disagree on a name, an
-// order or an omitempty.
-type shape[T any] struct {
-	members []member[T]
-	names   []string
-}
-
-// member is one member of a shape: its JSON name, whether it is left out
-// when zero (omitempty), and the field of v it is — a *string, *int,
-// *int64, *float64 or *bool.
-type member[T any] struct {
-	name  string
-	omit  bool
-	field func(v *T) any
-}
-
-func newShape[T any](members ...member[T]) shape[T] {
-	s := shape[T]{members: members}
-	for _, m := range members {
-		s.names = append(s.names, m.name)
+	if p == nil {
+		return nil, false
 	}
-	return s
+	return w.Marshal(p, depth)
 }
 
-// append appends v as encoding/json writes it — json.MarshalIndent with
-// a two-space indent when indent is set, json.Marshal otherwise — or
-// reports false for a float JSON cannot spell.
-func (s shape[T]) append(dst []byte, v *T, indent bool) ([]byte, bool) {
-	dst = append(dst, '{')
-	empty := true
-	for _, m := range s.members {
-		mark := len(dst)
-		if !empty {
-			dst = append(dst, ',')
-		}
-		if indent {
-			dst = append(dst, "\n  "...)
-		}
-		dst = append(append(append(dst, '"'), m.name...), '"', ':')
-		if indent {
-			dst = append(dst, ' ')
-		}
-		var zero bool
-		switch p := m.field(v).(type) {
-		case *string:
-			dst, zero = history.AppendString(dst, *p), *p == ""
-		case *int:
-			dst, zero = strconv.AppendInt(dst, int64(*p), 10), *p == 0
-		case *int64:
-			dst, zero = strconv.AppendInt(dst, *p, 10), *p == 0
-		case *bool:
-			dst, zero = strconv.AppendBool(dst, *p), !*p
-		case *float64:
-			if math.IsInf(*p, 0) || math.IsNaN(*p) {
-				return nil, false
-			}
-			dst, zero = history.AppendFloat(dst, *p), *p == 0
-		}
-		if m.omit && zero {
-			dst = dst[:mark] // omitempty: written, and taken back
-			continue
-		}
-		empty = false
-	}
-	if indent && !empty {
-		dst = append(dst, '\n')
-	}
-	return append(dst, '}'), true
+func (w wire[T]) parse(data []byte, out any) bool {
+	p, ok := out.(*T)
+	return ok && w.Parse(data, p)
 }
-
-// decode reads an object of s's members into v, which must be zero.
-func (s shape[T]) decode(d *history.Decoder, v *T) {
-	d.Object(s.names, func(i int) {
-		switch p := s.members[i].field(v).(type) {
-		case *string:
-			*p = d.String()
-		case *int:
-			*p = d.Int()
-		case *int64:
-			*p = int64(d.Int())
-		case *float64:
-			*p = d.Float()
-		case *bool:
-			*p = d.Bool()
-		}
-	})
-}
-
-// The two shapes that carry a directive text, member for member their
-// struct's fields and tags.
-var (
-	harvestShape = newShape(
-		member[HarvestResponse]{"source", true, func(v *HarvestResponse) any { return &v.Source }},
-		member[HarvestResponse]{"directives", false, func(v *HarvestResponse) any { return &v.Directives }},
-		member[HarvestResponse]{"prunes", false, func(v *HarvestResponse) any { return &v.Prunes }},
-		member[HarvestResponse]{"priorities", false, func(v *HarvestResponse) any { return &v.Priorities }},
-		member[HarvestResponse]{"thresholds", false, func(v *HarvestResponse) any { return &v.Thresholds }},
-		member[HarvestResponse]{"mappings", true, func(v *HarvestResponse) any { return &v.Mappings }},
-		member[HarvestResponse]{"mapping_count", true, func(v *HarvestResponse) any { return &v.MappingCount }},
-	)
-	diagnoseShape = newShape(
-		member[DiagnoseRequest]{"app", false, func(v *DiagnoseRequest) any { return &v.App }},
-		member[DiagnoseRequest]{"version", true, func(v *DiagnoseRequest) any { return &v.Version }},
-		member[DiagnoseRequest]{"run_id", true, func(v *DiagnoseRequest) any { return &v.RunID }},
-		member[DiagnoseRequest]{"node_offset", true, func(v *DiagnoseRequest) any { return &v.NodeOffset }},
-		member[DiagnoseRequest]{"pid_base", true, func(v *DiagnoseRequest) any { return &v.PidBase }},
-		member[DiagnoseRequest]{"procs", true, func(v *DiagnoseRequest) any { return &v.Procs }},
-		member[DiagnoseRequest]{"max_time", true, func(v *DiagnoseRequest) any { return &v.MaxTime }},
-		member[DiagnoseRequest]{"seed", true, func(v *DiagnoseRequest) any { return &v.Seed }},
-		member[DiagnoseRequest]{"directives", true, func(v *DiagnoseRequest) any { return &v.Directives }},
-		member[DiagnoseRequest]{"mappings", true, func(v *DiagnoseRequest) any { return &v.Mappings }},
-		member[DiagnoseRequest]{"save", true, func(v *DiagnoseRequest) any { return &v.Save }},
-		member[DiagnoseRequest]{"idempotency_key", true, func(v *DiagnoseRequest) any { return &v.IdempotencyKey }},
-	)
-)
 
 // maxTrustedLength is the largest declared body length a buffer is
 // sized to up front; beyond it the body is read as it arrives, so a
@@ -348,30 +237,17 @@ type PutRunsRequest struct {
 	Runs []*history.RunRecord `json:"runs"`
 }
 
-// sizeHint is the buffer to encode q into; ok is false when a record
-// of q holds a float JSON cannot spell.
-func (q PutRunsRequest) sizeHint() (n int, ok bool) {
+var putRunsShape = history.NewShape(
+	history.Field("runs", func(q *PutRunsRequest) *[]*history.RunRecord { return &q.Runs }, history.ArrayOf(history.RecordShape.Pointer())),
+).SizedBy(func(q *PutRunsRequest) int {
+	n := 64
 	for _, rec := range q.Runs {
 		if rec != nil {
-			if rec.CheckFinite() != nil {
-				return 0, false
-			}
 			n += rec.EncodedSizeHint()
 		}
 	}
-	return n + 64, true
-}
-
-func (q PutRunsRequest) appendCanonical(dst []byte) []byte {
-	dst = append(dst, "{\n  \"runs\": "...)
-	dst = history.AppendArray(dst, len(q.Runs), q.Runs == nil, 1, func(dst []byte, i int) []byte {
-		if q.Runs[i] == nil {
-			return append(dst, "null"...)
-		}
-		return history.AppendRecord(dst, q.Runs[i], 2)
-	})
-	return append(dst, "\n}\n"...)
-}
+	return n
+})
 
 // PutRunsResponse reports the saved records' display names, in input
 // order.
@@ -393,64 +269,24 @@ type QueryResponse struct {
 	Hits []QueryHit `json:"hits"`
 }
 
-// sizeHint is the buffer to encode q into; ok is false when a hit of q
-// holds a float JSON cannot spell.
-func (q *QueryResponse) sizeHint() (n int, ok bool) {
-	for i := range q.Hits {
-		h := &q.Hits[i]
-		if h.Result.CheckFinite() != nil {
-			return 0, false
-		}
-		n += 320 + len(h.Version) + len(h.RunID) + len(h.Result.Hyp) + len(h.Result.Focus)
-	}
-	return n + len(q.App) + 64, true
-}
-
-func (q *QueryResponse) appendCanonical(dst []byte) []byte {
-	dst = append(dst, "{\n  \"app\": "...)
-	dst = history.AppendString(dst, q.App)
-	dst = append(dst, ",\n  \"hits\": "...)
-	dst = history.AppendArray(dst, len(q.Hits), q.Hits == nil, 1, func(dst []byte, i int) []byte {
-		h := &q.Hits[i]
-		dst = append(dst, "{\n      \"version\": "...)
-		dst = history.AppendString(dst, h.Version)
-		dst = append(dst, ",\n      \"run_id\": "...)
-		dst = history.AppendString(dst, h.RunID)
-		dst = append(dst, ",\n      \"result\": "...)
-		dst = history.AppendResult(dst, &h.Result, 3)
-		return append(dst, "\n    }"...)
-	})
-	return append(dst, "\n}\n"...)
-}
-
 var (
-	queryResponseFields = []string{"app", "hits"}
-	queryHitFields      = []string{"version", "run_id", "result"}
-)
-
-func decodeQuery(d *history.Decoder, q *QueryResponse) {
-	d.Object(queryResponseFields, func(i int) {
-		if i == 0 {
-			q.App = d.String()
-			return
+	queryHitShape = history.NewShape(
+		history.Field("version", func(h *QueryHit) *string { return &h.Version }, history.String),
+		history.Field("run_id", func(h *QueryHit) *string { return &h.RunID }, history.String),
+		history.Field("result", func(h *QueryHit) *history.NodeResult { return &h.Result }, history.ResultShape.Value()),
+	)
+	queryResponseShape = history.NewShape(
+		history.Field("app", func(q *QueryResponse) *string { return &q.App }, history.String),
+		history.Field("hits", func(q *QueryResponse) *[]QueryHit { return &q.Hits }, history.ArrayOf(queryHitShape.Value())),
+	).SizedBy(func(q *QueryResponse) int {
+		n := len(q.App) + 64
+		for i := range q.Hits {
+			h := &q.Hits[i]
+			n += 320 + len(h.Version) + len(h.RunID) + len(h.Result.Hyp) + len(h.Result.Focus)
 		}
-		q.Hits = []QueryHit{}
-		d.Array(func() {
-			q.Hits = append(q.Hits, QueryHit{})
-			h := &q.Hits[len(q.Hits)-1]
-			d.Object(queryHitFields, func(i int) {
-				switch i {
-				case 0:
-					h.Version = d.String()
-				case 1:
-					h.RunID = d.String()
-				case 2:
-					d.Result(&h.Result)
-				}
-			})
-		})
+		return n
 	})
-}
+)
 
 // PersistentPair is one (hypothesis : focus) pair with the number of
 // stored runs it tested true in.
@@ -522,6 +358,23 @@ type HarvestResponse struct {
 	MappingCount int    `json:"mapping_count,omitempty"`
 }
 
+// directiveSize is a buffer for a shape that carries a directive and a
+// mapping text: an eighth more than the texts, for the escapes of a
+// focus name's < and >.
+func directiveSize(directives, mappings string) int {
+	return 256 + len(directives)*9/8 + len(mappings)*9/8
+}
+
+var harvestShape = history.NewShape(
+	history.OmitEmpty("source", func(v *HarvestResponse) *string { return &v.Source }, history.String),
+	history.Field("directives", func(v *HarvestResponse) *string { return &v.Directives }, history.String),
+	history.Field("prunes", func(v *HarvestResponse) *int { return &v.Prunes }, history.Int),
+	history.Field("priorities", func(v *HarvestResponse) *int { return &v.Priorities }, history.Int),
+	history.Field("thresholds", func(v *HarvestResponse) *int { return &v.Thresholds }, history.Int),
+	history.OmitEmpty("mappings", func(v *HarvestResponse) *string { return &v.Mappings }, history.String),
+	history.OmitEmpty("mapping_count", func(v *HarvestResponse) *int { return &v.MappingCount }, history.Int),
+).SizedBy(func(v *HarvestResponse) int { return directiveSize(v.Directives, v.Mappings) })
+
 // DiagnoseRequest is POST /api/v1/diagnose: run one on-demand diagnosis
 // session, optionally directed and optionally saved to the server's
 // store.
@@ -553,6 +406,21 @@ type DiagnoseRequest struct {
 	// with client.NewIdempotencyKey.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
+
+var diagnoseShape = history.NewShape(
+	history.Field("app", func(v *DiagnoseRequest) *string { return &v.App }, history.String),
+	history.OmitEmpty("version", func(v *DiagnoseRequest) *string { return &v.Version }, history.String),
+	history.OmitEmpty("run_id", func(v *DiagnoseRequest) *string { return &v.RunID }, history.String),
+	history.OmitEmpty("node_offset", func(v *DiagnoseRequest) *int { return &v.NodeOffset }, history.Int),
+	history.OmitEmpty("pid_base", func(v *DiagnoseRequest) *int { return &v.PidBase }, history.Int),
+	history.OmitEmpty("procs", func(v *DiagnoseRequest) *int { return &v.Procs }, history.Int),
+	history.OmitEmpty("max_time", func(v *DiagnoseRequest) *float64 { return &v.MaxTime }, history.Float),
+	history.OmitEmpty("seed", func(v *DiagnoseRequest) *int64 { return &v.Seed }, history.Int64),
+	history.OmitEmpty("directives", func(v *DiagnoseRequest) *string { return &v.Directives }, history.String),
+	history.OmitEmpty("mappings", func(v *DiagnoseRequest) *string { return &v.Mappings }, history.String),
+	history.OmitEmpty("save", func(v *DiagnoseRequest) *bool { return &v.Save }, history.Bool),
+	history.OmitEmpty("idempotency_key", func(v *DiagnoseRequest) *string { return &v.IdempotencyKey }, history.String),
+).SizedBy(func(v *DiagnoseRequest) int { return directiveSize(v.Directives, v.Mappings) })
 
 // DiagnoseBottleneck is one reported problem of a diagnosis session.
 type DiagnoseBottleneck struct {
