@@ -79,35 +79,22 @@ func (osFS) SyncDir(dir string) error {
 // rename itself survives. The temp file is removed on every failure
 // before the rename. Every metadata file the store, the replication
 // layer and the session journal persist goes through here, as do the
-// record files themselves.
+// record files themselves — all but a follower's replica/POSITION, which
+// is overwritten in place.
 func WriteFileAtomic(path, tmpPattern string, data []byte) error {
-	return writeFileAtomic(osFS{}, path, tmpPattern, data, true)
+	return writeFileAtomic(osFS{}, path, tmpPattern, data)
 }
 
-// ReplaceFile is WriteFileAtomic without the two fsyncs: a crash of the
-// process still leaves the previous file or the complete new one (the
-// rename is atomic), but a power loss may leave either, or an empty
-// file. It is for state whose loss only costs work and which is written
-// too often to pay for durability — a follower's applied-position
-// checkpoint sits on every replicated write's acknowledgement path.
-func ReplaceFile(path, tmpPattern string, data []byte) error {
-	return writeFileAtomic(osFS{}, path, tmpPattern, data, false)
-}
-
-// writeFileAtomic is WriteFileAtomic through fs; durable false skips
-// both fsyncs (ReplaceFile).
-func writeFileAtomic(fs fsys, path, tmpPattern string, data []byte, durable bool) error {
+// writeFileAtomic is WriteFileAtomic through fs.
+func writeFileAtomic(fs fsys, path, tmpPattern string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := stageFile(fs, dir, tmpPattern, data, durable)
+	tmp, err := stageFile(fs, dir, tmpPattern, data)
 	if err != nil {
 		return err
 	}
 	if err := fs.Rename(tmp, path); err != nil {
 		fs.Remove(tmp)
 		return err
-	}
-	if !durable {
-		return nil
 	}
 	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("sync dir: %w", err)
@@ -117,12 +104,11 @@ func writeFileAtomic(fs fsys, path, tmpPattern string, data []byte, durable bool
 
 // stageFile is the half of an atomic write before anything is visible:
 // data goes to a fresh temp file in dir (named from tmpPattern), is
-// given its final mode on the descriptor and, when durable, fsynced;
-// the closed file's name comes back, ready to be renamed over its
-// target. The temp file is removed on every failure. A crash before the
+// given its final mode on the descriptor and fsynced; the closed file's
+// name comes back, ready to be renamed over its target. The temp file is removed on every failure. A crash before the
 // rename still orphans it; the owners that can accumulate them sweep at
 // open.
-func stageFile(fs fsys, dir, tmpPattern string, data []byte, durable bool) (string, error) {
+func stageFile(fs fsys, dir, tmpPattern string, data []byte) (string, error) {
 	tmp, err := fs.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return "", err
@@ -131,7 +117,7 @@ func stageFile(fs fsys, dir, tmpPattern string, data []byte, durable bool) (stri
 	if err == nil {
 		err = tmp.Chmod(0o644)
 	}
-	if err == nil && durable {
+	if err == nil {
 		// Fsync the data before the rename can publish it: a durable
 		// rename of a file whose blocks never reached the disk survives a
 		// power loss as a zero-length or torn file.

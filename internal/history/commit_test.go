@@ -111,6 +111,15 @@ func TestCommitMatrix(t *testing.T) {
 			runs:    []string{"r8", "r1", "r9"},
 			effects: puts(sampleRecord("r8"), changed("r1"), sampleRecord("r9")),
 		},
+		{
+			// Entries as a pull delivers them: decoded, then one commit.
+			name: "replicated run of 3",
+			do: func(st *Store) (int, error) {
+				return st.ApplyRun([]WALEntry{entryOf(sampleRecord("r8")), entryOf(changed("r1")), entryOf(sampleRecord("r9"))})
+			},
+			runs:    []string{"r8", "r1", "r9"},
+			effects: puts(sampleRecord("r8"), changed("r1"), sampleRecord("r9")),
+		},
 	}
 
 	// failOnce answers an injected error the first time it is asked.
@@ -517,6 +526,41 @@ func TestCommitMatrix(t *testing.T) {
 					})
 				}
 			})
+		}
+	}
+}
+
+// TestApplyRunStopsAtEntryThatDoesNotCheckOut: a replicated run whose
+// second entry identifies as another key applies the first and nothing
+// after it, over both shapes of backend — the staged commit and a
+// wrapped one: one journal append, one record file, no staged file left
+// behind, and an error naming the entry.
+func TestApplyRunStopsAtEntryThatDoesNotCheckOut(t *testing.T) {
+	misnamed := StoredEntry(sampleRecord("r2"))
+	misnamed.RunID = "r3"
+	run := []WALEntry{StoredEntry(sampleRecord("r1")), misnamed, StoredEntry(sampleRecord("r4"))}
+	for _, wrapped := range []bool{false, true} {
+		dir := t.TempDir()
+		var opts DurableOptions
+		if wrapped {
+			opts.Wrap = func(b Backend) Backend { return passThrough{b} }
+		}
+		st := openDurable(t, dir, opts)
+		before := st.WALStats().Appends
+		n, err := st.ApplyRun(run)
+		if n != 1 || err == nil || !strings.Contains(err.Error(), "entry 1 ") {
+			t.Fatalf("wrapped=%v: ApplyRun = %d, %v; want 1 and an error naming entry 1", wrapped, n, err)
+		}
+		if got := st.WALStats().Appends - before; got != 1 {
+			t.Errorf("wrapped=%v: %d journal appends, want 1", wrapped, got)
+		}
+		if keys := st.Keys(); len(keys) != 1 || keys[0] != run[0].Key() {
+			t.Errorf("wrapped=%v: store holds %v, want %s only", wrapped, keys, run[0].Key())
+		}
+		names, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+		tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp"))
+		if len(names) != 1 || len(tmps) != 0 {
+			t.Errorf("wrapped=%v: record files %v, staged files %v; want r1's file only", wrapped, names, tmps)
 		}
 	}
 }

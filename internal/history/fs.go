@@ -78,7 +78,7 @@ func fileName(key RecordKey) string {
 // stage writes one record's bytes to a unique temp file beside the
 // records — created, written, data-fsynced, invisible to Scan and Get.
 func (b *FSBackend) stage(data []byte) (tmp string, err error) {
-	if tmp, err = stageFile(b.fs, b.dir, ".put-*.tmp", data, true); err != nil {
+	if tmp, err = stageFile(b.fs, b.dir, ".put-*.tmp", data); err != nil {
 		return "", fmt.Errorf("history: write: %w", err)
 	}
 	return tmp, nil

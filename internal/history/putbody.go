@@ -3,9 +3,7 @@ package history
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // Encoded is a record decoded from a put body by DecodePut or
@@ -122,23 +120,14 @@ func decodeBatchSplit(body []byte) ([]Encoded, bool) {
 	}
 	pieces := bytes.SplitAfter(rest, []byte("\n    }"+batchSep))
 	recs, bad := make([]Encoded, len(pieces)), make([]bool, len(pieces))
-	workers := min(runtime.GOMAXPROCS(0), len(pieces))
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := range workers {
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(pieces); i += workers {
-				if i < len(pieces)-1 {
-					pieces[i] = pieces[i][:len(pieces[i])-len(batchSep)]
-				}
-				d := Decoder{data: pieces[i], level: 2}
-				recs[i] = d.encoded()
-				bad[i] = !d.End()
-			}
-		}()
-	}
-	wg.Wait()
+	eachParallel(len(pieces), func(i int) {
+		if i < len(pieces)-1 {
+			pieces[i] = pieces[i][:len(pieces[i])-len(batchSep)]
+		}
+		d := Decoder{data: pieces[i], level: 2}
+		recs[i] = d.encoded()
+		bad[i] = !d.End()
+	})
 	return recs, !slices.Contains(bad, true)
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -655,18 +656,43 @@ func (s *Store) Apply(entries []WALEntry) (wrote int, err error) {
 	return s.commit(ms, commitWrite)
 }
 
-// journaledMutations checks entries in order; on the first that does not
-// check out it answers the mutations of those before it and an error
-// naming the offender's position.
+// journaledMutations checks entries, decoding them on up to GOMAXPROCS
+// goroutines; the first that does not check out ends the list: it
+// answers the mutations of those before it and an error naming the
+// offender's position.
 func journaledMutations(entries []WALEntry) ([]mutation, error) {
-	ms := make([]mutation, len(entries))
-	for i, e := range entries {
-		var err error
-		if ms[i], err = journaledMutation(e); err != nil {
-			return ms[:i], fmt.Errorf("history: entry %d (%s): %w", i, e.Key(), err)
+	ms, errs := make([]mutation, len(entries)), make([]error, len(entries))
+	eachParallel(len(entries), func(i int) { ms[i], errs[i] = journaledMutation(entries[i]) })
+	for i, err := range errs {
+		if err != nil {
+			return ms[:i], fmt.Errorf("history: entry %d (%s): %w", i, entries[i].Key(), err)
 		}
 	}
 	return ms, nil
+}
+
+// eachParallel calls f for every index below n on up to GOMAXPROCS
+// goroutines, each taking every workers-th index, and returns when all
+// calls have.
+func eachParallel(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ApplyRun folds a run of a primary's journal entries into the store as
@@ -849,5 +875,5 @@ func syncPromotedStateEpoch(fs fsys, storeDir string, epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(fs, spath, ".state-*.tmp", append(out, '\n'), true)
+	return writeFileAtomic(fs, spath, ".state-*.tmp", append(out, '\n'))
 }

@@ -125,7 +125,7 @@ func readWALEpoch(dir string) (uint64, error) {
 // writeWALEpoch persists epoch under dir. The counter is the fencing
 // token, so a crash or power loss must never leave it torn or empty.
 func writeWALEpoch(fs fsys, dir string, epoch uint64) error {
-	return writeFileAtomic(fs, filepath.Join(dir, walEpochName), ".epoch-*.tmp", []byte(fmt.Sprintf("%d\n", epoch)), true)
+	return writeFileAtomic(fs, filepath.Join(dir, walEpochName), ".epoch-*.tmp", []byte(fmt.Sprintf("%d\n", epoch)))
 }
 
 // WALEntry is one journaled mutation. Put entries carry the full encoded

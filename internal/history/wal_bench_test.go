@@ -271,3 +271,43 @@ func BenchmarkCommit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyRun prices a follower's fold of k replicated put entries
+// of BenchmarkCommit's records at SyncAlways over the bare FSBackend:
+// the entries arrive encoded, as a pull delivers them, so beside
+// BenchmarkCommit's price (mutations built beforehand) it shows what
+// decoding them — on up to GOMAXPROCS goroutines, before the commit —
+// adds. Point TMPDIR at the file system to be priced.
+func BenchmarkApplyRun(b *testing.B) {
+	const keys = 64
+	entries := make([]WALEntry, keys)
+	for i := range entries {
+		rec := benchRecord()
+		rec.RunID = fmt.Sprintf("r%04d", i)
+		entries[i] = StoredEntry(rec)
+	}
+	if len(entries[0].Data) != len(benchWALData(b)) {
+		b.Fatalf("a stored entry carries %d bytes, the journal benchmarks' record %d", len(entries[0].Data), len(benchWALData(b)))
+	}
+	for _, k := range []int{1, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			b.SetBytes(int64(k * len(entries[0].Data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := i * k % keys
+				if n, err := st.ApplyRun(entries[at : at+k]); err != nil || n != k {
+					b.Fatalf("ApplyRun = %d, %v", n, err)
+				}
+			}
+			b.StopTimer()
+			records := float64(b.N * k)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+			b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
+		})
+	}
+}

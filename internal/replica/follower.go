@@ -112,7 +112,7 @@ func NewFollower(primaryURL, selfURL string, st history.Storage) (*Follower, err
 		}
 		r, resync := bootRow(rs, journalEpoch(sst), primaryURL)
 		if cols, _ := r.columns(); resync {
-			if err := writeState(dir, cols, true); err != nil {
+			if err := writeState(dir, cols); err != nil {
 				return nil, fmt.Errorf("replica: shard %02d state: %w", i, err)
 			}
 		}
@@ -241,13 +241,14 @@ func (f *Follower) pullOnce(shard int, wait time.Duration) (int, error) {
 }
 
 // bootstrap installs the owner's snapshot: local records not in the image
-// are deleted, every snapshot entry is folded in (exact bytes), and the
-// shard's position jumps to the snapshot's (epoch, seq). A snapshot from
-// an OLDER epoch than the shard's position is refused — never resurrect
-// a fenced generation. On a shard this node once owned, local records the
-// image would silently drop or rewrite are first quarantined as a
-// divergence record: the unshipped WAL tail of the old generation is
-// truncated into auditable residue, not lost.
+// are deleted, every snapshot entry is folded in (exact bytes, a commit
+// per maxApplyRun entries), and the shard's position jumps to the
+// snapshot's (epoch, seq). A snapshot from an OLDER epoch than the
+// shard's position is refused — never resurrect a fenced generation. On a
+// shard this node once owned, local records the image would silently drop
+// or rewrite are first quarantined as a divergence record: the unshipped
+// WAL tail of the old generation is truncated into auditable residue, not
+// lost.
 func (f *Follower) bootstrap(shard int) error {
 	cur := f.tab.read().rows[shard]
 	ctx, cancel := context.WithTimeout(f.ctx, 60*time.Second)
@@ -284,10 +285,13 @@ func (f *Follower) bootstrap(shard int) error {
 			return fmt.Errorf("replica: shard %02d snapshot prune %s: %w", shard, k, err)
 		}
 	}
-	for _, e := range entries {
-		if err := sst.ApplyReplicated(e); err != nil {
-			return fmt.Errorf("replica: shard %02d snapshot %s: %w", shard, e.Key(), err)
+	// Folded as a pull is: commits of up to maxApplyRun entries.
+	for run := entries; len(run) > 0; {
+		n, err := sst.ApplyRun(run[:min(len(run), maxApplyRun)])
+		if err != nil {
+			return fmt.Errorf("replica: shard %02d snapshot %s: %w", shard, run[n].Key(), err)
 		}
+		run = run[n:]
 	}
 	_, _, err = f.tab.apply(event{kind: evInstalled, shard: shard, epoch: snap.Epoch, applied: snap.Seq, peer: cur.peer})
 	return err

@@ -3,6 +3,9 @@ package replica
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,10 +126,145 @@ func TestFollowerFoldsPullAsOneCommit(t *testing.T) {
 	if _, err := fst.Load("poisson", "A", "l"); err == nil {
 		t.Fatal("a frame past the one that did not check out was applied")
 	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp")); len(tmps) > 0 {
+		t.Fatalf("staged files survive the frames that did not land: %v", tmps)
+	}
 	if err := pull(0, 0, 0, 13); err != nil {
 		t.Fatal(err)
 	}
 	if fst.Len() != 10 { // a..h less a, plus i, j, k
 		t.Fatalf("store holds %d records, want 10: %v", fst.Len(), fst.Keys())
+	}
+}
+
+// TestFollowerAckRewritesNoFile: an applied pull moves the position by
+// one write in place — over ten pulls STATE.json and POSITION keep their
+// inodes and replica/ holds nothing else — and a restart takes POSITION's
+// record only when it checks, is of STATE.json's epoch and is ahead of it,
+// never past the last entry applied; a POSITION longer than its record
+// is read and rewritten at its head.
+func TestFollowerAckRewritesNoFile(t *testing.T) {
+	const pulls = 10
+	var script []scriptedPull
+	for i := 0; i <= pulls; i++ {
+		script = append(script, scriptedPull{first: uint64(i + 1), entries: []history.WALEntry{
+			history.StoredEntry(rec("poisson", "A", string(rune('a'+i)), float64(i))),
+		}})
+	}
+	ts := scriptedPrimary(t, &script)
+
+	dir := t.TempDir()
+	fst, err := history.OpenStoreDurable(dir, history.DurableOptions{Create: true, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fst.Close()
+	if err := writeState(dir, replState{Primary: ts.URL}); err != nil {
+		t.Fatal(err)
+	}
+	fol, err := NewFollower(ts.URL, "http://follower-1", fst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Stop()
+	stat := func(path string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	pull := func() {
+		t.Helper()
+		if n, err := fol.pullOnce(0, 0); n != 1 || err != nil {
+			t.Fatalf("pull applied %d frames: %v", n, err)
+		}
+		des, err := os.ReadDir(filepath.Join(dir, stateDirName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		if !slices.Equal(names, []string{positionFileName, stateFileName}) {
+			t.Fatalf("replica/ holds %q after a pull, want POSITION and STATE.json only", names)
+		}
+	}
+	pull() // the first creates POSITION
+	state, position := stat(statePath(dir)), stat(positionPath(dir))
+	for range pulls {
+		pull()
+	}
+	if !os.SameFile(state, stat(statePath(dir))) || !os.SameFile(position, stat(positionPath(dir))) {
+		t.Fatal("a pull replaced STATE.json or POSITION")
+	}
+	const last = pulls + 1
+	if rs, err := loadState(dir); err != nil || rs.Applied != last {
+		t.Fatalf("loadState = %+v, %v, want the position at %d", rs, err, last)
+	}
+	fol.Stop()
+
+	good, err := os.ReadFile(positionPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		state     replState // STATE.json's columns
+		position  []byte    // POSITION's bytes
+		wantApply uint64
+	}{
+		{"ahead at the same epoch", replState{Primary: ts.URL}, good, last},
+		{"torn", replState{Primary: ts.URL, Applied: 4}, good[:positionSize/2], 4},
+		{"garbage", replState{Primary: ts.URL, Applied: 4}, []byte("not a position record"), 4},
+		{"bit flip", replState{Primary: ts.URL, Applied: 4}, append(slices.Clone(good[:positionSize-1]), good[positionSize-1]^1), 4},
+		{"another epoch", replState{Epoch: 1, Primary: ts.URL, Applied: 4}, good, 4},
+		{"behind", replState{Primary: ts.URL, Applied: last}, encodePosition(0, 4), last},
+	} {
+		if err := writeState(dir, c.state); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(positionPath(dir), c.position, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := NewFollower(ts.URL, "http://follower-1", fst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := again.tab.read().rows[0].applied; got != c.wantApply || got > last {
+			t.Errorf("%s: restarted at %d, want %d (last applied %d)", c.name, got, c.wantApply, last)
+		}
+	}
+
+	// A POSITION longer than one record: the restart keeps STATE.json's
+	// position, a pull rewrites the record at its head, and the next
+	// restart takes that record.
+	if err := writeState(dir, replState{Primary: ts.URL, Applied: last}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(positionPath(dir), []byte(strings.Repeat("garbage ", 5)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	script = append(script, scriptedPull{first: last + 1, entries: []history.WALEntry{
+		history.StoredEntry(rec("poisson", "A", "z", 1)),
+	}})
+	again, err := NewFollower(ts.URL, "http://follower-1", fst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.tab.read().rows[0].applied; got != last {
+		t.Fatalf("long POSITION: restarted at %d, want %d", got, last)
+	}
+	if n, err := again.pullOnce(0, 0); n != 1 || err != nil {
+		t.Fatalf("pull applied %d frames: %v", n, err)
+	}
+	again, err = NewFollower(ts.URL, "http://follower-1", fst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.tab.read().rows[0].applied; got != last+1 {
+		t.Fatalf("long POSITION rewritten by a pull: restarted at %d, want %d", got, last+1)
 	}
 }

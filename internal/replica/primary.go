@@ -314,7 +314,7 @@ func loadPeers(path string) []string {
 // savePeers persists the peer list. Best-effort: it is discovery state,
 // and a peer that fails to persist is re-learned at its next pull.
 func savePeers(path string, ids []string) {
-	_ = writeJSONFile(path, ".peers-*.tmp", ids, true)
+	_ = writeJSONFile(path, ".peers-*.tmp", ids)
 }
 
 // epochNow returns the shard log's epoch.

@@ -162,7 +162,7 @@ type event struct {
 type effectKind uint8
 
 const (
-	fxPersist   effectKind = iota // write shard's columns to STATE.json, fsynced when durable
+	fxPersist   effectKind = iota // write shard's columns: durably to STATE.json, or only its position to POSITION
 	fxBumpEpoch                   // raise shard's journal and log to epoch
 	fxHandOver                    // ask the store to hand shard to its best follower
 	fxElect                       // the lease lapsed: probe the followed peer, then the electorate

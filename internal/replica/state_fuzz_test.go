@@ -24,7 +24,7 @@ func stateSeeds(t testing.TB) [][]byte {
 		{Epoch: 7, Promoted: true},
 		{Epoch: 9, Applied: 12, Primary: "http://p", DemotedFrom: 8, Lease: &leaseState{Epoch: 9, TTLMS: 3000}},
 	} {
-		if err := writeState(dir, st, true); err != nil {
+		if err := writeState(dir, st); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(statePath(dir))
@@ -52,7 +52,7 @@ func FuzzLoadState(f *testing.F) {
 		if err != nil {
 			t.Fatalf("loadState of a readable file = %v", err)
 		}
-		if err := writeState(dir, st, true); err != nil {
+		if err := writeState(dir, st); err != nil {
 			t.Fatal(err)
 		}
 		back, err := loadState(dir)
@@ -85,6 +85,64 @@ func FuzzLoadPeers(f *testing.F) {
 		savePeers(path, ids)
 		if back := loadPeers(path); !reflect.DeepEqual(back, ids) {
 			t.Fatalf("peers %q written and read back as %q", ids, back)
+		}
+	})
+}
+
+// FuzzLoadPosition: whatever bytes POSITION holds beside a seed
+// STATE.json, loadState does not panic, moves STATE.json's position only
+// forward and only to a record of its epoch that checks, leaves every
+// other column as STATE.json has it, and reads back what it read once it
+// is written by this tree.
+func FuzzLoadPosition(f *testing.F) {
+	seeds := stateSeeds(f)
+	// seeds[2] is {Epoch: 3, Applied: 41}, seeds[0] the zero row.
+	f.Add(uint8(2), encodePosition(3, 45))
+	f.Add(uint8(2), encodePosition(3, 40))
+	f.Add(uint8(2), encodePosition(2, 99))
+	f.Add(uint8(2), encodePosition(3, 45)[:positionSize/2])
+	f.Add(uint8(0), encodePosition(0, 7))
+	f.Add(uint8(0), []byte("garbage garbage garb"))
+	f.Fuzz(func(t *testing.T, which uint8, pos []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Dir(statePath(dir)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(statePath(dir), seeds[int(which)%len(seeds)], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		durable, err := loadState(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(positionPath(dir), pos, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := loadState(dir)
+		if err != nil {
+			t.Fatalf("loadState of readable files = %v", err)
+		}
+		if st.Applied != durable.Applied {
+			epoch, applied, ok := decodePosition(pos)
+			if !ok || epoch != durable.Epoch || applied != st.Applied || applied < durable.Applied {
+				t.Fatalf("position %d taken over STATE.json's %d at epoch %d from %x", st.Applied, durable.Applied, durable.Epoch, pos)
+			}
+		}
+		moved := st
+		moved.Applied = durable.Applied
+		if !reflect.DeepEqual(moved, durable) {
+			t.Fatalf("POSITION changed more than the position: %+v, STATE.json %+v", st, durable)
+		}
+		if err := writeState(dir, st); err != nil {
+			t.Fatal(err)
+		}
+		if err := writePosition(dir, st.Epoch, st.Applied); err != nil {
+			t.Fatal(err)
+		}
+		back, err := loadState(dir)
+		st.Version = stateVersion
+		if err != nil || !reflect.DeepEqual(back, st) {
+			t.Fatalf("row %+v written and read back as %+v, %v", st, back, err)
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package replica
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -15,17 +17,19 @@ import (
 )
 
 // stateDirName is the per-shard-store subdirectory holding replication
-// state; stateFileName records the shard's persisted columns.
+// state; stateFileName records the shard's durable columns, and
+// positionFileName the position applied since.
 const (
-	stateDirName  = "replica"
-	stateFileName = "STATE.json"
+	stateDirName     = "replica"
+	stateFileName    = "STATE.json"
+	positionFileName = "POSITION"
 )
 
 // replState is the persisted columns of one shard's row: the position it
-// has replicated through, and whether it owns the shard. Written after
-// each applied batch — a crash between apply and persist just re-pulls
-// from the older position, and re-apply is idempotent (same entries, same
-// bytes).
+// has replicated through, and whether it owns the shard. STATE.json is
+// written durably on every change of the row but its position; the
+// position an applied batch advances goes to POSITION, overwritten in
+// place, and loadState merges the two.
 //
 // Version 2 (FORMATS.md "STATE.json v2") adds the failover fields: the
 // peer this shard follows, the epoch-stamped liveness lease that peer
@@ -58,36 +62,92 @@ func statePath(storeDir string) string {
 	return filepath.Join(storeDir, stateDirName, stateFileName)
 }
 
+func positionPath(storeDir string) string {
+	return filepath.Join(storeDir, stateDirName, positionFileName)
+}
+
+// loadState reads a shard's row: STATE.json's columns, with the position
+// of POSITION when that record checks, is of STATE.json's epoch and is
+// ahead of it. Anything else in POSITION — torn, garbage, another
+// generation's — leaves the durable position standing, which costs an
+// idempotent re-pull.
 func loadState(storeDir string) (replState, error) {
 	var st replState
 	data, err := os.ReadFile(statePath(storeDir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return st, nil
+	switch {
+	case err == nil:
+		if json.Unmarshal(data, &st) != nil {
+			// A torn state file is crash residue: restart from zero and let
+			// anti-entropy re-derive the position.
+			st = replState{}
 		}
+	case !os.IsNotExist(err):
 		return st, err
 	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		// A torn state file is crash residue: restart from zero and let
-		// anti-entropy re-derive the position.
-		return replState{}, nil
+	if data, err := os.ReadFile(positionPath(storeDir)); err == nil {
+		if epoch, applied, ok := decodePosition(data); ok && epoch == st.Epoch && applied > st.Applied {
+			st.Applied = applied
+		}
 	}
 	return st, nil
 }
 
-// writeState persists a row's columns. Durable (data and directory
-// fsynced) for anything but an advanced applied position: the role, the
-// demotion record and the epoch must survive power loss, a lost position
-// only costs an idempotent re-pull.
-func writeState(storeDir string, st replState, durable bool) error {
+// writeState persists a row's columns durably (data and directory
+// fsynced): the role, the demotion record and the epoch must survive
+// power loss.
+func writeState(storeDir string, st replState) error {
 	st.Version = stateVersion
-	return writeJSONFile(statePath(storeDir), ".state-*.tmp", st, durable)
+	return writeJSONFile(statePath(storeDir), ".state-*.tmp", st)
+}
+
+// positionSize is POSITION's one record: the epoch and the applied
+// position, little-endian, then the CRC-32 (IEEE) of those sixteen bytes.
+const positionSize = 20
+
+func encodePosition(epoch, applied uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, positionSize), epoch)
+	b = binary.LittleEndian.AppendUint64(b, applied)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// decodePosition reads the record at the head of b. Bytes after it are
+// ignored: writePosition rewrites the head only, so a longer file — left
+// by anything but this code — would otherwise refuse every record it is
+// ever given.
+func decodePosition(b []byte) (epoch, applied uint64, ok bool) {
+	if len(b) < positionSize || crc32.ChecksumIEEE(b[:16]) != binary.LittleEndian.Uint32(b[16:positionSize]) {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]), true
+}
+
+// writePosition overwrites POSITION's record in place: one write at
+// offset 0 of a file that keeps its inode, no rename, no fsync. It
+// follows the commit that made the position's entries durable, so the
+// record never claims more than the disk holds; one a power loss tears
+// or loses is refused by its CRC or its epoch, or is behind STATE.json,
+// and the durable position stands.
+func writePosition(storeDir string, epoch, applied uint64) error {
+	path := positionPath(storeDir)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if os.IsNotExist(err) {
+		if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+			f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(encodePosition(epoch, applied), 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeJSONFile replaces path (its directory made if need be) with v as
-// indented JSON, through a temp file named by pattern; durable also
-// fsyncs the data and the directory.
-func writeJSONFile(path, pattern string, v any, durable bool) error {
+// indented JSON, durably, through a temp file named by pattern.
+func writeJSONFile(path, pattern string, v any) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -95,23 +155,19 @@ func writeJSONFile(path, pattern string, v any, durable bool) error {
 	if err != nil {
 		return err
 	}
-	write := history.ReplaceFile
-	if durable {
-		write = history.WriteFileAtomic
-	}
-	return write(path, pattern, append(data, '\n'))
+	return history.WriteFileAtomic(path, pattern, append(data, '\n'))
 }
 
 // table is a node's ownership table and the one driver of step: apply
 // serialises transitions, logs the rows that changed, and executes the
-// effects that are the table's own (STATE.json, the epoch bump). Readers
-// — the write gate, the info handshake, the pull loops — load the
-// published state and take no lock.
+// effects that are the table's own (STATE.json and POSITION, the epoch
+// bump). Readers — the write gate, the info handshake, the pull loops —
+// load the published state and take no lock.
 type table struct {
 	stores []*history.Store
 	// persists is set on a node with a follower side: only there do rows
-	// have a STATE.json. logs are the node's shard logs, when it has a
-	// primary side, raised together with the journals.
+	// have a STATE.json and a POSITION. logs are the node's shard logs,
+	// when it has a primary side, raised together with the journals.
 	persists bool
 	logs     []*shardLog
 
@@ -170,8 +226,17 @@ func (t *table) apply(ev event) (state, []effect, error) {
 			}
 		case fxPersist:
 			if rs, ok := next.rows[e.shard].columns(); ok && t.persists {
-				if werr := writeState(t.stores[e.shard].Dir(), rs, e.durable); werr != nil {
-					err = errors.Join(err, fmt.Errorf("replica: shard %02d persist state: %w", e.shard, werr))
+				// An applied batch moves only the position; every other
+				// change is the row's durable columns.
+				dir, what := t.stores[e.shard].Dir(), "state"
+				var werr error
+				if e.durable {
+					werr = writeState(dir, rs)
+				} else {
+					what, werr = "position", writePosition(dir, rs.Epoch, rs.Applied)
+				}
+				if werr != nil {
+					err = errors.Join(err, fmt.Errorf("replica: shard %02d persist %s: %w", e.shard, what, werr))
 				}
 			}
 		default:

@@ -368,12 +368,30 @@ func TestKillFollowerMidApply(t *testing.T) {
 			}
 			return false
 		})
+	// The follower's position as its info handshake reports it, read
+	// before the kill.
+	resp, err := http.Get(fol.url + "/api/v1/replica/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info replica.InfoResponse
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Shards != 1 || info.AppliedSeq < phase1 {
+		t.Fatalf("follower info: %d shards, applied_seq %d; want 1 shard at >= %d", info.Shards, info.AppliedSeq, phase1)
+	}
 	fol.kill(t)
 
-	// A crash between ApplyReplicated and the position persist leaves
-	// records on disk that the durable offset does not yet admit to.
-	// Reproduce that window deterministically: rewind applied_seq while
-	// keeping the applied records.
+	// A crash between the apply and the position persist leaves records
+	// on disk that the persisted position does not yet admit to.
+	// Reproduce that window deterministically: rewind the position while
+	// keeping the applied records. The position lives in STATE.json's
+	// applied_seq and, once the follower has applied a pull, in POSITION
+	// (FORMATS.md); the rewind removes POSITION and sets applied_seq to
+	// half the position the follower reported.
 	statePath := filepath.Join(folStore, "replica", "STATE.json")
 	data, err := os.ReadFile(statePath)
 	if err != nil {
@@ -383,15 +401,14 @@ func TestKillFollowerMidApply(t *testing.T) {
 	if err := json.Unmarshal(data, &state); err != nil {
 		t.Fatal(err)
 	}
-	applied, ok := state["applied_seq"].(float64)
-	if !ok || applied < phase1 {
-		t.Fatalf("follower state applied_seq = %v, want >= %d", state["applied_seq"], phase1)
-	}
-	state["applied_seq"] = applied / 2
+	state["applied_seq"] = info.AppliedSeq / 2
 	if data, err = json.Marshal(state); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(statePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(folStore, "replica", "POSITION")); err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
 
