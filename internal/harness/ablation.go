@@ -81,7 +81,7 @@ func (e *Env) Ablation(workers int) (*AblationResult, error) {
 	}
 	out := &AblationResult{}
 	for i, res := range results {
-		if _, err := e.record(res); err != nil {
+		if _, err := e.SaveResult(res); err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, AblationRow{

@@ -64,15 +64,15 @@ func (e *Env) CombineStudy(workers int) (*CombineResult, error) {
 		return nil, err
 	}
 	a1, bRes, cBase := baseResults[0], baseResults[1], baseResults[2]
-	a1Rec, err := e.record(a1)
+	a1Rec, err := e.SaveResult(a1)
 	if err != nil {
 		return nil, err
 	}
-	bRec, err := e.record(bRes)
+	bRec, err := e.SaveResult(bRes)
 	if err != nil {
 		return nil, err
 	}
-	cRec, err := e.record(cBase)
+	cRec, err := e.SaveResult(cBase)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (e *Env) CombineStudy(workers int) (*CombineResult, error) {
 	out.A2Mappings = len(maps)
 	// Priorities plus general prunes only: a2's diagnosis should be a
 	// more-detailed superset of a1's, so nothing a1 found is pruned away.
-	ds := e.harvest(a1Rec, core.HarvestOptions{GeneralPrunes: true, Priorities: true})
+	ds := e.Harvest(a1Rec, core.HarvestOptions{GeneralPrunes: true, Priorities: true})
 	a2Cfg := DefaultSessionConfig()
 	a2Cfg.Sim.Seed = 2
 	a2Cfg.RunID = "a2"
@@ -107,15 +107,15 @@ func (e *Env) CombineStudy(workers int) (*CombineResult, error) {
 	// Part 2 setup: combining directives from A and B to diagnose C.
 	want := cBase.ImportantKeys(ImportantMargin)
 	harvest := core.HarvestOptions{GeneralPrunes: true, HistoricPrunes: true, Priorities: true}
-	dsA := e.harvest(a1Rec, harvest)
-	dsB := e.harvest(bRec, harvest)
+	dsA := e.Harvest(a1Rec, harvest)
+	dsB := e.Harvest(bRec, harvest)
 	mapsAC := core.InferMappings(a1Rec.Resources, cRec.Resources)
 	mapsBC := core.InferMappings(bRec.Resources, cRec.Resources)
-	dsAC, err := e.mapped(dsA, mapsAC)
+	dsAC, err := e.cache.Mapped(dsA, mapsAC)
 	if err != nil {
 		return nil, err
 	}
-	dsBC, err := e.mapped(dsB, mapsBC)
+	dsBC, err := e.cache.Mapped(dsB, mapsBC)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func (e *Env) CombineStudy(workers int) (*CombineResult, error) {
 		out.A2Time = t
 	}
 	// Classify a2's bottlenecks against a1's results (in a2's namespace).
-	mappedDS, err := e.mapped(ds, maps)
+	mappedDS, err := e.cache.Mapped(ds, maps)
 	if err != nil {
 		return nil, err
 	}

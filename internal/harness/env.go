@@ -52,7 +52,7 @@ func (e *Env) Harvest(rec *history.RunRecord, opt core.HarvestOptions) *core.Dir
 // returns the interned stored copy — the pointer every subsequent
 // harvest and comparison should use.
 func (e *Env) SaveResult(res *SessionResult) (*history.RunRecord, error) {
-	return e.record(res)
+	return e.saveRecord(res.Record)
 }
 
 // HarvestRuns is the full directive pipeline the tools and the
@@ -85,9 +85,9 @@ func (e *Env) HarvestRuns(app string, refs []string, opt core.HarvestOptions, co
 		}
 		recs[i] = rec
 	}
-	ds := e.harvest(recs[0], opt)
+	ds := e.Harvest(recs[0], opt)
 	for _, rec := range recs[1:] {
-		h := e.harvest(rec, opt)
+		h := e.Harvest(rec, opt)
 		if combine == "or" {
 			ds = e.cache.Union(ds, h)
 		} else {
@@ -106,7 +106,7 @@ func (e *Env) HarvestRuns(app string, refs []string, opt core.HarvestOptions, co
 		return nil, nil, err
 	}
 	maps := core.InferMappings(recs[0].Resources, target.Resources)
-	ds, err = e.mapped(ds, maps)
+	ds, err = e.cache.Mapped(ds, maps)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -123,20 +123,4 @@ func (e *Env) saveRecord(rec *history.RunRecord) (*history.RunRecord, error) {
 		return nil, err
 	}
 	return e.store.Load(rec.App, rec.Version, rec.RunID)
-}
-
-// record persists a completed session's run record, returning the
-// stored copy.
-func (e *Env) record(res *SessionResult) (*history.RunRecord, error) {
-	return e.saveRecord(res.Record)
-}
-
-// harvest is the memoized core.Harvest.
-func (e *Env) harvest(rec *history.RunRecord, opt core.HarvestOptions) *core.DirectiveSet {
-	return e.cache.Harvest(rec, opt)
-}
-
-// mapped is the memoized core.ApplyMappings.
-func (e *Env) mapped(ds *core.DirectiveSet, maps []core.Mapping) (*core.DirectiveSet, error) {
-	return e.cache.Mapped(ds, maps)
 }

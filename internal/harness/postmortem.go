@@ -81,11 +81,11 @@ func (e *Env) PostmortemStudy(workers int) (*PostmortemResult, error) {
 		out.BaseTime = t
 	}
 	harvest := core.HarvestOptions{GeneralPrunes: true, HistoricPrunes: true, Priorities: true}
-	baseRec, err := e.record(base)
+	baseRec, err := e.SaveResult(base)
 	if err != nil {
 		return nil, err
 	}
-	shgDS := e.harvest(baseRec, harvest)
+	shgDS := e.Harvest(baseRec, harvest)
 	out.SHGDirectives = shgDS.Len()
 
 	// Raw trace run (different monitoring tool, no PC) and its harvest.
@@ -105,7 +105,7 @@ func (e *Env) PostmortemStudy(workers int) (*PostmortemResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pmDS := e.harvest(pmRec, harvest)
+	pmDS := e.Harvest(pmRec, harvest)
 	out.PostDirectives = pmDS.Len()
 	out.TraceCombinations = len(pmRec.Usage)
 

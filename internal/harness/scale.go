@@ -53,11 +53,11 @@ func (e *Env) ScaleStudy(sizes []int, workers int) (*ScaleResult, error) {
 	dirJobs := make([]SessionJob, len(sizes))
 	for i, n := range sizes {
 		n := n
-		rec, err := e.record(bases[i])
+		rec, err := e.SaveResult(bases[i])
 		if err != nil {
 			return nil, err
 		}
-		ds := e.harvest(rec, core.HarvestOptions{GeneralPrunes: true, HistoricPrunes: true, Priorities: true})
+		ds := e.Harvest(rec, core.HarvestOptions{GeneralPrunes: true, HistoricPrunes: true, Priorities: true})
 		cfg := DefaultSessionConfig()
 		cfg.Sim.Seed = 2
 		cfg.RunID = fmt.Sprintf("scale-%d-dir", n)

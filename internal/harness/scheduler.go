@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -66,43 +65,6 @@ func (e *SchedulerError) Unwrap() []error {
 	return out
 }
 
-// Gate admits sessions into a capacity pool shared across RunSessions
-// calls. A scheduler call bounds the parallelism of one job list; a Gate
-// bounds the number of sessions in flight machine-wide, so several
-// concurrent scheduler calls (the diagnosis service runs one per HTTP
-// request) cannot oversubscribe the host between them. Implementations
-// must be safe for concurrent use.
-type Gate interface {
-	// Acquire blocks until a session slot is free or ctx is done,
-	// returning ctx.Err() in the latter case.
-	Acquire(ctx context.Context) error
-	// Release returns a slot obtained by a successful Acquire.
-	Release()
-}
-
-// slotGate is the channel-semaphore Gate.
-type slotGate chan struct{}
-
-// NewSlotGate returns a Gate admitting at most n concurrent sessions
-// (n < 1 is treated as 1).
-func NewSlotGate(n int) Gate {
-	if n < 1 {
-		n = 1
-	}
-	return make(slotGate, n)
-}
-
-func (g slotGate) Acquire(ctx context.Context) error {
-	select {
-	case g <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g slotGate) Release() { <-g }
-
 // RunSessions executes independent diagnosis sessions across a bounded
 // worker pool and returns their results in input order.
 //
@@ -117,23 +79,6 @@ func (g slotGate) Release() { <-g }
 // is a *SchedulerError aggregating every failure (nil when all jobs
 // succeeded).
 func RunSessions(jobs []SessionJob, workers int) ([]*SessionResult, error) {
-	return RunSessionsContext(context.Background(), jobs, workers)
-}
-
-// RunSessionsContext is RunSessions with cancellation: once ctx is done,
-// no new session starts and every not-yet-started job fails with
-// ctx.Err(). Sessions already in flight run to completion (a diagnosis
-// session is pure computation with no blocking points to interrupt).
-func RunSessionsContext(ctx context.Context, jobs []SessionJob, workers int) ([]*SessionResult, error) {
-	return RunSessionsGated(ctx, jobs, workers, nil)
-}
-
-// RunSessionsGated is RunSessionsContext with admission control: each
-// job additionally holds a slot of the (possibly shared) gate while it
-// runs. A nil gate admits everything. Jobs whose Acquire fails — the
-// context was cancelled while queued behind other sessions — fail with
-// that error and never start.
-func RunSessionsGated(ctx context.Context, jobs []SessionJob, workers int, gate Gate) ([]*SessionResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -150,7 +95,7 @@ func RunSessionsGated(ctx context.Context, jobs []SessionJob, workers int, gate 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = runOneJob(ctx, jobs[i], gate)
+				results[i], errs[i] = runOneJob(jobs[i])
 			}
 		}()
 	}
@@ -176,16 +121,7 @@ func RunSessionsGated(ctx context.Context, jobs []SessionJob, workers int, gate 
 }
 
 // runOneJob executes one job inside a worker goroutine.
-func runOneJob(ctx context.Context, job SessionJob, gate Gate) (*SessionResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if gate != nil {
-		if err := gate.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer gate.Release()
-	}
+func runOneJob(job SessionJob) (*SessionResult, error) {
 	a := job.App
 	if job.Build != nil {
 		var err error

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -155,71 +154,6 @@ func TestRunSessionsBoundsWorkers(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunSessionsContextCancel proves cancellation: jobs not yet started
-// when the context dies fail with the context's error and never run.
-func TestRunSessionsContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	jobs := make([]SessionJob, 6)
-	for i := range jobs {
-		jobs[i] = stubJob(func() (*SessionResult, error) {
-			ran.Add(1)
-			return &SessionResult{}, nil
-		})
-	}
-	results, err := RunSessionsContext(ctx, jobs, 3)
-	if ran.Load() != 0 {
-		t.Errorf("%d sessions ran under a dead context", ran.Load())
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	for i, r := range results {
-		if r != nil {
-			t.Errorf("job %d has a result despite cancellation", i)
-		}
-	}
-}
-
-// TestRunSessionsMidwayCancel cancels while the pool is draining: the
-// in-flight session finishes, the rest fail with context.Canceled.
-func TestRunSessionsMidwayCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	jobs := make([]SessionJob, 5)
-	for i := range jobs {
-		jobs[i] = stubJob(func() (*SessionResult, error) {
-			once.Do(func() { close(started) })
-			<-release
-			return &SessionResult{EndTime: 1}, nil
-		})
-	}
-	go func() {
-		<-started
-		cancel()
-		close(release)
-	}()
-	results, err := RunSessionsContext(ctx, jobs, 1)
-	if results[0] == nil {
-		t.Error("the in-flight session should have completed")
-	}
-	var agg *SchedulerError
-	if !errors.As(err, &agg) {
-		t.Fatalf("err = %v, want *SchedulerError", err)
-	}
-	for _, je := range agg.Jobs {
-		if !errors.Is(je, context.Canceled) {
-			t.Errorf("job %d failed with %v, want context.Canceled", je.Index, je.Err)
-		}
-	}
-	if got := len(agg.Jobs); got != len(jobs)-1 {
-		t.Errorf("%d jobs cancelled, want %d", got, len(jobs)-1)
 	}
 }
 

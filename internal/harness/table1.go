@@ -71,7 +71,7 @@ func (e *Env) Table1Jobs(base *history.RunRecord, trials int) []SessionJob {
 	for _, v := range variants {
 		var ds *core.DirectiveSet
 		if v.Harvest != nil {
-			ds = e.harvest(base, *v.Harvest)
+			ds = e.Harvest(base, *v.Harvest)
 		}
 		for trial := 0; trial < trials; trial++ {
 			cfg := DefaultSessionConfig()
@@ -115,7 +115,7 @@ func (e *Env) Table1(trials, workers int) (*Table1Result, error) {
 		return nil, fmt.Errorf("harness: base run found no bottlenecks")
 	}
 
-	baseRec, err := e.record(base)
+	baseRec, err := e.SaveResult(base)
 	if err != nil {
 		return nil, err
 	}

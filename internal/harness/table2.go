@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/app"
@@ -59,7 +58,7 @@ func thresholdSweep(label, hyp string, refTh float64, thresholds []float64,
 	}
 	out := &Table2Result{App: label, Hypothesis: hyp, RefThreshold: refTh}
 
-	ref, err := runOneJob(context.Background(), sweepJob(build, hyp, refTh, 1), nil)
+	ref, err := runOneJob(sweepJob(build, hyp, refTh, 1))
 	if err != nil {
 		return nil, err
 	}

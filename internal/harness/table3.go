@@ -85,7 +85,7 @@ func (e *Env) Table3(trials, workers int) (*Table3Result, error) {
 	recs := make(map[string]*history.RunRecord, len(PoissonVersions))
 	for i, v := range PoissonVersions {
 		bases[v] = baseResults[i]
-		rec, err := e.record(baseResults[i])
+		rec, err := e.SaveResult(baseResults[i])
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func (e *Env) Table3(trials, workers int) (*Table3Result, error) {
 	for _, target := range PoissonVersions {
 		target := target
 		for _, source := range PoissonVersions {
-			ds := e.harvest(recs[source], table3Harvest)
+			ds := e.Harvest(recs[source], table3Harvest)
 			var maps []core.Mapping
 			if source != target {
 				maps = core.InferMappings(recs[source].Resources, recs[target].Resources)

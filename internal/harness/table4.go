@@ -45,7 +45,7 @@ func (e *Env) Table4(workers int) (*Table4Result, error) {
 	}
 	recs := make(map[string]*history.RunRecord)
 	for i, v := range versions {
-		rec, err := e.record(results[i])
+		rec, err := e.SaveResult(results[i])
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +55,7 @@ func (e *Env) Table4(workers int) (*Table4Result, error) {
 		ds := &core.DirectiveSet{Priorities: core.ExtractPriorities(recs[v])}
 		if v != "C" {
 			maps := core.InferMappings(recs[v].Resources, recs["C"].Resources)
-			mapped, err := e.mapped(ds, maps)
+			mapped, err := e.cache.Mapped(ds, maps)
 			if err != nil {
 				return nil, err
 			}

@@ -38,6 +38,17 @@ func (l LocalSender) IngestEnd(_ context.Context, req *EndRequest) (*EndResponse
 	return l.M.End(req)
 }
 
+const (
+	// reporterRetries is how many times one batch is re-sent after an
+	// error before the reporter gives up; resends of an accepted seq are
+	// acknowledged idempotently, so retrying on a lost response is safe.
+	reporterRetries = 8
+	// reporterRetryWait is the flat wait between resends of one batch —
+	// the reporter-level answer to backpressure on top of whatever the
+	// sender's own retry ladder already absorbed.
+	reporterRetryWait = 20 * time.Millisecond
+)
+
 // ReporterOptions configure one run's reporter.
 type ReporterOptions struct {
 	// BatchSize is how many samples accumulate before a batch ships
@@ -49,15 +60,6 @@ type ReporterOptions struct {
 	// Watch registers the known bottleneck signature for the
 	// steps-to-signature report.
 	Watch []Watch
-	// Retries is how many times one batch is re-sent after an error
-	// before the reporter gives up; resends of an accepted seq are
-	// acknowledged idempotently, so retrying on a lost response is safe
-	// (<= 0 means 8).
-	Retries int
-	// RetryWait is the flat wait between resends of one batch — the
-	// reporter-level answer to backpressure on top of whatever the
-	// sender's own retry ladder already absorbed (<= 0 means 20ms).
-	RetryWait time.Duration
 	// Sleep is a test seam for the resend wait; nil means a real timer.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
@@ -65,12 +67,6 @@ type ReporterOptions struct {
 func (o ReporterOptions) normalize() ReporterOptions {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 64
-	}
-	if o.Retries <= 0 {
-		o.Retries = 8
-	}
-	if o.RetryWait <= 0 {
-		o.RetryWait = 20 * time.Millisecond
 	}
 	return o
 }
@@ -219,14 +215,14 @@ func (r *Reporter) Discard() error {
 	return err
 }
 
-// retrying runs one send attempt plus up to Retries resends, waiting
-// RetryWait between attempts.
+// retrying runs one send attempt plus up to reporterRetries resends,
+// waiting reporterRetryWait between attempts.
 func (r *Reporter) retrying(send func() error) error {
 	var last error
-	for attempt := 0; attempt <= r.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= reporterRetries; attempt++ {
 		if attempt > 0 {
 			r.resends++
-			if err := r.sleep(r.opts.RetryWait); err != nil {
+			if err := r.sleep(reporterRetryWait); err != nil {
 				return err
 			}
 		}
@@ -237,7 +233,7 @@ func (r *Reporter) retrying(send func() error) error {
 			return last
 		}
 	}
-	return fmt.Errorf("ingest: giving up after %d attempts: %w", r.opts.Retries+1, last)
+	return fmt.Errorf("ingest: giving up after %d attempts: %w", reporterRetries+1, last)
 }
 
 func (r *Reporter) sleep(d time.Duration) error {

@@ -125,7 +125,10 @@ func TestReporterGivesUp(t *testing.T) {
 	env := harness.NewEnv(nil)
 	mgr := ingest.NewManager(env, ingest.ManagerOptions{})
 	defer mgr.Close()
-	r := ingest.NewReporter(context.Background(), ingest.LocalSender{M: mgr}, "x", "", "r1", ingest.ReporterOptions{BatchSize: 1, Retries: 1})
+	r := ingest.NewReporter(context.Background(), ingest.LocalSender{M: mgr}, "x", "", "r1", ingest.ReporterOptions{
+		BatchSize: 1,
+		Sleep:     func(context.Context, time.Duration) error { return nil },
+	})
 	// Never started: the first flush fails and latches.
 	r.OnInterval(sim.Interval{Process: "x:1", Node: "n01", Kind: sim.KindCPU, Start: 0, End: 1})
 	if r.Err() == nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/harness"
 	"repro/internal/history"
 )
@@ -176,13 +177,11 @@ func TestDegradedProbeOncePerWindow(t *testing.T) {
 func TestDiagnoseSessionRetry(t *testing.T) {
 	srv, _ := faultServer(t, Options{Sessions: 1, SessionRetries: 2})
 	var calls atomic.Int64
-	srv.runJobs = func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error) {
+	srv.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
 		if calls.Add(1) == 1 {
-			return []*harness.SessionResult{nil}, &harness.SchedulerError{Jobs: []*harness.JobError{
-				{Index: 0, Err: &history.BackendError{Op: "get", Err: errors.New("blip")}},
-			}}
+			return nil, &history.BackendError{Op: "get", Err: errors.New("blip")}
 		}
-		return []*harness.SessionResult{{Quiesced: true}}, nil
+		return &harness.SessionResult{Quiesced: true}, nil
 	}
 	h := srv.Handler()
 	resp, body := doReq(t, h, http.MethodPost, "/api/v1/diagnose", `{"app":"tester"}`)
@@ -201,10 +200,8 @@ func TestDiagnoseSessionRetry(t *testing.T) {
 // the session budget surfaces as 503 + Retry-After, not a 400.
 func TestDiagnoseSessionRetryExhausted(t *testing.T) {
 	srv, _ := faultServer(t, Options{Sessions: 1, SessionRetries: 1})
-	srv.runJobs = func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error) {
-		return []*harness.SessionResult{nil}, &harness.SchedulerError{Jobs: []*harness.JobError{
-			{Index: 0, Err: &history.BackendError{Op: "scan", Err: errors.New("still down")}},
-		}}
+	srv.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+		return nil, &history.BackendError{Op: "scan", Err: errors.New("still down")}
 	}
 	h := srv.Handler()
 	resp, _ := doReq(t, h, http.MethodPost, "/api/v1/diagnose", `{"app":"tester"}`)

@@ -526,7 +526,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, raw)
 }
 
-// runDiagnose executes one diagnose request end to end — build, gated
+// runDiagnose executes one diagnose request end to end — build, pooled
 // session run with retries, response assembly, optional store save —
 // and returns the response, or an error writeErr maps onto the wire
 // (*unavailableError for come-back-later failures). Shared by the live
@@ -534,15 +534,14 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // results for identical requests. journalKey, when non-empty, wires the
 // session's frontier checkpoints into the journal.
 func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalKey string) (*DiagnoseResponse, error) {
-	job, cfg, err := s.diagnoseJob(req)
+	a, cfg, err := s.diagnoseSession(req)
 	if err != nil {
 		return nil, err
 	}
 	if journalKey != "" && s.journal != nil {
-		key := journalKey
-		job.Cfg.CheckpointEvery = s.checkpointEvery
-		job.Cfg.Checkpoint = func(ck harness.SessionCheckpoint) {
-			s.journal.checkpoint(key, ck)
+		cfg.CheckpointEvery = s.checkpointEvery
+		cfg.Checkpoint = func(ck harness.SessionCheckpoint) {
+			s.journal.checkpoint(journalKey, ck)
 		}
 	}
 	if s.sessionTimeout > 0 {
@@ -550,14 +549,8 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 		ctx, cancel = context.WithTimeout(ctx, s.sessionTimeout)
 		defer cancel()
 	}
-	results, retried, err := harness.RunSessionsRetryWith(
-		s.runJobs, ctx, []harness.SessionJob{*job}, 1, s.pool, s.sessionRetries, nil)
-	s.counts.sessionRetries.Add(uint64(retried.Retried))
+	res, err := s.runSession(ctx, a, cfg)
 	if err != nil {
-		var sched *harness.SchedulerError
-		if errors.As(err, &sched) && len(sched.Jobs) == 1 {
-			err = sched.Jobs[0].Err
-		}
 		if history.IsTransient(err) {
 			// The retries are spent and the fault persists: tell the
 			// client to come back later, not that its request was bad.
@@ -566,7 +559,6 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 		}
 		return nil, err
 	}
-	res := results[0]
 	resp := &DiagnoseResponse{
 		App:               req.App,
 		Version:           req.Version,
@@ -591,12 +583,38 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 	return resp, nil
 }
 
-// diagnoseJob turns a wire request into a scheduler job.
-func (s *Server) diagnoseJob(req *DiagnoseRequest) (*harness.SessionJob, *harness.SessionConfig, error) {
-	if req.App == "" {
-		return nil, nil, fmt.Errorf("missing app")
+// runSession runs one diagnosis session in a slot of the server-wide
+// pool and re-runs it, at most sessionRetries times, while it fails
+// transiently and ctx is live. ctx bounds only the waits for a slot: a
+// session that has started runs to completion.
+func (s *Server) runSession(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+	for retries := 0; ; retries++ {
+		if err := s.pool.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		res, err := s.session(ctx, a, cfg)
+		s.pool.Release()
+		if err == nil || !history.IsTransient(err) || ctx.Err() != nil || retries >= s.sessionRetries {
+			return res, err
+		}
+		s.counts.sessionRetries.Add(1)
 	}
+}
+
+// runHarnessSession is the default session seam. A session is pure
+// computation and takes no context.
+func runHarnessSession(_ context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+	return harness.RunSession(a, cfg)
+}
+
+// diagnoseSession turns a wire request into the application and config
+// of one session. Building the application is also the check that the
+// request names a known one.
+func (s *Server) diagnoseSession(req *DiagnoseRequest) (*app.App, harness.SessionConfig, error) {
 	cfg := harness.DefaultSessionConfig()
+	if req.App == "" {
+		return nil, cfg, fmt.Errorf("missing app")
+	}
 	if req.RunID != "" {
 		cfg.RunID = req.RunID
 	}
@@ -610,29 +628,19 @@ func (s *Server) diagnoseJob(req *DiagnoseRequest) (*harness.SessionJob, *harnes
 		// A text this server's harvest wrote is its set, compiled once.
 		ds, guide, err := s.env.Cache().Directives(req.Directives)
 		if err != nil {
-			return nil, nil, fmt.Errorf("directives: %w", err)
+			return nil, cfg, fmt.Errorf("directives: %w", err)
 		}
 		cfg.Directives, cfg.Guide = ds, guide
 	}
 	if req.Mappings != "" {
 		maps, err := core.ParseMappings(strings.NewReader(req.Mappings))
 		if err != nil {
-			return nil, nil, fmt.Errorf("mappings: %w", err)
+			return nil, cfg, fmt.Errorf("mappings: %w", err)
 		}
 		cfg.Mappings = maps
 	}
-	opt := app.Options{NodeOffset: req.NodeOffset, PidBase: req.PidBase, Procs: req.Procs}
-	appName, version := req.App, req.Version
-	job := &harness.SessionJob{
-		Build: func() (*app.App, error) { return app.Build(appName, version, opt) },
-		Cfg:   cfg,
-	}
-	// Validate the application name up front so bad requests fail fast
-	// instead of inside the worker pool.
-	if _, err := app.Build(appName, version, opt); err != nil {
-		return nil, nil, err
-	}
-	return job, &cfg, nil
+	a, err := app.Build(req.App, req.Version, app.Options{NodeOffset: req.NodeOffset, PidBase: req.PidBase, Procs: req.Procs})
+	return a, cfg, err
 }
 
 // WireBottlenecks converts session bottlenecks to the wire shape.

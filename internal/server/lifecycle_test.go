@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/harness"
 )
 
@@ -17,14 +18,12 @@ import (
 // lifecycle tests need to observe in-flight state deterministically.
 func newLifecycleServer(opts Options, release <-chan struct{}) *Server {
 	s := New(harness.NewEnv(nil), opts)
-	s.runJobs = func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error) {
+	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
 		select {
 		case <-release:
-			return []*harness.SessionResult{{Quiesced: true}}, nil
+			return &harness.SessionResult{Quiesced: true}, nil
 		case <-ctx.Done():
-			return []*harness.SessionResult{nil}, &harness.SchedulerError{
-				Jobs: []*harness.JobError{{Index: 0, Err: ctx.Err()}},
-			}
+			return nil, ctx.Err()
 		}
 	}
 	return s

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/breaker"
 	"repro/internal/harness"
 	"repro/internal/history"
@@ -29,8 +30,9 @@ type Options struct {
 	// all requests (the server-wide worker pool); <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Sessions int
-	// SessionTimeout bounds one diagnose request's wall-clock time,
-	// including time queued for a session slot; 0 means no timeout.
+	// SessionTimeout bounds how long one diagnose request waits for a
+	// session slot, each retry's wait included; 0 means no timeout. A
+	// session that has started runs to completion.
 	SessionTimeout time.Duration
 	// BreakerThreshold is the number of consecutive backend failures
 	// that flips the server into degraded mode (reads from the index,
@@ -112,9 +114,9 @@ type Server struct {
 	draining bool
 	active   int
 
-	// runJobs is harness.RunSessionsGated, replaceable by lifecycle
-	// tests that need sessions to block or fail on command.
-	runJobs func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error)
+	// session runs one diagnosis session; runHarnessSession, replaceable
+	// by tests that need sessions to block or fail on command.
+	session func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error)
 }
 
 // New creates a server over env (which owns the store and cache).
@@ -137,7 +139,7 @@ func New(env *harness.Env, opts Options) *Server {
 		sessionTimeout: opts.SessionTimeout,
 		sessionRetries: opts.SessionRetries,
 		brkPolicy:      breaker.Policy{Threshold: thr, Cooldown: cd},
-		runJobs:        harness.RunSessionsGated,
+		session:        runHarnessSession,
 		opCounts:       map[string]*atomic.Uint64{},
 		replication:    opts.Replication,
 		writeGate:      opts.WriteGate,
@@ -171,7 +173,7 @@ func (s *Server) EnableSessionJournal(dir string, checkpointEvery float64) error
 
 // ResumeSessions re-runs every session the previous process accepted
 // but never finished (the journal's pending entries), in key order,
-// through the same gated scheduler live requests use. Sessions are
+// through the same pool and retries live requests use. Sessions are
 // deterministic per seed, so the resumed result is byte-identical to
 // what the dead process would have sent; reconnecting clients that
 // resend their idempotency key are served it from the journal. A
@@ -349,8 +351,8 @@ func (s *Server) stats() StatsResponse {
 	}
 }
 
-// sessionPool is the server-wide harness.Gate bounding concurrent
-// diagnosis sessions, instrumented for /statsz.
+// sessionPool bounds concurrent diagnosis sessions server-wide,
+// instrumented for /statsz.
 type sessionPool struct {
 	slots chan struct{}
 	live  atomic.Int64
@@ -364,8 +366,12 @@ func newSessionPool(n int) *sessionPool {
 	return &sessionPool{slots: make(chan struct{}, n)}
 }
 
-// Acquire implements harness.Gate.
+// Acquire blocks until a slot is free or ctx is done, returning
+// ctx.Err() in the latter case; a done ctx never gets a slot.
 func (p *sessionPool) Acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
 	case p.slots <- struct{}{}:
 		p.live.Add(1)
@@ -376,7 +382,7 @@ func (p *sessionPool) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release implements harness.Gate.
+// Release returns a slot obtained by a successful Acquire.
 func (p *sessionPool) Release() {
 	p.live.Add(-1)
 	<-p.slots

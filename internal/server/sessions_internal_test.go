@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/harness"
 	"repro/internal/history"
 )
@@ -230,13 +231,11 @@ func TestResumeSessionsKeepsOrphanOnTransientFailure(t *testing.T) {
 	}
 
 	fail := true
-	s.runJobs = func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error) {
+	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
 		if fail {
-			return []*harness.SessionResult{nil}, &harness.SchedulerError{Jobs: []*harness.JobError{
-				{Index: 0, Err: &history.BackendError{Op: "get", Err: errors.New("store still degraded")}},
-			}}
+			return nil, &history.BackendError{Op: "get", Err: errors.New("store still degraded")}
 		}
-		return []*harness.SessionResult{{Quiesced: true}}, nil
+		return &harness.SessionResult{Quiesced: true}, nil
 	}
 
 	n, err := s.ResumeSessions(context.Background())
