@@ -28,12 +28,27 @@ race-short:
 
 # Non-test Go lines per package outside bench/, total last — the table
 # CHANGES.md reports before/after, so "the line count goes down" is a
-# command.
+# command. `make loc REF=<commit>` runs the same count over REF's
+# committed files too (`git archive REF`, unpacked in a temp dir) and
+# prints one row per package: the count at REF (parent), in the working
+# tree (change) and the delta; a package one side lacks counts 0 there.
+LOC_COUNT = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	     END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }'
+
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 wc -l | \
-		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
-		     END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2,2 -s | \
+ifeq ($(REF),)
+	@$(LOC_COUNT) | sort -k2,2 -s | \
 		awk '$$2 == "total" { last = $$0; next } { print } END { print last }'
+else
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/ref"; \
+	git archive "$(REF)" | tar -x -C "$$tmp/ref"; \
+	(cd "$$tmp/ref" && $(LOC_COUNT)) > "$$tmp/parent"; $(LOC_COUNT) > "$$tmp/change"; \
+	printf "%7s %7s %7s %s\n" parent change delta package; \
+	awk 'FNR == NR { p[$$2] = $$1; seen[$$2] = 1; next } { c[$$2] = $$1; seen[$$2] = 1 } \
+	     END { for (d in seen) printf "%7d %7d %+7d %s\n", p[d], c[d], c[d] - p[d], d }' "$$tmp/parent" "$$tmp/change" | \
+		sort -k4,4 -s | awk '$$4 == "total" { last = $$0; next } { print } END { print last }'
+endif
 
 bench:
 	$(GO) test -bench=. -benchmem .

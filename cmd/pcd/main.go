@@ -9,8 +9,7 @@
 //	pcd -store DIR [-create] [-shards N] [-addr 127.0.0.1:7133] [-sessions N]
 //	    [-session-timeout 0] [-drain-timeout 30s]
 //	    [-breaker-threshold 3] [-breaker-cooldown 5s] [-session-retries 1]
-//	    [-wal] [-wal-sync always|interval|none] [-resume-sessions]
-//	    [-checkpoint-every 2500]
+//	    [-wal] [-wal-sync always|interval|none]
 //	    [-ingest-queue 8] [-ingest-streams 64] [-ingest-idle-timeout 2m]
 //	    [-ingest-eval-budget 16] [-ingest-harvest-sources 8]
 //	    [-replicas N] [-promote] [-follow URL] [-advertise URL]
@@ -44,9 +43,10 @@
 // interval — SIGKILL alone still loses nothing; none leaves flushing to
 // the OS).
 // Diagnose requests carrying an idempotency key are journaled too:
-// after a crash the daemon re-runs the orphaned sessions
-// (-resume-sessions) and serves reconnecting clients the byte-identical
-// stored result. Verify a store offline with pcfsck.
+// at every start the daemon re-runs the sessions a crash orphaned, as
+// in-flight diagnoses a shutdown drains, and serves reconnecting
+// clients the byte-identical stored result. Verify a store offline
+// with pcfsck.
 //
 // The daemon also accepts live metric streams (FORMATS.md "Streaming
 // ingestion"): pcfeed or any ingest.Reporter opens one stream per
@@ -141,8 +141,6 @@ func main() {
 	flag.IntVar(&cfg.Server.SessionRetries, "session-retries", 1, "re-runs of a diagnosis session after a transient failure")
 	flag.BoolVar(&cfg.Store.WAL, "wal", true, "journal store writes ahead of record files (crash safety)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always | interval | none")
-	flag.BoolVar(&cfg.ResumeSessions, "resume-sessions", true, "re-run diagnosis sessions a crash orphaned")
-	flag.Float64Var(&cfg.CheckpointEvery, "checkpoint-every", 2500, "session checkpoint cadence in virtual seconds")
 	var faults history.FaultConfig
 	flag.Int64Var(&faults.Seed, "fault-seed", 1, "seed for injected backend faults (testing only)")
 	flag.Float64Var(&faults.ErrRate, "fault-err-rate", 0, "injected backend error probability (testing only)")

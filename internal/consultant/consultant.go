@@ -2,7 +2,6 @@ package consultant
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dyninst"
 	"repro/internal/resource"
@@ -79,22 +78,6 @@ func (c *Consultant) TestedPairs() int { return c.testedPairs }
 // StallEvents returns how many times expansion was halted by the cost
 // limit.
 func (c *Consultant) StallEvents() int { return c.stallEvents }
-
-// Frontier returns the names of the search's live (hypothesis : focus)
-// pairs — pending and testing — sorted. It is a snapshot for session
-// checkpointing and progress display.
-func (c *Consultant) Frontier() []string {
-	pending := c.search.Pending()
-	out := make([]string, 0, len(pending)+len(c.testing))
-	for _, n := range pending {
-		out = append(out, n.Key())
-	}
-	for _, n := range c.testing {
-		out = append(out, n.Key())
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Start seeds the search and instruments as much of it as the cost limit
 // admits.

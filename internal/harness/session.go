@@ -44,30 +44,6 @@ type SessionConfig struct {
 	TimelineBinWidth float64
 	// RunID labels the saved record.
 	RunID string
-	// Checkpoint, when non-nil, receives a read-only snapshot of the
-	// search frontier every CheckpointEvery virtual seconds — the hook
-	// the diagnosis service uses to journal session progress. It must
-	// not mutate session state; checkpointing never perturbs the search.
-	Checkpoint func(SessionCheckpoint)
-	// CheckpointEvery is the checkpoint cadence in virtual seconds;
-	// <= 0 disables checkpoints even when Checkpoint is set.
-	CheckpointEvery float64
-}
-
-// SessionCheckpoint is a point-in-time snapshot of a running diagnosis
-// session's search state: where the search is, not how to restart it —
-// sessions are deterministic per seed, so resume re-runs from scratch
-// and the checkpoint exists for progress reporting and post-crash
-// forensics.
-type SessionCheckpoint struct {
-	RunID string `json:"run_id"`
-	// Time is the virtual time of the snapshot.
-	Time float64 `json:"time"`
-	// TestedPairs counts (hypothesis : focus) pairs instrumented so far.
-	TestedPairs int `json:"tested_pairs"`
-	// Frontier is the sorted list of live search pairs (pending and
-	// testing).
-	Frontier []string `json:"frontier"`
 }
 
 // DefaultSessionConfig returns the parameters used across the evaluation.
@@ -185,22 +161,12 @@ func RunSession(a *app.App, cfg SessionConfig) (*SessionResult, error) {
 
 	t := 0.0
 	quiesced := false
-	lastCkpt := 0.0
 	for t < cfg.MaxTime {
 		t += cfg.TickInterval
 		if err := simulator.RunUntil(t); err != nil {
 			return nil, err
 		}
 		pc.Tick(t)
-		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 && t-lastCkpt >= cfg.CheckpointEvery {
-			lastCkpt = t
-			cfg.Checkpoint(SessionCheckpoint{
-				RunID:       cfg.RunID,
-				Time:        t,
-				TestedPairs: pc.TestedPairs(),
-				Frontier:    pc.Frontier(),
-			})
-		}
 		if pc.Quiesced() {
 			quiesced = true
 			break

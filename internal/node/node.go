@@ -35,19 +35,17 @@ type Config struct {
 	Store history.DurableOptions
 	// Server carries -sessions, -session-timeout, -breaker-*,
 	// -session-retries and -ingest-*; Open sets Replication and WriteGate.
-	Server          server.Options
-	CheckpointEvery float64       // -checkpoint-every
-	ResumeSessions  bool          // -resume-sessions
-	Replicas        int           // -replicas: primary of this many followers
-	Promote         bool          // -promote
-	Follow          string        // -follow: follower of this primary
-	Advertise       string        // -advertise
-	AutoFailover    bool          // -auto-failover
-	LeaseTTL        time.Duration // -lease-ttl
-	HeartbeatEvery  time.Duration // -heartbeat-every
-	AckQuorum       int           // -ack-quorum
-	Peers           []string      // -peers
-	DebugAddr       string        // -debug-addr: serve net/http/pprof here ("" = off)
+	Server         server.Options
+	Replicas       int           // -replicas: primary of this many followers
+	Promote        bool          // -promote
+	Follow         string        // -follow: follower of this primary
+	Advertise      string        // -advertise
+	AutoFailover   bool          // -auto-failover
+	LeaseTTL       time.Duration // -lease-ttl
+	HeartbeatEvery time.Duration // -heartbeat-every
+	AckQuorum      int           // -ack-quorum
+	Peers          []string      // -peers
+	DebugAddr      string        // -debug-addr: serve net/http/pprof here ("" = off)
 }
 
 // Node is one running pcd node.
@@ -199,7 +197,7 @@ func Open(cfg Config) (n *Node, err error) {
 	}
 
 	srv := server.New(harness.NewEnv(serveSt), opts)
-	if err := srv.EnableSessionJournal(filepath.Join(st.Dir(), server.SessionsDirName), cfg.CheckpointEvery); err != nil {
+	if err := srv.EnableSessionJournal(filepath.Join(st.Dir(), server.SessionsDirName), 0); err != nil {
 		return nil, err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
@@ -248,17 +246,15 @@ func Open(cfg Config) (n *Node, err error) {
 
 	// In the background: the node serves at once, and a client resending
 	// its idempotency key now waits on the journal claim, not a race.
-	if cfg.ResumeSessions {
-		go func() {
-			resumed, err := srv.ResumeSessions(context.Background())
-			if err != nil {
-				log.Printf("session resume: %v", err)
-			}
-			if resumed > 0 {
-				log.Printf("resumed %d crash-orphaned diagnosis sessions", resumed)
-			}
-		}()
-	}
+	go func() {
+		resumed, err := srv.ResumeSessions(context.Background())
+		if err != nil {
+			log.Printf("session resume: %v", err)
+		}
+		if resumed > 0 {
+			log.Printf("resumed %d crash-orphaned diagnosis sessions", resumed)
+		}
+	}()
 	return n, nil
 }
 

@@ -127,8 +127,8 @@ func decodeBody(r *http.Request, out any) error {
 
 // writeErr maps an error to a JSON error response: come-back-later
 // refusals are 503 + Retry-After, missing records 404, a request body
-// over the cap 413, cancelled or timed-out requests 503/504, everything
-// else the fallback (usually 400).
+// over the cap 413, cancelled or timed-out requests 503/504, the
+// server's own faults 500, everything else the fallback (usually 400).
 func writeErr(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
 	var ue *unavailableError
@@ -151,9 +151,17 @@ func writeErr(w http.ResponseWriter, err error, fallback int) {
 	case errors.Is(err, context.Canceled):
 		// The client is gone; the status is for the log's benefit.
 		status = http.StatusServiceUnavailable
+	case errors.As(err, new(internalError)):
+		status = http.StatusInternalServerError
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
+
+// internalError is a failure of the server's own, not the request's (a
+// journal it cannot write, a response it cannot encode): 500.
+type internalError struct{ error }
+
+func (e internalError) Unwrap() error { return e.error }
 
 // appParam fetches the required app query parameter.
 func appParam(r *http.Request) (string, error) {
@@ -483,47 +491,62 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endDiagnose()
+	raw, err := s.diagnose(r.Context(), &req, body)
+	if err != nil {
+		writeErr(w, err, http.StatusBadRequest)
+		return
+	}
+	writeBody(w, http.StatusOK, raw)
+}
 
+// diagnose runs one admitted diagnose request, live or resumed, and
+// returns its response bytes. A keyed request on a journaling server is
+// answered from the journal once done; otherwise it is claimed as
+// pending before its session runs, and then a success is journaled
+// done, a transient failure (*unavailableError, a deadline or a
+// cancellation) only releases the claim, leaving the record pending
+// for a resend or the next resume, and any other failure removes it.
+func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, body []byte) ([]byte, error) {
 	key := req.IdempotencyKey
 	if s.journal == nil {
 		key = "" // no journal: keyed requests run like plain ones
 	}
 	if key != "" {
-		stored, owner, err := s.journal.begin(r.Context(), key, json.RawMessage(body))
+		// 255 bytes is the longest file name common filesystems take.
+		if n := len(escapeKey(key)) + len(".json"); n > 255 {
+			return nil, fmt.Errorf("idempotency key too long: its journal file name would be %d bytes, over 255", n)
+		}
+		stored, owner, err := s.journal.begin(ctx, key, body)
 		if err != nil {
-			writeErr(w, err, http.StatusInternalServerError)
-			return
+			return nil, internalError{err}
 		}
 		if !owner {
 			// The session already ran (here or before a crash-restart):
 			// replay the stored bytes verbatim.
 			s.counts.journalHits.Add(1)
-			writeBody(w, http.StatusOK, stored)
-			return
+			return stored, nil
 		}
 	}
-	resp, derr := s.runDiagnose(r.Context(), &req, key)
-	if derr != nil {
-		if key != "" {
-			s.journal.fail(key)
+	resp, err := s.runDiagnose(ctx, req)
+	var raw []byte
+	if err == nil {
+		if raw, err = MarshalCanonical(resp); err != nil {
+			err = internalError{err}
 		}
-		writeErr(w, derr, http.StatusBadRequest)
-		return
 	}
-	raw, err := MarshalCanonical(resp)
-	if err != nil {
-		if key != "" {
-			s.journal.fail(key)
-		}
-		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
-		return
+	var ue *unavailableError
+	switch {
+	case key == "": // not journaled
+	case err == nil:
+		// A failed journal write loses only replay durability; the client
+		// gets its result either way.
+		s.journal.finish(key, body, raw)
+	case errors.As(err, &ue), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		s.journal.release(key)
+	default:
+		s.journal.fail(key)
 	}
-	if key != "" {
-		// Journal-write failure is not a request failure: the client gets
-		// its result either way; only replay durability is lost.
-		s.journal.finish(key, json.RawMessage(body), raw)
-	}
-	writeBody(w, http.StatusOK, raw)
+	return raw, err
 }
 
 // runDiagnose executes one diagnose request end to end — build, pooled
@@ -531,18 +554,11 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // and returns the response, or an error writeErr maps onto the wire
 // (*unavailableError for come-back-later failures). Shared by the live
 // handler and crash-recovery session resume, so both produce identical
-// results for identical requests. journalKey, when non-empty, wires the
-// session's frontier checkpoints into the journal.
-func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalKey string) (*DiagnoseResponse, error) {
+// results for identical requests.
+func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest) (*DiagnoseResponse, error) {
 	a, cfg, err := s.diagnoseSession(req)
 	if err != nil {
 		return nil, err
-	}
-	if journalKey != "" && s.journal != nil {
-		cfg.CheckpointEvery = s.checkpointEvery
-		cfg.Checkpoint = func(ck harness.SessionCheckpoint) {
-			s.journal.checkpoint(journalKey, ck)
-		}
 	}
 	if s.sessionTimeout > 0 {
 		var cancel context.CancelFunc

@@ -9,7 +9,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"runtime"
 	"sync"
@@ -80,10 +79,8 @@ type Server struct {
 	routeTable []route
 
 	// journal, when non-nil, makes keyed diagnose requests durable (see
-	// sessions.go); checkpointEvery is the frontier-snapshot cadence in
-	// virtual seconds.
-	journal         *sessionJournal
-	checkpointEvery float64
+	// sessions.go).
+	journal *sessionJournal
 
 	// replication is the node's replication role(s); writeGate refuses
 	// public writes on unpromoted followers. Both nil on plain nodes.
@@ -155,32 +152,21 @@ func (s *Server) Env() *harness.Env { return s.env }
 
 // EnableSessionJournal turns on durable diagnosis sessions: each
 // diagnose request carrying an idempotency key is journaled under dir
-// before its session runs, checkpointed every checkpointEvery virtual
-// seconds (<= 0 means 2500), and answered from the journal on resends.
-// Call before serving; pair with ResumeSessions after a restart.
-func (s *Server) EnableSessionJournal(dir string, checkpointEvery float64) error {
-	j, err := openSessionJournal(dir)
-	if err != nil {
-		return err
-	}
-	if checkpointEvery <= 0 {
-		checkpointEvery = 2500
-	}
-	s.journal = j
-	s.checkpointEvery = checkpointEvery
-	return nil
+// before its session runs and answered from the journal on resends.
+// The float is ignored; it stays for callers that still pass one. Call
+// before serving; pair with ResumeSessions after a restart.
+func (s *Server) EnableSessionJournal(dir string, _ float64) (err error) {
+	s.journal, err = openSessionJournal(dir)
+	return err
 }
 
 // ResumeSessions re-runs every session the previous process accepted
 // but never finished (the journal's pending entries), in key order,
-// through the same pool and retries live requests use. Sessions are
-// deterministic per seed, so the resumed result is byte-identical to
-// what the dead process would have sent; reconnecting clients that
-// resend their idempotency key are served it from the journal. A
-// session whose resume fails transiently (degraded store, timeout,
-// cancellation) stays journaled as pending for a later resume or
-// resend; only permanent failures drop the entry. Returns how many
-// sessions were resumed.
+// each through diagnose as an in-flight request with its key, so
+// Shutdown's drain waits for it and one failure rule journals it.
+// Sessions are deterministic per seed, so a resend of the key is served
+// the bytes the dead process would have sent. Once draining has begun,
+// the rest stay pending. Returns how many orphans were resolved done.
 func (s *Server) ResumeSessions(ctx context.Context) (int, error) {
 	if s.journal == nil {
 		return 0, nil
@@ -191,54 +177,27 @@ func (s *Server) ResumeSessions(ctx context.Context) (int, error) {
 	}
 	n := 0
 	for _, rec := range orphans {
+		if !s.beginDiagnose() {
+			break
+		}
 		var req DiagnoseRequest
-		if err := UnmarshalCanonical(rec.Request, &req); err != nil {
+		err := UnmarshalCanonical(rec.Request, &req)
+		if err != nil {
 			// The journaled request itself is unusable; drop it so it does
 			// not orphan forever.
 			s.journal.fail(rec.Key)
-			continue
+		} else {
+			req.IdempotencyKey = rec.Key
+			_, err = s.diagnose(ctx, &req, rec.Request)
 		}
-		// Claim through the same begin path live requests use, so a
-		// client resending the key right now waits for this resume
-		// instead of racing it.
-		_, owner, err := s.journal.begin(ctx, rec.Key, rec.Request)
-		if err != nil {
-			return n, err
+		s.endDiagnose()
+		if ctx.Err() != nil {
+			return n, ctx.Err()
 		}
-		if !owner {
-			continue // a live resend beat us to it
+		if err == nil {
+			s.counts.sessionsResumed.Add(1)
+			n++
 		}
-		resp, derr := s.runDiagnose(ctx, &req, rec.Key)
-		if derr != nil {
-			// A transient failure (store degraded at startup, session
-			// timeout, gate saturation, cancelled resume) must not delete
-			// the pending record: release only the in-flight claim so a
-			// later resume or client resend can still recover the session.
-			// Only a permanent failure — one a re-run would repeat — drops
-			// the journal entry.
-			var ue *unavailableError
-			transient := errors.As(derr, &ue) ||
-				errors.Is(derr, context.DeadlineExceeded) || errors.Is(derr, context.Canceled)
-			if ctx.Err() != nil || transient {
-				s.journal.release(rec.Key)
-				if ctx.Err() != nil {
-					return n, ctx.Err()
-				}
-				continue
-			}
-			s.journal.fail(rec.Key)
-			continue
-		}
-		raw, err := MarshalCanonical(resp)
-		if err != nil {
-			s.journal.fail(rec.Key)
-			continue
-		}
-		if err := s.journal.finish(rec.Key, rec.Request, raw); err != nil {
-			continue
-		}
-		s.counts.sessionsResumed.Add(1)
-		n++
 	}
 	return n, nil
 }

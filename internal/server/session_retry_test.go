@@ -142,7 +142,7 @@ func TestDiagnoseRetryDeadContextStartsNoSession(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 20; i++ {
-		if resp, err := srv.runDiagnose(dead, &DiagnoseRequest{App: "tester"}, ""); !errors.Is(err, context.Canceled) || resp != nil {
+		if resp, err := srv.runDiagnose(dead, &DiagnoseRequest{App: "tester"}); !errors.Is(err, context.Canceled) || resp != nil {
 			t.Fatalf("diagnose under a done context = %+v, %v; want no response and context.Canceled", resp, err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestDiagnoseRetryStopsOnDeadContext(t *testing.T) {
 		return nil, errBlip
 	}
 	var unavailable *unavailableError
-	if _, err := srv.runDiagnose(ctx, &DiagnoseRequest{App: "tester"}, ""); !errors.As(err, &unavailable) {
+	if _, err := srv.runDiagnose(ctx, &DiagnoseRequest{App: "tester"}); !errors.As(err, &unavailable) {
 		t.Fatalf("transient failure after cancel = %v, want the unavailable error", err)
 	}
 	if calls.Load() != 1 {
@@ -205,7 +205,7 @@ func TestDiagnoseRetryRecoversEachRequest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			req := &DiagnoseRequest{App: "tester", RunID: "r" + string(rune('0'+i))}
-			resps[i], errs[i] = srv.runDiagnose(context.Background(), req, "")
+			resps[i], errs[i] = srv.runDiagnose(context.Background(), req)
 		}()
 	}
 	wg.Wait()

@@ -10,20 +10,18 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/harness"
 	"repro/internal/history"
 )
 
 // The session journal: the durability rung for diagnosis work. Each
 // accepted diagnose request carrying an idempotency key is recorded as
-// pending (with the full job spec) before any session runs, checkpointed
-// while it runs, and rewritten as done with the verbatim response bytes
-// when it finishes. A restarted daemon lists the pending entries — the
-// sessions a crash orphaned — and re-runs them; sessions are pure
-// computation per seed, so the re-run produces the byte-identical
-// result the dead process would have sent. A reconnecting client that
-// resends with the same key is served the stored bytes instead of
-// re-running anything.
+// pending (with the full job spec) before any session runs and
+// rewritten as done with the verbatim response bytes when it finishes.
+// A restarted daemon lists the pending entries — the sessions a crash
+// orphaned — and re-runs them; sessions are pure computation per seed,
+// so the re-run produces the byte-identical result the dead process
+// would have sent. A reconnecting client that resends with the same key
+// is served the stored bytes instead of re-running anything.
 
 // SessionsDirName is the store subdirectory holding the session journal
 // (a sibling of wal/ and quarantine/; invisible to record scans, which
@@ -43,9 +41,6 @@ type sessionRecord struct {
 	State string `json:"state"` // "pending" | "done"
 	// Request is the DiagnoseRequest as accepted.
 	Request json.RawMessage `json:"request"`
-	// Checkpoint is the latest search-frontier snapshot of the running
-	// session (pending records only; forensics and progress display).
-	Checkpoint *harness.SessionCheckpoint `json:"checkpoint,omitempty"`
 	// Response is the verbatim response body ([]byte → base64; replaying
 	// it must be byte-identical to the original send).
 	Response []byte `json:"response,omitempty"`
@@ -162,19 +157,6 @@ func (j *sessionJournal) begin(ctx context.Context, key string, req json.RawMess
 	}
 }
 
-// checkpoint updates the pending record's frontier snapshot
-// (best-effort: a failed checkpoint write must not fail the session).
-func (j *sessionJournal) checkpoint(key string, ck harness.SessionCheckpoint) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, err := j.read(key)
-	if err != nil || rec == nil || rec.State != sessionPending {
-		return
-	}
-	rec.Checkpoint = &ck
-	j.write(rec)
-}
-
 // finish resolves an owned key with the response bytes to serve for
 // every replay of it.
 func (j *sessionJournal) finish(key string, req json.RawMessage, resp []byte) error {
@@ -223,9 +205,9 @@ func (j *sessionJournal) orphans() ([]*sessionRecord, error) {
 			continue
 		}
 		rec := &sessionRecord{}
-		if err := json.Unmarshal(data, rec); err != nil {
-			// A torn journal entry: the request was never acknowledged as
-			// accepted with these bytes on disk readable, so drop it.
+		if json.Unmarshal(data, rec) != nil || rec.Key == "" || escapeKey(rec.Key)+".json" != name {
+			// A torn journal entry, or one not named by its own key: no
+			// request was acknowledged with these bytes on disk, so drop it.
 			os.Remove(filepath.Join(j.dir, name))
 			continue
 		}

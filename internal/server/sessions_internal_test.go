@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,8 +19,8 @@ import (
 	"repro/internal/history"
 )
 
-// White-box tests of the session journal and the checkpoint wiring —
-// the pieces the HTTP-level tests in sessions_test.go exercise only
+// White-box tests of the session journal and of diagnose's journaling —
+// the pieces the HTTP-level tests in sessions_http_test.go exercise only
 // indirectly.
 
 func newJournal(t *testing.T) *sessionJournal {
@@ -157,34 +159,6 @@ func TestSessionJournalOrphans(t *testing.T) {
 	}
 }
 
-func TestSessionJournalCheckpoint(t *testing.T) {
-	j := newJournal(t)
-	ctx := context.Background()
-	req := json.RawMessage(`{"app":"poisson"}`)
-	if _, owner, err := j.begin(ctx, "k", req); err != nil || !owner {
-		t.Fatalf("begin: owner=%v err=%v", owner, err)
-	}
-	ck := harness.SessionCheckpoint{RunID: "run1", Time: 2500, TestedPairs: 4, Frontier: []string{"a", "b"}}
-	j.checkpoint("k", ck)
-	rec, err := j.read("k")
-	if err != nil || rec == nil || rec.Checkpoint == nil {
-		t.Fatalf("pending record after checkpoint = %+v, %v", rec, err)
-	}
-	if rec.Checkpoint.Time != 2500 || rec.Checkpoint.TestedPairs != 4 || len(rec.Checkpoint.Frontier) != 2 {
-		t.Fatalf("stored checkpoint = %+v, want the snapshot written", rec.Checkpoint)
-	}
-	// Checkpoints only decorate pending records; a finished key ignores
-	// them and the done record carries no frontier.
-	if err := j.finish("k", req, []byte("resp")); err != nil {
-		t.Fatal(err)
-	}
-	j.checkpoint("k", ck)
-	rec, err = j.read("k")
-	if err != nil || rec == nil || rec.State != sessionDone || rec.Checkpoint != nil {
-		t.Fatalf("done record = %+v, %v; want state done with no checkpoint", rec, err)
-	}
-}
-
 func TestEscapeKeyDistinct(t *testing.T) {
 	keys := []string{
 		"abc", "a/b", "a%2Fb", "a%2fb", "a b", "A.b_c",
@@ -260,65 +234,257 @@ func TestResumeSessionsKeepsOrphanOnTransientFailure(t *testing.T) {
 	}
 }
 
-// TestDiagnoseCheckpointsFlowToJournal proves the full wiring: a keyed
-// diagnose run snapshots its search frontier into the pending journal
-// record at the configured cadence, and the checkpoints do not perturb
-// the session — the response is byte-identical to an un-journaled run.
-func TestDiagnoseCheckpointsFlowToJournal(t *testing.T) {
-	dir := t.TempDir()
-	st, err := history.NewStore(filepath.Join(dir, "store"))
-	if err != nil {
+// newJournaledServer is a server over an in-memory store with its
+// session journal in a temporary directory.
+func newJournaledServer(t *testing.T) *Server {
+	t.Helper()
+	s := New(harness.NewEnv(history.NewMemStore()), Options{Sessions: 1})
+	if err := s.EnableSessionJournal(filepath.Join(t.TempDir(), SessionsDirName), 0); err != nil {
 		t.Fatal(err)
 	}
-	s := New(harness.NewEnv(st), Options{Sessions: 1})
-	// A tight cadence: the poisson search can quiesce in a few hundred
-	// virtual seconds, and a checkpoint only fires while it is running.
-	if err := s.EnableSessionJournal(filepath.Join(dir, SessionsDirName), 10); err != nil {
+	return s
+}
+
+// writeOrphan journals key as a pending request, the way a process
+// that died mid-session leaves it.
+func writeOrphan(t *testing.T, s *Server, key string) {
+	t.Helper()
+	req := json.RawMessage(`{"app":"poisson","version":"A","max_time":5000,"idempotency_key":"` + key + `"}`)
+	if err := s.journal.write(&sessionRecord{Key: key, State: sessionPending, Request: req}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func journalState(t *testing.T, s *Server, key string) string {
+	t.Helper()
+	rec, err := s.journal.read(key)
+	if err != nil || rec == nil {
+		t.Fatalf("journal record %q = %+v, %v", key, rec, err)
+	}
+	return rec.State
+}
+
+func quiescedSession(context.Context, *app.App, harness.SessionConfig) (*harness.SessionResult, error) {
+	return &harness.SessionResult{Quiesced: true}, nil
+}
+
+// serveDiagnose serves one diagnose body through the handler.
+func serveDiagnose(s *Server, body string) *httptest.ResponseRecorder {
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/api/v1/diagnose", strings.NewReader(body)))
+	return rr
+}
+
+// TestDiagnoseKeyedMatchesUnkeyed is the journal's determinism guard: a
+// keyed request, journaled and run, answers byte for byte what the same
+// request sent without a key answers, and the journal stores those
+// bytes.
+func TestDiagnoseKeyedMatchesUnkeyed(t *testing.T) {
+	s := newJournaledServer(t)
+	ctx := context.Background()
 	req := &DiagnoseRequest{App: "poisson", Version: "A", MaxTime: 5000, IdempotencyKey: "ck"}
 	raw, _ := json.Marshal(req)
-
-	ctx := context.Background()
-	if _, owner, err := s.journal.begin(ctx, "ck", json.RawMessage(raw)); err != nil || !owner {
-		t.Fatalf("begin: owner=%v err=%v", owner, err)
-	}
-	resp, derr := s.runDiagnose(ctx, req, "ck")
-	if derr != nil {
-		t.Fatal(derr)
+	keyed, err := s.diagnose(ctx, req, raw)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rec, err := s.journal.read("ck")
-	if err != nil || rec == nil {
-		t.Fatalf("journal record after run = %+v, %v", rec, err)
+	if err != nil || rec == nil || rec.State != sessionDone || !bytes.Equal(rec.Response, keyed) {
+		t.Fatalf("journal record after run = %+v, %v; want done with the response bytes", rec, err)
 	}
-	if rec.Checkpoint == nil {
-		t.Fatal("session ran with CheckpointEvery=10 but journaled no checkpoint")
+
+	plain := &DiagnoseRequest{App: "poisson", Version: "A", MaxTime: 5000}
+	raw, _ = json.Marshal(plain)
+	unkeyed, err := s.diagnose(ctx, plain, raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.Checkpoint.Time < 10 || rec.Checkpoint.Time > 5000 {
-		t.Fatalf("checkpoint time = %v, want within the session's span", rec.Checkpoint.Time)
+	if !bytes.Equal(keyed, unkeyed) {
+		t.Fatalf("journaling changed the session outcome:\n got: %s\nwant: %s", keyed, unkeyed)
 	}
-	for i := 1; i < len(rec.Checkpoint.Frontier); i++ {
-		if rec.Checkpoint.Frontier[i-1] > rec.Checkpoint.Frontier[i] {
-			t.Fatalf("frontier not sorted: %v", rec.Checkpoint.Frontier)
+}
+
+// TestShutdownDrainsResumedSession: a resumed orphan is an in-flight
+// diagnose like a live one, so a shutdown whose deadline falls while it
+// runs reports the deadline instead of returning at once, and the
+// session still finishes and is journaled done.
+func TestShutdownDrainsResumedSession(t *testing.T) {
+	s := newJournaledServer(t)
+	writeOrphan(t, s, "orphan")
+	started, release := make(chan struct{}), make(chan struct{})
+	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+		close(started)
+		<-release
+		return quiescedSession(ctx, a, cfg)
+	}
+	resumed := make(chan error, 1)
+	go func() {
+		_, err := s.ResumeSessions(context.Background())
+		resumed <- err
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Shutdown during a resumed session = %v, want context.DeadlineExceeded", err)
+	}
+	close(release)
+	if err := <-resumed; err != nil {
+		t.Fatal(err)
+	}
+	if got := journalState(t, s, "orphan"); got != sessionDone {
+		t.Fatalf("resumed record after its session finished is %q, want done", got)
+	}
+}
+
+// TestResumeSessionsStopsWhenDraining: once a drain has begun, resume
+// admits nothing — no session runs and every orphan stays pending for
+// the next start.
+func TestResumeSessionsStopsWhenDraining(t *testing.T) {
+	s := newJournaledServer(t)
+	for _, key := range []string{"a", "b"} {
+		writeOrphan(t, s, key)
+	}
+	ran := 0
+	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+		ran++
+		return quiescedSession(ctx, a, cfg)
+	}
+	s.BeginDrain()
+	n, err := s.ResumeSessions(context.Background())
+	if err != nil || n != 0 || ran != 0 {
+		t.Fatalf("resume while draining = (%d, %v) with %d sessions run, want (0, nil) and none", n, err, ran)
+	}
+	for _, key := range []string{"a", "b"} {
+		if got := journalState(t, s, key); got != sessionPending {
+			t.Fatalf("orphan %q after a draining resume is %q, want pending", key, got)
 		}
 	}
-	s.journal.fail("ck")
+}
 
-	// Determinism guard: the same request without journaling produces the
-	// byte-identical response.
-	plain, derr := s.runDiagnose(ctx, &DiagnoseRequest{App: "poisson", Version: "A", MaxTime: 5000}, "")
-	if derr != nil {
-		t.Fatal(derr)
+// TestDiagnoseTransientFailureKeepsRecord: a live keyed request whose
+// session fails transiently answers 503 and keeps its record pending —
+// the same rule a resume follows — so a later resume finishes it.
+func TestDiagnoseTransientFailureKeepsRecord(t *testing.T) {
+	s := newJournaledServer(t)
+	fail := true
+	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+		if fail {
+			return nil, &history.BackendError{Op: "get", Err: errors.New("store degraded")}
+		}
+		return quiescedSession(ctx, a, cfg)
 	}
-	a, err := MarshalCanonical(resp)
-	if err != nil {
-		t.Fatal(err)
+	rr := serveDiagnose(s, `{"app":"poisson","version":"A","max_time":5000,"idempotency_key":"live"}`)
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("transient session failure answered %d: %s, want 503", rr.Code, rr.Body)
 	}
-	b, err := MarshalCanonical(plain)
-	if err != nil {
-		t.Fatal(err)
+	if got := journalState(t, s, "live"); got != sessionPending {
+		t.Fatalf("record after a transient failure is %q, want pending", got)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("checkpointing changed the session outcome:\n got: %s\nwant: %s", a, b)
+
+	fail = false
+	n, err := s.ResumeSessions(context.Background())
+	if err != nil || n != 1 {
+		t.Fatalf("resume after the fault cleared = (%d, %v), want (1, nil)", n, err)
 	}
+	if got := journalState(t, s, "live"); got != sessionDone {
+		t.Fatalf("record after resume is %q, want done", got)
+	}
+}
+
+// TestDiagnoseKeyLengthBound: a key whose journal file name would pass
+// the 255-byte file-name limit is refused with 400 before anything is
+// journaled, and the refusal does not name the server's directories; a
+// key at the limit is journaled and served.
+func TestDiagnoseKeyLengthBound(t *testing.T) {
+	s := newJournaledServer(t)
+	s.session = quiescedSession
+	for _, tc := range []struct {
+		key  string
+		want int
+	}{
+		{strings.Repeat("a", 250), http.StatusOK},         // a.json: 255 bytes
+		{strings.Repeat("K", 83) + "a", http.StatusOK},    // %4b escapes: 255 bytes
+		{strings.Repeat("a", 251), http.StatusBadRequest}, // 256 bytes
+		{strings.Repeat("K", 84), http.StatusBadRequest},  // 257 bytes
+		{strings.Repeat("K", 100), http.StatusBadRequest}, // 305 bytes
+	} {
+		rr := serveDiagnose(s, `{"app":"poisson","version":"A","max_time":5000,"idempotency_key":"`+tc.key+`"}`)
+		if rr.Code != tc.want {
+			t.Fatalf("key of %d bytes (%d escaped) answered %d: %s, want %d",
+				len(tc.key), len(escapeKey(tc.key)), rr.Code, rr.Body, tc.want)
+		}
+		if tc.want != http.StatusOK {
+			if strings.Contains(rr.Body.String(), s.journal.dir) {
+				t.Fatalf("refusal names the journal directory: %s", rr.Body)
+			}
+			if _, err := os.Stat(s.journal.path(tc.key)); err == nil {
+				t.Fatalf("refused key %q was journaled", tc.key)
+			}
+			continue
+		}
+		if got := journalState(t, s, tc.key); got != sessionDone {
+			t.Fatalf("key of %d escaped bytes journaled %q, want done", len(escapeKey(tc.key)), got)
+		}
+	}
+}
+
+// FuzzSessionJournalOrphans feeds arbitrary bytes to the journal's one
+// disk-facing decoder as sessions/k.json: orphans never panics, drops a
+// file that does not decode, and lists only pending records of the key
+// that names the file; resuming them never panics and leaves no key
+// claimed and no diagnose in flight, whether the session succeeds or
+// fails transiently or for good.
+func FuzzSessionJournalOrphans(f *testing.F) {
+	for _, seed := range []string{
+		`{"key":"k","state":"pending","request":{"app":"poisson","version":"A","max_time":5000}}`,
+		`{"key":"k","state":"pending","request":{"app":"poisson","version":"A","save":true}}`,
+		`{"key":"k","state":"pending","request":{"app":"poisson"},"checkpoint":{"time":2500,"frontier":["x"]}}`,
+		`{"key":"k","state":"done","request":{},"response":"e30K"}`,
+		`{"key":"other","state":"pending","request":{"app":"poisson"}}`,
+		`{"key":"k","state":"pending","request":"not an object"}`,
+		`{"key":"k","state":"pending"}`,
+		`{not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := newJournaledServer(t)
+		path := filepath.Join(s.journal.dir, "k.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		orphans, err := s.journal.orphans()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if json.Unmarshal(data, &sessionRecord{}) != nil {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("undecodable journal file survived: %v", err)
+			}
+		}
+		for _, rec := range orphans {
+			if rec.State != sessionPending || rec.Key != "k" {
+				t.Fatalf("orphans listed %q in state %q, want only pending records of k", rec.Key, rec.State)
+			}
+		}
+
+		s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+			switch len(data) % 3 {
+			case 0:
+				return &harness.SessionResult{Quiesced: true,
+					Record: &history.RunRecord{App: a.Name, Version: a.Version, RunID: cfg.RunID}}, nil
+			case 1:
+				return nil, &history.BackendError{Op: "get", Err: errors.New("transient")}
+			}
+			return nil, errors.New("permanent")
+		}
+		if _, err := s.ResumeSessions(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.journal.inflight) != 0 || s.active != 0 {
+			t.Fatalf("resume left %d keys claimed and %d diagnoses in flight", len(s.journal.inflight), s.active)
+		}
+	})
 }

@@ -161,8 +161,8 @@ type StatsResponse struct {
 	LiveSessions    int    `json:"live_sessions"`
 	SessionCapacity int    `json:"session_capacity"`
 	TotalSessions   uint64 `json:"total_sessions"`
-	// ActiveDiagnoses counts in-flight /api/v1/diagnose requests (each
-	// may hold several sessions).
+	// ActiveDiagnoses counts in-flight diagnoses: /api/v1/diagnose
+	// requests and the orphan a restart is resuming.
 	ActiveDiagnoses int `json:"active_diagnoses"`
 	// CacheHits/CacheMisses are the harvest cache's counters.
 	CacheHits   uint64 `json:"cache_hits"`
@@ -192,7 +192,7 @@ type StatsResponse struct {
 	WALSyncs   uint64 `json:"wal_syncs"`
 	// JournalHits counts diagnose requests answered from the session
 	// journal (same idempotency key, stored bytes replayed);
-	// SessionsResumed counts orphaned sessions re-run after a restart.
+	// SessionsResumed counts orphans a restart's resume resolved done.
 	JournalHits     uint64 `json:"journal_hits"`
 	SessionsResumed uint64 `json:"sessions_resumed"`
 	// InFlight is the number of HTTP requests being served right now.

@@ -256,10 +256,10 @@ func TestKillRestartMidWrite(t *testing.T) {
 }
 
 // TestKillRestartMidSession SIGKILLs a daemon while a journaled
-// diagnosis session is running, restarts it with -resume-sessions, and
-// requires the resumed result a reconnecting client fetches to be
-// byte-identical to the same request served by a daemon that never
-// crashed.
+// diagnosis session is running, restarts it (pcd resumes orphaned
+// sessions at every start), and requires the resumed result a
+// reconnecting client fetches to be byte-identical to the same request
+// served by a daemon that never crashed.
 func TestKillRestartMidSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and kills processes")
@@ -325,7 +325,7 @@ func TestKillRestartMidSession(t *testing.T) {
 	// the journal record to flip pending -> done (the resume finishing)
 	// before resending, so the resend is a pure journal hit rather than
 	// racing the resume for the claim.
-	d2 := startDaemon(t, bin, "-store", store, "-addr", "127.0.0.1:0", "-resume-sessions")
+	d2 := startDaemon(t, bin, "-store", store, "-addr", "127.0.0.1:0")
 	deadline = time.Now().Add(60 * time.Second)
 	for {
 		data, err := os.ReadFile(journalFile)
