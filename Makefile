@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench clean
 
 all: build vet test
 
@@ -197,6 +197,13 @@ fuzz:
 codec-bench:
 	$(GO) test -p 1 -run '^$$' -bench 'Record(En|De)code|PutBody|QueryResponse(En|De)code|DirectiveRoundTrip|Samples(En|De)code|ReadTrace' \
 		-benchmem -count 5 ./internal/history/ ./internal/server/ ./internal/ingest/ ./internal/postmortem/
+
+# A diagnosis session in process, without the wire and the store: the
+# diagnose workload's six directed sessions per op — sim, dyninst and the
+# consultant. Compare ns/op against a parent in alternating `go test -c`
+# binaries; pairs/op must not move.
+session-bench:
+	$(GO) test -run '^$$' -bench DiagnoseSession -benchmem -count 5 ./internal/harness/
 
 clean:
 	$(GO) clean -testcache

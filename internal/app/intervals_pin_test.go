@@ -67,9 +67,9 @@ func TestIntervalStreamPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factor := make(map[string]float64, a.NProcs())
-		for rank, ps := range a.Procs {
-			factor[ps.Name] = 1 + 0.03*float64(rank%4)
+		factor := make([]float64, a.NProcs())
+		for rank := range factor {
+			factor[rank] = 1 + 0.03*float64(rank%4)
 		}
 		for _, mode := range []string{"bare", "slowed"} {
 			cfg := sim.DefaultConfig()
@@ -79,7 +79,7 @@ func TestIntervalStreamPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mode == "slowed" {
-				s.SetSlowdown(func(proc string) float64 { return factor[proc] })
+				s.SetSlowdown(func(rank int) float64 { return factor[rank] })
 			}
 			sh := &streamHash{h: sha256.New()}
 			s.AddObserver(sh)

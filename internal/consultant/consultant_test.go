@@ -56,14 +56,14 @@ func newRigWithHyps(t *testing.T, cfg Config, guid Guidance, hyps *Hypothesis) *
 // intervals for that window and ticking the consultant.
 func (r *testRig) step(dt float64) {
 	start, end := r.now, r.now+dt
-	r.inst.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
+	r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
 		Kind: sim.KindCPU, Start: start, End: start + 0.8*dt, Calls: 1})
-	r.inst.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-		Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: start + 0.8*dt, End: end, Msgs: 1, Bytes: 256, Calls: 1})
-	r.inst.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d",
+	r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+		Kind: sim.KindSyncWait, Start: start + 0.8*dt, End: end, Msgs: 1, Bytes: 256, Calls: 1})
+	r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d"},
 		Kind: sim.KindCPU, Start: start, End: start + 0.2*dt, Calls: 1})
-	r.inst.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main",
-		Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: start + 0.2*dt, End: end, Calls: 1})
+	r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+		Kind: sim.KindSyncWait, Start: start + 0.2*dt, End: end, Calls: 1})
 	r.now = end
 	r.c.Tick(r.now)
 }

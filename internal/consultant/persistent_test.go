@@ -42,9 +42,9 @@ func TestPersistentNodeFlipsTrueLater(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		start := r.now
 		end := start + 1.0
-		r.inst.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "setup",
+		r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "setup"},
 			Kind: sim.KindIOWait, Start: start, End: end, Calls: 1})
-		r.inst.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup",
+		r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup"},
 			Kind: sim.KindIOWait, Start: start, End: end, Calls: 1})
 		r.now = end
 		r.c.Tick(r.now)
@@ -118,9 +118,9 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		start := r.now
 		end := start + 1.0
-		r.inst.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "setup",
+		r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "setup"},
 			Kind: sim.KindIOWait, Start: start, End: end, Calls: 1})
-		r.inst.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup",
+		r.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup"},
 			Kind: sim.KindIOWait, Start: start, End: end, Calls: 1})
 		r.now = end
 		r.c.Tick(r.now)
@@ -154,9 +154,9 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		start := r2.now
 		end := start + 1.0
-		r2.inst.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "setup",
+		r2.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "setup"},
 			Kind: sim.KindIOWait, Start: start, End: end, Calls: 1})
-		r2.inst.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup",
+		r2.inst.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup"},
 			Kind: sim.KindIOWait, Start: start, End: end, Calls: 1})
 		r2.now = end
 		r2.c.Tick(r2.now)

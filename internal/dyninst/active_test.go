@@ -34,10 +34,10 @@ func probeMix(t *testing.T, m *Manager, sp *resource.Space, n int) []*Probe {
 
 func testIntervals() []sim.Interval {
 	return []sim.Interval{
-		{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Kind: sim.KindCPU, Start: 1, End: 2.25, Calls: 1},
-		{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup", Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: 1.5, End: 3, Msgs: 1, Bytes: 64, Calls: 1},
-		{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d", Kind: sim.KindCPU, Start: 3, End: 3.75, Calls: 1},
-		{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: 2.25, End: 4, Calls: 1},
+		{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"}, Kind: sim.KindCPU, Start: 1, End: 2.25, Calls: 1},
+		{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "setup", Tag: "tag_3_0"}, Kind: sim.KindSyncWait, Start: 1.5, End: 3, Msgs: 1, Bytes: 64, Calls: 1},
+		{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d"}, Kind: sim.KindCPU, Start: 3, End: 3.75, Calls: 1},
+		{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"}, Kind: sim.KindSyncWait, Start: 2.25, End: 4, Calls: 1},
 	}
 }
 

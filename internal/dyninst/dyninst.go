@@ -159,15 +159,27 @@ type Manager struct {
 	// accumulates only into itself, so the order intervals are offered in
 	// reaches no result; insertion order keeps it deterministic anyway.
 	active []*Probe
-	// perProcCost is the summed fractional slowdown per process name.
-	perProcCost map[string]float64
+	// sites, indexed by sim.Interval.Site, holds per site the active
+	// probes whose focus covers its labels, in insertion order: built the
+	// first time the site is seen, then kept by Request and Remove.
+	sites []siteProbes
+	// perProcCost is the summed fractional slowdown per process, indexed
+	// like procs.
+	perProcCost []float64
 
 	totalRequests int
 	maxCost       float64
 }
 
+// siteProbes is what a Manager keeps of one site.
+type siteProbes struct {
+	labels *sim.Labels // nil until an interval of the site is seen
+	probes []*Probe
+}
+
 // NewManager creates an instrumentation manager for the given resource
-// space and process set.
+// space and process set, listed in rank order: procs[r] is the
+// simulator's process of rank r.
 func NewManager(cfg Config, space *resource.Space, procs []ProcEntry) (*Manager, error) {
 	if cfg.BinWidth <= 0 {
 		return nil, fmt.Errorf("dyninst: bin width must be positive")
@@ -188,7 +200,7 @@ func NewManager(cfg Config, space *resource.Space, procs []ProcEntry) (*Manager,
 		cfg:         cfg,
 		space:       space,
 		procs:       procs,
-		perProcCost: make(map[string]float64),
+		perProcCost: make([]float64, len(procs)),
 	}
 	return m, nil
 }
@@ -224,13 +236,18 @@ func (m *Manager) Request(met metric.ID, focus resource.Focus, at float64) (*Pro
 	if mt.tagDepth > 0 {
 		p.procCost *= m.cfg.SyncConstrainedCostFactor
 	}
-	for _, pe := range m.procs {
+	for i, pe := range m.procs {
 		if mt.matchesProc(pe) {
 			p.width++
-			m.perProcCost[pe.Name] += p.procCost
+			m.perProcCost[i] += p.procCost
 		}
 	}
 	m.active = append(m.active, p)
+	for i := range m.sites {
+		if sp := &m.sites[i]; sp.labels != nil && mt.matchesLabels(sp.labels) {
+			sp.probes = append(sp.probes, p)
+		}
+	}
 	m.totalRequests++
 	if c := m.TotalCost(); c > m.maxCost {
 		m.maxCost = c
@@ -251,12 +268,18 @@ func (m *Manager) Remove(p *Probe, at float64) {
 	m.active = slices.Delete(m.active, i, i+1)
 	p.removed = true
 	p.removedAt = at
-	for _, pe := range m.procs {
+	for i, pe := range m.procs {
 		if p.matcher.matchesProc(pe) {
-			m.perProcCost[pe.Name] -= p.procCost
-			if m.perProcCost[pe.Name] < 1e-12 {
-				m.perProcCost[pe.Name] = 0
+			m.perProcCost[i] -= p.procCost
+			if m.perProcCost[i] < 1e-12 {
+				m.perProcCost[i] = 0
 			}
+		}
+	}
+	for i := range m.sites {
+		sp := &m.sites[i]
+		if j := slices.Index(sp.probes, p); j >= 0 {
+			sp.probes = slices.Delete(sp.probes, j, j+1)
 		}
 	}
 }
@@ -272,8 +295,8 @@ func (m *Manager) TotalRequests() int { return m.totalRequests }
 // expansion when this exceeds its cost limit.
 func (m *Manager) TotalCost() float64 {
 	var sum float64
-	for _, pe := range m.procs {
-		sum += m.perProcCost[pe.Name]
+	for _, c := range m.perProcCost {
+		sum += c
 	}
 	return sum / float64(len(m.procs))
 }
@@ -301,23 +324,51 @@ func (m *Manager) CostOf(met metric.ID, focus resource.Focus) float64 {
 }
 
 // Slowdown implements the simulator perturbation hook: the multiplicative
-// compute slowdown for the named process.
-func (m *Manager) Slowdown(proc string) float64 {
-	return 1 + m.perProcCost[proc]
+// compute slowdown for the process of the given rank.
+func (m *Manager) Slowdown(rank int) float64 {
+	return 1 + m.perProcCost[rank]
 }
 
-// OnInterval implements sim.Observer: every completed activity interval is
-// offered to every active probe.
+// OnInterval implements sim.Observer: a completed activity interval is
+// offered to the active probes whose focus covers its site, and one
+// without a site to every active probe; each takes it if it also
+// matches the probe's metric.
 func (m *Manager) OnInterval(iv sim.Interval) {
-	for _, p := range m.active {
-		p.accumulate(&iv)
-	}
-}
-
-func (p *Probe) accumulate(iv *sim.Interval) {
-	if !p.matcher.matches(iv) {
+	if iv.Site <= 0 {
+		for _, p := range m.active {
+			if p.matcher.matches(&iv) {
+				p.accumulate(&iv)
+			}
+		}
 		return
 	}
+	for _, p := range m.probesAt(&iv) {
+		if p.matcher.matchesKind(iv.Kind) {
+			p.accumulate(&iv)
+		}
+	}
+}
+
+// probesAt returns the active probes covering iv's site, listed from the
+// active set the first time the site is seen.
+func (m *Manager) probesAt(iv *sim.Interval) []*Probe {
+	if iv.Site >= len(m.sites) { // with room for the sites around it: one growth a session, not one a site
+		m.sites = append(m.sites, make([]siteProbes, iv.Site+32-len(m.sites))...)
+	}
+	sp := &m.sites[iv.Site]
+	if sp.labels == nil {
+		sp.labels = iv.Labels
+		for _, p := range m.active {
+			if p.matcher.matchesLabels(sp.labels) {
+				sp.probes = append(sp.probes, p)
+			}
+		}
+	}
+	return sp.probes
+}
+
+// accumulate adds a matching interval to the probe.
+func (p *Probe) accumulate(iv *sim.Interval) {
 	// Clip to the probe's active lifetime: data before insertion is lost,
 	// exactly as with real dynamic instrumentation.
 	start := math.Max(iv.Start, p.activeAt)

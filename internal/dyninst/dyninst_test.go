@@ -142,11 +142,11 @@ func TestSlowdownTracksPerProcessCost(t *testing.T) {
 	cfg := DefaultConfig()
 	narrow := focusOf(t, sp, "/Process/p1")
 	_, _ = m.Request(metric.CPUTime, narrow, 0)
-	if got := m.Slowdown("p1"); math.Abs(got-(1+cfg.CostPerProcProbe)) > 1e-12 {
-		t.Errorf("Slowdown(p1) = %v", got)
+	if got := m.Slowdown(0); math.Abs(got-(1+cfg.CostPerProcProbe)) > 1e-12 {
+		t.Errorf("Slowdown(0), p1's rank, = %v", got)
 	}
-	if got := m.Slowdown("p2"); got != 1 {
-		t.Errorf("Slowdown(p2) = %v, want 1", got)
+	if got := m.Slowdown(1); got != 1 {
+		t.Errorf("Slowdown(1), p2's rank, = %v, want 1", got)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestProbeAccumulationAndClipping(t *testing.T) {
 	cfg := DefaultConfig()
 	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 0) // active at 0.5
 	iv := sim.Interval{
-		Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-		Kind: sim.KindCPU, Start: 0, End: 1, Calls: 1,
+		Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
+		Kind:   sim.KindCPU, Start: 0, End: 1, Calls: 1,
 	}
 	m.OnInterval(iv)
 	// Only [activeAt, 1) counts.
@@ -184,8 +184,8 @@ func TestMetricKindFiltering(t *testing.T) {
 	exec, _ := m.Request(metric.ExecTime, sp.WholeProgram(), -1)
 	emit := func(kind sim.Kind) {
 		m.OnInterval(sim.Interval{
-			Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-			Kind: kind, Start: 0, End: 1,
+			Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
+			Kind:   kind, Start: 0, End: 1,
 		})
 	}
 	emit(sim.KindCPU)
@@ -206,8 +206,8 @@ func TestEventMetrics(t *testing.T) {
 	bytes, _ := m.Request(metric.MsgBytes, sp.WholeProgram(), -1)
 	calls, _ := m.Request(metric.ProcCalls, sp.WholeProgram(), -1)
 	m.OnInterval(sim.Interval{
-		Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0",
-		Kind: sim.KindSyncWait, Start: 0, End: 2, Msgs: 1, Bytes: 512, Calls: 1,
+		Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+		Kind:   sim.KindSyncWait, Start: 0, End: 2, Msgs: 1, Bytes: 512, Calls: 1,
 	})
 	// Events per second per process at t=2: window 3 (active at -0.5), width 2.
 	w := msgs.ObservedWindow(2)
@@ -270,7 +270,7 @@ func TestValueOverRecentWindow(t *testing.T) {
 	m, sp := newManager(t)
 	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), -0.5) // active at 0
 	// First 10 seconds: p1 fully busy. Next 10 seconds: idle.
-	m.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
+	m.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
 		Kind: sim.KindCPU, Start: 0, End: 10})
 	// Cumulative at t=20: 10s over 20s x 2 procs = 0.25.
 	if got := p.Value(20); math.Abs(got-0.25) > 1e-9 {

@@ -21,10 +21,6 @@ type matcher struct {
 
 	tagDepth int    // 0 = any; 1 = any message tag; 2 = exact tag
 	tag      string // exact tag when tagDepth == 2
-
-	// verdict remembers matchesLabels per Interval.Site (a site is a label
-	// set, emitted thousands of times): 0 unknown, 1 match, -1 no match.
-	verdict []int8
 }
 
 func newMatcher(met metric.ID, focus resource.Focus) (matcher, error) {
@@ -86,26 +82,9 @@ func (mt *matcher) matchesProc(pe ProcEntry) bool {
 }
 
 // matches reports whether an interval is attributable to this probe:
-// its kind is the metric's and its labels are the focus's. The labels of
-// an interval a simulator numbered are compared once per site.
+// its kind is the metric's and its labels are the focus's.
 func (mt *matcher) matches(iv *sim.Interval) bool {
-	if !mt.matchesKind(iv.Kind) {
-		return false
-	}
-	site := iv.Site
-	if site <= 0 {
-		return mt.matchesLabels(iv)
-	}
-	if site >= len(mt.verdict) { // with room for the sites around it: one growth a probe, not one a site
-		mt.verdict = append(mt.verdict, make([]int8, site+32-len(mt.verdict))...)
-	}
-	if mt.verdict[site] == 0 {
-		mt.verdict[site] = -1
-		if mt.matchesLabels(iv) {
-			mt.verdict[site] = 1
-		}
-	}
-	return mt.verdict[site] > 0
+	return mt.matchesKind(iv.Kind) && mt.matchesLabels(iv.Labels)
 }
 
 func (mt *matcher) matchesKind(k sim.Kind) bool {
@@ -120,26 +99,26 @@ func (mt *matcher) matchesKind(k sim.Kind) bool {
 	return true // ExecTime, MsgCount, MsgBytes, ProcCalls: any kind
 }
 
-func (mt *matcher) matchesLabels(iv *sim.Interval) bool {
-	if mt.proc != "" && mt.proc != iv.Process {
+func (mt *matcher) matchesLabels(l *sim.Labels) bool {
+	if mt.proc != "" && mt.proc != l.Process {
 		return false
 	}
-	if mt.node != "" && mt.node != iv.Node {
+	if mt.node != "" && mt.node != l.Node {
 		return false
 	}
-	if mt.module != "" && mt.module != iv.Module {
+	if mt.module != "" && mt.module != l.Module {
 		return false
 	}
-	if mt.function != "" && mt.function != iv.Function {
+	if mt.function != "" && mt.function != l.Function {
 		return false
 	}
 	switch mt.tagDepth {
 	case 1:
-		if iv.Tag == "" {
+		if l.Tag == "" {
 			return false
 		}
 	case 2:
-		if iv.Tag != mt.tag {
+		if l.Tag != mt.tag {
 			return false
 		}
 	}

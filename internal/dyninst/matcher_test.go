@@ -9,8 +9,8 @@ import (
 
 func baseInterval() sim.Interval {
 	return sim.Interval{
-		Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-		Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: 0, End: 1,
+		Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+		Kind:   sim.KindSyncWait, Start: 0, End: 1,
 	}
 }
 

@@ -151,7 +151,7 @@ func TestTimelineTracksPhases(t *testing.T) {
 }
 
 func simInterval(proc string, kind sim.Kind, start, end float64) sim.Interval {
-	return sim.Interval{Process: proc, Node: "n-" + proc, Module: "m", Function: "f",
+	return sim.Interval{Labels: &sim.Labels{Process: proc, Node: "n-" + proc, Module: "m", Function: "f"},
 		Kind: kind, Start: start, End: end}
 }
 

@@ -188,10 +188,10 @@ func TestNewStoreValidation(t *testing.T) {
 
 func TestUsageCollector(t *testing.T) {
 	u := NewUsageCollector(2)
-	u.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
+	u.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
 		Kind: sim.KindCPU, Start: 0, End: 4})
-	u.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main",
-		Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: 0, End: 2})
+	u.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+		Kind: sim.KindSyncWait, Start: 0, End: 2})
 	fr := u.Fractions(4) // denom = 4s x 2 procs = 8
 	if got := fr["/Code/oned.f"]; got != 6.0/8 {
 		t.Errorf("module fraction = %v", got)
@@ -216,7 +216,7 @@ func TestUsageCollector(t *testing.T) {
 		t.Errorf("seconds = %v", secs["/Code/oned.f"])
 	}
 	// Zero-duration and zero-elapsed edge cases.
-	u.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Kind: sim.KindCPU, Start: 1, End: 1})
+	u.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01"}, Kind: sim.KindCPU, Start: 1, End: 1})
 	if len(NewUsageCollector(2).Fractions(0)) != 0 {
 		t.Error("zero elapsed should yield empty fractions")
 	}

@@ -18,20 +18,17 @@ import (
 // site rather than once an interval.
 type UsageCollector struct {
 	seconds map[string]*float64
-	seen    map[usageLabels][]*float64
+	seen    map[sim.Labels][]*float64
 	bySite  [][]*float64 // seen, indexed by Interval.Site; nil where the site is yet to be met
 	nprocs  int
 }
-
-// usageLabels are the interval fields a path is built from.
-type usageLabels struct{ module, function, process, node, tag string }
 
 // NewUsageCollector creates a collector for an application with nprocs
 // processes.
 func NewUsageCollector(nprocs int) *UsageCollector {
 	return &UsageCollector{
 		seconds: make(map[string]*float64),
-		seen:    make(map[usageLabels][]*float64),
+		seen:    make(map[sim.Labels][]*float64),
 		nprocs:  nprocs,
 	}
 }
@@ -77,7 +74,7 @@ func (u *UsageCollector) OnInterval(iv sim.Interval) {
 // resolve finds a label set's accumulators by its strings, building them
 // the first time, and files them under the interval's Site if it has one.
 func (u *UsageCollector) resolve(iv *sim.Interval) []*float64 {
-	k := usageLabels{iv.Module, iv.Function, iv.Process, iv.Node, iv.Tag}
+	k := *iv.Labels
 	accs, ok := u.seen[k]
 	if !ok {
 		for _, path := range UsagePaths(iv) {

@@ -105,8 +105,8 @@ func TestUsageCollectorMatchesStringKeyedReference(t *testing.T) {
 
 func TestUsageCollectorSteadyStateDoesNotAllocate(t *testing.T) {
 	u := NewUsageCollector(2)
-	iv := sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-		Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: 0, End: 2}
+	iv := sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+		Kind: sim.KindSyncWait, Start: 0, End: 2}
 	for _, site := range []int{0, 7} {
 		iv.Site = site
 		u.OnInterval(iv)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/postmortem"
+	"repro/internal/sim"
 )
 
 // EngineOptions tune one incremental diagnosis session.
@@ -82,6 +83,10 @@ type Engine struct {
 	samples    int
 	steps      int
 	watchSteps int
+
+	// labels is what every fed sample's labels are converted into:
+	// Discover and the Recorder copy what they keep of them.
+	labels sim.Labels
 }
 
 // NewEngine opens an incremental session for one run.
@@ -126,7 +131,7 @@ func (e *Engine) End() float64 { return e.rec.End() }
 // incremental search.
 func (e *Engine) Feed(samples []Sample) error {
 	for _, s := range samples {
-		iv, err := s.Interval()
+		iv, err := s.IntervalIn(&e.labels)
 		if err != nil {
 			return err
 		}

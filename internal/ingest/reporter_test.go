@@ -130,7 +130,7 @@ func TestReporterGivesUp(t *testing.T) {
 		Sleep:     func(context.Context, time.Duration) error { return nil },
 	})
 	// Never started: the first flush fails and latches.
-	r.OnInterval(sim.Interval{Process: "x:1", Node: "n01", Kind: sim.KindCPU, Start: 0, End: 1})
+	r.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "x:1", Node: "n01"}, Kind: sim.KindCPU, Start: 0, End: 1})
 	if r.Err() == nil {
 		t.Fatal("unstarted reporter accepted samples")
 	}

@@ -63,6 +63,7 @@ type Node struct {
 	// test can record the calls; det and fol stay nil on a node whose
 	// role has none.
 	srv, httpSrv interface{ Shutdown(context.Context) error }
+	handler      *gate // httpSrv's handler
 	det, fol     interface{ Stop() }
 	debug        *http.Server
 	store        history.Storage
@@ -200,7 +201,8 @@ func Open(cfg Config) (n *Node, err error) {
 	if err := srv.EnableSessionJournal(filepath.Join(st.Dir(), server.SessionsDirName), 0); err != nil {
 		return nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	n.handler = &gate{h: srv.Handler()}
+	httpSrv := &http.Server{Handler: n.handler}
 	n.srv, n.httpSrv = srv, httpSrv
 	// The profiler gets a listener and mux of its own: an operator's
 	// loopback port, never a route of the data listener.
@@ -306,6 +308,50 @@ func logRecovery(st history.Storage) {
 	}
 }
 
+// gate is the listener's handler with the requests in it counted, so
+// that the drain waits for every one: net/http's Shutdown closes a
+// connection it finds idle even while the next request is being read
+// from it, and hands that request to the handler after Shutdown has
+// returned. Once closed, it refuses every request.
+type gate struct {
+	h      http.Handler
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
+}
+
+func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		http.Error(w, "node is shut down", http.StatusServiceUnavailable)
+		return
+	}
+	g.wg.Add(1)
+	g.mu.Unlock()
+	defer g.wg.Done()
+	g.h.ServeHTTP(w, r)
+}
+
+// close refuses every later request and waits, within ctx, for the ones
+// being served.
+func (g *gate) close(ctx context.Context) error {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		g.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // Close is the one drain, in the order DESIGN.md §8 lists, the waits
 // bounded by ctx. Every step runs even when an earlier one failed;
 // failures are logged and returned. Idempotent.
@@ -321,6 +367,9 @@ func (n *Node) Close(ctx context.Context) error {
 			failed("drain incomplete", err)
 		}
 		if err := n.httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			failed("shutdown", err)
+		}
+		if err := n.handler.close(ctx); err != nil {
 			failed("shutdown", err)
 		}
 		if n.debug != nil {

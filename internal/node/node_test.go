@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,6 +115,86 @@ func TestCloseOrder(t *testing.T) {
 	}
 	if err := n.Close(ctx); err != nil || len(got) != len(want) {
 		t.Fatalf("second Close: err %v, calls %v; want a no-op", err, got)
+	}
+}
+
+// afterShutdown runs then once the listener's Shutdown has returned.
+type afterShutdown struct {
+	inner interface{ Shutdown(context.Context) error }
+	then  func()
+}
+
+func (a afterShutdown) Shutdown(ctx context.Context) error {
+	err := a.inner.Shutdown(ctx)
+	a.then()
+	return err
+}
+
+// tree lists every file and directory under dir with its size and
+// modification time.
+func tree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		out[path] = fmt.Sprintf("%v %d %d", info.Mode(), info.Size(), info.ModTime().UnixNano())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDirectoryStillAfterClose: once Close returns, nothing writes into
+// the node's directory. net/http's Shutdown closes a connection it finds
+// idle even while the next request is being read from it, and hands that
+// request to the handler after Shutdown has returned. Here the request
+// that arrives that way — once Close has returned — is a new follower's
+// first pull, which persists the primary's peer registry.
+func TestDirectoryStillAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	n, err := Open(Config{Addr: "127.0.0.1:0", Dir: dir, Store: durable(), Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := n.httpSrv.(*http.Server).Handler
+	release, served := make(chan struct{}), make(chan int)
+	n.httpSrv = afterShutdown{n.httpSrv, func() {
+		go func() {
+			<-release
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/replica/wal?shard=0&epoch=0&from=0&id=http://late.invalid&wait=0", nil))
+			served <- rec.Code
+		}()
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := n.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := tree(t, dir)
+	close(release)
+	code := <-served
+	after := tree(t, dir)
+	for path, b := range before {
+		if a, ok := after[path]; !ok || a != b {
+			t.Errorf("%s changed after Close: %q, now %q", path, b, a)
+		}
+	}
+	for path := range after {
+		if _, ok := before[path]; !ok {
+			t.Errorf("%s appeared after Close", path)
+		}
+	}
+	if t.Failed() || code != http.StatusServiceUnavailable {
+		t.Errorf("a request reaching the handler after Close got status %d, want 503", code)
 	}
 }
 

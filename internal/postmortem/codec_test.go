@@ -101,9 +101,9 @@ func TestAppendSampleMatchesEncodingJSON(t *testing.T) {
 	// writer latches that error.
 	t.Run("non-finite", func(t *testing.T) {
 		for _, iv := range []sim.Interval{
-			{Process: "p", Node: "n", Start: math.NaN(), End: 1},
-			{Process: "p", Node: "n", Start: 0, End: math.Inf(1)},
-			{Process: "p", Node: "n", Start: math.Inf(-1), End: math.Inf(1)},
+			{Labels: &sim.Labels{Process: "p", Node: "n"}, Start: math.NaN(), End: 1},
+			{Labels: &sim.Labels{Process: "p", Node: "n"}, Start: 0, End: math.Inf(1)},
+			{Labels: &sim.Labels{Process: "p", Node: "n"}, Start: math.Inf(-1), End: math.Inf(1)},
 		} {
 			s := FromInterval(iv)
 			if got, ok := SampleShape.Append([]byte("kept"), &s, -1); ok || string(got) != "kept" {
@@ -112,7 +112,7 @@ func TestAppendSampleMatchesEncodingJSON(t *testing.T) {
 			var out bytes.Buffer
 			tw := NewTraceWriter(&out)
 			tw.OnInterval(iv)
-			tw.OnInterval(sim.Interval{Process: "p", Node: "n", End: 1})
+			tw.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p", Node: "n"}, End: 1})
 			_, want := json.Marshal(s)
 			if err := tw.Flush(); err == nil || want == nil || err.Error() != want.Error() || tw.Intervals() != 0 || out.Len() != 0 {
 				t.Errorf("Flush after %+v = %v with %d bytes written, want encoding/json's %v and none", iv, err, out.Len(), want)
@@ -126,7 +126,7 @@ func TestAppendSampleMatchesEncodingJSON(t *testing.T) {
 // end is built apart.
 func TestTraceWriterAllocatesNothingPerInterval(t *testing.T) {
 	tw := NewTraceWriter(&bytes.Buffer{})
-	iv := sim.Interval{Process: "mw:3", Node: "n03", Module: "worker.c", Function: "compute", Tag: "t/1",
+	iv := sim.Interval{Labels: &sim.Labels{Process: "mw:3", Node: "n03", Module: "worker.c", Function: "compute", Tag: "t/1"},
 		Kind: sim.KindSyncWait, Start: 1.25, End: 2.0000001, Msgs: 1, Bytes: 4096, Calls: 1}
 	tw.OnInterval(iv)
 	if n := testing.AllocsPerRun(200, func() { tw.OnInterval(iv) }); n != 0 {

@@ -29,17 +29,15 @@ import (
 // hypothesis evaluation; traces aggregate to a few hundred combinations
 // regardless of run length.
 type aggKey struct {
-	process, node    string
-	module, function string
-	tag              string
-	kind             sim.Kind
+	sim.Labels
+	kind sim.Kind
 }
 
 // interval returns an interval carrying the combination's labels (and no
 // times or counts): what a matcher, resource discovery and usage
 // attribution read.
 func (k *aggKey) interval() sim.Interval {
-	return sim.Interval{Process: k.process, Node: k.node, Module: k.module, Function: k.function, Tag: k.tag, Kind: k.kind}
+	return sim.Interval{Labels: &k.Labels, Kind: k.kind}
 }
 
 // agg is what one attribution combination has accumulated.
@@ -65,11 +63,7 @@ func NewRecorder() *Recorder {
 
 // OnInterval implements sim.Observer.
 func (r *Recorder) OnInterval(iv sim.Interval) {
-	k := aggKey{
-		process: iv.Process, node: iv.Node,
-		module: iv.Module, function: iv.Function,
-		tag: iv.Tag, kind: iv.Kind,
-	}
+	k := aggKey{*iv.Labels, iv.Kind}
 	a := r.aggs[k]
 	if a == nil {
 		a = &agg{key: k}
@@ -99,20 +93,20 @@ func (r *Recorder) sorted() []*agg {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := &out[i].key, &out[j].key
-		if a.process != b.process {
-			return a.process < b.process
+		if a.Process != b.Process {
+			return a.Process < b.Process
 		}
-		if a.node != b.node {
-			return a.node < b.node
+		if a.Node != b.Node {
+			return a.Node < b.Node
 		}
-		if a.module != b.module {
-			return a.module < b.module
+		if a.Module != b.Module {
+			return a.Module < b.Module
 		}
-		if a.function != b.function {
-			return a.function < b.function
+		if a.Function != b.Function {
+			return a.Function < b.Function
 		}
-		if a.tag != b.tag {
-			return a.tag < b.tag
+		if a.Tag != b.Tag {
+			return a.Tag < b.Tag
 		}
 		return a.kind < b.kind
 	})
@@ -123,18 +117,14 @@ func (r *Recorder) sorted() []*agg {
 // resource hierarchies they name and the process set.
 type Execution struct {
 	Space *resource.Space
-	Procs []dyninst.ProcEntry // sorted by name
-	nodes map[string]string   // process → the node it reports from
-	known map[labelSet]struct{}
+	Procs []dyninst.ProcEntry     // sorted by name
+	nodes map[string]string       // process → the node it reports from
+	known map[sim.Labels]struct{} // the admitted label sets
 }
-
-// labelSet is the attribution of one interval: what Discover turns into
-// resources.
-type labelSet struct{ proc, node, mod, fn, tag string }
 
 // NewExecution returns the standard space with nothing discovered yet.
 func NewExecution() *Execution {
-	return &Execution{Space: resource.NewStandardSpace(), nodes: map[string]string{}, known: map[labelSet]struct{}{}}
+	return &Execution{Space: resource.NewStandardSpace(), nodes: map[string]string{}, known: map[sim.Labels]struct{}{}}
 }
 
 // Discover adds the resources an interval's labels name, and refuses a
@@ -143,20 +133,20 @@ func NewExecution() *Execution {
 // time it is seen — and since a process never changes node, a remembered
 // set needs no second look.
 func (x *Execution) Discover(iv *sim.Interval) error {
-	ls := labelSet{iv.Process, iv.Node, iv.Module, iv.Function, iv.Tag}
+	ls := *iv.Labels
 	if _, ok := x.known[ls]; ok {
 		return nil
 	}
-	prev, seen := x.nodes[ls.proc]
-	if seen && prev != ls.node {
-		return fmt.Errorf("postmortem: process %q observed on two nodes (%q, %q)", ls.proc, prev, ls.node)
+	prev, seen := x.nodes[ls.Process]
+	if seen && prev != ls.Node {
+		return fmt.Errorf("postmortem: process %q observed on two nodes (%q, %q)", ls.Process, prev, ls.Node)
 	}
-	paths := []string{"/" + resource.HierProcess + "/" + ls.proc, "/" + resource.HierMachine + "/" + ls.node}
-	if ls.mod != "" && ls.fn != "" {
-		paths = append(paths, "/"+resource.HierCode+"/"+ls.mod+"/"+ls.fn)
+	paths := []string{"/" + resource.HierProcess + "/" + ls.Process, "/" + resource.HierMachine + "/" + ls.Node}
+	if ls.Module != "" && ls.Function != "" {
+		paths = append(paths, "/"+resource.HierCode+"/"+ls.Module+"/"+ls.Function)
 	}
-	if ls.tag != "" {
-		paths = append(paths, "/"+resource.HierSyncObject+"/Message/"+ls.tag)
+	if ls.Tag != "" {
+		paths = append(paths, "/"+resource.HierSyncObject+"/Message/"+ls.Tag)
 	}
 	for _, path := range paths {
 		if _, err := x.Space.Add(path); err != nil {
@@ -164,9 +154,9 @@ func (x *Execution) Discover(iv *sim.Interval) error {
 		}
 	}
 	if !seen {
-		x.nodes[ls.proc] = ls.node
-		i := sort.Search(len(x.Procs), func(i int) bool { return x.Procs[i].Name >= ls.proc })
-		x.Procs = slices.Insert(x.Procs, i, dyninst.ProcEntry{Name: ls.proc, Node: ls.node})
+		x.nodes[ls.Process] = ls.Node
+		i := sort.Search(len(x.Procs), func(i int) bool { return x.Procs[i].Name >= ls.Process })
+		x.Procs = slices.Insert(x.Procs, i, dyninst.ProcEntry{Name: ls.Process, Node: ls.Node})
 	}
 	x.known[ls] = struct{}{}
 	return nil

@@ -36,14 +36,14 @@ func testProcs() []dyninst.ProcEntry {
 func feedTrace(r *Recorder) {
 	for i := 0; i < 10; i++ {
 		t := float64(i)
-		r.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "sweep.f", Function: "sweep1d",
+		r.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "sweep.f", Function: "sweep1d"},
 			Kind: sim.KindCPU, Start: t, End: t + 0.8, Calls: 1})
-		r.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-			Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: t + 0.8, End: t + 1, Msgs: 1, Bytes: 100, Calls: 1})
-		r.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d",
+		r.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+			Kind: sim.KindSyncWait, Start: t + 0.8, End: t + 1, Msgs: 1, Bytes: 100, Calls: 1})
+		r.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d"},
 			Kind: sim.KindCPU, Start: t, End: t + 0.2, Calls: 1})
-		r.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main",
-			Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: t + 0.2, End: t + 1, Calls: 1})
+		r.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+			Kind: sim.KindSyncWait, Start: t + 0.2, End: t + 1, Calls: 1})
 	}
 }
 

@@ -22,11 +22,7 @@ type fourMapRecorder struct {
 }
 
 func (r *fourMapRecorder) OnInterval(iv sim.Interval) {
-	k := aggKey{
-		process: iv.Process, node: iv.Node,
-		module: iv.Module, function: iv.Function,
-		tag: iv.Tag, kind: iv.Kind,
-	}
+	k := aggKey{*iv.Labels, iv.Kind}
 	r.seconds[k] += iv.Duration()
 	r.msgs[k] += iv.Msgs
 	r.bytes[k] += iv.Bytes
@@ -40,20 +36,20 @@ func (r *fourMapRecorder) sortedKeys() []aggKey {
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		if a.process != b.process {
-			return a.process < b.process
+		if a.Process != b.Process {
+			return a.Process < b.Process
 		}
-		if a.node != b.node {
-			return a.node < b.node
+		if a.Node != b.Node {
+			return a.Node < b.Node
 		}
-		if a.module != b.module {
-			return a.module < b.module
+		if a.Module != b.Module {
+			return a.Module < b.Module
 		}
-		if a.function != b.function {
-			return a.function < b.function
+		if a.Function != b.Function {
+			return a.Function < b.Function
 		}
-		if a.tag != b.tag {
-			return a.tag < b.tag
+		if a.Tag != b.Tag {
+			return a.Tag < b.Tag
 		}
 		return a.kind < b.kind
 	})
@@ -77,12 +73,7 @@ func (r *fourMapRecorder) value(keys []aggKey, procs []dyninst.ProcEntry, elapse
 	var secs float64
 	var events int
 	for _, k := range keys {
-		iv := sim.Interval{
-			Process: k.process, Node: k.node,
-			Module: k.module, Function: k.function,
-			Tag: k.tag, Kind: k.kind,
-			Start: 0, End: 1,
-		}
+		iv := sim.Interval{Labels: &k.Labels, Kind: k.kind, Start: 0, End: 1}
 		if !m.Matches(iv) {
 			continue
 		}

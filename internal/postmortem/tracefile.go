@@ -65,8 +65,14 @@ var kindNames = [...]string{
 }
 
 // Interval validates a sample and converts it back to a simulator
-// interval.
-func (s Sample) Interval() (sim.Interval, error) {
+// interval, with labels of its own.
+func (s Sample) Interval() (sim.Interval, error) { return s.IntervalIn(new(sim.Labels)) }
+
+// IntervalIn is Interval with the labels written to *l: a caller that
+// hands each interval to observers which copy what they keep of its
+// labels (a Recorder, Execution.Discover) converts every sample into one
+// Labels and allocates nothing.
+func (s Sample) IntervalIn(l *sim.Labels) (sim.Interval, error) {
 	kind := slices.Index(kindNames[:], s.Kind)
 	if kind < 0 {
 		return sim.Interval{}, fmt.Errorf("postmortem: unknown activity kind %q", s.Kind)
@@ -77,10 +83,10 @@ func (s Sample) Interval() (sim.Interval, error) {
 	if s.End < s.Start {
 		return sim.Interval{}, fmt.Errorf("postmortem: sample interval ends (%g) before it starts (%g)", s.End, s.Start)
 	}
+	*l = sim.Labels{Process: s.Proc, Node: s.Node, Module: s.Mod, Function: s.Fn, Tag: s.Tag}
 	return sim.Interval{
-		Process: s.Proc, Node: s.Node,
-		Module: s.Mod, Function: s.Fn, Tag: s.Tag,
-		Kind: sim.Kind(kind), Start: s.Start, End: s.End,
+		Labels: l, Kind: sim.Kind(kind),
+		Start: s.Start, End: s.End,
 		Msgs: s.Msgs, Bytes: s.Bytes, Calls: s.Calls,
 	}, nil
 }
@@ -131,6 +137,7 @@ func (t *TraceWriter) Intervals() int { return t.n }
 func ReadTrace(r io.Reader) (*Recorder, error) {
 	rec := NewRecorder()
 	var d history.Decoder // one for the whole trace, which shares its labels
+	var labels sim.Labels // every line's, copied by the recorder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	lineno := 0
@@ -148,7 +155,7 @@ func ReadTrace(r io.Reader) (*Recorder, error) {
 				return nil, fmt.Errorf("postmortem: trace line %d: %w", lineno, err)
 			}
 		}
-		iv, err := line.Interval()
+		iv, err := line.IntervalIn(&labels)
 		if err != nil {
 			return nil, fmt.Errorf("postmortem: trace line %d: %w", lineno, err)
 		}

@@ -59,14 +59,14 @@ func TestTraceWriteReadRoundTrip(t *testing.T) {
 func feedTraceTo(o interface{ OnInterval(sim.Interval) }) {
 	for i := 0; i < 10; i++ {
 		ts := float64(i)
-		o.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "sweep.f", Function: "sweep1d",
+		o.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "sweep.f", Function: "sweep1d"},
 			Kind: sim.KindCPU, Start: ts, End: ts + 0.8, Calls: 1})
-		o.OnInterval(sim.Interval{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main",
-			Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: ts + 0.8, End: ts + 1, Msgs: 1, Bytes: 100, Calls: 1})
-		o.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d",
+		o.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+			Kind: sim.KindSyncWait, Start: ts + 0.8, End: ts + 1, Msgs: 1, Bytes: 100, Calls: 1})
+		o.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "sweep.f", Function: "sweep1d"},
 			Kind: sim.KindCPU, Start: ts, End: ts + 0.2, Calls: 1})
-		o.OnInterval(sim.Interval{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main",
-			Tag: "tag_3_0", Kind: sim.KindSyncWait, Start: ts + 0.2, End: ts + 1, Calls: 1})
+		o.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p2", Node: "sp02", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
+			Kind: sim.KindSyncWait, Start: ts + 0.2, End: ts + 1, Calls: 1})
 	}
 }
 
@@ -114,7 +114,7 @@ func TestInferExecution(t *testing.T) {
 		}
 	}
 	// A process on two nodes is an inconsistent trace.
-	rec.OnInterval(sim.Interval{Process: "p1", Node: "elsewhere", Kind: sim.KindCPU, Start: 0, End: 1})
+	rec.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "elsewhere"}, Kind: sim.KindCPU, Start: 0, End: 1})
 	if _, _, err := rec.InferExecution(); err == nil {
 		t.Error("inconsistent trace accepted")
 	}
@@ -143,8 +143,8 @@ func (*writeErr) Error() string { return "disk full" }
 func TestTraceWriterPropagatesErrors(t *testing.T) {
 	tw := NewTraceWriter(&failingWriter{})
 	// Overflow the bufio buffer so the underlying writer is hit.
-	big := sim.Interval{Process: "p", Node: "n", Module: strings.Repeat("m", 2048),
-		Function: "f", Kind: sim.KindCPU, Start: 0, End: 1}
+	big := sim.Interval{Labels: &sim.Labels{Process: "p", Node: "n", Module: strings.Repeat("m", 2048), Function: "f"},
+		Kind: sim.KindCPU, Start: 0, End: 1}
 	for i := 0; i < 64; i++ {
 		tw.OnInterval(big)
 	}

@@ -12,10 +12,11 @@ import (
 	"repro/internal/ingest"
 )
 
-// The nine wire shapes with a member table, as values.
+// The eleven wire shapes with a member table, as values.
 var wireShapeValues = []any{
 	history.NodeResult{}, history.RunRecord{}, QueryHit{}, QueryResponse{}, PutRunsRequest{},
-	HarvestResponse{}, DiagnoseRequest{}, ingest.Sample{}, ingest.SamplesRequest{},
+	HarvestResponse{}, DiagnoseRequest{}, DiagnoseBottleneck{}, DiagnoseResponse{},
+	ingest.Sample{}, ingest.SamplesRequest{},
 }
 
 // TestShapesMatchStructTags: each member table lists its struct's
@@ -159,7 +160,7 @@ func (f *shapeFill) fill(v reflect.Value) {
 	}
 }
 
-// FuzzShapesAppendMatchEncodingJSON builds a value of each of the nine
+// FuzzShapesAppendMatchEncodingJSON builds a value of each of the eleven
 // shapes out of the input and holds its member table to encoding/json:
 // indented and compact, the table writes json.MarshalIndent's or
 // json.Marshal's bytes, or both refuse the value; and what the strict

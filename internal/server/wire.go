@@ -20,7 +20,7 @@ import (
 // MarshalCanonical renders v in the service's canonical JSON encoding
 // (FORMATS.md "Wire API"): two-space indent and a trailing newline.
 // Every response body and every CLI -json document goes through this one
-// encoder. The nine shapes with a member table (shapeOf) are written by
+// encoder. The eleven shapes with a member table (shapeOf) are written by
 // it, byte for byte what encoding/json writes for them; everything else,
 // and any of them holding a float JSON cannot spell (which encoding/json
 // refuses with the error returned here), takes the reflective path.
@@ -75,7 +75,7 @@ type wireShape interface {
 
 type wire[T any] struct{ *history.Shape[T] }
 
-// shapeOf is the member table of v's type — one of the nine shapes, as
+// shapeOf is the member table of v's type — one of the eleven shapes, as
 // a value or a pointer — or nil.
 func shapeOf(v any) wireShape {
 	switch v.(type) {
@@ -93,6 +93,10 @@ func shapeOf(v any) wireShape {
 		return wire[HarvestResponse]{harvestShape}
 	case DiagnoseRequest, *DiagnoseRequest:
 		return wire[DiagnoseRequest]{diagnoseShape}
+	case DiagnoseBottleneck, *DiagnoseBottleneck:
+		return wire[DiagnoseBottleneck]{diagnoseBottleneckShape}
+	case DiagnoseResponse, *DiagnoseResponse:
+		return wire[DiagnoseResponse]{diagnoseResponseShape}
 	case ingest.Sample, *ingest.Sample:
 		return wire[ingest.Sample]{postmortem.SampleShape}
 	case ingest.SamplesRequest, *ingest.SamplesRequest:
@@ -443,3 +447,29 @@ type DiagnoseResponse struct {
 	// Saved is the stored record's display name when Save was set.
 	Saved string `json:"saved,omitempty"`
 }
+
+var (
+	diagnoseBottleneckShape = history.NewShape(
+		history.Field("hyp", func(v *DiagnoseBottleneck) *string { return &v.Hyp }, history.Label),
+		history.Field("focus", func(v *DiagnoseBottleneck) *string { return &v.Focus }, history.String),
+		history.Field("value", func(v *DiagnoseBottleneck) *float64 { return &v.Value }, history.Float),
+		history.Field("found_at", func(v *DiagnoseBottleneck) *float64 { return &v.FoundAt }, history.Float),
+	)
+	diagnoseResponseShape = history.NewShape(
+		history.Field("app", func(v *DiagnoseResponse) *string { return &v.App }, history.String),
+		history.OmitEmpty("version", func(v *DiagnoseResponse) *string { return &v.Version }, history.String),
+		history.Field("run_id", func(v *DiagnoseResponse) *string { return &v.RunID }, history.String),
+		history.Field("quiesced", func(v *DiagnoseResponse) *bool { return &v.Quiesced }, history.Bool),
+		history.Field("end_time", func(v *DiagnoseResponse) *float64 { return &v.EndTime }, history.Float),
+		history.Field("pairs_tested", func(v *DiagnoseResponse) *int { return &v.PairsTested }, history.Int),
+		history.OmitEmpty("skipped_directives", func(v *DiagnoseResponse) *int { return &v.SkippedDirectives }, history.Int),
+		history.Field("bottlenecks", func(v *DiagnoseResponse) *[]DiagnoseBottleneck { return &v.Bottlenecks }, history.ArrayOf(diagnoseBottleneckShape.Value())),
+		history.OmitEmpty("saved", func(v *DiagnoseResponse) *string { return &v.Saved }, history.String),
+	).SizedBy(func(v *DiagnoseResponse) int {
+		n := 256 + len(v.App) + len(v.Version) + len(v.RunID) + len(v.Saved)
+		for i := range v.Bottlenecks {
+			n += 128 + len(v.Bottlenecks[i].Hyp) + len(v.Bottlenecks[i].Focus)*9/8
+		}
+		return n
+	})
+)

@@ -31,26 +31,33 @@ func (k Kind) String() string {
 	}
 }
 
-// Interval is one completed activity of one process. The string labels
-// name the resources the activity is attributed to; Tag is empty for
-// activities not associated with a synchronization object.
-//
-// Site numbers the label set (Process, Node, Module, Function, Tag)
-// densely from 1 within the simulator that emitted the interval, so an
-// observer can index what it keeps per label set instead of hashing
-// five strings. It means something only within that simulator — an
-// observer serves one — and is 0 on an interval no simulator emitted (a
-// trace line, a streamed sample, a test literal), whose labels are then
-// all there is.
-type Interval struct {
+// Labels name the resources an activity is attributed to; Tag is empty
+// for activities not associated with a synchronization object.
+type Labels struct {
 	Process, Node    string
 	Module, Function string
 	Tag              string
-	Kind             Kind
-	Start, End       float64
-	Msgs, Bytes      int
-	Calls            int
-	Site             int
+}
+
+// Interval is one completed activity of one process. Its Labels are
+// shared: a simulator hands every interval of one site the same *Labels,
+// made once when the program is bound, so an interval is a few numbers
+// and one pointer, never nil on an interval an observer is handed. An
+// observer must not change them.
+//
+// Site numbers the label set densely from 1 within the simulator that
+// emitted the interval, so an observer can index what it keeps per
+// label set instead of hashing five strings. It means something only
+// within that simulator — an observer serves one — and is 0 on an
+// interval no simulator emitted (a trace line, a streamed sample, a
+// test literal), whose labels are then all there is.
+type Interval struct {
+	*Labels
+	Kind        Kind
+	Start, End  float64
+	Msgs, Bytes int
+	Calls       int
+	Site        int
 }
 
 // Duration returns End-Start.
@@ -96,15 +103,16 @@ const (
 	evDeliver                  // an eager message arrives on ch
 )
 
-// event is a record with no captured state: what it acts on beyond its
+// event is a record with no captured state and no pointer: it names
+// processes by rank and a channel by id, and what it acts on beyond its
 // operands (labels, start, message counts) is the activity its process
 // is in.
 type event struct {
 	at   float64
 	seq  int64
 	kind eventKind
-	p, q *Process
-	ch   *channel
+	p, q int32 // ranks
+	ch   int32 // channel id
 }
 
 // before is the queue's strict total order: time, then scheduling order.
@@ -132,15 +140,12 @@ func (q *eventQueue) push(e event) {
 	}
 }
 
-// pop removes the earliest event. The vacated slot is zeroed so the
-// backing array does not keep the executed event's processes and channel
-// reachable.
+// pop removes the earliest event.
 func (q *eventQueue) pop() event {
 	h := *q
 	n := len(h) - 1
 	top := h[0]
 	h[0] = h[n]
-	h[n] = event{}
 	h = h[:n]
 	*q = h
 	for i := 0; ; {
@@ -161,7 +166,7 @@ func (q *eventQueue) pop() event {
 
 // Process is one simulated application process.
 type Process struct {
-	rank int
+	rank int32
 	name string
 	node string
 	cur  *cursor
@@ -185,7 +190,7 @@ func (p *Process) Name() string { return p.name }
 func (p *Process) Node() string { return p.node }
 
 // Rank returns the process's index in AddProcess order.
-func (p *Process) Rank() int { return p.rank }
+func (p *Process) Rank() int { return int(p.rank) }
 
 // Done reports whether the process has finished its program.
 func (p *Process) Done() bool { return p.done }
@@ -217,6 +222,7 @@ type msgKey struct {
 // is one process with one activity in progress (the sender's carries the
 // bytes), so at most one sender and one receiver wait.
 type channel struct {
+	id       int32     // its index in Simulator.chans
 	arrivals []float64 // eager messages' arrival times in send order; [head:] are unreceived
 	head     int
 	sender   *Process // blocked in a rendezvous send
@@ -247,8 +253,14 @@ type collective struct {
 
 // siteKey is a label set; the process stands for its name and node.
 type siteKey struct {
-	rank                  int
+	rank                  int32
 	module, function, tag string
+}
+
+// site is a label set's number and its one Labels.
+type site struct {
+	n      int
+	labels *Labels
 }
 
 // Simulator is the discrete-event engine.
@@ -265,13 +277,15 @@ type Simulator struct {
 	processed int64
 
 	// What AddProcess binds statements to, looked up there only: the
-	// per-event path holds the *channel, *collective and site itself.
+	// per-event path holds the *channel, *collective and site itself, and
+	// an event names its channel by its index in chans.
 	channels    map[msgKey]*channel
+	chans       []*channel
 	collectives map[string]*collective
-	sites       map[siteKey]int
+	sites       map[siteKey]site
 
 	observers []Observer
-	slowdown  func(proc string) float64
+	slowdown  func(rank int) float64
 }
 
 // New creates a simulator with the given configuration.
@@ -284,7 +298,7 @@ func New(cfg Config) *Simulator {
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		channels:    make(map[msgKey]*channel),
 		collectives: make(map[string]*collective),
-		sites:       make(map[siteKey]int),
+		sites:       make(map[siteKey]site),
 	}
 }
 
@@ -302,7 +316,7 @@ func (s *Simulator) AddProcess(name, node string, prog []Stmt) (*Process, error)
 			return nil, fmt.Errorf("sim: duplicate process name %q", name)
 		}
 	}
-	p := &Process{rank: len(s.procs), name: name, node: node}
+	p := &Process{rank: int32(len(s.procs)), name: name, node: node}
 	p.cur = newCursor(s.bind(p, prog))
 	s.procs = append(s.procs, p)
 	return p, nil
@@ -319,9 +333,10 @@ func (s *Simulator) Processes() []*Process {
 func (s *Simulator) AddObserver(o Observer) { s.observers = append(s.observers, o) }
 
 // SetSlowdown installs the perturbation hook: compute durations are
-// multiplied by the returned factor (>= 1) at schedule time. The dynamic
-// instrumentation layer uses this to model probe overhead.
-func (s *Simulator) SetSlowdown(f func(proc string) float64) { s.slowdown = f }
+// multiplied by the factor (>= 1) it returns for the process's rank at
+// schedule time. The dynamic instrumentation layer uses this to model
+// probe overhead.
+func (s *Simulator) SetSlowdown(f func(rank int) float64) { s.slowdown = f }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() float64 { return s.now }
@@ -363,7 +378,7 @@ func (s *Simulator) Start() error {
 	s.started = true
 	s.active = len(s.procs)
 	for _, p := range s.procs {
-		s.schedule(event{kind: evProceed, p: p})
+		s.schedule(event{kind: evProceed, p: p.rank})
 	}
 	return nil
 }
@@ -426,19 +441,21 @@ func (s *Simulator) schedule(e event) {
 func (s *Simulator) fire(e event) {
 	switch e.kind {
 	case evProceed:
-		s.proceed(e.p)
+		s.proceed(s.procs[e.p])
 	case evDone:
-		e.p.blocked = false // it was if this is a collective's release
-		s.emit(e.p)
-		s.proceed(e.p)
+		p := s.procs[e.p]
+		p.blocked = false // it was if this is a collective's release
+		s.emit(p)
+		s.proceed(p)
 	case evPair:
-		e.p.blocked = false // it was if the sender came first
-		s.emit(e.p)
-		s.emit(e.q)
-		s.proceed(e.p)
-		s.proceed(e.q)
+		p, q := s.procs[e.p], s.procs[e.q]
+		p.blocked = false // it was if the sender came first
+		s.emit(p)
+		s.emit(q)
+		s.proceed(p)
+		s.proceed(q)
 	case evDeliver:
-		s.deliver(e.ch)
+		s.deliver(s.chans[e.ch])
 	}
 }
 
@@ -458,7 +475,7 @@ func (s *Simulator) slow(p *Process) float64 {
 	if s.slowdown == nil {
 		return 1
 	}
-	f := s.slowdown(p.name)
+	f := s.slowdown(int(p.rank))
 	if f < 1 {
 		return 1
 	}
@@ -499,9 +516,9 @@ func (s *Simulator) proceed(p *Process) {
 	switch op := st.op.(type) {
 	case Compute:
 		dur := s.sample(op.Mean, op.Jitter) * s.slow(p)
-		s.schedule(event{at: start + dur, kind: evDone, p: p})
+		s.schedule(event{at: start + dur, kind: evDone, p: p.rank})
 	case IO:
-		s.schedule(event{at: start + s.sample(op.Mean, op.Jitter), kind: evDone, p: p})
+		s.schedule(event{at: start + s.sample(op.Mean, op.Jitter), kind: evDone, p: p.rank})
 	case Send:
 		s.doSend(p, st.ch, op)
 	case Recv:
@@ -512,7 +529,7 @@ func (s *Simulator) proceed(p *Process) {
 		s.doReduce(p, st.coll, 0)
 	default:
 		// Validate() rejects unknown statements before Start; skip defensively.
-		s.schedule(event{at: start, kind: evProceed, p: p})
+		s.schedule(event{at: start, kind: evProceed, p: p.rank})
 	}
 }
 
@@ -524,8 +541,8 @@ func (s *Simulator) doSend(p *Process, ch *channel, op Send) {
 		overhead := s.cfg.SendOverhead * s.slow(p)
 		arrival := start + overhead + s.xfer(op.Bytes)
 		ch.push(arrival)
-		s.schedule(event{at: start + overhead, kind: evDone, p: p})
-		s.schedule(event{at: arrival, kind: evDeliver, ch: ch})
+		s.schedule(event{at: start + overhead, kind: evDone, p: p.rank})
+		s.schedule(event{at: arrival, kind: evDeliver, ch: ch.id})
 		return
 	}
 	// Rendezvous: if the receiver is already waiting, the transfer starts
@@ -533,7 +550,7 @@ func (s *Simulator) doSend(p *Process, ch *channel, op Send) {
 	if r := ch.recv; r != nil {
 		ch.recv = nil
 		r.blocked = false
-		s.schedule(event{at: start + s.xfer(op.Bytes), kind: evPair, p: p, q: r})
+		s.schedule(event{at: start + s.xfer(op.Bytes), kind: evPair, p: p.rank, q: r.rank})
 		return
 	}
 	ch.sender = p
@@ -551,13 +568,13 @@ func (s *Simulator) doRecv(p *Process, ch *channel) {
 			p.act.Kind = KindCPU
 			end = start + s.cfg.RecvOverhead*s.slow(p)
 		}
-		s.schedule(event{at: end, kind: evDone, p: p})
+		s.schedule(event{at: end, kind: evDone, p: p.rank})
 		return
 	}
 	// A blocking sender waiting in rendezvous?
 	if snd := ch.sender; snd != nil {
 		ch.sender = nil
-		s.schedule(event{at: start + s.xfer(snd.act.Bytes), kind: evPair, p: snd, q: p})
+		s.schedule(event{at: start + s.xfer(snd.act.Bytes), kind: evPair, p: snd.rank, q: p.rank})
 		return
 	}
 	// Nothing available: block until a message or sender shows up.
@@ -591,7 +608,7 @@ func (s *Simulator) doReduce(p *Process, c *collective, bytes int) {
 	}
 	release := s.now + s.cfg.CollectiveBase + float64(c.bytes)*s.cfg.SecPerByte
 	for _, a := range c.arrived {
-		s.schedule(event{at: release, kind: evDone, p: a})
+		s.schedule(event{at: release, kind: evDone, p: a.rank})
 	}
 	c.arrived, c.bytes = c.arrived[:0], 0
 }

@@ -295,11 +295,14 @@ func TestRecvPrefersArrivedEagerOverWaitingBlockingSender(t *testing.T) {
 	}
 }
 
-// siteLabels is the label set a Site stands for.
-type siteLabels struct{ process, node, module, function, tag string }
-
-func labelsOf(iv Interval) siteLabels {
-	return siteLabels{iv.Process, iv.Node, iv.Module, iv.Function, iv.Tag}
+// sameInterval compares two intervals with their labels by value: two
+// simulators share no Labels.
+func sameInterval(a, b Interval) bool {
+	if *a.Labels != *b.Labels {
+		return false
+	}
+	a.Labels, b.Labels = nil, nil
+	return a == b
 }
 
 func TestSitesAreDenseAndStable(t *testing.T) {
@@ -333,11 +336,16 @@ func TestSitesAreDenseAndStable(t *testing.T) {
 		return col.ivs
 	}
 	ivs := run()
-	siteOf := map[siteLabels]int{}
-	labelsAt := map[int]siteLabels{}
+	siteOf := map[Labels]int{}
+	labelsAt := map[int]Labels{}
+	shared := map[int]*Labels{}
 	kinds := map[int]map[Kind]bool{}
 	for _, iv := range ivs {
-		l := labelsOf(iv)
+		l := *iv.Labels
+		if p, ok := shared[iv.Site]; ok && p != iv.Labels {
+			t.Errorf("site %d carries two *Labels", iv.Site)
+		}
+		shared[iv.Site] = iv.Labels
 		if s, ok := siteOf[l]; ok && s != iv.Site {
 			t.Errorf("label set %v has sites %d and %d", l, s, iv.Site)
 		}
@@ -359,7 +367,7 @@ func TestSitesAreDenseAndStable(t *testing.T) {
 			t.Errorf("sites are not 1..%d: %d is missing from %v", len(labelsAt), site, labelsAt)
 		}
 	}
-	if k := kinds[siteOf[siteLabels{"pa", "na", "m", "x", "t"}]]; !k[KindCPU] || !k[KindSyncWait] {
+	if k := kinds[siteOf[Labels{"pa", "na", "m", "x", "t"}]]; !k[KindCPU] || !k[KindSyncWait] {
 		t.Errorf("the receive completed as %v, want both CPU and sync-wait under one site", k)
 	}
 	again := run()
@@ -367,8 +375,8 @@ func TestSitesAreDenseAndStable(t *testing.T) {
 		t.Fatalf("second build emitted %d intervals, first %d", len(again), len(ivs))
 	}
 	for i := range ivs {
-		if again[i] != ivs[i] {
-			t.Fatalf("interval %d differs between two builds: %+v vs %+v", i, again[i], ivs[i])
+		if !sameInterval(again[i], ivs[i]) {
+			t.Fatalf("interval %d differs between two builds: %+v %+v vs %+v %+v", i, again[i], *again[i].Labels, ivs[i], *ivs[i].Labels)
 		}
 	}
 }

@@ -264,7 +264,7 @@ func TestSlowdownStretchesCompute(t *testing.T) {
 	cfg := DefaultConfig()
 	s := New(cfg)
 	_, _ = s.AddProcess("p0", "n0", []Stmt{Compute{Module: "m", Function: "f", Mean: 1.0}})
-	s.SetSlowdown(func(proc string) float64 { return 1.5 })
+	s.SetSlowdown(func(rank int) float64 { return 1.5 })
 	if err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSlowdownStretchesCompute(t *testing.T) {
 	// speeds the application up).
 	s2 := New(cfg)
 	_, _ = s2.AddProcess("p0", "n0", []Stmt{Compute{Module: "m", Function: "f", Mean: 1.0}})
-	s2.SetSlowdown(func(proc string) float64 { return 0.1 })
+	s2.SetSlowdown(func(rank int) float64 { return 0.1 })
 	_ = s2.Run(100)
 	if math.Abs(s2.Processes()[0].FinishedAt()-1.0) > 1e-12 {
 		t.Error("slowdown below 1 was not clamped")

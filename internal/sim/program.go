@@ -97,7 +97,8 @@ type bound struct {
 	body []bound     // Loop
 }
 
-// bind binds prog to p. Sites are numbered in order of first appearance.
+// bind binds prog to p. Sites are numbered in order of first appearance,
+// and channels in order of first use.
 func (s *Simulator) bind(p *Process, prog []Stmt) []bound {
 	out := make([]bound, len(prog))
 	for i, st := range prog {
@@ -106,43 +107,52 @@ func (s *Simulator) bind(p *Process, prog []Stmt) []bound {
 		if st == nil {
 			continue // Validate rejects it; proceed skips it
 		}
-		iv := Interval{Process: p.name, Node: p.node, Kind: KindSyncWait, Calls: 1}
-		iv.Module, iv.Function, iv.Tag = st.labels()
-		switch op := st.(type) {
-		case Compute:
-			iv.Kind = KindCPU
-		case IO:
-			iv.Kind = KindIOWait
-		case Send:
-			iv.Msgs, iv.Bytes = 1, op.Bytes
-			if !op.Blocking {
-				iv.Kind = KindCPU
-			}
-			b.ch = intern(s.channels, msgKey{dst: op.Dst, src: p.rank, tag: op.Tag})
-		case Recv:
-			b.ch = intern(s.channels, msgKey{dst: p.rank, src: op.Src, tag: op.Tag})
-		case AllReduce, Barrier:
-			b.coll = intern(s.collectives, iv.Tag)
-		case Loop:
-			b.body = s.bind(p, op.Body)
+		if l, ok := st.(Loop); ok {
+			b.body = s.bind(p, l.Body)
 			continue
 		}
-		k := siteKey{p.rank, iv.Module, iv.Function, iv.Tag}
-		if s.sites[k] == 0 {
-			s.sites[k] = len(s.sites) + 1
+		mod, fn, tag := st.labels()
+		b.iv = Interval{Kind: KindSyncWait, Calls: 1}
+		switch op := st.(type) {
+		case Compute:
+			b.iv.Kind = KindCPU
+		case IO:
+			b.iv.Kind = KindIOWait
+		case Send:
+			b.iv.Msgs, b.iv.Bytes = 1, op.Bytes
+			if !op.Blocking {
+				b.iv.Kind = KindCPU
+			}
+			b.ch = s.channel(msgKey{dst: op.Dst, src: int(p.rank), tag: op.Tag})
+		case Recv:
+			b.ch = s.channel(msgKey{dst: int(p.rank), src: op.Src, tag: op.Tag})
+		case AllReduce, Barrier:
+			if s.collectives[tag] == nil {
+				s.collectives[tag] = new(collective)
+			}
+			b.coll = s.collectives[tag]
 		}
-		iv.Site = s.sites[k]
-		b.iv = iv
+		k := siteKey{p.rank, mod, fn, tag}
+		si, ok := s.sites[k]
+		if !ok {
+			si = site{len(s.sites) + 1, &Labels{Process: p.name, Node: p.node, Module: mod, Function: fn, Tag: tag}}
+			s.sites[k] = si
+		}
+		b.iv.Labels, b.iv.Site = si.labels, si.n
 	}
 	return out
 }
 
-// intern returns m[k], made the first time it is asked for.
-func intern[K comparable, V any](m map[K]*V, k K) *V {
-	if m[k] == nil {
-		m[k] = new(V)
+// channel returns the channel of k, made and numbered the first time it
+// is asked for.
+func (s *Simulator) channel(k msgKey) *channel {
+	c := s.channels[k]
+	if c == nil {
+		c = &channel{id: int32(len(s.chans))}
+		s.channels[k] = c
+		s.chans = append(s.chans, c)
 	}
-	return m[k]
+	return c
 }
 
 // frame is one level of the program interpreter's control stack: a loop

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // The queue must pop in the strict (at, seq) order whatever order the
@@ -35,19 +37,52 @@ func TestEventQueuePopsInSortedOrder(t *testing.T) {
 	}
 }
 
-// An executed event names its processes and channel; the queue must not
-// keep them reachable from the backing array.
-func TestEventQueuePopClearsVacatedSlot(t *testing.T) {
-	var q eventQueue
-	for i := 0; i < 100; i++ {
-		q.push(event{at: float64(100 - i), seq: int64(i + 1), p: &Process{}, ch: &channel{}})
-	}
-	for len(q) > 0 {
-		q.pop()
-	}
-	for i, e := range q[:cap(q)] {
-		if e != (event{}) {
-			t.Fatalf("slot %d of the backing array still holds %+v", i, e)
+// hasPointer reports whether a value of t holds a pointer the garbage
+// collector follows.
+func hasPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return hasPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointer(t.Field(i).Type) {
+				return true
+			}
 		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
+}
+
+// An event names its processes by rank and its channel by id, so the
+// queue's backing array holds no pointer: the collector does not scan
+// it, and a popped slot keeps nothing reachable.
+func TestEventHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointer(f.Type) {
+			t.Errorf("event.%s is a %s, which holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// An Interval is copied to every observer: its labels are one shared
+// pointer, and the rest is numbers, within one cache line.
+func TestIntervalIsOnePointerAndNumbers(t *testing.T) {
+	if n := unsafe.Sizeof(Interval{}); n > 64 {
+		t.Errorf("Interval is %d bytes, want at most 64", n)
+	}
+	typ := reflect.TypeOf(Interval{})
+	var pointers []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointer(f.Type) {
+			pointers = append(pointers, f.Name)
+		}
+	}
+	if len(pointers) != 1 || pointers[0] != "Labels" {
+		t.Errorf("Interval's fields holding pointers are %v, want only Labels", pointers)
 	}
 }

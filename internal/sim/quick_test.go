@@ -172,7 +172,7 @@ func TestQuickActivityIsNeverOverwritten(t *testing.T) {
 			return false
 		}
 		for i := range ivs {
-			if again[i] != ivs[i] {
+			if !sameInterval(again[i], ivs[i]) {
 				return false
 			}
 		}
