@@ -8,7 +8,7 @@
 //
 //	pcd -store DIR [-create] [-shards N] [-addr 127.0.0.1:7133] [-sessions N]
 //	    [-session-timeout 0] [-drain-timeout 30s]
-//	    [-breaker-threshold 3] [-breaker-cooldown 5s] [-session-retries 1]
+//	    [-breaker-threshold 3] [-breaker-cooldown 5s]
 //	    [-wal] [-wal-sync always|interval|none]
 //	    [-ingest-queue 8] [-ingest-streams 64] [-ingest-idle-timeout 2m]
 //	    [-ingest-eval-budget 16] [-ingest-harvest-sources 8]
@@ -138,7 +138,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions")
 	flag.IntVar(&cfg.Server.BreakerThreshold, "breaker-threshold", 3, "consecutive backend failures before degraded mode")
 	flag.DurationVar(&cfg.Server.BreakerCooldown, "breaker-cooldown", 5*time.Second, "degraded-mode probe interval and Retry-After hint")
-	flag.IntVar(&cfg.Server.SessionRetries, "session-retries", 1, "re-runs of a diagnosis session after a transient failure")
 	flag.BoolVar(&cfg.Store.WAL, "wal", true, "journal store writes ahead of record files (crash safety)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always | interval | none")
 	var faults history.FaultConfig

@@ -44,9 +44,9 @@ func IsBackendError(err error) bool {
 	return errors.As(err, &be)
 }
 
-// IsTransient reports whether err is worth retrying: an injected fault,
-// or a backend I/O failure that is not a definitive miss. Validation and
-// parse errors are never transient.
+// IsTransient reports whether err is backend trouble, which the server's
+// and each shard's breaker count: an injected fault, or a backend I/O
+// failure that is not a definitive miss — never a validation error.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false

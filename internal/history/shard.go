@@ -521,7 +521,7 @@ func (s *ShardedStore) observe(sh *shardState, err error) {
 		sh.brk.ResetStreak()
 		return
 	}
-	if IsBackendError(err) && !errors.Is(err, os.ErrNotExist) {
+	if IsTransient(err) {
 		sh.noteErr(s.threshold, err)
 	}
 }

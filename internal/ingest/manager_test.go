@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -83,6 +84,53 @@ func TestManagerSeqProtocol(t *testing.T) {
 	st := m.Snapshot()
 	if st.DupBatches != 1 || st.OutOfOrder != 2 || st.Finalized != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestReporterLocalSenderWaitsForRoom: the in-process sender waits out
+// a full stream queue — the batch lands once the worker drains — and
+// gives up with its context's error when the context ends first.
+func TestReporterLocalSenderWaitsForRoom(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	m := NewManager(harness.NewEnv(nil), ManagerOptions{
+		QueueDepth: 1,
+		feedHook:   func() { once.Do(func() { <-gate }) },
+	})
+	defer m.Close()
+	startStream(t, m, "r1")
+	snd := LocalSender{M: m}
+	send := func(ctx context.Context, seq int) error {
+		_, err := snd.IngestSamples(ctx, &SamplesRequest{App: "x", RunID: "r1", Seq: seq, Samples: fakeSamples("x:1", "n01", 2, float64(seq))})
+		return err
+	}
+	// Batch 1 parks the worker in the hook; batch 2 fills the queue.
+	for seq := 1; seq <= 2; seq++ {
+		if err := send(context.Background(), seq); err != nil {
+			t.Fatalf("batch %d: %v", seq, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := send(ctx, 3); err == nil || err != ctx.Err() {
+		t.Fatalf("send into a full queue past its deadline = %v, want %v", err, ctx.Err())
+	}
+	done := make(chan error, 1)
+	go func() { done <- send(context.Background(), 3) }()
+	select {
+	case err := <-done:
+		t.Fatalf("send into a full queue returned %v before the worker drained", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("send after the worker drained: %v", err)
+	}
+	if st := m.Snapshot(); st.RejectedFull == 0 || st.Batches != 3 {
+		t.Errorf("stats = %+v, want refusals waited out and three batches", st)
+	}
+	if resp, err := m.End(&EndRequest{App: "x", RunID: "r1", Seq: 4, Elapsed: 4}); err != nil || resp.Samples != 6 {
+		t.Fatalf("end: %v %+v", err, resp)
 	}
 }
 

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -9,9 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Sender ships ingest requests to a daemon. *client.Client satisfies it
-// over the wire (where the resilience ladder retries backpressured
-// batches honoring Retry-After); tests satisfy it in-process.
+// Sender ships ingest requests to a daemon and owns their retries.
+// *client.Client satisfies it over the wire (its resilience ladder
+// retries backpressured and failed requests, honoring Retry-After);
+// LocalSender satisfies it in-process.
 type Sender interface {
 	IngestStart(ctx context.Context, req *StartRequest) (*StartResponse, error)
 	IngestSamples(ctx context.Context, req *SamplesRequest) (*SamplesResponse, error)
@@ -27,27 +29,28 @@ func (l LocalSender) IngestStart(_ context.Context, req *StartRequest) (*StartRe
 }
 
 // IngestSamples hands the manager a copy of the batch: the manager
-// keeps what it is given, and a Reporter refills its buffer.
-func (l LocalSender) IngestSamples(_ context.Context, req *SamplesRequest) (*SamplesResponse, error) {
+// keeps what it is given, and a Reporter refills its buffer. A full
+// stream queue is waited out, polling until the worker makes room or
+// ctx is done.
+func (l LocalSender) IngestSamples(ctx context.Context, req *SamplesRequest) (*SamplesResponse, error) {
 	own := *req
 	own.Samples = slices.Clone(req.Samples)
-	return l.M.Samples(&own)
+	for {
+		resp, err := l.M.Samples(&own)
+		if !errors.Is(err, ErrStreamBusy) {
+			return resp, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
 }
 
 func (l LocalSender) IngestEnd(_ context.Context, req *EndRequest) (*EndResponse, error) {
 	return l.M.End(req)
 }
-
-const (
-	// reporterRetries is how many times one batch is re-sent after an
-	// error before the reporter gives up; resends of an accepted seq are
-	// acknowledged idempotently, so retrying on a lost response is safe.
-	reporterRetries = 8
-	// reporterRetryWait is the flat wait between resends of one batch —
-	// the reporter-level answer to backpressure on top of whatever the
-	// sender's own retry ladder already absorbed.
-	reporterRetryWait = 20 * time.Millisecond
-)
 
 // ReporterOptions configure one run's reporter.
 type ReporterOptions struct {
@@ -60,8 +63,6 @@ type ReporterOptions struct {
 	// Watch registers the known bottleneck signature for the
 	// steps-to-signature report.
 	Watch []Watch
-	// Sleep is a test seam for the resend wait; nil means a real timer.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (o ReporterOptions) normalize() ReporterOptions {
@@ -94,7 +95,6 @@ type Reporter struct {
 
 	samples int
 	batches int
-	resends int
 }
 
 // NewReporter creates a reporter for one (app, version, run) stream.
@@ -141,15 +141,13 @@ func (r *Reporter) OnInterval(iv sim.Interval) {
 func (r *Reporter) Err() error { return r.err }
 
 // Samples returns how many samples were accepted by the daemon so far;
-// Batches how many batches; Resends how many re-send attempts the
-// reporter made on top of the sender's own retries.
+// Batches how many batches.
 func (r *Reporter) Samples() int { return r.samples }
 func (r *Reporter) Batches() int { return r.batches }
-func (r *Reporter) Resends() int { return r.resends }
 
-// flush ships the buffered samples as the next batch, re-sending on
-// error up to the retry budget. The seq makes resends idempotent, so a
-// batch whose ack was lost is not applied twice.
+// flush ships the buffered samples as the next batch. Retries belong to
+// the Sender; the seq makes its resends idempotent, so a batch whose
+// ack was lost is not applied twice.
 func (r *Reporter) flush() error {
 	if len(r.buf) == 0 {
 		return nil
@@ -161,11 +159,7 @@ func (r *Reporter) flush() error {
 		App: r.app, Version: r.version, RunID: r.runID,
 		Seq: r.seq, Samples: r.buf,
 	}
-	err := r.retrying(func() error {
-		_, err := r.snd.IngestSamples(r.ctx, req)
-		return err
-	})
-	if err != nil {
+	if _, err := r.snd.IngestSamples(r.ctx, req); err != nil {
 		return err
 	}
 	r.seq++
@@ -177,31 +171,21 @@ func (r *Reporter) flush() error {
 
 // Finish flushes the tail and sends the end-of-stream marker at one
 // past the last batch seq, proving no batch was lost. elapsed is the
-// run's wall length in virtual seconds (0 means last sample end).
+// run's wall length in virtual seconds (0 means last sample end). A
+// stream that failed, tail flush included, is discarded on the daemon
+// rather than left for its idle timeout to save without the lost batch.
 func (r *Reporter) Finish(elapsed float64) (*EndResponse, error) {
+	if r.err == nil {
+		r.err = r.flush()
+	}
 	if r.err != nil {
-		// The stream is broken mid-sequence; tell the daemon to drop it.
-		_, _ = r.snd.IngestEnd(r.ctx, &EndRequest{
-			App: r.app, Version: r.version, RunID: r.runID, Discard: true,
-		})
+		_ = r.Discard()
 		return nil, r.err
 	}
-	if err := r.flush(); err != nil {
-		return nil, err
-	}
-	var resp *EndResponse
-	err := r.retrying(func() error {
-		var err error
-		resp, err = r.snd.IngestEnd(r.ctx, &EndRequest{
-			App: r.app, Version: r.version, RunID: r.runID,
-			Seq: r.seq, Elapsed: elapsed,
-		})
-		return err
+	return r.snd.IngestEnd(r.ctx, &EndRequest{
+		App: r.app, Version: r.version, RunID: r.runID,
+		Seq: r.seq, Elapsed: elapsed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // Discard abandons the stream without saving it.
@@ -213,39 +197,4 @@ func (r *Reporter) Discard() error {
 		App: r.app, Version: r.version, RunID: r.runID, Discard: true,
 	})
 	return err
-}
-
-// retrying runs one send attempt plus up to reporterRetries resends,
-// waiting reporterRetryWait between attempts.
-func (r *Reporter) retrying(send func() error) error {
-	var last error
-	for attempt := 0; attempt <= reporterRetries; attempt++ {
-		if attempt > 0 {
-			r.resends++
-			if err := r.sleep(reporterRetryWait); err != nil {
-				return err
-			}
-		}
-		if last = send(); last == nil {
-			return nil
-		}
-		if r.ctx.Err() != nil {
-			return last
-		}
-	}
-	return fmt.Errorf("ingest: giving up after %d attempts: %w", reporterRetries+1, last)
-}
-
-func (r *Reporter) sleep(d time.Duration) error {
-	if r.opts.Sleep != nil {
-		return r.opts.Sleep(r.ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-r.ctx.Done():
-		return r.ctx.Err()
-	}
 }

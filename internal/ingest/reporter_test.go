@@ -2,8 +2,8 @@ package ingest_test
 
 import (
 	"context"
+	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/app"
 	"repro/internal/harness"
@@ -61,61 +61,48 @@ func TestReporterStreamsRun(t *testing.T) {
 	}
 }
 
-// flaky wraps a Sender, failing every other Samples call with
-// backpressure — after the manager has already applied the batch, so
-// the retry also exercises the idempotent dup path.
-type flaky struct {
+// failFrom wraps a Sender, failing every samples batch from seq on.
+type failFrom struct {
 	ingest.Sender
-	n int
+	seq int
 }
 
-func (f *flaky) IngestSamples(ctx context.Context, req *ingest.SamplesRequest) (*ingest.SamplesResponse, error) {
-	resp, err := f.Sender.IngestSamples(ctx, req)
-	f.n++
-	if err == nil && f.n%2 == 1 {
-		return nil, ingest.ErrStreamBusy
+func (f failFrom) IngestSamples(ctx context.Context, req *ingest.SamplesRequest) (*ingest.SamplesResponse, error) {
+	if req.Seq >= f.seq {
+		return nil, errors.New("link down")
 	}
-	return resp, err
+	return f.Sender.IngestSamples(ctx, req)
 }
 
-// TestReporterRetriesBackpressure: batches refused (or whose acks were
-// lost) are re-sent until accepted, and the resends do not double-apply
-// samples.
-func TestReporterRetriesBackpressure(t *testing.T) {
+// TestReporterFinishDiscardsOnTailFailure: when Finish's tail flush
+// fails, the stream is discarded at once — not left for the idle
+// timeout to save as a record missing its tail batch.
+func TestReporterFinishDiscardsOnTailFailure(t *testing.T) {
 	env := harness.NewEnv(nil)
 	mgr := ingest.NewManager(env, ingest.ManagerOptions{})
 	defer mgr.Close()
-
-	snd := &flaky{Sender: ingest.LocalSender{M: mgr}}
-	r := ingest.NewReporter(context.Background(), snd, "x", "", "r1", ingest.ReporterOptions{
-		BatchSize: 4,
-		Sleep: func(context.Context, time.Duration) error {
-			time.Sleep(time.Millisecond) // fast but real: let the worker drain
-			return nil
-		},
-	})
+	r := ingest.NewReporter(context.Background(), failFrom{ingest.LocalSender{M: mgr}, 2}, "mw", "", "broken", ingest.ReporterOptions{BatchSize: 32})
 	if _, err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range collectSamples(t, "mw", 3, 2) {
+	for _, s := range collectSamples(t, "mw", 11, 20)[:40] {
 		iv, err := s.Interval()
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.OnInterval(iv)
 	}
-	resp, err := r.Finish(2)
-	if err != nil {
-		t.Fatal(err)
+	if r.Err() != nil || r.Batches() != 1 {
+		t.Fatalf("first batch: batches = %d, err = %v", r.Batches(), r.Err())
 	}
-	if r.Resends() == 0 {
-		t.Error("flaky sender produced no resends")
+	if _, err := r.Finish(20); err == nil {
+		t.Fatal("finish with a failed tail batch succeeded")
 	}
-	if resp.Samples != r.Samples() {
-		t.Errorf("manager accepted %d samples, reporter sent %d", resp.Samples, r.Samples())
+	if st := mgr.Snapshot(); st.Active != 0 || st.Discarded != 1 || st.Finalized != 0 {
+		t.Errorf("stats after a failed finish = %+v, want the stream discarded", st)
 	}
-	if _, err := env.Store().Load("x", "", "r1"); err != nil {
-		t.Fatal(err)
+	if _, err := env.Store().Load("mw", "", "broken"); err == nil {
+		t.Error("stream with a lost tail batch was stored")
 	}
 }
 
@@ -125,10 +112,7 @@ func TestReporterGivesUp(t *testing.T) {
 	env := harness.NewEnv(nil)
 	mgr := ingest.NewManager(env, ingest.ManagerOptions{})
 	defer mgr.Close()
-	r := ingest.NewReporter(context.Background(), ingest.LocalSender{M: mgr}, "x", "", "r1", ingest.ReporterOptions{
-		BatchSize: 1,
-		Sleep:     func(context.Context, time.Duration) error { return nil },
-	})
+	r := ingest.NewReporter(context.Background(), ingest.LocalSender{M: mgr}, "x", "", "r1", ingest.ReporterOptions{BatchSize: 1})
 	// Never started: the first flush fails and latches.
 	r.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "x:1", Node: "n01"}, Kind: sim.KindCPU, Start: 0, End: 1})
 	if r.Err() == nil {

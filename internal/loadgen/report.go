@@ -45,7 +45,6 @@ type ServerDelta struct {
 	BackendFaults   uint64            `json:"backend_faults,omitempty"`
 	WritesRejected  uint64            `json:"writes_rejected,omitempty"`
 	BreakerOpens    uint64            `json:"breaker_opens,omitempty"`
-	SessionRetries  uint64            `json:"session_retries,omitempty"`
 	WALAppends      uint64            `json:"wal_appends,omitempty"`
 	WALSyncs        uint64            `json:"wal_syncs,omitempty"`
 	JournalHits     uint64            `json:"journal_hits,omitempty"`

@@ -553,7 +553,6 @@ func statsDelta(before, after *server.StatsResponse) *ServerDelta {
 		BackendFaults:   after.BackendFaults - before.BackendFaults,
 		WritesRejected:  after.WritesRejected - before.WritesRejected,
 		BreakerOpens:    after.BreakerOpens - before.BreakerOpens,
-		SessionRetries:  after.SessionRetries - before.SessionRetries,
 		WALAppends:      after.WALAppends - before.WALAppends,
 		WALSyncs:        after.WALSyncs - before.WALSyncs,
 		JournalHits:     after.JournalHits - before.JournalHits,

@@ -33,8 +33,8 @@ type Config struct {
 	// Store carries -create, -wal, -wal-sync and the -fault-* injectors
 	// (Faults hands each shard its own); Open sets Replicas.
 	Store history.DurableOptions
-	// Server carries -sessions, -session-timeout, -breaker-*,
-	// -session-retries and -ingest-*; Open sets Replication and WriteGate.
+	// Server carries -sessions, -session-timeout, -breaker-* and
+	// -ingest-*; Open sets Replication and WriteGate.
 	Server         server.Options
 	Replicas       int           // -replicas: primary of this many followers
 	Promote        bool          // -promote

@@ -162,8 +162,8 @@ var (
 // journal, through the commit that ships — injects a seeded fault mix
 // (errors and torn writes), and the final bottleneck and query output
 // must be byte-identical. The resilience ladder — client retries, typed
-// 503s, degraded mode with probe-based recovery, session retries, the
-// compensation of a write the disk refused — is what closes the gap.
+// 503s, degraded mode with probe-based recovery, the compensation of a
+// write the disk refused — is what closes the gap.
 func TestChaosSoak(t *testing.T) {
 	cfgA := harness.DefaultSessionConfig()
 	cfgA.RunID = "base"
@@ -175,7 +175,6 @@ func TestChaosSoak(t *testing.T) {
 		Sessions:         2,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Millisecond,
-		SessionRetries:   2,
 	}
 
 	// Fault-free baseline.
@@ -229,9 +228,9 @@ func TestChaosSoak(t *testing.T) {
 	if stats.Degraded {
 		t.Errorf("server still degraded after the workload: %+v", stats)
 	}
-	t.Logf("chaos: injector %+v; journal %+v; server faults=%d rejected=%d opens=%d probes=%d sessionRetries=%d; client %+v",
+	t.Logf("chaos: injector %+v; journal %+v; server faults=%d rejected=%d opens=%d probes=%d; client %+v",
 		fc, stBad.WALStats(), stats.BackendFaults, stats.WritesRejected, stats.BreakerOpens,
-		stats.BackendProbes, stats.SessionRetries, clBad.CounterSnapshot())
+		stats.BackendProbes, clBad.CounterSnapshot())
 }
 
 // TestChaosOutageRecovery is the acceptance walk at the wire level, under

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"net/http"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,6 @@ type svcCounters struct {
 	writesRejected  atomic.Uint64
 	breakerOpens    atomic.Uint64
 	backendProbes   atomic.Uint64
-	sessionRetries  atomic.Uint64
 	journalHits     atomic.Uint64
 	sessionsResumed atomic.Uint64
 }
@@ -36,7 +34,7 @@ type svcCounters struct {
 // error is the server answering correctly. Reports whether err was
 // backend trouble.
 func (s *Server) observeStoreErr(err error) bool {
-	if !history.IsBackendError(err) || errors.Is(err, os.ErrNotExist) {
+	if !history.IsTransient(err) {
 		return false
 	}
 	s.counts.backendFaults.Add(1)

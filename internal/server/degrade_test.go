@@ -1,18 +1,14 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/harness"
 	"repro/internal/history"
 )
@@ -169,46 +165,5 @@ func TestDegradedProbeOncePerWindow(t *testing.T) {
 	}
 	if n := srv.counts.backendProbes.Load(); n != 1 {
 		t.Fatalf("probes = %d, want 1 per window", n)
-	}
-}
-
-// TestDiagnoseSessionRetry proves the server re-runs a diagnosis
-// session that failed with a transient error, invisibly to the client.
-func TestDiagnoseSessionRetry(t *testing.T) {
-	srv, _ := faultServer(t, Options{Sessions: 1, SessionRetries: 2})
-	var calls atomic.Int64
-	srv.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
-		if calls.Add(1) == 1 {
-			return nil, &history.BackendError{Op: "get", Err: errors.New("blip")}
-		}
-		return &harness.SessionResult{Quiesced: true}, nil
-	}
-	h := srv.Handler()
-	resp, body := doReq(t, h, http.MethodPost, "/api/v1/diagnose", `{"app":"tester"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("diagnose with transient blip: status %d, body %v", resp.StatusCode, body)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("session ran %d times, want 2", calls.Load())
-	}
-	if st := srv.stats(); st.SessionRetries != 1 {
-		t.Errorf("stats = %+v, want 1 session retry", st)
-	}
-}
-
-// TestDiagnoseSessionRetryExhausted proves a transient fault outlasting
-// the session budget surfaces as 503 + Retry-After, not a 400.
-func TestDiagnoseSessionRetryExhausted(t *testing.T) {
-	srv, _ := faultServer(t, Options{Sessions: 1, SessionRetries: 1})
-	srv.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
-		return nil, &history.BackendError{Op: "scan", Err: errors.New("still down")}
-	}
-	h := srv.Handler()
-	resp, _ := doReq(t, h, http.MethodPost, "/api/v1/diagnose", `{"app":"tester"}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("exhausted diagnose: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("exhausted diagnose: no Retry-After header")
 	}
 }

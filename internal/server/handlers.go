@@ -550,11 +550,11 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, body []byte
 }
 
 // runDiagnose executes one diagnose request end to end — build, pooled
-// session run with retries, response assembly, optional store save —
-// and returns the response, or an error writeErr maps onto the wire
-// (*unavailableError for come-back-later failures). Shared by the live
-// handler and crash-recovery session resume, so both produce identical
-// results for identical requests.
+// session run, response assembly, optional store save — and returns the
+// response, or an error writeErr maps onto the wire (*unavailableError
+// for come-back-later failures). Shared by the live handler and
+// crash-recovery session resume, so both produce identical results for
+// identical requests.
 func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest) (*DiagnoseResponse, error) {
 	a, cfg, err := s.diagnoseSession(req)
 	if err != nil {
@@ -567,12 +567,6 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest) (*Diagno
 	}
 	res, err := s.runSession(ctx, a, cfg)
 	if err != nil {
-		if history.IsTransient(err) {
-			// The retries are spent and the fault persists: tell the
-			// client to come back later, not that its request was bad.
-			s.observeStoreErr(err)
-			return nil, s.unavailable(err)
-		}
 		return nil, err
 	}
 	resp := &DiagnoseResponse{
@@ -600,21 +594,14 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest) (*Diagno
 }
 
 // runSession runs one diagnosis session in a slot of the server-wide
-// pool and re-runs it, at most sessionRetries times, while it fails
-// transiently and ctx is live. ctx bounds only the waits for a slot: a
-// session that has started runs to completion.
+// pool. ctx bounds only the wait for a slot: a session that has started
+// runs to completion.
 func (s *Server) runSession(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
-	for retries := 0; ; retries++ {
-		if err := s.pool.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		res, err := s.session(ctx, a, cfg)
-		s.pool.Release()
-		if err == nil || !history.IsTransient(err) || ctx.Err() != nil || retries >= s.sessionRetries {
-			return res, err
-		}
-		s.counts.sessionRetries.Add(1)
+	if err := s.pool.Acquire(ctx); err != nil {
+		return nil, err
 	}
+	defer s.pool.Release()
+	return s.session(ctx, a, cfg)
 }
 
 // runHarnessSession is the default session seam. A session is pure

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/app"
@@ -50,12 +52,50 @@ type scribbler struct{ ingest.LocalSender }
 
 func (s scribbler) IngestSamples(ctx context.Context, req *ingest.SamplesRequest) (*ingest.SamplesResponse, error) {
 	resp, err := s.LocalSender.IngestSamples(ctx, req)
-	if err == nil { // a refused batch is resent from the same buffer
+	if err == nil { // an acknowledged batch's buffer is the caller's again
 		for i := range req.Samples {
 			req.Samples[i] = ingest.Sample{Proc: "overwritten", Node: "overwritten", Kind: "cpu", End: 1e6}
 		}
 	}
 	return resp, err
+}
+
+// TestReporterResendsThroughClient: over the wire the client's retry
+// ladder is the reporter's one resend rung. A samples batch the daemon
+// applied but whose acknowledgement came back as a 503 is resent by the
+// client and acknowledged as a duplicate, and the stream finalizes with
+// every sample counted once.
+func TestReporterResendsThroughClient(t *testing.T) {
+	srv := server.New(harness.NewEnv(nil), server.Options{Sessions: 1})
+	h := srv.Handler()
+	var lost atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/ingest/samples" && lost.CompareAndSwap(false, true) {
+			h.ServeHTTP(httptest.NewRecorder(), r)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error":"acknowledgement lost"}`))
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	cl := client.NewResilient(ts.URL, 3)
+	resp := streamRun(t, cl, "mw", "lossy", 11, 20)
+
+	mgr := ingest.NewManager(harness.NewEnv(nil), ingest.ManagerOptions{})
+	defer mgr.Close()
+	want := streamRun(t, ingest.LocalSender{M: mgr}, "mw", "lossy", 11, 20)
+	if resp.Samples != want.Samples {
+		t.Errorf("stream over a lossy link counted %d samples, want %d", resp.Samples, want.Samples)
+	}
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ingest.DupBatches < 1 || st.Ingest.Finalized != 1 || st.Ingest.Samples != uint64(want.Samples) {
+		t.Errorf("ingest stats = %+v, want a duplicate acknowledged, one stream finalized and %d samples", st.Ingest, want.Samples)
+	}
 }
 
 // TestIngestOverHTTP proves the wire adds nothing and loses nothing:

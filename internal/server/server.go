@@ -30,8 +30,8 @@ type Options struct {
 	// runtime.GOMAXPROCS(0).
 	Sessions int
 	// SessionTimeout bounds how long one diagnose request waits for a
-	// session slot, each retry's wait included; 0 means no timeout. A
-	// session that has started runs to completion.
+	// session slot; 0 means no timeout. A session that has started runs
+	// to completion.
 	SessionTimeout time.Duration
 	// BreakerThreshold is the number of consecutive backend failures
 	// that flips the server into degraded mode (reads from the index,
@@ -41,9 +41,9 @@ type Options struct {
 	// recovery probes, and the Retry-After given to refused writes;
 	// <= 0 means 5s.
 	BreakerCooldown time.Duration
-	// SessionRetries is how many times a diagnosis session that fails
-	// with a transient (injected or backend I/O) error is re-run before
-	// the failure is reported; 0 disables.
+	// SessionRetries is ignored: a diagnosis session is pure
+	// computation and runs once. The field is kept because the frozen
+	// benchmark topology (bench/topology.go) still sets it.
 	SessionRetries int
 	// Ingest tunes the streaming intake (per-stream queue depth, stream
 	// cap, idle timeout, engine budget); the zero value means the
@@ -67,7 +67,6 @@ type Server struct {
 	env            *harness.Env
 	pool           *sessionPool
 	sessionTimeout time.Duration
-	sessionRetries int
 	brkPolicy      breaker.Policy
 	mux            *http.ServeMux
 
@@ -134,7 +133,6 @@ func New(env *harness.Env, opts Options) *Server {
 		env:            env,
 		pool:           newSessionPool(n),
 		sessionTimeout: opts.SessionTimeout,
-		sessionRetries: opts.SessionRetries,
 		brkPolicy:      breaker.Policy{Threshold: thr, Cooldown: cd},
 		session:        runHarnessSession,
 		opCounts:       map[string]*atomic.Uint64{},
@@ -297,7 +295,6 @@ func (s *Server) stats() StatsResponse {
 		WritesRejected:  s.counts.writesRejected.Load(),
 		BreakerOpens:    s.counts.breakerOpens.Load(),
 		BackendProbes:   s.counts.backendProbes.Load(),
-		SessionRetries:  s.counts.sessionRetries.Load(),
 		WALAppends:      ws.Appends,
 		WALSyncs:        ws.Syncs,
 		JournalHits:     s.counts.journalHits.Load(),

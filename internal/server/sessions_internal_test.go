@@ -199,19 +199,12 @@ func TestResumeSessionsKeepsOrphanOnTransientFailure(t *testing.T) {
 	if err := s.EnableSessionJournal(filepath.Join(dir, SessionsDirName), 0); err != nil {
 		t.Fatal(err)
 	}
-	req := json.RawMessage(`{"app":"poisson","version":"A","max_time":5000}`)
+	req := json.RawMessage(`{"app":"poisson","version":"A","max_time":5000,"save":true}`)
 	if err := s.journal.write(&sessionRecord{Key: "orphan", State: sessionPending, Request: req}); err != nil {
 		t.Fatal(err)
 	}
 
-	fail := true
-	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
-		if fail {
-			return nil, &history.BackendError{Op: "get", Err: errors.New("store still degraded")}
-		}
-		return &harness.SessionResult{Quiesced: true}, nil
-	}
-
+	degrade(s)
 	n, err := s.ResumeSessions(context.Background())
 	if err != nil || n != 0 {
 		t.Fatalf("resume under transient failure = (%d, %v), want (0, nil)", n, err)
@@ -223,7 +216,7 @@ func TestResumeSessionsKeepsOrphanOnTransientFailure(t *testing.T) {
 
 	// The in-flight claim was released with the record intact: once the
 	// fault clears, the next resume owns the key and finishes it.
-	fail = false
+	s.brk.Success()
 	n, err = s.ResumeSessions(context.Background())
 	if err != nil || n != 1 {
 		t.Fatalf("resume after fault cleared = (%d, %v), want (1, nil)", n, err)
@@ -231,6 +224,15 @@ func TestResumeSessionsKeepsOrphanOnTransientFailure(t *testing.T) {
 	rec, err = s.journal.read("orphan")
 	if err != nil || rec == nil || rec.State != sessionDone {
 		t.Fatalf("record after recovery = %+v, %v; want done", rec, err)
+	}
+}
+
+// degrade opens s's breaker, as consecutive backend failures do: every
+// store write is then refused with *unavailableError until the breaker
+// closes again (s.brk.Success).
+func degrade(s *Server) {
+	for !s.isDegraded() {
+		s.observeStoreErr(&history.BackendError{Op: "put", Err: errors.New("store degraded")})
 	}
 }
 
@@ -364,26 +366,21 @@ func TestResumeSessionsStopsWhenDraining(t *testing.T) {
 }
 
 // TestDiagnoseTransientFailureKeepsRecord: a live keyed request whose
-// session fails transiently answers 503 and keeps its record pending —
-// the same rule a resume follows — so a later resume finishes it.
+// save is refused by a degraded store answers 503 and keeps its record
+// pending — the same rule a resume follows — so a later resume
+// finishes it.
 func TestDiagnoseTransientFailureKeepsRecord(t *testing.T) {
 	s := newJournaledServer(t)
-	fail := true
-	s.session = func(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
-		if fail {
-			return nil, &history.BackendError{Op: "get", Err: errors.New("store degraded")}
-		}
-		return quiescedSession(ctx, a, cfg)
-	}
-	rr := serveDiagnose(s, `{"app":"poisson","version":"A","max_time":5000,"idempotency_key":"live"}`)
+	degrade(s)
+	rr := serveDiagnose(s, `{"app":"poisson","version":"A","max_time":5000,"save":true,"idempotency_key":"live"}`)
 	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("transient session failure answered %d: %s, want 503", rr.Code, rr.Body)
+		t.Fatalf("save refused by a degraded store answered %d: %s, want 503", rr.Code, rr.Body)
 	}
 	if got := journalState(t, s, "live"); got != sessionPending {
 		t.Fatalf("record after a transient failure is %q, want pending", got)
 	}
 
-	fail = false
+	s.brk.Success()
 	n, err := s.ResumeSessions(context.Background())
 	if err != nil || n != 1 {
 		t.Fatalf("resume after the fault cleared = (%d, %v), want (1, nil)", n, err)

@@ -187,9 +187,6 @@ type StatsResponse struct {
 	WritesRejected uint64 `json:"writes_rejected"`
 	BreakerOpens   uint64 `json:"breaker_opens"`
 	BackendProbes  uint64 `json:"backend_probes"`
-	// SessionRetries counts diagnosis sessions re-run after transient
-	// failures.
-	SessionRetries uint64 `json:"session_retries"`
 	// WALAppends/WALSyncs are the store's write-ahead-journal counters
 	// (zero when the store is not durable).
 	WALAppends uint64 `json:"wal_appends"`
