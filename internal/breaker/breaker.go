@@ -75,6 +75,17 @@ func (b *Breaker) ResetStreak() {
 	b.mu.Unlock()
 }
 
+// Wait is how long, while the breaker is open, until its next probe is
+// due: 0 when it is closed or a probe is due.
+func (b *Breaker) Wait(now time.Time) time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.open || !now.Before(b.nextProbe) {
+		return 0
+	}
+	return b.nextProbe.Sub(now)
+}
+
 // Open reports whether the breaker is open.
 func (b *Breaker) Open() bool {
 	b.mu.Lock()

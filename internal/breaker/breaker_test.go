@@ -29,8 +29,14 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("third consecutive failure did not open the breaker")
 	}
 
+	if wait := b.Wait(now.Add(4 * time.Second)); wait != 6*time.Second {
+		t.Fatalf("Wait inside the cooldown = %v, want 6s", wait)
+	}
 	if ok, wait := b.Allow(p, now.Add(4*time.Second)); ok || wait != 6*time.Second {
 		t.Fatalf("Allow inside the cooldown = %v, %v; want refused with 6s to go", ok, wait)
+	}
+	if wait := b.Wait(now.Add(10 * time.Second)); wait != 0 {
+		t.Fatalf("Wait once a probe is due = %v, want 0", wait)
 	}
 	probeAt := now.Add(10 * time.Second)
 	if ok, _ := b.Allow(p, probeAt); !ok {

@@ -81,8 +81,9 @@ func NewResilient(baseURL string, retries int) *Client {
 type StatusError struct {
 	Status  int
 	Message string
-	// RetryAfter is the server's Retry-After hint on a 503/429, zero
-	// when absent. The retry layer uses it as the backoff floor.
+	// RetryAfter is the server's hint on a 503/429 — Retry-After-Ms if
+	// sent, else Retry-After — zero when absent. The retry layer uses it
+	// as the backoff floor.
 	RetryAfter time.Duration
 }
 
@@ -184,7 +185,11 @@ func (c *Client) once(ctx context.Context, method, u string, payload []byte, has
 			msg = e.Error
 		}
 		se := &StatusError{Status: resp.StatusCode, Message: msg}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+		// pcd's wait in milliseconds is exact; Retry-After rounds it up to
+		// whole seconds.
+		if ms, err := strconv.Atoi(resp.Header.Get("Retry-After-Ms")); err == nil && ms >= 0 {
+			se.RetryAfter = time.Duration(ms) * time.Millisecond
+		} else if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
 			se.RetryAfter = time.Duration(secs) * time.Second
 		}
 		return nil, se

@@ -7,11 +7,15 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/harness"
+	"repro/internal/history"
 	"repro/internal/ingest"
+	"repro/internal/server"
 )
 
 // seededClient returns a client whose jitter is deterministic and whose
@@ -198,6 +202,41 @@ func TestRetryAfter429IngestBackpressure(t *testing.T) {
 	})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Errorf("exhausted 429 error %v does not unwrap to ErrUnavailable", err)
+	}
+}
+
+// TestRefusalRetriedAfterServerCooldown: pcd refuses a batch put with
+// 503 under a 250 ms breaker cooldown (its write gate says no once), and
+// the client's resend reaches it after the cooldown, not after the whole
+// second Retry-After rounds it up to.
+func TestRefusalRetriedAfterServerCooldown(t *testing.T) {
+	var calls []time.Time
+	var mu sync.Mutex
+	srv := server.New(harness.NewEnv(nil), server.Options{
+		Sessions:        1,
+		BreakerCooldown: 250 * time.Millisecond,
+		WriteGate: func(app, version string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if calls = append(calls, time.Now()); len(calls) == 1 {
+				return errors.New("not writable yet")
+			}
+			return nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := New(ts.URL)
+	c.Retry = RetryPolicy{Retries: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
+	rec := &history.RunRecord{App: "poisson", Version: "C", RunID: "r1"}
+	if _, err := c.PutRuns(context.Background(), []*history.RunRecord{rec}); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 {
+		t.Fatalf("the write gate saw %d attempts, want a refusal and its retry", len(calls))
+	}
+	if gap := calls[1].Sub(calls[0]); gap < 250*time.Millisecond || gap >= 500*time.Millisecond {
+		t.Errorf("the retry came %v after the refusal, want the 250ms cooldown (at least it, under 500ms)", gap)
 	}
 }
 

@@ -186,12 +186,18 @@ type Decoder struct {
 	// labels holds every label read so far that is not one of
 	// internable, each once.
 	labels map[string]string
+
+	// general turns the fast paths off — the whole key of an object's
+	// next member, an ASCII literal's HTML escapes, a short float's one
+	// scan — so that the differential tests can hold them to the general
+	// path. No caller outside the tests sets it.
+	general bool
 }
 
 // Reset makes d read data, keeping the labels it has read: the lines of
 // one trace share them. A zero Decoder reads nothing until Reset.
 func (d *Decoder) Reset(data []byte) {
-	*d = Decoder{data: data, buf: d.buf, spell: d.spell, labels: d.labels}
+	*d = Decoder{data: data, buf: d.buf, spell: d.spell, labels: d.labels, general: d.general}
 }
 
 // bail gives up on the input; every later read is a no-op.
@@ -246,30 +252,17 @@ func (d *Decoder) more(closing byte) bool {
 }
 
 // list reads a bracketed, comma-separated list, calling item to read
-// each member.
+// each member, at the nesting depth level one deeper. It reads a Shape's
+// layout first — [] for an empty list, else each item on a line of its
+// own a level deeper, its comma straight after it, and the closing
+// bracket on a line at the list's level — skipping each line break in
+// one compare, and falls back to any whitespace. The canonical check
+// holds to that layout: once it fails, the rest of the record reads as
+// any other input does.
 func (d *Decoder) list(opening, closing byte, item func()) {
 	if !d.expect(opening) {
 		return
 	}
-	if d.canon {
-		d.checkedList(closing, item)
-		return
-	}
-	if d.peek() == closing {
-		d.pos++
-		return
-	}
-	for item(); d.more(closing); item() {
-	}
-}
-
-// checkedList is list past the opening bracket under the canonical
-// check, which accepts what list does and holds the layout to
-// a Shape's: [] for an empty list, else each item on a line of its
-// own a level deeper, its comma straight after it, and the closing
-// bracket on a line at the list's level. Once the check fails, the rest
-// of the record reads as list reads it.
-func (d *Decoder) checkedList(closing byte, item func()) {
 	if d.pos < len(d.data) && d.data[d.pos] == closing {
 		d.pos++
 		return
@@ -293,11 +286,12 @@ func (d *Decoder) checkedList(closing byte, item func()) {
 	d.level--
 }
 
-// line is the canonical check of a line break: a newline, two spaces a
-// level and the next token must follow, and are skipped to it.
+// line skips a line break of the layout — a newline, two spaces a level
+// — when the next token follows it; anything else fails the canonical
+// check and is left for the reader to skip as whitespace.
 func (d *Decoder) line(level int) {
 	n := 1 + 2*level
-	if rest := d.data[d.pos:]; d.canon && n < len(rest) && n <= len(lineBreak) && string(rest[:n]) == lineBreak[:n] && rest[n] > ' ' {
+	if rest := d.data[d.pos:]; n < len(rest) && rest[0] == '\n' && n <= len(lineBreak) && string(rest[:n]) == lineBreak[:n] && rest[n] > ' ' {
 		d.pos += n
 	} else {
 		d.canon = false
@@ -333,32 +327,21 @@ func (d *Decoder) dict(member func(key string)) {
 	})
 }
 
-// object reads an object whose member names are among fields, calling
-// member with the index of each name met; member reads the value. A name
-// spelled any other way than in fields, or met twice, bails.
-func (d *Decoder) object(fields []string, member func(i int)) {
+// object reads an object whose member names are among those of keys —
+// each a member's name quoted, a colon and a space, as a Shape writes
+// it — calling member with the index of each name met; member reads the
+// value. A name spelled any other way, or met twice, bails. The member
+// after the last one met is the common case and is tried first, whole
+// (wholeKey); any other spelling takes the scan of a name.
+func (d *Decoder) object(keys []string, member func(i int)) {
 	var seen uint32
-	next := 0 // the encoder's order is the common case: try it first
+	next := 0
 	d.list('{', '}', func() {
-		if !d.expect('"') {
-			return
-		}
-		start := d.pos
-		for d.pos < len(d.data) && d.data[d.pos] != '"' && d.data[d.pos] != '\\' {
-			d.pos++
-		}
-		if d.pos == len(d.data) || d.data[d.pos] == '\\' {
-			d.bail()
-			return
-		}
-		name := d.data[start:d.pos]
-		d.pos++
 		i := next
-		if i >= len(fields) || string(name) != fields[i] {
-			for i = 0; i < len(fields) && string(name) != fields[i]; i++ {
-			}
+		if i >= len(keys) || d.general || !d.wholeKey(keys[i]) {
+			i = d.scanKey(keys, i)
 		}
-		if i == len(fields) || seen&(1<<i) != 0 || !d.colon() {
+		if i < 0 || seen&(1<<i) != 0 {
 			d.bail()
 			return
 		}
@@ -366,6 +349,52 @@ func (d *Decoder) object(fields []string, member func(i int)) {
 		next = i + 1
 		member(i)
 	})
+}
+
+// scanKey reads a member's name and the colon after it, and returns the
+// name's index in keys, trying next first; -1 for a name that is not
+// there or is escaped.
+func (d *Decoder) scanKey(keys []string, next int) int {
+	if !d.expect('"') {
+		return -1
+	}
+	start := d.pos
+	for d.pos < len(d.data) && d.data[d.pos] != '"' && d.data[d.pos] != '\\' {
+		d.pos++
+	}
+	if d.pos == len(d.data) || d.data[d.pos] == '\\' {
+		return -1
+	}
+	name := d.data[start:d.pos]
+	d.pos++
+	i := next
+	if i >= len(keys) || string(name) != keyName(keys[i]) {
+		for i = 0; i < len(keys) && string(name) != keyName(keys[i]); i++ {
+		}
+	}
+	if i == len(keys) || !d.colon() {
+		return -1
+	}
+	return i
+}
+
+// keyName is the name a key spells: `"name": ` less its quotes, colon
+// and space.
+func keyName(key string) string { return key[1 : len(key)-3] }
+
+// wholeKey consumes key up to its colon, and reports whether it was
+// next: the name and colon the scan of a name would have read there, and
+// the same canonical verdict — the Shape's one space, then the value.
+// false leaves d as it was.
+func (d *Decoder) wholeKey(key string) bool {
+	rest := d.data[d.pos:]
+	n := len(key) - 1 // through the colon
+	if len(rest) <= len(key) || string(rest[:n]) != key[:n] {
+		return false
+	}
+	d.canon = d.canon && rest[n] == ' ' && rest[n+1] > ' '
+	d.pos += n
+	return true
 }
 
 // stringClass sorts the bytes of a string literal: below 3 the bytes a
@@ -411,6 +440,9 @@ func (d *Decoder) stringBytes() []byte {
 			}
 			return d.data[start:i]
 		case 4:
+			if ascii && !d.general {
+				return d.escapedASCII(start, i)
+			}
 			return d.unescape(start, i)
 		case 5:
 			d.bail()
@@ -514,6 +546,42 @@ func (d *Decoder) unescape(start, i int) []byte {
 	}
 	d.bail() // unterminated, or not a string
 	return nil
+}
+
+// escapedASCII finishes stringBytes for an ASCII literal that began at
+// start and has its first backslash at i, when the literal's escapes are
+// all appendString's \u003c, \u003e and \u0026 and the rest is ASCII
+// appendString leaves as it is: the escapes every focus is written with,
+// copied without unescape's general path. Any other literal goes to
+// unescape from its first backslash. Both give the same value and the
+// same canonical verdict: these escapes and bytes leave it as it was.
+func (d *Decoder) escapedASCII(start, i int) []byte {
+	first := i
+	buf := append(d.buf[:0], d.data[start:i]...)
+	for i+6 <= len(d.data) && string(d.data[i:i+4]) == `\u00` { // at a backslash
+		switch string(d.data[i+4 : i+6]) {
+		case "3c":
+			buf = append(buf, '<')
+		case "3e":
+			buf = append(buf, '>')
+		case "26":
+			buf = append(buf, '&')
+		default:
+			return d.unescape(start, first)
+		}
+		i += 6
+		run := i
+		for i < len(d.data) && stringClass[d.data[i]] == 0 {
+			i++
+		}
+		buf = append(buf, d.data[run:i]...)
+		if i < len(d.data) && d.data[i] == '"' {
+			d.pos = i + 1
+			d.buf = buf
+			return buf
+		}
+	}
+	return d.unescape(start, first)
 }
 
 // canonicalEscape reports whether \u and hex, which read as r, are how
@@ -622,39 +690,107 @@ func (d *Decoder) number() []byte {
 	return d.data[start:d.pos]
 }
 
-// float reads a number into a float64 field.
+// float reads a number into a float64 field. A literal with no exponent
+// whose digits, read as an integer m, stay below 2^53 and of which k
+// <= 22 follow the point — nearly every value a record holds — is read
+// in this one scan: m / 10^k is one correctly rounded division of two
+// exactly represented floats (Clinger's fast path, strconv's own for
+// such literals), so the value is the one ParseFloat returns, and the
+// scan's count of significant digits is plainShape's. Any other literal
+// is ParseFloat's.
 func (d *Decoder) float() float64 {
-	lit := d.number()
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil { // empty after a bail, or out of range
-		d.bail()
-	} else if d.canon && !plainShortest(lit, f) {
-		d.spell = appendFloat(d.spell[:0], f)
-		d.canon = bytes.Equal(d.spell, lit)
+	if d.general {
+		return d.parseFloat(d.number())
+	}
+	d.peek()
+	start := d.pos
+	neg := d.skip('-')
+	var m uint64 // stops growing past 2^60, far beyond the fast path, before it could wrap
+	sig := 0     // significant digits: from the first that is not 0
+	if !d.skip('0') {
+		for ; d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9'; d.pos++ {
+			if m < 1<<60 {
+				m = m*10 + uint64(d.data[d.pos]-'0')
+			}
+			sig++
+		}
+		if sig == 0 {
+			d.bail()
+			return 0
+		}
+	}
+	k := 0
+	if d.skip('.') {
+		for ; d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9'; d.pos++ {
+			c := d.data[d.pos] - '0'
+			if m < 1<<60 {
+				m = m*10 + uint64(c)
+			}
+			if c != 0 || sig > 0 {
+				sig++
+			}
+			k++
+		}
+		if k == 0 {
+			d.bail()
+			return 0
+		}
+	}
+	if d.pos < len(d.data) && d.data[d.pos]|0x20 == 'e' {
+		d.pos++
+		_ = d.skip('+') || d.skip('-')
+		if !d.digits() {
+			d.bail()
+			return 0
+		}
+		return d.parseFloat(d.data[start:d.pos])
+	}
+	if m >= 1<<53 || k > 22 {
+		return d.parseFloat(d.data[start:d.pos])
+	}
+	f := float64(m) / pow10[k]
+	if neg {
+		f = -f
+	}
+	if lit := d.data[start:d.pos]; d.canon && !plainShape(sig, k > 0 && lit[len(lit)-1] == '0', f) {
+		d.respell(lit, f)
 	}
 	return f
 }
 
-// plainShortest reports, by its shape alone, that a literal is
-// appendFloat's spelling of f, its value: 'f' notation where appendFloat
-// writes it, no trailing zero in a fraction, and at most 15 significant
-// digits — so few that no other decimal of as many rounds to f, let
-// alone a shorter one. false says only that it has to be formatted.
-func plainShortest(lit []byte, f float64) bool {
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) ||
-		bytes.IndexByte(lit, '.') >= 0 && lit[len(lit)-1] == '0' {
-		return false
+// pow10 are the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseFloat converts a number literal float's scan read but leaves to
+// strconv: one with an exponent or more digits than plainShape vouches
+// for, so the canonical check formats it.
+func (d *Decoder) parseFloat(lit []byte) float64 {
+	f, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil { // empty after a bail, or out of range
+		d.bail()
+	} else if d.canon {
+		d.respell(lit, f)
 	}
-	sig := 0
-	for _, c := range lit {
-		switch {
-		case c == 'e' || c == 'E':
-			return false
-		case '1' <= c && c <= '9' || c == '0' && sig > 0:
-			sig++
-		}
-	}
-	return sig <= 15
+	return f
+}
+
+// respell holds the canonical check to lit being appendFloat's spelling
+// of f.
+func (d *Decoder) respell(lit []byte, f float64) {
+	d.spell = appendFloat(d.spell[:0], f)
+	d.canon = bytes.Equal(d.spell, lit)
+}
+
+// plainShape reports, by the shape of a literal with no exponent alone,
+// that it is appendFloat's spelling of f, its value: at most 15
+// significant digits (sig) — so few that no other decimal of as many
+// rounds to f, let alone a shorter one —, no trailing zero in a fraction
+// (zeroEnd), and 'f' notation where appendFloat writes it. false says
+// only that it has to be formatted.
+func plainShape(sig int, zeroEnd bool, f float64) bool {
+	abs := math.Abs(f)
+	return sig <= 15 && !zeroEnd && (abs == 0 || abs >= 1e-6 && abs < 1e21)
 }
 
 // integer reads a number into an integer field of the given bit size,

@@ -396,6 +396,9 @@ func FuzzDecodeRecordMatchesEncodingJSON(f *testing.F) {
 	for _, in := range bailSeeds {
 		f.Add([]byte(in))
 	}
+	for _, seed := range realShapedSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, ok := ParseRecord(data)
 		if !ok {

@@ -75,7 +75,7 @@ const (
 	batchTail = "\n  ]\n}\n"
 )
 
-var putRunsFields = []string{"runs"}
+var putRunsKeys = []string{`"runs": `}
 
 // DecodePutBatch decodes the body of POST /api/v1/runs/batch, {"runs":
 // [records]}, checking each record on its own. A body in the client's
@@ -105,7 +105,7 @@ func DecodePutBatch(body []byte) ([]Encoded, error) {
 func decodeBatchSeq(body []byte) ([]Encoded, bool) {
 	d := Decoder{data: body, canon: true} // the layout of the envelope too, to reach the records' depth
 	var recs []Encoded
-	d.object(putRunsFields, func(int) {
+	d.object(putRunsKeys, func(int) {
 		recs = []Encoded{}
 		d.array(func() { recs = append(recs, d.encoded()) })
 	})

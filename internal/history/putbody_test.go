@@ -191,6 +191,21 @@ func TestCanonicalCheckRefusesVariants(t *testing.T) {
 	}
 }
 
+// plainShortest is plainShape over a literal: its significant digits
+// counted, an exponent refused, a fraction's last digit read.
+func plainShortest(lit []byte, f float64) bool {
+	sig := 0
+	for _, c := range lit {
+		switch {
+		case c == 'e' || c == 'E':
+			return false
+		case '1' <= c && c <= '9' || c == '0' && sig > 0:
+			sig++
+		}
+	}
+	return plainShape(sig, bytes.IndexByte(lit, '.') >= 0 && lit[len(lit)-1] == '0', f)
+}
+
 // TestPlainShortestImpliesAppendFloat: a literal plainShortest vouches
 // for is what appendFloat writes for its value, over decimals of every
 // shape around the rule's edges — up to 16 significant digits, a
@@ -278,6 +293,9 @@ func FuzzCanonicalRecordBytes(f *testing.F) {
 	for _, body := range nonCanonicalBodies(f) {
 		f.Add(body)
 		f.Add(indent(body))
+	}
+	for _, seed := range realShapedSeeds() {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodePut(data)

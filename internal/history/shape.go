@@ -22,7 +22,7 @@ type Shape[T any] struct {
 
 type table struct {
 	members []member
-	names   []string
+	keys    []string // each member's key, for Decoder.object
 }
 
 type member struct {
@@ -143,7 +143,7 @@ func NewShape[T any](members ...Member[T]) *Shape[T] {
 	s := &Shape[T]{}
 	for _, m := range members {
 		s.t.members = append(s.t.members, m.m)
-		s.t.names = append(s.t.names, m.m.name)
+		s.t.keys = append(s.t.keys, m.m.key)
 	}
 	if len(members) > 32 { // Decoder.object's bitmask
 		panic("history: a shape of more than 32 members")
@@ -330,7 +330,7 @@ func zero(k kind, p unsafe.Pointer) bool {
 // omitempty one, which is present exactly when it is not zero.
 func (t *table) decode(d *Decoder, p unsafe.Pointer) {
 	next := 0
-	d.object(t.names, func(i int) {
+	d.object(t.keys, func(i int) {
 		for ; d.canon && next < i; next++ {
 			d.canon = t.members[next].omit
 		}

@@ -11,9 +11,11 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/metric"
 )
 
 // ShardsDirName is the subdirectory of a sharded store root that holds
@@ -238,6 +240,18 @@ type ShardedStore struct {
 	replicas  int
 	failover  ShardFailover
 	promote   bool
+	stages    atomic.Pointer[metric.Stages] // handed to every shard store, a reopened one too
+}
+
+// ObserveStages has every shard's store record its commit stages in st
+// (Store.ObserveStages).
+func (s *ShardedStore) ObserveStages(st *metric.Stages) {
+	s.stages.Store(st)
+	for _, sh := range s.shards {
+		if local := sh.store(); local != nil {
+			local.ObserveStages(st)
+		}
+	}
 }
 
 // Shards returns the shard count pinned by the store's manifest.
@@ -881,6 +895,7 @@ func (s *ShardedStore) pingShard(sh *shardState) error {
 			sh.mu.Unlock()
 			return err
 		}
+		st.ObserveStages(s.stages.Load())
 		sh.mu.Lock()
 		sh.st = st
 		sh.lastErr = ""

@@ -10,7 +10,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/metric"
 )
 
 // Store is the experiment-store service layer: a concurrency-safe façade
@@ -38,7 +41,18 @@ type Store struct {
 	recs     map[RecordKey]*RunRecord
 	issues   []ScanIssue
 	recovery *RecoveryReport
+
+	// stages, once a server observes the store, takes the time of each
+	// stage of a commit (ObserveStages).
+	stages atomic.Pointer[metric.Stages]
 }
+
+// ObserveStages has every later commit record its stages in st, under
+// op "commit": gate (the wait for the store's one-commit-at-a-time
+// lock), journal (the group's write and sync), stage (the record files
+// still being staged once the journal is durable) and publish (renames
+// and the directory sync, or the plain backend's writes).
+func (s *Store) ObserveStages(st *metric.Stages) { s.stages.Store(st) }
 
 // NewStore opens (creating if needed) a filesystem-backed store rooted
 // at dir — the historical on-disk format, readable across tool sessions —
@@ -437,9 +451,15 @@ func (s *Store) commit(ms []mutation, mode commitMode) (wrote int, err error) {
 		return 0, nil
 	}
 	redo := mode == commitRedo
+	var stages *metric.Stages
+	t := time.Now()
+	if !redo {
+		stages = s.stages.Load()
+	}
 	if s.wal != nil && !redo {
 		s.walMu.Lock()
 		defer s.walMu.Unlock()
+		t = stages.Since("commit", "gate", t)
 	}
 	write := func(_ int, m mutation) error {
 		if m.Op == walOpDelete {
@@ -468,6 +488,11 @@ func (s *Store) commit(ms []mutation, mode commitMode) (wrote int, err error) {
 		} else if err != nil {
 			return 0, asBackendError("wal append", err)
 		}
+		t = stages.Since("commit", "journal", t)
+	}
+	if staged != nil {
+		staged.wg.Wait()
+		t = stages.Since("commit", "stage", t)
 	}
 	for done < len(ms) && fail == nil {
 		m := ms[done]
@@ -504,6 +529,7 @@ func (s *Store) commit(ms []mutation, mode commitMode) (wrote int, err error) {
 			done, wrote, op, fail = 0, 0, ms[0].Op, err
 		}
 	}
+	stages.Since("commit", "publish", t)
 	s.mu.Lock()
 	for _, m := range ms[:done] {
 		if m.rec != nil {

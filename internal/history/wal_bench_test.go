@@ -166,11 +166,39 @@ func BenchmarkDurabilityReplay8(b *testing.B)   { benchDurabilityReplay(b, 8) }
 func BenchmarkDurabilityReplay64(b *testing.B)  { benchDurabilityReplay(b, 64) }
 func BenchmarkDurabilityReplay256(b *testing.B) { benchDurabilityReplay(b, 256) }
 
+// benchRealRecords are the real records (realrecord_test.go) and their
+// canonical encodings, for the codec benchmarks' real cases.
+func benchRealRecords(b *testing.B) ([]*RunRecord, [][]byte, int64) {
+	recs, err := realRecords()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var data [][]byte
+	var size int64
+	for _, rec := range recs {
+		data = append(data, EncodeRecord(rec))
+		size += int64(len(data[len(data)-1]))
+	}
+	return recs, data, size
+}
+
 // BenchmarkRecordEncode prices the one encoding a put pays for, the
-// codec against the reflective path it replaced.
+// codec against the reflective path it replaced; real encodes the two
+// real records per op.
 func BenchmarkRecordEncode(b *testing.B) {
 	rec := benchRecord()
 	size := int64(len(benchWALData(b)))
+	b.Run("real", func(b *testing.B) {
+		recs, _, size := benchRealRecords(b)
+		b.ReportAllocs()
+		b.SetBytes(size)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, rec := range recs {
+				benchSink = EncodeRecord(rec)
+			}
+		}
+	})
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(size)
@@ -192,9 +220,39 @@ func BenchmarkRecordEncode(b *testing.B) {
 }
 
 // BenchmarkRecordDecode prices the decode that admits a record from a
-// request body, a journal frame or a record file.
+// request body, a journal frame or a record file; real/direct and
+// real/put decode the two real records per op.
 func BenchmarkRecordDecode(b *testing.B) {
 	data := benchWALData(b)
+	b.Run("real", func(b *testing.B) {
+		_, real, size := benchRealRecords(b)
+		b.Run("direct", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				for _, data := range real {
+					rec, ok := ParseRecord(data)
+					if !ok {
+						b.Fatal("the strict decoder bailed")
+					}
+					benchSink = rec
+				}
+			}
+		})
+		b.Run("put", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				for _, data := range real {
+					e, err := DecodePut(data)
+					if err != nil || e.data == nil {
+						b.Fatal("the canonical check refused the record's own encoding", err)
+					}
+					benchSink = e
+				}
+			}
+		})
+	})
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))

@@ -10,6 +10,7 @@ import (
 	"repro/internal/consultant"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/metric"
 	"repro/internal/resource"
 )
 
@@ -164,7 +165,16 @@ type Manager struct {
 	counters managerCounters
 	stop     chan struct{}
 	janitor  sync.WaitGroup
+
+	// stages takes the time of each batch's feed and each end's finalize
+	// and save (ObserveStages).
+	stages atomic.Pointer[metric.Stages]
 }
+
+// ObserveStages has the intake record, under op "stream", each batch's
+// Engine.Feed (feed) and each end marker's Finalize (finalize) and store
+// save (save) in st.
+func (m *Manager) ObserveStages(st *metric.Stages) { m.stages.Store(st) }
 
 // NewManager creates the intake over env's store and harvest cache.
 func NewManager(env *harness.Env, opts ManagerOptions) *Manager {
@@ -493,7 +503,10 @@ func (m *Manager) feedOne(s *stream, msg feedMsg) {
 	if poisoned {
 		return
 	}
-	if err := s.eng.Feed(msg.samples); err != nil {
+	t := time.Now()
+	err := s.eng.Feed(msg.samples)
+	m.stages.Load().Since("stream", "feed", t)
+	if err != nil {
 		s.mu.Lock()
 		s.ferr = err
 		s.mu.Unlock()
@@ -521,14 +534,18 @@ func (m *Manager) finalize(s *stream, req *EndRequest, idle bool) endResult {
 		m.counters.discarded.Add(1)
 		return endResult{resp: &EndResponse{Samples: s.eng.Samples(), Steps: s.eng.Steps()}}
 	}
+	t := time.Now()
 	rec, bottlenecks, err := s.eng.Finalize(req.Elapsed)
+	t = m.stages.Load().Since("stream", "finalize", t)
 	if err != nil {
 		// Nothing salvageable (e.g. an empty stream); retire it.
 		m.remove(s, nil)
 		m.counters.discarded.Add(1)
 		return endResult{err: err}
 	}
-	if err := m.env.Store().Save(rec); err != nil {
+	err = m.env.Store().Save(rec)
+	m.stages.Load().Since("stream", "save", t)
+	if err != nil {
 		return endResult{err: err}
 	}
 	resp := &EndResponse{

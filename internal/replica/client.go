@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/history"
+	"repro/internal/metric"
 )
 
 // httpc is the client every request between replicas goes out on. It
@@ -328,7 +330,18 @@ func (n *Node) HandleInfo(w http.ResponseWriter, r *http.Request) {
 // All other methods pass through.
 type GatedStorage struct {
 	history.Storage
-	p *Primary
+	p      *Primary
+	stages atomic.Pointer[metric.Stages]
+}
+
+// ObserveStages has the storage beneath record its commit stages in st,
+// and the gate its wait for the ack quorum, as stage "ack" of op
+// "commit".
+func (g *GatedStorage) ObserveStages(st *metric.Stages) {
+	g.stages.Store(st)
+	if o, ok := g.Storage.(interface{ ObserveStages(*metric.Stages) }); ok {
+		o.ObserveStages(st)
+	}
 }
 
 // Gate wraps st so writes wait for follower acknowledgement.
@@ -343,6 +356,7 @@ func (g *GatedStorage) acked(err error, keys ...history.RecordKey) error {
 	if err != nil {
 		return err
 	}
+	defer g.stages.Load().Since("commit", "ack", time.Now())
 	waited := make([]bool, len(g.p.logs))
 	for _, k := range keys {
 		shard := history.ShardForKey(k.App, k.Version, len(waited))

@@ -313,30 +313,40 @@ func TestRequestBodyCapped(t *testing.T) {
 
 // BenchmarkPutBody takes a 190 KB record's put body — poisson B's, about
 // the benchmark corpus's mean — through pcd's handler to a committed
-// write on a memory store: canonical as the client sends it, and compact.
+// write on a memory store: canonical as the client sends it, and compact;
+// real puts poisson D's and pipeline's canonical records per op.
 func BenchmarkPutBody(b *testing.B) {
-	rec := corpusRecords(b)[1]
-	canonical, err := MarshalCanonical(rec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	compact, err := json.Marshal(rec)
-	if err != nil {
-		b.Fatal(err)
+	recs := corpusRecords(b)
+	body := func(rec *history.RunRecord, marshal func(any) ([]byte, error)) []byte {
+		data, err := marshal(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return data
 	}
 	for _, c := range []struct {
-		name string
-		body []byte
-	}{{"canonical", canonical}, {"compact", compact}} {
+		name   string
+		bodies [][]byte
+	}{
+		{"canonical", [][]byte{body(recs[1], MarshalCanonical)}},
+		{"compact", [][]byte{body(recs[1], json.Marshal)}},
+		{"real", [][]byte{body(recs[3], MarshalCanonical), body(recs[8], MarshalCanonical)}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			h := New(harness.NewEnv(history.NewMemStore()), Options{Sessions: 1}).Handler()
 			b.ReportAllocs()
-			b.SetBytes(int64(len(c.body)))
+			size := 0
+			for _, data := range c.bodies {
+				size += len(data)
+			}
+			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/api/v1/run", bytes.NewReader(c.body)))
-				if w.Code != http.StatusOK {
-					b.Fatalf("%d %s", w.Code, w.Body)
+				for _, data := range c.bodies {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/api/v1/run", bytes.NewReader(data)))
+					if w.Code != http.StatusOK {
+						b.Fatalf("%d %s", w.Code, w.Body)
+					}
 				}
 			}
 		})

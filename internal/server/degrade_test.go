@@ -167,3 +167,59 @@ func TestDegradedProbeOncePerWindow(t *testing.T) {
 		t.Fatalf("probes = %d, want 1 per window", n)
 	}
 }
+
+// TestDegradedWriteWaitsForTheProbe: a write refused while degraded is
+// told the time to the next due probe — the failure that opens the
+// breaker the whole cooldown — and a write arriving once the probe is
+// due runs it and, on a healed backend, is admitted without a /healthz
+// in between.
+func TestDegradedWriteWaitsForTheProbe(t *testing.T) {
+	srv, faults := faultServer(t, Options{Sessions: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	clock := time.Unix(5000, 0)
+	srv.now = func() time.Time { return clock }
+	h := srv.Handler()
+
+	faults.SetConfig(history.FaultConfig{ErrRate: 1})
+	resp, _ := doReq(t, h, http.MethodPut, "/api/v1/run", putBody)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After-Ms") != "60000" {
+		t.Fatalf("the failing put that degrades: %d, Retry-After-Ms %q; want 503 and the minute to the probe",
+			resp.StatusCode, resp.Header.Get("Retry-After-Ms"))
+	}
+	clock = clock.Add(20 * time.Second)
+	resp, _ = doReq(t, h, http.MethodPut, "/api/v1/run", putBody)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After-Ms") != "40000" || resp.Header.Get("Retry-After") != "40" {
+		t.Fatalf("degraded put 20s in: %d, Retry-After %q, Retry-After-Ms %q; want 503, 40 and 40000",
+			resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get("Retry-After-Ms"))
+	}
+	faults.SetConfig(history.FaultConfig{})
+	clock = clock.Add(40 * time.Second)
+	if resp, _ := doReq(t, h, http.MethodPut, "/api/v1/run", putBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put once the probe is due, backend healed: %d, want 200", resp.StatusCode)
+	}
+	st := srv.stats()
+	if st.Degraded || st.BackendProbes != 1 || st.Refusals["backend"] != 1 || st.Refusals["degraded"] != 1 {
+		t.Errorf("stats after the write's probe = degraded %v, probes %d, refusals %v; want healed by one probe, one refusal of each reason",
+			st.Degraded, st.BackendProbes, st.Refusals)
+	}
+}
+
+// TestSetRetryAfter: Retry-After rounds the wait up to whole seconds, at
+// least one, and Retry-After-Ms carries it to the millisecond.
+func TestSetRetryAfter(t *testing.T) {
+	for _, c := range []struct {
+		wait     time.Duration
+		secs, ms string
+	}{
+		{0, "1", "1"},
+		{300 * time.Microsecond, "1", "1"},
+		{250 * time.Millisecond, "1", "250"},
+		{1500 * time.Millisecond, "2", "1500"},
+		{5 * time.Second, "5", "5000"},
+	} {
+		h := http.Header{}
+		setRetryAfter(h, c.wait)
+		if h.Get("Retry-After") != c.secs || h.Get("Retry-After-Ms") != c.ms {
+			t.Errorf("wait %v: Retry-After %q, Retry-After-Ms %q; want %q, %q", c.wait, h.Get("Retry-After"), h.Get("Retry-After-Ms"), c.secs, c.ms)
+		}
+	}
+}

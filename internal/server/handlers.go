@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/app"
 	"repro/internal/core"
@@ -98,6 +99,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, data)
 }
 
+// writeEncoded is writeJSON for a 200 whose encoding is stage "encode"
+// of op, which began at t.
+func (s *Server) writeEncoded(w http.ResponseWriter, op string, t time.Time, v any) {
+	data, err := MarshalCanonical(v)
+	if err != nil {
+		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
+		return
+	}
+	s.stages.Since(op, "encode", t)
+	writeBody(w, http.StatusOK, data)
+}
+
 // writeBody sends an encoded JSON body with its length declared:
 // net/http only works the length out for itself below 2 KB, and a get
 // or a query body sent chunked is one the client cannot size a buffer
@@ -137,7 +150,7 @@ func writeErr(w http.ResponseWriter, err error, fallback int) {
 	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, &ue):
-		w.Header().Set("Retry-After", strconv.Itoa(ue.retryAfter))
+		setRetryAfter(w.Header(), ue.wait)
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, os.ErrNotExist):
 		status = http.StatusNotFound
@@ -191,10 +204,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	status := "ok"
-	switch {
-	case draining:
+	if draining {
 		status = "draining"
-	case s.healthProbe():
+	} else if degraded, _ := s.healthProbe(); degraded {
 		status = "degraded"
 	}
 	writeJSON(w, http.StatusOK, HealthResponse{Status: status})
@@ -237,19 +249,23 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
+	t := time.Now()
 	rec, err := s.env.Store().Load(key.App, key.Version, key.RunID)
 	if err != nil {
 		s.failStore(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	s.writeEncoded(w, "get_run", s.stages.Since("get_run", "read", t), rec)
 }
 
 func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
+	t := time.Now()
 	body, err := ReadBody(r.Body, r.ContentLength)
 	var e history.Encoded
 	if err == nil {
+		t = s.stages.Since("put_run", "read", t)
 		e, err = history.DecodePut(body)
+		t = s.stages.Since("put_run", "decode", t)
 	}
 	if err != nil {
 		writeErr(w, fmt.Errorf("decode run record: %w", err), http.StatusBadRequest)
@@ -260,6 +276,7 @@ func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
 		_, err := history.SaveEncoded(s.env.Store(), []history.Encoded{e})
 		return err
 	})
+	s.stages.Since("put_run", "write", t)
 	if err != nil {
 		writeErr(w, err, http.StatusBadRequest)
 		return
@@ -298,6 +315,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	t := time.Now()
 	hits, err := s.env.Store().Query(appName, q.Get("version"), history.ResultFilter{
 		Hyp:           q.Get("hyp"),
 		FocusContains: q.Get("focus"),
@@ -308,7 +326,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{App: appName, Hits: WireQueryHits(hits)})
+	resp := QueryResponse{App: appName, Hits: WireQueryHits(hits)}
+	s.writeEncoded(w, "query", s.stages.Since("query", "read", t), resp)
 }
 
 // WireQueryHits converts store query hits to the wire shape. Shared
@@ -487,6 +506,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.beginDiagnose() {
+		s.refused(refusedDraining)
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining"})
 		return
 	}
@@ -530,9 +550,11 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, body []byte
 	resp, err := s.runDiagnose(ctx, req)
 	var raw []byte
 	if err == nil {
+		t := time.Now()
 		if raw, err = MarshalCanonical(resp); err != nil {
 			err = internalError{err}
 		}
+		s.stages.Since("diagnose", "encode", t)
 	}
 	var ue *unavailableError
 	switch {
@@ -597,10 +619,13 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest) (*Diagno
 // pool. ctx bounds only the wait for a slot: a session that has started
 // runs to completion.
 func (s *Server) runSession(ctx context.Context, a *app.App, cfg harness.SessionConfig) (*harness.SessionResult, error) {
+	t := time.Now()
 	if err := s.pool.Acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.pool.Release()
+	t = s.stages.Since("diagnose", "wait", t)
+	defer s.stages.Since("diagnose", "session", t)
 	return s.session(ctx, a, cfg)
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/history"
 	"repro/internal/ingest"
@@ -19,18 +20,26 @@ import (
 // writeIngestErr maps an intake error onto the wire: backpressure is
 // 429 + Retry-After (the client's cue to let the queue drain), an
 // unknown stream 404, a protocol violation (double start, sequence gap)
-// 409, a shut-down intake 503.
+// 409, a shut-down intake 503. A full queue frees a slot once its
+// stream's worker has fed one batch, so the wait asked for is the
+// median feed, at least a millisecond; a stream slot frees only when a
+// stream ends, so a start over the cap is asked to wait a second.
 func (s *Server) writeIngestErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ingest.ErrStreamBusy), errors.Is(err, ingest.ErrTooManyStreams):
-		w.Header().Set("Retry-After", "1")
+		s.refused(refusedIngestBusy)
+		wait := time.Second
+		if errors.Is(err, ingest.ErrStreamBusy) {
+			wait = min(s.stages.Quantile("stream", "feed", 0.5), time.Second)
+		}
+		setRetryAfter(w.Header(), wait)
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ingest.ErrNoStream):
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ingest.ErrStreamExists), errors.Is(err, ingest.ErrOutOfOrder):
 		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ingest.ErrClosed):
-		writeErr(w, s.unavailable(err), http.StatusBadRequest)
+		writeErr(w, s.unavailable(refusedIngestClosed, s.brkPolicy.Cooldown, err), http.StatusBadRequest)
 	default:
 		writeErr(w, err, http.StatusBadRequest)
 	}
@@ -52,10 +61,12 @@ func (s *Server) handleIngestStart(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngestSamples(w http.ResponseWriter, r *http.Request) {
 	var req ingest.SamplesRequest
+	t := time.Now()
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, fmt.Errorf("decode ingest samples: %w", err), http.StatusBadRequest)
 		return
 	}
+	s.stages.Since("stream", "decode", t)
 	resp, err := s.intake.Samples(&req)
 	if err != nil {
 		s.writeIngestErr(w, err)
@@ -92,10 +103,13 @@ func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
+	t := time.Now()
 	body, err := ReadBody(r.Body, r.ContentLength)
 	var recs []history.Encoded
 	if err == nil {
+		t = s.stages.Since("put_runs", "read", t)
 		recs, err = history.DecodePutBatch(body)
+		t = s.stages.Since("put_runs", "decode", t)
 	}
 	if err != nil {
 		writeErr(w, fmt.Errorf("decode runs batch: %w", err), http.StatusBadRequest)
@@ -120,6 +134,7 @@ func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
+	s.stages.Since("put_runs", "write", t)
 	if err != nil {
 		writeErr(w, err, http.StatusBadRequest)
 		return

@@ -20,6 +20,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/history"
 	"repro/internal/ingest"
+	"repro/internal/metric"
 	"repro/internal/replica"
 )
 
@@ -86,8 +87,11 @@ type Server struct {
 	replication *replica.Node
 	writeGate   func(app, version string) error
 
-	// counts are the resilience counters /statsz reports.
+	// counts are the resilience counters /statsz reports; stages the time
+	// each stage of a request took, by (op, stage), which the store, the
+	// replication gate and the intake record into too.
 	counts svcCounters
+	stages *metric.Stages
 	// inFlight gauges HTTP requests currently being served; opCounts
 	// holds one cumulative counter per endpoint, registered in routes()
 	// so reads stay lock-free.
@@ -138,8 +142,13 @@ func New(env *harness.Env, opts Options) *Server {
 		opCounts:       map[string]*atomic.Uint64{},
 		replication:    opts.Replication,
 		writeGate:      opts.WriteGate,
+		stages:         metric.NewStages(),
+	}
+	if st, ok := env.Store().(interface{ ObserveStages(*metric.Stages) }); ok {
+		st.ObserveStages(s.stages)
 	}
 	s.intake = ingest.NewManager(env, opts.Ingest)
+	s.intake.ObserveStages(s.stages)
 	s.cond = sync.NewCond(&s.mu)
 	s.mux = s.routes()
 	return s
@@ -280,6 +289,10 @@ func (s *Server) stats() StatsResponse {
 	for name, ctr := range s.opCounts {
 		ops[name] = ctr.Load()
 	}
+	refusals := make(map[string]uint64, nRefusals)
+	for i, name := range refusalNames {
+		refusals[name] = s.counts.refusals[i].Load()
+	}
 	return StatsResponse{
 		LiveSessions:    int(s.pool.live.Load()),
 		SessionCapacity: s.pool.Capacity(),
@@ -301,6 +314,8 @@ func (s *Server) stats() StatsResponse {
 		SessionsResumed: s.counts.sessionsResumed.Load(),
 		InFlight:        s.inFlight.Load(),
 		OpCounts:        ops,
+		Stages:          s.stages.Snapshot(),
+		Refusals:        refusals,
 		Shards:          shards,
 		Ingest:          s.intake.Snapshot(),
 		Replication:     s.replication.Stats(),

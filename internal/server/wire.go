@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/ingest"
+	"repro/internal/metric"
 	"repro/internal/postmortem"
 	"repro/internal/replica"
 )
@@ -203,6 +204,12 @@ type StatsResponse struct {
 	// OpCounts are cumulative request counts per endpoint, keyed by op
 	// name (get_run, put_run, query, compare, harvest, diagnose, ...).
 	OpCounts map[string]uint64 `json:"op_counts"`
+	// Stages is the time each stage of a request took, by op and stage
+	// (FORMATS.md "/statsz stages"): its count, p50 and p99.
+	Stages map[string]map[string]metric.StageStats `json:"stages"`
+	// Refusals counts refused requests by reason: degraded, write_gate,
+	// fenced, backend, ingest_busy, ingest_closed, draining.
+	Refusals map[string]uint64 `json:"refusals"`
 	// Shards carries per-shard gauges (record count, degraded flag, last
 	// recovery outcome) when the store is sharded; absent otherwise.
 	Shards []history.ShardInfo `json:"shards,omitempty"`
@@ -278,7 +285,9 @@ var (
 	)
 	queryResponseShape = history.NewShape(
 		history.Field("app", func(q *QueryResponse) *string { return &q.App }, history.String),
-		history.Field("hits", func(q *QueryResponse) *[]QueryHit { return &q.Hits }, history.ArrayOf(queryHitShape.Value())),
+		// A hit takes 300 to 400 bytes of a canonical body: reserving one per
+		// 320 spares the client's decode the hits' regrowth.
+		history.Field("hits", func(q *QueryResponse) *[]QueryHit { return &q.Hits }, history.PresizedArrayOf(queryHitShape.Value(), 320)),
 	).SizedBy(func(q *QueryResponse) int {
 		n := len(q.App) + 64
 		for i := range q.Hits {
