@@ -191,11 +191,12 @@ fuzz:
 	done
 
 # The wire codec's benchmarks, each against encoding/json: a record's
-# encode and decode, a put body through the handler, a query response, a
-# directive set's round trip, a sample batch and a trace file. One
-# package at a time (-p 1), so that no two run side by side.
+# encode and decode, a put body through the handler, a get through the
+# handler (the stored bytes beside the encode they replace), a query
+# response, a directive set's round trip, a sample batch and a trace
+# file. One package at a time (-p 1), so that no two run side by side.
 codec-bench:
-	$(GO) test -p 1 -run '^$$' -bench 'Record(En|De)code|PutBody|QueryResponse(En|De)code|DirectiveRoundTrip|Samples(En|De)code|ReadTrace' \
+	$(GO) test -p 1 -run '^$$' -bench 'Record(En|De)code|PutBody|GetRun|QueryResponse(En|De)code|DirectiveRoundTrip|Samples(En|De)code|ReadTrace' \
 		-benchmem -count 5 ./internal/history/ ./internal/server/ ./internal/ingest/ ./internal/postmortem/
 
 # A diagnosis session in process, without the wire and the store: the

@@ -275,9 +275,9 @@ func TestOutdentMatchesReplaceAll(t *testing.T) {
 // FuzzCanonicalRecordBytes: whatever the checking decode accepts as
 // canonical is byte for byte EncodeRecord of the record it returns, and
 // that record is ParseRecord's of those bytes — for a put body at depth
-// 0, and for the same bytes as a batch element at depth 2, outdented,
-// through either batch decoder. And the decode reads what encoding/json
-// reads, to the same records.
+// 0, for a stored file (decodeStored), and for the same bytes as a batch
+// element at depth 2, outdented, through either batch decoder. And the
+// decode reads what encoding/json reads, to the same records.
 func FuzzCanonicalRecordBytes(f *testing.F) {
 	for _, rec := range append(codecFixed()[2:], sampleRecord("r1"), corpusShapedRecord("small", 7), variantRecord()) {
 		canonical := EncodeRecord(rec)
@@ -307,6 +307,15 @@ func FuzzCanonicalRecordBytes(f *testing.F) {
 		if err == nil && e.data != nil {
 			checkEncoded(t, "depth 0", e)
 			checkOutdent(t, e.data)
+		}
+		// A stored file is summed, and then sent as it is, only on this
+		// verdict: it must mean the file is the record's encoding, and it
+		// is the put body's check of the same bytes, whole.
+		if rec, canonical, err := decodeStored(data); err == nil {
+			put := e.data != nil && bytes.Equal(e.data, data)
+			if canonical && !bytes.Equal(data, EncodeRecord(rec)) || canonical != put {
+				t.Fatalf("decodeStored's canonical verdict is %v, the put body's %v", canonical, put)
+			}
 		}
 		body := []byte(batchHead + string(data) + batchTail)
 		recs, err := DecodePutBatch(body)

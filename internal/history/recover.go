@@ -163,8 +163,8 @@ func planRecovery(dir string, wal bool) (*recoveryPlan, error) {
 	}
 	var misnamed []scannedRecord
 	for _, e := range entries {
-		rec, err := decodeRecord(e.Data)
-		f := scannedRecord{name: e.Name, rec: rec, data: e.Data}
+		rec, canonical, err := decodeStored(e.Data)
+		f := scannedRecord{name: e.Name, rec: rec, data: e.Data, canonical: canonical}
 		switch {
 		case err != nil:
 			broken = append(broken, ScanIssue{Name: e.Name, Err: err})

@@ -654,6 +654,15 @@ func (s *ShardedStore) Load(app, version, runID string) (rec *RunRecord, err err
 	return rec, err
 }
 
+// LoadStored routes the read as Load does. A shard a follower serves
+// answers with the record only, for the caller to encode.
+func (s *ShardedStore) LoadStored(app, version, runID string) (rec *RunRecord, data []byte, err error) {
+	err = s.routed(s.route(app, version), "get", false,
+		func(st *Store) (err error) { rec, data, err = st.LoadStored(app, version, runID); return err },
+		func(r ShardReplica) (err error) { rec, err = r.Load(app, version, runID); return err })
+	return rec, data, err
+}
+
 // Delete routes the delete to the shard owning (app, version). Like
 // Save, a down shard's delete goes to the promoted follower when write
 // failover is enabled.

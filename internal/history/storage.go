@@ -18,6 +18,13 @@ type Storage interface {
 	PutBatch(recs []*RunRecord) (int, error)
 	// Load reads one record by app, version and run id.
 	Load(app, version, runID string) (*RunRecord, error)
+	// LoadStored is Load plus the bytes the record is stored under — its
+	// canonical encoding, read back from its file — when they check out
+	// against the length and CRC-32C the index keeps beside the record.
+	// Otherwise data is nil and the caller encodes the record, which
+	// yields the same bytes: a read that cannot vouch for the file is
+	// never an error. A GET sends these bytes, not a fresh encoding.
+	LoadStored(app, version, runID string) (rec *RunRecord, data []byte, err error)
 	// Delete removes one record.
 	Delete(app, version, runID string) error
 	// Keys returns every indexed record key in (app, version, run id)

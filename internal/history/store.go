@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,7 +28,10 @@ import (
 // LoadAll and Query are shared with the index and must be treated as
 // read-only; the store interns one decoded copy per record, which also
 // makes pointer identity usable as record identity downstream (the
-// directive harvest cache keys on it).
+// directive harvest cache keys on it). Beside each record the index
+// keeps the sum of the bytes its file holds, when those are its
+// canonical encoding, so that LoadStored can hand those bytes out
+// instead of encoding the record again.
 type Store struct {
 	backend Backend
 
@@ -38,7 +42,7 @@ type Store struct {
 	walMu sync.Mutex
 
 	mu       sync.RWMutex
-	recs     map[RecordKey]*RunRecord
+	recs     map[RecordKey]indexed
 	issues   []ScanIssue
 	recovery *RecoveryReport
 
@@ -215,31 +219,65 @@ func (s *Store) Refresh() error {
 	}
 	found := make([]scannedRecord, 0, len(entries))
 	for _, e := range entries {
-		rec, err := decodeRecord(e.Data)
+		rec, canonical, err := decodeStored(e.Data)
 		if err != nil {
 			issues = append(issues, ScanIssue{Name: e.Name, Err: err})
 			continue
 		}
-		found = append(found, scannedRecord{name: e.Name, rec: rec})
+		found = append(found, scannedRecord{name: e.Name, rec: rec, data: e.Data, canonical: canonical})
 	}
 	s.setIndex(found, issues)
 	return nil
 }
 
 // scannedRecord is one decodable entry of a scan: the decoded record, the
-// name it was stored under and, in a recovery plan, the bytes it was
-// decoded from (the plan's broken files have no rec).
+// name it was stored under, the bytes it was decoded from and whether
+// they are its canonical encoding (the plan's broken files have no rec).
 type scannedRecord struct {
-	name string
-	rec  *RunRecord
-	data []byte
+	name      string
+	rec       *RunRecord
+	data      []byte
+	canonical bool
 }
 
-// setIndex replaces the index with a scan's outcome.
+// indexed is one record of the index: the decoded copy every read hands
+// out, and the sum of its file's bytes.
+type indexed struct {
+	rec *RunRecord
+	sum fileSum
+}
+
+// fileSum is the length and CRC-32C of a record file's bytes, kept only
+// when they are the record's canonical encoding — the bytes EncodeRecord
+// would write. The zero value vouches for nothing: a file found in
+// another spelling (hand-written, compact, legacy) is served encoded.
+type fileSum struct {
+	n   int
+	crc uint32
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sumOf sums data, a record's canonical encoding.
+func sumOf(data []byte) fileSum {
+	return fileSum{n: len(data), crc: crc32.Checksum(data, castagnoli)}
+}
+
+// holds reports whether data are the bytes f was taken of.
+func (f fileSum) holds(data []byte) bool {
+	return f.n > 0 && len(data) == f.n && crc32.Checksum(data, castagnoli) == f.crc
+}
+
+// setIndex replaces the index with a scan's outcome, summing each file
+// that holds its record's canonical encoding.
 func (s *Store) setIndex(found []scannedRecord, issues []ScanIssue) {
-	recs := make(map[RecordKey]*RunRecord, len(found))
+	recs := make(map[RecordKey]indexed, len(found))
 	for _, f := range found {
-		recs[f.rec.Key()] = f.rec
+		ent := indexed{rec: f.rec}
+		if f.canonical {
+			ent.sum = sumOf(f.data)
+		}
+		recs[f.rec.Key()] = ent
 	}
 	s.mu.Lock()
 	s.recs = recs
@@ -257,22 +295,33 @@ func (s *Store) ScanIssues() []ScanIssue {
 	return out
 }
 
-// decodeRecord decodes and validates one encoded record — the check
-// every byte read from disk or the network passes before it is served.
-// The codec's strict decoder reads what this tree writes; anything it
-// bails on is encoding/json's to decode or to refuse.
-func decodeRecord(data []byte) (*RunRecord, error) {
-	rec, ok := ParseRecord(data)
-	if !ok {
-		rec = &RunRecord{}
+// decodeStored decodes and validates one encoded record — the check
+// every byte read from disk or the network passes before it is served —
+// and says whether data is the record's canonical encoding, byte for
+// byte: the verdict DecodePut reads a put body with. The codec's strict
+// decoder reads what this tree writes; anything it bails on is
+// encoding/json's to decode or to refuse, and not canonical.
+func decodeStored(data []byte) (rec *RunRecord, canonical bool, err error) {
+	d := Decoder{data: data, canon: true}
+	rec = &RunRecord{}
+	RecordShape.Decode(&d, rec)
+	canonical = d.canon && !d.bad && d.pos == len(data) && data[0] == '{'
+	if !d.End() {
+		canonical, rec = false, &RunRecord{}
 		if err := json.Unmarshal(data, rec); err != nil {
-			return nil, fmt.Errorf("history: unmarshal: %w", err)
+			return nil, false, fmt.Errorf("history: unmarshal: %w", err)
 		}
 	}
 	if err := rec.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return rec, nil
+	return rec, canonical, nil
+}
+
+// decodeRecord is decodeStored without the verdict.
+func decodeRecord(data []byte) (*RunRecord, error) {
+	rec, _, err := decodeStored(data)
+	return rec, err
 }
 
 // mutation is one store write ready to commit: the journal entry —
@@ -283,13 +332,16 @@ func decodeRecord(data []byte) (*RunRecord, error) {
 type mutation struct {
 	WALEntry
 	rec *RunRecord
+	sum fileSum // of Data, when it is rec's canonical encoding
 }
 
 // mutation validates e's record and takes it for the index as it is,
 // with the bytes it came with or else the one EncodeRecord that fixes
 // its file bytes. Either way the record equals what decoding those bytes
 // would yield (Validate admits nothing the encoder would rewrite or
-// could not spell), so they are never decoded again on this node.
+// could not spell), so they are never decoded again on this node; and
+// either way they are canonical, so they are summed here, outside the
+// commit's lock.
 func (e Encoded) mutation() (mutation, error) {
 	if err := e.rec.Validate(); err != nil {
 		return mutation{}, err
@@ -298,6 +350,7 @@ func (e Encoded) mutation() (mutation, error) {
 	if m.Data == nil {
 		m.Data = EncodeRecord(e.rec)
 	}
+	m.sum = sumOf(m.Data)
 	return m, nil
 }
 
@@ -327,14 +380,21 @@ func StoredEntry(rec *RunRecord) WALEntry {
 // of bytes that arrived already encoded: decoded by the codec, validated,
 // and refused when it identifies as another key than the entry's.
 func (e WALEntry) Record() (*RunRecord, error) {
-	rec, err := decodeRecord(e.Data)
+	rec, _, err := e.stored()
+	return rec, err
+}
+
+// stored is Record, saying too whether e.Data is the record's canonical
+// encoding.
+func (e WALEntry) stored() (*RunRecord, bool, error) {
+	rec, canonical, err := decodeStored(e.Data)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if rec.Key() != e.Key() {
-		return nil, fmt.Errorf("record identifies as %s", rec.Key())
+		return nil, false, fmt.Errorf("record identifies as %s", rec.Key())
 	}
-	return rec, nil
+	return rec, canonical, nil
 }
 
 // putMutations builds a batch's mutations, validating every record
@@ -364,12 +424,17 @@ func deleteMutation(key RecordKey) mutation {
 // journaledMutation builds the mutation an entry that arrived already
 // encoded — replicated or handed over from a primary, or read back from
 // the journal — stands for. Its bytes came from outside this process, so
-// a put's payload passes Record first.
+// a put's payload passes Record first, and is summed only when it is the
+// record's canonical encoding.
 func journaledMutation(e WALEntry) (mutation, error) {
 	switch e.Op {
 	case walOpPut:
-		rec, err := e.Record()
-		return mutation{WALEntry: e, rec: rec}, err
+		rec, canonical, err := e.stored()
+		m := mutation{WALEntry: e, rec: rec}
+		if canonical {
+			m.sum = sumOf(e.Data)
+		}
+		return m, err
 	case walOpDelete:
 		return mutation{WALEntry: e}, nil
 	}
@@ -533,7 +598,7 @@ func (s *Store) commit(ms []mutation, mode commitMode) (wrote int, err error) {
 	s.mu.Lock()
 	for _, m := range ms[:done] {
 		if m.rec != nil {
-			s.recs[m.Key()] = m.rec
+			s.recs[m.Key()] = indexed{rec: m.rec, sum: m.sum}
 		} else {
 			delete(s.recs, m.Key())
 		}
@@ -582,7 +647,8 @@ func (s *Store) preImage(key RecordKey) mutation {
 	if !ok {
 		return deleteMutation(key)
 	}
-	return mutation{WALEntry: StoredEntry(prev), rec: prev}
+	e := StoredEntry(prev.rec)
+	return mutation{WALEntry: e, rec: prev.rec, sum: sumOf(e.Data)}
 }
 
 // Save writes (or overwrites) a record — a batch of one. The index
@@ -613,35 +679,68 @@ func (s *Store) PutEncoded(recs []Encoded) (int, error) {
 // Load reads one record by app, version and run id. The returned record
 // is shared with the index: treat it as read-only.
 func (s *Store) Load(app, version, runID string) (*RunRecord, error) {
+	ent, err := s.entry(RecordKey{App: app, Version: version, RunID: runID})
+	return ent.rec, err
+}
+
+// LoadStored is Load plus the bytes the record's file holds, when they
+// are its canonical encoding: read outside the index lock, and handed
+// out only if their length and CRC-32C match the sum the index keeps
+// beside the record. Otherwise data is nil and the caller encodes rec,
+// which yields what those bytes would have been: for a file found in
+// another spelling (no sum), a failed read, a file removed or rewritten
+// behind the store's back, or an overwrite racing the read. None of
+// those is an error — a read that serves the index copy instead does
+// not fail, and feeds no breaker. A miss is Load's.
+func (s *Store) LoadStored(app, version, runID string) (rec *RunRecord, data []byte, err error) {
 	key := RecordKey{App: app, Version: version, RunID: runID}
+	ent, err := s.entry(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ent.sum.n > 0 {
+		if b, err := s.backend.Get(key); err == nil && ent.sum.holds(b) {
+			data = b
+		}
+	}
+	return ent.rec, data, nil
+}
+
+// entry is key's index entry. A key not indexed falls through to the
+// backend, for a record written behind the store's back since the last
+// Refresh, which is indexed with the sum of the bytes just decoded when
+// they are canonical.
+func (s *Store) entry(key RecordKey) (indexed, error) {
 	s.mu.RLock()
-	rec, ok := s.recs[key]
+	ent, ok := s.recs[key]
 	s.mu.RUnlock()
 	if ok {
-		return rec, nil
+		return ent, nil
 	}
-	// Not indexed: fall through to the backend for records written
-	// behind the store's back since the last Refresh.
 	data, err := s.backend.Get(key)
 	if err != nil {
-		return nil, asBackendError("get", err)
+		return indexed{}, asBackendError("get", err)
 	}
-	rec, err = decodeRecord(data)
+	rec, canonical, err := decodeStored(data)
 	if err != nil {
-		return nil, err
+		return indexed{}, err
 	}
 	if rec.Key() != key {
 		// Identity comes from the content, not the file name.
-		return nil, fmt.Errorf("history: load %s: record identifies as %s", key, rec.Key())
+		return indexed{}, fmt.Errorf("history: load %s: record identifies as %s", key, rec.Key())
+	}
+	ent = indexed{rec: rec}
+	if canonical {
+		ent.sum = sumOf(data)
 	}
 	s.mu.Lock()
 	if prev, ok := s.recs[key]; ok {
-		rec = prev // another goroutine indexed it first; keep one copy
+		ent = prev // another goroutine indexed it first; keep one copy
 	} else {
-		s.recs[key] = rec
+		s.recs[key] = ent
 	}
 	s.mu.Unlock()
-	return rec, nil
+	return ent, nil
 }
 
 // Delete removes one record from the backend and the index.
@@ -833,7 +932,7 @@ func (s *Store) LoadAll(app, version string) ([]*RunRecord, error) {
 	sortKeys(keys)
 	out := make([]*RunRecord, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, s.recs[k])
+		out = append(out, s.recs[k].rec)
 	}
 	s.mu.RUnlock()
 	return out, nil

@@ -268,3 +268,51 @@ func TestFollowerAckRewritesNoFile(t *testing.T) {
 		t.Fatalf("long POSITION rewritten by a pull: restarted at %d, want %d", got, last+1)
 	}
 }
+
+// TestStoredEntryShipsFileBytes: the follower's load and loadall ops
+// ship a record under the bytes its file holds, read from disk, when
+// they check out against the index — and under the record's encoding,
+// the same bytes, when the file was rewritten behind the store's back or
+// the record handed out has since been overwritten.
+func TestStoredEntryShipsFileBytes(t *testing.T) {
+	faults := history.NewFaults(history.FaultConfig{Seed: 1})
+	st, err := history.OpenStoreDurable(t.TempDir(), history.DurableOptions{
+		Create: true, WAL: true, Faults: func(int) *history.Faults { return faults },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Save(rec("poisson", "A", "r1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := st.Load("poisson", "A", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := st.Backend().Get(first.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := faults.Counters().Ops
+	if e := storedEntry(st, first); !slices.Equal(e.Data, file) || e.Key() != first.Key() || e.Op != history.WALOpPut {
+		t.Errorf("stored entry = %s %s, %d bytes; want the put of the record file's %d", e.Op, e.Key(), len(e.Data), len(file))
+	}
+	if n := faults.Counters().Ops - ops; n != 1 {
+		t.Errorf("the stored entry took %d disk calls, want the one read of the record file", n)
+	}
+
+	if err := st.Save(rec("poisson", "A", "r1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if e := storedEntry(st, first); !slices.Equal(e.Data, history.StoredEntry(first).Data) {
+		t.Error("a record overwritten since it was handed out shipped the new file's bytes")
+	}
+	second, _ := st.Load("poisson", "A", "r1")
+	if err := st.Backend().Put(second.Key(), history.EncodeRecord(first)); err != nil {
+		t.Fatal(err)
+	}
+	if e := storedEntry(st, second); !slices.Equal(e.Data, history.StoredEntry(second).Data) {
+		t.Error("a record whose file was rewritten behind the store's back shipped the file")
+	}
+}

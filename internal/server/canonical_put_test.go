@@ -17,13 +17,14 @@ import (
 
 // putTarget is a pcd serving one store shape, and where a record's bytes
 // land: its record file, its latest journal frame, and — behind a write
-// gate — the follower's record file.
+// gate — the follower's record file and store.
 type putTarget struct {
 	url      string
 	stored   func(t *testing.T, k history.RecordKey) (file, frame []byte)
 	follower func(t *testing.T, k history.RecordKey) []byte
 	acks     func(t *testing.T) uint64
 	gate     *replica.GatedStorage
+	folStore *history.Store
 }
 
 // storedBytes reads key's record file and latest journal frame off st.
@@ -117,8 +118,9 @@ var putTargets = map[string]func(t *testing.T) putTarget{
 				}
 				return data
 			},
-			acks: func(t *testing.T) uint64 { return node.Stats().QuorumAcks },
-			gate: gate,
+			acks:     func(t *testing.T) uint64 { return node.Stats().QuorumAcks },
+			gate:     gate,
+			folStore: fst,
 		}
 	},
 }

@@ -16,7 +16,9 @@ import (
 // TestStatszStages: every stage /statsz promises is timed once its
 // request has run — a put, a get, a query, a diagnosis and a stream
 // against a journaled store — and each refusal is counted under its
-// reason, all reasons reported from the start.
+// reason, all reasons reported from the start. A get that sends the
+// record's stored bytes has no encode stage; one whose file is gone
+// behind the store's back encodes the index copy, and times that.
 func TestStatszStages(t *testing.T) {
 	st, err := history.OpenStoreDurable(t.TempDir(), history.DurableOptions{Create: true, WAL: true})
 	if err != nil {
@@ -60,7 +62,7 @@ func TestStatszStages(t *testing.T) {
 	for op, stages := range map[string][]string{
 		"put_run":  {"read", "decode", "write"},
 		"commit":   {"gate", "journal", "stage", "publish"},
-		"get_run":  {"read", "encode"},
+		"get_run":  {"read"},
 		"query":    {"read", "encode"},
 		"diagnose": {"wait", "session", "encode"},
 		"stream":   {"decode", "feed", "finalize", "save"},
@@ -75,6 +77,21 @@ func TestStatszStages(t *testing.T) {
 	// The put and the stream's end both commit, each once.
 	if n := stats.Stages["commit"]["journal"].Count; n != 2 {
 		t.Errorf("commit/journal ran %d times, want 2 (the put and the stream's save)", n)
+	}
+	if row, ok := stats.Stages["get_run"]["encode"]; ok {
+		t.Errorf("stages[get_run][encode] = %+v after a get of a stored record, want no row", row)
+	}
+	if err := st.Backend().Delete(rec.Key()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.GetRun(ctx, "stages", "A:r1"); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err = cl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if row := stats.Stages["get_run"]["encode"]; row.Count != 1 || row.P50US <= 0 {
+		t.Errorf("stages[get_run][encode] = %+v after a get whose file is gone, want one timed sample", row)
 	}
 
 	srv.BeginDrain()
