@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench commit-bench clean
 
 all: build vet test
 
@@ -95,7 +95,8 @@ killrestart:
 	$(GO) test -race -run 'TestKillRestart' -v .
 
 # Every crash point of one commit: Save, overwrite, Delete, PutBatch(3)
-# and a PutBatch(3) that rotates the journal on a durable store; at every
+# and a PutBatch(3) that rotates the journal on a durable store, each
+# once creating its record files and once staging them into spares; at every
 # boundary of the commit (inside each journal frame, after the journal
 # sync, after each staged file, after each rename, before the directory
 # sync, after the next segment is created and after the closed one is
@@ -205,6 +206,14 @@ codec-bench:
 # binaries; pairs/op must not move.
 session-bench:
 	$(GO) test -run '^$$' -bench DiagnoseSession -benchmem -count 5 ./internal/harness/
+
+# A commit's disk work in process, without the wire: k=1 and k=8 records
+# of the corpus's mean size at SyncAlways, as a put and as a follower's
+# apply, back to back and idle (a closed-loop client's gap before each,
+# when a store makes its spare record files). On tmpfs a create and an
+# fsync cost nothing: point TMPDIR at the disk a store lives on.
+commit-bench:
+	$(GO) test -run '^$$' -bench '^Benchmark(Commit|ApplyRun)$$' -benchtime 300x -count 5 ./internal/history/
 
 clean:
 	$(GO) clean -testcache

@@ -16,6 +16,7 @@ import (
 type fsys interface {
 	CreateExcl(path string) (file, error) // a new file, write-only; fails if path exists
 	CreateTemp(dir, pattern string) (file, error)
+	OpenWrite(path string) (file, error)  // an existing file, write-only
 	OpenAppend(path string) (file, error) // write-only, appending, created when absent
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
@@ -43,6 +44,8 @@ func (osFS) CreateExcl(path string) (file, error) {
 }
 
 func (osFS) CreateTemp(dir, pattern string) (file, error) { return os.CreateTemp(dir, pattern) }
+
+func (osFS) OpenWrite(path string) (file, error) { return os.OpenFile(path, os.O_WRONLY, 0) }
 
 func (osFS) OpenAppend(path string) (file, error) {
 	return os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -113,7 +116,13 @@ func stageFile(fs fsys, dir, tmpPattern string, data []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, err = tmp.Write(data)
+	return writeStaged(fs, tmp, data)
+}
+
+// writeStaged is stageFile past the create: data into tmp, an empty file
+// open for writing, which is closed, and removed on failure.
+func writeStaged(fs fsys, tmp file, data []byte) (string, error) {
+	_, err := tmp.Write(data)
 	if err == nil {
 		err = tmp.Chmod(0o644)
 	}

@@ -431,10 +431,12 @@ func TestCommitMatrix(t *testing.T) {
 						st.wal.SetOnAppend(func(uint64, []byte) { shipped++ })
 						journaled := st.wal.size
 
+						quiesce(st)
 						fs := newTestFS(t, dir)
 						fs.install(fb, st.wal)
 						failure.arm(fs, st, kind.runs[failure.at])
 						wrote, err := kind.do(st)
+						quiesce(st)
 						fs.before = nil
 
 						failed := failure.fails && !(kind.wantMiss && failure.sparesMiss)
@@ -489,7 +491,7 @@ func TestCommitMatrix(t *testing.T) {
 								t.Error("record files lag the journal, yet the journal still compacts")
 							}
 						}
-						if tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp")); len(tmps) != 0 {
+						if tmps := tempsIn(t, dir); len(tmps) != 0 {
 							t.Errorf("the commit left staged files behind: %v", tmps)
 						}
 						if failure.rotates {
@@ -558,8 +560,7 @@ func TestApplyRunStopsAtEntryThatDoesNotCheckOut(t *testing.T) {
 			t.Errorf("wrapped=%v: store holds %v, want %s only", wrapped, keys, run[0].Key())
 		}
 		names, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-		tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp"))
-		if len(names) != 1 || len(tmps) != 0 {
+		if tmps := tempsIn(t, dir); len(names) != 1 || len(tmps) != 0 {
 			t.Errorf("wrapped=%v: record files %v, staged files %v; want r1's file only", wrapped, names, tmps)
 		}
 	}

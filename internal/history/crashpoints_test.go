@@ -60,18 +60,26 @@ func TestCrashPoints(t *testing.T) {
 		_, err := st.PutBatch([]*RunRecord{sampleRecord("r8"), changed, sampleRecord("r9")})
 		return err
 	}
-	ops := []struct {
-		name string
-		wal  WALOptions
-		do   func(st *Store) error
-		runs []string // the run ids its mutations touch, in order
-	}{
-		{"save", WALOptions{}, func(st *Store) error { return st.Save(sampleRecord("r9")) }, []string{"r9"}},
-		{"overwrite", WALOptions{}, func(st *Store) error { return st.Save(changed) }, []string{"r1"}},
-		{"delete", WALOptions{}, func(st *Store) error { return st.Delete("poisson", "A", "r1") }, []string{"r1"}},
-		{"batch of 3", WALOptions{}, batch, []string{"r8", "r1", "r9"}},
+	type crashOp struct {
+		name   string
+		wal    WALOptions
+		do     func(st *Store) error
+		runs   []string // the run ids its mutations touch, in order
+		spares bool     // the store holds spares when the operation starts
+	}
+	ops := []crashOp{
+		{"save", WALOptions{}, func(st *Store) error { return st.Save(sampleRecord("r9")) }, []string{"r9"}, false},
+		{"overwrite", WALOptions{}, func(st *Store) error { return st.Save(changed) }, []string{"r1"}, false},
+		{"delete", WALOptions{}, func(st *Store) error { return st.Delete("poisson", "A", "r1") }, []string{"r1"}, false},
+		{"batch of 3", WALOptions{}, batch, []string{"r8", "r1", "r9"}, false},
 		// Segments too small for two frames: the group rotates the journal.
-		{"batch across a rotation", WALOptions{SegmentBytes: 64}, batch, []string{"r8", "r1", "r9"}},
+		{"batch across a rotation", WALOptions{SegmentBytes: 64}, batch, []string{"r8", "r1", "r9"}, false},
+	}
+	// Each again on a store that holds spares: its files are staged into
+	// them, and a crash leaves the rest behind for the open to sweep.
+	for _, op := range ops {
+		op.name, op.spares = op.name+" over spares", true
+		ops = append(ops, op)
 	}
 	modes := []struct{ name, dir string }{{"process death", "death"}, {"power loss", "power"}}
 	explored, graded, done := map[string]int{}, map[string]int{}, map[string]int{}
@@ -82,11 +90,21 @@ func TestCrashPoints(t *testing.T) {
 			// Recorded from here, so a power loss also forgets what the
 			// setup left unsynced: the rotation case discards its segment.
 			fs := newTestFS(t, dir)
-			fs.install(st.Backend().(*FSBackend), st.wal)
+			fb := st.Backend().(*FSBackend)
+			fs.install(fb, st.wal)
 			for _, run := range []string{"r1", "r2"} {
 				if err := st.Save(sampleRecord(run)); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// The set-up's commits filled the pool: at least half of it is
+			// left once its burst is over. Without spares it is closed, and
+			// the operation creates its files.
+			if n := spareCount(fb); n < spareFiles/2 {
+				t.Fatalf("the pool holds %d spares, want at least %d", n, spareFiles/2)
+			}
+			if !op.spares {
+				fb.closeSpares()
 			}
 			// The universe of keys, and each one's bytes (nil: absent) on
 			// either side of the operation.
@@ -147,8 +165,12 @@ func TestCrashPoints(t *testing.T) {
 			if err := op.do(st); err != nil {
 				t.Fatal(err)
 			}
+			fb.spares.settle() // a burst the commit's end started makes no call amid the image
 			crash("at the acknowledgement")
 			fs.before, fs.after = nil, nil
+			if left, _ := filepath.Glob(filepath.Join(dir, ".put-*.tmp")); op.spares != (len(left) > 0) {
+				t.Errorf("spares %t, yet the acknowledged store holds %d", op.spares, len(left))
+			}
 			post := image()
 			st.Close()
 

@@ -101,8 +101,10 @@ type FaultCounters struct {
 // kind on that name. The stable name is the path below the store, except
 // for a CreateTemp file, whose path is random: there it is its directory
 // and a hash of its first write's bytes, and its create is drawn at that
-// write. So the files a commit stages on several goroutines draw the same
-// faults however those are scheduled. Counts are kept for every name
+// write; nothing before it is drawn for — a spare's reopen, or its
+// removal unused. So the files a commit stages on several goroutines
+// draw the same faults however those are scheduled, and whether each was
+// created for the commit or made ahead as a spare. Counts are kept for every name
 // drawn for: an injector is for test and chaos runs.
 type Faults struct {
 	osFS   // mkdir, and a file's mode, truncate, seek and close, pass through
@@ -124,8 +126,8 @@ type faultHook interface {
 	onFault(op fsOp, name string, n uint64)
 }
 
-// fsOp is one call through the seam — create, createtemp, write, sync,
-// rename, remove, syncdir or read — and its path: a file's own for a
+// fsOp is one call through the seam — create, createtemp, open, write,
+// sync, rename, remove, syncdir or read — and its path: a file's own for a
 // file's call and, once it succeeded, an open's; to is a rename's new one.
 type fsOp struct{ kind, path, to string }
 
@@ -208,7 +210,7 @@ func (fs *Faults) decide(op fsOp, data []byte) (time.Duration, error) {
 	}
 	name, temp := fs.temps[op.path]
 	switch {
-	case fs.root == "" || op.kind == "createtemp":
+	case fs.root == "" || op.kind == "createtemp" || temp && name == "" && op.kind != "write":
 		return 0, nil
 	case !temp:
 		name = op.path
@@ -290,6 +292,10 @@ func (fs *Faults) CreateExcl(path string) (file, error) {
 
 func (fs *Faults) CreateTemp(dir, pattern string) (file, error) {
 	return fs.open(fsOp{kind: "createtemp", path: filepath.Join(dir, pattern)}, func() (file, error) { return fs.osFS.CreateTemp(dir, pattern) })
+}
+
+func (fs *Faults) OpenWrite(path string) (file, error) {
+	return fs.open(fsOp{kind: "open", path: path}, func() (file, error) { return fs.osFS.OpenWrite(path) })
 }
 
 func (fs *Faults) OpenAppend(path string) (file, error) {

@@ -26,14 +26,19 @@ func faultedStore(t *testing.T, dir string, cfg FaultConfig) (*Store, *Faults) {
 	return st, faults
 }
 
-// tempsIn lists the staged files left in a store's record directory.
+// tempsIn lists the staged files left in a store's record directory:
+// the temp files that hold bytes. An empty one is a spare, made ahead of
+// a commit's need (sparePool).
 func tempsIn(t *testing.T, dir string) []string {
 	t.Helper()
 	tmps, err := filepath.Glob(filepath.Join(dir, ".put-*.tmp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tmps
+	return slices.DeleteFunc(tmps, func(tmp string) bool {
+		fi, err := os.Stat(tmp)
+		return err != nil || fi.Size() == 0
+	})
 }
 
 // TestFaultsDeterministic proves two injectors with the same seed inject
@@ -171,12 +176,15 @@ func TestFaultsSetConfig(t *testing.T) {
 }
 
 // TestFaultsKeyedUnderConcurrency: the schedule depends on the seed, not
-// on goroutine timing. The same PutBatch calls, each staging more
-// records than there are stagers, run twice per seed, and the faults
-// fired — (call, stable name, n) — are the same both times, as are the
-// outcomes. Under -race this also holds the injector's locking.
+// on goroutine timing, nor on whether a commit's files are spares or
+// created for it. The same PutBatch calls, each staging more records than
+// there are stagers and one more than a pool of spares holds, run three
+// times per seed — twice with the pool closed, once with spares made
+// before each batch — and the faults fired — (call, stable name, n) — are
+// the same every time, as are the outcomes. Under -race this also holds
+// the injector's locking.
 func TestFaultsKeyedUnderConcurrency(t *testing.T) {
-	run := func(seed int64) (fired, outcomes []string) {
+	run := func(seed int64, spares bool) (fired, outcomes []string) {
 		dir := t.TempDir()
 		fs := newTestFS(t, dir)
 		st := openDurable(t, dir, DurableOptions{
@@ -184,13 +192,16 @@ func TestFaultsKeyedUnderConcurrency(t *testing.T) {
 			Faults:     func(int) *Faults { return fs.Faults },
 		})
 		defer st.Close()
+		if !spares {
+			st.fsBackend().closeSpares()
+		}
+		fs.cfg.Seed = seed // SetConfig keeps the injector's seed
 		fs.SetConfig(FaultConfig{ErrRate: 0.03, TornWriteRate: 0.03, ENOSPCRate: 0.01})
 		for b := 0; b < 6; b++ {
-			batch := make([]*RunRecord, 2*stageWorkers+1)
-			for i := range batch {
-				batch[i] = sampleRecord(fmt.Sprintf("b%d-r%d", b, i))
+			if n := spareCount(st.fsBackend()); spares && b > 0 && n == 0 {
+				t.Fatalf("seed %d: no spare made before batch %d", seed, b)
 			}
-			n, err := st.PutBatch(batch)
+			n, err := st.PutBatch(batchOf(fmt.Sprintf("b%d-r", b), max(2*stageWorkers, spareFiles)+1))
 			outcomes = append(outcomes, fmt.Sprintf("%d %t", n, err != nil))
 		}
 		fired = slices.Clone(fs.fired)
@@ -198,13 +209,15 @@ func TestFaultsKeyedUnderConcurrency(t *testing.T) {
 		return fired, outcomes
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		fired, outcomes := run(seed)
-		again, outcomesAgain := run(seed)
+		fired, outcomes := run(seed, false)
 		if len(fired) == 0 {
 			t.Errorf("seed %d: no fault fired; the schedule proves nothing", seed)
 		}
-		if !reflect.DeepEqual(fired, again) || !slices.Equal(outcomes, outcomesAgain) {
-			t.Errorf("seed %d: two runs drew differently:\n%v %v\n%v %v", seed, fired, outcomes, again, outcomesAgain)
+		for _, spares := range []bool{false, true} {
+			again, outcomesAgain := run(seed, spares)
+			if !reflect.DeepEqual(fired, again) || !slices.Equal(outcomes, outcomesAgain) {
+				t.Errorf("seed %d, spares %t: two runs drew differently:\n%v %v\n%v %v", seed, spares, fired, outcomes, again, outcomesAgain)
+			}
 		}
 	}
 }

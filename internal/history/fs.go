@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // FSBackend stores one JSON file per record in a directory.
@@ -23,6 +24,9 @@ import (
 type FSBackend struct {
 	dir string
 	fs  fsys
+	// spares is a journaled store's pool of record files made ahead of
+	// need; nil for any other directory, whose stages create their files.
+	spares *sparePool
 }
 
 // NewFSBackend opens (creating if needed) a record directory.
@@ -76,9 +80,15 @@ func fileName(key RecordKey) string {
 // the directory fsync that makes renames and removals durable.
 
 // stage writes one record's bytes to a unique temp file beside the
-// records — created, written, data-fsynced, invisible to Scan and Get.
+// records — a spare when the pool has one, else one created now —,
+// data-fsynced, invisible to Scan and Get.
 func (b *FSBackend) stage(data []byte) (tmp string, err error) {
-	if tmp, err = stageFile(b.fs, b.dir, ".put-*.tmp", data); err != nil {
+	if f := b.spare(); f != nil {
+		tmp, err = writeStaged(b.fs, f, data)
+	} else {
+		tmp, err = stageFile(b.fs, b.dir, stagedName, data)
+	}
+	if err != nil {
 		return "", fmt.Errorf("history: write: %w", err)
 	}
 	return tmp, nil
@@ -129,6 +139,144 @@ func (b *FSBackend) Put(key RecordKey, data []byte) error {
 // journal; past a handful the gain is gone and the descriptors are not.
 const stageWorkers = 4
 
+// spareFiles is the most empty record files a journaled store's
+// directory keeps made ahead of need: one batch of eight. A larger pool's
+// first fill lands in a server's set-up, where nothing waits on it.
+const spareFiles = 8
+
+// spareQuiet is how long after a commit a burst waits before a create:
+// commits back to back leave no gap and create their files as before.
+const spareQuiet = 200 * time.Microsecond
+
+// stagedName is the pattern of staged record files and of spares: temp
+// files, which every open sweeps and pcfsck grades.
+const stagedName = ".put-*.tmp"
+
+// sparePool is a journaled store's spares. On ext4 a create allocates an
+// inode in the journal transaction a commit's fsync then waits on, and
+// opening a file made earlier costs next to nothing, so a commit stages
+// its records into spares, and one
+// goroutine makes more between commits: a burst once fewer than half are
+// left, which stops when a commit starts staging — a create in flight
+// holds up that commit's journal fsync. The first commit starts the
+// first burst; Close removes the spares, and a killed process leaves
+// them for the next open to sweep.
+type sparePool struct {
+	mu     sync.Mutex
+	free   []string      // made and not taken
+	busy   int           // commits staging now
+	idle   time.Time     // when the last of them ended
+	fill   chan struct{} // closed when the running burst ends; nil while none runs
+	closed bool
+}
+
+// spare takes a spare, open for writing, or nil when there is none.
+func (b *FSBackend) spare() file {
+	p := b.spares
+	if p == nil {
+		return nil
+	}
+	var name string
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		name, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if name == "" {
+		return nil
+	}
+	f, err := b.fs.OpenWrite(name)
+	if err != nil {
+		b.fs.Remove(name)
+		return nil
+	}
+	return f
+}
+
+// stagingDone ends a commit's staging; the last commit out starts a
+// burst when the pool has run low.
+func (p *sparePool) stagingDone(b *FSBackend) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.busy--
+	p.idle = time.Now()
+	if p.busy == 0 && !p.closed && p.fill == nil && len(p.free) < spareFiles/2 {
+		p.fill = make(chan struct{})
+		go b.fillSpares()
+	}
+}
+
+// fillSpares is one burst: spares are made until the pool is full, a
+// commit starts staging, a create fails or the pool closes; a spare made
+// across the close is removed before the burst ends.
+func (b *FSBackend) fillSpares() {
+	p := b.spares
+	defer func() {
+		p.mu.Lock()
+		close(p.fill)
+		p.fill = nil
+		p.mu.Unlock()
+	}()
+	for {
+		p.mu.Lock()
+		stop := p.closed || p.busy > 0 || len(p.free) >= spareFiles
+		wait := spareQuiet - time.Since(p.idle)
+		p.mu.Unlock()
+		if stop {
+			return
+		}
+		if wait > 0 {
+			time.Sleep(wait)
+			continue
+		}
+		f, err := b.fs.CreateTemp(b.dir, stagedName)
+		if err != nil {
+			return
+		}
+		name := f.Name()
+		err = f.Close()
+		p.mu.Lock()
+		if err == nil && !p.closed {
+			p.free, name = append(p.free, name), ""
+		}
+		p.mu.Unlock()
+		if name != "" {
+			b.fs.Remove(name)
+			return
+		}
+	}
+}
+
+// settle waits for the running burst, if any, to end.
+func (p *sparePool) settle() {
+	p.mu.Lock()
+	fill := p.fill
+	p.mu.Unlock()
+	if fill != nil {
+		<-fill
+	}
+}
+
+// closeSpares removes every spare, a running burst's too; the pool makes
+// none after.
+func (b *FSBackend) closeSpares() {
+	p := b.spares
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.settle()
+	p.mu.Lock()
+	free := p.free
+	p.free = nil
+	p.mu.Unlock()
+	for _, name := range free {
+		b.fs.Remove(name)
+	}
+}
+
 // staging is the record files of one commit on their way to disk: one
 // temp file per put, written while the commit's journal group is.
 type staging struct {
@@ -142,6 +290,11 @@ type staging struct {
 // stageAll starts staging the puts of ms on up to stageWorkers goroutines.
 func (b *FSBackend) stageAll(ms []mutation) *staging {
 	st := &staging{b: b, tmps: make([]string, len(ms)), errs: make([]error, len(ms))}
+	if p := b.spares; p != nil {
+		p.mu.Lock()
+		p.busy++
+		p.mu.Unlock()
+	}
 	for range min(len(ms), stageWorkers) {
 		st.wg.Add(1)
 		go func() {
@@ -172,13 +325,17 @@ func (st *staging) write(i int, m mutation) error {
 	return st.b.publish(tmp, m.Key())
 }
 
-// discard removes the staged files that were not published.
+// discard removes the staged files that were not published, ending the
+// commit's staging.
 func (st *staging) discard() {
 	st.wg.Wait()
 	for _, tmp := range st.tmps {
 		if tmp != "" {
 			st.b.fs.Remove(tmp)
 		}
+	}
+	if p := st.b.spares; p != nil {
+		p.stagingDone(st.b)
 	}
 }
 

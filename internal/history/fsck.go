@@ -179,7 +179,7 @@ func (p *recoveryPlan) findings() []FsckFinding {
 		out = append(out, FsckFinding{Severity: sev, Path: path, Problem: problem, Repair: repair})
 	}
 	for _, rel := range p.temps {
-		add(FsckResidue, rel, "orphaned atomic-write temp file (a crash or a failed rename left it unpublished)", repairRemove)
+		add(FsckResidue, rel, tempProblem(rel), repairRemove)
 	}
 	for _, a := range p.adopt {
 		if a.dup {
@@ -231,9 +231,18 @@ func (p *recoveryPlan) lists(f FsckFinding) bool {
 // files of every atomic writer under a sharded store's root.
 func fsckTempFiles(dir string, rep *FsckReport, repair bool, fs fsys) {
 	for _, rel := range leftTemp(dir, tempFiles) {
-		rep.add(FsckResidue, rel, "orphaned atomic-write temp file (a crash or a failed rename left it unpublished)",
-			repairRemove, repair && fs.Remove(filepath.Join(dir, rel)) == nil)
+		rep.add(FsckResidue, rel, tempProblem(rel), repairRemove, repair && fs.Remove(filepath.Join(dir, rel)) == nil)
 	}
+}
+
+// tempProblem says what leaves the temp file rel behind. A record
+// directory's are also the spares an open store keeps, which only a
+// process that did not close its store leaves.
+func tempProblem(rel string) string {
+	if strings.HasPrefix(filepath.Base(rel), ".put-") {
+		return "orphaned record temp file (an unused spare of a killed pcd, or a staged record a crash or a failed rename left unpublished)"
+	}
+	return "orphaned atomic-write temp file (a crash or a failed rename left it unpublished)"
 }
 
 // fsckSharded verifies a sharded store end-to-end: the layout manifest,

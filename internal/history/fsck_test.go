@@ -188,6 +188,7 @@ func TestFsckTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Do NOT Close: a clean close is not required for a WAL store.
+	quiesce(st)
 	segs, err := walSegments(walDirOf(dir))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no wal segments: %v", err)
@@ -228,6 +229,7 @@ func TestFsckUnappliedJournalEntry(t *testing.T) {
 	if err := st.Save(sampleRecord("r9")); err != nil {
 		t.Fatal(err)
 	}
+	quiesce(st) // the store stops here, as a killed process's does
 	// Crash simulation: the journaled write vanishes from disk.
 	if err := os.Remove(filepath.Join(dir, "poisson-A-r9.json")); err != nil {
 		t.Fatal(err)
@@ -273,6 +275,7 @@ func TestFsckTornRecordCoveredByWAL(t *testing.T) {
 	if err := st.Save(sampleRecord("r9")); err != nil {
 		t.Fatal(err)
 	}
+	quiesce(st) // the store stops here, as a killed process's does
 	path := filepath.Join(dir, "poisson-A-r9.json")
 	want, err := os.ReadFile(path)
 	if err != nil {

@@ -145,6 +145,12 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if o.WAL {
+		// A journaled store is a server's, written for as long as it is
+		// open; a one-shot tool's single write would pay a pool's creates
+		// and removals for one file.
+		fb.spares = &sparePool{}
+	}
 	var faults *Faults
 	if o.Faults != nil {
 		if faults = o.Faults(0); faults != nil {
@@ -196,14 +202,23 @@ func (s *Store) Backend() Backend { return s.backend }
 // the session journal and quarantine paths must land inside the store
 // either way.
 func (s *Store) Dir() string {
+	if fb := s.fsBackend(); fb != nil {
+		return fb.Dir()
+	}
+	return ""
+}
+
+// fsBackend is the FSBackend beneath the store, seen through wrappers
+// with an Inner method; nil for any other backend.
+func (s *Store) fsBackend() *FSBackend {
 	b := s.backend
 	for {
 		if fb, ok := b.(*FSBackend); ok {
-			return fb.Dir()
+			return fb
 		}
 		w, ok := b.(interface{ Inner() Backend })
 		if !ok {
-			return ""
+			return nil
 		}
 		b = w.Inner()
 	}
@@ -698,12 +713,74 @@ func (s *Store) LoadStored(app, version, runID string) (rec *RunRecord, data []b
 	if err != nil {
 		return nil, nil, err
 	}
+	return ent.rec, s.fileBytes(key, ent), nil
+}
+
+// fileBytes reads key's record file and returns its bytes when they
+// check out against ent's sum, nil otherwise.
+func (s *Store) fileBytes(key RecordKey, ent indexed) []byte {
 	if ent.sum.n > 0 {
-		if b, err := s.backend.Get(key); err == nil && ent.sum.holds(b) {
-			data = b
+		if data, err := s.backend.Get(key); err == nil && ent.sum.holds(data) {
+			return data
 		}
 	}
-	return ent.rec, data, nil
+	return nil
+}
+
+// shipped is the put entries of index entries, as a follower is sent
+// them: the bytes each file holds when they check out against the entry's
+// sum, read outside every lock, else the entry's record encoded — the same
+// bytes.
+func (s *Store) shipped(keys []RecordKey, ents []indexed) []WALEntry {
+	out := make([]WALEntry, len(keys))
+	for i, k := range keys {
+		data := s.fileBytes(k, ents[i])
+		if data == nil {
+			data = EncodeRecord(ents[i].rec)
+		}
+		out[i] = WALEntry{Op: walOpPut, App: k.App, Version: k.Version, RunID: k.RunID, Data: data}
+	}
+	return out
+}
+
+// LoadEntry is Load's record as the put entry a replica ships (shipped).
+// A miss is Load's.
+func (s *Store) LoadEntry(app, version, runID string) (WALEntry, error) {
+	key := RecordKey{App: app, Version: version, RunID: runID}
+	ent, err := s.entry(key)
+	if err != nil {
+		return WALEntry{}, err
+	}
+	return s.shipped([]RecordKey{key}, []indexed{ent})[0], nil
+}
+
+// LoadEntries is LoadAll's records as LoadEntry ships each one.
+func (s *Store) LoadEntries(app, version string) []WALEntry {
+	return s.shipped(s.listed(ofApp(app, version)))
+}
+
+// ofApp matches the keys of app, and of version when it is non-empty.
+func ofApp(app, version string) func(RecordKey) bool {
+	return func(k RecordKey) bool { return k.App == app && (version == "" || k.Version == version) }
+}
+
+// listed lists the index entries whose keys keep matches — all of them
+// for a nil keep — ordered by key.
+func (s *Store) listed(keep func(RecordKey) bool) ([]RecordKey, []indexed) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	keys := make([]RecordKey, 0, len(s.recs))
+	for k := range s.recs {
+		if keep == nil || keep(k) {
+			keys = append(keys, k)
+		}
+	}
+	sortKeys(keys)
+	ents := make([]indexed, len(keys))
+	for i, k := range keys {
+		ents[i] = s.recs[k]
+	}
+	return keys, ents
 }
 
 // entry is key's index entry. A key not indexed falls through to the
@@ -847,33 +924,34 @@ func (s *Store) ApplyReplicated(e WALEntry) error {
 
 // ReplicaSnapshot captures a consistent image of the store for follower
 // bootstrap: the journal position (epoch, seq) plus every record as a
-// put entry carrying the exact stored bytes. The snapshot is taken under
-// the journal lock, so it reflects a point between writes — a follower
-// that installs it and then replays frames after seq converges to the
-// primary. Requires a durable (journaled) store.
+// put entry carrying the exact stored bytes. The position and the index
+// entries are taken together under the journal lock, so they reflect a
+// point between writes — a follower that installs the image and then
+// replays frames after seq converges to the primary. The files are read
+// after the lock is released: a file a later commit rewrote no longer
+// checks out against the entry taken, and ships as that entry's record
+// encoded, the bytes it held. Requires a durable (journaled) store.
 func (s *Store) ReplicaSnapshot() (epoch, seq uint64, entries []WALEntry, err error) {
 	if s.wal == nil {
 		return 0, 0, nil, fmt.Errorf("history: replica snapshot: store has no journal")
 	}
 	s.walMu.Lock()
-	defer s.walMu.Unlock()
 	epoch = s.wal.Epoch()
 	seq = s.wal.Stats().Appends
-	// The journal lock keeps every commit out, so the index cannot lose a
-	// key between listing it and encoding it.
-	keys := s.Keys()
-	entries = make([]WALEntry, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, s.preImage(k).WALEntry)
-	}
-	return epoch, seq, entries, nil
+	keys, ents := s.listed(nil)
+	s.walMu.Unlock()
+	return epoch, seq, s.shipped(keys, ents), nil
 }
 
-// Close flushes and closes the store's journal (if any). The store's
-// read side keeps working; further Save/Delete calls fail in WAL mode.
+// Close removes the store's spare record files and flushes and closes
+// its journal (if any). The store's read side keeps working; further
+// Save/Delete calls fail in WAL mode.
 func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
+	}
+	if fb := s.fsBackend(); fb != nil {
+		fb.closeSpares()
 	}
 	return s.wal.Close()
 }
@@ -918,23 +996,11 @@ func displayNames(keys []RecordKey) []string {
 // non-empty) matches, ordered by key. Records are shared with the
 // index: treat them as read-only.
 func (s *Store) LoadAll(app, version string) ([]*RunRecord, error) {
-	s.mu.RLock()
-	keys := make([]RecordKey, 0, len(s.recs))
-	for k := range s.recs {
-		if k.App != app {
-			continue
-		}
-		if version != "" && k.Version != version {
-			continue
-		}
-		keys = append(keys, k)
+	_, ents := s.listed(ofApp(app, version))
+	out := make([]*RunRecord, len(ents))
+	for i, ent := range ents {
+		out[i] = ent.rec
 	}
-	sortKeys(keys)
-	out := make([]*RunRecord, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.recs[k].rec)
-	}
-	s.mu.RUnlock()
 	return out, nil
 }
 

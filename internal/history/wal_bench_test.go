@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"testing"
+	"time"
 )
 
 // The durability benchmarks price the WAL: what one journaled append
@@ -289,13 +290,58 @@ func BenchmarkRecordDecode(b *testing.B) {
 	})
 }
 
+// commitGap is the pause a closed-loop client leaves between its writes
+// (the benchmark's single client, round trip and pacing): the idle cases
+// sleep it, off the clock, before each commit, which is when a store
+// makes its spares.
+const commitGap = 1500 * time.Microsecond
+
+// benchCommits runs commit — k records of a store of keys, from at — on
+// a fresh durable store at SyncAlways, back to back and, as idle/k=k,
+// with commitGap before each, and reports the cost per record and the
+// journal syncs per record (1 for a Save, 1/k for a batch).
+func benchCommits(b *testing.B, keys, size int, commit func(st *Store, at, k int) (int, error)) {
+	for _, idle := range []bool{false, true} {
+		for _, k := range []int{1, 8} {
+			name := fmt.Sprintf("k=%d", k)
+			if idle {
+				name = "idle/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer st.Close()
+				b.SetBytes(int64(k * size))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if idle {
+						b.StopTimer()
+						time.Sleep(commitGap)
+						b.StartTimer()
+					}
+					if n, err := commit(st, i*k%keys, k); err != nil || n != k {
+						b.Fatalf("commit = %d, %v", n, err)
+					}
+				}
+				b.StopTimer()
+				records := float64(b.N * k)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+				b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
+			})
+		}
+	}
+}
+
 // BenchmarkCommit prices one commit of k records of the corpus's mean
 // size on a durable store at SyncAlways, over the bare FSBackend — the
 // whole I/O of a Save (k=1) and of a PutBatch of eight (k=8) with the
 // mutations built beforehand: the journal group, the staged record files
-// beside it, the renames, the directory sync. It reports the cost per
-// record and the journal syncs per record (1 for a Save, 1/k for a
-// batch). Point TMPDIR at the file system to be priced.
+// beside it, the renames, the directory sync. Back to back, a store's
+// spares run out and each record file is created in its commit; the idle
+// cases leave the gap in which they are made. Point TMPDIR at the file
+// system to be priced.
 func BenchmarkCommit(b *testing.B) {
 	const keys = 64 // cycled, so the store directory stays a dozen megabytes
 	ms := make([]mutation, keys)
@@ -307,27 +353,9 @@ func BenchmarkCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, k := range []int{1, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			b.SetBytes(int64(k * len(ms[0].Data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				at := i * k % keys
-				if n, err := st.commit(ms[at:at+k], commitWrite); err != nil || n != k {
-					b.Fatalf("commit = %d, %v", n, err)
-				}
-			}
-			b.StopTimer()
-			records := float64(b.N * k)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-			b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
-		})
-	}
+	benchCommits(b, keys, len(ms[0].Data), func(st *Store, at, k int) (int, error) {
+		return st.commit(ms[at:at+k], commitWrite)
+	})
 }
 
 // BenchmarkApplyRun prices a follower's fold of k replicated put entries
@@ -347,25 +375,7 @@ func BenchmarkApplyRun(b *testing.B) {
 	if len(entries[0].Data) != len(benchWALData(b)) {
 		b.Fatalf("a stored entry carries %d bytes, the journal benchmarks' record %d", len(entries[0].Data), len(benchWALData(b)))
 	}
-	for _, k := range []int{1, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			b.SetBytes(int64(k * len(entries[0].Data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				at := i * k % keys
-				if n, err := st.ApplyRun(entries[at : at+k]); err != nil || n != k {
-					b.Fatalf("ApplyRun = %d, %v", n, err)
-				}
-			}
-			b.StopTimer()
-			records := float64(b.N * k)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-			b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
-		})
-	}
+	benchCommits(b, keys, len(entries[0].Data), func(st *Store, at, k int) (int, error) {
+		return st.ApplyRun(entries[at : at+k])
+	})
 }

@@ -24,6 +24,7 @@ func openDurable(t *testing.T, dir string, o DurableOptions) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() }) // its spares are gone before its directory
 	return st
 }
 
@@ -483,6 +484,7 @@ func TestDurableStoreCompensation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiesce(st)
 	fs := newTestFS(t, dir)
 	fs.install(st.Backend().(*FSBackend), st.wal)
 	fs.before = func(op fsOp) error {
@@ -500,6 +502,7 @@ func TestDurableStoreCompensation(t *testing.T) {
 	if err := st.Save(sampleRecord("r9")); err == nil {
 		t.Fatal("Save succeeded through a failing rename")
 	}
+	quiesce(st)
 	fs.before = nil
 
 	// Replay the journal as the next open would: the failed writes' intent

@@ -390,17 +390,6 @@ func (f *Follower) Rejoin(claims []Superseded) error {
 	return errors.Join(err, serr)
 }
 
-// storedEntry is the put entry of rec, a record sst handed out, carrying
-// the bytes its file holds when they check out against sst's index
-// (Store.LoadStored) — and still belong to rec, not to a write since —
-// or else rec's encoding, the same bytes.
-func storedEntry(sst *history.Store, rec *history.RunRecord) history.WALEntry {
-	if cur, data, err := sst.LoadStored(rec.App, rec.Version, rec.RunID); err == nil && cur == rec && data != nil {
-		return history.WALEntry{Op: history.WALOpPut, App: rec.App, Version: rec.Version, RunID: rec.RunID, Data: data}
-	}
-	return history.StoredEntry(rec)
-}
-
 // quarantineDivergence sets aside, before a demoted ex-primary's
 // bootstrap prunes or rewrites them, every local record the new
 // generation's image (key → stored bytes) does not contain
@@ -572,16 +561,12 @@ func (f *Follower) HandleOp(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Saved, err = sst.Apply(entries)
 	case "load":
-		var rec *history.RunRecord
-		if rec, err = sst.Load(req.App, req.Version, req.RunID); err == nil {
-			stored = []history.WALEntry{storedEntry(sst, rec)}
+		var e history.WALEntry
+		if e, err = sst.LoadEntry(req.App, req.Version, req.RunID); err == nil {
+			stored = []history.WALEntry{e}
 		}
 	case "loadall":
-		var recs []*history.RunRecord
-		recs, err = sst.LoadAll(req.App, req.Version)
-		for _, rec := range recs {
-			stored = append(stored, storedEntry(sst, rec))
-		}
+		stored = sst.LoadEntries(req.App, req.Version)
 	case "keys":
 		for _, k := range sst.Keys() {
 			resp.Keys = append(resp.Keys, Key(k))
