@@ -95,12 +95,14 @@ killrestart:
 	$(GO) test -race -run 'TestKillRestart' -v .
 
 # Every crash point of one commit: Save, overwrite, Delete, PutBatch(3)
-# and a PutBatch(3) that rotates the journal on a durable store, each
+# and a PutBatch(3) that rotates the journal — creating the next segment,
+# or switching to one made ahead of it — on a durable store, each
 # once creating its record files and once staging them into spares; at every
 # boundary of the commit (inside each journal frame, after the journal
 # sync, after each staged file, after each rename, before the directory
 # sync, after the next segment is created and after the closed one is
-# discarded, at the acknowledgement) the store directory is copied as a
+# discarded, in the commit or between commits, at the acknowledgement)
+# the store directory is copied as a
 # process death leaves it and imaged as a power loss does (only synced
 # bytes and synced directory entries), every image reopened and held to
 # the crash contract. Prints the points of each operation per mode and
@@ -195,9 +197,10 @@ fuzz:
 # encode and decode, a put body through the handler, a get through the
 # handler (the stored bytes beside the encode they replace), a query
 # response, a directive set's round trip, a sample batch and a trace
-# file. One package at a time (-p 1), so that no two run side by side.
+# file; and a batch body of eight real records (DecodePutBatch/real8),
+# which has no encoding/json twin. One package at a time (-p 1), so that no two run side by side.
 codec-bench:
-	$(GO) test -p 1 -run '^$$' -bench 'Record(En|De)code|PutBody|GetRun|QueryResponse(En|De)code|DirectiveRoundTrip|Samples(En|De)code|ReadTrace' \
+	$(GO) test -p 1 -run '^$$' -bench 'Record(En|De)code|PutBody|DecodePutBatch|GetRun|QueryResponse(En|De)code|DirectiveRoundTrip|Samples(En|De)code|ReadTrace' \
 		-benchmem -count 5 ./internal/history/ ./internal/server/ ./internal/ingest/ ./internal/postmortem/
 
 # A diagnosis session in process, without the wire and the store: the
@@ -210,7 +213,9 @@ session-bench:
 # A commit's disk work in process, without the wire: k=1 and k=8 records
 # of the corpus's mean size at SyncAlways, as a put and as a follower's
 # apply, back to back and idle (a closed-loop client's gap before each,
-# when a store makes its spare record files). On tmpfs a create and an
+# when a store makes its spare record files and its next journal
+# segment), and rotate: a put that crosses a segment boundary after
+# such a gap. On tmpfs a create and an
 # fsync cost nothing: point TMPDIR at the disk a store lives on.
 commit-bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(Commit|ApplyRun)$$' -benchtime 300x -count 5 ./internal/history/

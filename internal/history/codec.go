@@ -179,9 +179,10 @@ type Decoder struct {
 	// canon is the canonical check (see encoded): it stays true while
 	// what was read since it was set is the Shape's own spelling, at the
 	// nesting depth level; spell is the scratch a float is re-spelled in.
-	canon bool
-	level int
-	spell []byte
+	canon  bool
+	level  int
+	spell  []byte
+	arrays int // open around what is being read
 
 	// labels holds every label read so far that is not one of
 	// internable, each once.
@@ -310,7 +311,11 @@ func (d *Decoder) colon() bool {
 }
 
 // array reads an array, calling elem to read each element.
-func (d *Decoder) array(elem func()) { d.list('[', ']', elem) }
+func (d *Decoder) array(elem func()) {
+	d.arrays++
+	d.list('[', ']', elem)
+	d.arrays--
+}
 
 // dict reads an object with free-form member names, calling member with
 // each decoded name; member reads the value. A repeated name is met

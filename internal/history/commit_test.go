@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -122,16 +123,25 @@ func TestCommitMatrix(t *testing.T) {
 		},
 	}
 
-	// failOnce answers an injected error the first time it is asked.
-	failOnce := func() func() error {
-		failed := false
+	// failTimes answers an injected error the first n times it is asked;
+	// failOnce the first time.
+	failTimes := func(n int) func() error {
 		return func() error {
-			if failed {
+			if n == 0 {
 				return nil
 			}
-			failed = true
+			n--
 			return errors.New("injected backend failure")
 		}
+	}
+	failOnce := func() func() error { return failTimes(1) }
+	// rotateNext makes the next commit rotate, and makes the segment it
+	// rotates to ahead of it, as the spare pool does between commits —
+	// or tries to: the first failure a case arms for a rotation strikes
+	// the attempt made ahead, the second the commit's own.
+	rotateNext := func(st *Store) {
+		st.wal.opts.SegmentBytes = 1
+		st.wal.makeAhead()
 	}
 
 	// arm injects the failure through the case's fsys (cleared after the
@@ -143,7 +153,10 @@ func TestCommitMatrix(t *testing.T) {
 	// the group: the next commit must rotate and succeed. filesLag marks
 	// the one failure that may leave a record file behind the journal until
 	// the next open (the heal could not reach the backend either);
-	// sparesMiss the ones a delete of an absent record never reaches.
+	// sparesMiss the ones a delete of an absent record never reaches;
+	// compacts the ones whose commit rotates, after which the closed
+	// segment may be gone and the journal fold is checked on the keys the
+	// commit wrote.
 	failures := []struct {
 		name       string
 		at         int
@@ -153,6 +166,7 @@ func TestCommitMatrix(t *testing.T) {
 		rotates    bool
 		filesLag   bool
 		sparesMiss bool
+		compacts   bool
 	}{
 		{
 			name: "none",
@@ -205,10 +219,27 @@ func TestCommitMatrix(t *testing.T) {
 			fails: true,
 		},
 		{
-			// The journal cannot create the segment it rotates to, once.
-			name: "next segment create fails",
+			// The segment the commit rotates to was made ahead: the rotation
+			// only switches files.
+			name: "rotates into a segment made ahead",
 			arm: func(fs *testFS, st *Store, _ string) {
-				st.wal.opts.SegmentBytes = 1
+				rotateNext(st)
+				if st.wal.next == nil {
+					t.Fatal("no segment made ahead")
+				}
+				fs.before = func(op fsOp) error {
+					if op.kind == "create" && isSegment(op.path) || op.kind == "syncdir" && op.path == st.wal.dir {
+						return fmt.Errorf("a rotation into a segment made ahead called %s", op.kind)
+					}
+					return nil
+				}
+			},
+			compacts: true,
+		},
+		{
+			// The segment cannot be made ahead; the rotation creates it.
+			name: "next segment made ahead fails, the commit's succeeds",
+			arm: func(fs *testFS, st *Store, _ string) {
 				once := failOnce()
 				fs.before = func(op fsOp) error {
 					if op.kind == "create" && isSegment(op.path) {
@@ -216,6 +247,25 @@ func TestCommitMatrix(t *testing.T) {
 					}
 					return nil
 				}
+				if rotateNext(st); st.wal.next != nil {
+					t.Fatal("a segment was made ahead through a failed create")
+				}
+			},
+			compacts: true,
+		},
+		{
+			// The journal cannot create the segment it rotates to, ahead of
+			// the commit nor in it.
+			name: "next segment create fails",
+			arm: func(fs *testFS, st *Store, _ string) {
+				twice := failTimes(2)
+				fs.before = func(op fsOp) error {
+					if op.kind == "create" && isSegment(op.path) {
+						return twice()
+					}
+					return nil
+				}
+				rotateNext(st)
 			},
 			fails:   true,
 			journal: true,
@@ -223,38 +273,38 @@ func TestCommitMatrix(t *testing.T) {
 		},
 		{
 			// The segment it rotates to is created, but its name cannot be
-			// made durable, once.
+			// made durable, ahead of the commit nor in it.
 			name: "next segment dir sync fails",
 			arm: func(fs *testFS, st *Store, _ string) {
-				st.wal.opts.SegmentBytes = 1
-				once := failOnce()
+				twice := failTimes(2)
 				fs.before = func(op fsOp) error {
 					if op.kind == "syncdir" && op.path == st.wal.dir {
-						return once()
+						return twice()
 					}
 					return nil
 				}
+				rotateNext(st)
 			},
 			fails:   true,
 			journal: true,
 			rotates: true,
 		},
 		{
-			// As above, and the created segment cannot be removed again
-			// either: the retry must take its place.
+			// As above, and the segment made ahead cannot be removed again
+			// either: the commit's retry must take its place.
 			name: "next segment dir sync and its cleanup fail",
 			arm: func(fs *testFS, st *Store, _ string) {
-				st.wal.opts.SegmentBytes = 1
-				syncOnce, removeOnce := failOnce(), failOnce()
+				syncTwice, removeOnce := failTimes(2), failOnce()
 				fs.before = func(op fsOp) error {
 					switch {
 					case op.kind == "syncdir" && op.path == st.wal.dir:
-						return syncOnce()
+						return syncTwice()
 					case op.kind == "remove" && isSegment(op.path):
 						return removeOnce()
 					}
 					return nil
 				}
+				rotateNext(st)
 			},
 			fails:   true,
 			journal: true,
@@ -479,7 +529,11 @@ func TestCommitMatrix(t *testing.T) {
 						if got := indexState(st); !reflect.DeepEqual(got, want) {
 							t.Errorf("index holds %v, want %v", keysOf(got), keysOf(want))
 						}
-						if got := foldState(dir); !reflect.DeepEqual(got, want) {
+						if got, want := foldState(dir), want; failure.compacts {
+							if got, want = only(got, kind.runs), only(want, kind.runs); !reflect.DeepEqual(got, want) {
+								t.Errorf("the rotated journal folds to %v, want %v", keysOf(got), keysOf(want))
+							}
+						} else if !reflect.DeepEqual(got, want) {
 							t.Errorf("journal folds to %v, want %v", keysOf(got), keysOf(want))
 						}
 						if got := fileState(dir); !reflect.DeepEqual(got, want) {
@@ -511,6 +565,7 @@ func TestCommitMatrix(t *testing.T) {
 						}
 
 						// The crash-recovery path: no Close, reopen from disk alone.
+						quiesce(st)
 						st2, err := OpenStoreDurable(dir, DurableOptions{WAL: true})
 						if err != nil {
 							t.Fatal(err)
@@ -678,15 +733,27 @@ func TestCommitDurabilityOrder(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir, DurableOptions{})
 	defer st.Close()
+	// The batch rotates the journal into a segment made ahead of it.
+	if err := st.Save(sampleRecord("first")); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(st)
 	var steps []string
 	fs := newTestFS(t, dir)
 	fs.install(st.Backend().(*FSBackend), st.wal)
+	st.wal.opts.SegmentBytes = 1
+	if st.wal.makeAhead(); st.wal.next == nil {
+		t.Fatal("no segment made ahead")
+	}
 	fs.before = func(op fsOp) error {
 		switch op.kind {
 		case "rename":
 			steps = append(steps, "rename")
 		case "syncdir":
-			if st.Len() != 0 {
+			if op.path != dir {
+				return nil // the journal's, for a segment made ahead between commits
+			}
+			if st.Len() != 1 {
 				t.Error("records indexed before the directory sync")
 			}
 			steps = append(steps, "dir sync")
@@ -708,6 +775,10 @@ func TestCommitDurabilityOrder(t *testing.T) {
 	}
 	if n, err := st.PutBatch(batch); err != nil || n != k {
 		t.Fatalf("PutBatch = %d, %v", n, err)
+	}
+	quiesce(st)
+	if st.WALStats().Rotations != 1 {
+		t.Fatal("the batch did not rotate the journal")
 	}
 	if len(steps) != 2*k+2 {
 		t.Fatalf("steps = %v, want %d data syncs, a journal sync, %d renames and a directory sync", steps, k, k)
@@ -794,4 +865,15 @@ func TestMetadataWritesAreDurable(t *testing.T) {
 			t.Errorf("failed write left %s behind", de.Name())
 		}
 	}
+}
+
+// only is the part of s whose run ids are among runs.
+func only[V any](s map[RecordKey]V, runs []string) map[RecordKey]V {
+	out := map[RecordKey]V{}
+	for k, v := range s {
+		if slices.Contains(runs, k.RunID) {
+			out[k] = v
+		}
+	}
+	return out
 }

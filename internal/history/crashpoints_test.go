@@ -42,7 +42,9 @@ func copyTree(t *testing.T, src, dst string) {
 // after the journal sync, after each record file is staged, after each
 // rename, before the directory sync, at the acknowledgement, and where
 // the journal rotates: after the next segment is created and after the
-// closed one is discarded. At each boundary two images of the store are
+// closed one is discarded, in the commit or, made ahead of it, between
+// commits — so some images hold an empty segment made ahead beside the
+// active one. At each boundary two images of the store are
 // kept: the directory copied as the death of the process there would
 // leave it, and what a power loss would — each file's bytes as of its
 // last sync, each directory's entries as of its last sync. Every image
@@ -61,19 +63,22 @@ func TestCrashPoints(t *testing.T) {
 		return err
 	}
 	type crashOp struct {
-		name   string
-		wal    WALOptions
-		do     func(st *Store) error
-		runs   []string // the run ids its mutations touch, in order
-		spares bool     // the store holds spares when the operation starts
+		name    string
+		segment int64 // the journal's segment size for the operation; 0 for the default
+		ahead   bool  // the segment the operation rotates to is made ahead of it
+		do      func(st *Store) error
+		runs    []string // the run ids its mutations touch, in order
+		spares  bool     // the store holds spares when the operation starts
 	}
 	ops := []crashOp{
-		{"save", WALOptions{}, func(st *Store) error { return st.Save(sampleRecord("r9")) }, []string{"r9"}, false},
-		{"overwrite", WALOptions{}, func(st *Store) error { return st.Save(changed) }, []string{"r1"}, false},
-		{"delete", WALOptions{}, func(st *Store) error { return st.Delete("poisson", "A", "r1") }, []string{"r1"}, false},
-		{"batch of 3", WALOptions{}, batch, []string{"r8", "r1", "r9"}, false},
-		// Segments too small for two frames: the group rotates the journal.
-		{"batch across a rotation", WALOptions{SegmentBytes: 64}, batch, []string{"r8", "r1", "r9"}, false},
+		{"save", 0, false, func(st *Store) error { return st.Save(sampleRecord("r9")) }, []string{"r9"}, false},
+		{"overwrite", 0, false, func(st *Store) error { return st.Save(changed) }, []string{"r1"}, false},
+		{"delete", 0, false, func(st *Store) error { return st.Delete("poisson", "A", "r1") }, []string{"r1"}, false},
+		{"batch of 3", 0, false, batch, []string{"r8", "r1", "r9"}, false},
+		// Segments too small for two frames: the group rotates the journal,
+		// creating the next segment itself or switching to one made ahead.
+		{"batch across a rotation", 64, false, batch, []string{"r8", "r1", "r9"}, false},
+		{"batch into a segment made ahead", 64, true, batch, []string{"r8", "r1", "r9"}, false},
 	}
 	// Each again on a store that holds spares: its files are staged into
 	// them, and a crash leaves the rest behind for the open to sweep.
@@ -86,7 +91,7 @@ func TestCrashPoints(t *testing.T) {
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
 			dir, snaps := t.TempDir(), t.TempDir()
-			st := openDurable(t, dir, DurableOptions{WALOptions: op.wal})
+			st := openDurable(t, dir, DurableOptions{})
 			// Recorded from here, so a power loss also forgets what the
 			// setup left unsynced: the rotation case discards its segment.
 			fs := newTestFS(t, dir)
@@ -105,6 +110,12 @@ func TestCrashPoints(t *testing.T) {
 			}
 			if !op.spares {
 				fb.closeSpares()
+			}
+			if op.segment > 0 {
+				st.wal.opts.SegmentBytes = op.segment
+				if op.ahead && (!st.wal.makeAhead() || st.wal.next == nil) {
+					t.Fatal("no segment made ahead")
+				}
 			}
 			// The universe of keys, and each one's bytes (nil: absent) on
 			// either side of the operation.

@@ -104,7 +104,8 @@ type FaultCounters struct {
 // write; nothing before it is drawn for — a spare's reopen, or its
 // removal unused. So the files a commit stages on several goroutines
 // draw the same faults however those are scheduled, and whether each was
-// created for the commit or made ahead as a spare. Counts are kept for every name
+// created for the commit or made ahead as a spare (a journal segment is
+// named by its number either way). Counts are kept for every name
 // drawn for: an injector is for test and chaos runs.
 type Faults struct {
 	osFS   // mkdir, and a file's mode, truncate, seek and close, pass through
@@ -142,7 +143,8 @@ func NewFaults(cfg FaultConfig) *Faults {
 func (fs *Faults) SetConfig(cfg FaultConfig) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	cfg.Seed, fs.cfg = fs.cfg.Seed, cfg
+	cfg.Seed = fs.cfg.Seed
+	fs.cfg = cfg
 }
 
 // Counters snapshots what the injector drew for and injected.

@@ -222,6 +222,55 @@ func TestFaultsKeyedUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestFaultsSameWithSegmentsMadeAhead: a journal segment is drawn for by
+// its name whether it was made ahead of the commit that rotates to it or
+// created in that commit, so a seeded schedule of torn writes — record
+// files and journal frames, the frames of rotating groups among them —
+// fires the same faults, with the same outcomes, over a store whose
+// spare pool makes segments ahead and over one whose pool is closed.
+// (Under ErrRate a segment create that fails ahead of need is retried in
+// the commit, which then draws for the create once more — see
+// TestCommitMatrix — so there the outcomes are not the same.)
+func TestFaultsSameWithSegmentsMadeAhead(t *testing.T) {
+	run := func(seed int64, ahead bool) (fired, outcomes []string, madeAhead int) {
+		dir := t.TempDir()
+		fs := newTestFS(t, dir)
+		st := openDurable(t, dir, DurableOptions{
+			WALOptions: WALOptions{Sync: SyncNone, SegmentBytes: 4 << 10},
+			Faults:     func(int) *Faults { return fs.Faults },
+		})
+		defer st.Close()
+		if !ahead {
+			st.fsBackend().closeSpares()
+		}
+		fs.cfg.Seed = seed
+		fs.SetConfig(FaultConfig{TornWriteRate: 0.05})
+		for b := 0; b < 16; b++ {
+			quiesce(st) // the burst the last commit started has made the next segment
+			rotations, next := st.WALStats().Rotations, st.wal.next != nil
+			n, err := st.PutBatch(batchOf(fmt.Sprintf("b%d-r", b), 3))
+			outcomes = append(outcomes, fmt.Sprintf("%d %t", n, err != nil))
+			if next && st.WALStats().Rotations > rotations {
+				madeAhead++
+			}
+		}
+		fired = slices.Clone(fs.fired)
+		slices.Sort(fired)
+		return fired, outcomes, madeAhead
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		fired, outcomes, _ := run(seed, false)
+		again, outcomesAgain, madeAhead := run(seed, true)
+		t.Logf("seed %d: %d faults fired, %d rotations into a segment made ahead", seed, len(fired), madeAhead)
+		if len(fired) == 0 || madeAhead == 0 {
+			t.Errorf("seed %d: %d faults fired, %d rotations into a segment made ahead; the schedule proves nothing", seed, len(fired), madeAhead)
+		}
+		if !reflect.DeepEqual(fired, again) || !slices.Equal(outcomes, outcomesAgain) {
+			t.Errorf("seed %d: made ahead, the schedule drew differently:\n%v %v\n%v %v", seed, fired, outcomes, again, outcomesAgain)
+		}
+	}
+}
+
 // TestStoreIndexConsistencyAfterFailedPut is the store's degradation
 // rung, entered and left under the injector: a write the disk refused
 // is not in the index, the queries or the listing, and leaves no staged

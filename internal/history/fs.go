@@ -158,9 +158,9 @@ const stagedName = ".put-*.tmp"
 // its records into spares, and one
 // goroutine makes more between commits: a burst once fewer than half are
 // left, which stops when a commit starts staging — a create in flight
-// holds up that commit's journal fsync. The first commit starts the
-// first burst; Close removes the spares, and a killed process leaves
-// them for the next open to sweep.
+// holds up that commit's journal fsync. A burst first makes the journal's
+// next segment (WAL.makeAhead). The first commit starts the first burst;
+// Close removes the spares; a killed process leaves them to the next open.
 type sparePool struct {
 	mu     sync.Mutex
 	free   []string      // made and not taken
@@ -168,6 +168,7 @@ type sparePool struct {
 	idle   time.Time     // when the last of them ended
 	fill   chan struct{} // closed when the running burst ends; nil while none runs
 	closed bool
+	wal    *WAL // the store's journal
 }
 
 // spare takes a spare, open for writing, or nil when there is none.
@@ -200,15 +201,15 @@ func (p *sparePool) stagingDone(b *FSBackend) {
 	defer p.mu.Unlock()
 	p.busy--
 	p.idle = time.Now()
-	if p.busy == 0 && !p.closed && p.fill == nil && len(p.free) < spareFiles/2 {
+	if p.busy == 0 && !p.closed && p.fill == nil && (len(p.free) < spareFiles/2 || p.wal.ahead.Load()) {
 		p.fill = make(chan struct{})
 		go b.fillSpares()
 	}
 }
 
-// fillSpares is one burst: spares are made until the pool is full, a
-// commit starts staging, a create fails or the pool closes; a spare made
-// across the close is removed before the burst ends.
+// fillSpares is one burst: the journal's work, then spares until the pool
+// is full, a commit starts staging, a call fails or the pool closes; a
+// spare made across the close is removed before the burst ends.
 func (b *FSBackend) fillSpares() {
 	p := b.spares
 	defer func() {
@@ -219,7 +220,8 @@ func (b *FSBackend) fillSpares() {
 	}()
 	for {
 		p.mu.Lock()
-		stop := p.closed || p.busy > 0 || len(p.free) >= spareFiles
+		ahead := p.wal.ahead.Load()
+		stop := p.closed || p.busy > 0 || len(p.free) >= spareFiles && !ahead
 		wait := spareQuiet - time.Since(p.idle)
 		p.mu.Unlock()
 		if stop {
@@ -227,6 +229,12 @@ func (b *FSBackend) fillSpares() {
 		}
 		if wait > 0 {
 			time.Sleep(wait)
+			continue
+		}
+		if ahead {
+			if !p.wal.makeAhead() {
+				return
+			}
 			continue
 		}
 		f, err := b.fs.CreateTemp(b.dir, stagedName)

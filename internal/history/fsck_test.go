@@ -46,6 +46,26 @@ func TestFsckCleanStore(t *testing.T) {
 	}
 }
 
+// TestFsckFreshStoreClean: a store opened and closed without a write
+// leaves its journal's first segment empty, which is no finding.
+func TestFsckFreshStoreClean(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir, DurableOptions{})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := walSegments(walDirOf(dir)); err != nil || len(segs) != 1 {
+		t.Fatalf("wal segments %v (%v), want the empty first one", segs, err)
+	}
+	rep, err := FsckStore(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Severity() != FsckClean || rep.WALSegments != 1 {
+		t.Fatalf("a fresh store graded %d with %d segments: %v", rep.Severity(), rep.WALSegments, findingPaths(rep))
+	}
+}
+
 func TestFsckMissingDirErrors(t *testing.T) {
 	if _, err := FsckStore(filepath.Join(t.TempDir(), "nope"), false); err == nil {
 		t.Fatal("FsckStore of a missing directory did not error")
@@ -187,13 +207,18 @@ func TestFsckTornWALTail(t *testing.T) {
 	if err := st.Save(sampleRecord("r9")); err != nil {
 		t.Fatal(err)
 	}
-	// Do NOT Close: a clean close is not required for a WAL store.
+	// Do NOT Close: a clean close is not required for a WAL store. An
+	// open store may have made its next segment ahead of need: the torn
+	// frame is then not in the last segment, but in the last that holds
+	// bytes, and is still the journal's tail.
 	quiesce(st)
+	st.wal.opts.SegmentBytes = 1
+	st.wal.makeAhead()
 	segs, err := walSegments(walDirOf(dir))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no wal segments: %v", err)
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("wal segments %v (%v), want the active one and one made ahead", segs, err)
 	}
-	seg := filepath.Join(walDirOf(dir), segs[len(segs)-1])
+	seg := filepath.Join(walDirOf(dir), segs[0])
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +341,8 @@ func TestFsckCorruptMidJournal(t *testing.T) {
 	if err := st.Save(sampleRecord("r9")); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte mid-segment, then add a later segment so the
-	// damage is not the journal's tail.
+	// Flip a payload byte mid-segment, then add a later segment holding a
+	// frame so the damage is not the journal's tail.
 	segs, _ := walSegments(walDirOf(dir))
 	seg := filepath.Join(walDirOf(dir), segs[len(segs)-1])
 	data, err := os.ReadFile(seg)
@@ -328,7 +353,11 @@ func TestFsckCorruptMidJournal(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(walDirOf(dir), "00000099.wal"), nil, 0o644); err != nil {
+	later, err := EncodeWALFrame(StoredEntry(sampleRecord("r9")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(walDirOf(dir), "00000099.wal"), later, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := FsckStore(dir, false)

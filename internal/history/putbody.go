@@ -28,9 +28,11 @@ func (d *Decoder) encoded() Encoded {
 	start, level := d.pos, d.level
 	e := Encoded{rec: &RunRecord{}}
 	RecordShape.Decode(d, e.rec)
-	// The index keeps the record: its results take the room a clone's do,
-	// not the up to a quarter more the decoder's appends left.
-	e.rec.Results = slices.Clone(e.rec.Results)
+	// The index keeps the record: results reserved from too many bytes, or
+	// grown a quarter at a time, are cut down to the room a clone's take.
+	if r := e.rec.Results; cap(r)-len(r) > len(r)/8 {
+		e.rec.Results = slices.Clone(r)
+	}
 	if d.canon && !d.bad {
 		e.data = d.data[start:d.pos]
 		if level > 0 {
@@ -68,9 +70,10 @@ func DecodePut(body []byte) (Encoded, error) {
 }
 
 // The client's layout of a batch body: records at depth 2, each ending
-// on a "\n    }" line, which nothing inside a canonical record spells.
+// on a batchEnd line, which nothing inside a canonical record spells.
 const (
 	batchHead = "{\n  \"runs\": [\n    "
+	batchEnd  = "\n    }"
 	batchSep  = ",\n    "
 	batchTail = "\n  ]\n}\n"
 )
@@ -118,7 +121,7 @@ func decodeBatchSplit(body []byte) ([]Encoded, bool) {
 	if !head || !tail {
 		return nil, false
 	}
-	pieces := bytes.SplitAfter(rest, []byte("\n    }"+batchSep))
+	pieces := cutBatch(rest)
 	recs, bad := make([]Encoded, len(pieces)), make([]bool, len(pieces))
 	eachParallel(len(pieces), func(i int) {
 		if i < len(pieces)-1 {
@@ -129,6 +132,28 @@ func decodeBatchSplit(body []byte) ([]Encoded, bool) {
 		bad[i] = !d.End()
 	})
 	return recs, !slices.Contains(bad, true)
+}
+
+// cutBatch cuts rest, a client-layout body less its head and tail, into
+// the pieces bytes.SplitAfter(rest, batchEnd+batchSep) yields, found from
+// the closing braces: ten times rarer than the separator's newlines.
+func cutBatch(rest []byte) (pieces [][]byte) {
+	start := 0
+	for i := len(batchEnd) - 1; i < len(rest); {
+		j := bytes.IndexByte(rest[i:], '}')
+		if j < 0 {
+			break
+		}
+		j += i
+		if string(rest[j+1-len(batchEnd):j+1]) != batchEnd || !bytes.HasPrefix(rest[j+1:], []byte(batchSep)) {
+			i = j + 1
+			continue
+		}
+		cut := j + 1 + len(batchSep)
+		pieces, start = append(pieces, rest[start:cut]), cut
+		i = cut + len(batchEnd) - 1
+	}
+	return append(pieces, rest[start:])
 }
 
 // SaveEncoded writes decoded put bodies to st through its PutEncoded —

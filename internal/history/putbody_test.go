@@ -339,3 +339,113 @@ func FuzzCanonicalRecordBytes(f *testing.F) {
 		}
 	})
 }
+
+// realBatchBody is a batch body in the client's layout of eight real
+// records — the two of realrecord_test.go four times each, under run
+// ids of their own — about 2.7 MB.
+func realBatchBody(tb testing.TB) []byte {
+	tb.Helper()
+	real, err := realRecords()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var els []string
+	for i := range 8 {
+		rec := real[i%len(real)].clone()
+		rec.RunID = fmt.Sprintf("batch-%d", i)
+		els = append(els, string(indent(EncodeRecord(rec))))
+	}
+	return []byte(batchHead + strings.Join(els, batchSep) + batchTail)
+}
+
+// splitBatchBefore is decodeBatchSplit as it was before cutBatch: the
+// body cut by bytes.SplitAfter.
+func splitBatchBefore(body []byte) ([]Encoded, bool) {
+	rest, head := bytes.CutPrefix(body, []byte(batchHead))
+	rest, tail := bytes.CutSuffix(rest, []byte(batchTail))
+	if !head || !tail {
+		return nil, false
+	}
+	pieces := bytes.SplitAfter(rest, []byte(batchEnd+batchSep))
+	recs := make([]Encoded, len(pieces))
+	for i, piece := range pieces {
+		if i < len(pieces)-1 {
+			piece = piece[:len(piece)-len(batchSep)]
+		}
+		d := Decoder{data: piece, level: 2}
+		if recs[i] = d.encoded(); !d.End() {
+			return recs, false
+		}
+	}
+	return recs, true
+}
+
+// FuzzDecodePutBatch: for any body, cutBatch cuts what bytes.SplitAfter
+// does, DecodePutBatch returns the records and stored bytes the decode
+// before it did (the body cut by bytes.SplitAfter, else read in one
+// pass), and the records are encoding/json's wherever it reads the body.
+func FuzzDecodePutBatch(f *testing.F) {
+	f.Add(realBatchBody(f))
+	one := string(indent(EncodeRecord(sampleRecord("r1"))))
+	braced := sampleRecord("r2")
+	braced.Results[0].Focus = "/Code/}\n    },\n    {"
+	for _, body := range []string{
+		batchHead + one + batchSep + string(indent(EncodeRecord(braced))) + batchTail,
+		batchHead + one + batchSep + batchTail,                        // a trailing separator
+		batchHead + one + batchSep + "\n    }" + batchSep + batchTail, // "\n    }" outside a record
+		batchHead + one + batchSep + "}" + batchSep + one + batchTail, // a "\n    }" straddling a separator
+		batchHead + strings.ReplaceAll(one, "\n      }", "\n    }") + batchTail,
+		"{\n  \"runs\": []\n}\n",
+		batchHead + batchTail,
+		string(batchBody(f, sampleRecord("r1"), variantRecord())),
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rest := bytes.TrimSuffix(bytes.TrimPrefix(body, []byte(batchHead)), []byte(batchTail))
+		if got, want := cutBatch(rest), bytes.SplitAfter(rest, []byte(batchEnd+batchSep)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cutBatch cut %d pieces, bytes.SplitAfter %d:\ngot  %q\nwant %q", len(got), len(want), got, want)
+		}
+		recs, err := DecodePutBatch(body)
+		before, ok := splitBatchBefore(body)
+		if !ok {
+			if before, ok = decodeBatchSeq(body); !ok {
+				before = nil
+			}
+		}
+		if before != nil && (err != nil || !reflect.DeepEqual(recs, before)) {
+			t.Fatalf("DecodePutBatch = %d records, %v; the decode before cutBatch read %d", len(recs), err, len(before))
+		}
+		var batch struct{ Runs []*RunRecord }
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&batch) != nil {
+			return
+		}
+		if err != nil || len(recs) != len(batch.Runs) {
+			t.Fatalf("DecodePutBatch = %d records, %v; encoding/json's = %d", len(recs), err, len(batch.Runs))
+		}
+		for i := range recs {
+			if !reflect.DeepEqual(recs[i].rec, batch.Runs[i]) {
+				t.Fatalf("batch record %d differs from encoding/json's", i)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodePutBatch prices the decode of a POST
+// /api/v1/runs/batch body in the client's layout: real8 is
+// realBatchBody's eight real records.
+func BenchmarkDecodePutBatch(b *testing.B) {
+	b.Run("real8", func(b *testing.B) {
+		body := realBatchBody(b)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recs, err := DecodePutBatch(body)
+			if err != nil || len(recs) != 8 || recs[7].data == nil {
+				b.Fatal("the client's layout did not decode with its bytes", err)
+			}
+			benchSink = recs
+		}
+	})
+}

@@ -71,7 +71,7 @@ var (
 		Field("duration", func(r *RunRecord) *float64 { return &r.Duration }, Float),
 		Field("resources", func(r *RunRecord) *map[string][]string { return &r.Resources }, MapOf(ArrayOf(String))),
 		Field("proc_nodes", func(r *RunRecord) *map[string]string { return &r.ProcNodes }, MapOf(String)),
-		Field("results", func(r *RunRecord) *[]NodeResult { return &r.Results }, ArrayOf(ResultShape.Value())),
+		Field("results", func(r *RunRecord) *[]NodeResult { return &r.Results }, PresizedArrayOf(ResultShape.Value(), 256)), // a real result is 270–290 bytes
 		Field("usage", func(r *RunRecord) *map[string]float64 { return &r.Usage }, MapOf(Float)),
 		Field("pairs_tested", func(r *RunRecord) *int { return &r.PairsTested }, Int),
 		Field("true_count", func(r *RunRecord) *int { return &r.TrueCount }, Int),

@@ -53,7 +53,7 @@ type value struct {
 	table   *table // kindTable, kindPointer
 	elem    *value // kindArray, kindMap
 	size    uintptr
-	perElem int // kindArray: decoding reserves an element for every perElem bytes of the body
+	perElem int // kindArray: decoding reserves an element for every perElem bytes of the body, in no other array
 	// kindPointer's new(T); kindArray's make([]E, 0, n), and s with room
 	// for one more zero element.
 	alloc func() unsafe.Pointer
@@ -84,7 +84,8 @@ func ArrayOf[E any](elem Value[E]) Value[[]E] { return PresizedArrayOf(elem, 0) 
 
 // PresizedArrayOf is ArrayOf for an array that is most of its body:
 // decoding reserves an element for every perElem bytes of the body up
-// front, so that a real batch is appended to without growing.
+// front, so that a real batch is appended to without growing; inside
+// another array's element, whose body it is not, it grows as ArrayOf's.
 func PresizedArrayOf[E any](elem Value[E], perElem int) Value[[]E] {
 	var zero E
 	return Value[[]E]{&value{kind: kindArray, elem: elem.v, size: unsafe.Sizeof(zero), perElem: perElem,
@@ -369,7 +370,7 @@ func (v *value) decode(d *Decoder, p unsafe.Pointer) {
 		*(*unsafe.Pointer)(p) = q
 	case kindArray:
 		n := 0
-		if v.perElem > 0 {
+		if v.perElem > 0 && d.arrays == 0 {
 			n = len(d.data) / v.perElem
 		}
 		s := v.make(n)

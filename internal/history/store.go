@@ -145,12 +145,6 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.WAL {
-		// A journaled store is a server's, written for as long as it is
-		// open; a one-shot tool's single write would pay a pool's creates
-		// and removals for one file.
-		fb.spares = &sparePool{}
-	}
 	var faults *Faults
 	if o.Faults != nil {
 		if faults = o.Faults(0); faults != nil {
@@ -167,6 +161,12 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	}
 	if err := st.carryOut(fb, p, o.WALOptions); err != nil {
 		return nil, err
+	}
+	if o.WAL {
+		// A journaled store is a server's, written for as long as it is
+		// open; a one-shot tool's single write would pay a pool's creates
+		// and removals for one file.
+		fb.spares = &sparePool{wal: st.wal}
 	}
 	if faults != nil {
 		faults.arm(dir)

@@ -160,7 +160,8 @@ type WALScanReport struct {
 	Entries  int
 	// TornTail reports an incomplete or CRC-failing final frame — the
 	// normal residue of a crash mid-append. The torn frame was never
-	// acknowledged, so replay simply stops before it.
+	// acknowledged, so replay simply stops before it. The tail is the
+	// last segment holding bytes; an empty one made ahead may follow it.
 	TornTail bool
 	// Corrupt lists bad frames that are not the journal's tail — real
 	// corruption, not crash residue. Reading stops at the first bad frame
@@ -181,23 +182,23 @@ func ReadWAL(dir string) ([]WALEntry, *WALScanReport, error) {
 	}
 	rep.Segments = len(segs)
 	var entries []WALEntry
-	for i, seg := range segs {
-		last := i == len(segs)-1
+	torn := "" // the last bad frame, the tail's until a later segment holds bytes
+	for _, seg := range segs {
 		data, err := os.ReadFile(filepath.Join(dir, seg))
 		if err != nil {
 			return entries, rep, fmt.Errorf("history: wal %s: %w", seg, err)
+		}
+		if torn != "" && len(data) > 0 {
+			rep.Corrupt, torn = append(rep.Corrupt, torn), ""
 		}
 		es, _, bad := DecodeWALFrames(data)
 		entries = append(entries, es...)
 		rep.Entries += len(es)
 		if bad != "" {
-			if last {
-				rep.TornTail = true
-			} else {
-				rep.Corrupt = append(rep.Corrupt, seg+": "+bad)
-			}
+			torn = seg + ": " + bad
 		}
 	}
+	rep.TornTail = torn != ""
 	return entries, rep, nil
 }
 
@@ -371,6 +372,7 @@ type WAL struct {
 
 	mu       sync.Mutex
 	f        file
+	next     file // segment seq+1, made ahead of need and durable by name; nil while none
 	seq      uint64
 	size     int64
 	lastSync time.Time
@@ -381,6 +383,7 @@ type WAL struct {
 	unsafeCompact bool
 	stale         []string // rotated, fully-applied segments awaiting removal
 	segments      int
+	ahead         atomic.Bool // makeAhead has work (noteAheadLocked)
 	// onAppend, when set, observes every successfully journaled frame
 	// (under w.mu, in append order): its sequence number within this
 	// epoch and the frame's bytes exactly as written. The replication
@@ -427,7 +430,7 @@ func startWAL(fs fsys, dir string, opts WALOptions) (*WAL, error) {
 		return nil, fmt.Errorf("history: wal: %w", err)
 	}
 	w.epoch.Store(epoch)
-	if err := w.openSegment(1); err != nil {
+	if err := w.nextSegment(); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -493,10 +496,10 @@ func (w *WAL) SetOnAppend(fn func(seq uint64, frame []byte)) {
 	w.mu.Unlock()
 }
 
-// openSegment creates and switches to segment seq; a segment whose name
-// cannot be made durable is removed again, so a retry can create it.
-// Callers hold w.mu (or have exclusive access during construction).
-func (w *WAL) openSegment(seq uint64) error {
+// createSegment creates segment seq; a segment whose name cannot be
+// made durable is removed again, so a retry can create it. Callers hold
+// w.mu (or have exclusive access during construction).
+func (w *WAL) createSegment(seq uint64) (file, error) {
 	path := w.segmentPath(seq)
 	f, err := w.fs.CreateExcl(path)
 	if os.IsExist(err) && w.fs.Remove(path) == nil {
@@ -505,19 +508,55 @@ func (w *WAL) openSegment(seq uint64) error {
 		f, err = w.fs.CreateExcl(path)
 	}
 	if err != nil {
-		return fmt.Errorf("history: wal: %w", err)
+		return nil, fmt.Errorf("history: wal: %w", err)
 	}
 	// The segment must exist by name before frames are acknowledged.
 	if err := w.fs.SyncDir(w.dir); err != nil {
 		f.Close()
 		w.fs.Remove(path)
-		return fmt.Errorf("history: wal: %w", err)
+		return nil, fmt.Errorf("history: wal: %w", err)
 	}
-	w.f = f
-	w.seq = seq
-	w.size = 0
 	w.segments++
+	return f, nil
+}
+
+// nextSegment switches to segment seq+1: the one made ahead, else one
+// created now.
+func (w *WAL) nextSegment() (err error) {
+	f := w.next
+	if f == nil {
+		if f, err = w.createSegment(w.seq + 1); err != nil {
+			return err
+		}
+	}
+	w.f, w.next, w.seq, w.size = f, nil, w.seq+1, 0
 	return nil
+}
+
+// makeAhead does between commits what a rotation would do in one: it
+// removes the closed segments (unless unsafeCompact) and, once the active
+// one is half full, creates the next. The spare pool calls it while
+// ahead is set; false means a call failed, to be tried after the next commit.
+func (w *WAL) makeAhead() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	defer w.noteAheadLocked()
+	if w.f == nil {
+		return true
+	}
+	if !w.unsafeCompact && w.compactLocked() != nil {
+		return false
+	}
+	if w.next == nil && w.size >= w.opts.SegmentBytes/2 {
+		var err error
+		w.next, err = w.createSegment(w.seq + 1)
+		return err == nil
+	}
+	return true
+}
+
+func (w *WAL) noteAheadLocked() {
+	w.ahead.Store(w.f != nil && (len(w.stale) > 0 && !w.unsafeCompact || w.next == nil && w.size >= w.opts.SegmentBytes/2))
 }
 
 func (w *WAL) segmentPath(seq uint64) string {
@@ -574,6 +613,7 @@ func (w *WAL) AppendGroup(es []WALEntry) error {
 	}
 	w.size += total
 	w.dirty = true
+	w.noteAheadLocked()
 	for _, frame := range frames {
 		seq := w.appends.Add(1)
 		if w.onAppend != nil {
@@ -617,25 +657,25 @@ func (w *WAL) repairTornTailLocked() {
 	w.f.Sync() // best effort for the acknowledged frames being abandoned
 	w.f.Close()
 	w.dirty = false
-	if err := w.openSegment(w.seq + 1); err != nil {
+	if err := w.nextSegment(); err != nil {
 		// No usable segment: the journal is broken; fail later appends
 		// loudly rather than acknowledge writes it cannot hold.
 		w.f = nil
 	}
 }
 
-// rotateLocked opens the next segment and closes the active one — in
-// that order, so a journal that cannot rotate goes on appending where it
-// was. Entries in closed segments were either applied to the backend or
-// compensated, so the closed segments are discarded — unless a
-// compensation could not be healed, in which case every closed segment
+// rotateLocked switches to the next segment and closes the active one —
+// in that order, so a journal that cannot rotate goes on appending where
+// it was. Entries in closed segments were applied or compensated, so the
+// closed segments are discarded — by makeAhead if the next was made ahead
+// — unless a compensation could not be healed: then every closed segment
 // is retained for the next open's replay.
 func (w *WAL) rotateLocked() error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
-	active, closed := w.f, w.segmentPath(w.seq)
-	if err := w.openSegment(w.seq + 1); err != nil {
+	active, closed, madeAhead := w.f, w.segmentPath(w.seq), w.next != nil
+	if err := w.nextSegment(); err != nil {
 		return err
 	}
 	w.stale = append(w.stale, closed)
@@ -643,14 +683,19 @@ func (w *WAL) rotateLocked() error {
 	if err := active.Close(); err != nil {
 		return fmt.Errorf("history: wal rotate: %w", err)
 	}
-	if !w.unsafeCompact {
-		for _, path := range w.stale {
-			if err := w.fs.Remove(path); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("history: wal compact: %w", err)
-			}
-			w.segments--
+	if madeAhead || w.unsafeCompact {
+		return nil
+	}
+	return w.compactLocked()
+}
+
+// compactLocked removes the closed segments. Callers hold w.mu.
+func (w *WAL) compactLocked() error {
+	for ; len(w.stale) > 0; w.stale = w.stale[1:] {
+		if err := w.fs.Remove(w.stale[0]); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("history: wal compact: %w", err)
 		}
-		w.stale = nil
+		w.segments--
 	}
 	return nil
 }
@@ -688,7 +733,8 @@ func (w *WAL) markUnsafe() {
 	w.mu.Unlock()
 }
 
-// Close syncs and closes the journal. Further appends fail.
+// Close syncs and closes the journal, and removes an unused segment made
+// ahead. Further appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -698,6 +744,11 @@ func (w *WAL) Close() error {
 	err := w.syncLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
+	}
+	if w.next != nil {
+		w.next.Close()
+		w.fs.Remove(w.segmentPath(w.seq + 1))
+		w.next, w.segments = nil, w.segments-1
 	}
 	w.f = nil
 	return err

@@ -296,41 +296,48 @@ func BenchmarkRecordDecode(b *testing.B) {
 // makes its spares.
 const commitGap = 1500 * time.Microsecond
 
+// A commitCase is one way benchCommits commits: k records a commit, back
+// to back or, idle, with commitGap before each, at a segment size
+// (0: the default).
+type commitCase struct {
+	name    string
+	k       int
+	idle    bool
+	segment int64
+}
+
+var commitCases = []commitCase{{"k=1", 1, false, 0}, {"k=8", 8, false, 0}, {"idle/k=1", 1, true, 0}, {"idle/k=8", 8, true, 0}}
+
 // benchCommits runs commit — k records of a store of keys, from at — on
-// a fresh durable store at SyncAlways, back to back and, as idle/k=k,
-// with commitGap before each, and reports the cost per record and the
-// journal syncs per record (1 for a Save, 1/k for a batch).
-func benchCommits(b *testing.B, keys, size int, commit func(st *Store, at, k int) (int, error)) {
-	for _, idle := range []bool{false, true} {
-		for _, k := range []int{1, 8} {
-			name := fmt.Sprintf("k=%d", k)
-			if idle {
-				name = "idle/" + name
+// a fresh durable store at SyncAlways for each case, and reports the
+// cost per record, the journal syncs per record (1 for a Save, 1/k for a
+// batch) and the rotations per commit.
+func benchCommits(b *testing.B, keys, size int, cases []commitCase, commit func(st *Store, at, k int) (int, error)) {
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways, SegmentBytes: c.segment}})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				st, err := OpenStoreDurable(b.TempDir(), DurableOptions{Create: true, WAL: true, WALOptions: WALOptions{Sync: SyncAlways}})
-				if err != nil {
-					b.Fatal(err)
+			defer st.Close()
+			b.SetBytes(int64(c.k * size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.idle {
+					b.StopTimer()
+					time.Sleep(commitGap)
+					b.StartTimer()
 				}
-				defer st.Close()
-				b.SetBytes(int64(k * size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if idle {
-						b.StopTimer()
-						time.Sleep(commitGap)
-						b.StartTimer()
-					}
-					if n, err := commit(st, i*k%keys, k); err != nil || n != k {
-						b.Fatalf("commit = %d, %v", n, err)
-					}
+				if n, err := commit(st, i*c.k%keys, c.k); err != nil || n != c.k {
+					b.Fatalf("commit = %d, %v", n, err)
 				}
-				b.StopTimer()
-				records := float64(b.N * k)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-				b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
-			})
-		}
+			}
+			b.StopTimer()
+			records := float64(b.N * c.k)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+			b.ReportMetric(float64(st.WALStats().Syncs)/records, "syncs/record")
+			b.ReportMetric(float64(st.WALStats().Rotations)/float64(b.N), "rotations/op")
+		})
 	}
 }
 
@@ -340,8 +347,10 @@ func benchCommits(b *testing.B, keys, size int, commit func(st *Store, at, k int
 // mutations built beforehand: the journal group, the staged record files
 // beside it, the renames, the directory sync. Back to back, a store's
 // spares run out and each record file is created in its commit; the idle
-// cases leave the gap in which they are made. Point TMPDIR at the file
-// system to be priced.
+// cases leave the gap in which they are made. In rotate every commit
+// crosses a segment boundary (a save, each after the gap in which the
+// next segment can be made ahead). Point TMPDIR at the file system to be
+// priced.
 func BenchmarkCommit(b *testing.B) {
 	const keys = 64 // cycled, so the store directory stays a dozen megabytes
 	ms := make([]mutation, keys)
@@ -353,7 +362,8 @@ func BenchmarkCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	benchCommits(b, keys, len(ms[0].Data), func(st *Store, at, k int) (int, error) {
+	cases := append(commitCases, commitCase{"rotate", 1, true, 1})
+	benchCommits(b, keys, len(ms[0].Data), cases, func(st *Store, at, k int) (int, error) {
 		return st.commit(ms[at:at+k], commitWrite)
 	})
 }
@@ -375,7 +385,7 @@ func BenchmarkApplyRun(b *testing.B) {
 	if len(entries[0].Data) != len(benchWALData(b)) {
 		b.Fatalf("a stored entry carries %d bytes, the journal benchmarks' record %d", len(entries[0].Data), len(benchWALData(b)))
 	}
-	benchCommits(b, keys, len(entries[0].Data), func(st *Store, at, k int) (int, error) {
+	benchCommits(b, keys, len(entries[0].Data), commitCases, func(st *Store, at, k int) (int, error) {
 		return st.ApplyRun(entries[at : at+k])
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -172,8 +173,13 @@ func TestWALCorruptMidSegment(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Second segment so the damage is not in the journal's tail segment.
-	if err := os.WriteFile(filepath.Join(dir, "00000002.wal"), nil, 0o644); err != nil {
+	// A second segment holding a frame, so the damage is not in the
+	// journal's tail: the last segment that holds bytes.
+	later, err := EncodeWALFrame(WALEntry{Op: walOpDelete, App: "a", RunID: "r2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "00000002.wal"), later, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, "00000001.wal")
@@ -195,43 +201,114 @@ func TestWALCorruptMidSegment(t *testing.T) {
 	if rep.TornTail {
 		t.Error("mid-journal corruption misreported as torn tail")
 	}
-	if len(entries) != 0 {
-		t.Errorf("read %d entries from the corrupted segment, want 0", len(entries))
+	if len(entries) != 1 || entries[0].RunID != "r2" {
+		t.Errorf("read %v, want none from the corrupted segment and r2 from the later one", entries)
 	}
 }
 
 // TestWALRotationCompacts drives the journal past its segment size many
 // times and proves rotation discards fully-applied segments instead of
-// retaining the whole history.
+// retaining the whole history: at the rotation itself, or — once the
+// next segment was made ahead, as a store's spare pool does between
+// commits — in the next makeAhead. Either way the disk holds the active
+// segment and, made ahead, at most the next one, which Close removes.
 func TestWALRotationCompacts(t *testing.T) {
+	for _, ahead := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ahead=%v", ahead), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := StartWAL(dir, WALOptions{SegmentBytes: 256, Sync: SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			made := 0
+			for i := 0; i < 100; i++ {
+				e := WALEntry{Op: walOpPut, App: "app", RunID: fmt.Sprintf("r%03d", i),
+					Data: []byte(`{"pad":"` + strings.Repeat("x", 64) + `"}`)}
+				if err := w.Append(e); err != nil {
+					t.Fatal(err)
+				}
+				if ahead && w.ahead.Load() {
+					if had := w.next != nil; !w.makeAhead() {
+						t.Fatal("makeAhead failed")
+					} else if !had && w.next != nil {
+						made++
+					}
+				}
+			}
+			stats := w.Stats()
+			if stats.Rotations == 0 {
+				t.Fatal("journal never rotated at a 256-byte segment size")
+			}
+			if ahead && made < int(stats.Rotations) {
+				t.Errorf("%d segments made ahead for %d rotations", made, stats.Rotations)
+			}
+			segs, err := walSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{fmt.Sprintf("%08d%s", w.seq, walSuffix)}
+			if w.next != nil {
+				want = append(want, fmt.Sprintf("%08d%s", w.seq+1, walSuffix))
+			}
+			if !reflect.DeepEqual(segs, want) {
+				t.Errorf("segments on disk after compacting rotations %v, want %v", segs, want)
+			}
+			if stats.Segments != len(segs) {
+				t.Errorf("stats report %d segments, disk has %d", stats.Segments, len(segs))
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if segs, _ := walSegments(dir); len(segs) != 1 || w.Stats().Segments != 1 {
+				t.Errorf("segments after Close %v (stats %d), want the active one", segs, w.Stats().Segments)
+			}
+		})
+	}
+}
+
+// TestWALTornTailBeforeEmptySegment: the journal's tail is the last
+// segment that holds bytes, so a torn final frame followed by the empty
+// segment an open store made ahead of need is crash residue, not
+// corruption — until a later segment holds a frame.
+func TestWALTornTailBeforeEmptySegment(t *testing.T) {
 	dir := t.TempDir()
-	w, err := StartWAL(dir, WALOptions{SegmentBytes: 256, Sync: SyncNone})
+	w, err := StartWAL(dir, WALOptions{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		e := WALEntry{Op: walOpPut, App: "app", RunID: fmt.Sprintf("r%03d", i),
-			Data: []byte(`{"pad":"` + strings.Repeat("x", 64) + `"}`)}
-		if err := w.Append(e); err != nil {
+	defer w.Close()
+	for _, run := range []string{"r0", "r1"} {
+		if err := w.Append(WALEntry{Op: walOpDelete, App: "a", RunID: run}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats := w.Stats()
-	if stats.Rotations == 0 {
-		t.Fatal("journal never rotated at a 256-byte segment size")
+	if w.makeAhead(); w.next == nil {
+		t.Fatal("no segment made ahead")
 	}
-	segs, err := walSegments(dir)
+	seg := w.segmentPath(1)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 {
-		t.Errorf("%d segments on disk after compacting rotations, want 1: %v", len(segs), segs)
-	}
-	if stats.Segments != len(segs) {
-		t.Errorf("stats report %d segments, disk has %d", stats.Segments, len(segs))
-	}
-	if err := w.Close(); err != nil {
+	if err := os.WriteFile(seg, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
+	}
+	entries, rep, err := ReadWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Segments != 2 || !rep.TornTail || len(rep.Corrupt) != 0 || len(entries) != 1 {
+		t.Fatalf("read %d entries, %+v; want 1 entry of 2 segments and a torn tail", len(entries), rep)
+	}
+	later, err := EncodeWALFrame(WALEntry{Op: walOpDelete, App: "a", RunID: "r2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(w.segmentPath(2), later, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, rep, err = ReadWAL(dir); err != nil || rep.TornTail || len(rep.Corrupt) != 1 {
+		t.Fatalf("with a frame in the later segment: %+v, %v; want the torn frame corrupt", rep, err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,6 +33,14 @@ type tnode struct {
 	srv      *httptest.Server
 	fault    *history.Faults // the disk of the configured primary's shard of poisson/B
 	dead     bool
+	mu       sync.Mutex // prim and fol, which the handlers read while follower sets them
+}
+
+// roles is the node's primary and follower, as the handlers see them.
+func (n *tnode) roles() (*Primary, *Follower) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.prim, n.fol
 }
 
 // serve mounts the node's replication endpoints on addr ("" for a fresh
@@ -46,12 +55,13 @@ func (n *tnode) serve(t *testing.T, addr string) {
 	mux := http.NewServeMux()
 	// The roles arrive after the listener: a follower needs its own URL.
 	mux.HandleFunc("/api/v1/replica/info", func(w http.ResponseWriter, r *http.Request) {
-		(&Node{Primary: n.prim, Follower: n.fol, Advertise: n.url}).HandleInfo(w, r)
+		prim, fol := n.roles()
+		(&Node{Primary: prim, Follower: fol, Advertise: n.url}).HandleInfo(w, r)
 	})
-	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) { n.prim.HandleWAL(w, r) })
-	mux.HandleFunc("/api/v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) { n.prim.HandleSnapshot(w, r) })
-	mux.HandleFunc("/api/v1/replica/promote", func(w http.ResponseWriter, r *http.Request) { n.fol.HandlePromote(w, r) })
-	mux.HandleFunc("/api/v1/replica/op", func(w http.ResponseWriter, r *http.Request) { n.fol.HandleOp(w, r) })
+	mux.HandleFunc("/api/v1/replica/wal", func(w http.ResponseWriter, r *http.Request) { prim, _ := n.roles(); prim.HandleWAL(w, r) })
+	mux.HandleFunc("/api/v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) { prim, _ := n.roles(); prim.HandleSnapshot(w, r) })
+	mux.HandleFunc("/api/v1/replica/promote", func(w http.ResponseWriter, r *http.Request) { _, fol := n.roles(); fol.HandlePromote(w, r) })
+	mux.HandleFunc("/api/v1/replica/op", func(w http.ResponseWriter, r *http.Request) { _, fol := n.roles(); fol.HandleOp(w, r) })
 	n.srv = &httptest.Server{Listener: ln, Config: &http.Server{Handler: mux}}
 	n.srv.Start()
 	t.Cleanup(n.kill)
@@ -77,25 +87,29 @@ func (n *tnode) kill() {
 // of the shards it lost, the standing owner of the rest.
 func (n *tnode) follower(t *testing.T, primary string, lost []Superseded, peers ...string) {
 	t.Helper()
-	var err error
-	if n.fol, err = NewFollower(primary, n.url, n.st); err != nil {
+	fol, err := NewFollower(primary, n.url, n.st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n.prim, err = NewPrimary(n.st, 1); err != nil {
+	prim, err := NewPrimary(n.st, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	n.prim.SetLeaseTTL(claimsTTL)
-	n.prim.SetPeersPath(PeersFilePath(n.dir))
-	n.prim.StandbyOf(n.fol)
-	n.st.SetFailover(NewFailover(n.prim), true)
+	prim.SetLeaseTTL(claimsTTL)
+	prim.SetPeersPath(PeersFilePath(n.dir))
+	prim.StandbyOf(fol)
+	n.st.SetFailover(NewFailover(prim), true)
 	if len(lost) > 0 {
-		if err := n.fol.Rejoin(lost); err != nil {
+		if err := fol.Rejoin(lost); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n.fol.SetAutoFailover(AutoConfig{LeaseTTL: claimsTTL, HeartbeatEvery: claimsTTL / 8, Peers: peers, Replicas: 1 + len(peers)})
-	n.fol.pollWait = claimsTTL / 8
-	n.fol.Start()
+	fol.SetAutoFailover(AutoConfig{LeaseTTL: claimsTTL, HeartbeatEvery: claimsTTL / 8, Peers: peers, Replicas: 1 + len(peers)})
+	fol.pollWait = claimsTTL / 8
+	n.mu.Lock()
+	n.prim, n.fol = prim, fol
+	n.mu.Unlock()
+	fol.Start()
 }
 
 func openSharded(t *testing.T, dir string, o history.DurableOptions) *history.ShardedStore {

@@ -310,6 +310,7 @@ func (s *Server) stats() StatsResponse {
 		BackendProbes:   s.counts.backendProbes.Load(),
 		WALAppends:      ws.Appends,
 		WALSyncs:        ws.Syncs,
+		WALRotations:    ws.Rotations,
 		JournalHits:     s.counts.journalHits.Load(),
 		SessionsResumed: s.counts.sessionsResumed.Load(),
 		InFlight:        s.inFlight.Load(),

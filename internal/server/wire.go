@@ -188,10 +188,11 @@ type StatsResponse struct {
 	WritesRejected uint64 `json:"writes_rejected"`
 	BreakerOpens   uint64 `json:"breaker_opens"`
 	BackendProbes  uint64 `json:"backend_probes"`
-	// WALAppends/WALSyncs are the store's write-ahead-journal counters
-	// (zero when the store is not durable).
-	WALAppends uint64 `json:"wal_appends"`
-	WALSyncs   uint64 `json:"wal_syncs"`
+	// WALAppends/WALSyncs/WALRotations are the store's write-ahead-journal
+	// counters (zero when the store is not durable).
+	WALAppends   uint64 `json:"wal_appends"`
+	WALSyncs     uint64 `json:"wal_syncs"`
+	WALRotations uint64 `json:"wal_rotations"`
 	// JournalHits counts diagnose requests answered from the session
 	// journal (same idempotency key, stored bytes replayed);
 	// SessionsResumed counts orphans a restart's resume resolved done.
