@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench commit-bench clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench commit-bench reach clean
 
 all: build vet test
 
@@ -219,6 +219,17 @@ session-bench:
 # fsync cost nothing: point TMPDIR at the disk a store lives on.
 commit-bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(Commit|ApplyRun)$$' -benchtime 300x -count 5 ./internal/history/
+
+# Which non-test functions no production path runs: every command and
+# example built once with coverage, every pcload suite, pcbench, pcfeed,
+# the examples and a CLI sequence (pcrun, pcextract, pctrace, pccompare,
+# pcquery against a store and a covered pcd, writes and a keyed
+# diagnosis over the wire, pcfsck -repair of damaged copies) run under
+# GOCOVERDIR; each function `go tool covdata func` reads at 0 % must be
+# in testdata/reach.allow with its reason. Writes testdata/reach.txt and
+# fails naming what is unreached and not allowed (about a minute).
+reach:
+	sh scripts/reach.sh
 
 clean:
 	$(GO) clean -testcache

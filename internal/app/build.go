@@ -2,9 +2,6 @@ package app
 
 import "fmt"
 
-// Names lists the buildable applications in display order.
-func Names() []string { return []string{"poisson", "ocean", "tester", "seismic", "mw", "pipeline"} }
-
 // Build constructs an application by name — the single registry behind
 // pcrun/pctrace's -app flag and the diagnosis service's session
 // requests. Only poisson interprets the version; the others reject a

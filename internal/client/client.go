@@ -334,8 +334,8 @@ func (c *Client) Query(ctx context.Context, p QueryParams) (*server.QueryRespons
 	return &resp, nil
 }
 
-// QueryRaw is Query returning the server's canonical JSON bytes
-// (pcquery -json prints these verbatim).
+// QueryRaw is Query returning the server's canonical JSON bytes, for
+// comparing two servers' answers byte for byte.
 func (c *Client) QueryRaw(ctx context.Context, p QueryParams) ([]byte, error) {
 	return c.doRaw(ctx, http.MethodGet, "/api/v1/query", p.values(), nil, true)
 }

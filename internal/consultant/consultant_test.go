@@ -164,7 +164,7 @@ func TestPruneGuidance(t *testing.T) {
 	}
 	// Pruned pairs are never instrumented.
 	for _, n := range r.c.SHG().Nodes() {
-		if n.State == StatePruned && n.Probe() != nil {
+		if n.State == StatePruned && n.probe != nil {
 			t.Error("pruned node has a probe")
 		}
 	}

@@ -34,7 +34,7 @@ func TestPersistentNodeFlipsTrueLater(t *testing.T) {
 	if n.State != StateFalse {
 		t.Fatalf("phase 1 state = %v, want false", n.State)
 	}
-	if n.Probe() == nil || n.Probe().Removed() {
+	if n.probe == nil || n.probe.Removed() {
 		t.Fatal("persistent probe was removed while no other work was pending")
 	}
 	// Phase 2: the application enters a heavy I/O phase. Feed intervals
@@ -55,7 +55,7 @@ func TestPersistentNodeFlipsTrueLater(t *testing.T) {
 	if n.State != StateTrue {
 		t.Fatalf("persistent pair never flipped true (value %.3f)", n.Value)
 	}
-	if !n.Refined() {
+	if !n.refined {
 		t.Error("flipped pair was not refined")
 	}
 }

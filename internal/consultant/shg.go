@@ -130,12 +130,6 @@ func (n *Node) Parents() []*Node {
 	return out
 }
 
-// Probe returns the node's instrumentation probe (nil until activated).
-func (n *Node) Probe() *dyninst.Probe { return n.probe }
-
-// Refined reports whether the node's children have been generated.
-func (n *Node) Refined() bool { return n.refined }
-
 // SHG is the Search History Graph: a DAG of (hypothesis : focus) nodes
 // rooted at (TopLevelHypothesis : WholeProgram).
 type SHG struct {

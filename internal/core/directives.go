@@ -85,45 +85,6 @@ func (ds *DirectiveSet) equal(other *DirectiveSet) bool {
 		slices.Equal(ds.Priorities, other.Priorities) && slices.Equal(ds.Thresholds, other.Thresholds)
 }
 
-// Merge appends other's directives (dropping exact duplicates and keeping
-// other's threshold for a hypothesis both sets mention).
-func (ds *DirectiveSet) Merge(other *DirectiveSet) {
-	seenP := make(map[Prune]bool, len(ds.Prunes))
-	for _, p := range ds.Prunes {
-		seenP[p] = true
-	}
-	for _, p := range other.Prunes {
-		if !seenP[p] {
-			ds.Prunes = append(ds.Prunes, p)
-			seenP[p] = true
-		}
-	}
-	seenPr := make(map[string]int, len(ds.Priorities))
-	for i, p := range ds.Priorities {
-		seenPr[p.Hypothesis+" "+p.Focus] = i
-	}
-	for _, p := range other.Priorities {
-		if i, ok := seenPr[p.Hypothesis+" "+p.Focus]; ok {
-			ds.Priorities[i] = p
-			continue
-		}
-		seenPr[p.Hypothesis+" "+p.Focus] = len(ds.Priorities)
-		ds.Priorities = append(ds.Priorities, p)
-	}
-	seenT := make(map[string]int, len(ds.Thresholds))
-	for i, t := range ds.Thresholds {
-		seenT[t.Hypothesis] = i
-	}
-	for _, t := range other.Thresholds {
-		if i, ok := seenT[t.Hypothesis]; ok {
-			ds.Thresholds[i] = t
-			continue
-		}
-		seenT[t.Hypothesis] = len(ds.Thresholds)
-		ds.Thresholds = append(ds.Thresholds, t)
-	}
-}
-
 // Len returns the total number of directives.
 func (ds *DirectiveSet) Len() int {
 	return len(ds.Prunes) + len(ds.Priorities) + len(ds.Thresholds)

@@ -180,7 +180,7 @@ func TestGuidanceThresholds(t *testing.T) {
 	}
 }
 
-func TestCloneAndMerge(t *testing.T) {
+func TestClone(t *testing.T) {
 	a := &DirectiveSet{
 		Source:     "a",
 		Prunes:     []Prune{{Hypothesis: "*", Path: "/Machine"}},
@@ -192,27 +192,8 @@ func TestCloneAndMerge(t *testing.T) {
 	if a.Prunes[0].Path != "/Machine" {
 		t.Error("Clone aliases prune storage")
 	}
-	b := &DirectiveSet{
-		Prunes:     []Prune{{Hypothesis: "*", Path: "/Machine"}, {Hypothesis: "*", Path: "/SyncObject"}},
-		Priorities: []PriorityDirective{{Hypothesis: "H", Focus: "<f>", Level: consultant.Low}, {Hypothesis: "H", Focus: "<g>", Level: consultant.High}},
-		Thresholds: []ThresholdDirective{{Hypothesis: "H", Value: 0.1}},
-	}
-	a.Merge(b)
-	if len(a.Prunes) != 2 {
-		t.Errorf("merged prunes = %d, want 2 (duplicate dropped)", len(a.Prunes))
-	}
-	if len(a.Priorities) != 2 {
-		t.Errorf("merged priorities = %d", len(a.Priorities))
-	}
-	// The merged-in priority for the same pair wins.
-	if a.Priorities[0].Level != consultant.Low {
-		t.Error("merge did not overwrite the duplicate priority")
-	}
-	if a.Thresholds[0].Value != 0.1 {
-		t.Error("merge did not overwrite the threshold")
-	}
-	if a.Len() != 5 {
-		t.Errorf("Len = %d", a.Len())
+	if c.Len() != 3 {
+		t.Errorf("Len = %d", c.Len())
 	}
 }
 

@@ -79,16 +79,16 @@ func TestRemovedProbeIsNeverReached(t *testing.T) {
 		with.OnInterval(iv)
 		without.OnInterval(iv)
 	}
-	if doomed.Histogram().Total() != 0 || doomed.events != 0 {
-		t.Errorf("removed probe accumulated %v s, %v events", doomed.Histogram().Total(), doomed.events)
+	if doomed.hist.Total() != 0 || doomed.events != 0 {
+		t.Errorf("removed probe accumulated %v s, %v events", doomed.hist.Total(), doomed.events)
 	}
 	var sum float64
 	for i, p := range append(before, after...) {
 		w := want[i]
-		sum += p.Histogram().Total() + p.events
-		if p.Histogram().Total() != w.Histogram().Total() || p.events != w.events || p.Value(4) != w.Value(4) {
-			t.Errorf("probe %d (%s %s): %v s, %v events; want %v s, %v events", i, p.Metric(), p.Focus().Name(),
-				p.Histogram().Total(), p.events, w.Histogram().Total(), w.events)
+		sum += p.hist.Total() + p.events
+		if p.hist.Total() != w.hist.Total() || p.events != w.events || p.Value(4) != w.Value(4) {
+			t.Errorf("probe %d (%s %s): %v s, %v events; want %v s, %v events", i, p.met, p.focus.Name(),
+				p.hist.Total(), p.events, w.hist.Total(), w.events)
 		}
 	}
 	if sum == 0 {

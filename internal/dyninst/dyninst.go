@@ -75,26 +75,8 @@ type Probe struct {
 	matcher  matcher
 }
 
-// ID returns the probe's manager-unique id.
-func (p *Probe) ID() int { return p.id }
-
-// Metric returns the probe's metric.
-func (p *Probe) Metric() metric.ID { return p.met }
-
-// Focus returns the probe's focus.
-func (p *Probe) Focus() resource.Focus { return p.focus }
-
-// ActiveAt returns the virtual time data collection began.
-func (p *Probe) ActiveAt() float64 { return p.activeAt }
-
 // Removed reports whether the probe has been deleted.
 func (p *Probe) Removed() bool { return p.removed }
-
-// Width returns the number of processes the probe covers.
-func (p *Probe) Width() int { return p.width }
-
-// Histogram exposes the probe's accumulated time histogram.
-func (p *Probe) Histogram() *metric.TimeHistogram { return p.hist }
 
 // ObservedWindow returns how many seconds of data the probe has collected
 // as of virtual time now.

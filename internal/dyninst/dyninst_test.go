@@ -75,8 +75,8 @@ func TestRequestAndCostAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Width() != 2 {
-		t.Errorf("width = %d, want 2", p.Width())
+	if p.width != 2 {
+		t.Errorf("width = %d, want 2", p.width)
 	}
 	if got := m.TotalCost(); math.Abs(got-cfg.CostPerProcProbe) > 1e-12 {
 		t.Errorf("TotalCost = %v, want %v", got, cfg.CostPerProcProbe)
@@ -90,8 +90,8 @@ func TestRequestAndCostAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Width() != 1 {
-		t.Errorf("narrow width = %d", p2.Width())
+	if p2.width != 1 {
+		t.Errorf("narrow width = %d", p2.width)
 	}
 	wantCost := cfg.CostPerProcProbe + cfg.CostPerProcProbe/2
 	if got := m.TotalCost(); math.Abs(got-wantCost) > 1e-12 {
@@ -161,7 +161,7 @@ func TestProbeAccumulationAndClipping(t *testing.T) {
 	m.OnInterval(iv)
 	// Only [activeAt, 1) counts.
 	want := 1 - cfg.InsertLatency
-	if got := p.Histogram().Total(); math.Abs(got-want) > 1e-9 {
+	if got := p.hist.Total(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("accumulated = %v, want %v", got, want)
 	}
 	// Value at t=1.5: window = 1.0s, width 2 -> accumulated/(1.0*2).
@@ -171,7 +171,7 @@ func TestProbeAccumulationAndClipping(t *testing.T) {
 	// Intervals entirely before activation are lost.
 	before, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 10)
 	m.OnInterval(iv)
-	if before.Histogram().Total() != 0 {
+	if before.hist.Total() != 0 {
 		t.Error("interval before activation accumulated")
 	}
 }
@@ -191,12 +191,12 @@ func TestMetricKindFiltering(t *testing.T) {
 	emit(sim.KindCPU)
 	emit(sim.KindSyncWait)
 	emit(sim.KindIOWait)
-	if cpu.Histogram().Total() != 1 || sync.Histogram().Total() != 1 || io.Histogram().Total() != 1 {
+	if cpu.hist.Total() != 1 || sync.hist.Total() != 1 || io.hist.Total() != 1 {
 		t.Errorf("kind filtering wrong: cpu=%v sync=%v io=%v",
-			cpu.Histogram().Total(), sync.Histogram().Total(), io.Histogram().Total())
+			cpu.hist.Total(), sync.hist.Total(), io.hist.Total())
 	}
-	if exec.Histogram().Total() != 3 {
-		t.Errorf("exec time should accumulate all kinds, got %v", exec.Histogram().Total())
+	if exec.hist.Total() != 3 {
+		t.Errorf("exec time should accumulate all kinds, got %v", exec.hist.Total())
 	}
 }
 
@@ -298,13 +298,13 @@ func TestProbeAccessors(t *testing.T) {
 	m, sp := newManager(t)
 	f := focusOf(t, sp, "/Process/p1")
 	p, _ := m.Request(metric.CPUTime, f, 0)
-	if p.ID() == 0 {
+	if p.id == 0 {
 		t.Error("ID not assigned")
 	}
-	if p.Metric() != metric.CPUTime {
-		t.Errorf("Metric = %v", p.Metric())
+	if p.met != metric.CPUTime {
+		t.Errorf("Metric = %v", p.met)
 	}
-	if !p.Focus().Equal(f) {
+	if !p.focus.Equal(f) {
 		t.Error("Focus mismatch")
 	}
 }

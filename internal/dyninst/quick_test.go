@@ -100,13 +100,13 @@ func TestQuickProbeMatchesBruteForce(t *testing.T) {
 			}
 			m.OnInterval(iv)
 			if matcher.Matches(iv) {
-				lo := math.Max(iv.Start, probe.ActiveAt())
+				lo := math.Max(iv.Start, probe.activeAt)
 				if lo < iv.End {
 					want += iv.End - lo
 				}
 			}
 		}
-		got := probe.Histogram().Total()
+		got := probe.hist.Total()
 		return math.Abs(got-want) < 1e-9*(1+want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
@@ -227,7 +227,7 @@ func TestQuickCostConservation(t *testing.T) {
 		}
 		var want float64
 		for _, p := range live {
-			want += float64(p.Width()) * p.procCost
+			want += float64(p.width) * p.procCost
 		}
 		want /= 2 // two processes
 		if math.Abs(m.TotalCost()-want) > 1e-9 {

@@ -66,8 +66,6 @@ type ScanEntry struct {
 // querying live in the Store façade, so a backend only needs durable
 // byte storage. Implementations must be safe for concurrent use.
 type Backend interface {
-	// Name identifies the backend for diagnostics ("fs:<dir>", "mem").
-	Name() string
 	// Put stores data under key, overwriting any previous value.
 	Put(key RecordKey, data []byte) error
 	// Get returns the encoded record for key. A missing key yields an

@@ -38,9 +38,6 @@ func encoded(t *testing.T, runID string) []byte {
 func TestBackendConformance(t *testing.T) {
 	for name, b := range backendsUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
-			if b.Name() == "" {
-				t.Error("backend has no name")
-			}
 			key := RecordKey{App: "poisson", Version: "A", RunID: "r1"}
 
 			// Missing keys: Get and Delete report os.ErrNotExist.

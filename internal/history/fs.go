@@ -47,9 +47,6 @@ func fsBackendAt(dir string) *FSBackend { return &FSBackend{dir: dir, fs: osFS{}
 // Dir returns the backend's directory.
 func (b *FSBackend) Dir() string { return b.dir }
 
-// Name implements Backend.
-func (b *FSBackend) Name() string { return "fs:" + b.dir }
-
 // escapeComponent makes one key component safe to embed in a file name:
 // '%' (the escape lead), '-' (the component separator), slashes and
 // control bytes become %XX. Escaped names are a single path element and

@@ -366,7 +366,7 @@ func TestStoreLegacyFileFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestStoreLegacyFileFallback(t *testing.T) {
 	assertCanonicalNames()
 	// Deleting one of the pair leaves the other alone, and a reopen has
 	// nothing left to migrate.
-	st2, err := OpenStore(dir)
+	st2, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

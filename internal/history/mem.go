@@ -20,9 +20,6 @@ func NewMemBackend() *MemBackend {
 	return &MemBackend{data: make(map[RecordKey][]byte)}
 }
 
-// Name implements Backend.
-func (b *MemBackend) Name() string { return "mem" }
-
 // Put implements Backend.
 func (b *MemBackend) Put(key RecordKey, data []byte) error {
 	cp := make([]byte, len(data))

@@ -32,7 +32,7 @@ func TestOpenStoreSweepsOrphanedTemp(t *testing.T) {
 	writeStoreFile(t, dir, ".put-123.tmp", []byte("half a rec"))
 	writeStoreFile(t, dir, ".put-456.tmp", nil)
 
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestOpenStoreQuarantinesCorruptRecords(t *testing.T) {
 	writeStoreFile(t, dir, "poisson-A-torn.json", full[:len(full)/2])
 	writeStoreFile(t, dir, "poisson-A-junk.json", []byte("not json at all"))
 
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestOpenStoreQuarantinesCorruptRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "poisson-A-torn.json"), full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenStore(dir)
+	st2, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFSBackendRenameFailureCleansTemp(t *testing.T) {
 	}
 
 	// A recovering open of the same directory is a no-op.
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestParseRunKey(t *testing.T) {
 
 func TestOpenStoreMissingDir(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-store")
-	if _, err := OpenStore(missing); err == nil {
+	if _, err := OpenStoreDurable(missing, DurableOptions{}); err == nil {
 		t.Fatal("OpenStore on a missing directory: want error, got nil")
 	}
 	// NewStore keeps its create-if-needed contract.
@@ -70,7 +70,7 @@ func TestOpenStoreMissingDir(t *testing.T) {
 		t.Fatalf("fresh store Len = %d, want 0", st.Len())
 	}
 	// Once created, OpenStore succeeds.
-	if _, err := OpenStore(missing); err != nil {
+	if _, err := OpenStoreDurable(missing, DurableOptions{}); err != nil {
 		t.Fatalf("OpenStore after create: %v", err)
 	}
 }

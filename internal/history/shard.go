@@ -237,7 +237,6 @@ type ShardedStore struct {
 	threshold int
 	shards    []*shardState
 	recovery  *RecoveryReport
-	replicas  int
 	failover  ShardFailover
 	promote   bool
 	stages    atomic.Pointer[metric.Stages] // handed to every shard store, a reopened one too
@@ -256,10 +255,6 @@ func (s *ShardedStore) ObserveStages(st *metric.Stages) {
 
 // Shards returns the shard count pinned by the store's manifest.
 func (s *ShardedStore) Shards() int { return s.n }
-
-// Replicas returns the per-shard follower count the manifest expects
-// (0 = unreplicated layout).
-func (s *ShardedStore) Replicas() int { return s.replicas }
 
 // Shard returns shard i's local store, even while its breaker is open —
 // the replication layer needs the journal handle regardless of serving
@@ -385,7 +380,6 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 		opts:      o,
 		timeout:   o.ShardTimeout,
 		threshold: o.ShardBreakerThreshold,
-		replicas:  replicas,
 	}
 	if s.timeout <= 0 {
 		s.timeout = 2 * time.Second

@@ -65,20 +65,6 @@ func NewStore(dir string) (*Store, error) {
 	return OpenStoreDurable(dir, DurableOptions{Create: true})
 }
 
-// OpenStore opens an existing filesystem-backed store rooted at dir,
-// failing when the directory does not exist. Read-only tools use this
-// instead of NewStore so that a mistyped -store path surfaces as an
-// error rather than as a silently empty store.
-//
-// OpenStore also runs crash recovery: orphaned atomic-write temp files
-// are swept, and records the scan cannot decode are moved into the
-// quarantine/ subdirectory (with a REPORT.txt line each) instead of
-// being silently skipped forever. The Recovery method reports what was
-// done; quarantined files are restorable by moving them back.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreDurable(dir, DurableOptions{})
-}
-
 // DurableOptions configures OpenStoreDurable.
 type DurableOptions struct {
 	// Create makes the store directory when absent instead of failing

@@ -631,7 +631,7 @@ func TestDurableStorePreWALLayoutOpens(t *testing.T) {
 	}
 	st.Close()
 	// And backwards: the old open path must not trip over wal/.
-	stOld, err := OpenStore(dir)
+	stOld, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("pre-WAL open path rejected a durable store: %v", err)
 	}
@@ -854,7 +854,7 @@ func TestStoreDeleteLegacyNamedRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, legacy), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -892,7 +892,7 @@ func TestFSBackendDeleteLegacyCollision(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "poisson-A-r1.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -910,7 +910,7 @@ func TestFSBackendDeleteLegacyCollision(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "copy.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenStore(dir)
+	st2, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,9 +124,6 @@ func (e *Engine) Samples() int { return e.samples }
 // fully concluded true, or 0 if it has not (or nothing is watched).
 func (e *Engine) WatchSteps() int { return e.watchSteps }
 
-// End returns the latest sample end time seen.
-func (e *Engine) End() float64 { return e.rec.End() }
-
 // Feed folds one batch of samples into the session and advances the
 // incremental search.
 func (e *Engine) Feed(samples []Sample) error {

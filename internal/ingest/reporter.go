@@ -93,7 +93,6 @@ type Reporter struct {
 	started bool
 	err     error
 
-	samples int
 	batches int
 }
 
@@ -140,9 +139,7 @@ func (r *Reporter) OnInterval(iv sim.Interval) {
 // Err returns the first transport error, if any.
 func (r *Reporter) Err() error { return r.err }
 
-// Samples returns how many samples were accepted by the daemon so far;
-// Batches how many batches.
-func (r *Reporter) Samples() int { return r.samples }
+// Batches returns how many batches the daemon accepted so far.
 func (r *Reporter) Batches() int { return r.batches }
 
 // flush ships the buffered samples as the next batch. Retries belong to
@@ -163,7 +160,6 @@ func (r *Reporter) flush() error {
 		return err
 	}
 	r.seq++
-	r.samples += len(r.buf)
 	r.batches++
 	r.buf = r.buf[:0]
 	return nil

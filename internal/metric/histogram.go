@@ -47,21 +47,11 @@ func NewFoldingTimeHistogram(binWidth float64, maxBins int) (*TimeHistogram, err
 	return h, nil
 }
 
-// Folds returns how many times the histogram has folded (each fold
-// doubles the bin width).
-func (h *TimeHistogram) Folds() int { return h.folds }
-
-// BinWidth returns the histogram's bin width.
-func (h *TimeHistogram) BinWidth() float64 { return h.binWidth }
-
 // NumBins returns the number of allocated bins.
 func (h *TimeHistogram) NumBins() int { return len(h.bins) }
 
 // Total returns the sum over all bins.
 func (h *TimeHistogram) Total() float64 { return h.total }
-
-// MaxTime returns the largest interval end observed.
-func (h *TimeHistogram) MaxTime() float64 { return h.maxTime }
 
 // Add spreads amount uniformly over [start, end). A zero-length interval
 // deposits the whole amount into the bin containing start.

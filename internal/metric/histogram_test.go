@@ -55,7 +55,7 @@ func TestAddSpreadsProportionally(t *testing.T) {
 	if got := h.Total(); math.Abs(got-2.0) > 1e-12 {
 		t.Errorf("Total = %v", got)
 	}
-	if got := h.MaxTime(); got != 2.5 {
+	if got := h.maxTime; got != 2.5 {
 		t.Errorf("MaxTime = %v", got)
 	}
 }
@@ -149,7 +149,7 @@ func TestQuickConservation(t *testing.T) {
 		if math.Abs(h.Total()-want) > 1e-9*math.Max(1, want) {
 			return false
 		}
-		got := h.Sum(0, end+h.BinWidth())
+		got := h.Sum(0, end+h.binWidth)
 		return math.Abs(got-want) < 1e-6*math.Max(1, want)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -184,13 +184,13 @@ func TestFoldingHistogram(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_ = h.Add(float64(i), float64(i)+1, 1.0)
 	}
-	if h.Folds() != 0 || h.BinWidth() != 1.0 {
-		t.Fatalf("premature fold: folds=%d width=%v", h.Folds(), h.BinWidth())
+	if h.folds != 0 || h.binWidth != 1.0 {
+		t.Fatalf("premature fold: folds=%d width=%v", h.folds, h.binWidth)
 	}
 	// The fifth second forces one fold: width 2, bins [2,2,1,0...].
 	_ = h.Add(4, 5, 1.0)
-	if h.Folds() != 1 || h.BinWidth() != 2.0 {
-		t.Fatalf("fold state: folds=%d width=%v", h.Folds(), h.BinWidth())
+	if h.folds != 1 || h.binWidth != 2.0 {
+		t.Fatalf("fold state: folds=%d width=%v", h.folds, h.binWidth)
 	}
 	if h.NumBins() > 4 {
 		t.Errorf("bins = %d exceeds cap", h.NumBins())
@@ -245,7 +245,7 @@ func TestQuickFoldingConservesTotal(t *testing.T) {
 		if math.Abs(h.Total()-want) > 1e-6*(1+want) {
 			return false
 		}
-		got := h.Sum(0, end+2*h.BinWidth())
+		got := h.Sum(0, end+2*h.binWidth)
 		return math.Abs(got-want) < 1e-6*(1+want)
 	}
 	if err := quick.Check(prop, cfg); err != nil {

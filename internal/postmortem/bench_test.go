@@ -33,7 +33,7 @@ func BenchmarkReadTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec, err := ReadTrace(bytes.NewReader(file.Bytes()))
-		if err != nil || rec.Combinations() == 0 {
+		if err != nil || len(rec.aggs) == 0 {
 			b.Fatal(err)
 		}
 	}

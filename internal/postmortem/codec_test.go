@@ -198,7 +198,7 @@ func checkSampleLine(t *testing.T, line []byte) {
 	rec, err := ReadTrace(bytes.NewReader(line))
 	switch {
 	case len(line) == 0:
-		if err != nil || rec.Combinations() != 0 {
+		if err != nil || len(rec.aggs) != 0 {
 			t.Fatalf("ReadTrace of nothing = %v", err)
 		}
 	case wantErr != nil:

@@ -81,9 +81,6 @@ func (r *Recorder) OnInterval(iv sim.Interval) {
 // End returns the last interval end observed.
 func (r *Recorder) End() float64 { return r.end }
 
-// Combinations returns the number of distinct attribution combinations.
-func (r *Recorder) Combinations() int { return len(r.aggs) }
-
 // sorted returns the recorder's combinations in their canonical total
 // order. The slice is a snapshot; the *aggs are the live accumulators.
 func (r *Recorder) sorted() []*agg {

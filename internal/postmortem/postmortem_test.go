@@ -66,8 +66,8 @@ func TestRecorderAggregates(t *testing.T) {
 		t.Errorf("End = %v", rec.End())
 	}
 	// 4 distinct attribution combinations regardless of trace length.
-	if rec.Combinations() != 4 {
-		t.Errorf("Combinations = %d", rec.Combinations())
+	if len(rec.aggs) != 4 {
+		t.Errorf("Combinations = %d", len(rec.aggs))
 	}
 }
 

@@ -29,9 +29,9 @@ func TestTraceWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec2.Combinations() != rec1.Combinations() || rec2.End() != rec1.End() {
+	if len(rec2.aggs) != len(rec1.aggs) || rec2.End() != rec1.End() {
 		t.Errorf("round trip changed aggregation: %d/%v vs %d/%v",
-			rec2.Combinations(), rec2.End(), rec1.Combinations(), rec1.End())
+			len(rec2.aggs), rec2.End(), len(rec1.aggs), rec1.End())
 	}
 	// Values computed from both recorders agree.
 	sp1, procs1, err := rec1.InferExecution()
@@ -90,8 +90,8 @@ func TestReadTraceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Combinations() != 2 {
-		t.Errorf("combinations = %d", rec.Combinations())
+	if len(rec.aggs) != 2 {
+		t.Errorf("combinations = %d", len(rec.aggs))
 	}
 }
 

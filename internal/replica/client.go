@@ -349,16 +349,17 @@ func Gate(st history.Storage, p *Primary) *GatedStorage {
 	return &GatedStorage{Storage: st, p: p}
 }
 
-// acked gates a finished write: a failed write passes through, a
-// successful one waits for the ack quorum on the shard of every
-// (app, version) keyspace it touched.
-func (g *GatedStorage) acked(err error, keys ...history.RecordKey) error {
+// acked gates a finished write of n records, the i-th keyed key(i): a
+// failed write passes through, a successful one waits for the ack quorum
+// on the shard of every (app, version) keyspace it touched.
+func (g *GatedStorage) acked(err error, n int, key func(i int) history.RecordKey) error {
 	if err != nil {
 		return err
 	}
 	defer g.stages.Load().Since("commit", "ack", time.Now())
 	waited := make([]bool, len(g.p.logs))
-	for _, k := range keys {
+	for i := 0; i < n; i++ {
+		k := key(i)
 		shard := history.ShardForKey(k.App, k.Version, len(waited))
 		if waited[shard] {
 			continue
@@ -371,38 +372,28 @@ func (g *GatedStorage) acked(err error, keys ...history.RecordKey) error {
 	return nil
 }
 
+// Save, PutBatch, PutEncoded and Delete each call the same method of
+// the store beneath, so a trace of it nests inside the gated call's.
 func (g *GatedStorage) Save(rec *history.RunRecord) error {
-	return g.acked(g.Storage.Save(rec), rec.Key())
+	return g.acked(g.Storage.Save(rec), 1, func(int) history.RecordKey { return rec.Key() })
 }
 
 func (g *GatedStorage) PutBatch(recs []*history.RunRecord) (int, error) {
 	n, err := g.Storage.PutBatch(recs)
-	if err != nil {
-		return n, err
-	}
-	keys := make([]history.RecordKey, len(recs))
-	for i, rec := range recs {
-		keys[i] = rec.Key()
-	}
-	return n, g.acked(nil, keys...)
+	return n, g.acked(err, len(recs), func(i int) history.RecordKey { return recs[i].Key() })
 }
 
 // PutEncoded is PutBatch for decoded put bodies, whose bytes the store
 // beneath keeps when it can (history.SaveEncoded).
 func (g *GatedStorage) PutEncoded(recs []history.Encoded) (int, error) {
 	n, err := history.SaveEncoded(g.Storage, recs)
-	if err != nil {
-		return n, err
-	}
-	keys := make([]history.RecordKey, len(recs))
-	for i, e := range recs {
-		keys[i] = e.Record().Key()
-	}
-	return n, g.acked(nil, keys...)
+	return n, g.acked(err, len(recs), func(i int) history.RecordKey { return recs[i].Record().Key() })
 }
 
 func (g *GatedStorage) Delete(app, version, runID string) error {
-	return g.acked(g.Storage.Delete(app, version, runID), history.RecordKey{App: app, Version: version})
+	return g.acked(g.Storage.Delete(app, version, runID), 1, func(int) history.RecordKey {
+		return history.RecordKey{App: app, Version: version}
+	})
 }
 
 // ShardStats forwards the inner store's shard gauges, keeping /statsz's

@@ -81,12 +81,6 @@ func (r *Resource) MustAddChild(label string) *Resource {
 	return c
 }
 
-// Child returns the direct child with the given label.
-func (r *Resource) Child(label string) (*Resource, bool) {
-	c, ok := r.children[label]
-	return c, ok
-}
-
 // Children returns the direct children in insertion order.
 func (r *Resource) Children() []*Resource {
 	out := make([]*Resource, 0, len(r.order))

@@ -183,18 +183,6 @@ type Process struct {
 	msgs   int
 }
 
-// Name returns the process name (e.g. "poisson_0").
-func (p *Process) Name() string { return p.name }
-
-// Node returns the machine node the process runs on.
-func (p *Process) Node() string { return p.node }
-
-// Rank returns the process's index in AddProcess order.
-func (p *Process) Rank() int { return int(p.rank) }
-
-// Done reports whether the process has finished its program.
-func (p *Process) Done() bool { return p.done }
-
 // FinishedAt returns the virtual time the process completed (only
 // meaningful when Done).
 func (p *Process) FinishedAt() float64 { return p.finishedAt }

@@ -106,13 +106,13 @@ func TestProcessAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Processes()[0]
-	if p.Name() != "pa" || p.Node() != "na" || p.Rank() != 0 {
-		t.Errorf("accessors: %s %s %d", p.Name(), p.Node(), p.Rank())
+	if p.name != "pa" || p.node != "na" || int(p.rank) != 0 {
+		t.Errorf("accessors: %s %s %d", p.name, p.node, int(p.rank))
 	}
 	if p.Msgs() != 1 {
 		t.Errorf("Msgs = %d", p.Msgs())
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Error("process not done")
 	}
 	// The rendezvous is all the sender did; a kind no interval carries

@@ -227,7 +227,7 @@ func TestTimeConservationPerProcess(t *testing.T) {
 	for _, p := range s.Processes() {
 		sum := p.Total(KindCPU) + p.Total(KindSyncWait) + p.Total(KindIOWait)
 		if math.Abs(sum-p.FinishedAt()) > 1e-6 {
-			t.Errorf("%s: cpu+sync+io = %v, finish = %v", p.Name(), sum, p.FinishedAt())
+			t.Errorf("%s: cpu+sync+io = %v, finish = %v", p.name, sum, p.FinishedAt())
 		}
 	}
 }
@@ -255,7 +255,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	for i := range s1.Processes() {
 		a, b := s1.Processes()[i], s2.Processes()[i]
 		if a.FinishedAt() != b.FinishedAt() || a.Total(KindCPU) != b.Total(KindCPU) {
-			t.Errorf("run divergence for %s", a.Name())
+			t.Errorf("run divergence for %s", a.name)
 		}
 	}
 }

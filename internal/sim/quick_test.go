@@ -152,7 +152,7 @@ func TestQuickActivityIsNeverOverwritten(t *testing.T) {
 		for rank, p := range s.Processes() {
 			want, at := flatten(progs[rank]), 0.0
 			for _, iv := range ivs {
-				if iv.Process != p.Name() {
+				if iv.Process != p.name {
 					continue
 				}
 				if len(want) == 0 || iv.Start != at || iv.Site == 0 {

@@ -134,21 +134,6 @@ type HarvestCache = core.HarvestCache
 // NewHarvestCache creates an empty harvest cache.
 func NewHarvestCache() *HarvestCache { return core.NewHarvestCache() }
 
-// ExperimentEnv bundles a store and a harvest cache for the evaluation
-// harness's experiments.
-type ExperimentEnv = harness.Env
-
-// NewExperimentEnv creates an experiment environment over st, or over a
-// fresh in-memory store when st is nil.
-func NewExperimentEnv(st *Store) *ExperimentEnv {
-	if st == nil {
-		// A typed-nil *Store must become a true nil interface, or NewEnv
-		// would wrap it instead of substituting the in-memory store.
-		return harness.NewEnv(nil)
-	}
-	return harness.NewEnv(st)
-}
-
 // HarvestAll enables every directive kind with default tuning.
 func HarvestAll() HarvestOptions { return core.HarvestAll() }
 
