@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench commit-bench reach clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench search-bench commit-bench reach clean
 
 all: build vet test
 
@@ -209,6 +209,15 @@ codec-bench:
 # binaries; pairs/op must not move.
 session-bench:
 	$(GO) test -run '^$$' -bench DiagnoseSession -benchmem -count 5 ./internal/harness/
+
+# The diagnosis search wherever it builds its pairs: a whole
+# directed stream through Engine.Feed (mw, pipeline) and Engine.Finalize
+# of the mw stream (internal/ingest), and the diagnose workload's six
+# directed sessions (internal/harness). One package at a time (-p 1).
+# allocs/op is what testdata/cost.golden pins; compare ns/op against a
+# parent in alternating `go test -c` binaries.
+search-bench:
+	$(GO) test -p 1 -run '^$$' -bench 'EngineFeed|EngineFinalize|DiagnoseSession' -benchmem -count 5 ./internal/ingest/ ./internal/harness/
 
 # A commit's disk work in process, without the wire: k=1 and k=8 records
 # of the corpus's mean size at SyncAlways, as a put and as a follower's

@@ -126,7 +126,7 @@ func TestSearchFindsTheRightBottlenecks(t *testing.T) {
 		}
 	}
 	// IO hypothesis must be false at the whole program (no IO at all).
-	n, ok := r.c.SHG().Lookup(NodeKey(ExcessiveIO, r.sp.WholeProgram()))
+	n, ok := r.c.SHG().Lookup(ExcessiveIO, r.sp.WholeProgram())
 	if !ok || n.State != StateFalse {
 		t.Errorf("ExcessiveIOBlockingTime whole-program state = %v", n.State)
 	}
@@ -146,7 +146,7 @@ func TestFalseNodesReleaseInstrumentation(t *testing.T) {
 
 func TestPruneGuidance(t *testing.T) {
 	guid := Guidance{
-		Prune: func(hyp string, f resource.Focus) bool {
+		Prune: func(hyp string, f resource.Focus, _ string) bool {
 			// Ignore the whole SyncObject hierarchy for every hypothesis.
 			sel, ok := f.Selection(resource.HierSyncObject)
 			return ok && !sel.IsRoot()
@@ -181,7 +181,7 @@ func TestHighPriorityPairsStartImmediately(t *testing.T) {
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	n, ok := r.c.SHG().Lookup(NodeKey(ExcessiveSync, deep))
+	n, ok := r.c.SHG().Lookup(ExcessiveSync, deep)
 	if !ok {
 		t.Fatal("high pair not seeded")
 	}
@@ -206,7 +206,7 @@ func TestLowPrioritySortsBehindMedium(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.CostLimit = 0.016 // one whole-program probe (0.015 avg) at a time
 	guid := Guidance{
-		Priority: func(hyp string, f resource.Focus) Priority {
+		Priority: func(hyp, _ string) Priority {
 			if hyp == ExcessiveSync {
 				return Low
 			}
@@ -217,8 +217,8 @@ func TestLowPrioritySortsBehindMedium(t *testing.T) {
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	cpu, _ := r.c.SHG().Lookup(NodeKey(CPUBound, r.sp.WholeProgram()))
-	sync, _ := r.c.SHG().Lookup(NodeKey(ExcessiveSync, r.sp.WholeProgram()))
+	cpu, _ := r.c.SHG().Lookup(CPUBound, r.sp.WholeProgram())
+	sync, _ := r.c.SHG().Lookup(ExcessiveSync, r.sp.WholeProgram())
 	if cpu.State != StateTesting {
 		t.Errorf("cpu state = %v, want testing first", cpu.State)
 	}
@@ -250,7 +250,7 @@ func TestThresholdOverride(t *testing.T) {
 	guid := Guidance{Thresholds: map[string]float64{ExcessiveSync: 0.9}}
 	r := newRig(t, defaultTestConfig(), guid)
 	r.runUntilQuiesced(200)
-	n, _ := r.c.SHG().Lookup(NodeKey(ExcessiveSync, r.sp.WholeProgram()))
+	n, _ := r.c.SHG().Lookup(ExcessiveSync, r.sp.WholeProgram())
 	if n.State != StateFalse {
 		t.Errorf("sync at 0.9 threshold = %v, want false (value ~0.5)", n.State)
 	}
@@ -358,7 +358,7 @@ func TestUnmeasurablePairConcludesFalse(t *testing.T) {
 		t.Fatal("missing deep machine resource")
 	}
 	f := r.sp.WholeProgram().MustWithSelection(deep)
-	if n, ok := r.c.SHG().Lookup(NodeKey(CPUBound, f)); ok {
+	if n, ok := r.c.SHG().Lookup(CPUBound, f); ok {
 		if n.State != StateFalse {
 			t.Errorf("unmeasurable pair state = %v, want false", n.State)
 		}

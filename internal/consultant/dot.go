@@ -21,7 +21,7 @@ func (g *SHG) DOT() string {
 		ids[n] = i
 		label := n.Hyp.Name
 		if !n.Focus.IsWholeProgram() {
-			label += "\\n" + n.Focus.Name()
+			label += "\\n" + n.name
 		}
 		attrs := []string{fmt.Sprintf("label=\"%s\"", escapeDOT(label))}
 		switch n.State {

@@ -34,11 +34,11 @@ func TestChildHypothesisRefinement(t *testing.T) {
 	r := newRigWithHyps(t, cfg, Guidance{}, ExtendedHypotheses())
 	r.runUntilQuiesced(400)
 	whole := r.sp.WholeProgram()
-	parent, ok := r.c.SHG().Lookup(NodeKey(ExcessiveSync, whole))
+	parent, ok := r.c.SHG().Lookup(ExcessiveSync, whole)
 	if !ok || parent.State != StateTrue {
 		t.Fatalf("sync parent state = %v", parent.State)
 	}
-	child, ok := r.c.SHG().Lookup(NodeKey(FrequentMessages, whole))
+	child, ok := r.c.SHG().Lookup(FrequentMessages, whole)
 	if !ok {
 		t.Fatal("child hypothesis not spawned at the parent's focus")
 	}
@@ -65,7 +65,7 @@ func TestChildHypothesisCanTestTrue(t *testing.T) {
 	r := newRigWithHyps(t, cfg, guid, ExtendedHypotheses())
 	r.runUntilQuiesced(400)
 	whole := r.sp.WholeProgram()
-	child, ok := r.c.SHG().Lookup(NodeKey(FrequentMessages, whole))
+	child, ok := r.c.SHG().Lookup(FrequentMessages, whole)
 	if !ok || child.State != StateTrue {
 		t.Fatalf("FrequentMessages at low threshold = %v", child.State)
 	}
@@ -97,7 +97,7 @@ func TestDOTExport(t *testing.T) {
 }
 
 func TestDOTShowsPrunedNodes(t *testing.T) {
-	guid := Guidance{Prune: func(hyp string, f resource.Focus) bool {
+	guid := Guidance{Prune: func(hyp string, f resource.Focus, _ string) bool {
 		sel, ok := f.Selection(resource.HierSyncObject)
 		return ok && !sel.IsRoot()
 	}}

@@ -22,7 +22,7 @@ func TestPersistentNodeFlipsTrueLater(t *testing.T) {
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	n, ok := r.c.SHG().Lookup(NodeKey(ExcessiveIO, whole))
+	n, ok := r.c.SHG().Lookup(ExcessiveIO, whole)
 	if !ok || !n.Persistent {
 		t.Fatal("high pair not persistent")
 	}
@@ -81,21 +81,21 @@ func TestHighPairOnPrunedFocusIsSkipped(t *testing.T) {
 	tag, _ := r.sp.Find("/SyncObject/Message/tag_3_0")
 	deep := r.sp.WholeProgram().MustWithSelection(tag)
 	r.c.search.guid.HighPairs = []HF{{Hyp: ExcessiveSync, Focus: deep}}
-	r.c.search.guid.Prune = func(hyp string, f resource.Focus) bool { return f.Equal(deep) }
+	r.c.search.guid.Prune = func(hyp string, f resource.Focus, _ string) bool { return f.Equal(deep) }
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := r.c.SHG().Lookup(NodeKey(ExcessiveSync, deep)); ok && n.State == StateTesting {
+	if n, ok := r.c.SHG().Lookup(ExcessiveSync, deep); ok && n.State == StateTesting {
 		t.Error("pruned high pair was instrumented")
 	}
 }
 
 func TestGuidanceZeroValueIsStockPC(t *testing.T) {
 	var g Guidance
-	if g.prune("X", resource.Focus{}) {
+	if g.prune("X", resource.Focus{}, "<>") {
 		t.Error("zero guidance prunes")
 	}
-	if g.priority("X", resource.Focus{}) != Medium {
+	if g.priority("X", "<>") != Medium {
 		t.Error("zero guidance priority != medium")
 	}
 }
@@ -113,7 +113,7 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 	if err := r.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := r.c.SHG().Lookup(NodeKey(ExcessiveIO, whole))
+	n, _ := r.c.SHG().Lookup(ExcessiveIO, whole)
 	// Phase 1: heavy I/O for 10 seconds.
 	for i := 0; i < 10; i++ {
 		start := r.now
@@ -150,7 +150,7 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 	if err := r2.c.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	n2, _ := r2.c.SHG().Lookup(NodeKey(ExcessiveIO, r2.sp.WholeProgram()))
+	n2, _ := r2.c.SHG().Lookup(ExcessiveIO, r2.sp.WholeProgram())
 	for i := 0; i < 10; i++ {
 		start := r2.now
 		end := start + 1.0
@@ -172,11 +172,10 @@ func TestRecencyWindowTracksPhaseChange(t *testing.T) {
 func TestDepthFirstPolicyDrillsDown(t *testing.T) {
 	// Throttled to roughly one probe at a time, a depth-first search
 	// reaches a deep conclusion before a breadth-first one does.
-	deepKey := func(r *testRig) string {
+	deepFocus := func(r *testRig) resource.Focus {
 		fn, _ := r.sp.Find("/Code/oned.f/main")
 		p2, _ := r.sp.Find("/Process/p2")
-		f := r.sp.WholeProgram().MustWithSelection(fn).MustWithSelection(p2)
-		return NodeKey(ExcessiveSync, f)
+		return r.sp.WholeProgram().MustWithSelection(fn).MustWithSelection(p2)
 	}
 	timeToDeep := func(policy SearchPolicy) float64 {
 		cfg := defaultTestConfig()
@@ -188,14 +187,14 @@ func TestDepthFirstPolicyDrillsDown(t *testing.T) {
 		}
 		for i := 0; i < 3000; i++ {
 			r.step(1.0)
-			if n, ok := r.c.SHG().Lookup(deepKey(r)); ok && n.State == StateTrue {
+			if n, ok := r.c.SHG().Lookup(ExcessiveSync, deepFocus(r)); ok && n.State == StateTrue {
 				return r.now
 			}
 			if r.c.Quiesced() {
 				break
 			}
 		}
-		if n, ok := r.c.SHG().Lookup(deepKey(r)); ok && n.State == StateTrue {
+		if n, ok := r.c.SHG().Lookup(ExcessiveSync, deepFocus(r)); ok && n.State == StateTrue {
 			return r.now
 		}
 		t.Fatalf("policy %v never reached the deep conclusion", policy)

@@ -42,13 +42,15 @@ type HF struct {
 // Guidance is the search-directive hook: the compiled form of the prune,
 // priority and threshold directives harvested from historical runs. A
 // zero Guidance reproduces the stock single-button Performance Consultant.
+// The hooks are handed each pair's focus name (f.Name()), built once
+// when the pair is.
 type Guidance struct {
 	// Prune reports whether the (hypothesis : focus) pair (and therefore
 	// its whole refinement subtree) should be ignored.
-	Prune func(hyp string, f resource.Focus) bool
-	// Priority returns the search priority of a pair; nil means Medium
-	// for everything.
-	Priority func(hyp string, f resource.Focus) Priority
+	Prune func(hyp string, f resource.Focus, name string) bool
+	// Priority returns the search priority of the pair (hypothesis : the
+	// focus named name); nil means Medium for everything.
+	Priority func(hyp, name string) Priority
 	// HighPairs lists the pairs to instrument immediately at search start
 	// and test persistently throughout the run.
 	HighPairs []HF
@@ -56,15 +58,15 @@ type Guidance struct {
 	Thresholds map[string]float64
 }
 
-func (g Guidance) prune(hyp string, f resource.Focus) bool {
-	return g.Prune != nil && g.Prune(hyp, f)
+func (g Guidance) prune(hyp string, f resource.Focus, name string) bool {
+	return g.Prune != nil && g.Prune(hyp, f, name)
 }
 
-func (g Guidance) priority(hyp string, f resource.Focus) Priority {
+func (g Guidance) priority(hyp, name string) Priority {
 	if g.Priority == nil {
 		return Medium
 	}
-	return g.Priority(hyp, f)
+	return g.Priority(hyp, name)
 }
 
 // Search is the Performance Consultant's top-down search with the
@@ -121,10 +123,25 @@ func (s *Search) Seed(now float64) {
 	s.Refine(root, now)
 	for _, hf := range s.guid.HighPairs {
 		h := root.Hyp.Find(hf.Hyp)
-		if h == nil || h == root.Hyp || s.guid.prune(hf.Hyp, hf.Focus) {
+		if h == nil || h == root.Hyp {
 			continue
 		}
-		n, created := s.shg.addChild(root, h, hf.Focus, now)
+		key := nodeKey{h, hf.Focus.Key()}
+		n := s.shg.nodes[key]
+		created := n == nil
+		var name string
+		if created {
+			name = hf.Focus.Name()
+		} else {
+			name = n.name
+		}
+		if s.guid.prune(hf.Hyp, hf.Focus, name) {
+			continue
+		}
+		if created {
+			n = s.shg.create(h, hf.Focus, key, name, now)
+		}
+		link(root, n)
 		if n.State != StatePending {
 			continue
 		}
@@ -139,33 +156,60 @@ func (s *Search) Seed(now float64) {
 // focus, and a more specific focus (one edge down each relevant
 // hierarchy) for the same hypothesis. Refining a node again, after the
 // space has grown, queues only the pairs the graph does not hold yet.
+// A child the graph holds is found by its key alone: only a new pair
+// builds its focus and its name.
 func (s *Search) Refine(n *Node, now float64) {
 	n.refined = true
+	sp := n.Focus.Space()
+	// Room for every refinement at once; those linked before are among them.
+	more := len(n.Hyp.Children) - len(n.children)
+	for _, hierName := range n.Hyp.RelevantHierarchies {
+		if i, ok := sp.HierarchyIndex(hierName); ok {
+			more += n.Focus.SelectionAt(i).NumChildren()
+		}
+	}
+	n.children = slices.Grow(n.children, max(more, 0))
 	for _, ch := range n.Hyp.Children {
-		s.spawn(n, ch, n.Focus, now)
+		s.spawn(n, ch, -1, nil, now)
 	}
 	for _, hierName := range n.Hyp.RelevantHierarchies {
-		for _, f := range n.Focus.Children(hierName) {
-			s.spawn(n, n.Hyp, f, now)
+		i, ok := sp.HierarchyIndex(hierName)
+		if !ok {
+			continue
+		}
+		for _, c := range n.Focus.SelectionAt(i).Children() {
+			s.spawn(n, n.Hyp, i, c, now)
 		}
 	}
 }
 
-// spawn creates (or links) a child node under parent, applying prune and
-// priority directives.
-func (s *Search) spawn(parent *Node, h *Hypothesis, f resource.Focus, now float64) {
+// spawn creates (or links) under parent the pair (h : parent's focus with
+// its i'th selection replaced by c, or parent's focus itself when c is
+// nil), applying prune and priority directives to a new pair.
+func (s *Search) spawn(parent *Node, h *Hypothesis, i int, c *resource.Resource, now float64) {
 	if s.shg.Len() >= s.maxNodes {
 		return
 	}
-	n, created := s.shg.addChild(parent, h, f, now)
-	if !created {
+	key := nodeKey{h, parent.key.focus}
+	if c != nil {
+		key.focus = parent.Focus.KeyWith(i, c)
+	}
+	if n := s.shg.nodes[key]; n != nil {
+		link(parent, n)
 		return
 	}
-	if s.guid.prune(h.Name, f) {
+	f := parent.Focus
+	if c != nil {
+		f = f.With(i, c)
+	}
+	name := f.Name()
+	n := s.shg.create(h, f, key, name, now)
+	link(parent, n)
+	if s.guid.prune(h.Name, f, name) {
 		n.State = StatePruned
 		return
 	}
-	n.Priority = s.guid.priority(h.Name, f)
+	n.Priority = s.guid.priority(h.Name, name)
 	n.Persistent = n.Priority == High
 	s.queue = append(s.queue, n)
 }

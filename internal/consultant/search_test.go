@@ -27,14 +27,15 @@ func TestSearchDrivenByValues(t *testing.T) {
 	sp.MustAdd("/Code/a.c/f")
 	whole := sp.WholeProgram()
 	atP1 := whole.MustWithSelection(p1)
-	name := func(f resource.Focus) string { return f.Name() }
-
 	guid := Guidance{
-		Prune: func(hyp string, f resource.Focus) bool {
-			return hyp == ExcessiveIO || strings.Contains(name(f), "/Code/a.c")
+		Prune: func(hyp string, f resource.Focus, name string) bool {
+			if name != f.Name() {
+				t.Errorf("Prune was handed %q for the focus %s", name, f.Name())
+			}
+			return hyp == ExcessiveIO || strings.Contains(name, "/Code/a.c")
 		},
-		Priority: func(hyp string, f resource.Focus) Priority {
-			if strings.Contains(name(f), "/Code/b.c,/Machine,/Process,") {
+		Priority: func(hyp, name string) Priority {
+			if strings.Contains(name, "/Code/b.c,/Machine,/Process,") {
 				return Low
 			}
 			return Medium
@@ -57,22 +58,22 @@ func TestSearchDrivenByValues(t *testing.T) {
 
 	s.Seed(0)
 	s.Seed(0) // idempotent
-	w := " " + name(whole) + " "
+	w := " " + whole.Name() + " "
 	want := []string{
-		CPUBound + " " + name(atP1) + " high pending", // High first, though created last
+		CPUBound + " " + atP1.Name() + " high pending", // High first, though created last
 		CPUBound + w + "medium pending",
 		ExcessiveSync + w + "medium pending",
 	}
 	if got := keys(s.Pending()); !slices.Equal(got, want) {
 		t.Fatalf("after seeding the queue is\n%q\nwant\n%q", got, want)
 	}
-	if n, ok := s.SHG().Lookup(NodeKey(ExcessiveIO, whole)); !ok || n.State != StatePruned {
+	if n, ok := s.SHG().Lookup(ExcessiveIO, whole); !ok || n.State != StatePruned {
 		t.Errorf("pruned top-level pair: %+v, want a pruned node", n)
 	}
-	if _, ok := s.SHG().Lookup(NodeKey(ExcessiveIO, atP1)); ok {
+	if _, ok := s.SHG().Lookup(ExcessiveIO, atP1); ok {
 		t.Error("a pruned High pair was created")
 	}
-	if high, _ := s.SHG().Lookup(NodeKey(CPUBound, atP1)); !high.Persistent {
+	if high, _ := s.SHG().Lookup(CPUBound, atP1); !high.Persistent {
 		t.Error("High pair is not persistent")
 	}
 
@@ -89,13 +90,13 @@ func TestSearchDrivenByValues(t *testing.T) {
 		}
 	}
 	conclude()
-	if n, _ := s.SHG().Lookup(NodeKey(ExcessiveSync, whole)); n.State != StateFalse || n.Threshold != 0.5 || len(n.Children()) != 0 {
+	if n, _ := s.SHG().Lookup(ExcessiveSync, whole); n.State != StateFalse || n.Threshold != 0.5 || len(n.Children()) != 0 {
 		t.Errorf("sync under the directed threshold: %+v, want false at 0.5 and unrefined", n)
 	}
 	// The true whole-program pair refined to /Process/p1 — which the High
 	// seeding had created — so the node is linked, not queued again; the
 	// /Code children are pruned; /Machine and /SyncObject have no children.
-	high, _ := s.SHG().Lookup(NodeKey(CPUBound, atP1))
+	high, _ := s.SHG().Lookup(CPUBound, atP1)
 	if got := keys(high.Parents()); len(got) != 2 {
 		t.Errorf("the High pair's parents are %q, want the root and the whole-program pair", got)
 	}
@@ -127,10 +128,10 @@ func TestSearchDrivenByValues(t *testing.T) {
 	}
 	code, _ := sp.Find("/Code/b.c")
 	want = []string{
-		ExcessiveSync + " " + name(atP9) + " high pending",
-		CPUBound + " " + name(atP9) + " medium pending",
-		CPUBound + " " + name(atP1.MustWithSelection(code)) + " medium pending",
-		CPUBound + " " + name(whole.MustWithSelection(code)) + " low pending", // created first, tested last
+		ExcessiveSync + " " + atP9.Name() + " high pending",
+		CPUBound + " " + atP9.Name() + " medium pending",
+		CPUBound + " " + atP1.MustWithSelection(code).Name() + " medium pending",
+		CPUBound + " " + whole.MustWithSelection(code).Name() + " low pending", // created first, tested last
 	}
 	if got := keys(s.Pending()); !slices.Equal(got, want) {
 		t.Fatalf("after growth the queue is\n%q\nwant\n%q", got, want)

@@ -97,22 +97,46 @@ type Node struct {
 	probe   *dyninst.Probe
 	refined bool
 	seq     int
-	key     string
+	key     nodeKey
+	name    string // Focus.Name(), built when the node is
+
+	// mt is the pair's compiled matcher, or mtErr why it has none;
+	// compiled at the pair's first measurement (mtDone).
+	mt     dyninst.IntervalMatcher
+	mtErr  error
+	mtDone bool
 
 	parents  []*Node
+	parent0  [1]*Node // parents' first array: most pairs have one parent
 	children []*Node
 }
 
-// Key returns the node's unique SHG key.
-func (n *Node) Key() string { return n.key }
+// nodeKey identifies a pair in the graph without naming it: the
+// hypothesis and the focus's selected resources.
+type nodeKey struct {
+	hyp   *Hypothesis
+	focus resource.FocusKey
+}
 
-// FocusName returns the canonical name of the node's focus: the part of
-// the key after the hypothesis name.
-func (n *Node) FocusName() string { return n.key[len(n.Hyp.Name)+1:] }
+// Key returns the node's unique name in the graph: its hypothesis's name
+// and its focus's, separated by a space.
+func (n *Node) Key() string { return n.Hyp.Name + " " + n.name }
 
-// NodeKey builds the SHG key for a (hypothesis name : focus) pair.
-func NodeKey(hyp string, focus resource.Focus) string {
-	return hyp + " " + focus.Name()
+// FocusName returns the canonical name of the node's focus.
+func (n *Node) FocusName() string { return n.name }
+
+// Matcher returns the pair's (metric : focus) predicate, compiled once.
+// An error means the focus is structurally unmeasurable (see
+// dyninst.ErrTooDeep).
+func (n *Node) Matcher() (*dyninst.IntervalMatcher, error) {
+	if !n.mtDone {
+		n.mtErr = n.mt.Compile(n.Hyp.Metric, n.Focus)
+		n.mtDone = true
+	}
+	if n.mtErr != nil {
+		return nil, n.mtErr
+	}
+	return &n.mt, nil
 }
 
 // Children returns the node's refinements, in creation order.
@@ -131,27 +155,30 @@ func (n *Node) Parents() []*Node {
 }
 
 // SHG is the Search History Graph: a DAG of (hypothesis : focus) nodes
-// rooted at (TopLevelHypothesis : WholeProgram).
+// rooted at (TopLevelHypothesis : WholeProgram). A node's identity, its
+// focus's name and its matcher are built once, when the node is: finding
+// a pair the graph holds builds nothing.
 type SHG struct {
 	root  *Node
-	nodes map[string]*Node
+	nodes map[nodeKey]*Node
 	order []*Node
 }
 
 // newSHG creates a graph whose root, true by definition, is (hyp : focus).
 func newSHG(hyp *Hypothesis, focus resource.Focus) *SHG {
-	root := &Node{Hyp: hyp, Focus: focus, State: StateTrue, Priority: Medium, key: NodeKey(hyp.Name, focus)}
-	g := &SHG{root: root, nodes: make(map[string]*Node)}
-	g.insert(root)
+	g := &SHG{nodes: make(map[nodeKey]*Node)}
+	g.root = g.create(hyp, focus, nodeKey{hyp, focus.Key()}, focus.Name(), 0)
+	g.root.State = StateTrue
 	return g
 }
 
 // Root returns the root node.
 func (g *SHG) Root() *Node { return g.root }
 
-// Lookup returns the node for the key, if present.
-func (g *SHG) Lookup(key string) (*Node, bool) {
-	n, ok := g.nodes[key]
+// Lookup returns the node of the pair (the hypothesis named hyp in the
+// graph's tree : focus), if the graph holds it.
+func (g *SHG) Lookup(hyp string, focus resource.Focus) (*Node, bool) {
+	n, ok := g.nodes[nodeKey{g.root.Hyp.Find(hyp), focus.Key()}]
 	return n, ok
 }
 
@@ -165,35 +192,31 @@ func (g *SHG) Nodes() []*Node {
 // Len returns the number of nodes.
 func (g *SHG) Len() int { return len(g.order) }
 
-func (g *SHG) insert(n *Node) {
-	n.seq = len(g.order)
-	g.nodes[n.key] = n
-	g.order = append(g.order, n)
-}
-
-// addChild links child under parent, creating the child node if its key is
-// new. It returns the canonical node and whether it was newly created.
-func (g *SHG) addChild(parent *Node, hyp *Hypothesis, focus resource.Focus, now float64) (*Node, bool) {
-	key := NodeKey(hyp.Name, focus)
-	if existing, ok := g.nodes[key]; ok {
-		if !hasNode(existing.parents, parent) {
-			existing.parents = append(existing.parents, parent)
-			parent.children = append(parent.children, existing)
-		}
-		return existing, false
-	}
+// create adds the pending pair (hyp : focus), keyed key and named name,
+// with no parent yet.
+func (g *SHG) create(hyp *Hypothesis, focus resource.Focus, key nodeKey, name string, now float64) *Node {
 	n := &Node{
 		Hyp:       hyp,
 		Focus:     focus,
 		State:     StatePending,
 		Priority:  Medium,
 		CreatedAt: now,
-		parents:   []*Node{parent},
+		seq:       len(g.order),
 		key:       key,
+		name:      name,
 	}
-	parent.children = append(parent.children, n)
-	g.insert(n)
-	return n, true
+	n.parents = n.parent0[:0]
+	g.nodes[key] = n
+	g.order = append(g.order, n)
+	return n
+}
+
+// link makes child a refinement of parent, once.
+func link(parent, child *Node) {
+	if !hasNode(child.parents, parent) {
+		child.parents = append(child.parents, parent)
+		parent.children = append(parent.children, child)
+	}
 }
 
 func hasNode(list []*Node, n *Node) bool {
@@ -238,7 +261,7 @@ func (g *SHG) Render() string {
 		b.WriteString(strings.Repeat("  ", depth))
 		label := n.Hyp.Name
 		if !n.Focus.IsWholeProgram() {
-			label += " " + n.Focus.Name()
+			label += " " + n.name
 		}
 		fmt.Fprintf(&b, "%s [%s]", label, n.State)
 		if n.State == StateTrue || n.State == StateFalse {

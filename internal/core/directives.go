@@ -187,28 +187,65 @@ func (ds *DirectiveSet) Compile() *Guide {
 // — malformed entries plus High pairs naming unknown resources (those
 // still act as priorities if the pair is reached top-down later).
 func (g *Guide) Bind(space *resource.Space) (consultant.Guidance, int) {
-	skipped := g.malformed
-	var high []consultant.HF
-	for _, p := range g.high {
-		f, err := resource.ParseFocus(space, p.focus)
+	return g.NewBinding(space).Guidance()
+}
+
+// Binding is a Guide bound to one space that grows, as a stream's does
+// while it discovers resources. Resources are never taken out of a
+// space, so a High pair that resolved once stays resolved: each
+// Guidance call parses only the pairs no earlier call could resolve.
+type Binding struct {
+	g     *Guide
+	space *resource.Space
+	foci  []resource.Focus // per g.high entry; not Valid until it resolves
+	guid  consultant.Guidance
+}
+
+// NewBinding binds g to space, which may grow between Guidance calls.
+func (g *Guide) NewBinding(space *resource.Space) *Binding {
+	b := &Binding{g: g, space: space, foci: make([]resource.Focus, len(g.high))}
+	b.guid.Thresholds = maps.Clone(g.thresholds)
+	if len(g.prunes) > 0 || len(g.pairPrunes) > 0 {
+		b.guid.Prune = g.prune
+	}
+	if len(g.prio) > 0 {
+		b.guid.Priority = g.priority
+	}
+	return b
+}
+
+// Guidance returns the guidance bound to the space as it is now, and
+// the count Bind returns. Its High pairs are what Bind of the space as
+// it is now would give, in the same order.
+func (b *Binding) Guidance() (consultant.Guidance, int) {
+	skipped := b.g.malformed
+	resolved := false
+	for i, p := range b.g.high {
+		if b.foci[i].Valid() {
+			continue
+		}
+		f, err := resource.ParseFocus(b.space, p.focus)
 		if err != nil {
 			skipped++
 			continue
 		}
-		high = append(high, consultant.HF{Hyp: p.hyp, Focus: f})
+		b.foci[i], resolved = f, true
 	}
-	out := consultant.Guidance{HighPairs: high, Thresholds: maps.Clone(g.thresholds)}
-	if len(g.prunes) > 0 || len(g.pairPrunes) > 0 {
-		out.Prune = g.prune
+	if resolved {
+		// A new slice: a search steered by the last Guidance reads that one.
+		var high []consultant.HF
+		for i, f := range b.foci {
+			if f.Valid() {
+				high = append(high, consultant.HF{Hyp: b.g.high[i].hyp, Focus: f})
+			}
+		}
+		b.guid.HighPairs = high
 	}
-	if len(g.prio) > 0 {
-		out.Priority = g.priority
-	}
-	return out, skipped
+	return b.guid, skipped
 }
 
-func (g *Guide) prune(hyp string, f resource.Focus) bool {
-	if len(g.pairPrunes) > 0 && g.pairPrunes[pair{hyp, f.Name()}] {
+func (g *Guide) prune(hyp string, f resource.Focus, name string) bool {
+	if len(g.pairPrunes) > 0 && g.pairPrunes[pair{hyp, name}] {
 		return true
 	}
 	for _, p := range g.prunes {
@@ -219,16 +256,16 @@ func (g *Guide) prune(hyp string, f resource.Focus) bool {
 		if !ok || sel.IsRoot() {
 			continue
 		}
-		selPath := sel.Path()
-		if selPath == p.path || strings.HasPrefix(selPath, p.path+"/") {
+		// sel is p.path or lies below it.
+		if selPath := sel.Path(); strings.HasPrefix(selPath, p.path) && (len(selPath) == len(p.path) || selPath[len(p.path)] == '/') {
 			return true
 		}
 	}
 	return false
 }
 
-func (g *Guide) priority(hyp string, f resource.Focus) consultant.Priority {
-	if lv, ok := g.prio[pair{hyp, f.Name()}]; ok {
+func (g *Guide) priority(hyp, name string) consultant.Priority {
+	if lv, ok := g.prio[pair{hyp, name}]; ok {
 		return lv
 	}
 	return consultant.Medium

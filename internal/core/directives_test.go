@@ -54,23 +54,23 @@ func TestSubtreePruneSemantics(t *testing.T) {
 		return f
 	}
 	msg := parse(focusName(t, sp, "/SyncObject/Message"))
-	if !g.Prune(consultant.CPUBound, msg) {
+	if !g.Prune(consultant.CPUBound, msg, msg.Name()) {
 		t.Error("CPU x Message not pruned")
 	}
-	if g.Prune(consultant.ExcessiveSync, msg) {
+	if g.Prune(consultant.ExcessiveSync, msg, msg.Name()) {
 		t.Error("Sync x Message pruned by a CPU-only directive")
 	}
 	// The unconstrained view is never pruned (root selection).
-	if g.Prune(consultant.CPUBound, sp.WholeProgram()) {
+	if g.Prune(consultant.CPUBound, sp.WholeProgram(), sp.WholeProgram().Name()) {
 		t.Error("whole program pruned")
 	}
 	util := parse(focusName(t, sp, "/Code/util.f"))
 	clock := parse(focusName(t, sp, "/Code/util.f/clock"))
 	other := parse(focusName(t, sp, "/Code/oned.f"))
-	if !g.Prune(consultant.ExcessiveSync, util) || !g.Prune(consultant.CPUBound, clock) {
+	if !g.Prune(consultant.ExcessiveSync, util, util.Name()) || !g.Prune(consultant.CPUBound, clock, clock.Name()) {
 		t.Error("wildcard subtree prune failed")
 	}
-	if g.Prune(consultant.CPUBound, other) {
+	if g.Prune(consultant.CPUBound, other, other.Name()) {
 		t.Error("sibling module pruned")
 	}
 }
@@ -84,15 +84,15 @@ func TestPairPruneSemantics(t *testing.T) {
 		t.Fatalf("skipped = %d", skipped)
 	}
 	f, _ := resource.ParseFocus(sp, fname)
-	if !g.Prune(consultant.CPUBound, f) {
+	if !g.Prune(consultant.CPUBound, f, f.Name()) {
 		t.Error("pair prune did not match")
 	}
-	if g.Prune(consultant.ExcessiveSync, f) {
+	if g.Prune(consultant.ExcessiveSync, f, f.Name()) {
 		t.Error("pair prune matched the wrong hypothesis")
 	}
 	// A deeper focus is NOT pruned by a pair prune.
 	deeper, _ := resource.ParseFocus(sp, focusName(t, sp, "/Process/p1", "/Code/oned.f"))
-	if g.Prune(consultant.CPUBound, deeper) {
+	if g.Prune(consultant.CPUBound, deeper, deeper.Name()) {
 		t.Error("pair prune matched a refinement")
 	}
 }
@@ -135,10 +135,10 @@ func TestGuidanceAppliesToLateDiscoveredResources(t *testing.T) {
 	// Discover the resource after guidance compilation.
 	late := sp.MustAdd("/Code/late.f/hot")
 	f := sp.WholeProgram().MustWithSelection(late)
-	if !g.Prune(consultant.CPUBound, f) {
+	if !g.Prune(consultant.CPUBound, f, f.Name()) {
 		t.Error("subtree prune did not apply to a late-discovered resource")
 	}
-	if g.Priority(consultant.ExcessiveSync, f) != consultant.High {
+	if g.Priority(consultant.ExcessiveSync, f.Name()) != consultant.High {
 		t.Error("priority did not apply to a late-discovered resource")
 	}
 }
@@ -154,13 +154,13 @@ func TestGuidancePriorities(t *testing.T) {
 	g, _ := ds.Compile().Bind(sp)
 	f1, _ := resource.ParseFocus(sp, p1)
 	f2, _ := resource.ParseFocus(sp, p2)
-	if g.Priority(consultant.CPUBound, f1) != consultant.High {
+	if g.Priority(consultant.CPUBound, f1.Name()) != consultant.High {
 		t.Error("high priority not applied")
 	}
-	if g.Priority(consultant.CPUBound, f2) != consultant.Low {
+	if g.Priority(consultant.CPUBound, f2.Name()) != consultant.Low {
 		t.Error("low priority not applied")
 	}
-	if g.Priority(consultant.ExcessiveSync, f1) != consultant.Medium {
+	if g.Priority(consultant.ExcessiveSync, f1.Name()) != consultant.Medium {
 		t.Error("unlisted pair not medium")
 	}
 	if len(g.HighPairs) != 1 {

@@ -61,7 +61,7 @@ func freshGuidance(ds *DirectiveSet, space *resource.Space) (consultant.Guidance
 	}
 	g := consultant.Guidance{HighPairs: high, Thresholds: thresholds}
 	if len(prunes) > 0 || len(pairPrunes) > 0 {
-		g.Prune = func(hyp string, f resource.Focus) bool {
+		g.Prune = func(hyp string, f resource.Focus, _ string) bool {
 			if pairPrunes[hyp+" "+f.Name()] {
 				return true
 			}
@@ -81,8 +81,8 @@ func freshGuidance(ds *DirectiveSet, space *resource.Space) (consultant.Guidance
 		}
 	}
 	if len(prio) > 0 {
-		g.Priority = func(hyp string, f resource.Focus) consultant.Priority {
-			if lv, ok := prio[hyp+" "+f.Name()]; ok {
+		g.Priority = func(hyp, name string) consultant.Priority {
+			if lv, ok := prio[hyp+" "+name]; ok {
 				return lv
 			}
 			return consultant.Medium
@@ -129,12 +129,14 @@ func randomGuideFocus(sp *resource.Space, rng *rand.Rand) resource.Focus {
 	return f
 }
 
-// randomFocusText is a focus name of sp, one it does not hold yet, one
-// spelled with spaces, or none at all.
+// randomFocusText is a focus name of sp, one it never holds, one it may
+// hold once grown, one spelled with spaces, or none at all.
 func randomFocusText(sp *resource.Space, rng *rand.Rand) string {
-	switch rng.Intn(6) {
+	switch rng.Intn(7) {
 	case 0:
 		return "</Code/ghost.f,/Machine,/Process/proc9,/SyncObject>"
+	case 3:
+		return fmt.Sprintf("</Code/mod%d.f/fn%d,/Machine,/Process/proc%d,/SyncObject>", rng.Intn(5), rng.Intn(4), rng.Intn(6))
 	case 1:
 		return "not a focus"
 	case 2:
@@ -190,12 +192,13 @@ func sameGuidance(sp *resource.Space, rng *rand.Rand, got, want consultant.Guida
 	}
 	for i := 0; i < 40; i++ {
 		f := randomGuideFocus(sp, rng)
+		name := f.Name()
 		for _, h := range guideHyps {
-			if got.Prune != nil && got.Prune(h, f) != want.Prune(h, f) {
-				return fmt.Errorf("Prune(%s, %s) = %v", h, f.Name(), got.Prune(h, f))
+			if got.Prune != nil && got.Prune(h, f, name) != want.Prune(h, f, name) {
+				return fmt.Errorf("Prune(%s, %s) = %v", h, name, got.Prune(h, f, name))
 			}
-			if got.Priority != nil && got.Priority(h, f) != want.Priority(h, f) {
-				return fmt.Errorf("Priority(%s, %s) = %v", h, f.Name(), got.Priority(h, f))
+			if got.Priority != nil && got.Priority(h, name) != want.Priority(h, name) {
+				return fmt.Errorf("Priority(%s, %s) = %v", h, name, got.Priority(h, name))
 			}
 		}
 	}
@@ -205,7 +208,8 @@ func sameGuidance(sp *resource.Space, rng *rand.Rand, got, want consultant.Guida
 // TestCompiledGuidanceMatchesFresh: a set compiled once by the cache and
 // bound to a space — then to the same space grown, as a stream's is —
 // answers every question a fresh compile against that space answers, the
-// same way.
+// same way; and so does one Binding of the set kept across the growth,
+// which parses only the High pairs it could not resolve before.
 func TestCompiledGuidanceMatchesFresh(t *testing.T) {
 	c := NewHarvestCache()
 	prop := func(seed int64) bool {
@@ -213,15 +217,21 @@ func TestCompiledGuidanceMatchesFresh(t *testing.T) {
 		sp := randomGuideSpace(rng)
 		ds := randomGuideSet(sp, rng)
 		guide := c.Guide(ds)
-		for round := 0; round < 2; round++ {
+		kept := guide.NewBinding(sp)
+		for round := 0; round < 3; round++ {
 			if c.Guide(ds) != guide {
 				t.Errorf("seed %d: a second Guide compiled again", seed)
 				return false
 			}
-			got, gotSkipped := guide.Bind(sp)
 			want, wantSkipped := freshGuidance(ds, sp)
+			got, gotSkipped := guide.Bind(sp)
 			if err := sameGuidance(sp, rng, got, want, gotSkipped, wantSkipped); err != nil {
 				t.Errorf("seed %d, round %d: %v", seed, round, err)
+				return false
+			}
+			got, gotSkipped = kept.Guidance()
+			if err := sameGuidance(sp, rng, got, want, gotSkipped, wantSkipped); err != nil {
+				t.Errorf("seed %d, round %d, kept binding: %v", seed, round, err)
 				return false
 			}
 			growGuideSpace(sp, rng)

@@ -1,6 +1,7 @@
 package dyninst
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -311,9 +312,12 @@ func TestProbeAccessors(t *testing.T) {
 
 func TestIntervalMatcherExported(t *testing.T) {
 	_, sp := newManager(t)
-	im, err := NewIntervalMatcher(metric.SyncWaitTime, focusOf(t, sp, "/Machine/sp01"))
-	if err != nil {
+	var im IntervalMatcher
+	if err := im.Compile(metric.SyncWaitTime, focusOf(t, sp, "/Machine/sp01")); err != nil {
 		t.Fatal(err)
+	}
+	if im.Metric() != metric.SyncWaitTime {
+		t.Errorf("Metric = %v", im.Metric())
 	}
 	if !im.MatchesProc(ProcEntry{Name: "p1", Node: "sp01"}) {
 		t.Error("MatchesProc rejected the right process")
@@ -321,12 +325,12 @@ func TestIntervalMatcherExported(t *testing.T) {
 	if im.MatchesProc(ProcEntry{Name: "p2", Node: "sp02"}) {
 		t.Error("MatchesProc accepted the wrong process")
 	}
-	if _, err := NewIntervalMatcher("bogus", sp.WholeProgram()); err == nil {
+	if err := new(IntervalMatcher).Compile("bogus", sp.WholeProgram()); err == nil {
 		t.Error("unknown metric accepted")
 	}
 	sp.MustAdd("/Process/p1/thread0")
 	deep := focusOf(t, sp, "/Process/p1/thread0")
-	if _, err := NewIntervalMatcher(metric.CPUTime, deep); err == nil {
-		t.Error("too-deep focus accepted")
+	if err := new(IntervalMatcher).Compile(metric.CPUTime, deep); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("too-deep focus: %v, want ErrTooDeep", err)
 	}
 }

@@ -1,6 +1,7 @@
 package dyninst
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/metric"
@@ -23,15 +24,19 @@ type matcher struct {
 	tag      string // exact tag when tagDepth == 2
 }
 
+// ErrTooDeep refuses a focus whose selection lies deeper in its
+// hierarchy than an interval's labels reach (a Code selection below a
+// function, say): no probe can measure the pair.
+var ErrTooDeep = errors.New("dyninst: selection too deep to instrument")
+
 func newMatcher(met metric.ID, focus resource.Focus) (matcher, error) {
 	mt := matcher{met: met}
-	sp := focus.Space()
-	for i, h := range sp.Hierarchies() {
+	for i := range focus.Space().NumHierarchies() {
 		sel := focus.SelectionAt(i)
 		if sel.IsRoot() {
 			continue
 		}
-		switch h.Name() {
+		switch h := sel.Hierarchy().Name(); h {
 		case resource.HierCode:
 			switch sel.Depth() {
 			case 1:
@@ -40,16 +45,16 @@ func newMatcher(met metric.ID, focus resource.Focus) (matcher, error) {
 				mt.module = sel.Parent().Label()
 				mt.function = sel.Label()
 			default:
-				return mt, fmt.Errorf("dyninst: Code selection %s too deep", sel.Path())
+				return mt, ErrTooDeep
 			}
 		case resource.HierMachine:
 			if sel.Depth() != 1 {
-				return mt, fmt.Errorf("dyninst: Machine selection %s too deep", sel.Path())
+				return mt, ErrTooDeep
 			}
 			mt.node = sel.Label()
 		case resource.HierProcess:
 			if sel.Depth() != 1 {
-				return mt, fmt.Errorf("dyninst: Process selection %s too deep", sel.Path())
+				return mt, ErrTooDeep
 			}
 			mt.proc = sel.Label()
 		case resource.HierSyncObject:
@@ -60,10 +65,10 @@ func newMatcher(met metric.ID, focus resource.Focus) (matcher, error) {
 				mt.tagDepth = 2
 				mt.tag = sel.Label()
 			default:
-				return mt, fmt.Errorf("dyninst: SyncObject selection %s too deep", sel.Path())
+				return mt, ErrTooDeep
 			}
 		default:
-			return mt, fmt.Errorf("dyninst: unknown hierarchy %q", h.Name())
+			return mt, fmt.Errorf("dyninst: unknown hierarchy %q", h)
 		}
 	}
 	return mt, nil

@@ -94,12 +94,12 @@ func TestMatcherRejectsTooDeepSelections(t *testing.T) {
 	// Build an artificially deep machine resource.
 	sp.MustAdd("/Machine/sp01/cpu0")
 	f := focusOf(t, sp, "/Machine/sp01/cpu0")
-	if _, err := newMatcher(metric.CPUTime, f); err == nil {
-		t.Error("too-deep machine selection accepted")
+	if _, err := newMatcher(metric.CPUTime, f); err != ErrTooDeep {
+		t.Errorf("too-deep machine selection: %v, want ErrTooDeep", err)
 	}
 	sp.MustAdd("/SyncObject/Message/tag_3_0/sub")
 	f2 := focusOf(t, sp, "/SyncObject/Message/tag_3_0/sub")
-	if _, err := newMatcher(metric.CPUTime, f2); err == nil {
-		t.Error("too-deep syncobject selection accepted")
+	if _, err := newMatcher(metric.CPUTime, f2); err != ErrTooDeep {
+		t.Errorf("too-deep syncobject selection: %v, want ErrTooDeep", err)
 	}
 }

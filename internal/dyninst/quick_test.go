@@ -85,8 +85,8 @@ func TestQuickProbeMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		matcher, err := NewIntervalMatcher(met, focus)
-		if err != nil {
+		var matcher IntervalMatcher
+		if err := matcher.Compile(met, focus); err != nil {
 			return false
 		}
 		var want float64

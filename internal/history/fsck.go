@@ -1,7 +1,9 @@
 package history
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -378,7 +380,7 @@ func fsckShardPlacement(shardsDir string, i, n int, shard *FsckShardReport, repa
 			Severity: FsckResidue,
 			Path:     e.Name,
 			Problem:  fmt.Sprintf("record %s hashes to shard %s (point reads miss it; a Save would duplicate it)", key, shardDirName(want)),
-			Repair:   "move to " + filepath.Join(ShardsDirName, shardDirName(want)),
+			Repair:   homeRepair(want),
 			Repaired: repaired,
 		})
 	}
@@ -410,17 +412,34 @@ func fsckRootRecords(dir string, n int, rep *FsckReport, repair bool, fs fsys) {
 		repaired := repair && n > 0 && moveHome(fs, filepath.Join(dir, e.Name), dest)
 		rep.add(FsckResidue, e.Name,
 			fmt.Sprintf("record %s outside the shard layout", key),
-			"move to "+filepath.Join(ShardsDirName, shardDirName(want)), repaired)
+			homeRepair(want), repaired)
 	}
 }
 
+// homeRepair says what moveHome does for a record whose home is shard
+// want.
+func homeRepair(want int) string {
+	home := filepath.Join(ShardsDirName, shardDirName(want))
+	return "move to " + home + ", or remove this copy if " + home + " holds the same bytes"
+}
+
 // moveHome moves the record file at from to dest on its home shard,
-// durably, unless a record already holds that spot, which needs a human.
+// durably. When dest holds the same bytes already — a journaled shard's
+// repair replays the record at home before the placement pass runs —
+// the copy at from is removed instead, durably. A different record at
+// dest needs a human.
 func moveHome(fs fsys, from, dest string) bool {
-	if _, err := os.Stat(dest); !os.IsNotExist(err) {
+	held, err := fs.ReadFile(dest)
+	if errors.Is(err, os.ErrNotExist) {
+		return moveFile(fs, from, dest) == nil
+	}
+	if err != nil {
 		return false
 	}
-	return moveFile(fs, from, dest) == nil
+	if stray, err := fs.ReadFile(from); err != nil || !bytes.Equal(stray, held) {
+		return false
+	}
+	return fs.Remove(from) == nil && fs.SyncDir(filepath.Dir(from)) == nil
 }
 
 // fsckShardsDirStrays flags entries in shards/ that are neither the

@@ -444,10 +444,20 @@ func TestShardedOpenFailureDegrades(t *testing.T) {
 // TestFsckShardedCleanAndMisplaced proves the sharded fsck contract: a
 // healthy store grades clean with per-shard sections, a record sitting
 // on the wrong shard grades as residue (exit 1) with a misplaced count,
-// and -repair moves it home.
+// and -repair moves it home. On a journaled store the repair replays the
+// record at home first, so the stray copy, byte for byte the same, is
+// removed instead; a copy that differs from the record at home is left.
 func TestFsckShardedCleanAndMisplaced(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			fsckShardedCleanAndMisplaced(t, journaled)
+		})
+	}
+}
+
+func fsckShardedCleanAndMisplaced(t *testing.T, journaled bool) {
 	dir := t.TempDir()
-	sh, err := OpenSharded(dir, 4, DurableOptions{Create: true})
+	sh, err := OpenSharded(dir, 4, DurableOptions{Create: true, WAL: journaled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,14 +507,7 @@ func TestFsckShardedCleanAndMisplaced(t *testing.T) {
 	if rep.Misplaced != 1 {
 		t.Errorf("misplaced count = %d, want 1", rep.Misplaced)
 	}
-	var finding *FsckFinding
-	for _, sr := range rep.Shards {
-		for i := range sr.Findings {
-			if sr.Shard == wrong && sr.Findings[i].Path == name {
-				finding = &sr.Findings[i]
-			}
-		}
-	}
+	finding := placementFinding(rep, wrong, name)
 	if finding == nil {
 		t.Fatalf("no placement finding on shard %02d: %+v", wrong, rep.Shards)
 	}
@@ -512,14 +515,21 @@ func TestFsckShardedCleanAndMisplaced(t *testing.T) {
 		t.Errorf("finding problem = %q, want the home shard named", finding.Problem)
 	}
 
-	// Repair moves it home; the store then grades clean and serves the
-	// record again.
+	// Repair moves it home (or drops the copy the journal's replay made
+	// redundant); the store then grades clean and serves the record
+	// again.
 	rep, err = FsckStore(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Misplaced != 1 {
 		t.Errorf("repair pass misplaced count = %d, want 1 (reflects what was found)", rep.Misplaced)
+	}
+	if f := placementFinding(rep, wrong, name); f == nil || !f.Repaired {
+		t.Errorf("repair pass graded the misplaced copy %+v, want repaired", f)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ShardsDirName, shardDirName(wrong), name)); !os.IsNotExist(err) {
+		t.Errorf("the misplaced copy is still on shard %02d (%v)", wrong, err)
 	}
 	rep, err = FsckStore(dir, false)
 	if err != nil {
@@ -532,10 +542,41 @@ func TestFsckShardedCleanAndMisplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh2.Close()
 	if _, err := sh2.Load(key.App, key.Version, key.RunID); err != nil {
 		t.Errorf("repaired record unreachable: %v", err)
 	}
+	if err := sh2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A copy on the wrong shard that differs from the record at home is
+	// not the record's to drop: the repair leaves it.
+	other := shardSample(key.App, key.Version, key.RunID, 0.99)
+	stray := filepath.Join(dir, ShardsDirName, shardDirName(wrong), name)
+	if err := os.WriteFile(stray, EncodeRecord(other), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = FsckStore(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	if f := placementFinding(rep, wrong, name); f == nil || f.Repaired {
+		t.Errorf("repair of a differing copy graded %+v, want found and left", f)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Errorf("the repair took a copy that differs from the record at home: %v", err)
+	}
+}
+
+// placementFinding is the finding for the file name on shard i, or nil.
+func placementFinding(rep *FsckReport, i int, name string) *FsckFinding {
+	for _, sr := range rep.Shards {
+		for j := range sr.Findings {
+			if sr.Shard == i && sr.Findings[j].Path == name {
+				return &sr.Findings[j]
+			}
+		}
+	}
+	return nil
 }
 
 // TestFsckShardedMigratesRootRecords proves the documented migration

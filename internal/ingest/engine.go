@@ -48,14 +48,16 @@ const minData = 1.0
 // evaluations.
 //
 // What is kept across batches: the aggregate (rec), the execution
-// discovered so far (exec), the search — its Search History Graph, its
-// queue and the guidance compiled for it — the true pairs in the order
-// they concluded, and the space size all of that was last enumerated
-// against (grownAt). A batch that discovers no resource enumerates
-// nothing: it pays for its samples and for at most EvalBudget
-// evaluations. Only a batch that grew the space rebinds the guidance
-// (compiled once, at NewEngine), re-seeds the High pairs and re-refines
-// the true pairs.
+// discovered so far (exec), the search — its Search History Graph, each
+// pair with its name and compiled matcher, its queue and the guidance
+// bound for it — the true pairs in the order they concluded, and the
+// space size all of that was last enumerated against (grownAt). A batch
+// that discovers no resource enumerates nothing: it pays one aggregate
+// lookup per sample and at most EvalBudget evaluations, each a walk of
+// the aggregate. Only a batch that grew the space rebinds the guidance
+// (compiled once, at NewEngine; a High pair bound once stays bound),
+// re-seeds the High pairs and re-refines the true pairs, and that
+// builds only the pairs the graph does not hold yet.
 //
 // Mid-stream conclusions are provisional (drawn on partial data, under
 // harvested thresholds). Finalize re-settles the complete aggregate
@@ -73,6 +75,10 @@ type Engine struct {
 	rec    *postmortem.Recorder
 	exec   *postmortem.Execution
 	search *consultant.Search
+	// bound is the directives bound to exec's growing space, and guid
+	// the guidance it last gave, steering search.
+	bound *core.Binding
+	guid  consultant.Guidance
 	// grownAt is the space size at advance's last enumeration pass (-1
 	// before the first): the guidance is compiled against, and every
 	// true pair refined over, a space of exactly this size.
@@ -100,7 +106,7 @@ func NewEngine(app, version, runID string, opts EngineOptions) *Engine {
 	exec := postmortem.NewExecution()
 	// The standard tree has children, so the search cannot be refused.
 	search, _ := consultant.NewSearch(exec.Space, consultant.StandardHypotheses(), consultant.Guidance{}, consultant.BreadthFirst, 0)
-	return &Engine{
+	e := &Engine{
 		app: app, version: version, runID: runID,
 		opts:    opts,
 		rec:     postmortem.NewRecorder(),
@@ -109,6 +115,10 @@ func NewEngine(app, version, runID string, opts EngineOptions) *Engine {
 		grownAt: -1,
 		open:    slices.Clone(opts.Watch),
 	}
+	if opts.guide != nil {
+		e.bound = opts.guide.NewBinding(exec.Space)
+	}
+	return e
 }
 
 // Steps returns the number of pair evaluations performed so far.
@@ -132,10 +142,15 @@ func (e *Engine) Feed(samples []Sample) error {
 		if err != nil {
 			return err
 		}
-		if err := e.exec.Discover(&iv); err != nil {
-			return err
+		// A combination the recorder holds was admitted when first seen;
+		// a label set Discover refuses never gets one, so it is refused
+		// every time.
+		if !e.rec.Fold(iv) {
+			if err := e.exec.Discover(&iv); err != nil {
+				return err
+			}
+			e.rec.OnInterval(iv)
 		}
-		e.rec.OnInterval(iv)
 		e.samples++
 	}
 	return e.advance()
@@ -155,10 +170,11 @@ func (e *Engine) advance() error {
 	if sz := e.exec.Space.Size(); sz != e.grownAt {
 		e.grownAt = sz
 		// Rebind the directives to the grown space, so High pairs naming
-		// resources that were just discovered become seedable.
-		if e.opts.guide != nil {
-			guid, _ := e.opts.guide.Bind(e.exec.Space)
-			e.search.Steer(guid)
+		// resources that were just discovered become seedable; the pairs
+		// bound before are kept.
+		if e.bound != nil {
+			e.guid, _ = e.bound.Guidance()
+			e.search.Steer(e.guid)
 		}
 		e.search.Seed(now)
 		// Late-discovered resources: already-true pairs re-enumerate
@@ -175,7 +191,7 @@ func (e *Engine) advance() error {
 	queue := e.search.Pending()
 	for _, n := range queue[:min(len(queue), e.opts.EvalBudget)] {
 		e.steps++
-		v, err := ev.Value(n.Hyp.Metric, n.Focus)
+		m, err := n.Matcher()
 		if err != nil {
 			// Structurally unmeasurable (focus too deep for the metric's
 			// matcher); the batch path concludes these false too, rather
@@ -183,6 +199,7 @@ func (e *Engine) advance() error {
 			e.search.Unmeasurable(n, now)
 			continue
 		}
+		v := ev.Measure(m)
 		// A pair not true yet stays queued: more data may make it so.
 		if v > e.search.Threshold(n.Hyp) {
 			e.search.Conclude(n, v, now)

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/consultant"
+	"repro/internal/resource"
 )
 
 // WriteLiveState renders everything the live search has decided so far,
@@ -20,4 +21,11 @@ func WriteLiveState(w io.Writer, e *Engine) {
 			fmt.Fprintf(w, "%s %v %v\n", n.Key(), n.Priority, n.State)
 		}
 	}
+}
+
+// HighPairs returns the High pairs steering e's search and the space
+// they were bound in, for the external test package; ok is false while
+// e has bound no directives to the space as it is.
+func HighPairs(e *Engine) (high []consultant.HF, space *resource.Space, ok bool) {
+	return e.guid.HighPairs, e.exec.Space, e.bound != nil && e.grownAt == e.exec.Space.Size()
 }

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/consultant"
 	"repro/internal/core"
+	"repro/internal/dyninst"
 	"repro/internal/postmortem"
+	"repro/internal/resource"
 )
 
 // refEngine is the live search as it ran before enumeration became
@@ -73,11 +75,12 @@ func (r *refEngine) Feed(samples []Sample) error {
 		}
 		budget--
 		r.steps++
-		v, err := ev.Value(n.Hyp.Metric, n.Focus)
-		if err != nil {
+		var m dyninst.IntervalMatcher
+		if err := m.Compile(n.Hyp.Metric, n.Focus); err != nil {
 			r.search.Unmeasurable(n, now)
 			continue
 		}
+		v := ev.Measure(&m)
 		if v > r.search.Threshold(n.Hyp) {
 			r.search.Conclude(n, v, now)
 			r.trues = append(r.trues, n)
@@ -172,6 +175,17 @@ func searchState(steps, trues, watchSteps int, s *consultant.Search) string {
 	return b.String()
 }
 
+// lookup finds the pair "hypothesis focus-name" in e's graph.
+func lookup(t *testing.T, e *Engine, pair string) (*consultant.Node, bool) {
+	t.Helper()
+	hyp, name, _ := strings.Cut(pair, " ")
+	f, err := resource.ParseFocus(e.exec.Space, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.search.SHG().Lookup(hyp, f)
+}
+
 // TestLateJoinerRefined is the behaviour the per-batch re-expansion
 // existed for: resources that first report after their parent pairs
 // concluded true are still enqueued under them and evaluated.
@@ -200,7 +214,7 @@ func TestLateJoinerRefined(t *testing.T) {
 			"CPUbound </Code/app.c,/Machine,/Process,/SyncObject>",
 			"ExcessiveSyncWaitingTime </Code,/Machine,/Process,/SyncObject/Message>",
 		} {
-			if n, ok := e.search.SHG().Lookup(parent); !ok || n.State != consultant.StateTrue {
+			if n, ok := lookup(t, e, parent); !ok || n.State != consultant.StateTrue {
 				t.Fatalf("%s: parent %s not concluded true before the late joiners report", mode.name, parent)
 			}
 		}
@@ -213,7 +227,7 @@ func TestLateJoinerRefined(t *testing.T) {
 			"CPUbound </Code/app.c/late_fn,/Machine,/Process,/SyncObject>",
 			"ExcessiveSyncWaitingTime </Code,/Machine,/Process,/SyncObject/Message/t9>",
 		} {
-			if n, ok := e.search.SHG().Lookup(child); !ok || n.State != consultant.StateTrue {
+			if n, ok := lookup(t, e, child); !ok || n.State != consultant.StateTrue {
 				t.Errorf("%s: late joiner %s not refined to true (node %+v)", mode.name, child, n)
 			}
 		}

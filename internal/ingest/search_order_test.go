@@ -86,3 +86,37 @@ func TestEngineSearchOrderPinned(t *testing.T) {
 		t.Fatalf("live search differs from testdata/search_order.golden; this build produces:\n%s", got.String())
 	}
 }
+
+// TestEngineKeepsHighPairsBound: the engine binds its directives once and
+// keeps the High pairs that resolved, parsing only the rest as the space
+// grows. After every batch of both feed loops, the pairs steering its
+// search are those a fresh Guide.Bind of the space as it is then gives,
+// in the same order.
+func TestEngineKeepsHighPairsBound(t *testing.T) {
+	for _, appName := range []string{"mw", "pipeline"} {
+		l := newFeedLoop(t, appName)
+		guide := l.harvested.Compile()
+		eng := l.engine(l.harvested)
+		batches, resolved := 0, 0
+		l.feed(t, eng, func() {
+			got, space, ok := ingest.HighPairs(eng)
+			if !ok {
+				return
+			}
+			batches++
+			want, _ := guide.Bind(space)
+			if len(got) != len(want.HighPairs) {
+				t.Fatalf("%s, batch %d: %d High pairs kept, a fresh Bind gives %d", appName, batches, len(got), len(want.HighPairs))
+			}
+			for i, hf := range got {
+				if w := want.HighPairs[i]; hf.Hyp != w.Hyp || !hf.Focus.Equal(w.Focus) {
+					t.Fatalf("%s, batch %d: High pair %d is %s %s, a fresh Bind gives %s %s", appName, batches, i, hf.Hyp, hf.Focus.Name(), w.Hyp, w.Focus.Name())
+				}
+			}
+			resolved = len(got)
+		})
+		if batches == 0 || resolved == 0 {
+			t.Fatalf("%s: %d batches bound, %d High pairs at the end: the check held nothing", appName, batches, resolved)
+		}
+	}
+}

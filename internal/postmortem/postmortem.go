@@ -69,6 +69,22 @@ func (r *Recorder) OnInterval(iv sim.Interval) {
 		a = &agg{key: k}
 		r.aggs[k] = a
 	}
+	r.add(a, &iv)
+}
+
+// Fold adds iv to its combination if the recorder holds that
+// combination, and reports whether it did: a stream's engine, whose
+// every combination was admitted when first seen, finds the aggregate of
+// a sample with one lookup, and looks at its labels only on a miss.
+func (r *Recorder) Fold(iv sim.Interval) bool {
+	a := r.aggs[aggKey{*iv.Labels, iv.Kind}]
+	if a != nil {
+		r.add(a, &iv)
+	}
+	return a != nil
+}
+
+func (r *Recorder) add(a *agg, iv *sim.Interval) {
 	a.seconds += iv.Duration()
 	a.msgs += iv.Msgs
 	a.bytes += iv.Bytes
@@ -209,15 +225,11 @@ func NewEvaluator(space *resource.Space, procs []dyninst.ProcEntry, rec *Recorde
 	return &Evaluator{space: space, procs: procs, elapsed: elapsed, aggs: rec.sorted()}, nil
 }
 
-// Value computes the normalized metric value for a (metric : focus) pair
-// over the whole run: for time metrics, the fraction of the covered
+// Measure computes the normalized value of a compiled (metric : focus)
+// pair over the whole run: for time metrics, the fraction of the covered
 // processes' execution time; for event metrics, events per second per
 // covered process.
-func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) {
-	m, err := dyninst.NewIntervalMatcher(met, focus)
-	if err != nil {
-		return 0, err
-	}
+func (e *Evaluator) Measure(m *dyninst.IntervalMatcher) float64 {
 	width := 0
 	for _, pe := range e.procs {
 		if m.MatchesProc(pe) {
@@ -225,8 +237,9 @@ func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) 
 		}
 	}
 	if width == 0 {
-		return 0, nil
+		return 0
 	}
+	met := m.Metric()
 	var secs float64
 	var events int
 	for _, a := range e.aggs {
@@ -246,9 +259,9 @@ func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) 
 	info, _ := metric.Lookup(met)
 	denom := e.elapsed * float64(width)
 	if info.Normalized {
-		return secs / denom, nil
+		return secs / denom
 	}
-	return float64(events) / denom, nil
+	return float64(events) / denom
 }
 
 // Evaluate runs the Performance Consultant's top-down search offline:
@@ -265,10 +278,10 @@ func (e *Evaluator) Evaluate(hypRoot *consultant.Hypothesis, thresholds map[stri
 	s.Seed(0)
 	for queue := s.Pending(); len(queue) > 0; queue = s.Pending() {
 		for _, n := range queue {
-			if v, err := e.Value(n.Hyp.Metric, n.Focus); err != nil {
+			if m, err := n.Matcher(); err != nil {
 				s.Unmeasurable(n, 0) // focus too deep for the metric
 			} else {
-				s.Conclude(n, v, 0)
+				s.Conclude(n, e.Measure(m), 0)
 			}
 		}
 	}

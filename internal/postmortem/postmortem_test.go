@@ -156,7 +156,11 @@ func TestEvaluateRefinesTopDown(t *testing.T) {
 	// a pair reachable by two refinements is one node under both parents.
 	byProc := consultant.ExcessiveSync + " </Code,/Machine,/Process/p2,/SyncObject>"
 	byMsg := consultant.ExcessiveSync + " </Code,/Machine,/Process,/SyncObject/Message>"
-	shared, ok := shg.Lookup(consultant.ExcessiveSync + " </Code,/Machine,/Process/p2,/SyncObject/Message>")
+	bothFocus, err := resource.ParseFocus(ev.space, "</Code,/Machine,/Process/p2,/SyncObject/Message>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, ok := shg.Lookup(consultant.ExcessiveSync, bothFocus)
 	if !ok {
 		t.Fatal("the pair under both the p2 and the Message refinement is missing")
 	}
@@ -177,7 +181,7 @@ func TestEvaluateRefinesTopDown(t *testing.T) {
 	}
 	// Thresholds override.
 	shg2, _ := ev.Evaluate(consultant.StandardHypotheses(), map[string]float64{consultant.ExcessiveSync: 0.9})
-	if n, ok := shg2.Lookup(consultant.ExcessiveSync + " " + whole); !ok || n.State != consultant.StateFalse || n.Threshold != 0.9 {
+	if n, ok := shg2.Lookup(consultant.ExcessiveSync, ev.space.WholeProgram()); !ok || n.State != consultant.StateFalse || n.Threshold != 0.9 {
 		t.Errorf("threshold override not applied: %+v", n)
 	}
 }

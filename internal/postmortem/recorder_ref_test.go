@@ -57,8 +57,8 @@ func (r *fourMapRecorder) sortedKeys() []aggKey {
 }
 
 func (r *fourMapRecorder) value(keys []aggKey, procs []dyninst.ProcEntry, elapsed float64, met metric.ID, focus resource.Focus) (float64, error) {
-	m, err := dyninst.NewIntervalMatcher(met, focus)
-	if err != nil {
+	m := new(dyninst.IntervalMatcher)
+	if err := m.Compile(met, focus); err != nil {
 		return 0, err
 	}
 	width := 0

@@ -18,13 +18,13 @@ import (
 // resources are created via Hierarchy.Add or Resource.AddChild so that
 // parent links and depth stay consistent.
 type Resource struct {
-	label    string
-	path     string // fixed at creation: label and parent never change
-	parent   *Resource
-	children map[string]*Resource
-	order    []string
-	hier     *Hierarchy
-	depth    int
+	label  string
+	path   string // fixed at creation: label and parent never change
+	parent *Resource
+	byName map[string]*Resource // the children by label; nil for a leaf
+	kids   []*Resource          // the children in insertion order
+	hier   *Hierarchy
+	depth  int
 }
 
 // Label returns the resource's own label (the last path component).
@@ -54,19 +54,21 @@ func (r *Resource) AddChild(label string) (*Resource, error) {
 	if err := validateLabel(label); err != nil {
 		return nil, err
 	}
-	if c, ok := r.children[label]; ok {
+	if c, ok := r.byName[label]; ok {
 		return c, nil
 	}
 	c := &Resource{
-		label:    label,
-		path:     r.path + "/" + label,
-		parent:   r,
-		children: make(map[string]*Resource),
-		hier:     r.hier,
-		depth:    r.depth + 1,
+		label:  label,
+		path:   r.path + "/" + label,
+		parent: r,
+		hier:   r.hier,
+		depth:  r.depth + 1,
 	}
-	r.children[label] = c
-	r.order = append(r.order, label)
+	if r.byName == nil {
+		r.byName = make(map[string]*Resource)
+	}
+	r.byName[label] = c
+	r.kids = append(r.kids, c)
 	r.hier.size++
 	return c, nil
 }
@@ -81,20 +83,15 @@ func (r *Resource) MustAddChild(label string) *Resource {
 	return c
 }
 
-// Children returns the direct children in insertion order.
-func (r *Resource) Children() []*Resource {
-	out := make([]*Resource, 0, len(r.order))
-	for _, l := range r.order {
-		out = append(out, r.children[l])
-	}
-	return out
-}
+// Children returns the direct children in insertion order. The slice is
+// the resource's own: the caller must not modify it.
+func (r *Resource) Children() []*Resource { return r.kids }
 
 // NumChildren returns the number of direct children.
-func (r *Resource) NumChildren() int { return len(r.children) }
+func (r *Resource) NumChildren() int { return len(r.kids) }
 
 // IsLeaf reports whether the resource has no children.
-func (r *Resource) IsLeaf() bool { return len(r.children) == 0 }
+func (r *Resource) IsLeaf() bool { return len(r.kids) == 0 }
 
 // Leaves returns all leaf resources under (and possibly including) r,
 // in depth-first insertion order.
@@ -115,8 +112,8 @@ func (r *Resource) Walk(visit func(*Resource) bool) {
 	if !visit(r) {
 		return
 	}
-	for _, l := range r.order {
-		r.children[l].Walk(visit)
+	for _, c := range r.kids {
+		c.Walk(visit)
 	}
 }
 
@@ -144,12 +141,7 @@ func NewHierarchy(name string) (*Hierarchy, error) {
 		return nil, err
 	}
 	h := &Hierarchy{}
-	h.root = &Resource{
-		label:    name,
-		path:     "/" + name,
-		children: make(map[string]*Resource),
-		hier:     h,
-	}
+	h.root = &Resource{label: name, path: "/" + name, hier: h}
 	h.size = 1
 	return h, nil
 }
@@ -164,18 +156,24 @@ func (h *Hierarchy) Root() *Resource { return h.root }
 func (h *Hierarchy) Size() int { return h.size }
 
 // Find resolves a path like "/Code/oned.f/main" within this hierarchy.
+// It walks the path's components in place, building nothing.
 func (h *Hierarchy) Find(path string) (*Resource, bool) {
-	parts, err := SplitPath(path)
-	if err != nil || len(parts) == 0 || parts[0] != h.Name() {
+	rest, ok := strings.CutPrefix(path, "/")
+	if !ok {
+		return nil, false
+	}
+	name, rest, more := strings.Cut(rest, "/")
+	if name != h.Name() {
 		return nil, false
 	}
 	n := h.root
-	for _, p := range parts[1:] {
-		c, ok := n.children[p]
-		if !ok {
+	for more {
+		var label string
+		label, rest, more = strings.Cut(rest, "/")
+		// An empty label ("//", a trailing "/") names no child.
+		if n = n.byName[label]; n == nil {
 			return nil, false
 		}
-		n = c
 	}
 	return n, true
 }

@@ -86,11 +86,8 @@ func (s *Space) HierarchyIndex(name string) (int, bool) {
 // Find resolves a full resource path such as "/Code/oned.f/main" by
 // dispatching on the first path component.
 func (s *Space) Find(path string) (*Resource, bool) {
-	parts, err := SplitPath(path)
-	if err != nil {
-		return nil, false
-	}
-	h, ok := s.Hierarchy(parts[0])
+	name, _, _ := strings.Cut(strings.TrimPrefix(path, "/"), "/")
+	h, ok := s.Hierarchy(name)
 	if !ok {
 		return nil, false
 	}
@@ -186,10 +183,16 @@ func (f Focus) WithSelection(r *Resource) (Focus, error) {
 	if !ok || f.space.hiers[i] != r.Hierarchy() {
 		return Focus{}, fmt.Errorf("resource: %s is not in this space", r.Path())
 	}
+	return f.With(i, r), nil
+}
+
+// With returns a copy of f with its i'th selection replaced by r, which
+// must be a resource of the space's i'th hierarchy.
+func (f Focus) With(i int, r *Resource) Focus {
 	sel := make([]*Resource, len(f.sel))
 	copy(sel, f.sel)
 	sel[i] = r
-	return Focus{space: f.space, sel: sel}, nil
+	return Focus{space: f.space, sel: sel}
 }
 
 // MustWithSelection is WithSelection but panics on error.
@@ -270,33 +273,49 @@ func (f Focus) Depth() int {
 	return d
 }
 
-// Children returns the child foci obtained by moving down a single edge in
-// the named hierarchy (Paradyn's "refinement"). An empty slice means the
-// selection in that hierarchy is already a leaf.
-func (f Focus) Children(hierName string) []Focus {
-	i, ok := f.space.index[hierName]
-	if !ok {
-		return nil
-	}
-	kids := f.sel[i].Children()
-	out := make([]Focus, 0, len(kids))
-	for _, c := range kids {
-		sel := make([]*Resource, len(f.sel))
-		copy(sel, f.sel)
-		sel[i] = c
-		out = append(out, Focus{space: f.space, sel: sel})
+// AllChildren returns the refinement of f along every hierarchy, in space
+// order: each focus one edge further down a single hierarchy.
+func (f Focus) AllChildren() []Focus {
+	var out []Focus
+	for i, r := range f.sel {
+		for _, c := range r.kids {
+			out = append(out, f.With(i, c))
+		}
 	}
 	return out
 }
 
-// AllChildren returns the refinement of f along every hierarchy, in space
-// order.
-func (f Focus) AllChildren() []Focus {
-	var out []Focus
-	for _, h := range f.space.hiers {
-		out = append(out, f.Children(h.Name())...)
+// keyed is how many selections a FocusKey holds by identity: every
+// hierarchy of the standard space.
+const keyed = 4
+
+// FocusKey is a focus's identity as a comparable value, built without
+// the focus's name: its selected resources. A space of more than keyed
+// hierarchies spells the selections past them by name.
+type FocusKey struct {
+	sel  [keyed]*Resource
+	rest string
+}
+
+// Key returns f's identity: two foci of one space have equal keys
+// exactly when they select the same resources.
+func (f Focus) Key() FocusKey { return f.KeyWith(-1, nil) }
+
+// KeyWith returns the key of f.With(i, r) without building that focus.
+// A negative i keys f itself.
+func (f Focus) KeyWith(i int, r *Resource) FocusKey {
+	var k FocusKey
+	for j, s := range f.sel {
+		if j == i {
+			s = r
+		}
+		if j < keyed {
+			k.sel[j] = s
+		} else {
+			k.rest += s.path + ","
+		}
 	}
-	return out
+	return k
 }
 
 // ParseFocus parses a canonical focus name such as
@@ -309,13 +328,14 @@ func ParseFocus(s *Space, text string) (Focus, error) {
 		return Focus{}, fmt.Errorf("resource: focus %q must be wrapped in <>", text)
 	}
 	t = strings.TrimSuffix(strings.TrimPrefix(t, "<"), ">")
-	parts := strings.Split(t, ",")
-	if len(parts) != len(s.hiers) {
+	if n := strings.Count(t, ",") + 1; n != len(s.hiers) {
 		return Focus{}, fmt.Errorf("resource: focus %q has %d selections, space has %d hierarchies",
-			text, len(parts), len(s.hiers))
+			text, n, len(s.hiers))
 	}
-	sel := make([]*Resource, len(parts))
-	for i, p := range parts {
+	sel := make([]*Resource, len(s.hiers))
+	for i := range sel {
+		var p string
+		p, t, _ = strings.Cut(t, ",")
 		p = strings.TrimSpace(p)
 		r, ok := s.Find(p)
 		if !ok {

@@ -141,11 +141,12 @@ func TestParseFocusErrors(t *testing.T) {
 func TestFocusChildrenRefinement(t *testing.T) {
 	s := testSpace(t)
 	f := s.WholeProgram()
-	codeKids := f.Children(HierCode)
-	if len(codeKids) != 2 { // oned.f, sweep.f
-		t.Fatalf("code children = %d, want 2", len(codeKids))
+	all := f.AllChildren()
+	// 2 modules + 2 machines + 2 processes + 1 Message = 7.
+	if len(all) != 7 {
+		t.Fatalf("AllChildren = %d, want 7", len(all))
 	}
-	for _, c := range codeKids {
+	for _, c := range all {
 		if !f.Contains(c) {
 			t.Errorf("parent does not contain child %s", c.Name())
 		}
@@ -153,19 +154,55 @@ func TestFocusChildrenRefinement(t *testing.T) {
 			t.Errorf("child contains parent")
 		}
 	}
-	all := f.AllChildren()
-	// 2 modules + 2 machines + 2 processes + 1 Message = 7.
-	if len(all) != 7 {
-		t.Fatalf("AllChildren = %d, want 7", len(all))
-	}
-	if got := f.Children("NoSuchHierarchy"); got != nil {
-		t.Errorf("Children of unknown hierarchy = %v", got)
+	if got := all[0].Name() + " " + all[1].Name(); got != "</Code/oned.f,/Machine,/Process,/SyncObject> </Code/sweep.f,/Machine,/Process,/SyncObject>" {
+		t.Errorf("the Code refinements are %s", got)
 	}
 	// A leaf selection yields no children along that hierarchy.
 	fn, _ := s.Find("/Code/oned.f/main")
 	leafFocus := f.MustWithSelection(fn)
-	if kids := leafFocus.Children(HierCode); len(kids) != 0 {
-		t.Errorf("leaf focus has %d code children", len(kids))
+	kids := leafFocus.AllChildren()
+	if len(kids) != 5 {
+		t.Fatalf("leaf focus has %d children, want the 5 outside Code", len(kids))
+	}
+	for _, c := range kids {
+		if c.SelectionAt(0) != fn {
+			t.Errorf("leaf focus refined along Code to %s", c.Name())
+		}
+	}
+}
+
+// TestFocusKeyIsIdentity: keys are equal exactly when the foci select the
+// same resources, KeyWith keys the focus With would build, and a space of
+// more hierarchies than a key holds by identity is keyed by the rest's
+// names.
+func TestFocusKeyIsIdentity(t *testing.T) {
+	wide, err := NewSpace("A", "B", "C", "D", "E", "F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Space{testSpace(t), wide} {
+		for _, h := range s.Hierarchies() {
+			s.MustAdd("/" + h.Name() + "/x/y")
+			s.MustAdd("/" + h.Name() + "/z")
+		}
+		foci := []Focus{s.WholeProgram()}
+		for i := 0; i < len(foci) && len(foci) < 400; i++ {
+			foci = append(foci, foci[i].AllChildren()...)
+		}
+		for _, f := range foci {
+			for i := range s.NumHierarchies() {
+				for _, c := range f.SelectionAt(i).Children() {
+					if f.KeyWith(i, c) != f.With(i, c).Key() {
+						t.Errorf("KeyWith(%d, %s) of %s differs from the key of the focus With builds", i, c.Path(), f.Name())
+					}
+				}
+			}
+			for _, g := range foci {
+				if (f.Key() == g.Key()) != f.Equal(g) {
+					t.Errorf("%s and %s: keys equal %v, foci equal %v", f.Name(), g.Name(), f.Key() == g.Key(), f.Equal(g))
+				}
+			}
+		}
 	}
 }
 

@@ -114,9 +114,9 @@ pcd=
 # pcfsck grades both stores clean, then repairs damaged copies: a stray
 # temp file and an unreadable record in the plain store (exit 2, the
 # record quarantined), and a record moved off its home shard in the
-# sharded one (pcfeed's; exit 1). Its journal puts the record back at
-# home, so the stray copy is left for a human and only the plain copy
-# grades clean after the repair.
+# sharded one (pcfeed's; exit 1). The home shard's journal replay puts
+# the record back at home, so the repair removes the stray copy, which
+# holds the same bytes. Both copies grade clean after the repair.
 step pcfsck "$bin/pcfsck" -store "$st"
 step pcfsck-sharded "$bin/pcfsck" -store "$work/sharded"
 cp -R "$st" "$work/damaged"
@@ -130,6 +130,7 @@ for d in damaged:2 misplaced:1; do
 	[ "$rc" = "${d#*:}" ] || { echo "reach: pcfsck -repair of ${d%:*} exit $rc, want ${d#*:}" >&2; cat "$work/logs/pcfsck-repair-${d%:*}" >&2; exit 2; }
 done
 step pcfsck-repaired "$bin/pcfsck" -store "$work/damaged"
+step pcfsck-repaired-misplaced "$bin/pcfsck" -store "$work/misplaced"
 
 # Unreached functions, "path Recv.Func" (covdata spells a method
 # "*Recv.Func"), sorted.
