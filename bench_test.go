@@ -391,9 +391,11 @@ func BenchmarkSessionObservers(b *testing.B) {
 			}
 			for i := 0; i < n; i++ {
 				r, _ := space.Find(paths[i*len(paths)/n])
-				if _, err := m.Request(mets[i%len(mets)], space.WholeProgram().MustWithSelection(r), 0); err != nil {
+				mt, err := dyninst.Compile(mets[i%len(mets)], space.WholeProgram().MustWithSelection(r))
+				if err != nil {
 					b.Fatal(err)
 				}
+				m.Request(&mt, 0)
 			}
 			replay(b, m)
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/app"
@@ -15,10 +16,24 @@ import (
 	"repro/internal/sim"
 )
 
-// costTrials is how many times each op is counted. testing.AllocsPerRun
-// reads the process's allocation counter, which goroutines other tests
-// left running add to, so the least of the trials is the op's count.
+// costTrials is how many times each op is counted. The counters are the
+// process's, which goroutines other tests left running add to, so the
+// least of the trials is the op's count.
 const costTrials = 5
+
+// allocated runs f once to warm up and once counted, as
+// testing.AllocsPerRun(1, f) does, and returns the counted run's heap
+// allocations and allocated bytes (runtime.MemStats Mallocs and
+// TotalAlloc).
+func allocated(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
 
 // costStream is the stream workload's feed loop in process, as
 // internal/ingest's search-order test runs it: one archetype at
@@ -108,25 +123,26 @@ func costSession(t *testing.T) (*app.App, harness.SessionConfig) {
 	return a, cfg
 }
 
-// TestCostPinned holds the allocations of the diagnosis search's ops to
-// testdata/cost.golden: a whole directed stream through Engine.Feed (mw
-// and pipeline), Engine.Finalize of the mw stream, and one directed
-// harness.RunSession. Allocation counts repeat exactly from run to run,
-// unlike time, so a change that moves one shows as a diff here. After a
-// deliberate change, copy the counts this test prints into the golden and
-// say why in CHANGES.md.
+// TestCostPinned holds the allocations and allocated bytes of the
+// diagnosis search's ops to testdata/cost.golden: a whole directed stream
+// through Engine.Feed (mw and pipeline), Engine.Finalize of the mw
+// stream, and one directed harness.RunSession. Both repeat exactly from
+// run to run, unlike time, so a change that moves one shows as a diff
+// here. After a deliberate change, copy the counts this test prints into
+// the golden and say why in CHANGES.md.
 func TestCostPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	var got bytes.Buffer
-	got.WriteString("# op  allocs/op (testing.AllocsPerRun)\n")
+	got.WriteString("# op  allocs/op  bytes/op (each the least of five trials)\n")
 	count := func(op string, f func()) {
-		least := testing.AllocsPerRun(1, f)
+		allocs, bytes := allocated(f)
 		for range costTrials - 1 {
-			least = min(least, testing.AllocsPerRun(1, f))
+			a, b := allocated(f)
+			allocs, bytes = min(allocs, a), min(bytes, b)
 		}
-		fmt.Fprintf(&got, "%s %.0f\n", op, least)
+		fmt.Fprintf(&got, "%s %d %d\n", op, allocs, bytes)
 	}
 	var mw *ingest.Engine
 	for _, name := range []string{"mw", "pipeline"} {
@@ -152,6 +168,6 @@ func TestCostPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("allocation counts differ from testdata/cost.golden; this build counts:\n%s", got.String())
+		t.Fatalf("allocations differ from testdata/cost.golden; this build counts:\n%s", got.String())
 	}
 }

@@ -53,8 +53,12 @@ type Consultant struct {
 }
 
 // New creates a Performance Consultant over the given resource space and
-// instrumentation manager. hypRoot is typically StandardHypotheses().
+// an instrumentation manager of the same space. hypRoot is typically
+// StandardHypotheses().
 func New(cfg Config, space *resource.Space, inst *dyninst.Manager, hypRoot *Hypothesis, guid Guidance) (*Consultant, error) {
+	if inst.Space() != space {
+		return nil, fmt.Errorf("consultant: the instrumentation manager is of another resource space")
+	}
 	if cfg.TestInterval <= 0 {
 		return nil, fmt.Errorf("consultant: TestInterval must be positive")
 	}
@@ -146,7 +150,12 @@ func (c *Consultant) evaluate(n *Node, now float64) bool {
 // while the cost limit allows.
 func (c *Consultant) activate(now float64) {
 	for _, n := range c.search.Pending() {
-		add := c.inst.CostOf(n.Hyp.Metric, n.Focus)
+		mt, err := n.Matcher()
+		if err != nil {
+			c.search.Unmeasurable(n, now) // no probe can measure it
+			continue
+		}
+		add := c.inst.CostOf(mt)
 		if add > c.cfg.CostLimit {
 			// This pair can never fit the instrumentation budget, even
 			// alone; concluding it false keeps the queue moving.
@@ -162,15 +171,7 @@ func (c *Consultant) activate(now float64) {
 			return
 		}
 		c.stalled = false
-		probe, err := c.inst.Request(n.Hyp.Metric, n.Focus, now)
-		if err != nil {
-			// An unmeasurable pair (e.g. a focus too deep for the
-			// instrumentation) is treated as tested-false.
-			n.State = StateFalse
-			n.ConcludedAt = now
-			continue
-		}
-		n.probe = probe
+		n.probe = c.inst.Request(mt, now)
 		n.State = StateTesting
 		n.StartedAt = now
 		c.testedPairs++

@@ -100,6 +100,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{TestInterval: 1, CostLimit: 1}, sp, inst, &Hypothesis{Name: "x"}, Guidance{}); err == nil {
 		t.Error("childless hypothesis root accepted")
 	}
+	// Every pair is compiled from a focus of the search's space, so the
+	// manager must instrument that space.
+	if _, err := New(Config{TestInterval: 1, CostLimit: 1}, resource.NewStandardSpace(), inst, StandardHypotheses(), Guidance{}); err == nil {
+		t.Error("a manager of another space accepted")
+	}
 }
 
 func TestSearchFindsTheRightBottlenecks(t *testing.T) {
@@ -347,9 +352,10 @@ func TestDoubleStartFails(t *testing.T) {
 }
 
 func TestUnmeasurablePairConcludesFalse(t *testing.T) {
-	// A probe whose focus is too deep for the instrumentation (machine
+	// A pair whose focus is too deep for the instrumentation (machine
 	// selection below node level) concludes false instead of wedging the
-	// search.
+	// search, through Search.Unmeasurable as in the trace drivers: with
+	// the threshold it would have been held to, and no probe.
 	r := newRig(t, defaultTestConfig(), Guidance{})
 	r.sp.MustAdd("/Machine/sp01/cpu0")
 	r.runUntilQuiesced(400)
@@ -358,10 +364,12 @@ func TestUnmeasurablePairConcludesFalse(t *testing.T) {
 		t.Fatal("missing deep machine resource")
 	}
 	f := r.sp.WholeProgram().MustWithSelection(deep)
-	if n, ok := r.c.SHG().Lookup(CPUBound, f); ok {
-		if n.State != StateFalse {
-			t.Errorf("unmeasurable pair state = %v, want false", n.State)
-		}
+	n, ok := r.c.SHG().Lookup(CPUBound, f)
+	if !ok {
+		t.Fatal("the search never reached the deep pair: CPUbound at /Machine/sp01 should test true and refine into it")
+	}
+	if n.State != StateFalse || n.Threshold != 0.3 || n.probe != nil {
+		t.Errorf("unmeasurable pair: state %v, threshold %v, probe %v; want false, 0.3, none", n.State, n.Threshold, n.probe)
 	}
 }
 

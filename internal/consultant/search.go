@@ -257,10 +257,10 @@ func (s *Search) Conclude(n *Node, value, now float64) {
 	}
 }
 
-// Unmeasurable concludes false a pair no value can be had for, recording
-// the threshold it would have been held to, as a trace diagnosis always
-// has. (The online Consultant, whose unmeasurable pairs never got as far
-// as a probe, records none.)
+// Unmeasurable concludes false a pair no value can be had for (its
+// Node.Matcher fails), recording the threshold it would have been held
+// to. All three drivers conclude such a pair here: the online
+// Consultant, the postmortem evaluator and the streaming engine.
 func (s *Search) Unmeasurable(n *Node, now float64) {
 	n.Threshold = s.Threshold(n.Hyp)
 	n.State, n.ConcludedAt = StateFalse, now

@@ -102,7 +102,7 @@ type Node struct {
 
 	// mt is the pair's compiled matcher, or mtErr why it has none;
 	// compiled at the pair's first measurement (mtDone).
-	mt     dyninst.IntervalMatcher
+	mt     dyninst.Matcher
 	mtErr  error
 	mtDone bool
 
@@ -125,12 +125,14 @@ func (n *Node) Key() string { return n.Hyp.Name + " " + n.name }
 // FocusName returns the canonical name of the node's focus.
 func (n *Node) FocusName() string { return n.name }
 
-// Matcher returns the pair's (metric : focus) predicate, compiled once.
-// An error means the focus is structurally unmeasurable (see
-// dyninst.ErrTooDeep).
-func (n *Node) Matcher() (*dyninst.IntervalMatcher, error) {
+// Matcher returns the pair's compiled (metric : focus) matcher: the one
+// compile of the pair, made at its first measurement, which every driver
+// measures it by — the online consultant's cost and probe, and a trace's
+// evaluation. An error means the focus is structurally unmeasurable (see
+// dyninst.ErrTooDeep); the driver concludes it with Search.Unmeasurable.
+func (n *Node) Matcher() (*dyninst.Matcher, error) {
 	if !n.mtDone {
-		n.mtErr = n.mt.Compile(n.Hyp.Metric, n.Focus)
+		n.mt, n.mtErr = dyninst.Compile(n.Hyp.Metric, n.Focus)
 		n.mtDone = true
 	}
 	if n.mtErr != nil {

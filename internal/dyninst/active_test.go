@@ -23,10 +23,7 @@ func probeMix(t *testing.T, m *Manager, sp *resource.Space, n int) []*Probe {
 	}
 	out := make([]*Probe, n)
 	for i := range out {
-		p, err := m.Request(mets[i%len(mets)], foci[i%len(foci)], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := request(t, m, mets[i%len(mets)], foci[i%len(foci)], 0)
 		out[i] = p
 	}
 	return out
@@ -62,10 +59,7 @@ func TestOnIntervalSteadyStateDoesNotAllocate(t *testing.T) {
 func TestRemovedProbeIsNeverReached(t *testing.T) {
 	with, sp := newManager(t)
 	before := probeMix(t, with, sp, 4)
-	doomed, err := with.Request(metric.ExecTime, sp.WholeProgram(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doomed := request(t, with, metric.ExecTime, sp.WholeProgram(), 0)
 	after := probeMix(t, with, sp, 7)
 	with.Remove(doomed, 0.75)
 	if with.ActiveProbes() != 11 {
@@ -87,7 +81,7 @@ func TestRemovedProbeIsNeverReached(t *testing.T) {
 		w := want[i]
 		sum += p.hist.Total() + p.events
 		if p.hist.Total() != w.hist.Total() || p.events != w.events || p.Value(4) != w.Value(4) {
-			t.Errorf("probe %d (%s %s): %v s, %v events; want %v s, %v events", i, p.met, p.focus.Name(),
+			t.Errorf("probe %d (%s): %v s, %v events; want %v s, %v events", i, p.mt.met,
 				p.hist.Total(), p.events, w.hist.Total(), w.events)
 		}
 	}

@@ -5,6 +5,11 @@
 // application's compute phases while active, and contributes to a global
 // instrumentation cost that the Performance Consultant uses to throttle
 // its search.
+//
+// A pair is compiled once into a Matcher (Compile), which a Manager
+// prices (CostOf) and instruments (Request) and a postmortem evaluation
+// reads over a trace: which intervals a pair takes, which count an event
+// metric adds and how a value is normalized are each written once, here.
 package dyninst
 
 import (
@@ -59,20 +64,16 @@ type ProcEntry struct {
 
 // Probe is one active or historical (metric : focus) measurement.
 type Probe struct {
-	id     int
-	met    metric.ID
-	focus  resource.Focus
+	mt     *Matcher // the pair's, compiled by its caller
 	hist   *metric.TimeHistogram
 	events float64 // accumulated event count for rate metrics
 
-	requestedAt float64
-	activeAt    float64
-	removed     bool
-	removedAt   float64
+	activeAt  float64
+	removed   bool
+	removedAt float64
 
 	width    int     // number of processes covered
 	procCost float64 // per-covered-process cost fraction
-	matcher  matcher
 }
 
 // Removed reports whether the probe has been deleted.
@@ -97,15 +98,7 @@ func (p *Probe) ObservedWindow(now float64) float64 {
 // i.e. the fraction of covered execution time; for event metrics, events
 // per second per process.
 func (p *Probe) Value(now float64) float64 {
-	w := p.ObservedWindow(now)
-	if w <= 0 || p.width == 0 {
-		return 0
-	}
-	info, _ := metric.Lookup(p.met)
-	if info.Normalized {
-		return p.hist.Total() / (w * float64(p.width))
-	}
-	return p.events / (w * float64(p.width))
+	return p.mt.Value(p.hist.Total(), p.events, p.ObservedWindow(now), p.width)
 }
 
 // ValueOver returns the probe's normalized value computed over only the
@@ -115,8 +108,7 @@ func (p *Probe) Value(now float64) float64 {
 // tracks phase changes in the application that a cumulative average would
 // smear out. Event metrics fall back to the cumulative value.
 func (p *Probe) ValueOver(now, window float64) float64 {
-	info, _ := metric.Lookup(p.met)
-	if !info.Normalized || window <= 0 {
+	if !p.mt.normalized || window <= 0 {
 		return p.Value(now)
 	}
 	end := now
@@ -124,18 +116,17 @@ func (p *Probe) ValueOver(now, window float64) float64 {
 		end = p.removedAt
 	}
 	start := math.Max(p.activeAt, end-window)
-	if end <= start || p.width == 0 {
+	if end <= start {
 		return 0
 	}
-	return p.hist.Sum(start, end) / ((end - start) * float64(p.width))
+	return p.mt.Value(p.hist.Sum(start, end), 0, end-start, p.width)
 }
 
 // Manager owns all probes for one application execution.
 type Manager struct {
-	cfg    Config
-	space  *resource.Space
-	procs  []ProcEntry
-	nextID int
+	cfg   Config
+	space *resource.Space
+	procs []ProcEntry
 
 	// active holds the inserted probes in insertion order. Each probe
 	// accumulates only into itself, so the order intervals are offered in
@@ -175,6 +166,9 @@ func NewManager(cfg Config, space *resource.Space, procs []ProcEntry) (*Manager,
 	if cfg.MaxHistogramBins <= 0 {
 		cfg.MaxHistogramBins = DefaultConfig().MaxHistogramBins
 	}
+	if cfg.MaxHistogramBins < 2 {
+		return nil, fmt.Errorf("dyninst: a histogram folds at 2 bins or more")
+	}
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("dyninst: no processes")
 	}
@@ -187,43 +181,24 @@ func NewManager(cfg Config, space *resource.Space, procs []ProcEntry) (*Manager,
 	return m, nil
 }
 
-// Request inserts a probe for (met : focus) at virtual time at. Data
-// collection begins after the configured insertion latency.
-func (m *Manager) Request(met metric.ID, focus resource.Focus, at float64) (*Probe, error) {
-	if err := metric.Validate(met); err != nil {
-		return nil, err
-	}
-	if !focus.Valid() || focus.Space() != m.space {
-		return nil, fmt.Errorf("dyninst: focus %v is not in the manager's space", focus)
-	}
-	mt, err := newMatcher(met, focus)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := metric.NewFoldingTimeHistogram(m.cfg.BinWidth, m.cfg.MaxHistogramBins)
-	if err != nil {
-		return nil, err
-	}
-	m.nextID++
+// Space returns the resource space the manager instruments; a pair
+// compiled from a focus of another space measures nothing meaningful.
+func (m *Manager) Space() *resource.Space { return m.space }
+
+// Request inserts a probe for the compiled pair mt at virtual time at;
+// the probe reads mt for as long as it lives. Data collection begins
+// after the configured insertion latency.
+func (m *Manager) Request(mt *Matcher, at float64) *Probe {
+	// NewManager checked the histogram's parameters.
+	hist, _ := metric.NewFoldingTimeHistogram(m.cfg.BinWidth, m.cfg.MaxHistogramBins)
 	p := &Probe{
-		id:          m.nextID,
-		met:         met,
-		focus:       focus,
-		hist:        hist,
-		requestedAt: at,
-		activeAt:    at + m.cfg.InsertLatency,
-		matcher:     mt,
+		mt:       mt,
+		hist:     hist,
+		activeAt: at + m.cfg.InsertLatency,
+		width:    mt.Width(m.procs),
+		procCost: m.procCost(mt),
 	}
-	p.procCost = m.cfg.CostPerProcProbe
-	if mt.tagDepth > 0 {
-		p.procCost *= m.cfg.SyncConstrainedCostFactor
-	}
-	for i, pe := range m.procs {
-		if mt.matchesProc(pe) {
-			p.width++
-			m.perProcCost[i] += p.procCost
-		}
-	}
+	m.charge(p, p.procCost)
 	m.active = append(m.active, p)
 	for i := range m.sites {
 		if sp := &m.sites[i]; sp.labels != nil && mt.matchesLabels(sp.labels) {
@@ -234,7 +209,20 @@ func (m *Manager) Request(met metric.ID, focus resource.Focus, at float64) (*Pro
 	if c := m.TotalCost(); c > m.maxCost {
 		m.maxCost = c
 	}
-	return p, nil
+	return p
+}
+
+// charge adds c to the cost of every process p covers; what rounding
+// leaves of a removed probe's cost is cleared.
+func (m *Manager) charge(p *Probe, c float64) {
+	for i, pe := range m.procs {
+		if p.mt.covers(pe) {
+			m.perProcCost[i] += c
+			if m.perProcCost[i] < 1e-12 {
+				m.perProcCost[i] = 0
+			}
+		}
+	}
 }
 
 // Remove deletes a probe at virtual time at; its accumulated data remains
@@ -250,14 +238,7 @@ func (m *Manager) Remove(p *Probe, at float64) {
 	m.active = slices.Delete(m.active, i, i+1)
 	p.removed = true
 	p.removedAt = at
-	for i, pe := range m.procs {
-		if p.matcher.matchesProc(pe) {
-			m.perProcCost[i] -= p.procCost
-			if m.perProcCost[i] < 1e-12 {
-				m.perProcCost[i] = 0
-			}
-		}
-	}
+	m.charge(p, -p.procCost)
 	for i := range m.sites {
 		sp := &m.sites[i]
 		if j := slices.Index(sp.probes, p); j >= 0 {
@@ -286,23 +267,20 @@ func (m *Manager) TotalCost() float64 {
 // MaxCostSeen returns the highest TotalCost observed at any request.
 func (m *Manager) MaxCostSeen() float64 { return m.maxCost }
 
-// CostOf predicts the additional TotalCost a probe on focus would add.
-func (m *Manager) CostOf(met metric.ID, focus resource.Focus) float64 {
-	mt, err := newMatcher(met, focus)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, pe := range m.procs {
-		if mt.matchesProc(pe) {
-			n++
-		}
-	}
+// CostOf predicts the additional TotalCost a probe of the compiled pair
+// mt would add.
+func (m *Manager) CostOf(mt *Matcher) float64 {
+	return float64(mt.Width(m.procs)) * m.procCost(mt) / float64(len(m.procs))
+}
+
+// procCost is the slowdown a probe of mt adds to each process it covers:
+// tag-predicated instrumentation wraps every message operation.
+func (m *Manager) procCost(mt *Matcher) float64 {
 	c := m.cfg.CostPerProcProbe
 	if mt.tagDepth > 0 {
 		c *= m.cfg.SyncConstrainedCostFactor
 	}
-	return float64(n) * c / float64(len(m.procs))
+	return c
 }
 
 // Slowdown implements the simulator perturbation hook: the multiplicative
@@ -318,14 +296,14 @@ func (m *Manager) Slowdown(rank int) float64 {
 func (m *Manager) OnInterval(iv sim.Interval) {
 	if iv.Site <= 0 {
 		for _, p := range m.active {
-			if p.matcher.matches(&iv) {
+			if p.mt.Matches(&iv) {
 				p.accumulate(&iv)
 			}
 		}
 		return
 	}
 	for _, p := range m.probesAt(&iv) {
-		if p.matcher.matchesKind(iv.Kind) {
+		if p.mt.matchesKind(iv.Kind) {
 			p.accumulate(&iv)
 		}
 	}
@@ -341,7 +319,7 @@ func (m *Manager) probesAt(iv *sim.Interval) []*Probe {
 	if sp.labels == nil {
 		sp.labels = iv.Labels
 		for _, p := range m.active {
-			if p.matcher.matchesLabels(sp.labels) {
+			if p.mt.matchesLabels(sp.labels) {
 				sp.probes = append(sp.probes, p)
 			}
 		}
@@ -357,16 +335,11 @@ func (p *Probe) accumulate(iv *sim.Interval) {
 	if start >= iv.End {
 		return
 	}
-	switch p.met {
-	case metric.MsgCount:
-		p.events += float64(iv.Msgs)
-	case metric.MsgBytes:
-		p.events += float64(iv.Bytes)
-	case metric.ProcCalls:
-		p.events += float64(iv.Calls)
-	default:
+	if p.mt.normalized {
 		// Time metrics accumulate the activity seconds inside the probe's
 		// lifetime.
 		_ = p.hist.Add(start, iv.End, iv.End-start)
+	} else {
+		p.events += float64(p.mt.Count(iv.Msgs, iv.Bytes, iv.Calls))
 	}
 }

@@ -51,6 +51,17 @@ func focusOf(t *testing.T, sp *resource.Space, paths ...string) resource.Focus {
 	return f
 }
 
+// request compiles (met : focus) and inserts its probe at virtual time
+// at.
+func request(t testing.TB, m *Manager, met metric.ID, focus resource.Focus, at float64) *Probe {
+	t.Helper()
+	mt, err := Compile(met, focus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Request(&mt, at)
+}
+
 func TestNewManagerValidation(t *testing.T) {
 	sp := testSpace(t)
 	cfg := DefaultConfig()
@@ -63,6 +74,11 @@ func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(cfg, sp, testProcs()); err == nil {
 		t.Error("negative cost accepted")
 	}
+	cfg = DefaultConfig()
+	cfg.MaxHistogramBins = 1
+	if _, err := NewManager(cfg, sp, testProcs()); err == nil {
+		t.Error("a one-bin histogram accepted")
+	}
 	if _, err := NewManager(DefaultConfig(), sp, nil); err == nil {
 		t.Error("no processes accepted")
 	}
@@ -72,10 +88,7 @@ func TestRequestAndCostAccounting(t *testing.T) {
 	m, sp := newManager(t)
 	cfg := DefaultConfig()
 	whole := sp.WholeProgram()
-	p, err := m.Request(metric.CPUTime, whole, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := request(t, m, metric.CPUTime, whole, 0)
 	if p.width != 2 {
 		t.Errorf("width = %d, want 2", p.width)
 	}
@@ -87,10 +100,7 @@ func TestRequestAndCostAccounting(t *testing.T) {
 	}
 	// A process-narrow probe costs half the average.
 	narrow := focusOf(t, sp, "/Process/p1")
-	p2, err := m.Request(metric.SyncWaitTime, narrow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := request(t, m, metric.SyncWaitTime, narrow, 0)
 	if p2.width != 1 {
 		t.Errorf("narrow width = %d", p2.width)
 	}
@@ -122,13 +132,14 @@ func TestSyncConstrainedProbesCostMore(t *testing.T) {
 	cfg := DefaultConfig()
 	tagged := focusOf(t, sp, "/SyncObject/Message/tag_3_0")
 	want := cfg.CostPerProcProbe * cfg.SyncConstrainedCostFactor
-	if got := m.CostOf(metric.SyncWaitTime, tagged); math.Abs(got-want) > 1e-12 {
-		t.Errorf("CostOf tagged = %v, want %v", got, want)
-	}
-	p, err := m.Request(metric.SyncWaitTime, tagged, 0)
+	mt, err := Compile(metric.SyncWaitTime, tagged)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := m.CostOf(&mt); math.Abs(got-want) > 1e-12 {
+		t.Errorf("CostOf tagged = %v, want %v", got, want)
+	}
+	p := m.Request(&mt, 0)
 	if got := m.TotalCost(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("TotalCost = %v, want %v", got, want)
 	}
@@ -142,7 +153,7 @@ func TestSlowdownTracksPerProcessCost(t *testing.T) {
 	m, sp := newManager(t)
 	cfg := DefaultConfig()
 	narrow := focusOf(t, sp, "/Process/p1")
-	_, _ = m.Request(metric.CPUTime, narrow, 0)
+	request(t, m, metric.CPUTime, narrow, 0)
 	if got := m.Slowdown(0); math.Abs(got-(1+cfg.CostPerProcProbe)) > 1e-12 {
 		t.Errorf("Slowdown(0), p1's rank, = %v", got)
 	}
@@ -154,7 +165,7 @@ func TestSlowdownTracksPerProcessCost(t *testing.T) {
 func TestProbeAccumulationAndClipping(t *testing.T) {
 	m, sp := newManager(t)
 	cfg := DefaultConfig()
-	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 0) // active at 0.5
+	p := request(t, m, metric.CPUTime, sp.WholeProgram(), 0) // active at 0.5
 	iv := sim.Interval{
 		Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
 		Kind:   sim.KindCPU, Start: 0, End: 1, Calls: 1,
@@ -170,7 +181,7 @@ func TestProbeAccumulationAndClipping(t *testing.T) {
 		t.Errorf("Value = %v, want %v", got, want/2)
 	}
 	// Intervals entirely before activation are lost.
-	before, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 10)
+	before := request(t, m, metric.CPUTime, sp.WholeProgram(), 10)
 	m.OnInterval(iv)
 	if before.hist.Total() != 0 {
 		t.Error("interval before activation accumulated")
@@ -179,10 +190,10 @@ func TestProbeAccumulationAndClipping(t *testing.T) {
 
 func TestMetricKindFiltering(t *testing.T) {
 	m, sp := newManager(t)
-	cpu, _ := m.Request(metric.CPUTime, sp.WholeProgram(), -1)
-	sync, _ := m.Request(metric.SyncWaitTime, sp.WholeProgram(), -1)
-	io, _ := m.Request(metric.IOWaitTime, sp.WholeProgram(), -1)
-	exec, _ := m.Request(metric.ExecTime, sp.WholeProgram(), -1)
+	cpu := request(t, m, metric.CPUTime, sp.WholeProgram(), -1)
+	sync := request(t, m, metric.SyncWaitTime, sp.WholeProgram(), -1)
+	io := request(t, m, metric.IOWaitTime, sp.WholeProgram(), -1)
+	exec := request(t, m, metric.ExecTime, sp.WholeProgram(), -1)
 	emit := func(kind sim.Kind) {
 		m.OnInterval(sim.Interval{
 			Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
@@ -203,9 +214,9 @@ func TestMetricKindFiltering(t *testing.T) {
 
 func TestEventMetrics(t *testing.T) {
 	m, sp := newManager(t)
-	msgs, _ := m.Request(metric.MsgCount, sp.WholeProgram(), -1)
-	bytes, _ := m.Request(metric.MsgBytes, sp.WholeProgram(), -1)
-	calls, _ := m.Request(metric.ProcCalls, sp.WholeProgram(), -1)
+	msgs := request(t, m, metric.MsgCount, sp.WholeProgram(), -1)
+	bytes := request(t, m, metric.MsgBytes, sp.WholeProgram(), -1)
+	calls := request(t, m, metric.ProcCalls, sp.WholeProgram(), -1)
 	m.OnInterval(sim.Interval{
 		Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main", Tag: "tag_3_0"},
 		Kind:   sim.KindSyncWait, Start: 0, End: 2, Msgs: 1, Bytes: 512, Calls: 1,
@@ -223,23 +234,9 @@ func TestEventMetrics(t *testing.T) {
 	}
 }
 
-func TestRequestValidation(t *testing.T) {
-	m, sp := newManager(t)
-	if _, err := m.Request("bogus", sp.WholeProgram(), 0); err == nil {
-		t.Error("unknown metric accepted")
-	}
-	other := testSpace(t)
-	if _, err := m.Request(metric.CPUTime, other.WholeProgram(), 0); err == nil {
-		t.Error("focus from another space accepted")
-	}
-	if _, err := m.Request(metric.CPUTime, resource.Focus{}, 0); err == nil {
-		t.Error("zero focus accepted")
-	}
-}
-
 func TestValueBeforeActivation(t *testing.T) {
 	m, sp := newManager(t)
-	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 0)
+	p := request(t, m, metric.CPUTime, sp.WholeProgram(), 0)
 	if p.Value(0.1) != 0 {
 		t.Error("value before activation should be 0")
 	}
@@ -250,7 +247,7 @@ func TestValueBeforeActivation(t *testing.T) {
 
 func TestObservedWindowStopsAtRemoval(t *testing.T) {
 	m, sp := newManager(t)
-	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 0)
+	p := request(t, m, metric.CPUTime, sp.WholeProgram(), 0)
 	m.Remove(p, 3)
 	if got := p.ObservedWindow(10); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("window after removal = %v, want 2.5", got)
@@ -259,7 +256,7 @@ func TestObservedWindowStopsAtRemoval(t *testing.T) {
 
 func TestMaxCostSeen(t *testing.T) {
 	m, sp := newManager(t)
-	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), 0)
+	p := request(t, m, metric.CPUTime, sp.WholeProgram(), 0)
 	peak := m.TotalCost()
 	m.Remove(p, 1)
 	if m.MaxCostSeen() != peak {
@@ -269,7 +266,7 @@ func TestMaxCostSeen(t *testing.T) {
 
 func TestValueOverRecentWindow(t *testing.T) {
 	m, sp := newManager(t)
-	p, _ := m.Request(metric.CPUTime, sp.WholeProgram(), -0.5) // active at 0
+	p := request(t, m, metric.CPUTime, sp.WholeProgram(), -0.5) // active at 0
 	// First 10 seconds: p1 fully busy. Next 10 seconds: idle.
 	m.OnInterval(sim.Interval{Labels: &sim.Labels{Process: "p1", Node: "sp01", Module: "oned.f", Function: "main"},
 		Kind: sim.KindCPU, Start: 0, End: 10})
@@ -295,42 +292,60 @@ func TestValueOverRecentWindow(t *testing.T) {
 	}
 }
 
+// A probe reads the matcher it was requested with, not a copy: the
+// caller's compile is the pair's only one.
 func TestProbeAccessors(t *testing.T) {
 	m, sp := newManager(t)
-	f := focusOf(t, sp, "/Process/p1")
-	p, _ := m.Request(metric.CPUTime, f, 0)
-	if p.id == 0 {
-		t.Error("ID not assigned")
+	mt, err := Compile(metric.CPUTime, focusOf(t, sp, "/Process/p1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.met != metric.CPUTime {
-		t.Errorf("Metric = %v", p.met)
-	}
-	if !p.focus.Equal(f) {
-		t.Error("Focus mismatch")
+	if p := m.Request(&mt, 0); p.mt != &mt || p.width != 1 {
+		t.Errorf("probe reads matcher %p of width %d, want %p of width 1", p.mt, p.width, &mt)
 	}
 }
 
+// TestIntervalMatcherExported: a compiled pair keeps its metric, its
+// width counts the processes its focus covers, and a focus deeper than
+// an interval's labels reach is refused with ErrTooDeep.
 func TestIntervalMatcherExported(t *testing.T) {
 	_, sp := newManager(t)
-	var im IntervalMatcher
-	if err := im.Compile(metric.SyncWaitTime, focusOf(t, sp, "/Machine/sp01")); err != nil {
+	mt, err := Compile(metric.SyncWaitTime, focusOf(t, sp, "/Machine/sp01"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Metric() != metric.SyncWaitTime {
-		t.Errorf("Metric = %v", im.Metric())
+	if mt.met != metric.SyncWaitTime {
+		t.Errorf("metric = %v, want %v", mt.met, metric.SyncWaitTime)
 	}
-	if !im.MatchesProc(ProcEntry{Name: "p1", Node: "sp01"}) {
-		t.Error("MatchesProc rejected the right process")
+	if got := mt.Width(testProcs()); got != 1 {
+		t.Errorf("Width = %d, want 1 (p1 on sp01)", got)
 	}
-	if im.MatchesProc(ProcEntry{Name: "p2", Node: "sp02"}) {
-		t.Error("MatchesProc accepted the wrong process")
-	}
-	if err := new(IntervalMatcher).Compile("bogus", sp.WholeProgram()); err == nil {
-		t.Error("unknown metric accepted")
+	if got := mt.Width([]ProcEntry{{Name: "p2", Node: "sp02"}}); got != 0 {
+		t.Errorf("Width over p2 only = %d, want 0", got)
 	}
 	sp.MustAdd("/Process/p1/thread0")
 	deep := focusOf(t, sp, "/Process/p1/thread0")
-	if err := new(IntervalMatcher).Compile(metric.CPUTime, deep); !errors.Is(err, ErrTooDeep) {
+	if _, err := Compile(metric.CPUTime, deep); !errors.Is(err, ErrTooDeep) {
 		t.Errorf("too-deep focus: %v, want ErrTooDeep", err)
+	}
+}
+
+// TestRequestValidation: Request takes a compiled pair, so what it once
+// refused is refused before it: Compile rejects an unknown metric and a
+// zero focus, and a focus of another space is told apart from the
+// manager's by Space (the consultant refuses it; see its TestNewValidation).
+func TestRequestValidation(t *testing.T) {
+	m, sp := newManager(t)
+	if _, err := Compile("bogus", sp.WholeProgram()); err == nil {
+		t.Error("unknown metric accepted")
+	}
+	if _, err := Compile(metric.CPUTime, resource.Focus{}); err == nil {
+		t.Error("zero focus accepted")
+	}
+	if m.Space() != sp {
+		t.Error("Space is not the space the manager was made over")
+	}
+	if other := testSpace(t); other.WholeProgram().Space() == m.Space() {
+		t.Error("a focus of another space reads as the manager's")
 	}
 }

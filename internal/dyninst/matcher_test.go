@@ -42,7 +42,7 @@ func TestMatcherHierarchySelections(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := focusOf(t, sp, c.paths...)
-		mt, err := newMatcher(metric.SyncWaitTime, f)
+		mt, err := Compile(metric.SyncWaitTime, f)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -50,7 +50,7 @@ func TestMatcherHierarchySelections(t *testing.T) {
 		if c.mut != nil {
 			c.mut(&iv)
 		}
-		if got := mt.matches(&iv); got != c.want {
+		if got := mt.Matches(&iv); got != c.want {
 			t.Errorf("%s: matches = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -60,31 +60,31 @@ func TestMatcherKindFilter(t *testing.T) {
 	sp := testSpace(t)
 	f := sp.WholeProgram()
 	iv := baseInterval() // KindSyncWait
-	mtCPU, _ := newMatcher(metric.CPUTime, f)
-	if mtCPU.matches(&iv) {
+	mtCPU, _ := Compile(metric.CPUTime, f)
+	if mtCPU.Matches(&iv) {
 		t.Error("cpu matcher accepted a sync interval")
 	}
-	mtSync, _ := newMatcher(metric.SyncWaitTime, f)
-	if !mtSync.matches(&iv) {
+	mtSync, _ := Compile(metric.SyncWaitTime, f)
+	if !mtSync.Matches(&iv) {
 		t.Error("sync matcher rejected a sync interval")
 	}
-	mtExec, _ := newMatcher(metric.ExecTime, f)
-	if !mtExec.matches(&iv) {
+	mtExec, _ := Compile(metric.ExecTime, f)
+	if !mtExec.Matches(&iv) {
 		t.Error("exec matcher rejected an interval")
 	}
 }
 
 func TestMatcherMatchesProc(t *testing.T) {
 	sp := testSpace(t)
-	mt, _ := newMatcher(metric.CPUTime, focusOf(t, sp, "/Machine/sp02"))
-	if mt.matchesProc(ProcEntry{Name: "p1", Node: "sp01"}) {
+	mt, _ := Compile(metric.CPUTime, focusOf(t, sp, "/Machine/sp02"))
+	if mt.covers(ProcEntry{Name: "p1", Node: "sp01"}) {
 		t.Error("matched a process on the wrong node")
 	}
-	if !mt.matchesProc(ProcEntry{Name: "p2", Node: "sp02"}) {
+	if !mt.covers(ProcEntry{Name: "p2", Node: "sp02"}) {
 		t.Error("rejected a process on the selected node")
 	}
-	whole, _ := newMatcher(metric.CPUTime, sp.WholeProgram())
-	if !whole.matchesProc(ProcEntry{Name: "p1", Node: "sp01"}) {
+	whole, _ := Compile(metric.CPUTime, sp.WholeProgram())
+	if !whole.covers(ProcEntry{Name: "p1", Node: "sp01"}) {
 		t.Error("whole-program matcher rejected a process")
 	}
 }
@@ -94,12 +94,12 @@ func TestMatcherRejectsTooDeepSelections(t *testing.T) {
 	// Build an artificially deep machine resource.
 	sp.MustAdd("/Machine/sp01/cpu0")
 	f := focusOf(t, sp, "/Machine/sp01/cpu0")
-	if _, err := newMatcher(metric.CPUTime, f); err != ErrTooDeep {
+	if _, err := Compile(metric.CPUTime, f); err != ErrTooDeep {
 		t.Errorf("too-deep machine selection: %v, want ErrTooDeep", err)
 	}
 	sp.MustAdd("/SyncObject/Message/tag_3_0/sub")
 	f2 := focusOf(t, sp, "/SyncObject/Message/tag_3_0/sub")
-	if _, err := newMatcher(metric.CPUTime, f2); err != ErrTooDeep {
+	if _, err := Compile(metric.CPUTime, f2); err != ErrTooDeep {
 		t.Errorf("too-deep syncobject selection: %v, want ErrTooDeep", err)
 	}
 }

@@ -81,14 +81,11 @@ func TestQuickProbeMatchesBruteForce(t *testing.T) {
 		met := mets[rng.Intn(len(mets))]
 		focus := randomFocus(sp, rng)
 		insertAt := rng.Float64() * 5
-		probe, err := m.Request(met, focus, insertAt)
+		matcher, err := Compile(met, focus)
 		if err != nil {
 			return false
 		}
-		var matcher IntervalMatcher
-		if err := matcher.Compile(met, focus); err != nil {
-			return false
-		}
+		probe := m.Request(&matcher, insertAt)
 		var want float64
 		for i := 0; i < 60; i++ {
 			start := rng.Float64() * 20
@@ -99,7 +96,7 @@ func TestQuickProbeMatchesBruteForce(t *testing.T) {
 				End:    start + rng.Float64()*2,
 			}
 			m.OnInterval(iv)
-			if matcher.Matches(iv) {
+			if matcher.Matches(&iv) {
 				lo := math.Max(iv.Start, probe.activeAt)
 				if lo < iv.End {
 					want += iv.End - lo
@@ -141,10 +138,7 @@ func TestQuickSiteDispatchMatchesOfferingAll(t *testing.T) {
 			now += rng.Float64() * 0.2
 			switch r := rng.Intn(10); {
 			case r == 0 || len(live) == 0:
-				p, err := m.Request(mets[rng.Intn(len(mets))], randomFocus(sp, rng), now)
-				if err != nil {
-					return false
-				}
+				p := request(t, m, mets[rng.Intn(len(mets))], randomFocus(sp, rng), now)
 				hist, _ := metric.NewFoldingTimeHistogram(m.cfg.BinWidth, m.cfg.MaxHistogramBins)
 				shadow := *p
 				shadow.hist = hist
@@ -167,7 +161,7 @@ func TestQuickSiteDispatchMatchesOfferingAll(t *testing.T) {
 				}
 				m.OnInterval(iv)
 				for i, s := range shadows {
-					if !probes[i].Removed() && s.matcher.matches(&iv) {
+					if !probes[i].Removed() && s.mt.Matches(&iv) {
 						s.accumulate(&iv)
 					}
 				}
@@ -219,11 +213,7 @@ func TestQuickCostConservation(t *testing.T) {
 				r, _ := sp.Find("/SyncObject/Message/t")
 				f = f.MustWithSelection(r)
 			}
-			p, err := m.Request(metric.SyncWaitTime, f, float64(i))
-			if err != nil {
-				return false
-			}
-			live = append(live, p)
+			live = append(live, request(t, m, metric.SyncWaitTime, f, float64(i)))
 		}
 		var want float64
 		for _, p := range live {

@@ -11,17 +11,19 @@ import (
 
 // BenchmarkEngineFeed is one whole stream through Engine.Feed per
 // iteration — the feed loop of the benchmark's stream workload, steered
-// by harvested directives — so an op is what pcd spends between a
-// stream's start and its end marker. steps and samples are per stream.
+// by harvested directives compiled once, as pcd's cache compiles them —
+// so an op is what pcd spends between a stream's start and its end
+// marker. steps and samples are per stream.
 func BenchmarkEngineFeed(b *testing.B) {
 	for _, appName := range []string{"mw", "pipeline"} {
 		b.Run(appName, func(b *testing.B) {
 			l := newFeedLoop(b, appName)
+			guide := l.harvested.Compile()
 			var eng *ingest.Engine
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng = l.engine(l.harvested)
+				eng = l.guidedEngine(guide)
 				l.feed(b, eng, nil)
 			}
 			b.StopTimer()
@@ -35,7 +37,7 @@ func BenchmarkEngineFeed(b *testing.B) {
 // re-evaluation of the complete aggregate that produces the record.
 func BenchmarkEngineFinalize(b *testing.B) {
 	l := newFeedLoop(b, "mw")
-	eng := l.engine(l.harvested)
+	eng := l.guidedEngine(l.harvested.Compile())
 	l.feed(b, eng, nil)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,8 +5,17 @@ import (
 	"io"
 
 	"repro/internal/consultant"
+	"repro/internal/core"
 	"repro/internal/resource"
 )
+
+// WithGuide returns opts carrying g, its Directives compiled, as the
+// session manager hands NewEngine a cached set's compile, for the
+// external test package.
+func WithGuide(opts EngineOptions, g *core.Guide) EngineOptions {
+	opts.guide = g
+	return opts
+}
 
 // WriteLiveState renders everything the live search has decided so far,
 // for the external test package: the counters, then every pair ever

@@ -75,8 +75,8 @@ func (r *refEngine) Feed(samples []Sample) error {
 		}
 		budget--
 		r.steps++
-		var m dyninst.IntervalMatcher
-		if err := m.Compile(n.Hyp.Metric, n.Focus); err != nil {
+		m, err := dyninst.Compile(n.Hyp.Metric, n.Focus)
+		if err != nil {
 			r.search.Unmeasurable(n, now)
 			continue
 		}

@@ -39,7 +39,18 @@ func newFeedLoop(t testing.TB, appName string) *feedLoop {
 }
 
 func (l *feedLoop) engine(ds *core.DirectiveSet) *ingest.Engine {
-	return ingest.NewEngine(l.app, "", "r1", ingest.EngineOptions{Directives: ds, EvalBudget: loopBudget, Watch: l.watch})
+	return ingest.NewEngine(l.app, "", "r1", l.options(ds))
+}
+
+func (l *feedLoop) options(ds *core.DirectiveSet) ingest.EngineOptions {
+	return ingest.EngineOptions{Directives: ds, EvalBudget: loopBudget, Watch: l.watch}
+}
+
+// guidedEngine is engine(l.harvested) handed the set's compile, made
+// once, as pcd hands a stream its cache's compile: only a stream's own
+// work is timed.
+func (l *feedLoop) guidedEngine(g *core.Guide) *ingest.Engine {
+	return ingest.NewEngine(l.app, "", "r1", ingest.WithGuide(l.options(l.harvested), g))
 }
 
 // feed ships the whole stream to eng, calling after (when not nil)

@@ -17,8 +17,8 @@ func SameAggregate(a, b *Recorder) bool {
 // Value is Measure of the (metric : focus) pair, its matcher compiled
 // for the call, for the external test package.
 func (e *Evaluator) Value(met metric.ID, focus resource.Focus) (float64, error) {
-	var m dyninst.IntervalMatcher
-	if err := m.Compile(met, focus); err != nil {
+	m, err := dyninst.Compile(met, focus)
+	if err != nil {
 		return 0, err
 	}
 	return e.Measure(&m), nil

@@ -20,7 +20,6 @@ import (
 	"repro/internal/consultant"
 	"repro/internal/dyninst"
 	"repro/internal/history"
-	"repro/internal/metric"
 	"repro/internal/resource"
 	"repro/internal/sim"
 )
@@ -225,43 +224,21 @@ func NewEvaluator(space *resource.Space, procs []dyninst.ProcEntry, rec *Recorde
 	return &Evaluator{space: space, procs: procs, elapsed: elapsed, aggs: rec.sorted()}, nil
 }
 
-// Measure computes the normalized value of a compiled (metric : focus)
-// pair over the whole run: for time metrics, the fraction of the covered
+// Measure computes the value of a compiled (metric : focus) pair over
+// the whole run, by the definition a live probe's value uses
+// (dyninst.Matcher.Value): for time metrics, the fraction of the covered
 // processes' execution time; for event metrics, events per second per
 // covered process.
-func (e *Evaluator) Measure(m *dyninst.IntervalMatcher) float64 {
-	width := 0
-	for _, pe := range e.procs {
-		if m.MatchesProc(pe) {
-			width++
-		}
-	}
-	if width == 0 {
-		return 0
-	}
-	met := m.Metric()
+func (e *Evaluator) Measure(m *dyninst.Matcher) float64 {
 	var secs float64
 	var events int
 	for _, a := range e.aggs {
-		if !m.Matches(a.key.interval()) {
-			continue
-		}
-		secs += a.seconds
-		switch met {
-		case metric.MsgCount:
-			events += a.msgs
-		case metric.MsgBytes:
-			events += a.bytes
-		case metric.ProcCalls:
-			events += a.calls
+		if iv := a.key.interval(); m.Matches(&iv) {
+			secs += a.seconds
+			events += m.Count(a.msgs, a.bytes, a.calls)
 		}
 	}
-	info, _ := metric.Lookup(met)
-	denom := e.elapsed * float64(width)
-	if info.Normalized {
-		return secs / denom
-	}
-	return float64(events) / denom
+	return m.Value(secs, float64(events), e.elapsed, m.Width(e.procs))
 }
 
 // Evaluate runs the Performance Consultant's top-down search offline:

@@ -57,16 +57,11 @@ func (r *fourMapRecorder) sortedKeys() []aggKey {
 }
 
 func (r *fourMapRecorder) value(keys []aggKey, procs []dyninst.ProcEntry, elapsed float64, met metric.ID, focus resource.Focus) (float64, error) {
-	m := new(dyninst.IntervalMatcher)
-	if err := m.Compile(met, focus); err != nil {
+	m, err := dyninst.Compile(met, focus)
+	if err != nil {
 		return 0, err
 	}
-	width := 0
-	for _, pe := range procs {
-		if m.MatchesProc(pe) {
-			width++
-		}
-	}
+	width := m.Width(procs)
 	if width == 0 {
 		return 0, nil
 	}
@@ -74,7 +69,7 @@ func (r *fourMapRecorder) value(keys []aggKey, procs []dyninst.ProcEntry, elapse
 	var events int
 	for _, k := range keys {
 		iv := sim.Interval{Labels: &k.Labels, Kind: k.kind, Start: 0, End: 1}
-		if !m.Matches(iv) {
+		if !m.Matches(&iv) {
 			continue
 		}
 		secs += r.seconds[k]
