@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench search-bench commit-bench reach clean
+.PHONY: all build vet test test-short race race-short loc bench bench-smoke bench-check bench-pairs chaos killrestart crashpoints fsck load load-smoke shard ingest replicate failover experiments fuzz codec-bench session-bench search-bench cost commit-bench reach clean
 
 all: build vet test
 
@@ -218,6 +218,15 @@ session-bench:
 # parent in alternating `go test -c` binaries.
 search-bench:
 	$(GO) test -p 1 -run '^$$' -bench 'EngineFeed|EngineFinalize|DiagnoseSession' -benchmem -count 5 ./internal/ingest/ ./internal/harness/
+
+# The allocation pins of testdata/cost.golden (TestCostPinned): a
+# directed stream's feed, a finalize and a directed session, each in
+# allocations and allocated bytes. The test skips under -race, which
+# every other CI step that runs the root package uses, so CI runs this
+# target on its own, under the Go release that wrote the golden (1.24):
+# the counts move between releases.
+cost:
+	$(GO) test -count=1 -run TestCostPinned .
 
 # A commit's disk work in process, without the wire: k=1 and k=8 records
 # of the corpus's mean size at SyncAlways, as a put and as a follower's

@@ -10,7 +10,7 @@ import (
 
 // HarvestCache memoizes the directive pipeline: harvested sets per
 // (record, options), mapped sets per (set, mappings), and combined sets
-// per (operator, operand pair). The evaluation harness re-derives the
+// per (rule, operand pair). The evaluation harness re-derives the
 // same directives many times per study — Table 3 alone harvests each
 // source record once per tuning row — and the store interns records
 // (one decoded copy per key), so pointer identity is record identity
@@ -25,14 +25,40 @@ import (
 // read-only; Clone before mutating. All methods are safe for concurrent
 // use.
 type HarvestCache struct {
+	harvests memo[harvestKey, *DirectiveSet]
+	mapped   memo[mappedKey, *DirectiveSet]
+	combined memo[combinedKey, *DirectiveSet]
+	guides   memo[*DirectiveSet, *Guide] // not counted in Stats
 	mu       sync.RWMutex
-	harvests map[harvestKey]*DirectiveSet
-	mapped   map[mappedKey]*DirectiveSet
-	combined map[combinedKey]*DirectiveSet
-	guides   map[*DirectiveSet]*Guide
-	texts    []*formatted // oldest first, at most maxTexts
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	texts    []*formatted // oldest first, at most maxTexts; guarded by mu
+}
+
+// memo is one map of the cache: a value computed once per key, the
+// first one stored when two goroutines compute it at once, with its
+// hits and misses. Its entries are written once and read many times,
+// which is what a sync.Map is for.
+type memo[K comparable, V any] struct {
+	m            sync.Map // K to V
+	hits, misses atomic.Uint64
+}
+
+// get returns the value kept for key, computing and keeping it on a
+// miss. A compute that fails is returned, and nothing is kept or
+// counted.
+func (m *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	if v, ok := m.m.Load(key); ok {
+		m.hits.Add(1)
+		return v.(V), nil
+	}
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	if prev, ok := m.m.LoadOrStore(key, v); ok {
+		return prev.(V), nil // another goroutine computed it first; keep one copy
+	}
+	m.misses.Add(1)
+	return v, nil
 }
 
 // maxTexts bounds the directive texts a cache remembers, a few hundred
@@ -66,121 +92,56 @@ type mappedKey struct {
 	fp string
 }
 
-// combinedKey identifies one Intersect or Union result by operator and
-// operand pointers.
+// combinedKey identifies one two-set Combine by rule and operand
+// pointers.
 type combinedKey struct {
-	op   string
+	all  bool
 	a, b *DirectiveSet
 }
 
 // NewHarvestCache creates an empty cache.
-func NewHarvestCache() *HarvestCache {
-	return &HarvestCache{
-		harvests: make(map[harvestKey]*DirectiveSet),
-		mapped:   make(map[mappedKey]*DirectiveSet),
-		combined: make(map[combinedKey]*DirectiveSet),
-		guides:   make(map[*DirectiveSet]*Guide),
-	}
-}
+func NewHarvestCache() *HarvestCache { return &HarvestCache{} }
 
 // Harvest returns the memoized Harvest(rec, opt). rec must be an
 // interned record (one pointer per record identity, e.g. from a
 // history.Store) for the memoization to be exact.
 func (c *HarvestCache) Harvest(rec *history.RunRecord, opt HarvestOptions) *DirectiveSet {
-	key := harvestKey{rec: rec, opt: opt.normalize()}
-	c.mu.RLock()
-	ds, ok := c.harvests[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return ds
-	}
-	ds = Harvest(rec, opt)
-	c.mu.Lock()
-	if prev, ok := c.harvests[key]; ok {
-		ds = prev // another goroutine computed it first; keep one copy
-	} else {
-		c.harvests[key] = ds
-		c.misses.Add(1)
-	}
-	c.mu.Unlock()
+	ds, _ := c.harvests.get(harvestKey{rec: rec, opt: opt.normalize()}, func() (*DirectiveSet, error) {
+		return Harvest(rec, opt), nil
+	})
 	return ds
 }
 
 // Mapped returns the memoized ApplyMappings(ds, maps). Only successful
 // applications are cached.
 func (c *HarvestCache) Mapped(ds *DirectiveSet, maps []Mapping) (*DirectiveSet, error) {
-	key := mappedKey{ds: ds, fp: FormatMappings(maps)}
-	c.mu.RLock()
-	out, ok := c.mapped[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return out, nil
-	}
-	out, err := ApplyMappings(ds, maps)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if prev, ok := c.mapped[key]; ok {
-		out = prev
-	} else {
-		c.mapped[key] = out
-		c.misses.Add(1)
-	}
-	c.mu.Unlock()
-	return out, nil
+	return c.mapped.get(mappedKey{ds: ds, fp: FormatMappings(maps)}, func() (*DirectiveSet, error) {
+		return ApplyMappings(ds, maps)
+	})
 }
 
-// Intersect returns the memoized Intersect(a, b).
-func (c *HarvestCache) Intersect(a, b *DirectiveSet) *DirectiveSet {
-	return c.combine("and", a, b, Intersect)
-}
-
-// Union returns the memoized Union(a, b).
-func (c *HarvestCache) Union(a, b *DirectiveSet) *DirectiveSet {
-	return c.combine("or", a, b, Union)
-}
-
-func (c *HarvestCache) combine(op string, a, b *DirectiveSet, fn func(a, b *DirectiveSet) *DirectiveSet) *DirectiveSet {
-	key := combinedKey{op: op, a: a, b: b}
-	c.mu.RLock()
-	ds, ok := c.combined[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return ds
+// Combine returns the memoized Combine(all, sets...) of one or more sets
+// this cache returned, folded two at a time, which both rules allow: the
+// same operands give back the same set, and one set is returned as it
+// is.
+func (c *HarvestCache) Combine(all bool, sets ...*DirectiveSet) *DirectiveSet {
+	ds := sets[0]
+	for _, b := range sets[1:] {
+		a := ds
+		ds, _ = c.combined.get(combinedKey{all: all, a: a, b: b}, func() (*DirectiveSet, error) {
+			return Combine(all, a, b), nil
+		})
 	}
-	ds = fn(a, b)
-	c.mu.Lock()
-	if prev, ok := c.combined[key]; ok {
-		ds = prev
-	} else {
-		c.combined[key] = ds
-		c.misses.Add(1)
-	}
-	c.mu.Unlock()
 	return ds
 }
+
+// Intersect returns the memoized A∩B, Combine(true, a, b).
+func (c *HarvestCache) Intersect(a, b *DirectiveSet) *DirectiveSet { return c.Combine(true, a, b) }
 
 // Guide returns ds compiled, once: ds must be a set this cache returned,
 // which nobody mutates.
 func (c *HarvestCache) Guide(ds *DirectiveSet) *Guide {
-	c.mu.RLock()
-	g, ok := c.guides[ds]
-	c.mu.RUnlock()
-	if ok {
-		return g
-	}
-	g = ds.Compile()
-	c.mu.Lock()
-	if prev, ok := c.guides[ds]; ok {
-		g = prev
-	} else {
-		c.guides[ds] = g
-	}
-	c.mu.Unlock()
+	g, _ := c.guides.get(ds, func() (*Guide, error) { return ds.Compile(), nil })
 	return g
 }
 
@@ -242,7 +203,9 @@ func (c *HarvestCache) lookup(match func(*formatted) bool) *formatted {
 	return nil
 }
 
-// Stats reports cache hits and misses so far.
+// Stats reports the hits and misses so far of the harvested, mapped and
+// combined sets.
 func (c *HarvestCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	return c.harvests.hits.Load() + c.mapped.hits.Load() + c.combined.hits.Load(),
+		c.harvests.misses.Load() + c.mapped.misses.Load() + c.combined.misses.Load()
 }

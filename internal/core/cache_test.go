@@ -78,21 +78,28 @@ func TestHarvestCacheMemoizesMappedAndCombined(t *testing.T) {
 		t.Error("different mappings shared an entry")
 	}
 
-	and1 := c.Intersect(ds, m1)
+	and1 := c.Combine(true, ds, m1)
 	and2 := c.Intersect(ds, m1)
-	or1 := c.Union(ds, m1)
+	or1 := c.Combine(false, ds, m1)
 	if and1 != and2 {
-		t.Error("Intersect not memoized")
+		t.Error("Combine not memoized")
 	}
 	if or1 == and1 {
-		t.Error("Union and Intersect shared an entry")
+		t.Error("A∪B and A∩B shared an entry")
 	}
-	if !reflect.DeepEqual(and1, Intersect(ds, m1)) {
-		t.Error("cached Intersect differs from a direct Intersect")
+	if !reflect.DeepEqual(and1, Combine(true, ds, m1)) {
+		t.Error("cached Combine differs from a direct Combine")
 	}
 	// Operand order matters to the key.
 	if c.Intersect(m1, ds) == and1 {
 		t.Error("swapped operands shared an entry")
+	}
+	// Three sets fold through the two-set entries, and one set is itself.
+	if c.Combine(true, ds, m1, m3) != c.Combine(true, and1, m3) {
+		t.Error("a three-set Combine did not fold through the two-set entries")
+	}
+	if c.Combine(false, ds) != ds {
+		t.Error("Combine of one set is not that set")
 	}
 }
 
@@ -117,8 +124,8 @@ func TestHarvestCacheConcurrent(t *testing.T) {
 				ds := c.Harvest(rec, HarvestAll())
 				if w%2 == 0 {
 					ds2 := c.Harvest(other, HarvestOptions{GeneralPrunes: true, Priorities: true})
-					c.Intersect(ds, ds2)
-					c.Union(ds, ds2)
+					c.Combine(true, ds, ds2)
+					c.Combine(false, ds, ds2)
 				}
 				if _, err := c.Mapped(ds, maps); err != nil {
 					t.Error(err)

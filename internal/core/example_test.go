@@ -81,14 +81,14 @@ func ExampleApplyMappings() {
 	// priority high ExcessiveSyncWaitingTime </Code/nbsweep.f/nbsweep,/Machine,/Process,/SyncObject>
 }
 
-// ExampleIntersect demonstrates the paper's A∩B combination: only pairs
+// ExampleCombine demonstrates the paper's A∩B combination: only pairs
 // that tested the same way in both source runs keep their priority.
-func ExampleIntersect() {
+func ExampleCombine() {
 	a, _ := core.ParseDirectives(strings.NewReader(
 		"priority high H <x>\npriority high H <y>\npriority low H <z>\n"))
 	b, _ := core.ParseDirectives(strings.NewReader(
 		"priority high H <x>\npriority low H <y>\npriority low H <z>\n"))
-	_ = core.WriteDirectives(os.Stdout, core.Intersect(a, b))
+	_ = core.WriteDirectives(os.Stdout, core.Combine(true, a, b))
 	// Output:
 	// priority high H <x>
 	// priority low H <z>

@@ -266,7 +266,7 @@ func TestDirectiveTextMemo(t *testing.T) {
 			t.Fatalf("set %d: %d texts kept, over the bound of %d", i, len(c.texts), maxTexts)
 		}
 	}
-	kept, compiled := len(c.texts), len(c.guides)
+	kept, compiled := len(c.texts), c.guides.misses.Load()
 
 	// Trailing space in the source line does not survive a parse.
 	odd := &DirectiveSet{Source: "padded ", Thresholds: []ThresholdDirective{{Hypothesis: consultant.CPUBound, Value: 0.2}}}
@@ -285,8 +285,8 @@ func TestDirectiveTextMemo(t *testing.T) {
 	if _, _, err := c.Directives("bogus line\n"); err == nil {
 		t.Error("a malformed text was accepted")
 	}
-	if len(c.texts) != kept || len(c.guides) != compiled {
-		t.Errorf("texts the cache never wrote grew it: %d texts, %d compiled, want %d and %d", len(c.texts), len(c.guides), kept, compiled)
+	if len(c.texts) != kept || c.guides.misses.Load() != compiled {
+		t.Errorf("texts the cache never wrote grew it: %d texts, %d compiled, want %d and %d", len(c.texts), c.guides.misses.Load(), kept, compiled)
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != uint64(3*maxTexts) {
 		t.Errorf("stats = %d hits, %d misses; the text memo must not count", hits, misses)

@@ -119,8 +119,8 @@ func (e *Env) CombineStudy(workers int) (*CombineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	and := e.cache.Intersect(dsAC, dsBC)
-	or := e.cache.Union(dsAC, dsBC)
+	and := e.cache.Combine(true, dsAC, dsBC)
+	or := e.cache.Combine(false, dsAC, dsBC)
 	out.AndDirectives = len(and.Priorities)
 	out.OrDirectives = len(or.Priorities)
 	andKeys := make(map[string]bool, len(and.Priorities))

@@ -48,6 +48,17 @@ func (e *Env) Harvest(rec *history.RunRecord, opt core.HarvestOptions) *core.Dir
 	return e.cache.Harvest(rec, opt)
 }
 
+// HarvestCombined harvests one or more interned records through the
+// cache and combines the sets, A∩B when all is set and A∪B when not: the
+// one fold HarvestRuns and a harvesting stream share.
+func (e *Env) HarvestCombined(recs []*history.RunRecord, opt core.HarvestOptions, all bool) *core.DirectiveSet {
+	sets := make([]*core.DirectiveSet, len(recs))
+	for i, rec := range recs {
+		sets[i] = e.cache.Harvest(rec, opt)
+	}
+	return e.cache.Combine(all, sets...)
+}
+
 // SaveResult persists a completed session's run record to the store and
 // returns the interned stored copy — the pointer every subsequent
 // harvest and comparison should use.
@@ -85,15 +96,7 @@ func (e *Env) HarvestRuns(app string, refs []string, opt core.HarvestOptions, co
 		}
 		recs[i] = rec
 	}
-	ds := e.Harvest(recs[0], opt)
-	for _, rec := range recs[1:] {
-		h := e.Harvest(rec, opt)
-		if combine == "or" {
-			ds = e.cache.Union(ds, h)
-		} else {
-			ds = e.cache.Intersect(ds, h)
-		}
-	}
+	ds := e.HarvestCombined(recs, opt, combine != "or")
 	if mapTo == "" {
 		return ds, nil, nil
 	}

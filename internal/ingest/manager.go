@@ -240,28 +240,21 @@ func (m *Manager) Start(req *StartRequest) (*StartResponse, error) {
 	}
 
 	opts := EngineOptions{EvalBudget: m.opts.EvalBudget, Watch: req.Watch}
-	sources := 0
-	if req.Harvest {
-		opts.Directives, sources = m.harvestFor(req.App, req.Version)
-	}
-	ds := opts.Directives
-	if ds != nil {
-		opts.guide = m.env.Cache().Guide(ds)
-	}
-	eng := NewEngine(req.App, req.Version, req.RunID, opts)
 	s := &stream{
 		key:        key,
-		eng:        eng,
 		ch:         make(chan feedMsg, m.opts.QueueDepth),
 		end:        make(chan feedMsg),
 		exited:     make(chan struct{}),
 		nextSeq:    1,
 		lastActive: m.opts.Now(),
 	}
-	if ds != nil {
-		s.directives = len(ds.Prunes) + len(ds.Priorities) + len(ds.Thresholds)
-		s.sources = sources
+	if req.Harvest {
+		if ds, sources := m.harvestFor(req.App, req.Version); ds != nil {
+			opts.Directives, opts.guide = ds, m.env.Cache().Guide(ds)
+			s.directives, s.sources = ds.Len(), sources
+		}
 	}
+	s.eng = NewEngine(req.App, req.Version, req.RunID, opts)
 
 	m.mu.Lock()
 	if m.closed {
@@ -289,7 +282,8 @@ func (m *Manager) Start(req *StartRequest) (*StartResponse, error) {
 
 // harvestFor folds the stored runs of (app, version) into one directive
 // set — the paper's "and" combination (directives supported by every
-// source run), memoized by the environment's harvest cache.
+// source run) — through the environment's one memoized fold, the one
+// /harvest runs.
 func (m *Manager) harvestFor(app, version string) (*core.DirectiveSet, int) {
 	recs, err := m.env.Store().LoadAll(app, version)
 	if err != nil || len(recs) == 0 {
@@ -298,11 +292,7 @@ func (m *Manager) harvestFor(app, version string) (*core.DirectiveSet, int) {
 	if n := m.opts.HarvestSources; len(recs) > n {
 		recs = recs[len(recs)-n:]
 	}
-	ds := m.env.Harvest(recs[0], core.HarvestAll())
-	for _, rec := range recs[1:] {
-		ds = m.env.Cache().Intersect(ds, m.env.Harvest(rec, core.HarvestAll()))
-	}
-	return ds, len(recs)
+	return m.env.HarvestCombined(recs, core.HarvestAll(), true), len(recs)
 }
 
 // Samples applies one batch to its stream's queue. Resends of an

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -400,5 +401,73 @@ func TestManagerConcurrentStreamsDeterministic(t *testing.T) {
 	}
 	if a, b := digest(), digest(); a != b {
 		t.Errorf("concurrent replays diverged: %s vs %s", a, b)
+	}
+}
+
+// TestHarvestSharedFoldIdentity: a harvesting stream's start and pcd's
+// /harvest fold stored runs through one Env method, so two harvesting
+// starts over the same stored runs and an "and" HarvestRuns over the
+// same refs get the same set, compiled once. The cache counts what the
+// two separate folds once counted: five misses at the first start (three
+// harvests, two combines), five hits at each later fold.
+func TestHarvestSharedFoldIdentity(t *testing.T) {
+	env := harness.NewEnv(nil)
+	m := NewManager(env, ManagerOptions{})
+	defer m.Close()
+	for i := 0; i < 3; i++ {
+		runID := fmt.Sprintf("r%d", i)
+		startStream(t, m, runID)
+		samples := fakeSamples(fmt.Sprintf("x:%d", i+1), fmt.Sprintf("n0%d", i+1), 40+13*i, 0)
+		if _, err := m.Samples(&SamplesRequest{App: "x", RunID: runID, Seq: 1, Samples: samples}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.End(&EndRequest{App: "x", RunID: runID, Seq: 2, Elapsed: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := env.Store().LoadAll("x", "")
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("stored runs: %d, %v", len(recs), err)
+	}
+	refs := make([]string, len(recs))
+	for i, rec := range recs {
+		refs[i] = rec.Version + ":" + rec.RunID
+	}
+
+	hits0, misses0 := env.Cache().Stats()
+	var sets []*core.DirectiveSet
+	var guides []*core.Guide
+	for _, runID := range []string{"h1", "h2"} {
+		resp, err := m.Start(&StartRequest{App: "x", RunID: runID, Harvest: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.SourceRuns != 3 || resp.Directives == 0 {
+			t.Fatalf("%s: %d directives from %d runs", runID, resp.Directives, resp.SourceRuns)
+		}
+		s, err := m.lookup("x", "", runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, s.eng.opts.Directives)
+		guides = append(guides, s.eng.opts.guide)
+	}
+	ds, _, err := env.HarvestRuns("x", refs, core.HarvestAll(), "and", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sets[0] != sets[1] || ds != sets[0] {
+		t.Errorf("one fold gave three sets: %p, %p and /harvest's %p", sets[0], sets[1], ds)
+	}
+	if guides[0] != guides[1] || guides[0] != env.Cache().Guide(ds) {
+		t.Error("the fold's set was compiled more than once")
+	}
+	hits, misses := env.Cache().Stats()
+	if hits-hits0 != 10 || misses-misses0 != 5 {
+		t.Errorf("the folds counted %d hits and %d misses, want 10 and 5", hits-hits0, misses-misses0)
+	}
+	// No combine named is "and".
+	if def, _, err := env.HarvestRuns("x", refs, core.HarvestAll(), "", ""); err != nil || def != ds {
+		t.Errorf("the default combine gave %p (%v), not the \"and\" set %p", def, err, ds)
 	}
 }

@@ -105,6 +105,15 @@ type SamplesResponse struct {
 	TrueCount int `json:"true_count"`
 }
 
+// SamplesResponseShape is the member table of a batch's acknowledgement,
+// which pcd writes once per batch.
+var SamplesResponseShape = history.NewShape(
+	history.Field("accepted", func(r *SamplesResponse) *int { return &r.Accepted }, history.Int),
+	history.Field("queued", func(r *SamplesResponse) *int { return &r.Queued }, history.Int),
+	history.Field("steps", func(r *SamplesResponse) *int { return &r.Steps }, history.Int),
+	history.Field("true_count", func(r *SamplesResponse) *int { return &r.TrueCount }, history.Int),
+)
+
 // EndRequest is the end-of-stream marker: no more samples will arrive,
 // finalize the run. Seq must be one past the last samples batch, which
 // proves no batch was lost in transit.

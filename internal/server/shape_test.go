@@ -12,11 +12,11 @@ import (
 	"repro/internal/ingest"
 )
 
-// The eleven wire shapes with a member table, as values.
+// The twelve wire shapes with a member table, as values.
 var wireShapeValues = []any{
 	history.NodeResult{}, history.RunRecord{}, QueryHit{}, QueryResponse{}, PutRunsRequest{},
 	HarvestResponse{}, DiagnoseRequest{}, DiagnoseBottleneck{}, DiagnoseResponse{},
-	ingest.Sample{}, ingest.SamplesRequest{},
+	ingest.Sample{}, ingest.SamplesRequest{}, ingest.SamplesResponse{},
 }
 
 // TestShapesMatchStructTags: each member table lists its struct's
@@ -160,7 +160,7 @@ func (f *shapeFill) fill(v reflect.Value) {
 	}
 }
 
-// FuzzShapesAppendMatchEncodingJSON builds a value of each of the eleven
+// FuzzShapesAppendMatchEncodingJSON builds a value of each of the twelve
 // shapes out of the input and holds its member table to encoding/json:
 // indented and compact, the table writes json.MarshalIndent's or
 // json.Marshal's bytes, or both refuse the value; and what the strict
@@ -214,4 +214,57 @@ func FuzzShapesAppendMatchEncodingJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSamplesResponseShapeMatchesEncodingJSON: pcd acknowledges every
+// sample batch, and the acknowledgement is written and read by its member
+// table, byte for byte and value for value what encoding/json makes of
+// it: indented as pcd answers, compact, and read back from either and
+// from bodies another writer might send.
+func TestSamplesResponseShapeMatchesEncodingJSON(t *testing.T) {
+	if shapeOf(&ingest.SamplesResponse{}) == nil {
+		t.Fatal("a batch's acknowledgement has no member table")
+	}
+	for _, v := range []ingest.SamplesResponse{
+		{},
+		{Accepted: 64, Queued: 3, Steps: 516, TrueCount: 7},
+		{Accepted: 0, Queued: 0, Steps: 15, TrueCount: 1},
+		{Accepted: -1, Queued: math.MaxInt, Steps: math.MinInt, TrueCount: 1 << 40},
+	} {
+		got, err := MarshalCanonical(&v)
+		want, werr := json.MarshalIndent(&v, "", "  ")
+		if err != nil || werr != nil || !bytes.Equal(got, append(want, '\n')) {
+			t.Errorf("%+v: MarshalCanonical wrote %q (%v), encoding/json %q (%v)", v, got, err, want, werr)
+		}
+		compact, err := MarshalCompact(v)
+		if want, _ := json.Marshal(v); err != nil || !bytes.Equal(compact, want) {
+			t.Errorf("%+v: MarshalCompact wrote %q (%v), encoding/json %q", v, compact, err, want)
+		}
+		for _, body := range [][]byte{got, compact} {
+			var back ingest.SamplesResponse
+			if !unmarshalStrict(body, &back) || back != v {
+				t.Errorf("%q: the strict decoder read %+v, want %+v", body, back, v)
+			}
+		}
+	}
+	for _, body := range []string{
+		`{"true_count":2,"steps":9,"queued":1,"accepted":64}`,
+		`{"accepted":64,"unknown":[1,{"x":null}],"steps":9}`,
+		" {\n\t\"accepted\" : 1 } ",
+		`{"accepted":1.5}`,
+		`{"accepted":"1"}`,
+		`{"accepted":1e2}`,
+		`{"accepted":99999999999999999999}`,
+		`{"accepted":1,"accepted":2}`,
+		`{"ACCEPTED":3}`,
+		`null`,
+		`{`,
+	} {
+		var got, want ingest.SamplesResponse
+		err := UnmarshalCanonical([]byte(body), &got)
+		werr := json.Unmarshal([]byte(body), &want)
+		if (err == nil) != (werr == nil) || err == nil && got != want {
+			t.Errorf("%s: read %+v (%v), encoding/json %+v (%v)", body, got, err, want, werr)
+		}
+	}
 }

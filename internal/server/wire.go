@@ -21,7 +21,7 @@ import (
 // MarshalCanonical renders v in the service's canonical JSON encoding
 // (FORMATS.md "Wire API"): two-space indent and a trailing newline.
 // Every response body and every CLI -json document goes through this one
-// encoder. The eleven shapes with a member table (shapeOf) are written by
+// encoder. The twelve shapes with a member table (shapeOf) are written by
 // it, byte for byte what encoding/json writes for them; everything else,
 // and any of them holding a float JSON cannot spell (which encoding/json
 // refuses with the error returned here), takes the reflective path.
@@ -76,7 +76,7 @@ type wireShape interface {
 
 type wire[T any] struct{ *history.Shape[T] }
 
-// shapeOf is the member table of v's type — one of the eleven shapes, as
+// shapeOf is the member table of v's type — one of the twelve shapes, as
 // a value or a pointer — or nil.
 func shapeOf(v any) wireShape {
 	switch v.(type) {
@@ -102,6 +102,8 @@ func shapeOf(v any) wireShape {
 		return wire[ingest.Sample]{postmortem.SampleShape}
 	case ingest.SamplesRequest, *ingest.SamplesRequest:
 		return wire[ingest.SamplesRequest]{ingest.SamplesRequestShape}
+	case ingest.SamplesResponse, *ingest.SamplesResponse:
+		return wire[ingest.SamplesResponse]{ingest.SamplesResponseShape}
 	}
 	return nil
 }

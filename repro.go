@@ -141,10 +141,10 @@ func HarvestAll() HarvestOptions { return core.HarvestAll() }
 func Harvest(rec *RunRecord, opt HarvestOptions) *DirectiveSet { return core.Harvest(rec, opt) }
 
 // IntersectDirectives implements the paper's A∩B combination.
-func IntersectDirectives(a, b *DirectiveSet) *DirectiveSet { return core.Intersect(a, b) }
+func IntersectDirectives(a, b *DirectiveSet) *DirectiveSet { return core.Combine(true, a, b) }
 
 // UnionDirectives implements the paper's A∪B combination.
-func UnionDirectives(a, b *DirectiveSet) *DirectiveSet { return core.Union(a, b) }
+func UnionDirectives(a, b *DirectiveSet) *DirectiveSet { return core.Combine(false, a, b) }
 
 // InferMappings proposes resource mappings between two executions'
 // resource sets (per-hierarchy, by name similarity).
